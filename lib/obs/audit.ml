@@ -38,6 +38,7 @@ type rule =
   | Batch_wait
   | Enforced_order_wait
   | Predecessor_unpredicted
+  | Predecessor_conflict
   | Queue_wait
   | Stale_read
   | Unsafe_op
@@ -84,6 +85,7 @@ let rule_name = function
   | Batch_wait -> "batch-wait"
   | Enforced_order_wait -> "enforced-order-wait"
   | Predecessor_unpredicted -> "predecessor-unpredicted"
+  | Predecessor_conflict -> "predecessor-conflict"
   | Queue_wait -> "queue-wait"
   | Stale_read -> "stale-read"
   | Unsafe_op -> "unsafe-op"

@@ -223,6 +223,11 @@ let future_mutexes t ~tid =
   | Some tab ->
     if predicted_tab tab then Some (Iset.elements tab.future) else None
 
+let future_set t ~tid =
+  match tracked t tid with
+  | None -> None
+  | Some tab -> if predicted_tab tab then Some tab.future else None
+
 let future_may_lock t ~tid ~mutex =
   match tracked t tid with
   | None -> true

@@ -14,6 +14,8 @@
     every entry is resolved and no changing scope is active or still ahead —
     then its exact future lock set is known. *)
 
+module Iset : Set.S with type elt = int and type t = Set.Make(Int).t
+
 type t
 
 val create : summary:Detmt_analysis.Predict.class_summary option -> unit -> t
@@ -58,6 +60,12 @@ val future_mutexes : t -> tid:int -> int list option
 (** The exact future lock set (ascending, duplicate-free), or [None] when
     not predicted.  Maintained incrementally: O(n) only in the size of the
     set itself, never in the number of table entries. *)
+
+val future_set : t -> tid:int -> Iset.t option
+(** {!future_mutexes} without building a list: the table's own persistent
+    set, physically unchanged until the thread's next bookkeeping event
+    that moves it.  Incremental consumers (pMAT's claim sets) compare it by
+    physical equality to skip unchanged events. *)
 
 val uses_condvars : t -> tid:int -> bool
 (** Whether the thread's start method may execute a condition-variable

@@ -21,6 +21,13 @@ val to_list : 'a t -> 'a list
 
 val fold : ('b -> 'a -> 'b) -> 'b -> 'a t -> 'b
 
+val for_all : ('a -> bool) -> 'a t -> bool
+(** Builds no list; visits elements out of FIFO order, so [p] must be
+    pure. *)
+
+val exists : ('a -> bool) -> 'a t -> bool
+(** As {!for_all}. *)
+
 val filter : ('a -> bool) -> 'a t -> 'a t
 
 val partition : ('a -> bool) -> 'a t -> 'a list * 'a t

@@ -151,6 +151,11 @@ let future_mutexes t ~tid =
   | None -> None
   | Some bk -> Bookkeeping.future_mutexes bk ~tid
 
+let future_set t ~tid =
+  match t.bookkeeping with
+  | None -> None
+  | Some bk -> Bookkeeping.future_set bk ~tid
+
 let uses_condvars t ~tid =
   match t.bookkeeping with
   | None -> true

@@ -90,6 +90,10 @@ val no_future_locks : t -> tid:int -> bool
 
 val future_mutexes : t -> tid:int -> int list option
 
+val future_set : t -> tid:int -> Bookkeeping.Iset.t option
+(** As {!future_mutexes}, as the bookkeeping table's own set (no list
+    built); [None] when not predicted. *)
+
 val uses_condvars : t -> tid:int -> bool
 
 (** {1 Bookkeeping event forwarders} — no-ops without a bookkeeping module *)

@@ -59,7 +59,7 @@ type t = {
   batch : int;
   dummy_timeout_ms : float;
   mutable backlog : int Fqueue.t; (* delivered, not yet started, FIFO *)
-  mutable slots : int list;
+  mutable slots : int Fqueue.t;
       (* current batch members in age (= delivery) order, terminated members
          included until the next round decision *)
   terminated : (int, unit) Hashtbl.t;
@@ -82,14 +82,15 @@ type t = {
   round_grants : (int, int) Hashtbl.t; (* grants per member this round *)
   mutable round_waiting : (int * int) list; (* (tid, mutex), age order *)
   mutable second_waiting : (int * int) list;
-      (* second-in-round requests, tid order; they yield to every decided
-         request for the same mutex (see [grant_eligible]) *)
-  mutable round_unreleased : (int * int) list; (* granted, not yet released *)
+      (* second-in-round requests, sorted by (tid, mutex); they yield to
+         every decided request for the same mutex (see [grant_eligible]) *)
+  mutable round_unreleased : (int * int) list;
+      (* granted, not yet released; a multiset — only membership is read *)
   mutable timer_armed : bool;
   mutable dummies_requested : int;
 }
 
-let occupancy t = t.ghost_slots + List.length t.slots
+let occupancy t = t.ghost_slots + Fqueue.length t.slots
 
 let observing t = Substrate.observing t.sub
 
@@ -99,7 +100,7 @@ let fill_slots t =
     | None -> ()
     | Some (tid, rest) ->
       t.backlog <- rest;
-      t.slots <- t.slots @ [ tid ];
+      t.slots <- Fqueue.push t.slots tid;
       if observing t then begin
         Substrate.incr t.sub "starts";
         Substrate.audit t.sub ~tid ~action:Audit.Start_thread
@@ -128,7 +129,7 @@ let grant t tid =
 let grant_eligible t =
   let actions = Substrate.actions t.sub in
   let issue rule (tid, mutex) =
-    t.round_unreleased <- t.round_unreleased @ [ (tid, mutex) ];
+    t.round_unreleased <- (tid, mutex) :: t.round_unreleased;
     Hashtbl.replace t.round_grants tid
       (1 + Option.value ~default:0 (Hashtbl.find_opt t.round_grants tid));
     if observing t then begin
@@ -205,7 +206,7 @@ let independence_eligible t ~requests:_ (tid, mutex) =
   (* No other live member may ever touch the closure.  Unpredicted members
      answer [future_may_lock] with true and veto the launch; this also
      rejects overlapping independence candidates symmetrically. *)
-  && List.for_all
+  && Fqueue.for_all
        (fun u ->
          u = tid
          || List.for_all
@@ -223,7 +224,7 @@ let launch_independent t (tid, mutex) =
         (if Hashtbl.mem t.reacquire tid then Audit.Grant_reacquire
          else Audit.Grant_lock)
       ~mutex ~rule:Audit.Predicted_no_conflict
-      ~candidates:(List.filter (fun u -> u <> tid) t.slots)
+      ~candidates:(List.filter (fun u -> u <> tid) (Fqueue.to_list t.slots))
       ()
   end;
   grant t tid
@@ -264,9 +265,9 @@ let rec end_round_if_done t =
   end
 
 and check_round t =
-  if (not t.round_open) && t.slots <> [] then begin
+  if (not t.round_open) && not (Fqueue.is_empty t.slots) then begin
     let all_arrived =
-      List.for_all
+      Fqueue.for_all
         (fun tid -> Hashtbl.mem t.arrived tid || Hashtbl.mem t.terminated tid)
         t.slots
     in
@@ -282,7 +283,7 @@ and check_round t =
       end;
       t.ghost_slots <- 0;
       t.slots <-
-        List.filter (fun tid -> not (Hashtbl.mem t.terminated tid)) t.slots;
+        Fqueue.filter (fun tid -> not (Hashtbl.mem t.terminated tid)) t.slots;
       Hashtbl.reset t.terminated;
       Hashtbl.reset t.round_grants;
       let requests =
@@ -291,7 +292,7 @@ and check_round t =
             match Hashtbl.find_opt t.arrived tid with
             | Some (A_lock mutex) -> Some (tid, mutex)
             | Some A_suspended | None -> None)
-          t.slots
+          (Fqueue.to_list t.slots)
       in
       (* pPDS: release provably independent members from the round before it
          opens; they keep their slot (blocking the next decision) but the
@@ -349,6 +350,11 @@ let on_request t tid =
   fill_slots t;
   check_round t
 
+(* Insert into an ascending list: the order [List.sort compare] gives. *)
+let rec insert_sorted x = function
+  | y :: rest when compare y x < 0 -> y :: insert_sorted x rest
+  | l -> x :: l
+
 let on_lock t tid ~syncid:_ ~mutex =
   if Hashtbl.mem t.independent tid then independent_lock t tid ~mutex
   else
@@ -362,8 +368,7 @@ let on_lock t tid ~syncid:_ ~mutex =
          request one more lock within the same round (nested synchronized
          blocks would otherwise deadlock the round).  It queues behind every
          decided request for the same mutex, in tid order among seconds. *)
-      t.second_waiting <-
-        List.sort compare (t.second_waiting @ [ (tid, mutex) ]);
+      t.second_waiting <- insert_sorted (tid, mutex) t.second_waiting;
       grant_eligible t;
       end_round_if_done t
     end
@@ -383,7 +388,7 @@ let on_lock t tid ~syncid:_ ~mutex =
         if observing t && Hashtbl.mem t.arrived tid then begin
           Substrate.incr t.sub "deferrals";
           Substrate.audit t.sub ~tid ~action:Audit.Defer ~mutex
-            ~rule:Audit.Batch_wait ~candidates:t.slots ()
+            ~rule:Audit.Batch_wait ~candidates:(Fqueue.to_list t.slots) ()
         end
       end
     end
@@ -446,7 +451,7 @@ let on_nested_reply t tid =
 let on_terminate t tid =
   Hashtbl.remove t.independent tid;
   Substrate.retire t.sub ~tid;
-  if List.mem tid t.slots then
+  if Fqueue.exists (fun u -> u = tid) t.slots then
     (* The slot stays occupied (and counts as arrived) until the next round
        decision — emptying it now would make the batch composition depend on
        local termination timing, which delivery skew de-synchronises across
@@ -469,8 +474,9 @@ let policy sub : Sched_iface.sched =
   let t =
     { sub; batch = config.Config.pds_batch;
       dummy_timeout_ms = config.Config.pds_dummy_timeout_ms;
-      backlog = Fqueue.empty; slots = []; terminated = Hashtbl.create 16;
-      ghost_slots = 0; arrived = Hashtbl.create 64;
+      backlog = Fqueue.empty; slots = Fqueue.empty;
+      terminated = Hashtbl.create 16; ghost_slots = 0;
+      arrived = Hashtbl.create 64;
       reacquire = Hashtbl.create 16; independent = Hashtbl.create 16;
       indep_deferred = Waitq.create (); round_open = false;
       round_members = []; round_grants = Hashtbl.create 16;
@@ -499,7 +505,7 @@ let policy sub : Sched_iface.sched =
        their occupancy pads the next batch and must transfer, or a
        recovered replica's rounds would open at different fill levels. *)
     snapshot =
-      (fun () -> [ ("occupied_slots", t.ghost_slots + List.length t.slots) ]);
+      (fun () -> [ ("occupied_slots", occupancy t) ]);
     restore =
       (fun kv ->
         List.iter

@@ -54,8 +54,15 @@ let test_prediction_lifecycle () =
     (Bookkeeping.future_may_lock bk ~tid:1 ~mutex:40);
   Alcotest.check b "future excludes others" false
     (Bookkeeping.future_may_lock bk ~tid:1 ~mutex:41);
+  let set_elements () =
+    Option.map Bookkeeping.Iset.elements (Bookkeeping.future_set bk ~tid:1)
+  in
+  Alcotest.(check (option (list int))) "future_set agrees with the list"
+    (Bookkeeping.future_mutexes bk ~tid:1) (set_elements ());
   (* acquisitions mark entries passed *)
   Bookkeeping.on_acquired bk ~tid:1 ~syncid:1 ~mutex:40;
+  Alcotest.(check (option (list int))) "future_set after an acquisition"
+    (Some [ 40 ]) (set_elements ());
   Alcotest.check b "still future: sid 2 remains" true
     (Bookkeeping.future_may_lock bk ~tid:1 ~mutex:40);
   Bookkeeping.on_acquired bk ~tid:1 ~syncid:2 ~mutex:40;

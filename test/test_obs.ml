@@ -308,6 +308,61 @@ let test_audit_window () =
   | None -> Alcotest.fail "checkpoint time not recorded");
   Alcotest.(check int) "audit count" 4 (Recorder.audit_count obs)
 
+(* pMAT's deferral audit names what gates a request: the unpredicted queue
+   predecessors (never successors), or the predicted predecessors whose
+   future set holds the mutex. *)
+let pmat_gate_cls =
+  let open Detmt_lang.Builder in
+  Detmt_lang.Builder.cls ~cname:"PmatGate" ~state_fields:[ "st" ]
+    ~mutex_fields:[ ("f", 9) ]
+    [ (* unpredicted until it acquires the spontaneous field lock *)
+      meth "late" ~params:1
+        [ compute 5.0; sync (field "f") [ state_incr "st" 1 ] ];
+      (* predicted from the start, future set {arg 0} *)
+      meth "claim" ~params:1
+        [ compute 5.0; sync (arg 0) [ state_incr "st" 1 ] ];
+      meth "quick" ~params:1
+        [ compute 1.0; sync (arg 0) [ state_incr "st" 1 ] ] ]
+
+let pmat_deferrals meths =
+  let obs = Recorder.create () in
+  let engine = Engine.create () in
+  let params =
+    { Active.default_params with
+      Active.scheduler = "pmat"; replicas = 1; net_latency_ms = 0.0;
+      client_latency_ms = 0.0 }
+  in
+  let system = Active.create ~obs ~engine ~cls:pmat_gate_cls ~params () in
+  List.iteri
+    (fun i meth ->
+      Active.submit system ~client:i ~client_req:0 ~meth
+        ~args:[| Detmt_lang.Ast.Vmutex 1 |]
+        ~on_reply:(fun ~response_ms:_ -> ()))
+    meths;
+  Engine.run engine;
+  Alcotest.(check int) "all answered" (List.length meths)
+    (Active.replies_received system);
+  List.filter_map
+    (fun (e : Detmt_obs.Audit.entry) ->
+      if e.action = Detmt_obs.Audit.Defer then
+        Some (e.tid, Detmt_obs.Audit.rule_name e.rule, e.candidates)
+      else None)
+    (Recorder.audit_entries obs)
+
+let test_pmat_deferral_audit () =
+  let entry = Alcotest.(triple int string (list int)) in
+  (* t1 waits for the unpredicted t0 only; the unpredicted successor t2 does
+     not gate it.  t2 later finds t0 holding the field lock and names the
+     holder. *)
+  Alcotest.(check (list entry)) "unpredicted predecessor"
+    [ (1, "predecessor-unpredicted", [ 0 ]); (2, "mutex-held", [ 0 ]) ]
+    (pmat_deferrals [ "late"; "quick"; "late" ]);
+  (* t0 is predicted but will still lock m1: a conflict, not a prediction
+     gap. *)
+  Alcotest.(check (list entry)) "conflicting predecessor"
+    [ (1, "predecessor-conflict", [ 0 ]) ]
+    (pmat_deferrals [ "claim"; "quick" ])
+
 (* ------------------------ windowed time series ----------------------- *)
 
 (* Virtual-time windows are part of the deterministic surface: two runs
@@ -534,4 +589,6 @@ let () =
           Alcotest.test_case "parse round-trip" `Quick
             test_openmetrics_roundtrip ] );
       ( "audit",
-        [ Alcotest.test_case "window" `Quick test_audit_window ] ) ]
+        [ Alcotest.test_case "window" `Quick test_audit_window;
+          Alcotest.test_case "pmat deferral gates" `Quick
+            test_pmat_deferral_audit ] ) ]

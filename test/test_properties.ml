@@ -568,6 +568,178 @@ let test_cgs_fixed_workloads () =
         [ 7L; 42L ])
     workloads
 
+(* ------------- pMAT: incremental grants vs the scan reference ---------- *)
+
+(* {!Detmt_sched.Pmat} keeps the section 4.3 rule incrementally (a gate and
+   per-mutex claim sets); {!Pmat_reference} is the original head-to-tail
+   rescan.  Both drive replicas built directly through
+   [Replica.create ~make_sched], so the harness can log every grant the
+   decision module issues.  Three replicas receive the same open-loop
+   request stream, replica [i] skewed by [0.3 * i] ms so their interleavings
+   differ; nested replies return after the call's duration.  Per replica,
+   the two implementations must agree on the grant sequence, the reply
+   table, the final state and the per-mutex acquisition fingerprint. *)
+let pmat_observables (module D : Detmt_sched.Decision.S) ~cls ~gen ~clients
+    ~requests ~seed =
+  let module Replica = Detmt_runtime.Replica in
+  let instrumented, summary = Detmt_transform.Transform.predictive cls in
+  let engine = Detmt_sim.Engine.create () in
+  let config = Detmt_runtime.Config.default in
+  let replica id =
+    let grants = ref [] and replies = ref [] and self = ref None in
+    let make_sched (actions : Detmt_runtime.Sched_iface.actions) =
+      let logged kind grant tid =
+        grants := (kind, tid) :: !grants;
+        grant tid
+      in
+      Detmt_sched.Decision.instantiate
+        (module D)
+        ~config ~summary:(Some summary)
+        { actions with
+          grant_lock = logged `Lock actions.grant_lock;
+          grant_reacquire = logged `Reacquire actions.grant_reacquire }
+    in
+    let callbacks =
+      { Replica.send_reply =
+          (fun req ->
+            replies :=
+              (req.Detmt_runtime.Request.uid, Detmt_sim.Engine.now engine)
+              :: !replies);
+        do_nested =
+          (fun ~tid ~call_index ~service:_ ~duration ->
+            Detmt_sim.Engine.schedule engine ~delay:duration (fun () ->
+                Replica.nested_reply (Option.get !self) ~tid ~call_index));
+        broadcast_control = (fun _ -> ());
+        inject_dummy = (fun () -> ());
+        is_leader = (fun () -> id = 0) }
+    in
+    let r =
+      Replica.create ~engine ~id ~cls:instrumented ~config ~callbacks
+        ~make_sched ()
+    in
+    self := Some r;
+    (r, grants, replies)
+  in
+  let replicas = List.init 3 replica in
+  let uid = ref 0 in
+  for client = 0 to clients - 1 do
+    let rng = Detmt_sim.Rng.create (Int64.add seed (Int64.of_int client)) in
+    for r = 0 to requests - 1 do
+      let meth, args = gen ~client ~seq:r rng in
+      let at = (float_of_int r *. 4.0) +. (float_of_int client *. 0.5) in
+      let req =
+        Detmt_runtime.Request.make ~uid:!uid ~client ~client_req:r ~meth
+          ~args ~sent_at:at
+      in
+      incr uid;
+      List.iteri
+        (fun i (replica, _, _) ->
+          Detmt_sim.Engine.schedule_at engine
+            ~time:(at +. (0.3 *. float_of_int i))
+            (fun () -> Replica.deliver_request replica req))
+        replicas
+    done
+  done;
+  Detmt_sim.Engine.run engine;
+  List.map
+    (fun (r, grants, replies) ->
+      ( List.rev !grants,
+        List.rev !replies,
+        Replica.state_snapshot r,
+        Replica.mutex_acquisition_fingerprint r ))
+    replicas
+
+let pmat_agrees ~cls ~gen ~clients ~requests ~seed =
+  let run d = pmat_observables d ~cls ~gen ~clients ~requests ~seed in
+  run (module Detmt_sched.Pmat.Base) = run (module Pmat_reference.Base)
+
+let prop_pmat_matches_reference =
+  QCheck.Test.make ~count:40
+    ~name:"pmat incremental grants match the scan reference"
+    Testgen.arbitrary_workload
+    (fun (cls, seed) ->
+      pmat_agrees ~cls ~gen:fuzz_gen ~clients:4 ~requests:3 ~seed)
+
+(* Lock coupling (java.util.concurrent explicit locks): a request takes k+1
+   while holding k, so claim sets see overlapping futures. *)
+let hand_over_hand_cls =
+  let open Builder in
+  Builder.cls ~cname:"HandOverHand" ~state_fields:[ "st" ]
+    [ meth "traverse" ~params:2
+        [ lock_acquire (arg 0);
+          compute 1.0;
+          lock_acquire (arg 1);
+          lock_release (arg 0);
+          compute 1.0;
+          state_incr "st" 1;
+          lock_release (arg 1);
+          compute 0.5 ] ]
+
+(* Always couples (k, k+1), so the lock order is acyclic: no deadlock. *)
+let hand_over_hand_gen ~client ~seq _rng =
+  let k = (client + seq) mod 4 in
+  ("traverse", [| Ast.Vmutex k; Ast.Vmutex (k + 1) |])
+
+(* The queue-membership edges of the claim sets:
+   - a waiter still claims [arg 0] when it leaves the queue on [wait] and
+     re-enters at the tail with a fresh seq, then sits in a nested call
+     before taking [arg 0]; a notifier needs the same mutex before it can
+     notify, so a claim left behind by the waiter deadlocks it;
+   - a "late" thread is unpredicted from admission (its field lock is
+     spontaneous) and computes before its first bookkeeping event, so it
+     must gate everything behind it from the moment it is admitted. *)
+let pmat_edges_cls =
+  let open Builder in
+  Builder.cls ~cname:"PmatEdges" ~state_fields:[ "go"; "st" ]
+    ~mutex_fields:[ ("f", 7) ]
+    [ meth "waiter" ~params:1
+        [ sync this [ wait_until this ~field:"go" ~min:1 ];
+          nested ~service:0 6.0;
+          sync (arg 0) [ state_incr "st" 1 ] ];
+      meth "notifier" ~params:1
+        [ compute 2.0;
+          sync (arg 0) [ state_incr "st" 1 ];
+          sync this [ state_incr "go" 1; notify_all this ] ];
+      meth "late" ~params:1
+        [ compute 3.0; sync (field "f") [ state_incr "st" 1 ] ];
+      meth "early" ~params:1 [ sync (arg 0) [ state_incr "st" 1 ] ] ]
+
+let pmat_edges_gen ~client ~seq _rng =
+  ( List.nth [ "waiter"; "notifier"; "late"; "early" ] ((client + seq) mod 4),
+    [| Ast.Vmutex (client mod 3) |] )
+
+let test_pmat_fixed_workloads () =
+  List.iter
+    (fun (wname, cls, gen) ->
+      List.iter
+        (fun seed ->
+          let run d =
+            pmat_observables d ~cls ~gen ~clients:8 ~requests:3 ~seed
+          in
+          let reference = run (module Pmat_reference.Base) in
+          List.iter
+            (fun (grants, replies, _, _) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s seed=%Ld: every request granted and \
+                                 answered"
+                   wname seed)
+                true
+                (List.length grants >= 24 && List.length replies = 24))
+            reference;
+          Alcotest.(check bool)
+            (Printf.sprintf "pmat == reference on %s seed=%Ld" wname seed)
+            true
+            (run (module Detmt_sched.Pmat.Base) = reference))
+        [ 1L; 7L; 42L ])
+    [ ( "figure1",
+        Detmt_workload.Figure1.cls Detmt_workload.Figure1.default,
+        Detmt_workload.Figure1.gen Detmt_workload.Figure1.default );
+      ( "prodcons",
+        Detmt_workload.Prodcons.cls Detmt_workload.Prodcons.default,
+        Detmt_workload.Prodcons.gen );
+      ("hand-over-hand", hand_over_hand_cls, hand_over_hand_gen);
+      ("pmat-edges", pmat_edges_cls, pmat_edges_gen) ]
+
 let prop_runs_reproducible =
   QCheck.Test.make ~count:20 ~name:"same seed, bit-identical run"
     Testgen.arbitrary_class
@@ -612,8 +784,10 @@ let suite =
       prop_wss_equals_seq;
       prop_safety_net_transparent;
       prop_runs_reproducible;
+      prop_pmat_matches_reference;
     ]
   @ [ ("cgs fixed-workload differential", `Quick, test_cgs_fixed_workloads);
+      ("pmat fixed-workload differential", `Quick, test_pmat_fixed_workloads);
       ("workspace abort-path determinism", `Quick,
        test_ws_abort_determinism) ]
 
