@@ -16,9 +16,12 @@ type oracle = string -> Request.t -> int
     function of the call name and the request. *)
 
 val default_oracle : oracle
-(** Hashes the call name and request uid into a small mutex-id range —
-    deterministic across replicas but unpredictable to the analysis, exactly
-    like a real opaque call. *)
+(** Hashes the call name and the request's [(client, client_req)] identity
+    into a small mutex-id range — deterministic across replicas but
+    unpredictable to the analysis, exactly like a real opaque call.  The
+    total-order [uid] is deliberately not an input: nested-invocation
+    messages consume slots, so a request's uid shifts with scheduler
+    timing. *)
 
 exception Runtime_error of string
 

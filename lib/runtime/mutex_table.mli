@@ -39,6 +39,9 @@ val holders : t -> (int * int) list
     diagnostics. *)
 
 val held_by : t -> tid:int -> int list
-(** Mutexes currently owned by the thread, sorted. *)
+(** Mutexes currently owned by the thread, sorted.  A fold over the whole
+    table — diagnostics and tests only. *)
 
 val holds_any : t -> tid:int -> bool
+(** [held_by t ~tid <> []], in O(1): a per-thread count of owned mutexes is
+    kept up to date whenever a mutex becomes held or free. *)

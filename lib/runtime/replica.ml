@@ -50,6 +50,7 @@ type t = {
   oracle : Interp.oracle;
   mutable live : bool;
   mutable completed : int;
+  mutable active : int; (* delivered, not yet terminated threads *)
   mutable ws_commits : int; (* workspace merges at the slot-order barrier *)
   mutable ws_aborts : int; (* discarded speculations (stale or unsafe) *)
   mutable acquisitions : int;
@@ -116,11 +117,6 @@ let record_acquisition t ~mutex ~th =
   Hashtbl.replace t.acq_hashes mutex
     (mix (mix prev th.req.Request.client) th.req.Request.client_req)
 
-let count_active t =
-  Hashtbl.fold
-    (fun _ th n -> match th.status with Terminated -> n | _ -> n + 1)
-    t.threads 0
-
 let rec advance t th =
   if t.live then
     match th.cont with
@@ -175,13 +171,14 @@ and finish t th =
       Recorder.incr t.obs "replica.requests_completed"
     end;
     t.completed <- t.completed + 1;
+    t.active <- t.active - 1;
     (sched t).on_terminate th.tid;
     if not th.req.Request.dummy then t.callbacks.send_reply th.req;
     (* Local quiescence: every delivered request has run to completion.  The
        state is now a pure function of the delivered prefix of the total
        order, so it is the sound moment for a divergence checkpoint. *)
     match t.on_quiescent with
-    | Some hook when count_active t = 0 -> hook ~completed:t.completed
+    | Some hook when t.active = 0 -> hook ~completed:t.completed
     | _ -> ()
   end
 
@@ -486,7 +483,7 @@ let create ~engine ~id ~cls ~config ?(oracle = Interp.default_oracle)
       cls; obj = Object_state.create cls; mutexes = Mutex_table.create ();
       condvars = Condvar.create (); trace_rec = Trace.create ();
       threads = Hashtbl.create 64; sched = None; obs; callbacks; oracle;
-      live = true; completed = 0; ws_commits = 0; ws_aborts = 0;
+      live = true; completed = 0; active = 0; ws_commits = 0; ws_aborts = 0;
       acquisitions = 0;
       acq_hashes = Hashtbl.create 64; on_quiescent = None; advance_h = 0;
       finish_h = 0; pool_busy = 0 }
@@ -562,6 +559,7 @@ let deliver_request t req =
     Hashtbl.add t.threads tid
       { tid; req; cont = None; status = Created; nested_count = 0;
         buffered_replies = []; ws = None };
+    t.active <- t.active + 1;
     if observing t then begin
       Recorder.request_delivered t.obs ~replica:t.id ~uid:tid
         ~meth:req.Request.meth ~client:req.Request.client
@@ -614,7 +612,7 @@ let object_state t = t.obj
 
 let completed_requests t = t.completed
 
-let active_threads t = count_active t
+let active_threads t = t.active
 
 let thread_status t tid =
   Option.map (fun th -> th.status) (Hashtbl.find_opt t.threads tid)

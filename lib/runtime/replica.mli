@@ -77,7 +77,9 @@ val object_state : t -> Object_state.t
 val completed_requests : t -> int
 
 val active_threads : t -> int
-(** Threads delivered but not yet terminated. *)
+(** Threads delivered but not yet terminated.  O(1): a live-thread counter
+    kept by {!deliver_request} and thread termination, not a scan of every
+    thread the replica has admitted. *)
 
 val thread_status : t -> int -> thread_status option
 

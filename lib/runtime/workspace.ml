@@ -53,6 +53,7 @@ type t = {
   mutex_reads : (string, int) Hashtbl.t; (* mutex field -> paged-in value *)
   mutex_over : (string, int) Hashtbl.t;
   vlocks : (int, int) Hashtbl.t; (* mutex -> virtual hold count *)
+  mutable vheld : int; (* mutexes with a positive virtual hold count *)
   mutable acq_rev : int list; (* acquisition log, newest first *)
   mutable acq_count : int;
 }
@@ -61,7 +62,7 @@ let create ~base ~record_acquisitions =
   { base; record_acquisitions; state_reads = Hashtbl.create 8;
     state_over = Hashtbl.create 8; state_deltas = Hashtbl.create 8;
     mutex_reads = Hashtbl.create 8; mutex_over = Hashtbl.create 8;
-    vlocks = Hashtbl.create 8; acq_rev = []; acq_count = 0 }
+    vlocks = Hashtbl.create 8; vheld = 0; acq_rev = []; acq_count = 0 }
 
 let record_acquisitions t = t.record_acquisitions
 
@@ -131,6 +132,7 @@ let set_mutex_field t f v =
 
 let vlock t ~mutex =
   let n = Option.value ~default:0 (Hashtbl.find_opt t.vlocks mutex) in
+  if n = 0 then t.vheld <- t.vheld + 1;
   Hashtbl.replace t.vlocks mutex (n + 1);
   (* Log every acquisition, re-entrant ones included — direct execution
      records re-entrant entries too, and the replay must match it. *)
@@ -139,12 +141,14 @@ let vlock t ~mutex =
 
 let vunlock t ~mutex =
   match Hashtbl.find_opt t.vlocks mutex with
-  | Some n when n > 0 -> Hashtbl.replace t.vlocks mutex (n - 1)
+  | Some n when n > 0 ->
+    if n = 1 then t.vheld <- t.vheld - 1;
+    Hashtbl.replace t.vlocks mutex (n - 1)
   | Some _ | None ->
     invalid_arg
       (Printf.sprintf "Workspace.vunlock: mutex %d not virtually held" mutex)
 
-let holds_any t = Hashtbl.fold (fun _ n acc -> acc || n > 0) t.vlocks false
+let holds_any t = t.vheld > 0
 
 let acquisition_log t = List.rev t.acq_rev
 

@@ -54,6 +54,8 @@ val vunlock : t -> mutex:int -> unit
 (** @raise Invalid_argument when the mutex is not virtually held. *)
 
 val holds_any : t -> bool
+(** Some mutex is virtually held.  O(1): a count of held mutexes is kept by
+    {!vlock} and {!vunlock}. *)
 
 val acquisition_log : t -> int list
 (** Virtually acquired mutexes in acquisition order. *)

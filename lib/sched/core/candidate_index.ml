@@ -1,8 +1,11 @@
 (* Deterministic sorted candidate index.
 
    Every decision module needs some flavour of "the least key satisfying a
-   predicate": the oldest runnable secondary (MAT), the lowest-tid waiter
-   (freefall), the tid-ordered drain of enforced decisions (LSA promotion).
+   predicate": MAT's promotion indexes (the least ready ex-primary, the
+   least runnable secondary — MAT+LL scans the latter past threads that
+   never lock again), pMAT's ready waiters (the least one past the gate),
+   the lowest-tid waiter (freefall), the tid-ordered drain of enforced
+   decisions (LSA promotion).
    The original modules answered it with [Hashtbl.fold … |> List.sort] on
    every decision — O(n log n) per grant, and nondeterministic fold order
    hidden only by the sort.  This index keeps the candidates in a balanced

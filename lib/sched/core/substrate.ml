@@ -117,8 +117,6 @@ let live_count t = Candidate_index.cardinal t.order
 
 (* Oldest-first views of the live threads (ascending admission order). *)
 
-let first t ~f = Option.map snd (Candidate_index.find_first t.order ~f:(fun _ th -> f th))
-
 let iter t ~f = Candidate_index.iter t.order ~f:(fun _ th -> f th)
 
 let fold t ~init ~f =

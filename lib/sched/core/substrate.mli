@@ -68,10 +68,6 @@ val thread : t -> int -> thread
 
 val live_count : t -> int
 
-val first : t -> f:(thread -> bool) -> thread option
-(** Oldest (least admission seq) live thread satisfying [f]; O(log n) when
-    [f] accepts early. *)
-
 val iter : t -> f:(thread -> unit) -> unit
 (** Ascending admission order. *)
 

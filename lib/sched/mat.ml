@@ -18,8 +18,14 @@
    primacy is handed over immediately, and lock-free threads are skipped
    during promotion.
 
-   Decision-module state is only the primary designation; the thread records
-   (role flags, pending operations, arrival order) live in the substrate. *)
+   Decision-module state is the primary designation plus two promotion
+   indexes; the thread records (role flags, pending operations, arrival
+   order) live in the substrate.  The indexes partition the live threads
+   that are not suspended by their [ex_primary] flag, keyed by admission
+   seq, and are updated at every event that changes one of those flags.  A
+   promotion then takes the least key of an index, O(log n) in the live
+   threads, where a scan over them was linear.  The scan is kept as the
+   test oracle [test/mat_reference.ml]. *)
 
 open Detmt_runtime
 module Audit = Detmt_obs.Audit
@@ -28,9 +34,35 @@ type t = {
   sub : Substrate.t;
   mutable primary : int option;
   mutable primary_wants : int option; (* mutex the primary waits on *)
+  ready_ex : Substrate.thread Candidate_index.t;
+      (* by seq: ex-primaries that are not suspended *)
+  runnable : Substrate.thread Candidate_index.t;
+      (* by seq: threads that are neither suspended nor ex-primaries *)
 }
 
 let never_locks_again t tid = Substrate.no_future_locks t.sub ~tid
+
+(* Bring a thread's index membership in line with its flags.  Called after
+   every change of [suspended] or [ex_primary]; a retired thread leaves
+   both indexes through [unindex]. *)
+let reindex t (th : Substrate.thread) =
+  let key = th.seq in
+  if th.suspended then begin
+    Candidate_index.remove t.ready_ex key;
+    Candidate_index.remove t.runnable key
+  end
+  else if th.ex_primary then begin
+    Candidate_index.remove t.runnable key;
+    Candidate_index.add t.ready_ex ~key th
+  end
+  else begin
+    Candidate_index.remove t.ready_ex key;
+    Candidate_index.add t.runnable ~key th
+  end
+
+let unindex t (th : Substrate.thread) =
+  Candidate_index.remove t.ready_ex th.seq;
+  Candidate_index.remove t.runnable th.seq
 
 (* Execute the primary's pending operation, waiting for the mutex via
    [primary_wants] when it is still held (necessarily by a suspended
@@ -68,22 +100,21 @@ let rec run_primary t (th : Substrate.thread) =
 and promote t =
   if t.primary = None then begin
     (* 1. A blocked (ex-)primary that can continue takes priority. *)
-    let ready_ex =
-      Substrate.first t.sub ~f:(fun th -> th.ex_primary && not th.suspended)
-    in
     let candidate =
-      match ready_ex with
-      | Some th -> Some th
-      | None ->
+      match Candidate_index.min t.ready_ex with
+      | Some _ as ready_ex -> ready_ex
+      | None -> (
         (* 2. The oldest secondary — skipping, in the bookkeeping variant,
            threads that provably never lock again. *)
-        Substrate.first t.sub ~f:(fun th ->
-            (not th.suspended) && (not th.ex_primary)
-            && not (never_locks_again t th.tid))
+        match Substrate.bookkeeping t.sub with
+        | None -> Candidate_index.min t.runnable
+        | Some _ ->
+          Candidate_index.find_first t.runnable ~f:(fun _ th ->
+              not (never_locks_again t th.tid)))
     in
     match candidate with
     | None -> ()
-    | Some th ->
+    | Some (_, th) ->
       if Substrate.observing t.sub then begin
         Substrate.incr t.sub "promotions";
         Substrate.audit t.sub ~tid:th.tid ~action:Audit.Promote
@@ -99,7 +130,10 @@ and promote t =
           ()
       end;
       th.is_primary <- true;
-      th.ex_primary <- false;
+      if th.ex_primary then begin
+        th.ex_primary <- false;
+        reindex t th
+      end;
       t.primary <- Some th.tid;
       run_primary t th
   end
@@ -134,7 +168,7 @@ let check_last_lock t ~tid =
   | Some _ | None -> ()
 
 let on_request t tid =
-  ignore (Substrate.admit t.sub ~tid);
+  reindex t (Substrate.admit t.sub ~tid);
   (Substrate.actions t.sub).start_thread tid;
   promote t
 
@@ -171,10 +205,9 @@ let on_wait t tid ~mutex =
      monitor, which the primary-in-waiting may need. *)
   let th = Substrate.thread t.sub tid in
   th.suspended <- true;
-  if th.is_primary then begin
-    th.ex_primary <- true;
-    demote t th
-  end;
+  if th.is_primary then th.ex_primary <- true;
+  reindex t th;
+  if th.is_primary then demote t th;
   retry_primary_want t ~mutex
 
 let on_wakeup t tid ~mutex =
@@ -184,6 +217,7 @@ let on_wakeup t tid ~mutex =
   (* Every waiter once held the monitor, so it was primary when it locked and
      suspended as primary: resume with ex-primary priority. *)
   th.ex_primary <- true;
+  reindex t th;
   promote t
 
 let on_nested_begin t tid =
@@ -191,13 +225,15 @@ let on_nested_begin t tid =
   th.suspended <- true;
   if th.is_primary then begin
     th.ex_primary <- true;
-    th.pending <- Some Substrate.Resume;
-    demote t th
-  end
+    th.pending <- Some Substrate.Resume
+  end;
+  reindex t th;
+  if th.is_primary then demote t th
 
 let on_nested_reply t tid =
   let th = Substrate.thread t.sub tid in
   th.suspended <- false;
+  reindex t th;
   if th.ex_primary then
     (* A blocked primary that can continue running: waits for promotion. *)
     promote t
@@ -207,6 +243,7 @@ let on_nested_reply t tid =
 
 let on_terminate t tid =
   let th = Substrate.thread t.sub tid in
+  unindex t th;
   Substrate.retire t.sub ~tid;
   if th.is_primary then begin
     t.primary <- None;
@@ -215,7 +252,11 @@ let on_terminate t tid =
   promote t
 
 let policy sub : Sched_iface.sched =
-  let t = { sub; primary = None; primary_wants = None } in
+  let t =
+    { sub; primary = None; primary_wants = None;
+      ready_ex = Candidate_index.create ();
+      runnable = Candidate_index.create () }
+  in
   let base =
     Sched_iface.no_op_sched ~name:(Substrate.name sub)
       ~on_request:(on_request t) ~on_lock:(on_lock t) ~on_wakeup:(on_wakeup t)

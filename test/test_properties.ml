@@ -568,19 +568,21 @@ let test_cgs_fixed_workloads () =
         [ 7L; 42L ])
     workloads
 
-(* ------------- pMAT: incremental grants vs the scan reference ---------- *)
+(* ------- incremental decision modules vs their scan references -------- *)
 
 (* {!Detmt_sched.Pmat} keeps the section 4.3 rule incrementally (a gate and
-   per-mutex claim sets); {!Pmat_reference} is the original head-to-tail
-   rescan.  Both drive replicas built directly through
-   [Replica.create ~make_sched], so the harness can log every grant the
-   decision module issues.  Three replicas receive the same open-loop
-   request stream, replica [i] skewed by [0.3 * i] ms so their interleavings
-   differ; nested replies return after the call's duration.  Per replica,
-   the two implementations must agree on the grant sequence, the reply
-   table, the final state and the per-mutex acquisition fingerprint. *)
-let pmat_observables (module D : Detmt_sched.Decision.S) ~cls ~gen ~clients
-    ~requests ~seed =
+   per-mutex claim sets) and {!Detmt_sched.Mat} keeps its promotion
+   candidates in seq-keyed indexes; {!Pmat_reference} and {!Mat_reference}
+   are the original scans.  Both sides drive replicas built directly
+   through [Replica.create ~make_sched], so the harness can log every grant
+   the decision module issues (lock, re-acquisition and nested resume).
+   Three replicas receive the same open-loop request stream, replica [i]
+   skewed by [0.3 * i] ms so their interleavings differ; nested replies
+   return after the call's duration.  Per replica, the two implementations
+   must agree on the grant sequence, the reply table, the final state and
+   the per-mutex acquisition fingerprint. *)
+let decision_observables (module D : Detmt_sched.Decision.S) ~cls ~gen
+    ~clients ~requests ~seed =
   let module Replica = Detmt_runtime.Replica in
   let instrumented, summary = Detmt_transform.Transform.predictive cls in
   let engine = Detmt_sim.Engine.create () in
@@ -597,7 +599,8 @@ let pmat_observables (module D : Detmt_sched.Decision.S) ~cls ~gen ~clients
         ~config ~summary:(Some summary)
         { actions with
           grant_lock = logged `Lock actions.grant_lock;
-          grant_reacquire = logged `Reacquire actions.grant_reacquire }
+          grant_reacquire = logged `Reacquire actions.grant_reacquire;
+          resume_nested = logged `Resume actions.resume_nested }
     in
     let callbacks =
       { Replica.send_reply =
@@ -650,7 +653,7 @@ let pmat_observables (module D : Detmt_sched.Decision.S) ~cls ~gen ~clients
     replicas
 
 let pmat_agrees ~cls ~gen ~clients ~requests ~seed =
-  let run d = pmat_observables d ~cls ~gen ~clients ~requests ~seed in
+  let run d = decision_observables d ~cls ~gen ~clients ~requests ~seed in
   run (module Detmt_sched.Pmat.Base) = run (module Pmat_reference.Base)
 
 let prop_pmat_matches_reference =
@@ -708,13 +711,25 @@ let pmat_edges_gen ~client ~seq _rng =
   ( List.nth [ "waiter"; "notifier"; "late"; "early" ] ((client + seq) mod 4),
     [| Ast.Vmutex (client mod 3) |] )
 
+let pmat_edges_workload = ("pmat-edges", pmat_edges_cls, pmat_edges_gen)
+
+let figure1_workload =
+  ( "figure1",
+    Detmt_workload.Figure1.cls Detmt_workload.Figure1.default,
+    Detmt_workload.Figure1.gen Detmt_workload.Figure1.default )
+
+let prodcons_workload =
+  ( "prodcons",
+    Detmt_workload.Prodcons.cls Detmt_workload.Prodcons.default,
+    Detmt_workload.Prodcons.gen )
+
 let test_pmat_fixed_workloads () =
   List.iter
     (fun (wname, cls, gen) ->
       List.iter
         (fun seed ->
           let run d =
-            pmat_observables d ~cls ~gen ~clients:8 ~requests:3 ~seed
+            decision_observables d ~cls ~gen ~clients:8 ~requests:3 ~seed
           in
           let reference = run (module Pmat_reference.Base) in
           List.iter
@@ -731,14 +746,68 @@ let test_pmat_fixed_workloads () =
             true
             (run (module Detmt_sched.Pmat.Base) = reference))
         [ 1L; 7L; 42L ])
-    [ ( "figure1",
-        Detmt_workload.Figure1.cls Detmt_workload.Figure1.default,
-        Detmt_workload.Figure1.gen Detmt_workload.Figure1.default );
-      ( "prodcons",
-        Detmt_workload.Prodcons.cls Detmt_workload.Prodcons.default,
-        Detmt_workload.Prodcons.gen );
+    [ figure1_workload;
+      prodcons_workload;
       ("hand-over-hand", hand_over_hand_cls, hand_over_hand_gen);
-      ("pmat-edges", pmat_edges_cls, pmat_edges_gen) ]
+      pmat_edges_workload ]
+
+(* MAT and MAT+LL against the scan reference.  The property fuzzes random
+   classes; the fixed workloads cover nested calls (figure1), condition
+   variables (prodcons: ex-primaries resumed from [wait]) and the
+   wait/nested/late-announcement edges; the 256-client case keeps hundreds
+   of threads live at once, so the promotion order is exercised over long
+   candidate lists rather than the handful the golden rows reach. *)
+let mat_variants =
+  [ ((module Detmt_sched.Mat.Base : Detmt_sched.Decision.S),
+     (module Mat_reference.Base : Detmt_sched.Decision.S));
+    ((module Detmt_sched.Mat.Last_lock), (module Mat_reference.Last_lock)) ]
+
+let mat_agrees ~cls ~gen ~clients ~requests ~seed =
+  List.for_all
+    (fun (indexed, reference) ->
+      let run d = decision_observables d ~cls ~gen ~clients ~requests ~seed in
+      run indexed = run reference)
+    mat_variants
+
+let prop_mat_matches_reference =
+  QCheck.Test.make ~count:30
+    ~name:"mat/mat-ll indexed promotion matches the scan reference"
+    Testgen.arbitrary_workload
+    (fun (cls, seed) ->
+      mat_agrees ~cls ~gen:fuzz_gen ~clients:4 ~requests:3 ~seed)
+
+let check_mat_agrees ~wname ~cls ~gen ~clients ~requests ~seed =
+  List.iter
+    (fun ((module I : Detmt_sched.Decision.S), reference) ->
+      let run d = decision_observables d ~cls ~gen ~clients ~requests ~seed in
+      let expected = run reference in
+      List.iter
+        (fun (grants, replies, _, _) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s seed=%Ld: every request granted and \
+                             answered"
+               I.name wname seed)
+            true
+            (grants <> [] && List.length replies = clients * requests))
+        expected;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s == reference on %s seed=%Ld" I.name wname seed)
+        true
+        (run (module I) = expected))
+    mat_variants
+
+let test_mat_fixed_workloads () =
+  List.iter
+    (fun (wname, cls, gen) ->
+      List.iter
+        (fun seed ->
+          check_mat_agrees ~wname ~cls ~gen ~clients:8 ~requests:3 ~seed)
+        [ 1L; 7L; 42L ])
+    [ figure1_workload; prodcons_workload; pmat_edges_workload ]
+
+let test_mat_many_clients () =
+  let wname, cls, gen = figure1_workload in
+  check_mat_agrees ~wname ~cls ~gen ~clients:256 ~requests:2 ~seed:42L
 
 let prop_runs_reproducible =
   QCheck.Test.make ~count:20 ~name:"same seed, bit-identical run"
@@ -785,9 +854,12 @@ let suite =
       prop_safety_net_transparent;
       prop_runs_reproducible;
       prop_pmat_matches_reference;
+      prop_mat_matches_reference;
     ]
   @ [ ("cgs fixed-workload differential", `Quick, test_cgs_fixed_workloads);
       ("pmat fixed-workload differential", `Quick, test_pmat_fixed_workloads);
+      ("mat fixed-workload differential", `Quick, test_mat_fixed_workloads);
+      ("mat differential at 256 clients", `Quick, test_mat_many_clients);
       ("workspace abort-path determinism", `Quick,
        test_ws_abort_determinism) ]
 

@@ -1,5 +1,6 @@
-(* Unit tests for the replica runtime: mutex table, condition variables, the
-   interpreter's op stream and object state. *)
+(* Unit tests for the replica runtime: mutex table, workspace hold set,
+   condition variables, the interpreter's op stream, object state and the
+   replica's live-thread counter. *)
 
 open Detmt_lang
 open Detmt_runtime
@@ -63,6 +64,47 @@ let test_mutex_held_by () =
     (Mutex_table.held_by t ~tid:1);
   Alcotest.check b "holds_any" true (Mutex_table.holds_any t ~tid:2);
   Alcotest.check b "holds none" false (Mutex_table.holds_any t ~tid:3)
+
+(* Model test for the O(1) [holds_any]: random operation sequences over
+   four threads and four mutexes — fresh and re-entrant acquires, releases,
+   full releases for [wait] and their restores — and after every operation
+   [holds_any] must agree with the whole-table fold [held_by] for every
+   thread.  Each step turns its random pair into an operation that is legal
+   in the current state, so the sequence never raises. *)
+let prop_mutex_holds_any_model =
+  QCheck.Test.make ~count:300
+    ~name:"mutex table: holds_any equals held_by <> [] after every op"
+    QCheck.(list_of_size Gen.(int_range 1 60) (pair small_nat small_nat))
+    (fun steps ->
+      let t = Mutex_table.create () in
+      let tids = [ 1; 2; 3; 4 ] in
+      let parked = ref [] (* (mutex, tid, count) from [release_all] *) in
+      let step (choice, x) =
+        let mutex = x mod 4 in
+        match Mutex_table.owner t ~mutex with
+        | None -> (
+          match List.find_opt (fun (m, _, _) -> m = mutex) !parked with
+          | Some ((_, tid, count) as p) when choice mod 2 = 0 ->
+            parked := List.filter (( != ) p) !parked;
+            Mutex_table.restore t ~mutex ~tid ~count
+          | Some _ | None ->
+            Mutex_table.acquire t ~mutex ~tid:(1 + (choice mod 4)))
+        | Some tid -> (
+          match choice mod 3 with
+          | 0 -> Mutex_table.acquire t ~mutex ~tid (* re-entrant *)
+          | 1 ->
+            parked := (mutex, tid, Mutex_table.release_all t ~mutex ~tid)
+                      :: !parked
+          | _ -> ignore (Mutex_table.release t ~mutex ~tid))
+      in
+      List.for_all
+        (fun op ->
+          step op;
+          List.for_all
+            (fun tid ->
+              Mutex_table.holds_any t ~tid = (Mutex_table.held_by t ~tid <> []))
+            tids)
+        steps)
 
 (* ----------------------------- Condvar ----------------------------- *)
 
@@ -306,12 +348,125 @@ let test_object_state_mutable_fields () =
        false
      with Invalid_argument _ -> true)
 
+(* The workspace's virtual hold set: [holds_any] is a count of mutexes with
+   a positive virtual hold, so re-entrant holds and interleaved releases of
+   different mutexes must keep it exact. *)
+let test_workspace_holds_any () =
+  let ws =
+    Workspace.create ~base:(Object_state.create (simple_cls []))
+      ~record_acquisitions:false
+  in
+  let holds what expected =
+    Alcotest.check b what expected (Workspace.holds_any ws)
+  in
+  holds "fresh" false;
+  Workspace.vlock ws ~mutex:1;
+  Workspace.vlock ws ~mutex:1;
+  Workspace.vlock ws ~mutex:2;
+  Workspace.vunlock ws ~mutex:1;
+  holds "re-entrant hold kept" true;
+  Workspace.vunlock ws ~mutex:2;
+  holds "outer hold of 1 kept" true;
+  Workspace.vunlock ws ~mutex:1;
+  holds "all released" false;
+  Workspace.vlock ws ~mutex:2;
+  holds "re-locked" true;
+  Alcotest.(check (list int)) "acquisition log" [ 1; 1; 2; 2 ]
+    (Workspace.acquisition_log ws)
+
+(* ----------------------- Replica live-thread counter -------------------- *)
+
+(* [Replica.active_threads] is a counter kept by delivery and termination;
+   the fold it replaced counted every admitted thread whose status is not
+   [Terminated].  One replica runs three bursts of requests, so it goes
+   quiescent between bursts, and the two counts must agree after every
+   reply, at every quiescent-hook call and at the end of the run. *)
+let test_active_threads_counter () =
+  let check_run ~wname ~cls ~gen (module D : Detmt_sched.Decision.S) =
+    let instrumented, summary = Detmt_transform.Transform.predictive cls in
+    let engine = Detmt_sim.Engine.create () in
+    let config = Config.default in
+    let self = ref None and delivered = ref 0 and quiescent = ref 0 in
+    let agree what =
+      let r = Option.get !self in
+      let folded = ref 0 in
+      for tid = 0 to !delivered - 1 do
+        match Replica.thread_status r tid with
+        | Some Replica.Terminated | None -> ()
+        | Some _ -> incr folded
+      done;
+      Alcotest.(check int)
+        (Printf.sprintf "%s/%s: active_threads %s" D.name wname what)
+        !folded (Replica.active_threads r)
+    in
+    let callbacks =
+      { Replica.send_reply = (fun _ -> agree "after a reply");
+        do_nested =
+          (fun ~tid ~call_index ~service:_ ~duration ->
+            Detmt_sim.Engine.schedule engine ~delay:duration (fun () ->
+                Replica.nested_reply (Option.get !self) ~tid ~call_index));
+        broadcast_control = (fun _ -> ());
+        inject_dummy = (fun () -> ());
+        is_leader = (fun () -> true) }
+    in
+    let r =
+      Replica.create ~engine ~id:0 ~cls:instrumented ~config ~callbacks
+        ~make_sched:
+          (Detmt_sched.Decision.instantiate (module D) ~config
+             ~summary:(Some summary))
+        ()
+    in
+    self := Some r;
+    Replica.set_quiescent_hook r (fun ~completed:_ ->
+        incr quiescent;
+        agree "at quiescence");
+    let clients = 6 and bursts = 3 in
+    for burst = 0 to bursts - 1 do
+      for client = 0 to clients - 1 do
+        let rng =
+          Detmt_sim.Rng.create (Int64.of_int ((burst * 100) + client))
+        in
+        let meth, args = gen ~client ~seq:burst rng in
+        let at = (float_of_int burst *. 1000.0) +. float_of_int client in
+        Detmt_sim.Engine.schedule_at engine ~time:at (fun () ->
+            let uid = !delivered in
+            incr delivered;
+            Replica.deliver_request r
+              (Request.make ~uid ~client ~client_req:burst ~meth ~args
+                 ~sent_at:at))
+      done
+    done;
+    Detmt_sim.Engine.run engine;
+    agree "at the end";
+    Alcotest.(check int)
+      (Printf.sprintf "%s/%s: every request completed" D.name wname)
+      (clients * bursts)
+      (Replica.completed_requests r);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s/%s: quiescent between bursts" D.name wname)
+      true (!quiescent >= bursts)
+  in
+  List.iter
+    (fun d ->
+      check_run ~wname:"figure1"
+        ~cls:(Detmt_workload.Figure1.cls Detmt_workload.Figure1.default)
+        ~gen:(Detmt_workload.Figure1.gen Detmt_workload.Figure1.default)
+        d;
+      check_run ~wname:"prodcons"
+        ~cls:(Detmt_workload.Prodcons.cls Detmt_workload.Prodcons.default)
+        ~gen:Detmt_workload.Prodcons.gen d)
+    [ (module Detmt_sched.Mat.Base : Detmt_sched.Decision.S);
+      (module Detmt_sched.Pmat.Base) ]
+
 let suite =
   [ ("mutex basic", `Quick, test_mutex_basic);
     ("mutex reentrant", `Quick, test_mutex_reentrant);
     ("mutex foreign ops raise", `Quick, test_mutex_foreign_acquire_raises);
     ("mutex release_all/restore", `Quick, test_mutex_release_all_restore);
     ("mutex held_by", `Quick, test_mutex_held_by);
+    QCheck_alcotest.to_alcotest prop_mutex_holds_any_model;
+    ("workspace holds_any", `Quick, test_workspace_holds_any);
+    ("replica active_threads counter", `Quick, test_active_threads_counter);
     ("condvar fifo", `Quick, test_condvar_fifo);
     ("condvar per mutex", `Quick, test_condvar_per_mutex);
     ("condvar double park", `Quick, test_condvar_double_park_rejected);
