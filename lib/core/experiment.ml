@@ -564,7 +564,13 @@ let timeline ?(scheduler = "mat") ?(workload = `Tail) ?(clients = 3)
   let engine = Engine.create () in
   let system =
     Active.create ~engine ~cls:wl.cls
-      ~params:{ Active.default_params with scheduler } ()
+      ~params:
+        { Active.default_params with
+          scheduler;
+          config =
+            { Active.default_params.config with
+              Detmt_runtime.Config.trace_events = true } }
+      ()
   in
   Client.run_clients ~engine ~system ~clients ~requests_per_client:requests
     ~gen:wl.gen ();

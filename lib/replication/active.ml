@@ -68,7 +68,11 @@ type t = {
   outstanding_nested : (int * int, int * float) Hashtbl.t;
   mutable dummy_seq : int;
   (* recovery bookkeeping *)
-  mutable log : payload Message.t list; (* every broadcast, newest first *)
+  log : payload Message.t Queue.t;
+      (* broadcasts some live replica has not delivered yet, oldest first:
+         [trim_log] drops the prefix every live replica has delivered *)
+  mutable last_seq : int; (* newest broadcast seq; -1 before any traffic *)
+  mutable order_fp : int64; (* [order_fingerprint], folded per broadcast *)
   last_delivered : int array; (* per-replica total-order watermark *)
   completed_base : int array;
       (* completed requests folded into each replica's checkpoint sequence
@@ -121,14 +125,52 @@ let is_leader t id = leader_id t = id
    indexed by the id's offset into that window. *)
 let slot t id = id - t.params.replica_base
 
-(* Every broadcast goes through here so recovery can replay the suffix a
+let order_mix h v = Int64.add (Int64.mul h 1000003L) (Int64.of_int v)
+
+let payload_id = function
+  | P_request r -> Hashtbl.hash (0, r.client, r.client_req, r.meth, r.dummy)
+  | P_nested_reply r -> Hashtbl.hash (1, r.tid, r.call_index)
+  | P_control c -> Hashtbl.hash (2, c)
+  | P_barrier b -> Hashtbl.hash (3, b.epoch, b.label)
+
+(* Every broadcast goes through here, in seq order: it folds the order
+   fingerprint and logs the message so recovery can replay the suffix a
    rejoining replica missed. *)
 let bcast t ~sender ~kind payload =
   Totem.count_kind t.bus kind;
   let seq = Totem.broadcast t.bus ~sender payload in
-  t.log <-
-    { Message.seq; sender; sent_at = Engine.now t.engine; payload } :: t.log;
+  Queue.push { Message.seq; sender; sent_at = Engine.now t.engine; payload }
+    t.log;
+  t.last_seq <- seq;
+  t.order_fp <-
+    order_mix
+      (order_mix (order_mix t.order_fp seq) sender)
+      (payload_id payload);
   seq
+
+(* The lowest watermark of the live replicas, [max_int] when none is
+   live. *)
+let rec low_watermark t acc = function
+  | [] -> acc
+  | r :: rest ->
+    let acc =
+      if Replica.alive r then
+        Int.min acc t.last_delivered.(slot t (Replica.id r))
+      else acc
+    in
+    low_watermark t acc rest
+
+(* Drop the logged prefix every live replica has delivered.  Recovery
+   replays the messages above a live donor's watermark, which is at or
+   above the lowest live one, so no message it needs is dropped.  With no
+   live replica there is no donor and nothing is dropped. *)
+let trim_log t =
+  let low = low_watermark t max_int t.members in
+  if low < max_int then
+    while (not (Queue.is_empty t.log)) && (Queue.peek t.log).Message.seq <= low
+    do
+      ignore (Queue.pop t.log)
+    done
 
 (* Every replica registers the outstanding call (so a view change can
    re-issue calls the dead invoker never completed); only the invoker
@@ -245,6 +287,7 @@ let make_replica t ~engine ~cls ~id =
 let deliver t replica (msg : payload Message.t) =
   let id = Replica.id replica in
   t.last_delivered.(slot t id) <- msg.seq;
+  trim_log t;
   match msg.payload with
   | P_request { client; client_req; meth; args; sent_at; dummy } ->
     if not (Dedup.mark t.dedups.(slot t id) ~client ~request:client_req)
@@ -306,7 +349,8 @@ let create ?(obs = Recorder.disabled) ~engine ~cls ~(params : params) () =
       response_times = Detmt_stats.Summary.create (); replies = 0;
       duplicate_client_replies = 0; reply_times = [];
       outstanding_nested = Hashtbl.create 64; dummy_seq = 0;
-      log = []; last_delivered = Array.make params.replicas (-1);
+      log = Queue.create (); last_seq = -1; order_fp = 0x2545F4914F6CDD1DL;
+      last_delivered = Array.make params.replicas (-1);
       completed_base = Array.make params.replicas 0;
       checkpoint_sink = None; recoveries = 0;
       barrier_fp = Array.make params.replicas 0x9E3779B97F4A7C15L;
@@ -445,14 +489,15 @@ let recover_replica t ?at id =
     Totem.resubscribe t.bus ~id (fun msg -> deliver t r' msg);
     (* Everything broadcast so far is covered by snapshot + replay; stale
        in-flight copies addressed to the old incarnation must not leak in. *)
-    (match t.log with
-    | [] -> ()
-    | newest :: _ -> Totem.advance_watermark t.bus ~id ~seq:newest.Message.seq);
+    if t.last_seq >= 0 then
+      Totem.advance_watermark t.bus ~id ~seq:t.last_seq;
     Group.join t.grp id;
     let suffix =
-      List.filter
-        (fun (m : payload Message.t) -> m.seq > watermark)
-        (List.rev t.log)
+      Queue.fold
+        (fun acc (m : payload Message.t) ->
+          if m.seq > watermark then m :: acc else acc)
+        [] t.log
+      |> List.rev
     in
     (* One network hop later, before any same-or-later bus arrival: events
        scheduled for the same instant run in scheduling order. *)
@@ -490,6 +535,8 @@ let recover_replica t ?at id =
   Engine.schedule_at t.engine ~time:begin_at attempt
 
 let set_checkpoint_sink t sink = t.checkpoint_sink <- Some sink
+
+let logged_messages t = Queue.length t.log
 
 let recoveries t = t.recoveries
 
@@ -560,7 +607,7 @@ let merge_dedups t ~from =
    own per-group counters at zero and folds them back at merge).  Replica
    aliveness is mirrored so a swap cannot resurrect a crashed replica. *)
 let bootstrap t ~from ~carry_state =
-  if t.log <> [] || t.replies > 0 then
+  if Totem.broadcasts t.bus > 0 || t.replies > 0 then
     invalid_arg "Active.bootstrap: target group already carried traffic";
   let donor = lowest_live_donor from in
   let donor_slot = slot from (Replica.id donor) in
@@ -606,25 +653,12 @@ let set_delivery_oracle t oracle = Totem.set_delivery_oracle t.bus oracle
 
 let set_flush_oracle t oracle = Totem.set_flush_oracle t.bus oracle
 
-(* Order-sensitive hash of the broadcast log: seq, sender and payload
-   identity of every message, in total order.  Two runs with equal order
+(* Order-sensitive hash of every broadcast: seq, sender and payload
+   identity, in total order, folded by [bcast].  Two runs with equal order
    fingerprints delivered the same messages in the same order, so any reply
    or state difference between them is a scheduler-determinism bug rather
    than a shifted total order. *)
-let order_fingerprint t =
-  let mix h v = Int64.add (Int64.mul h 1000003L) (Int64.of_int v) in
-  let payload_id = function
-    | P_request r -> Hashtbl.hash (0, r.client, r.client_req, r.meth, r.dummy)
-    | P_nested_reply r -> Hashtbl.hash (1, r.tid, r.call_index)
-    | P_control c -> Hashtbl.hash (2, c)
-    | P_barrier b -> Hashtbl.hash (3, b.epoch, b.label)
-  in
-  List.fold_left
-    (fun h (m : payload Message.t) ->
-      mix
-        (mix (mix h m.Message.seq) m.Message.sender)
-        (payload_id m.Message.payload))
-    0x2545F4914F6CDD1DL (List.rev t.log)
+let order_fingerprint t = t.order_fp
 
 let response_times t = t.response_times
 

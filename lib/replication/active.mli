@@ -165,6 +165,11 @@ val bootstrap : t -> from:t -> carry_state:bool -> unit
 val recoveries : t -> int
 (** Completed recoveries. *)
 
+val logged_messages : t -> int
+(** Broadcasts kept for recovery replay: those some live replica has not
+    delivered yet.  The log is trimmed after every delivery, so its length
+    follows the messages in flight, not the length of the run. *)
+
 val faults : t -> Detmt_gcs.Faults.t option
 (** The fault plan attached to the bus, for its counters. *)
 
@@ -188,9 +193,10 @@ val set_flush_oracle : t -> (seq:int -> pending:int -> bool) option -> unit
     early batch-flush hook (no-op without batching). *)
 
 val order_fingerprint : t -> int64
-(** Order-sensitive hash of the broadcast log (seq, sender, payload identity
-    in total order).  Equal fingerprints mean two runs saw the same total
-    order, so reply/state differences between them indict the scheduler;
+(** Order-sensitive hash of every broadcast (seq, sender, payload identity
+    in total order), folded as each message is broadcast.  Equal
+    fingerprints mean two runs saw the same total order, so reply/state
+    differences between them indict the scheduler;
     unequal fingerprints mean the perturbation shifted the total order
     itself, and per-run internal replica agreement is the only meaningful
     check. *)

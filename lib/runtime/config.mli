@@ -16,7 +16,10 @@ type t = {
   pds_batch : int;  (** PDS: worker slots per scheduling round *)
   pds_dummy_timeout_ms : float;
       (** PDS: delay before dummy messages fill an incomplete batch *)
-  trace : bool;  (** record the scheduling trace *)
+  trace_events : bool;
+      (** retain the scheduling trace's event list ({!Detmt_sim.Trace.events},
+          for timelines and forensics); the trace's fingerprint and length
+          are kept either way *)
   ws_precise : bool;
       (** workspace merge policy ([Precise_error]): [false] resolves
           write-write overlaps lowest-slot-wins silently, [true] additionally

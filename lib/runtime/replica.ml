@@ -44,6 +44,12 @@ type t = {
   condvars : Condvar.t;
   trace_rec : Trace.t;
   threads : (int, thread) Hashtbl.t;
+      (* live threads only: [finish] evicts a thread, so the table holds the
+         work in flight, not the run's history *)
+  mutable last_uid : int;
+      (* highest delivered uid.  Uids are total-order seqs, delivered in
+         increasing order, so a tid at or below it that is not in [threads]
+         has terminated, or was a seq that carried no request here *)
   mutable sched : Sched_iface.sched option;
   obs : Recorder.t;
   callbacks : callbacks;
@@ -78,14 +84,10 @@ let thread t tid =
   | Some th -> th
   | None -> invalid_arg (Printf.sprintf "Replica %d: unknown thread %d" t.id tid)
 
-(* Call sites guard with [tracing] *before* constructing the event, so a
-   disabled trace allocates nothing. *)
-let tracing t = t.config.Config.trace
-
 let record t ev = Trace.record_at t.trace_rec ~time:(Engine.now t.engine) ev
 
-(* Observability (the flight recorder) is likewise guarded at every call
-   site: [t.obs] defaults to [Recorder.disabled] and must never affect the
+(* Observability (the flight recorder) is guarded at every call site:
+   [t.obs] defaults to [Recorder.disabled] and must never affect the
    simulation — it only ever reads the clock. *)
 let observing t = Recorder.enabled t.obs
 
@@ -131,7 +133,8 @@ let rec advance t th =
 (* Charge CPU time and continue; zero-cost steps continue synchronously.
    The continuation is a typed (handler, tid) pair, so charging cost never
    allocates a closure — threads are looked up again at dispatch, which is
-   safe because a replica never removes entries from [t.threads]. *)
+   safe because only [finish] removes an entry from [t.threads], and a
+   finished thread has no pending continuation. *)
 and after_cost_advance t duration th =
   if duration <= 0.0 then advance t th
   else Cpu.exec_h t.cpu ~duration t.advance_h th.tid
@@ -164,7 +167,7 @@ and step t th outcome =
 and finish t th =
   if t.live then begin
     th.status <- Terminated;
-    if tracing t then record t (Trace.Thread_end { tid = th.tid });
+    record t (Trace.Thread_end { tid = th.tid });
     if observing t then begin
       Recorder.request_ended t.obs ~replica:t.id ~uid:th.tid
         ~at:(Engine.now t.engine);
@@ -172,6 +175,7 @@ and finish t th =
     end;
     t.completed <- t.completed + 1;
     t.active <- t.active - 1;
+    Hashtbl.remove t.threads th.tid;
     (sched t).on_terminate th.tid;
     if not th.req.Request.dummy then t.callbacks.send_reply th.req;
     (* Local quiescence: every delivered request has run to completion.  The
@@ -226,7 +230,7 @@ and handle_spec_op t th w op =
    observables. *)
 and ws_unsafe_abort t th =
   t.ws_aborts <- t.ws_aborts + 1;
-  if tracing t then record t (Trace.Ws_abort { tid = th.tid; conflicts = 0 });
+  record t (Trace.Ws_abort { tid = th.tid; conflicts = 0 });
   if observing t then Recorder.incr t.obs "replica.ws.aborts_unsafe";
   th.ws <- None;
   th.cont <- None;
@@ -242,16 +246,14 @@ and handle_direct_op t th op =
       (* Re-entrant entry: no scheduling decision needed (section 2: binary,
          re-entrant mutexes). *)
       Mutex_table.acquire t.mutexes ~mutex ~tid:th.tid;
-      if tracing t then
-        record t (Trace.Lock_granted { tid = th.tid; syncid; mutex });
+      record t (Trace.Lock_granted { tid = th.tid; syncid; mutex });
       record_acquisition t ~mutex ~th;
       s.on_acquired th.tid ~syncid ~mutex;
       after_cost_advance t t.config.lock_overhead_ms th
     end
     else begin
       th.status <- Lock_blocked { syncid; mutex };
-      if tracing t then
-        record t (Trace.Lock_requested { tid = th.tid; syncid; mutex });
+      record t (Trace.Lock_requested { tid = th.tid; syncid; mutex });
       if observing t then
         (* The scheduler may defer the grant even when the mutex is free;
            attribute that stall to policy, not contention. *)
@@ -263,18 +265,18 @@ and handle_direct_op t th op =
     end
   | Op.Unlock { syncid; mutex } ->
     let freed = Mutex_table.release t.mutexes ~mutex ~tid:th.tid in
-    if tracing t then record t (Trace.Unlocked { tid = th.tid; syncid; mutex });
+    record t (Trace.Unlocked { tid = th.tid; syncid; mutex });
     s.on_unlock th.tid ~syncid ~mutex ~freed;
     after_cost_advance t t.config.lock_overhead_ms th
   | Op.Wait { mutex } ->
     let count = Mutex_table.release_all t.mutexes ~mutex ~tid:th.tid in
     th.status <- Wait_parked { mutex; count };
     Condvar.park t.condvars ~mutex ~tid:th.tid;
-    if tracing t then record t (Trace.Wait_begin { tid = th.tid; mutex });
+    record t (Trace.Wait_begin { tid = th.tid; mutex });
     if observing t then rec_wait_begin t th Recorder.Condvar;
     s.on_wait th.tid ~mutex
   | Op.Notify { mutex; all } ->
-    if tracing t then record t (Trace.Notify { tid = th.tid; mutex; all });
+    record t (Trace.Notify { tid = th.tid; mutex; all });
     let woken =
       if all then Condvar.notify_all t.condvars ~mutex
       else Option.to_list (Condvar.notify_one t.condvars ~mutex)
@@ -299,7 +301,7 @@ and handle_direct_op t th op =
   | Op.Nested { service; duration } ->
     let call_index = th.nested_count in
     th.nested_count <- call_index + 1;
-    if tracing t then record t (Trace.Nested_begin { tid = th.tid; service });
+    record t (Trace.Nested_begin { tid = th.tid; service });
     if List.mem call_index th.buffered_replies then begin
       (* The reply (broadcast by the invoking replica) overtook us. *)
       th.buffered_replies <-
@@ -307,7 +309,7 @@ and handle_direct_op t th op =
       th.status <- Nested_ready { call_index };
       if observing t then rec_wait_begin t th Recorder.Resume_hold;
       s.on_nested_begin th.tid;
-      if tracing t then record t (Trace.Nested_end { tid = th.tid; service = 0 });
+      record t (Trace.Nested_end { tid = th.tid; service = 0 });
       s.on_nested_reply th.tid
     end
     else begin
@@ -345,8 +347,7 @@ let do_start_thread t tid =
   (match th.status with
   | Created -> ()
   | _ -> invalid_arg (Printf.sprintf "Replica %d: t%d started twice" t.id tid));
-  if tracing t then
-    record t (Trace.Thread_start { tid; method_name = th.req.Request.meth });
+  record t (Trace.Thread_start { tid; method_name = th.req.Request.meth });
   if observing t then
     Recorder.request_started t.obs ~replica:t.id ~uid:tid
       ~at:(Engine.now t.engine);
@@ -380,9 +381,7 @@ let do_ws_commit t tid =
     match Workspace.conflicts w with
     | [] ->
       t.ws_commits <- t.ws_commits + 1;
-      if tracing t then
-        record t
-          (Trace.Ws_commit { tid; writes = Workspace.write_set_size w });
+      record t (Trace.Ws_commit { tid; writes = Workspace.write_set_size w });
       if observing t then begin
         Recorder.incr t.obs "replica.ws.commits";
         Recorder.observe t.obs "replica.ws.write_set"
@@ -408,9 +407,7 @@ let do_ws_commit t tid =
          [Precise_error] policy additionally surfaces each conflicting
          field through the flight recorder. *)
       t.ws_aborts <- t.ws_aborts + 1;
-      if tracing t then
-        record t
-          (Trace.Ws_abort { tid; conflicts = List.length conflicts });
+      record t (Trace.Ws_abort { tid; conflicts = List.length conflicts });
       if observing t then begin
         Recorder.incr t.obs "replica.ws.aborts_stale";
         if t.config.Config.ws_precise then
@@ -437,7 +434,7 @@ let do_grant_lock t tid =
   match th.status with
   | Lock_blocked { syncid; mutex } ->
     Mutex_table.acquire t.mutexes ~mutex ~tid;
-    if tracing t then record t (Trace.Lock_granted { tid; syncid; mutex });
+    record t (Trace.Lock_granted { tid; syncid; mutex });
     if observing t then rec_wait_end t th;
     record_acquisition t ~mutex ~th;
     (sched t).on_acquired tid ~syncid ~mutex;
@@ -452,7 +449,7 @@ let do_grant_reacquire t tid =
   match th.status with
   | Reacquire_blocked { mutex; count } ->
     Mutex_table.restore t.mutexes ~mutex ~tid ~count;
-    if tracing t then record t (Trace.Wait_end { tid; mutex });
+    record t (Trace.Wait_end { tid; mutex });
     if observing t then rec_wait_end t th;
     record_acquisition t ~mutex ~th;
     (sched t).on_reacquired tid ~mutex;
@@ -481,9 +478,10 @@ let create ~engine ~id ~cls ~config ?(oracle = Interp.default_oracle)
   let t =
     { id; engine; cpu = Cpu.create engine ~cores:config.Config.cores; config;
       cls; obj = Object_state.create cls; mutexes = Mutex_table.create ();
-      condvars = Condvar.create (); trace_rec = Trace.create ();
-      threads = Hashtbl.create 64; sched = None; obs; callbacks; oracle;
-      live = true; completed = 0; active = 0; ws_commits = 0; ws_aborts = 0;
+      condvars = Condvar.create ();
+      trace_rec = Trace.create ~keep_events:config.Config.trace_events ();
+      threads = Hashtbl.create 64; last_uid = min_int; sched = None; obs;
+      callbacks; oracle; live = true; completed = 0; active = 0; ws_commits = 0; ws_aborts = 0;
       acquisitions = 0;
       acq_hashes = Hashtbl.create 64; on_quiescent = None; advance_h = 0;
       finish_h = 0; pool_busy = 0 }
@@ -554,8 +552,11 @@ let id t = t.id
 let deliver_request t req =
   if t.live then begin
     let tid = req.Request.uid in
-    if Hashtbl.mem t.threads tid then
-      invalid_arg (Printf.sprintf "Replica %d: duplicate request %d" t.id tid);
+    if tid <= t.last_uid then
+      invalid_arg
+        (Printf.sprintf "Replica %d: request %d delivered after %d" t.id tid
+           t.last_uid);
+    t.last_uid <- tid;
     Hashtbl.add t.threads tid
       { tid; req; cont = None; status = Created; nested_count = 0;
         buffered_replies = []; ws = None };
@@ -571,28 +572,30 @@ let deliver_request t req =
   end
 
 let nested_reply t ~tid ~call_index =
-  if t.live then begin
-    let th = thread t tid in
-    match th.status with
-    | Nested_blocked { call_index = pending } when pending = call_index ->
+  if t.live then
+    match Hashtbl.find_opt t.threads tid with
+    | Some ({ status = Nested_blocked { call_index = pending }; _ } as th)
+      when pending = call_index ->
       th.status <- Nested_ready { call_index };
       if observing t then begin
         rec_wait_end t th;
         rec_wait_begin t th Recorder.Resume_hold
       end;
-      if tracing t then record t (Trace.Nested_end { tid; service = 0 });
+      record t (Trace.Nested_end { tid; service = 0 });
       (sched t).on_nested_reply tid
-    | _ -> th.buffered_replies <- call_index :: th.buffered_replies
-  end
+    | Some th -> th.buffered_replies <- call_index :: th.buffered_replies
+    | None when tid <= t.last_uid ->
+      () (* a late reply for a finished thread: nothing waits for it *)
+    | None ->
+      invalid_arg (Printf.sprintf "Replica %d: unknown thread %d" t.id tid)
 
 let deliver_control t ~sender control =
   if t.live then begin
-    if tracing t then
-      record t
-        (match control with
-        | Sched_iface.Lsa_grant { grant_seq; mutex; tid } ->
-          Trace.Control_delivered { sender; grant_seq; mutex; tid }
-        | Sched_iface.View_change -> Trace.View_change { sender });
+    record t
+      (match control with
+      | Sched_iface.Lsa_grant { grant_seq; mutex; tid } ->
+        Trace.Control_delivered { sender; grant_seq; mutex; tid }
+      | Sched_iface.View_change -> Trace.View_change { sender });
     (sched t).on_control ~sender control
   end
 
@@ -615,13 +618,13 @@ let completed_requests t = t.completed
 let active_threads t = t.active
 
 let thread_status t tid =
-  Option.map (fun th -> th.status) (Hashtbl.find_opt t.threads tid)
+  match Hashtbl.find_opt t.threads tid with
+  | Some th -> Some th.status
+  | None when tid <= t.last_uid -> Some Terminated
+  | None -> None
 
 let threads_overview t =
-  Hashtbl.fold
-    (fun tid th acc ->
-      match th.status with Terminated -> acc | s -> (tid, s) :: acc)
-    t.threads []
+  Hashtbl.fold (fun tid th acc -> (tid, th.status) :: acc) t.threads []
   |> List.sort compare
 
 let lock_holders t = Mutex_table.holders t.mutexes

@@ -51,11 +51,15 @@ val create :
 val id : t -> int
 
 val deliver_request : t -> Request.t -> unit
-(** Called by the replication layer in total order. *)
+(** Called by the replication layer in total order: the request's uid is
+    its total-order seq, so uids increase from one delivery to the next.
+    @raise Invalid_argument on a uid at or below one already delivered
+    (a duplicate delivery). *)
 
 val nested_reply : t -> tid:int -> call_index:int -> unit
 (** Deliver a nested-invocation reply.  Replies arriving before the thread
-    reaches the call are buffered. *)
+    reaches the call are buffered; a reply for a finished thread is
+    ignored. *)
 
 val deliver_control : t -> sender:int -> Sched_iface.control -> unit
 
@@ -82,6 +86,9 @@ val active_threads : t -> int
     thread the replica has admitted. *)
 
 val thread_status : t -> int -> thread_status option
+(** [None] for a tid above every delivered uid.  A finished thread is
+    evicted from the replica, so it reads [Some Terminated], as does any tid
+    at or below the highest delivered uid that is not live. *)
 
 val threads_overview : t -> (int * thread_status) list
 (** All non-terminated threads with their status, sorted by tid — deadlock

@@ -17,17 +17,14 @@ type event =
          reaching the commit barrier; [> 0]: validation failure at commit *)
 
 type t = {
-  mutable events : (float * event) list; (* reverse order *)
+  keep_events : bool;
+  mutable events : (float * event) list; (* reverse order; [] unless kept *)
   mutable length : int;
-  mutable enabled : bool;
   mutable hash : int64;
 }
 
-let create () = { events = []; length = 0; enabled = true; hash = 0L }
-
-let enabled t = t.enabled
-
-let set_enabled t b = t.enabled <- b
+let create ?(keep_events = false) () =
+  { keep_events; events = []; length = 0; hash = 0L }
 
 (* FNV-1a style folding over a small integer encoding of the event. *)
 let fnv_prime = 0x100000001B3L
@@ -63,11 +60,9 @@ let hash_event h = function
   | Ws_abort { tid; conflicts } -> mix (mix (mix h 14) tid) conflicts
 
 let record_at t ~time e =
-  if t.enabled then begin
-    t.events <- (time, e) :: t.events;
-    t.length <- t.length + 1;
-    t.hash <- hash_event t.hash e
-  end
+  if t.keep_events then t.events <- (time, e) :: t.events;
+  t.length <- t.length + 1;
+  t.hash <- hash_event t.hash e
 
 let record t e = record_at t ~time:0.0 e
 

@@ -3,7 +3,12 @@
     Each replica records the sequence of lock grants, releases, waits and
     notifications it performed.  Two replicas executed deterministically must
     produce byte-identical traces; {!fingerprint} folds a trace into a single
-    64-bit hash used by the consistency checker. *)
+    64-bit hash used by the consistency checker.
+
+    The hash and the count are always kept, so a trace's memory does not
+    grow with the run.  The event list itself is retained only for a trace
+    created with [~keep_events:true] (timelines and forensics); retaining
+    it never changes {!fingerprint} or {!length}. *)
 
 type event =
   | Lock_requested of { tid : int; syncid : int; mutex : int }
@@ -31,11 +36,9 @@ type event =
 
 type t
 
-val create : unit -> t
-
-val enabled : t -> bool
-
-val set_enabled : t -> bool -> unit
+val create : ?keep_events:bool -> unit -> t
+(** [keep_events] (default [false]) retains every recorded event for
+    {!events} and {!timed_events}. *)
 
 val record : t -> event -> unit
 (** Record with timestamp 0 (unit tests). *)
@@ -47,10 +50,11 @@ val record_at : t -> time:float -> event -> unit
 val length : t -> int
 
 val events : t -> event list
-(** Events in recording order. *)
+(** Events in recording order; [[]] unless created with [~keep_events:true]. *)
 
 val timed_events : t -> (float * event) list
-(** Events with their virtual timestamps, in recording order. *)
+(** Events with their virtual timestamps, in recording order; [[]] unless
+    created with [~keep_events:true]. *)
 
 val fingerprint : t -> int64
 (** Order-sensitive hash of all recorded events. *)

@@ -139,6 +139,89 @@ let test_recovery_converges () =
       Alcotest.check b (scheduler ^ ": invariants hold") true (Chaos.ok o))
     [ "seq"; "lsa"; "pds" ]
 
+(* Recovery from the trimmed broadcast log.  A figure1 MAT group loses a
+   replica once 512 requests are answered; the replica rejoins from a
+   quiescent donor and replays the donor's missed suffix.  Every delivery
+   to replica 0, the donor, lands 20 ms late, so the other survivor has
+   delivered messages the donor has not: trimming the log at any watermark
+   above the lowest live one would drop part of the suffix the recovered
+   replica needs.  The log holds only messages some live replica has not
+   delivered, so it stays within two messages per client (one request, one
+   nested reply) for the whole run and drains at the end.  The replayed
+   count, the recovered incarnation's completions and its acquisition
+   fingerprint are pinned to the values of the untrimmed log that kept
+   every broadcast; the recovered replica's acquisitions cover only its
+   second incarnation, so they are pinned rather than compared with the
+   survivors'. *)
+let test_recovery_from_trimmed_log () =
+  let module Engine = Detmt_sim.Engine in
+  let module Replica = Detmt_runtime.Replica in
+  let clients = 10 in
+  let engine = Engine.create () in
+  let obs = Detmt_obs.Recorder.create () in
+  let system =
+    Active.create ~obs ~engine ~cls
+      ~params:{ Active.default_params with scheduler = "mat" }
+      ()
+  in
+  Active.set_delivery_oracle system
+    (Some
+       (fun ~seq:_ ~sender:_ ~dest ~planned_ms:_ ->
+         if dest = 0 then 20.0 else 0.0));
+  let killed_after = ref 0 and peak_log = ref 0 in
+  let rec poll () =
+    peak_log := max !peak_log (Active.logged_messages system);
+    if !killed_after = 0 && Active.replies_received system >= 512 then begin
+      killed_after := Active.replies_received system;
+      Active.kill_replica system 2;
+      Active.recover_replica system ~at:(Engine.now engine +. 20.0) 2
+    end;
+    if Active.replies_received system < clients * 103 then
+      Engine.schedule engine ~delay:5.0 poll
+  in
+  Engine.schedule engine ~delay:5.0 poll;
+  Client.run_clients ~engine ~system ~clients ~requests_per_client:103
+    ~think_time_ms:120.0 ~gen ();
+  let replayed =
+    match
+      Detmt_obs.Metrics.view
+        (Detmt_obs.Recorder.metrics obs)
+        "active.recovery.replayed_msgs"
+    with
+    | Some (Detmt_obs.Metrics.Hist_view h) -> Detmt_obs.Hdr.total h
+    | _ -> Alcotest.fail "no recovery observed"
+  in
+  Alcotest.check b "crashed after 512 replies" true (!killed_after >= 512);
+  Alcotest.(check int) "one recovery" 1 (Active.recoveries system);
+  Alcotest.(check int) "every request answered" (clients * 103)
+    (Active.replies_received system);
+  Alcotest.(check (float 0.0)) "replayed suffix as with the full log" 3.0
+    replayed;
+  Alcotest.check b "log bounded by the messages in flight" true
+    (!peak_log <= 2 * clients);
+  Alcotest.(check int) "log drained" 0 (Active.logged_messages system);
+  match Active.replicas system with
+  | [ r0; r1; r2 ] ->
+    List.iter
+      (fun r ->
+        Alcotest.check b
+          (Printf.sprintf "replica %d alive" (Replica.id r))
+          true (Replica.alive r))
+      [ r0; r1; r2 ];
+    Alcotest.(check (list (pair string int))) "recovered state agrees"
+      (Replica.state_snapshot r0) (Replica.state_snapshot r2);
+    Alcotest.(check (list (pair string int))) "survivor states agree"
+      (Replica.state_snapshot r0) (Replica.state_snapshot r1);
+    Alcotest.(check int64) "survivor acquisitions agree"
+      (Replica.mutex_acquisition_fingerprint r0)
+      (Replica.mutex_acquisition_fingerprint r1);
+    Alcotest.(check int) "recovered incarnation's completions" 344
+      (Replica.completed_requests r2);
+    Alcotest.(check int64) "recovered acquisitions as with the full log"
+      0xe4466a17015af865L
+      (Replica.mutex_acquisition_fingerprint r2)
+  | _ -> Alcotest.fail "three replicas expected"
+
 (* The full quick sweep: every scenario crossed with every deterministic
    scheduler upholds the robustness invariants. *)
 let test_sweep_invariants () =
@@ -216,6 +299,8 @@ let () =
           tc "retries stay exactly-once" `Quick
             test_retries_stay_exactly_once;
           tc "recovery converges" `Quick test_recovery_converges;
+          tc "recovery from the trimmed log" `Quick
+            test_recovery_from_trimmed_log;
           tc "sweep invariants" `Slow test_sweep_invariants;
           tc "seeded determinism" `Quick test_seeded_determinism;
           tc "deadlock diagnostics" `Quick test_deadlock_diagnostics ] ) ]

@@ -624,25 +624,36 @@ let decision_observables (module D : Detmt_sched.Decision.S) ~cls ~gen
     (r, grants, replies)
   in
   let replicas = List.init 3 replica in
-  let uid = ref 0 in
-  for client = 0 to clients - 1 do
-    let rng = Detmt_sim.Rng.create (Int64.add seed (Int64.of_int client)) in
-    for r = 0 to requests - 1 do
-      let meth, args = gen ~client ~seq:r rng in
-      let at = (float_of_int r *. 4.0) +. (float_of_int client *. 0.5) in
+  let stream =
+    List.concat_map
+      (fun client ->
+        let rng =
+          Detmt_sim.Rng.create (Int64.add seed (Int64.of_int client))
+        in
+        List.init requests (fun r ->
+            let meth, args = gen ~client ~seq:r rng in
+            let at = (float_of_int r *. 4.0) +. (float_of_int client *. 0.5) in
+            (at, client, r, meth, args)))
+      (List.init clients Fun.id)
+  in
+  (* Uids are total-order slots, so they number the stream in delivery
+     order; the stable sort keeps generation order among equal times,
+     which is the order the engine runs same-instant deliveries in. *)
+  List.iteri
+    (fun uid (at, client, r, meth, args) ->
       let req =
-        Detmt_runtime.Request.make ~uid:!uid ~client ~client_req:r ~meth
-          ~args ~sent_at:at
+        Detmt_runtime.Request.make ~uid ~client ~client_req:r ~meth ~args
+          ~sent_at:at
       in
-      incr uid;
       List.iteri
         (fun i (replica, _, _) ->
           Detmt_sim.Engine.schedule_at engine
             ~time:(at +. (0.3 *. float_of_int i))
             (fun () -> Replica.deliver_request replica req))
-        replicas
-    done
-  done;
+        replicas)
+    (List.stable_sort
+       (fun (a, _, _, _, _) (b, _, _, _, _) -> Float.compare a b)
+       stream);
   Detmt_sim.Engine.run engine;
   List.map
     (fun (r, grants, replies) ->
@@ -809,6 +820,63 @@ let test_mat_many_clients () =
   let wname, cls, gen = figure1_workload in
   check_mat_agrees ~wname ~cls ~gen ~clients:256 ~requests:2 ~seed:42L
 
+(* Retaining the trace's event list is bit-invisible: the same run with
+   [trace_events] on and off gives, per replica, the same trace fingerprint
+   and length, state and acquisition fingerprint, and the same order
+   fingerprint and client reply table.  With the default config no replica
+   keeps an event. *)
+let test_trace_events_invisible () =
+  let module Active = Detmt_replication.Active in
+  let module Replica = Detmt_runtime.Replica in
+  let run ~wname ~cls ~gen ~scheduler ~workers trace_events =
+    let engine = Detmt_sim.Engine.create () in
+    let params =
+      { Active.default_params with
+        scheduler; workers;
+        config = { Detmt_runtime.Config.default with trace_events } }
+    in
+    let system = Active.create ~engine ~cls ~params () in
+    Detmt_replication.Client.run_clients ~engine ~system ~clients:8
+      ~requests_per_client:4 ~gen ~seed:42L ();
+    Alcotest.(check int)
+      (Printf.sprintf "%s/%s: every request answered" scheduler wname)
+      32
+      (Active.replies_received system);
+    if not trace_events then
+      List.iter
+        (fun r ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s/%s: replica %d keeps no events" scheduler
+               wname (Replica.id r))
+            0
+            (List.length (Detmt_sim.Trace.events (Replica.trace r))))
+        (Active.replicas system);
+    ( Active.order_fingerprint system,
+      Active.reply_times system,
+      List.map
+        (fun r ->
+          let tr = Replica.trace r in
+          ( Detmt_sim.Trace.fingerprint tr,
+            Detmt_sim.Trace.length tr,
+            Replica.state_snapshot r,
+            Replica.mutex_acquisition_fingerprint r ))
+        (Active.replicas system) )
+  in
+  List.iter
+    (fun (wname, cls, gen) ->
+      List.iter
+        (fun (scheduler, workers) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s/%s: events kept or not, same run" scheduler
+               wname)
+            true
+            (run ~wname ~cls ~gen ~scheduler ~workers true
+            = run ~wname ~cls ~gen ~scheduler ~workers false))
+        [ ("mat", 1); ("pmat", 1); ("cgs+ws", 4); ("lsa", 1) ])
+    [ figure1_workload; prodcons_workload ];
+  Alcotest.(check bool) "events are opt-in" false
+    Detmt_runtime.Config.default.trace_events
+
 let prop_runs_reproducible =
   QCheck.Test.make ~count:20 ~name:"same seed, bit-identical run"
     Testgen.arbitrary_class
@@ -861,6 +929,8 @@ let suite =
       ("mat fixed-workload differential", `Quick, test_mat_fixed_workloads);
       ("mat differential at 256 clients", `Quick, test_mat_many_clients);
       ("workspace abort-path determinism", `Quick,
-       test_ws_abort_determinism) ]
+       test_ws_abort_determinism);
+      ("trace event retention is bit-invisible", `Quick,
+       test_trace_events_invisible) ]
 
 let () = Alcotest.run "properties" [ ("properties", suite) ]

@@ -1,6 +1,6 @@
 (* Unit tests for the replica runtime: mutex table, workspace hold set,
-   condition variables, the interpreter's op stream, object state and the
-   replica's live-thread counter. *)
+   condition variables, the interpreter's op stream, object state, the
+   replica's live-thread counter and its eviction of finished threads. *)
 
 open Detmt_lang
 open Detmt_runtime
@@ -458,6 +458,90 @@ let test_active_threads_counter () =
     [ (module Detmt_sched.Mat.Base : Detmt_sched.Decision.S);
       (module Detmt_sched.Pmat.Base) ]
 
+(* [finish] evicts a thread from the replica's table; what callers could
+   ask of a finished thread must still answer as before.  One MAT replica
+   runs figure1 requests (nested calls included) to completion, then:
+   every delivered tid reads [Terminated] and none is listed as live;
+   delivering a finished tid again raises; a late nested reply for one
+   changes nothing; a tid above every delivered one is still unknown. *)
+let test_finished_threads_evicted () =
+  let module Trace = Detmt_sim.Trace in
+  let cls = Detmt_workload.Figure1.cls Detmt_workload.Figure1.default in
+  let gen = Detmt_workload.Figure1.gen Detmt_workload.Figure1.default in
+  let instrumented, summary = Detmt_transform.Transform.predictive cls in
+  let engine = Detmt_sim.Engine.create () in
+  let config = Config.default in
+  let self = ref None and nested = ref 0 in
+  let callbacks =
+    { Replica.send_reply = (fun _ -> ());
+      do_nested =
+        (fun ~tid ~call_index ~service:_ ~duration ->
+          incr nested;
+          Detmt_sim.Engine.schedule engine ~delay:duration (fun () ->
+              Replica.nested_reply (Option.get !self) ~tid ~call_index));
+      broadcast_control = (fun _ -> ());
+      inject_dummy = (fun () -> ());
+      is_leader = (fun () -> true) }
+  in
+  let r =
+    Replica.create ~engine ~id:0 ~cls:instrumented ~config ~callbacks
+      ~make_sched:
+        (Detmt_sched.Decision.instantiate
+           (module Detmt_sched.Mat.Base)
+           ~config ~summary:(Some summary))
+      ()
+  in
+  self := Some r;
+  let requests = 24 in
+  let reqs =
+    List.init requests (fun uid ->
+        let client = uid mod 6 in
+        let meth, args =
+          gen ~client ~seq:(uid / 6) (Detmt_sim.Rng.create (Int64.of_int uid))
+        in
+        Request.make ~uid ~client ~client_req:(uid / 6) ~meth ~args
+          ~sent_at:0.0)
+  in
+  List.iteri
+    (fun i req ->
+      Detmt_sim.Engine.schedule_at engine ~time:(float_of_int i) (fun () ->
+          Replica.deliver_request r req))
+    reqs;
+  Detmt_sim.Engine.run engine;
+  Alcotest.(check int) "every request completed" requests
+    (Replica.completed_requests r);
+  Alcotest.check b "nested calls exercised" true (!nested > 0);
+  for tid = 0 to requests - 1 do
+    Alcotest.check b
+      (Printf.sprintf "t%d reads Terminated" tid)
+      true
+      (Replica.thread_status r tid = Some Replica.Terminated)
+  done;
+  Alcotest.(check int) "no live thread listed" 0
+    (List.length (Replica.threads_overview r));
+  Alcotest.check b "undelivered tid unknown" true
+    (Replica.thread_status r requests = None);
+  Alcotest.check b "re-delivering a finished tid raises" true
+    (match Replica.deliver_request r (List.nth reqs 3) with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  let observables () =
+    ( Replica.state_snapshot r,
+      Replica.completed_requests r,
+      Trace.fingerprint (Replica.trace r),
+      Trace.length (Replica.trace r),
+      Replica.mutex_acquisition_fingerprint r )
+  in
+  let before = observables () in
+  Replica.nested_reply r ~tid:0 ~call_index:0;
+  Detmt_sim.Engine.run engine;
+  Alcotest.check b "late nested reply is a no-op" true
+    (observables () = before);
+  Alcotest.check b "nested reply for an undelivered tid raises" true
+    (match Replica.nested_reply r ~tid:(requests + 5) ~call_index:0 with
+    | () -> false
+    | exception Invalid_argument _ -> true)
+
 let suite =
   [ ("mutex basic", `Quick, test_mutex_basic);
     ("mutex reentrant", `Quick, test_mutex_reentrant);
@@ -467,6 +551,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_mutex_holds_any_model;
     ("workspace holds_any", `Quick, test_workspace_holds_any);
     ("replica active_threads counter", `Quick, test_active_threads_counter);
+    ("replica evicts finished threads", `Quick, test_finished_threads_evicted);
     ("condvar fifo", `Quick, test_condvar_fifo);
     ("condvar per mutex", `Quick, test_condvar_per_mutex);
     ("condvar double park", `Quick, test_condvar_double_park_rejected);

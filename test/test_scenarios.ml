@@ -17,8 +17,10 @@ let build ?(scheduler = "mat") ?(replicas = 1) cls =
   let engine = Engine.create () in
   let params =
     { Active.default_params with
-      replicas; scheduler; config = zero_overhead; net_latency_ms = 0.0;
-      client_latency_ms = 0.0 }
+      replicas; scheduler;
+      (* the scenarios read the event list, not just its hash *)
+      config = { zero_overhead with trace_events = true };
+      net_latency_ms = 0.0; client_latency_ms = 0.0 }
   in
   (engine, Active.create ~engine ~cls ~params ())
 

@@ -25,13 +25,14 @@ let scenario_cls =
 
 (* Build a system, submit the given requests at t=0, run to completion and
    return (makespan, system).  Zero scheduling overheads keep the arithmetic
-   of the assertions exact. *)
+   of the assertions exact; the trace keeps its events for the order
+   assertions. *)
 let run_requests ?(replicas = 1) ~scheduler reqs =
   let engine = Engine.create () in
   let config =
     { Detmt_runtime.Config.default with
       lock_overhead_ms = 0.0; bookkeeping_overhead_ms = 0.0;
-      reply_build_ms = 0.0 }
+      reply_build_ms = 0.0; trace_events = true }
   in
   let params =
     { Active.default_params with

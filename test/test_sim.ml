@@ -467,11 +467,29 @@ let test_trace_fingerprint_equal_for_equal () =
   in
   Alcotest.check b "equal traces, equal fingerprints" true (mk () = mk ())
 
-let test_trace_disabled () =
-  let t = Trace.create () in
-  Trace.set_enabled t false;
-  Trace.record t (Trace.Thread_end { tid = 1 });
-  Alcotest.(check int) "nothing recorded when disabled" 0 (Trace.length t)
+(* Keeping the event list is opt-in and invisible to the hash: the same
+   events recorded with and without retention give the same fingerprint
+   and length, and only the retaining trace can list them. *)
+let test_trace_event_retention () =
+  let evs =
+    [ Trace.Thread_start { tid = 3; method_name = "m" };
+      Trace.Lock_granted { tid = 3; syncid = 1; mutex = 9 };
+      Trace.Unlocked { tid = 3; syncid = 1; mutex = 9 };
+      Trace.Thread_end { tid = 3 } ]
+  in
+  let mk keep_events =
+    let t = Trace.create ~keep_events () in
+    List.iteri (fun i e -> Trace.record_at t ~time:(float_of_int i) e) evs;
+    t
+  in
+  let kept = mk true and hashed = mk false in
+  Alcotest.(check int64) "same fingerprint" (Trace.fingerprint kept)
+    (Trace.fingerprint hashed);
+  Alcotest.(check int) "same length" 4 (Trace.length hashed);
+  Alcotest.(check int) "length kept" 4 (Trace.length kept);
+  Alcotest.check b "events kept on request" true (Trace.events kept = evs);
+  Alcotest.check b "no events by default" true
+    (Trace.events hashed = [] && Trace.timed_events hashed = [])
 
 (* ---------------------------- properties --------------------------- *)
 
@@ -535,7 +553,7 @@ let suite =
     ("trace order-sensitive", `Quick, test_trace_fingerprint_order_sensitive);
     ("trace equal fingerprints", `Quick,
      test_trace_fingerprint_equal_for_equal);
-    ("trace disabled", `Quick, test_trace_disabled);
+    ("trace event retention", `Quick, test_trace_event_retention);
     QCheck_alcotest.to_alcotest prop_pqueue_drains_sorted;
     QCheck_alcotest.to_alcotest prop_rng_int_in_bounds;
   ]
