@@ -54,8 +54,20 @@ let workers =
            (cgs, pcgs, wss, cgs+ws, adaptive); serial schedulers require \
            the default 1.")
 
+(* A group count the multi-group runtime can hold: more than its
+   [max_groups] is a usage error, not an exception from deep inside. *)
 let shards ~default ~doc =
-  Arg.(value & opt int default & info [ "shards" ] ~docv:"N" ~doc)
+  let limit = Detmt.Reconfig.default_params.max_groups in
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 && n <= limit -> Ok n
+    | _ ->
+      Error (`Msg (Printf.sprintf "expected a group count from 0 to %d" limit))
+  in
+  Arg.(
+    value
+    & opt (conv (parse, Format.pp_print_int)) default
+    & info [ "shards" ] ~docv:"N" ~doc)
 
 let latency =
   Arg.(

@@ -183,7 +183,7 @@ let record_run ?obs ~scheduler ~clients ~requests ~replicas ~seed ~workload
     (Detmt.Experiment.run ~obs
        { Detmt.Experiment.base with
          workload = Detmt.Experiment.workload workload;
-         system = (if shards <= 1 then Active else Shards shards);
+         system = (if shards <= 1 then Active else Static shards);
          scheduler; clients; requests; replicas; seed = Int64.of_int seed;
          latency_ms = latency });
   obs
@@ -492,7 +492,7 @@ let sparkline values =
 let default_top_tracks =
   [ "active.inflight"; "active.replies"; "active.response_ms";
     "engine.pending"; "totem.deliveries"; "totem.wire_batches";
-    "shard.replies"; "shard.cross_inflight"; "reconfig.epoch";
+    "reconfig.replies"; "reconfig.epoch";
     "reconfig.held_backlog" ]
 
 (* Live terminal view of a run: the engine is driven one virtual-time
@@ -515,13 +515,16 @@ let top_cmd =
     in
     let engine = Detmt.Engine.create () in
     let obs = Detmt.Recorder.create ~width_ms:frame_ms () in
-    (* one shard is bit-identical to the unsharded path *)
+    (* one group is bit-identical to the unsharded path *)
     let sys =
-      Detmt.Shard.create ~obs ~engine ~cls
-        ~params:{ Detmt.Shard.shards = max 1 shards; base = params } ()
+      Detmt.Reconfig.create ~obs ~engine ~cls
+        ~params:
+          { Detmt.Reconfig.default_params with
+            initial_groups = max 1 shards; base = params }
+        ()
     in
-    let submit = Detmt.Shard.submit sys in
-    let replies () = Detmt.Shard.replies_received sys in
+    let submit = Detmt.Reconfig.submit sys in
+    let replies () = Detmt.Reconfig.replies_received sys in
     let master = Detmt.Rng.create (Int64.of_int seed) in
     let all =
       List.init clients (fun id ->
@@ -683,7 +686,7 @@ let fingerprint_cmd =
             let replies, fps =
               if shards = 0 then begin
                 (* legacy unsharded path — [--shards 1] must print the same
-                   lines through {!Detmt.Shard} *)
+                   lines through {!Detmt.Reconfig} *)
                 let system =
                   Detmt.Active.create ~obs ~engine ~cls ~params ()
                 in
@@ -695,16 +698,19 @@ let fingerprint_cmd =
               end
               else begin
                 let system =
-                  Detmt.Shard.create ~obs ~engine ~cls
-                    ~params:{ Detmt.Shard.shards; base = params } ()
+                  Detmt.Reconfig.create ~obs ~engine ~cls
+                    ~params:
+                      { Detmt.Reconfig.default_params with
+                        initial_groups = shards; base = params }
+                    ()
                 in
-                Detmt.Shard.run_clients system ~clients
+                Detmt.Reconfig.run_clients system ~clients
                   ~requests_per_client:requests ~gen
                   ~seed:(Int64.of_int seed) ();
-                ( Detmt.Shard.replies_received system,
+                ( Detmt.Reconfig.replies_received system,
                   List.concat_map
                     (fun g -> List.map replica_fp (Detmt.Active.live_replicas g))
-                    (Array.to_list (Detmt.Shard.groups system)) )
+                    (Detmt.Reconfig.live_systems system) )
               end
             in
             Format.printf "%-13s %-9s replies=%-3d %s@." workload scheduler
@@ -1116,7 +1122,7 @@ let shard_cmd =
              { wname = Printf.sprintf "sharded(cross=%g)" cross;
                cls = Detmt.Sharded.cls sharded;
                gen = Detmt.Sharded.gen sharded };
-           system = Shards shards; scheduler; workers; clients; requests;
+           system = Static shards; scheduler; workers; clients; requests;
            seed = Int64.of_int seed; batching })
   in
   let shards_arg =

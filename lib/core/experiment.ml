@@ -49,7 +49,6 @@ let workload = function
 
 type system =
   | Active
-  | Shards of int
   | Static of int
   | Autoscale of Reconfig.policy
 
@@ -88,7 +87,6 @@ let config_fields c =
      Json.String
        (match c.system with
        | Active -> "active"
-       | Shards n -> Printf.sprintf "shards-%d" n
        | Static n -> Printf.sprintf "static-%d" n
        | Autoscale _ -> "autoscale"));
     ("scheduler", Json.String c.scheduler);
@@ -166,20 +164,6 @@ let params c =
 
 let flag b = if b then 1.0 else 0.0
 
-(* {!Shard.fingerprint}'s fold over one group: a 1-group row and a 1-shard
-   row of the same run print the same fingerprint. *)
-let group_fingerprint system replies =
-  let h = ref 0xcbf29ce484222325L in
-  let mix v = h := Int64.mul (Int64.logxor !h v) 0x100000001b3L in
-  List.iter
-    (fun r ->
-      mix (Int64.of_int (Detmt_runtime.Replica.id r));
-      mix (Trace.fingerprint (Detmt_runtime.Replica.trace r));
-      mix (Detmt_runtime.Replica.state_fingerprint r))
-    (Active.live_replicas system);
-  mix (Int64.of_int replies);
-  !h
-
 (* Scheduler activity from the recorder.  LSA splits its grants between
    leader broadcasts and follower enforcement, so the grant counter sums
    the names; the adaptive meta-scheduler books under its children's
@@ -244,7 +228,9 @@ let run ?obs c =
         ( replies,
           Active.response_times system,
           report.states_agree && report.acquisitions_agree,
-          group_fingerprint system replies,
+          (* the multi-group fold over one group: an [Active] row and a
+             [Static 1] row of the same run print the same fingerprint *)
+          Reconfig.fold_fingerprint [ system ] ~replies,
           [ ("broadcasts", float_of_int (Active.broadcasts system));
             ("cpu_busy_ms",
              match Active.replicas system with
@@ -258,26 +244,6 @@ let run ?obs c =
               (Active.message_stats system)
           @ failover
           @ sched_metrics obs c.scheduler )
-      in
-      (drive, summary)
-    | Shards shards ->
-      let system =
-        Shard.create ~obs ~engine ~cls ~params:{ Shard.shards; base } ()
-      in
-      let drive () =
-        ignore
-          (Shard.run_clients_stats system ~clients ~requests_per_client ~gen
-             ~seed ())
-      in
-      let summary () =
-        ( Shard.replies_received system,
-          Shard.response_times system,
-          Shard.consistent system,
-          Shard.fingerprint system,
-          [ ("fast_path", float_of_int (Shard.fast_path_requests system));
-            ("cross_shard", float_of_int (Shard.cross_shard_requests system));
-            ("broadcasts", float_of_int (Shard.broadcasts system));
-            ("wire_batches", float_of_int (Shard.wire_batches system)) ] )
       in
       (drive, summary)
     | Static _ | Autoscale _ ->
@@ -298,10 +264,11 @@ let run ?obs c =
       let summary () =
         let i f = float_of_int (f system) in
         let states = Reconfig.states_agree system in
+        let acquisitions = Reconfig.acquisitions_agree system in
         let epochs = Reconfig.epochs_agree system in
         ( Reconfig.replies_received system,
           Reconfig.response_times system,
-          states && epochs,
+          states && acquisitions && epochs,
           Reconfig.fingerprint system,
           [ ("groups_final", i Reconfig.group_count);
             ("epoch", i Reconfig.epoch);
@@ -309,8 +276,16 @@ let run ?obs c =
             ("merges", i Reconfig.merges);
             ("swaps", i Reconfig.swaps);
             ("held", i Reconfig.held_requests);
+            ("fast_path", i Reconfig.fast_path_requests);
             ("cross_group", i Reconfig.cross_group_requests);
+            ("broadcasts", i Reconfig.broadcasts);
+            ("wire_batches",
+             float_of_int
+               (List.fold_left
+                  (fun n g -> n + Active.wire_batches g)
+                  0 (Reconfig.groups_ever system)));
             ("states_agree", flag states);
+            ("acquisitions_agree", flag acquisitions);
             ("epochs_agree", flag epochs) ] )
       in
       (drive, summary)
@@ -361,7 +336,7 @@ let restrict ?clients ?shards ?scheduler ?workers ?seed grid =
   grid
   |> List.filter (fun c ->
          match (shards, c.system) with
-         | Some n, (Shards g | Static g) -> g <= n
+         | Some n, Static g -> g <= n
          | _ -> true)
   |> List.map (fun c ->
          c
@@ -870,7 +845,7 @@ let shard () =
             sharded_wl
               (Printf.sprintf "sharded(cross=%g)" cross_ratio)
               { W.Sharded.default with W.Sharded.cross_ratio };
-          system = Shards n; clients; requests = 4 })
+          system = Static n; clients; requests = 4 })
       [ 64; 256; 1024 ]
       (axes (fun x n -> (x, n)) [ 0.0; 0.1 ] [ 1; 2; 4; 8 ])
   in
@@ -879,7 +854,7 @@ let shard () =
     ~derived:(fun rows r ->
       List.filter_map
         (fun b ->
-          if b.config.system = Shards 1 && b.config.clients = r.config.clients
+          if b.config.system = Static 1 && b.config.clients = r.config.clients
              && b.config.workload.wname = r.config.workload.wname
              && b.outcome.throughput_per_s > 0.0
           then
@@ -892,12 +867,12 @@ let shard () =
       "Expected shape: near-linear scaling at 0% cross (disjoint closures \
        never coordinate across groups); the two-phase path erodes the gain \
        as the transfer ratio grows.\n"
-    ~columns:[ "fast_path"; "cross_shard"; "speedup_vs_1shard" ]
+    ~columns:[ "fast_path"; "cross_group"; "speedup_vs_1shard" ]
     ~claims:(fun rows ->
       let two =
         List.filter
           (fun r ->
-            r.config.system = Shards 2
+            r.config.system = Static 2
             && r.config.workload.wname = "sharded(cross=0)")
           rows
       in

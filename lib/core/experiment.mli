@@ -22,8 +22,9 @@ val workload : string -> workload
 
 type system =
   | Active  (** one replica group *)
-  | Shards of int  (** {!Detmt_replication.Shard} over N groups *)
-  | Static of int  (** {!Detmt_replication.Reconfig} fixed at N groups *)
+  | Static of int
+      (** {!Detmt_replication.Reconfig} fixed at N groups: the static
+          sharded layout *)
   | Autoscale of Detmt_replication.Reconfig.policy
       (** {!Detmt_replication.Reconfig} from one group, under the
           controller *)

@@ -5,7 +5,7 @@
    answered request, then aggregates — overall, per shard and per
    reconfiguration epoch.  Shards are derived from the winning replica's id
    (replica ids are [shard * replicas_per_group + offset] by construction
-   of [Shard]/[Reconfig]); epochs come from the ["reconfig.epoch"] series
+   of [Reconfig]); epochs come from the ["reconfig.epoch"] series
    the reconfigurator records at every barrier, so requests held across a
    barrier are attributed to the epoch in which they were delivered. *)
 

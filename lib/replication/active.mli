@@ -38,7 +38,7 @@ type params = {
           diagnostics namespace, never a behavioural input *)
   replica_base : int;
       (** first replica id of this group; ids are [base, base + replicas).
-          {!Shard} gives each group a disjoint id window so flight-recorder
+          {!Reconfig} gives each group a disjoint id window so flight-recorder
           spans and checkpoints never collide across groups. *)
   batching : Detmt_gcs.Totem.batching option;
       (** batched total-order delivery on the bus; [None] (the default)
@@ -80,7 +80,7 @@ val submit :
     retries keep exactly-once semantics.  [on_ordered] fires the moment the
     request is stamped into this group's total order (at broadcast, after
     the client->sequencer latency), with its sequence number — the anchor
-    for the cross-shard two-phase protocol ({!Shard}); a retry that
+    for the cross-group two-phase protocol ({!Reconfig}); a retry that
     re-broadcasts fires it again. *)
 
 val engine : t -> Detmt_sim.Engine.t

@@ -157,79 +157,46 @@ let run ?(seed = 42L) ?(shards = 1) ?(workers = 1) ?(clients = 4)
         Consistency.observe monitor ~replica ~seq ~hash ~state);
     monitors := monitor :: !monitors
   in
-  (* Static scenarios always run through {!Shard} (a 1-shard system is
-     byte-for-byte the unsharded path); elastic scenarios run through
-     {!Reconfig} with [shards] initial groups, with monitors attached to
+  (* Every scenario runs through {!Reconfig} with [shards] initial groups
+     (a 1-group system is byte-for-byte the unsharded path); a static
+     scenario is the elastic one with no commands.  Monitors attach to
      every incarnation the run ever creates. *)
-  let groups, stats, replies, transitions, transitions_wanted, epochs_agree =
-    match scenario.reconfig with
-    | None ->
-      let system =
-        Shard.create ~obs ~engine ~cls ~params:{ Shard.shards; base } ()
-      in
-      let groups = Array.to_list (Shard.groups system) in
-      List.iter attach groups;
-      (* Scenario kills/recoveries name a replica offset; every group loses
-         (and recovers) the replica at that offset into its own id
-         window. *)
-      Option.iter
-        (fun (at, k) ->
-          Engine.schedule_at engine ~time:at (fun () ->
-              List.iter
-                (fun g ->
-                  Active.kill_replica g
-                    ((Active.params g).Active.replica_base + k))
-                groups))
-        scenario.kill;
-      (match (scenario.recover_at, scenario.kill) with
-      | Some at, Some (_, k) ->
-        List.iter
-          (fun g ->
-            Active.recover_replica g ~at
-              ((Active.params g).Active.replica_base + k))
-          groups
-      | Some _, None ->
-        invalid_arg "Chaos.run: recover_at without a kill makes no sense"
-      | None, _ -> ());
-      let stats =
-        Shard.run_clients_stats system ~clients ~requests_per_client ~gen
-          ~seed ~timeout_ms ()
-      in
-      (groups, stats, Shard.replies_received system, 0, 0, true)
-    | Some commands ->
-      let system =
-        Reconfig.create ~obs ~engine ~cls
-          ~on_group:(fun ~index:_ g -> attach g)
-          ~params:
-            { Reconfig.default_params with
-              Reconfig.initial_groups = shards; base }
-          ()
-      in
-      let cmds = commands ~initial:shards ~scheduler in
-      List.iter (fun (at, cmd) -> Reconfig.request_at system ~at cmd) cmds;
-      Option.iter
-        (fun (at, k) ->
-          Engine.schedule_at engine ~time:at (fun () ->
-              for g = 0 to shards - 1 do
-                Reconfig.kill_replica system ~group:g ~offset:k
-              done))
-        scenario.kill;
-      (match (scenario.recover_at, scenario.kill) with
-      | Some at, Some (_, k) ->
-        for g = 0 to shards - 1 do
-          Reconfig.recover_replica system ~group:g ~offset:k ~at
-        done
-      | Some _, None ->
-        invalid_arg "Chaos.run: recover_at without a kill makes no sense"
-      | None, _ -> ());
-      let stats =
-        Reconfig.run_clients_stats system ~clients ~requests_per_client ~gen
-          ~seed ~timeout_ms ()
-      in
-      ( Reconfig.groups_ever system, stats,
-        Reconfig.replies_received system, Reconfig.epoch system,
-        List.length cmds, Reconfig.epochs_agree system )
+  let system =
+    Reconfig.create ~obs ~engine ~cls
+      ~on_group:(fun ~index:_ g -> attach g)
+      ~params:
+        { Reconfig.default_params with Reconfig.initial_groups = shards; base }
+      ()
   in
+  let cmds =
+    match scenario.reconfig with
+    | Some commands -> commands ~initial:shards ~scheduler
+    | None -> []
+  in
+  List.iter (fun (at, cmd) -> Reconfig.request_at system ~at cmd) cmds;
+  (* Scenario kills/recoveries name a replica offset; every group loses (and
+     recovers) the replica at that offset into its own id window. *)
+  Option.iter
+    (fun (at, k) ->
+      Engine.schedule_at engine ~time:at (fun () ->
+          for g = 0 to shards - 1 do
+            Reconfig.kill_replica system ~group:g ~offset:k
+          done))
+    scenario.kill;
+  (match (scenario.recover_at, scenario.kill) with
+  | Some at, Some (_, k) ->
+    for g = 0 to shards - 1 do
+      Reconfig.recover_replica system ~group:g ~offset:k ~at
+    done
+  | Some _, None ->
+    invalid_arg "Chaos.run: recover_at without a kill makes no sense"
+  | None, _ -> ());
+  let stats =
+    Reconfig.run_clients_stats system ~clients ~requests_per_client ~gen ~seed
+      ~timeout_ms ()
+  in
+  let groups = Reconfig.groups_ever system in
+  let replies = Reconfig.replies_received system in
   let monitors = List.rev !monitors in
   let reports =
     List.map (fun g -> Consistency.check (Active.live_replicas g)) groups
@@ -308,8 +275,9 @@ let run ?(seed = 42L) ?(shards = 1) ?(workers = 1) ?(clients = 4)
     o_watermark_suppressed = sum Active.watermark_suppressed;
     o_losses = losses; o_duplicates_injected = dups;
     o_partition_holds = holds;
-    o_transitions = transitions; o_transitions_wanted = transitions_wanted;
-    o_epochs_agree = epochs_agree;
+    o_transitions = Reconfig.epoch system;
+    o_transitions_wanted = List.length cmds;
+    o_epochs_agree = Reconfig.epochs_agree system;
     o_duration_ms = Engine.now engine;
     o_fingerprint = fingerprint }
 

@@ -1,7 +1,7 @@
 (** Chaos harness: fault scenarios x deterministic schedulers.
 
-    Each run wires a workload through {!Shard} (one {!Active} group per
-    shard; the default single shard is byte-for-byte the unsharded path) on
+    Each run wires a workload through {!Reconfig} (one {!Active} group per
+    shard; the default single group is byte-for-byte the unsharded path) on
     a degraded transport ({!Detmt_gcs.Faults}), optionally kills and
     recovers a replica in every group, and checks the robustness
     invariants:
@@ -15,11 +15,10 @@
       incarnation observing every epoch transition at the same total-order
       slot.
 
-    Scenarios carrying reconfiguration commands run through {!Reconfig}
-    (elastic: live shard split/merge and scheduler hot swap under the same
-    fault injection); the rest run through {!Shard} unchanged.  Everything
-    is seeded — the same seed replays the same run bit for bit, which
-    {!outcome.o_fingerprint} witnesses. *)
+    Scenarios carrying reconfiguration commands add live shard split/merge
+    and scheduler hot swap under the same fault injection; the rest run
+    without commands.  Everything is seeded — the same seed replays the
+    same run bit for bit, which {!outcome.o_fingerprint} witnesses. *)
 
 type scenario = {
   name : string;
@@ -100,18 +99,17 @@ val run :
   outcome
 (** One (scenario, scheduler) combination.  [workers] (default 1) is the
     simulated worker-pool width, legal only for parallel schedulers
-    ({!Detmt_sched.Registry.parallel_decisions}).  [shards] (default 1)
-    partitions
-    the object space into that many independent Totem groups; each group
-    gets its own fault stream (salted from [seed]), its own kill/recovery
-    when the scenario schedules one, and its own consistency monitor.  The
-    outcome aggregates across groups: counters sum, agreement flags AND,
+    ({!Detmt_sched.Registry.parallel_decisions}).  [shards] (default 1,
+    at most [Reconfig.default_params.max_groups]) partitions the object
+    space into that many independent Totem groups; each group gets its own
+    fault stream (salted from [seed]), its own kill/recovery when the
+    scenario schedules one, and its own consistency monitor.  The outcome
+    aggregates across groups: counters sum, agreement flags AND,
     [o_recoveries_wanted] scales with the shard count, and
     {!outcome.o_fingerprint} folds every group's replica hashes in shard
     order — for [shards = 1] it is the same value the unsharded harness
-    produced.  [timeout_ms] arms the clients'
-    retry timers (default 60 virtual ms).  [obs] (default disabled) records
-    the run; the transport's fault counters are folded into its metrics,
+    produced.  [timeout_ms] arms the clients' retry timers (default 60
+    virtual ms).  [obs] (default disabled) records the run; the transport's fault counters are folded into its metrics,
     and its checkpoint times and audit log support the forensics mode
     ([detmt-cli chaos --forensics]): {!outcome.o_divergence} names the first
     divergent checkpoint sequence, whose recording time keys the audit

@@ -21,7 +21,7 @@ type submit_fn =
   on_reply:(response_ms:float -> unit) ->
   unit
 (** What a client needs from a replicated system: submit one request, hear
-    back once.  {!Active.submit} and [Shard.submit] both have this shape, so
+    back once.  {!Active.submit} and {!Reconfig.submit} both have this shape, so
     the {e same} client code (and hence the same per-client random streams,
     in the same draw order) drives the unsharded and the sharded paths. *)
 
@@ -110,12 +110,12 @@ val run_clients_stats :
 
 val active_diagnostics : Active.t -> string
 (** One group's deadlock forensics (unanswered requests, blocked threads,
-    lock holders), newline-prefixed — {!Shard} stitches these into its
+    lock holders), newline-prefixed — {!Reconfig} stitches these into its
     per-group report. *)
 
 val stuck_header : stuck:int list -> string
 (** The first lines of a deadlock report: how many clients are still waiting
-    and which — multi-group layers ({!Shard}, {!Reconfig}) prepend this to
+    and which — the multi-group runtime ({!Reconfig}) prepends this to
     their stitched per-group forensics. *)
 
 val run_clients :

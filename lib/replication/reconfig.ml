@@ -1,17 +1,21 @@
 open Detmt_sim
 open Detmt_gcs
+open Detmt_lang
 module Recorder = Detmt_obs.Recorder
 
-(* Elastic reconfiguration over the {!Shard} substrate: a dynamic set of
-   {!Active} groups behind an epoch-versioned routing table, with three
-   totally-ordered operations — shard split, shard merge, scheduler hot
-   swap — and a deterministic autoscaling controller.
+(* The multi-group runtime: a dynamic set of {!Active} groups behind an
+   epoch-versioned routing table, with three totally-ordered operations —
+   shard split, shard merge, scheduler hot swap — and a deterministic
+   autoscaling controller.  With no command and no policy it is the static
+   sharded layout: [initial_groups] groups that never change.
 
-   The object (mutex) space is hashed onto a fixed set of SLOTS
-   ({!Shard.route} over [slots], not over the group count), and an epoch is
-   an assignment slot -> group.  Splits and merges move slots between
-   groups, so the hash placement of an object never changes — only its
-   slot's owner does.  Every transition runs the same protocol:
+   The object (mutex) space is hashed onto a fixed set of SLOTS ({!route}
+   over [slots], not over the group count), and an epoch is an assignment
+   slot -> group.  Splits and merges move slots between groups, so the hash
+   placement of an object never changes — only its slot's owner does.
+   Requests whose lock closure lives on one group take the fast path; the
+   rest run a two-phase ordered delivery over the epoch's group set.  Every
+   transition runs the same protocol:
 
    1. a barrier is stamped into the coordinator group's total order
       ({!Active.order_barrier}), then spread to every other live group, so
@@ -32,6 +36,166 @@ module Recorder = Detmt_obs.Recorder
    configuration transition at identical virtual times with identical
    barrier sequence numbers — which {!Active.barrier_fingerprints} and
    {!fingerprint} witness. *)
+
+(* ----------------------------- the router --------------------------- *)
+
+(* Stable hash of an object (mutex) id — a SplitMix64 finalizer, a pure
+   function of the id alone: no run state, no seed, no group contents.
+   Every client, every replica and every retry therefore agrees on the
+   placement without communicating. *)
+let route ~shards m =
+  if shards <= 1 then 0
+  else begin
+    let z = Int64.add (Int64.of_int m) 0x9E3779B97F4A7C15L in
+    let z =
+      Int64.mul
+        (Int64.logxor z (Int64.shift_right_logical z 30))
+        0xBF58476D1CE4E5B9L
+    in
+    let z =
+      Int64.mul
+        (Int64.logxor z (Int64.shift_right_logical z 27))
+        0x94D049BB133111EBL
+    in
+    let z = Int64.logxor z (Int64.shift_right_logical z 31) in
+    Int64.to_int (Int64.unsigned_rem z (Int64.of_int shards))
+  end
+
+(* ------------------------- predicted lock closure -------------------- *)
+
+(* Per start method: either the lock closure is exactly the mutexes carried
+   in the listed argument positions (so the request's group set is a pure
+   function of its arguments), or it is opaque and the request must be
+   ordered on every group. *)
+type plan =
+  | Args of int list
+  | Everywhere
+
+exception Opaque
+
+let arg_of_param = function Ast.Sp_arg i -> i | _ -> raise Opaque
+
+(* Syntactic closure for schedulers without a §4.3 summary: walk the source
+   body (through same-class calls) and collect every synchronisation
+   parameter; anything that is not a plain request argument — [this],
+   fields, globals, locals, unresolvable calls — makes the method opaque. *)
+let rec scan_block cls visited acc body =
+  List.fold_left (scan_stmt cls visited) acc body
+
+and scan_stmt cls visited acc = function
+  | Ast.Sync (p, body) -> scan_block cls visited (arg_of_param p :: acc) body
+  | Ast.Lock_acquire p | Ast.Lock_release p | Ast.Wait p ->
+    arg_of_param p :: acc
+  | Ast.Wait_until { param = p; _ } -> arg_of_param p :: acc
+  | Ast.Notify { param = p; _ } -> arg_of_param p :: acc
+  | Ast.If (_, a, b) -> scan_block cls visited (scan_block cls visited acc a) b
+  | Ast.Loop { body; _ } -> scan_block cls visited acc body
+  | Ast.Call name -> scan_call cls visited acc name
+  | Ast.Virtual_call { candidates; _ } ->
+    List.fold_left (scan_call cls visited) acc candidates
+  | Ast.Compute _ | Ast.Assign _ | Ast.Assign_field _ | Ast.Nested _
+  | Ast.State_update _ | Ast.Sched_lock _ | Ast.Sched_unlock _
+  | Ast.Lockinfo _ | Ast.Ignore_sync _ | Ast.Loop_enter _ | Ast.Loop_exit _
+    ->
+    acc
+
+and scan_call cls visited acc name =
+  if List.mem name !visited then acc
+  else begin
+    visited := name :: !visited;
+    match Class_def.find_method cls name with
+    | None -> raise Opaque
+    | Some m -> scan_block cls visited acc m.body
+  end
+
+let static_plan cls (m : Class_def.method_def) =
+  match scan_block cls (ref [ m.name ]) [] m.body with
+  | acc -> Args (List.sort_uniq compare acc)
+  | exception Opaque -> Everywhere
+
+(* With a prediction summary the closure is already computed (inlining,
+   loop scopes, classification); a method is argument-routable exactly when
+   every syncid's parameter is a request argument. *)
+let summary_plan (m : Detmt_analysis.Predict.method_summary) =
+  if m.fallback then Everywhere
+  else
+    match
+      List.map
+        (fun (si : Detmt_analysis.Predict.sid_info) -> arg_of_param si.param)
+        m.sids
+    with
+    | ps -> Args (List.sort_uniq compare ps)
+    | exception Opaque -> Everywhere
+
+(* The mutex ids a request's routing depends on, straight from the plan:
+   [None] when the closure is opaque or the arguments malformed (order
+   everywhere), [Some []] when the request locks nothing. *)
+let plan_mutexes plans ~meth ~args =
+  match Hashtbl.find_opt plans meth with
+  | None | Some Everywhere -> None
+  | Some (Args positions) ->
+    List.fold_left
+      (fun acc i ->
+        match acc with
+        | None -> None
+        | Some ms ->
+          if i < Array.length args then
+            match args.(i) with
+            | Ast.Vmutex m -> Some (m :: ms)
+            | _ -> None
+          else None)
+      (Some []) positions
+
+(* One plan per start method: from the §4.3 prediction summary when the
+   scheduler uses one, otherwise a syntactic scan of the source body. *)
+let plan_table ~summary cls =
+  let plans = Hashtbl.create 8 in
+  List.iter
+    (fun (m : Class_def.method_def) ->
+      let plan =
+        match summary with
+        | Some cs -> (
+          match Detmt_analysis.Predict.find_method cs m.name with
+          | Some ms -> summary_plan ms
+          | None -> Everywhere)
+        | None -> static_plan cls m
+      in
+      Hashtbl.replace plans m.name plan)
+    (Class_def.start_methods cls);
+  plans
+
+(* Each incarnation gets its own deterministic network weather, derived
+   from the base seed; incarnation 0 keeps the base seed untouched so a
+   1-group system is byte-for-byte the unsharded one. *)
+let salt_faults inc (spec : Faults.spec) =
+  if inc = 0 then spec
+  else
+    { spec with
+      Faults.seed =
+        Int64.logxor spec.Faults.seed
+          (Int64.mul (Int64.of_int inc) 0x9E3779B97F4A7C15L) }
+
+(* ---------------------------- fingerprints --------------------------- *)
+
+let fnv_mix h v = Int64.mul (Int64.logxor h v) 0x100000001b3L
+
+(* FNV-1a over every group's live-replica ids, traces and states, then the
+   reply count. *)
+let fold_fingerprint groups ~replies =
+  let h =
+    List.fold_left
+      (fun h sys ->
+        List.fold_left
+          (fun h r ->
+            let h = fnv_mix h (Int64.of_int (Detmt_runtime.Replica.id r)) in
+            let h =
+              fnv_mix h (Trace.fingerprint (Detmt_runtime.Replica.trace r))
+            in
+            fnv_mix h (Detmt_runtime.Replica.state_fingerprint r))
+          h (Active.live_replicas sys))
+      0xcbf29ce484222325L groups
+  in
+  fnv_mix h (Int64.of_int replies)
 
 type command =
   | Split of int
@@ -86,10 +250,10 @@ type group = {
   mutable inflight : int; (* requests latched on this group right now *)
 }
 
-(* A cross-group request waits for every involved group to answer; the
-   latch fires the client callback exactly once (same protocol as
-   {!Shard}).  [l_sent_at] is the original submission (or hold-queue entry)
-   time, so response times honestly include reconfiguration stalls. *)
+(* A request waits for every involved group to answer; the latch fires the
+   client callback exactly once.  [l_sent_at] is the original submission
+   (or hold-queue entry) time, so response times honestly include
+   reconfiguration stalls. *)
 type latch = {
   mutable remaining : int;
   l_sent_at : float;
@@ -100,7 +264,7 @@ type held = {
   h_client : int;
   h_client_req : int;
   h_meth : string;
-  h_args : Detmt_lang.Ast.value array;
+  h_args : Ast.value array;
   h_on_reply : response_ms:float -> unit;
   h_at : float; (* admission time: queue delay counts into the response *)
 }
@@ -109,10 +273,15 @@ type t = {
   engine : Engine.t;
   params : params;
   obs : Recorder.t;
-  cls : Detmt_lang.Class_def.t;
-  plans : (string, Shard.plan) Hashtbl.t;
+  cls : Class_def.t;
+  mutable plans : (string, plan) Hashtbl.t;
   owner : int array; (* slot -> live group index; the epoch's routing table *)
   mutable groups : group array; (* by index; retired entries stay in place *)
+  (* the live groups by ascending index, their indices and their count —
+     recomputed only when a split or merge changes the group set *)
+  mutable live_groups : group list;
+  mutable live_idx : int list;
+  mutable live_n : int;
   mutable retired : Active.t list; (* merged-away + pre-swap incarnations *)
   mutable incarnations : int; (* disjoint replica-id windows, never reused *)
   mutable epoch : int;
@@ -141,13 +310,13 @@ type t = {
   on_group : (index:int -> Active.t -> unit) option;
 }
 
-let live_groups t =
-  Array.to_list t.groups |> List.filter (fun g -> g.live)
-
-let live_count t = List.length (live_groups t)
+let refresh_live t =
+  t.live_groups <- Array.to_list t.groups |> List.filter (fun g -> g.live);
+  t.live_idx <- List.map (fun g -> g.index) t.live_groups;
+  t.live_n <- List.length t.live_groups
 
 let coordinator t =
-  match live_groups t with
+  match t.live_groups with
   | g :: _ -> g
   | [] -> assert false (* at least one group is always live *)
 
@@ -180,7 +349,7 @@ let fresh_active t ~index ~scheduler =
     { t.params.base with
       Active.shard = index; scheduler; workers;
       replica_base = inc * t.params.base.Active.replicas;
-      faults = Option.map (Shard.salt_faults inc) t.params.base.Active.faults }
+      faults = Option.map (salt_faults inc) t.params.base.Active.faults }
   in
   let sys = Active.create ~obs:t.obs ~engine:t.engine ~cls:t.cls ~params:base () in
   Group.set_epoch (Active.group sys) t.epoch;
@@ -200,9 +369,10 @@ let create ?(obs = Recorder.disabled) ?on_group ~engine ~cls
     invalid_arg "Reconfig.create: base.replica_base must be 0";
   let scheduler = params.base.Active.scheduler in
   let t =
-    { engine; params; obs; cls; plans = Hashtbl.create 8;
+    { engine; params; obs; cls; plans = Hashtbl.create 0;
       owner = Array.init params.slots (fun s -> s mod params.initial_groups);
-      groups = [||]; retired = []; incarnations = 0; epoch = 0;
+      groups = [||]; live_groups = []; live_idx = []; live_n = 0;
+      retired = []; incarnations = 0; epoch = 0;
       transitions = []; frozen = false; busy = false; held = Queue.create ();
       commands = Queue.create (); aborted = 0;
       pending = Hashtbl.create 256; answered = Hashtbl.create 256;
@@ -217,10 +387,10 @@ let create ?(obs = Recorder.disabled) ?on_group ~engine ~cls
     Array.init params.initial_groups (fun index ->
         { index; sys = fresh_active t ~index ~scheduler; live = true;
           inflight = 0 });
+  refresh_live t;
   (* Deterministic transformation: every group computed the same summary;
-     group 0's copy drives the routing plans (as in {!Shard}). *)
-  let plan_src = Shard.plan_table ~summary:(Active.summary t.groups.(0).sys) cls in
-  Hashtbl.iter (fun k v -> Hashtbl.replace t.plans k v) plan_src;
+     group 0's copy drives the routing plans. *)
+  t.plans <- plan_table ~summary:(Active.summary t.groups.(0).sys) cls;
   t
 
 (* ------------------------------- routing ----------------------------- *)
@@ -230,22 +400,23 @@ let find_group t index =
   else Some t.groups.(index)
 
 let group_of t index =
-  match find_group t index with
-  | Some g -> g
-  | None -> invalid_arg (Printf.sprintf "Reconfig: no group %d" index)
+  if index < 0 || index >= Array.length t.groups then
+    invalid_arg (Printf.sprintf "Reconfig: no group %d" index)
+  else t.groups.(index)
 
-let route_of t m = t.owner.(Shard.route ~shards:t.params.slots m)
+let route_of t m = t.owner.(route ~shards:t.params.slots m)
 
 (* The live group indices a request involves under the current epoch —
-   a pure function of (plan, arguments, owner table). *)
+   a pure function of (plan, arguments, owner table).  Opaque closures are
+   ordered everywhere; requests that lock nothing run on the
+   coordinator. *)
 let group_set t ~meth ~args =
-  match live_groups t with
-  | [ g ] -> [ g.index ]
-  | live -> (
-    match Shard.plan_mutexes t.plans ~meth ~args with
-    | None -> List.map (fun g -> g.index) live
+  if t.live_n = 1 then t.live_idx
+  else
+    match plan_mutexes t.plans ~meth ~args with
+    | None -> t.live_idx
     | Some [] -> [ (coordinator t).index ]
-    | Some ms -> List.sort_uniq compare (List.map (route_of t) ms))
+    | Some ms -> List.sort_uniq compare (List.map (route_of t) ms)
 
 let client_arrival t =
   Engine.now t.engine +. t.params.base.Active.client_latency_ms
@@ -289,6 +460,10 @@ let rec dispatch t ~sent_at ~client ~client_req ~meth ~args ~on_reply =
           involved;
         if followers = [] then t.fast_path <- t.fast_path + 1
         else t.cross_path <- t.cross_path + 1;
+        if Recorder.enabled t.obs then
+          Recorder.incr t.obs
+            (if followers = [] then "reconfig.fast_path"
+             else "reconfig.cross_path");
         l
     in
     let group_reply g ~response_ms:_ =
@@ -303,19 +478,25 @@ let rec dispatch t ~sent_at ~client ~client_req ~meth ~args ~on_reply =
       end
     in
     (* Phase 1 orders the request on the coordinator (smallest involved
-       group); phase 2 submits to the rest the moment it holds a slot in
-       the coordinator's total order — {!Shard}'s two-phase protocol over
-       the epoch's group set. *)
+       group); phase 2 submits to the rest, in ascending order, the moment
+       it holds a slot in the coordinator's total order.  Both phases run
+       through the groups' ordinary total-order paths, so the outcome is a
+       pure function of the seed. *)
+    let on_ordered =
+      if followers = [] then None
+      else
+        Some
+          (fun ~seq:_ ->
+            List.iter
+              (fun gi ->
+                let g = group_of t gi in
+                Active.submit g.sys ~client ~client_req ~meth ~args
+                  ~on_reply:(group_reply g))
+              followers)
+    in
     let co = group_of t coordinator in
-    Active.submit co.sys ~client ~client_req ~meth ~args
+    Active.submit ?on_ordered co.sys ~client ~client_req ~meth ~args
       ~on_reply:(group_reply co)
-      ~on_ordered:(fun ~seq:_ ->
-        List.iter
-          (fun gi ->
-            let g = group_of t gi in
-            Active.submit g.sys ~client ~client_req ~meth ~args
-              ~on_reply:(group_reply g))
-          followers)
 
 and submit t ~client ~client_req ~meth ~args ~on_reply =
   let key = (client, client_req) in
@@ -358,7 +539,7 @@ and begin_transition t cmd =
           if g.index <> co.index then
             Active.order_barrier g.sys ~epoch:epoch' ~label
               ~on_ordered:(fun ~seq:_ -> ()))
-        (live_groups t);
+        t.live_groups;
       t.frozen <- true;
       let deadline = Engine.now t.engine +. t.params.drain_timeout_ms in
       drain t ~deadline ~cmd ~barrier_seq:seq)
@@ -366,7 +547,7 @@ and begin_transition t cmd =
 and drain t ~deadline ~cmd ~barrier_seq =
   if
     Hashtbl.length t.pending = 0
-    && List.for_all (fun g -> Active.quiescent g.sys) (live_groups t)
+    && List.for_all (fun g -> Active.quiescent g.sys) t.live_groups
   then apply t ~cmd ~barrier_seq
   else if Engine.now t.engine >= deadline then begin
     (* The in-flight window would not drain (a stuck workload): drop the
@@ -393,21 +574,21 @@ and apply t ~cmd ~barrier_seq =
     t.epoch <- t.epoch + 1;
     List.iter
       (fun g -> Group.set_epoch (Active.group g.sys) t.epoch)
-      (live_groups t);
+      t.live_groups;
     t.transitions <-
       { tr_epoch = t.epoch; tr_at_ms = Engine.now t.engine;
         tr_barrier_seq = barrier_seq; tr_command = cmd;
-        tr_groups = live_count t }
+        tr_groups = t.live_n }
       :: t.transitions;
     if Recorder.enabled t.obs then begin
       Recorder.incr t.obs "reconfig.transitions";
       Recorder.set_gauge t.obs "reconfig.epoch" (float_of_int t.epoch);
       Recorder.set_gauge t.obs "reconfig.groups"
-        (float_of_int (live_count t));
+        (float_of_int t.live_n);
       Recorder.series t.obs ~name:"reconfig.epoch"
         ~at:(Engine.now t.engine) ~value:(float_of_int t.epoch);
       Recorder.series t.obs ~name:"reconfig.groups"
-        ~at:(Engine.now t.engine) ~value:(float_of_int (live_count t))
+        ~at:(Engine.now t.engine) ~value:(float_of_int t.live_n)
     end
   end
   else t.aborted <- t.aborted + 1;
@@ -422,7 +603,7 @@ and apply_split t gi =
   | None -> false
   | Some g ->
   let owned = slots_of t gi in
-  if (not g.live) || List.length owned < 2 || live_count t >= t.params.max_groups
+  if (not g.live) || List.length owned < 2 || t.live_n >= t.params.max_groups
   then false
   else begin
     let index = Array.length t.groups in
@@ -432,6 +613,7 @@ and apply_split t gi =
     Active.bootstrap sys ~from:g.sys ~carry_state:false;
     t.groups <-
       Array.append t.groups [| { index; sys; live = true; inflight = 0 } |];
+    refresh_live t;
     List.iteri (fun k s -> if k mod 2 = 1 then t.owner.(s) <- index) owned;
     if Recorder.enabled t.obs then Recorder.incr t.obs "reconfig.splits";
     true
@@ -454,6 +636,7 @@ and apply_merge t ~from_g ~into =
         (fun slot o -> if o = from_g then t.owner.(slot) <- into)
         t.owner;
       d.live <- false;
+      refresh_live t;
       t.retired <- d.sys :: t.retired;
       if Recorder.enabled t.obs then Recorder.incr t.obs "reconfig.merges";
       true
@@ -505,7 +688,7 @@ and validate t = function
   | Split gi ->
     let g = group_of t gi in
     if not g.live then invalid_arg "Reconfig: split of a retired group";
-    if live_count t >= t.params.max_groups then
+    if t.live_n >= t.params.max_groups then
       invalid_arg "Reconfig: split would exceed max_groups";
     if List.length (slots_of t gi) < 2 then
       invalid_arg "Reconfig: split of a single-slot group"
@@ -541,7 +724,7 @@ and request t cmd =
    in flight, so the controller never keeps the simulation alive. *)
 
 and decide t p =
-  let live = live_groups t in
+  let live = t.live_groups in
   let hottest =
     List.fold_left
       (fun best g ->
@@ -555,12 +738,12 @@ and decide t p =
   | Some hot ->
     if
       hot.inflight >= p.split_above
-      && live_count t < min p.max_live t.params.max_groups
+      && t.live_n < min p.max_live t.params.max_groups
       && List.length (slots_of t hot.index) >= 2
     then Some (Split hot.index)
     else begin
       let cold = List.filter (fun g -> g.inflight <= p.merge_below) live in
-      match (cold, live_count t > p.min_live) with
+      match (cold, t.live_n > p.min_live) with
       | c0 :: _ :: _, true ->
         (* fold the highest-indexed cold group into the lowest-indexed one *)
         let from_g =
@@ -595,14 +778,14 @@ and tick t p =
         Recorder.set_gauge t.obs
           (Printf.sprintf "reconfig.%d.queue_depth" g.index)
           (float_of_int g.inflight))
-      (live_groups t);
-    Recorder.set_gauge t.obs "reconfig.groups" (float_of_int (live_count t))
+      t.live_groups;
+    Recorder.set_gauge t.obs "reconfig.groups" (float_of_int t.live_n)
   end;
   if (not t.busy) && not t.frozen then begin
     match decide t p with Some cmd -> request t cmd | None -> ()
   end;
   let inflight_total =
-    List.fold_left (fun n g -> n + g.inflight) 0 (live_groups t)
+    List.fold_left (fun n g -> n + g.inflight) 0 t.live_groups
   in
   if
     inflight_total > 0 || t.busy || t.frozen
@@ -671,7 +854,7 @@ let diagnose t ~stuck =
         (Printf.sprintf "\n group %d (%s):" g.index
            (Active.scheduler_name g.sys));
       Buffer.add_string buf (Client.active_diagnostics g.sys))
-    (live_groups t);
+    t.live_groups;
   Buffer.contents buf
 
 let run_clients_stats t ~clients ~requests_per_client ~gen ?think_time_ms
@@ -697,9 +880,9 @@ let epoch t = t.epoch
 
 let transitions t = List.rev t.transitions
 
-let live_systems t = List.map (fun g -> g.sys) (live_groups t)
+let live_systems t = List.map (fun g -> g.sys) t.live_groups
 
-let group_count t = live_count t
+let group_count t = t.live_n
 
 let groups_ever t = live_systems t @ List.rev t.retired
 
@@ -775,6 +958,15 @@ let states_agree t =
       (Consistency.check (Active.live_replicas sys)).Consistency.states_agree)
     (groups_ever t)
 
+(* Within each group, every live replica granted the mutexes in the same
+   order. *)
+let acquisitions_agree t =
+  List.for_all
+    (fun sys ->
+      let r = Consistency.check (Active.live_replicas sys) in
+      r.Consistency.acquisitions_agree)
+    (groups_ever t)
+
 (* Bit-identical epoch observation: within each group, every live replica
    folded the same barriers at the same total-order slots. *)
 let epochs_agree t =
@@ -789,23 +981,11 @@ let epochs_agree t =
 (* Whole-run hash: every group's live replica traces and states, the reply
    count, and the transition log (epoch, barrier slot, time, command). *)
 let fingerprint t =
-  let h = ref 0xcbf29ce484222325L in
-  let mix v = h := Int64.mul (Int64.logxor !h v) 0x100000001b3L in
-  List.iter
-    (fun sys ->
-      List.iter
-        (fun r ->
-          mix (Int64.of_int (Detmt_runtime.Replica.id r));
-          mix (Detmt_sim.Trace.fingerprint (Detmt_runtime.Replica.trace r));
-          mix (Detmt_runtime.Replica.state_fingerprint r))
-        (Active.live_replicas sys))
-    (groups_ever t);
-  mix (Int64.of_int t.replies);
-  List.iter
-    (fun tr ->
-      mix (Int64.of_int tr.tr_epoch);
-      mix (Int64.of_int tr.tr_barrier_seq);
-      mix (Int64.bits_of_float tr.tr_at_ms);
-      mix (Int64.of_int (Hashtbl.hash tr.tr_command)))
-    (List.rev t.transitions);
-  !h
+  List.fold_left
+    (fun h tr ->
+      let h = fnv_mix h (Int64.of_int tr.tr_epoch) in
+      let h = fnv_mix h (Int64.of_int tr.tr_barrier_seq) in
+      let h = fnv_mix h (Int64.bits_of_float tr.tr_at_ms) in
+      fnv_mix h (Int64.of_int (Hashtbl.hash tr.tr_command)))
+    (fold_fingerprint (groups_ever t) ~replies:t.replies)
+    (List.rev t.transitions)

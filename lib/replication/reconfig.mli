@@ -1,13 +1,25 @@
-(** Deterministic elastic reconfiguration: live shard split / merge and
-    scheduler hot swap over the {!Shard} substrate.
+(** The multi-group runtime: sharded replication with deterministic live
+    shard split / merge and scheduler hot swap.
 
-    A {!t} is a dynamic set of {!Active} groups behind an epoch-versioned
+    A {!t} is a dynamic set of {!Active} groups — one Totem bus, one replica
+    set, one scheduler substrate instance each — behind an epoch-versioned
     routing table.  Object (mutex) ids hash onto a {e fixed} slot space
-    ({!Shard.route} over [params.slots]); an epoch assigns each slot to a
-    live group, so elasticity moves slots between groups without ever moving
-    an object's hash placement.  Requests route exactly as in {!Shard}:
-    single-group closures take the fast path, multi-group closures run the
-    two-phase ordered delivery over the epoch's group set.
+    ({!route} over [params.slots]); an epoch assigns each slot to a live
+    group, so elasticity moves slots between groups without ever moving an
+    object's hash placement.  A system with no command and no policy is
+    the static sharded layout.
+
+    Every client request is routed by its {e predicted lock closure}: the
+    §4.3 summary when the scheduler uses one, otherwise a conservative
+    syntactic scan of the source body (through same-class calls).  Requests
+    whose closure lives on one group take the {e fast path} and are ordered
+    by that group only; requests that lock nothing run on the coordinator
+    (the lowest live group); requests spanning several groups — opaque
+    closures span all of them — take a deterministic {e two-phase ordered
+    delivery}: phase 1 orders the request on the smallest involved group,
+    and the moment it holds a slot in that group's total order, phase 2
+    submits it to the remaining groups in ascending order.  The client reply
+    fires when every involved group has answered.
 
     Every elastic operation — {!command} — runs the same totally-ordered
     transition protocol:
@@ -66,9 +78,10 @@ type params = {
           [s mod initial_groups] *)
   max_groups : int;  (** hard cap on concurrently live groups *)
   base : Active.params;
-      (** per-group template, as in {!Shard.params}: [shard] /
-          [replica_base] / [faults] are derived per incarnation,
-          [base.replica_base] must be 0 *)
+      (** per-group template: [shard] / [replica_base] / [faults] are
+          derived per incarnation (incarnation [i] gets replica ids from
+          [i * replicas] and a fault seed salted by [i]; incarnation 0 keeps
+          the base seed), [base.replica_base] must be 0 *)
   drain_poll_ms : float;  (** how often a draining barrier re-checks *)
   drain_timeout_ms : float;
       (** virtual-time budget for a drain; exceeding it aborts the command *)
@@ -76,6 +89,14 @@ type params = {
 
 val default_params : params
 (** 1 initial group, 64 slots, cap 16, over {!Active.default_params}. *)
+
+val route : shards:int -> int -> int
+(** [route ~shards m] places object (mutex) id [m] on one of [shards]
+    buckets: a stable SplitMix64 hash of [m] alone — no state, no seed — so
+    every participant agrees on the placement without communicating.  Slot
+    [s] of a static layout starts on group [s mod initial_groups], so for a
+    group count dividing [slots] an object lands on group
+    [route ~shards:groups m]. *)
 
 (** {2 Autoscaling}
 
@@ -256,13 +277,20 @@ val states_agree : t -> bool
     comparison, which a recovered replica's suffix-only history cannot
     satisfy); the contract {!Chaos} checks after crash-recovery runs. *)
 
+val acquisitions_agree : t -> bool
+(** Every incarnation's live replicas granted mutexes in the same order —
+    the paper's determinism criterion, checked without the traces. *)
+
 val epochs_agree : t -> bool
 (** Within every incarnation, all live replicas hold identical barrier
     fingerprints ({!Active.barrier_fingerprints}): every epoch transition
     was observed bit-identically at the same total-order slot. *)
 
 val fingerprint : t -> int64
-(** FNV-1a fold of every incarnation's live-replica trace/state
-    fingerprints, the reply count and the transition log (epoch, barrier
-    slot, virtual time, command) — the seed-reproducibility oracle for
-    elastic runs. *)
+(** {!fold_fingerprint} over every incarnation, with the transition log
+    (epoch, barrier slot, virtual time, command) folded on after it — the
+    seed-reproducibility oracle for multi-group runs. *)
+
+val fold_fingerprint : Active.t list -> replies:int -> int64
+(** FNV-1a fold of the groups' live-replica ids, trace and state
+    fingerprints, in list order, then the reply count. *)

@@ -1,391 +1,34 @@
-open Detmt_sim
-open Detmt_gcs
-open Detmt_lang
-module Recorder = Detmt_obs.Recorder
+(* Static sharded layouts as a thin facade over {!Reconfig}: a system with
+   [shards] initial groups and no command or policy. *)
 
 type params = {
   shards : int;
   base : Active.params;
 }
 
-let default_params = { shards = 2; base = Active.default_params }
+type t = Reconfig.t
 
-(* ----------------------------- the router --------------------------- *)
+let create ?obs ~engine ~cls ~params () =
+  Reconfig.create ?obs ~engine ~cls
+    ~params:
+      { Reconfig.default_params with
+        Reconfig.initial_groups = params.shards; base = params.base }
+    ()
 
-(* Stable hash of an object (mutex) id — a SplitMix64 finalizer, a pure
-   function of the id alone: no run state, no seed, no shard contents.
-   Every client, every replica and every retry therefore agrees on the
-   placement without communicating. *)
-let route ~shards m =
-  if shards <= 1 then 0
-  else begin
-    let z = Int64.add (Int64.of_int m) 0x9E3779B97F4A7C15L in
-    let z =
-      Int64.mul
-        (Int64.logxor z (Int64.shift_right_logical z 30))
-        0xBF58476D1CE4E5B9L
-    in
-    let z =
-      Int64.mul
-        (Int64.logxor z (Int64.shift_right_logical z 27))
-        0x94D049BB133111EBL
-    in
-    let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-    Int64.to_int (Int64.unsigned_rem z (Int64.of_int shards))
-  end
+let run_clients_stats = Reconfig.run_clients_stats
 
-(* ------------------------- predicted lock closure -------------------- *)
+let response_times = Reconfig.response_times
 
-(* Per start method: either the lock closure is exactly the mutexes carried
-   in the listed argument positions (so the request's shard set is a pure
-   function of its arguments), or it is opaque and the request must be
-   ordered on every shard. *)
-type plan =
-  | Args of int list
-  | Everywhere
+let replies_received = Reconfig.replies_received
 
-exception Opaque
+let consistent = Reconfig.consistent
 
-let arg_of_param = function Ast.Sp_arg i -> i | _ -> raise Opaque
+let groups t = Array.of_list (Reconfig.live_systems t)
 
-(* Syntactic closure for schedulers without a §4.3 summary: walk the source
-   body (through same-class calls) and collect every synchronisation
-   parameter; anything that is not a plain request argument — [this],
-   fields, globals, locals, unresolvable calls — makes the method opaque. *)
-let rec scan_block cls visited acc body =
-  List.fold_left (scan_stmt cls visited) acc body
+let fingerprint = Reconfig.fingerprint
 
-and scan_stmt cls visited acc = function
-  | Ast.Sync (p, body) -> scan_block cls visited (arg_of_param p :: acc) body
-  | Ast.Lock_acquire p | Ast.Lock_release p | Ast.Wait p ->
-    arg_of_param p :: acc
-  | Ast.Wait_until { param = p; _ } -> arg_of_param p :: acc
-  | Ast.Notify { param = p; _ } -> arg_of_param p :: acc
-  | Ast.If (_, a, b) -> scan_block cls visited (scan_block cls visited acc a) b
-  | Ast.Loop { body; _ } -> scan_block cls visited acc body
-  | Ast.Call name -> scan_call cls visited acc name
-  | Ast.Virtual_call { candidates; _ } ->
-    List.fold_left (scan_call cls visited) acc candidates
-  | Ast.Compute _ | Ast.Assign _ | Ast.Assign_field _ | Ast.Nested _
-  | Ast.State_update _ | Ast.Sched_lock _ | Ast.Sched_unlock _
-  | Ast.Lockinfo _ | Ast.Ignore_sync _ | Ast.Loop_enter _ | Ast.Loop_exit _
-    ->
-    acc
+let fast_path_requests = Reconfig.fast_path_requests
 
-and scan_call cls visited acc name =
-  if List.mem name !visited then acc
-  else begin
-    visited := name :: !visited;
-    match Class_def.find_method cls name with
-    | None -> raise Opaque
-    | Some m -> scan_block cls visited acc m.body
-  end
+let cross_shard_requests = Reconfig.cross_group_requests
 
-let static_plan cls (m : Class_def.method_def) =
-  match scan_block cls (ref [ m.name ]) [] m.body with
-  | acc -> Args (List.sort_uniq compare acc)
-  | exception Opaque -> Everywhere
-
-(* With a prediction summary the closure is already computed (inlining,
-   loop scopes, classification); a method is argument-routable exactly when
-   every syncid's parameter is a request argument. *)
-let summary_plan (m : Detmt_analysis.Predict.method_summary) =
-  if m.fallback then Everywhere
-  else
-    match
-      List.map
-        (fun (si : Detmt_analysis.Predict.sid_info) -> arg_of_param si.param)
-        m.sids
-    with
-    | ps -> Args (List.sort_uniq compare ps)
-    | exception Opaque -> Everywhere
-
-(* The mutex ids a request's routing depends on, straight from the plan:
-   [None] when the closure is opaque or the arguments malformed (order
-   everywhere), [Some []] when the request locks nothing. *)
-let plan_mutexes plans ~meth ~args =
-  match Hashtbl.find_opt plans meth with
-  | None | Some Everywhere -> None
-  | Some (Args positions) ->
-    List.fold_left
-      (fun acc i ->
-        match acc with
-        | None -> None
-        | Some ms ->
-          if i < Array.length args then
-            match args.(i) with
-            | Ast.Vmutex m -> Some (m :: ms)
-            | _ -> None
-          else None)
-      (Some []) positions
-
-let plan_table ~summary cls =
-  let plans = Hashtbl.create 8 in
-  List.iter
-    (fun (m : Class_def.method_def) ->
-      let plan =
-        match summary with
-        | Some cs -> (
-          match Detmt_analysis.Predict.find_method cs m.name with
-          | Some ms -> summary_plan ms
-          | None -> Everywhere)
-        | None -> static_plan cls m
-      in
-      Hashtbl.replace plans m.name plan)
-    (Class_def.start_methods cls);
-  plans
-
-(* ------------------------------ the system --------------------------- *)
-
-(* A cross-shard request waits for every involved group to answer; the
-   latch fires the client callback exactly once, when the slowest group's
-   first replica reply lands. *)
-type latch = {
-  mutable remaining : int;
-  sent_at : float;
-  on_reply : response_ms:float -> unit;
-}
-
-type t = {
-  engine : Engine.t;
-  params : params;
-  obs : Recorder.t;
-  groups : Active.t array;
-  plans : (string, plan) Hashtbl.t;
-  pending : (int * int, latch) Hashtbl.t;
-  answered : (int * int, unit) Hashtbl.t;
-  response_times : Detmt_stats.Summary.t;
-  cross_set_sizes : Detmt_stats.Summary.t;
-  mutable replies : int;
-  mutable reply_times : float list; (* newest first *)
-  mutable fast_path : int;
-  mutable cross_path : int;
-}
-
-(* Each shard gets its own deterministic network weather, derived from the
-   base seed; shard 0 keeps the base seed untouched so a 1-shard system is
-   byte-for-byte the unsharded one. *)
-let salt_faults shard (spec : Faults.spec) =
-  if shard = 0 then spec
-  else
-    { spec with
-      Faults.seed =
-        Int64.logxor spec.Faults.seed
-          (Int64.mul (Int64.of_int shard) 0x9E3779B97F4A7C15L) }
-
-let create ?(obs = Recorder.disabled) ~engine ~cls ~(params : params) () =
-  if params.shards < 1 then invalid_arg "Shard.create: shards < 1";
-  if params.base.Active.replica_base <> 0 then
-    invalid_arg "Shard.create: base.replica_base must be 0";
-  let groups =
-    Array.init params.shards (fun s ->
-        let base =
-          { params.base with
-            Active.shard = s;
-            replica_base = s * params.base.Active.replicas;
-            faults = Option.map (salt_faults s) params.base.Active.faults }
-        in
-        Active.create ~obs ~engine ~cls ~params:base ())
-  in
-  (* The transformation is deterministic, so every group computed the same
-     summary; group 0's copy drives the routing plans. *)
-  let plans = plan_table ~summary:(Active.summary groups.(0)) cls in
-  { engine; params; obs; groups; plans; pending = Hashtbl.create 256;
-    answered = Hashtbl.create 256;
-    response_times = Detmt_stats.Summary.create ();
-    cross_set_sizes = Detmt_stats.Summary.create (); replies = 0;
-    reply_times = []; fast_path = 0; cross_path = 0 }
-
-let all_shards t = List.init t.params.shards (fun s -> s)
-
-(* The shard set of one request: a deterministic function of the method's
-   routing plan and the request arguments — nothing else.  Requests whose
-   closure is opaque (or whose mutex arguments are malformed) are ordered
-   everywhere; requests that lock nothing run on shard 0. *)
-let shard_set t ~meth ~args =
-  if t.params.shards = 1 then [ 0 ]
-  else
-    match plan_mutexes t.plans ~meth ~args with
-    | None -> all_shards t
-    | Some [] -> [ 0 ]
-    | Some ms ->
-      List.sort_uniq compare
-        (List.map (fun m -> route ~shards:t.params.shards m) ms)
-
-(* Arrival at the client is one client hop after the group's reply event —
-   the same convention as [Active.reply_times], so a 1-shard run records
-   the identical series. *)
-let client_arrival t =
-  Engine.now t.engine +. t.params.base.Active.client_latency_ms
-
-let note_reply t ~response_ms =
-  t.replies <- t.replies + 1;
-  Detmt_stats.Summary.add t.response_times response_ms;
-  t.reply_times <- client_arrival t :: t.reply_times;
-  if Recorder.enabled t.obs then begin
-    Recorder.incr t.obs "shard.replies";
-    Recorder.observe t.obs "shard.response_ms" response_ms;
-    Recorder.set_gauge t.obs "shard.cross_inflight"
-      (float_of_int (Hashtbl.length t.pending))
-  end
-
-let submit t ~client ~client_req ~meth ~args ~on_reply =
-  let key = (client, client_req) in
-  if not (Hashtbl.mem t.answered key) then
-    match shard_set t ~meth ~args with
-    | [ s ] ->
-      (* Fast path: the whole lock closure lives on one shard — no
-         coordination, just that group's total order. *)
-      if not (Hashtbl.mem t.pending key) then begin
-        Hashtbl.replace t.pending key
-          { remaining = 1; sent_at = Engine.now t.engine;
-            on_reply = (fun ~response_ms:_ -> ()) };
-        t.fast_path <- t.fast_path + 1;
-        if Recorder.enabled t.obs then begin
-          Recorder.incr t.obs "shard.fast_path";
-          Recorder.incr t.obs (Printf.sprintf "shard.%d.requests" s)
-        end
-      end;
-      Active.submit t.groups.(s) ~client ~client_req ~meth ~args
-        ~on_reply:(fun ~response_ms ->
-          Hashtbl.remove t.pending key;
-          Hashtbl.replace t.answered key ();
-          note_reply t ~response_ms;
-          on_reply ~response_ms)
-    | [] -> assert false
-    | coordinator :: followers as involved ->
-      (* Cross-shard two-phase ordered delivery.  Phase 1 orders the request
-         on the coordinator (the smallest involved shard); the moment it is
-         stamped into the coordinator's total order, phase 2 submits it to
-         the remaining shards in ascending order.  Both phases run through
-         the groups' ordinary total-order paths, so the outcome is a pure
-         function of the seed.  The latch survives client retries: a
-         resubmission reuses it (each group answers a key exactly once, so a
-         second latch could never drain). *)
-      let latch =
-        match Hashtbl.find_opt t.pending key with
-        | Some l -> l
-        | None ->
-          let l =
-            { remaining = List.length involved;
-              sent_at = Engine.now t.engine; on_reply }
-          in
-          Hashtbl.replace t.pending key l;
-          t.cross_path <- t.cross_path + 1;
-          Detmt_stats.Summary.add t.cross_set_sizes
-            (float_of_int (List.length involved));
-          if Recorder.enabled t.obs then begin
-            Recorder.incr t.obs "shard.cross_path";
-            Recorder.observe t.obs "shard.cross_set_size"
-              (float_of_int (List.length involved));
-            Recorder.set_gauge t.obs "shard.cross_inflight"
-              (float_of_int (Hashtbl.length t.pending));
-            List.iter
-              (fun s ->
-                Recorder.incr t.obs (Printf.sprintf "shard.%d.requests" s))
-              involved
-          end;
-          l
-      in
-      let group_reply ~response_ms:_ =
-        latch.remaining <- latch.remaining - 1;
-        if latch.remaining = 0 then begin
-          Hashtbl.remove t.pending key;
-          Hashtbl.replace t.answered key ();
-          let response_ms = client_arrival t -. latch.sent_at in
-          note_reply t ~response_ms;
-          latch.on_reply ~response_ms
-        end
-      in
-      Active.submit t.groups.(coordinator) ~client ~client_req ~meth ~args
-        ~on_reply:group_reply
-        ~on_ordered:(fun ~seq:_ ->
-          List.iter
-            (fun s ->
-              Active.submit t.groups.(s) ~client ~client_req ~meth ~args
-                ~on_reply:group_reply)
-            followers)
-
-(* ------------------------------ clients ------------------------------ *)
-
-let diagnose t ~stuck =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "simulation drained with %d client(s) still waiting (deadlock?)\n\
-       \  stuck clients: %s"
-       (List.length stuck)
-       (String.concat ", "
-          (List.map (fun id -> Printf.sprintf "client %d" id) stuck)));
-  Array.iteri
-    (fun s g ->
-      Buffer.add_string buf (Printf.sprintf "\n shard %d:" s);
-      Buffer.add_string buf (Client.active_diagnostics g))
-    t.groups;
-  Buffer.contents buf
-
-let run_clients_stats t ~clients ~requests_per_client ~gen ?think_time_ms
-    ?seed ?until_ms ?timeout_ms ?max_retries () =
-  Client.run_clients_stats_on ~engine:t.engine
-    ~submit:(fun ~client ~client_req ~meth ~args ~on_reply ->
-      submit t ~client ~client_req ~meth ~args ~on_reply)
-    ~diagnose:(fun ~stuck -> diagnose t ~stuck)
-    ~clients ~requests_per_client ~gen ?think_time_ms ?seed ?until_ms
-    ?timeout_ms ?max_retries ()
-
-let run_clients t ~clients ~requests_per_client ~gen ?think_time_ms ?seed
-    ?until_ms () =
-  ignore
-    (run_clients_stats t ~clients ~requests_per_client ~gen ?think_time_ms
-       ?seed ?until_ms ())
-
-(* ----------------------------- accessors ----------------------------- *)
-
-let engine t = t.engine
-
-let shards t = t.params.shards
-
-let groups t = t.groups
-
-let replies_received t = t.replies
-
-let reply_times t = List.rev t.reply_times
-
-let response_times t = t.response_times
-
-let cross_set_sizes t = t.cross_set_sizes
-
-let fast_path_requests t = t.fast_path
-
-let cross_shard_requests t = t.cross_path
-
-let broadcasts t =
-  Array.fold_left (fun n g -> n + Active.broadcasts g) 0 t.groups
-
-let wire_batches t =
-  Array.fold_left (fun n g -> n + Active.wire_batches g) 0 t.groups
-
-let consistent t =
-  Array.for_all
-    (fun g ->
-      Consistency.consistent (Consistency.check (Active.live_replicas g)))
-    t.groups
-
-(* One number summarising the whole run — every group's replica traces and
-   states plus the reply count, FNV-1a folded.  Two runs of the same seeded
-   configuration must produce the same fingerprint. *)
-let fingerprint t =
-  let h = ref 0xcbf29ce484222325L in
-  let mix v = h := Int64.mul (Int64.logxor !h v) 0x100000001b3L in
-  Array.iter
-    (fun g ->
-      List.iter
-        (fun r ->
-          mix (Int64.of_int (Detmt_runtime.Replica.id r));
-          mix
-            (Detmt_sim.Trace.fingerprint (Detmt_runtime.Replica.trace r));
-          mix (Detmt_runtime.Replica.state_fingerprint r))
-        (Active.live_replicas g))
-    t.groups;
-  mix (Int64.of_int t.replies);
-  !h
+let shards = Reconfig.group_count

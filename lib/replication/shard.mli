@@ -1,86 +1,19 @@
-(** Sharded multi-group replication.
+(** Static sharded layouts: the benchmark's entry points.
 
-    Partitions the replicated object space across [shards] independent
-    {!Active} groups — one Totem bus, one replica set, one scheduler
-    substrate instance each — and routes every client request by its
-    {e predicted lock closure}:
-
-    - a deterministic router places each object (mutex) id on a shard by a
-      stable hash of the id alone ({!route});
-    - requests whose closure lives on a single shard take the {e fast path}:
-      they are ordered and executed by that group only, with no cross-group
-      coordination — disjoint-closure requests on different shards proceed
-      in parallel;
-    - requests spanning several shards take a deterministic {e two-phase
-      ordered delivery}: phase 1 orders the request on the coordinator (the
-      smallest involved shard); the moment it holds a slot in the
-      coordinator's total order, phase 2 submits it to the remaining shards
-      in ascending shard order.  The client reply fires when every involved
-      group has answered.
-
-    Determinism is preserved because every routing input is a pure function
-    of the request (method + arguments) and the configuration: the router
-    hashes ids, the closure comes from the §4.3 summary (or a conservative
-    syntactic scan when the scheduler runs untransformed code — opaque
-    closures are ordered on {e every} shard), each group is internally a
-    deterministic total order, and the two-phase hand-off is anchored on a
-    total-order event.  A 1-shard system is byte-for-byte the unsharded
-    {!Active} path: same bus, same fault seed, same replica ids, same event
-    sequence.
-
-    Each shard's group gets a disjoint replica-id window ([replica_base = s
-    * replicas]) so flight-recorder spans and checkpoints never collide, and
-    its own fault seed derived from the base spec (shard 0 keeps the base
-    seed untouched). *)
-
-type t
+    A static layout is a {!Reconfig} system with [shards] initial groups
+    and no reconfiguration command or autoscaling policy; {!Reconfig} holds
+    the router, the routing plans and the two-phase cross-group protocol.
+    The names below exist only so the benchmark ([perfbench/]) keeps its
+    API; apart from the tests of that API, in-tree code calls {!Reconfig}
+    directly. *)
 
 type params = {
   shards : int;
-  base : Active.params;
-      (** per-group template; [shard]/[replica_base]/[faults] are derived
-          per shard from it, everything else is used as-is.
-          [base.replica_base] must be 0. *)
+      (** initial groups, at most [Reconfig.default_params.max_groups] *)
+  base : Active.params;  (** per-group template, as in {!Reconfig.params} *)
 }
 
-val default_params : params
-(** 2 shards over {!Active.default_params}. *)
-
-val route : shards:int -> int -> int
-(** [route ~shards m] places object (mutex) id [m]: a stable SplitMix64
-    hash of [m] alone — no state, no seed — so every participant agrees on
-    the placement without communicating. *)
-
-(** {2 Routing plans (shared with {!Reconfig})}
-
-    Per start method: either the lock closure is exactly the mutexes carried
-    in the listed argument positions, or it is opaque and the request must be
-    ordered on every shard. *)
-
-type plan =
-  | Args of int list  (** argument positions carrying the closure's mutexes *)
-  | Everywhere  (** opaque closure: order on every shard *)
-
-val plan_table :
-  summary:Detmt_analysis.Predict.class_summary option ->
-  Detmt_lang.Class_def.t ->
-  (string, plan) Hashtbl.t
-(** One plan per start method: from the §4.3 prediction summary when
-    available, otherwise a conservative syntactic scan of the source body
-    (through same-class calls). *)
-
-val plan_mutexes :
-  (string, plan) Hashtbl.t ->
-  meth:string ->
-  args:Detmt_lang.Ast.value array ->
-  int list option
-(** The mutex ids a request's routing depends on: [None] when the closure is
-    opaque or the arguments malformed (order everywhere), [Some []] when the
-    request locks nothing. *)
-
-val salt_faults : int -> Detmt_gcs.Faults.spec -> Detmt_gcs.Faults.spec
-(** Derive group [i]'s fault seed from the base spec; [0] keeps the base
-    seed untouched so a 1-group system is byte-for-byte the unsharded one. *)
+type t = Reconfig.t
 
 val create :
   ?obs:Detmt_obs.Recorder.t ->
@@ -89,30 +22,9 @@ val create :
   params:params ->
   unit ->
   t
-(** Build [shards] independent groups over the same source class.  Routing
-    plans are computed once per start method: from the prediction summary
-    when the configured scheduler uses one, otherwise from a syntactic scan
-    of the source body (through same-class calls); methods whose lock
-    closure is not a pure function of request arguments are ordered on every
-    shard.
-    @raise Invalid_argument when [shards < 1] or [base.replica_base <> 0]. *)
-
-val shard_set : t -> meth:string -> args:Detmt_lang.Ast.value array -> int list
-(** The shards a request involves, ascending — a deterministic function of
-    the method's routing plan and the arguments alone.  A request locking
-    nothing runs on shard 0; exposed for tests. *)
-
-val submit :
-  t ->
-  client:int ->
-  client_req:int ->
-  meth:string ->
-  args:Detmt_lang.Ast.value array ->
-  on_reply:(response_ms:float -> unit) ->
-  unit
-(** Route and submit one request ({!Client.submit_fn} shape).  Exactly-once
-    end to end: retries reuse the pending cross-shard latch and an answered
-    request is never re-submitted or re-reported. *)
+(** {!Reconfig.create} over {!Reconfig.default_params} with
+    [initial_groups = shards].
+    @raise Invalid_argument as {!Reconfig.create}. *)
 
 val run_clients_stats :
   t ->
@@ -126,51 +38,21 @@ val run_clients_stats :
   ?max_retries:int ->
   unit ->
   Client.run_stats
-(** Closed-loop clients against the sharded system — the {e same} client
-    code as the unsharded path, with a per-shard deadlock report. *)
-
-val run_clients :
-  t ->
-  clients:int ->
-  requests_per_client:int ->
-  gen:Client.request_gen ->
-  ?think_time_ms:float ->
-  ?seed:int64 ->
-  ?until_ms:float ->
-  unit ->
-  unit
-
-val engine : t -> Detmt_sim.Engine.t
-
-val shards : t -> int
-
-val groups : t -> Active.t array
-(** The per-shard groups, indexed by shard id. *)
-
-val replies_received : t -> int
-
-val reply_times : t -> float list
-(** Client-side reply arrival times, in order. *)
 
 val response_times : t -> Detmt_stats.Summary.t
 
-val cross_set_sizes : t -> Detmt_stats.Summary.t
-(** Involved-shard-set sizes of cross-shard requests. *)
+val replies_received : t -> int
+
+val consistent : t -> bool
+
+val groups : t -> Active.t array
+(** The live groups, indexed by shard id. *)
+
+val fingerprint : t -> int64
 
 val fast_path_requests : t -> int
 
 val cross_shard_requests : t -> int
+(** {!Reconfig.cross_group_requests}. *)
 
-val broadcasts : t -> int
-(** Total broadcasts across all groups. *)
-
-val wire_batches : t -> int
-(** Total wire batches across all groups; [0] when batching is disabled. *)
-
-val consistent : t -> bool
-(** Every group's live replicas agree on state, acquisition order and
-    trace. *)
-
-val fingerprint : t -> int64
-(** FNV-1a fold of every group's live-replica trace/state fingerprints and
-    the reply count — the seed-reproducibility oracle for N-shard runs. *)
+val shards : t -> int

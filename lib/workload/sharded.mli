@@ -2,7 +2,7 @@
     tunable cross-shard ratio.
 
     The replicated object exposes two start methods over [objects] mutexes
-    (the "object space" the {!Detmt_replication.Shard} router partitions):
+    (the "object space" the {!Detmt_replication.Reconfig} router partitions):
 
     - ["update"]: lock one client-chosen object, hold it for [hold_ms] of
       computation, bump the shared counter — a single-object request whose

@@ -170,16 +170,66 @@ let test_run_workload_fields () =
   Alcotest.check b "grants recorded" true (E.metric r "grants" > 0.0);
   Alcotest.check b "series recorded" true (r.cost.series_points > 0)
 
-(* The runner's one-group fingerprint is {!Detmt.Shard.fingerprint}'s fold,
-   so the unsharded and the 1-shard path of one run agree on it. *)
+(* The runner's one-group fingerprint is {!Detmt.Reconfig.fingerprint}'s
+   fold, so the unsharded and the 1-group static path of one run agree on
+   it. *)
 let test_one_group_is_one_shard () =
   let c = { E.base with clients = 4; requests = 3 } in
-  let active = E.run c and shard = E.run { c with system = Shards 1 } in
+  let active = E.run c and shard = E.run { c with system = Static 1 } in
   Alcotest.(check string) "fingerprint"
     (Printf.sprintf "%Lx" active.outcome.fingerprint)
     (Printf.sprintf "%Lx" shard.outcome.fingerprint);
   Alcotest.(check (float 0.0)) "mean" active.outcome.mean_ms
     shard.outcome.mean_ms
+
+(* Static layouts once ran on a separate sharding runtime; these are its
+   fingerprints and mean responses (16 clients x 4 requests, seed 42).
+   [Static n] must reproduce them bit for bit: [route ~shards:64] reduced
+   mod n is [route ~shards:n] for every n dividing 64. *)
+let test_static_reproduces_shard_runtime () =
+  let check wname scheduler workers pins =
+    List.iter
+      (fun (n, fp, mean) ->
+        let r =
+          E.run
+            { E.base with workload = E.workload wname; system = Static n;
+              scheduler; workers; clients = 16; requests = 4 }
+        in
+        let what =
+          Printf.sprintf "%s %s@%d, %d groups" wname scheduler workers n
+        in
+        Alcotest.(check string) (what ^ ": fingerprint") fp
+          (Printf.sprintf "%Lx" r.outcome.fingerprint);
+        Alcotest.(check (float 0.0)) (what ^ ": mean") mean r.outcome.mean_ms;
+        Alcotest.(check int) (what ^ ": replies") 64 r.outcome.replies;
+        Alcotest.check b (what ^ ": consistent") true r.outcome.consistent)
+      pins
+  in
+  check "sharded" "mat" 1
+    [ (1, "736af2351bdd8ce0", 0x1.36a3d70a3d71p+4);
+      (2, "45227f47e51952a3", 0x1.778000000000bp+3);
+      (4, "ba6914f28c7f234c", 0x1.df47ae147ae0fp+2);
+      (8, "509b497e47c77075", 0x1.32ffffffffffdp+2) ];
+  check "sharded-opaque" "cgs+ws" 4
+    [ (1, "efd2094900c05e4", 0x1.6f4f5c28f5c29p+2);
+      (2, "946d31346d94fb63", 0x1.0a0a3d70a3d6ep+2);
+      (4, "a3cd3634747f05e6", 0x1.d470a3d70a3d7p+1);
+      (8, "cd87e88a599be85", 0x1.cc00000000002p+1) ]
+
+(* A multi-group row's [consistent] includes acquisition-order agreement:
+   free-running prodcons over two groups keeps the replicas' states equal
+   but grants the mutexes in different orders. *)
+let test_static_checks_acquisitions () =
+  let r =
+    E.run
+      { E.base with workload = E.workload "prodcons"; system = Static 2;
+        scheduler = "freefall"; clients = 4; requests = 4 }
+  in
+  let m k = List.assoc k r.outcome.metrics in
+  Alcotest.(check (float 0.0)) "states agree" 1.0 (m "states_agree");
+  Alcotest.(check (float 0.0)) "acquisitions diverge" 0.0
+    (m "acquisitions_agree");
+  Alcotest.check b "not consistent" false r.outcome.consistent
 
 let test_saturation_smoke () =
   let rows =
@@ -242,7 +292,7 @@ let test_claim_e14 () =
   let rows =
     rows "shard" ~clients:64 ~keep:(fun c ->
         wname "sharded(cross=0)" c
-        && (c.system = Shards 1 || c.system = Shards 2))
+        && (c.system = Static 1 || c.system = Static 2))
   in
   Alcotest.(check int) "two rows" 2 (List.length rows);
   check_claims "shard" rows ~expect:[ "2 shards out-throughput 1 at 0% cross" ]
@@ -307,6 +357,10 @@ let suite =
     ("claims: E16 at 64 clients", `Quick, test_claim_e16);
     ("claims: a doctored row fails", `Quick, test_claim_violation);
     ("emitter: table columns and schema", `Quick, test_emitter);
+    ("runner: static layouts reproduce the shard runtime", `Quick,
+     test_static_reproduces_shard_runtime);
+    ("runner: static rows check acquisition order", `Quick,
+     test_static_checks_acquisitions);
   ]
 
 let () = Alcotest.run "experiment" [ ("experiment", suite) ]

@@ -162,11 +162,13 @@ let prop_cross_scheduler_fuzz =
           reply_table workload ~scheduler = reply_table workload ~scheduler)
         deterministic_schedulers)
 
-(* The sharding refactoring contract, fuzzed: a 1-shard {!Shard} system
-   must produce the exact reply table — counts, client-side reply times,
-   per-replica states and trace fingerprints — of the unsharded {!Active}
-   path, for random programs and every deterministic scheduler. *)
+(* The sharding refactoring contract, fuzzed: a 1-group {!Reconfig} system
+   (the static layout {!Shard} builds) must produce the exact reply table —
+   counts, client-side reply times, per-replica states and trace
+   fingerprints — of the unsharded {!Active} path, for random programs and
+   every deterministic scheduler. *)
 let sharded_reply_table (cls, seed) ~scheduler =
+  let module R = Detmt_replication.Reconfig in
   let engine = Detmt_sim.Engine.create () in
   let base =
     { Detmt_replication.Active.default_params with scheduler; replicas = 3 }
@@ -175,16 +177,16 @@ let sharded_reply_table (cls, seed) ~scheduler =
     Detmt_replication.Shard.create ~engine ~cls
       ~params:{ Detmt_replication.Shard.shards = 1; base } ()
   in
-  Detmt_replication.Shard.run_clients system ~clients:4
-    ~requests_per_client:3 ~gen:fuzz_gen ~seed ();
-  ( Detmt_replication.Shard.replies_received system,
-    Detmt_replication.Shard.reply_times system,
+  R.run_clients system ~clients:4 ~requests_per_client:3 ~gen:fuzz_gen ~seed
+    ();
+  ( R.replies_received system,
+    R.reply_times system,
     List.map
       (fun r ->
         ( Detmt_runtime.Replica.state_snapshot r,
           Detmt_sim.Trace.fingerprint (Detmt_runtime.Replica.trace r) ))
       (Detmt_replication.Active.live_replicas
-         (Detmt_replication.Shard.groups system).(0)) )
+         (List.hd (R.live_systems system))) )
 
 let prop_one_shard_equals_unsharded =
   QCheck.Test.make ~count:10

@@ -1,5 +1,5 @@
 (* Tests for deterministic elastic reconfiguration: the epoch-versioned
-   router, the 1-group epoch-0 ≡ Shard/Active contract, split / merge / hot
+   router, the 1-group epoch-0 ≡ Active contract, split / merge / hot
    swap at drained barriers, retry re-routing across epochs, the
    autoscaling controller, and the determinism oracles. *)
 
@@ -39,22 +39,23 @@ let aggregate system = List.assoc "state" (Reconfig.aggregate_state system)
 (* -------------------- 1-group epoch-0 equivalence -------------------- *)
 
 (* A Reconfig with one group and no commands must be byte-for-byte the
-   1-shard Shard system (itself byte-for-byte the unsharded Active path):
-   same total order, same replica states, same client-visible replies. *)
+   unsharded Active path: same total order, same replica states, same
+   client-visible replies. *)
 let test_one_group_equals_one_shard () =
   let workload = wl 0.3 in
   let gen = Detmt_workload.Sharded.gen workload in
-  let run_shard () =
+  let run_active () =
     let engine = Engine.create () in
     let system =
-      Shard.create ~engine
+      Active.create ~engine
         ~cls:(Detmt_workload.Sharded.cls workload)
-        ~params:{ Shard.shards = 1; base = Active.default_params } ()
+        ~params:Active.default_params ()
     in
-    Shard.run_clients system ~clients:8 ~requests_per_client:5 ~gen ~seed:3L ();
-    ( Shard.replies_received system,
-      Shard.reply_times system,
-      Active.order_fingerprint (Shard.groups system).(0) )
+    Client.run_clients ~engine ~system ~clients:8 ~requests_per_client:5 ~gen
+      ~seed:3L ();
+    ( Active.replies_received system,
+      Active.reply_times system,
+      Active.order_fingerprint system )
   in
   let run_elastic () =
     let _, system, _ = make ~cross:0.3 () in
@@ -64,7 +65,7 @@ let test_one_group_equals_one_shard () =
       Reconfig.reply_times system,
       Active.order_fingerprint (List.hd (Reconfig.live_systems system)) )
   in
-  let sr, st, sf = run_shard () in
+  let sr, st, sf = run_active () in
   let rr, rt, rf = run_elastic () in
   Alcotest.check i "same replies" sr rr;
   Alcotest.(check (list (float 1e-9))) "same reply times" st rt;

@@ -1,6 +1,8 @@
-(* Tests for sharded multi-group replication: the deterministic router, the
-   1-shard ≡ unsharded contract, N-shard seed-reproducibility, the
-   cross-shard two-phase path, batching, and the sharded chaos harness. *)
+(* Tests for static sharded layouts (a {!Reconfig} system with N groups and
+   no commands, built through the {!Shard} entry points): the deterministic
+   router, the 1-shard ≡ unsharded contract, N-shard seed-reproducibility,
+   the cross-shard two-phase path, batching, and the sharded chaos
+   harness. *)
 
 open Detmt_sim
 open Detmt_replication
@@ -23,7 +25,7 @@ let make ?(scheduler = "mat") ?batching ~shards ~cross () =
   (engine, system, Detmt_workload.Sharded.gen workload)
 
 let drive ?(clients = 8) ?(requests = 4) ?(seed = 7L) system gen =
-  Shard.run_clients system ~clients ~requests_per_client:requests ~gen ~seed
+  Reconfig.run_clients system ~clients ~requests_per_client:requests ~gen ~seed
     ()
 
 (* ------------------------------ router ------------------------------ *)
@@ -33,9 +35,9 @@ let test_route_stable_and_in_range () =
     (fun shards ->
       let hit = Array.make shards false in
       for m = 0 to 999 do
-        let s = Shard.route ~shards m in
+        let s = Reconfig.route ~shards m in
         Alcotest.check b "in range" true (s >= 0 && s < shards);
-        Alcotest.(check int) "pure function of id" s (Shard.route ~shards m);
+        Alcotest.(check int) "pure function of id" s (Reconfig.route ~shards m);
         hit.(s) <- true
       done;
       Alcotest.check b
@@ -48,35 +50,35 @@ let test_shard_set_routing () =
   let _, system, _ = make ~shards:4 ~cross:0.5 () in
   (* update locks exactly arg 0's object *)
   let s =
-    Shard.shard_set system ~meth:"update"
+    Reconfig.group_set system ~meth:"update"
       ~args:[| Detmt_lang.Ast.Vmutex 17 |]
   in
   Alcotest.(check (list int)) "update routes to its object's shard"
-    [ Shard.route ~shards:4 17 ] s;
+    [ Reconfig.route ~shards:4 17 ] s;
   (* transfer's closure is both arguments, ascending and deduplicated *)
   let a, bb =
     (* find two objects on different shards *)
     let rec go i =
-      if Shard.route ~shards:4 0 <> Shard.route ~shards:4 i then (0, i)
+      if Reconfig.route ~shards:4 0 <> Reconfig.route ~shards:4 i then (0, i)
       else go (i + 1)
     in
     go 1
   in
   let set =
-    Shard.shard_set system ~meth:"transfer"
+    Reconfig.group_set system ~meth:"transfer"
       ~args:[| Detmt_lang.Ast.Vmutex a; Detmt_lang.Ast.Vmutex bb |]
   in
   Alcotest.(check (list int)) "transfer routes to both shards"
     (List.sort_uniq compare
-       [ Shard.route ~shards:4 a; Shard.route ~shards:4 bb ])
+       [ Reconfig.route ~shards:4 a; Reconfig.route ~shards:4 bb ])
     set;
   (* same object twice: a single shard, once *)
   let set1 =
-    Shard.shard_set system ~meth:"transfer"
+    Reconfig.group_set system ~meth:"transfer"
       ~args:[| Detmt_lang.Ast.Vmutex a; Detmt_lang.Ast.Vmutex a |]
   in
   Alcotest.(check (list int)) "duplicate objects deduplicate"
-    [ Shard.route ~shards:4 a ] set1
+    [ Reconfig.route ~shards:4 a ] set1
 
 (* --------------------- 1 shard ≡ unsharded -------------------------- *)
 
@@ -103,7 +105,7 @@ let sharded_table ~scheduler ~cross ~seed =
   let _, system, gen = make ~scheduler ~shards:1 ~cross () in
   drive ~seed system gen;
   ( Shard.replies_received system,
-    Shard.reply_times system,
+    Reconfig.reply_times system,
     List.map
       (fun r ->
         ( Detmt_sim.Trace.fingerprint (Detmt_runtime.Replica.trace r),
@@ -127,7 +129,7 @@ let run_fingerprint ?batching ~shards ~cross ~seed () =
   drive ~seed system gen;
   ( Shard.fingerprint system,
     Shard.replies_received system,
-    Shard.reply_times system,
+    Reconfig.reply_times system,
     Shard.cross_shard_requests system,
     Shard.consistent system )
 
@@ -150,7 +152,7 @@ let test_cross_shard_forced () =
   let engine, system, _ = make ~shards:2 ~cross:1.0 () in
   let a, bb =
     let rec go i =
-      if Shard.route ~shards:2 0 <> Shard.route ~shards:2 i then (0, i)
+      if Reconfig.route ~shards:2 0 <> Reconfig.route ~shards:2 i then (0, i)
       else go (i + 1)
     in
     go 1
@@ -158,7 +160,8 @@ let test_cross_shard_forced () =
   let gen ~client:_ ~seq:_ _rng =
     ("transfer", [| Detmt_lang.Ast.Vmutex a; Detmt_lang.Ast.Vmutex bb |])
   in
-  Shard.run_clients system ~clients:4 ~requests_per_client:3 ~gen ~seed:5L ();
+  Reconfig.run_clients system ~clients:4 ~requests_per_client:3 ~gen
+    ~seed:5L ();
   ignore engine;
   Alcotest.(check int) "all replies" 12 (Shard.replies_received system);
   Alcotest.(check int) "every request crossed" 12
@@ -176,7 +179,8 @@ let test_self_transfer_fast_path () =
   let gen ~client:_ ~seq:_ _rng =
     ("transfer", [| Detmt_lang.Ast.Vmutex 3; Detmt_lang.Ast.Vmutex 3 |])
   in
-  Shard.run_clients system ~clients:4 ~requests_per_client:3 ~gen ~seed:5L ();
+  Reconfig.run_clients system ~clients:4 ~requests_per_client:3 ~gen
+    ~seed:5L ();
   ignore engine;
   Alcotest.(check int) "all replies" 12 (Shard.replies_received system);
   Alcotest.(check int) "no cross-shard deliveries" 0
@@ -194,8 +198,11 @@ let test_batching_deterministic () =
   Alcotest.check b "batched run reproducible" true (a = a');
   let _, system, gen = make ~batching ~shards:2 ~cross:0.2 () in
   drive ~seed:3L system gen;
-  let batches = Shard.wire_batches system in
-  let broadcasts = Shard.broadcasts system in
+  let batches =
+    Array.fold_left (fun n g -> n + Active.wire_batches g) 0
+      (Shard.groups system)
+  in
+  let broadcasts = Reconfig.broadcasts system in
   Alcotest.check b "batches coalesce broadcasts" true
     (batches > 0 && batches < broadcasts)
 
@@ -247,13 +254,14 @@ let test_create_validation () =
   let engine = Engine.create () in
   let cls = Detmt_workload.Sharded.cls workload in
   Alcotest.check_raises "shards < 1"
-    (Invalid_argument "Shard.create: shards < 1") (fun () ->
+    (Invalid_argument "Reconfig.create: initial_groups < 1") (fun () ->
       ignore
         (Shard.create ~engine ~cls
            ~params:{ Shard.shards = 0; base = Active.default_params }
            ()));
   Alcotest.check_raises "replica_base must be 0"
-    (Invalid_argument "Shard.create: base.replica_base must be 0") (fun () ->
+    (Invalid_argument "Reconfig.create: base.replica_base must be 0")
+    (fun () ->
       ignore
         (Shard.create ~engine ~cls
            ~params:
