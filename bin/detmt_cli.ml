@@ -176,16 +176,16 @@ let write_out out s =
    recorder is read-only.  [shards > 1] records the sharded system instead
    (shard 0's metric names are the unsharded ones, so the single-shard
    recording is unchanged). *)
-let record_run ?obs ~scheduler ~clients ~requests ~replicas ~seed ~workload
-    ~latency ~shards () =
+let record_run ?obs ~scheduler ~workers ~clients ~requests ~replicas ~seed
+    ~workload ~latency ~shards () =
   let obs = match obs with Some o -> o | None -> Detmt.Recorder.create () in
   ignore
     (Detmt.Experiment.run ~obs
        { Detmt.Experiment.base with
          workload = Detmt.Experiment.workload workload;
          system = (if shards <= 1 then Active else Static shards);
-         scheduler; clients; requests; replicas; seed = Int64.of_int seed;
-         latency_ms = latency });
+         scheduler; workers; clients; requests; replicas;
+         seed = Int64.of_int seed; latency_ms = latency });
   obs
 
 let trace_shards_arg =
@@ -204,11 +204,11 @@ let trace_format_arg =
   Arg.(value & opt string "breakdown" & info [ "format" ] ~docv:"FMT" ~doc)
 
 let trace_cmd =
-  let run scheduler clients requests replicas seed workload latency shards
-      format csv out =
+  let run scheduler workers clients requests replicas seed workload latency
+      shards format csv out =
     let obs =
-      record_run ~scheduler ~clients ~requests ~replicas ~seed ~workload
-        ~latency ~shards ()
+      record_run ~scheduler ~workers ~clients ~requests ~replicas ~seed
+        ~workload ~latency ~shards ()
     in
     match format with
     | "breakdown" ->
@@ -261,8 +261,8 @@ let trace_cmd =
           to the measured response time, Chrome trace-event JSON, or the \
           scheduler decision audit log.")
     Term.(
-      const run $ A.scheduler $ A.clients $ A.requests $ A.replicas
-      $ A.seed $ A.workload $ A.latency $ trace_shards_arg
+      const run $ A.scheduler $ A.workers $ A.clients $ A.requests
+      $ A.replicas $ A.seed $ A.workload $ A.latency $ trace_shards_arg
       $ trace_format_arg $ A.csv $ A.output)
 
 (* Render the windowed time series as extra CSV-safe table rows: one row
@@ -295,11 +295,11 @@ let series_table ~title ts =
   t
 
 let metrics_cmd =
-  let run scheduler clients requests replicas seed workload latency shards
-      csv json format series out =
+  let run scheduler workers clients requests replicas seed workload latency
+      shards csv json format series out =
     let obs =
-      record_run ~scheduler ~clients ~requests ~replicas ~seed ~workload
-        ~latency ~shards ()
+      record_run ~scheduler ~workers ~clients ~requests ~replicas ~seed
+        ~workload ~latency ~shards ()
     in
     let m = Detmt.Recorder.metrics obs in
     match format with
@@ -360,9 +360,9 @@ let metrics_cmd =
           $(b,-f openmetrics) emits the OpenMetrics text exposition; \
           $(b,--series) appends the windowed virtual-time series.")
     Term.(
-      const run $ A.scheduler $ A.clients $ A.requests $ A.replicas
-      $ A.seed $ A.workload $ A.latency $ trace_shards_arg $ A.csv
-      $ json_flag $ format_arg $ series_flag $ A.output)
+      const run $ A.scheduler $ A.workers $ A.clients $ A.requests
+      $ A.replicas $ A.seed $ A.workload $ A.latency $ trace_shards_arg
+      $ A.csv $ json_flag $ format_arg $ series_flag $ A.output)
 
 (* ----------------------------- profile ------------------------------ *)
 
@@ -374,8 +374,8 @@ let metrics_cmd =
    alone.  Both sides take the best of [repeats] runs to shave scheduler
    noise off the comparison. *)
 let profile_cmd =
-  let run scheduler clients requests replicas seed workload latency shards
-      repeats check_overhead json out =
+  let run scheduler workers clients requests replicas seed workload latency
+      shards repeats check_overhead json out =
     if repeats < 1 then begin
       Format.eprintf "profile: --repeats must be >= 1@.";
       exit 2
@@ -384,8 +384,8 @@ let profile_cmd =
       Gc.compact ();
       let t0 = Unix.gettimeofday () in
       ignore
-        (record_run ~obs ~scheduler ~clients ~requests ~replicas ~seed
-           ~workload ~latency ~shards ());
+        (record_run ~obs ~scheduler ~workers ~clients ~requests ~replicas
+           ~seed ~workload ~latency ~shards ());
       Unix.gettimeofday () -. t0
     in
     let best f =
@@ -399,22 +399,13 @@ let profile_cmd =
           timed (Detmt.Recorder.profile_only p))
     in
     let overhead_pct =
-      if wall_baseline <= 0.0 then 0.0
-      else (wall_profiled -. wall_baseline) /. wall_baseline *. 100.0
+      Detmt.Profile.overhead_pct ~baseline:wall_baseline
+        ~profiled:wall_profiled
     in
     if json then begin
       let doc =
-        Detmt.Json.Obj
-          [ ("scheduler", Detmt.Json.String scheduler);
-            ("workload", Detmt.Json.String workload);
-            ("clients", Detmt.Json.Int clients);
-            ("requests", Detmt.Json.Int requests);
-            ("shards", Detmt.Json.Int shards);
-            ("repeats", Detmt.Json.Int repeats);
-            ("profile", Detmt.Profile.to_json p);
-            ("wall_baseline_s", Detmt.Json.Float wall_baseline);
-            ("wall_profiled_s", Detmt.Json.Float wall_profiled);
-            ("overhead_pct", Detmt.Json.Float overhead_pct) ]
+        Detmt.Profile.report ~scheduler ~workload ~workers ~clients ~requests
+          ~shards ~repeats ~wall_baseline ~wall_profiled p
       in
       write_out out (Detmt.Json.to_string doc ^ "\n")
     end
@@ -467,8 +458,8 @@ let profile_cmd =
           and allocation (Gc.quick_stat deltas) — plus the profiler's own \
           overhead against an observability-off baseline.")
     Term.(
-      const run $ A.scheduler $ A.clients $ A.requests $ A.replicas
-      $ A.seed $ A.workload $ A.latency $ trace_shards_arg
+      const run $ A.scheduler $ A.workers $ A.clients $ A.requests
+      $ A.replicas $ A.seed $ A.workload $ A.latency $ trace_shards_arg
       $ repeats_arg $ check_overhead_arg $ json_flag $ A.output)
 
 (* ------------------------------- top --------------------------------- *)
@@ -502,8 +493,8 @@ let default_top_tracks =
    exactly the same events at the same virtual times as one uninterrupted
    run, so the displayed run is the run every other command reproduces. *)
 let top_cmd =
-  let run scheduler clients requests replicas seed workload latency shards
-      frame_ms delay frames no_ansi tracks =
+  let run scheduler workers clients requests replicas seed workload latency
+      shards frame_ms delay frames no_ansi tracks =
     if frame_ms <= 0.0 then begin
       Format.eprintf "top: --frame-ms must be positive@.";
       exit 2
@@ -511,7 +502,7 @@ let top_cmd =
     let { Detmt.Experiment.cls; gen; _ } = Detmt.Experiment.workload workload in
     let params =
       { Detmt.Active.default_params with
-        scheduler; replicas; net_latency_ms = latency }
+        scheduler; workers; replicas; net_latency_ms = latency }
     in
     let engine = Detmt.Engine.create () in
     let obs = Detmt.Recorder.create ~width_ms:frame_ms () in
@@ -635,8 +626,8 @@ let top_cmd =
           the events of an uninterrupted one, so what you watch is the run \
           every other command reproduces.")
     Term.(
-      const run $ A.scheduler $ A.clients $ A.requests $ A.replicas
-      $ A.seed $ A.workload $ A.latency $ trace_shards_arg
+      const run $ A.scheduler $ A.workers $ A.clients $ A.requests
+      $ A.replicas $ A.seed $ A.workload $ A.latency $ trace_shards_arg
       $ frame_ms_arg $ delay_arg $ frames_arg $ no_ansi_flag $ track_arg)
 
 (* --------------------------- fingerprint ---------------------------- *)

@@ -245,3 +245,23 @@ let to_json t =
             ("major_words", Json.Float a.major_words);
             ("promoted_words", Json.Float a.promoted_words) ] );
       ("wall_seconds", Json.Float (wall_seconds t)) ]
+
+let overhead_pct ~baseline ~profiled =
+  if baseline <= 0.0 then 0.0 else (profiled -. baseline) /. baseline *. 100.0
+
+let report ~scheduler ~workload ~workers ~clients ~requests ~shards ~repeats
+    ~wall_baseline ~wall_profiled t =
+  Json.Obj
+    [ ("scheduler", Json.String scheduler);
+      ("workload", Json.String workload);
+      ("workers", Json.Int workers);
+      ("clients", Json.Int clients);
+      ("requests", Json.Int requests);
+      ("shards", Json.Int shards);
+      ("repeats", Json.Int repeats);
+      ("profile", to_json t);
+      ("wall_baseline_s", Json.Float wall_baseline);
+      ("wall_profiled_s", Json.Float wall_profiled);
+      ( "overhead_pct",
+        Json.Float
+          (overhead_pct ~baseline:wall_baseline ~profiled:wall_profiled) ) ]

@@ -88,3 +88,22 @@ val wall_seconds : t -> float
 val to_table : ?title:string -> t -> Detmt_stats.Table.t
 
 val to_json : t -> Json.t
+
+val overhead_pct : baseline:float -> profiled:float -> float
+(** The profiled run's wall-clock overhead against the observability-off
+    baseline, in percent ([0] for a non-positive baseline). *)
+
+val report :
+  scheduler:string ->
+  workload:string ->
+  workers:int ->
+  clients:int ->
+  requests:int ->
+  shards:int ->
+  repeats:int ->
+  wall_baseline:float ->
+  wall_profiled:float ->
+  t ->
+  Json.t
+(** The [detmt-cli profile --json] document: the run's configuration, the
+    profile ({!to_json}), both best-of-[repeats] walls and the overhead. *)

@@ -525,7 +525,24 @@ let test_profile_json () =
   List.iter
     (fun k -> ignore (number [ "alloc"; k ]))
     [ "minor_words"; "major_words"; "promoted_words" ];
-  ignore (number [ "wall_seconds" ])
+  ignore (number [ "wall_seconds" ]);
+  (* The outer document [profile --json] prints around it. *)
+  let report =
+    Profile.report ~scheduler:"cgs+ws" ~workload:"sharded-opaque" ~workers:4
+      ~clients:8 ~requests:2 ~shards:1 ~repeats:3 ~wall_baseline:2.0
+      ~wall_profiled:2.1 p
+  in
+  Alcotest.(check (list string)) "report keys"
+    [ "scheduler"; "workload"; "workers"; "clients"; "requests"; "shards";
+      "repeats"; "profile"; "wall_baseline_s"; "wall_profiled_s";
+      "overhead_pct" ]
+    (match report with Json.Obj kvs -> List.map fst kvs | _ -> []);
+  Alcotest.(check bool) "report records the pool width" true
+    (Json.member "workers" report = Some (Json.Int 4));
+  Alcotest.(check (float 1e-9)) "overhead in percent" 5.0
+    (match Json.member "overhead_pct" report with
+    | Some (Json.Float f) -> f
+    | _ -> nan)
 
 (* ------------------------- critical path ----------------------------- *)
 
