@@ -125,7 +125,9 @@ val restrict :
   ?seed:int64 -> config list -> config list
 (** Override a grid's axes: [clients], [scheduler], [workers] and [seed]
     replace the configured values, [shards] drops points with more groups.
-    Duplicates an override leaves are dropped, the first kept. *)
+    A serial [scheduler] also puts its points at pool width 1 (an explicit
+    [workers] still applies).  Duplicates an override leaves are dropped,
+    the first kept. *)
 
 (** {2 The emitter} *)
 
