@@ -51,28 +51,28 @@ let () =
              ignore (Candidate_index.min idx);
              Candidate_index.remove idx key));
       Test.make ~name:"index:reference-scan(add+min+remove,n=256)"
-        (let idx = Candidate_index.Reference.create () in
+        (let idx = Candidate_index_reference.create () in
          List.iter
-           (fun k -> Candidate_index.Reference.add idx ~key:k k)
+           (fun k -> Candidate_index_reference.add idx ~key:k k)
            (List.init 256 Fun.id);
          let k = ref 0 in
          Staged.stage (fun () ->
              incr k;
              let key = 256 + (!k land 255) in
-             Candidate_index.Reference.add idx ~key key;
-             ignore (Candidate_index.Reference.min idx);
-             Candidate_index.Reference.remove idx key));
-      (* The timing wheel against the binary heap it replaced. *)
-      Test.make ~name:"pqueue:wheel(push+pop)"
+             Candidate_index_reference.add idx ~key key;
+             ignore (Candidate_index_reference.min idx);
+             Candidate_index_reference.remove idx key));
+      (* The event queue against the reference heap the tests fuzz it with. *)
+      Test.make ~name:"pqueue:heap(push+pop)"
         (let q = Pqueue.create () in
          Staged.stage (fun () ->
              Pqueue.push q ~time:1.0 ~seq:0 0;
              ignore (Pqueue.pop_raw q)));
       Test.make ~name:"pqueue:reference-heap(push+pop)"
-        (let q = Pqueue.Reference.create () in
+        (let q = Pqueue_reference.create () in
          Staged.stage (fun () ->
-             Pqueue.Reference.push q ~time:1.0 ~seq:0 0;
-             ignore (Pqueue.Reference.pop q)));
+             Pqueue_reference.push q ~time:1.0 ~seq:0 0;
+             ignore (Pqueue_reference.pop q)));
     ]
   in
   let benchmark test =

@@ -19,17 +19,12 @@ type t = {
   trace_events : bool;
       (* retain the scheduling trace's event list (timelines, forensics);
          its fingerprint is kept either way *)
-  ws_precise : bool;
-      (* workspace merge policy: [false] resolves write-write overlaps
-         lowest-slot-wins silently (the losing speculation aborts and
-         re-executes in slot order); [true] additionally surfaces each
-         conflicting field as a typed report through the flight recorder *)
 }
 
 let default =
   { cores = 4; lock_overhead_ms = 0.02; bookkeeping_overhead_ms = 0.01;
     reply_build_ms = 0.1; pds_batch = 4; pds_dummy_timeout_ms = 5.0;
-    trace_events = false; ws_precise = false }
+    trace_events = false }
 
 let validate t =
   if t.cores < 1 then invalid_arg "Config: cores must be >= 1";

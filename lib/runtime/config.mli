@@ -20,10 +20,6 @@ type t = {
       (** retain the scheduling trace's event list ({!Detmt_sim.Trace.events},
           for timelines and forensics); the trace's fingerprint and length
           are kept either way *)
-  ws_precise : bool;
-      (** workspace merge policy ([Precise_error]): [false] resolves
-          write-write overlaps lowest-slot-wins silently, [true] additionally
-          reports each conflicting field through the flight recorder *)
 }
 
 val default : t

@@ -403,23 +403,10 @@ let do_ws_commit t tid =
         th;
       true
     | conflicts ->
-      (* Stale reads: a lower slot committed first — lowest-slot-wins.  The
-         [Precise_error] policy additionally surfaces each conflicting
-         field through the flight recorder. *)
+      (* Stale reads: a lower slot committed first — lowest-slot-wins. *)
       t.ws_aborts <- t.ws_aborts + 1;
       record t (Trace.Ws_abort { tid; conflicts = List.length conflicts });
-      if observing t then begin
-        Recorder.incr t.obs "replica.ws.aborts_stale";
-        if t.config.Config.ws_precise then
-          List.iter
-            (fun (c : Workspace.conflict) ->
-              Recorder.incr t.obs
-                (Printf.sprintf "replica.ws.conflict.%s" c.field);
-              Logs.warn (fun m ->
-                  m "replica %d: workspace conflict t%d %a" t.id tid
-                    Workspace.pp_conflict c))
-            conflicts
-      end;
+      if observing t then Recorder.incr t.obs "replica.ws.aborts_stale";
       th.ws <- None;
       th.cont <- None;
       th.status <- Created;

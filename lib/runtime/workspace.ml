@@ -35,10 +35,6 @@ type conflict = {
   committed_value : int; (* the value at the commit barrier *)
 }
 
-let pp_conflict ppf c =
-  Format.fprintf ppf "%s: read %d, committed %d" c.field c.read_value
-    c.committed_value
-
 type t = {
   base : Object_state.t;
   record_acquisitions : bool;

@@ -16,11 +16,7 @@ type conflict = {
   read_value : int;  (** the value this speculation observed *)
   committed_value : int;  (** the value at the commit barrier *)
 }
-(** One stale read detected at validation — the typed report surfaced
-    through the flight recorder under the [Precise_error] merge policy
-    ([Config.ws_precise]). *)
-
-val pp_conflict : Format.formatter -> conflict -> unit
+(** One stale read detected at validation. *)
 
 val create : base:Object_state.t -> record_acquisitions:bool -> t
 (** [record_acquisitions] asks the replica to replay the virtual acquisition

@@ -32,7 +32,7 @@ let recommend ~workers ~conflict_rate ~summary ~avg_concurrency =
    conflict-graph children degrade to MAT (without a summary every class is
    opaque, so CGS would serialise). *)
 let make_child name ~config ~summary ~workers actions =
-  let inst (module D : Decision.S) =
+  let inst (module D : Decision.Serial) =
     Decision.instantiate (module D) ~config ~summary actions
   in
   let pinst (module D : Decision.Parallel) =

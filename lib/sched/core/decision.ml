@@ -9,8 +9,8 @@
 
    Two signatures coexist:
 
-   - {!Serial} (the historical [S]): one grant at a time, worker-pool width
-     fixed at 1.  All nine paper schedulers are serial modules.
+   - {!Serial}: one grant at a time, worker-pool width fixed at 1.  All
+     nine paper schedulers are serial modules.
    - {!Parallel}: the policy additionally receives a {!Pool} — a
      deterministic allocator over [Substrate.workers] simulated workers —
      and may hold several threads in flight at once (multi-grant decisions,
@@ -31,10 +31,6 @@ module type Serial = sig
 
   val policy : Substrate.t -> Sched_iface.sched
 end
-
-module type S = Serial
-(** Historical name; the nine serial schedulers compile against it
-    unchanged. *)
 
 (* ------------------------------- pool ---------------------------------- *)
 
@@ -141,7 +137,7 @@ let make_bookkeeping ~name ~needs_prediction
            "%s needs a prediction summary (run Transform.predictive)" name)
   else None
 
-let instantiate (module D : S) ~config
+let instantiate (module D : Serial) ~config
     ~(summary : Detmt_analysis.Predict.class_summary option) actions =
   let bookkeeping =
     make_bookkeeping ~name:D.name ~needs_prediction:D.needs_prediction

@@ -3,12 +3,11 @@
     {!instantiate_parallel} prepares the {!Substrate} (with a {!Bookkeeping}
     when the variant needs prediction) and applies the policy.
 
-    {!Serial} is the historical single-grant signature (alias {!S}); the
-    nine paper schedulers compile against it unchanged.  {!Parallel} policies
-    additionally receive a {!Pool} — a deterministic allocator over
-    [Substrate.workers] simulated workers — and may hold several threads in
-    flight at once.  {!Of_serial} lifts a serial module into the parallel
-    signature at pool width 1. *)
+    {!Serial} is the single-grant signature the nine paper schedulers
+    implement.  {!Parallel} policies additionally receive a {!Pool} — a
+    deterministic allocator over [Substrate.workers] simulated workers — and
+    may hold several threads in flight at once.  {!Of_serial} lifts a
+    serial module into the parallel signature at pool width 1. *)
 
 open Detmt_runtime
 
@@ -19,8 +18,6 @@ module type Serial = sig
 
   val policy : Substrate.t -> Sched_iface.sched
 end
-
-module type S = Serial
 
 (** Deterministic worker allocator for parallel decision modules: a
     dispatch always takes the lowest free worker index, so the assignment is
@@ -67,7 +64,7 @@ module Of_serial (_ : Serial) : Parallel
 (** Pool width must be 1; the lifted policy raises otherwise. *)
 
 val instantiate :
-  (module S) ->
+  (module Serial) ->
   config:Config.t ->
   summary:Detmt_analysis.Predict.class_summary option ->
   Sched_iface.actions ->

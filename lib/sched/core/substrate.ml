@@ -11,7 +11,7 @@
      injected calls, with the decision-module queries re-exported;
    - flight-recorder boilerplate: the scheduler-named audit/metric helpers.
 
-   Decision modules ({!Decision.S}) hold only policy state (who is primary,
+   Decision modules ({!Decision.Serial}) hold only policy state (who is primary,
    which round is open, where the token is) and consult the substrate for
    everything else. *)
 

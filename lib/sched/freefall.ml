@@ -71,7 +71,7 @@ let policy sub : Sched_iface.sched =
     on_wait = (fun _tid ~mutex -> wake_random t ~mutex);
     on_terminate = (fun tid -> Substrate.retire sub ~tid) }
 
-module Base : Decision.S = struct
+module Base : Decision.Serial = struct
   let name = "freefall"
 
   let needs_prediction = false

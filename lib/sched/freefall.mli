@@ -3,5 +3,5 @@
     per-replica generator.  Replicas diverge; the consistency checker must
     catch it (motivation experiment E10). *)
 
-module Base : Decision.S
+module Base : Decision.Serial
 (** ["freefall"], no prediction, not deterministic. *)

@@ -215,7 +215,7 @@ let policy sub : Sched_iface.sched =
         List.iter (fun (k, v) -> if k = "grant_seq" then t.grant_seq <- v) kv)
   }
 
-module Base : Decision.S = struct
+module Base : Decision.Serial = struct
   let name = "lsa"
 
   let needs_prediction = false

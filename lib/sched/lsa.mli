@@ -11,5 +11,5 @@
     already-published decisions (identical on all survivors thanks to total
     order) and then switches to greedy mode. *)
 
-module Base : Decision.S
+module Base : Decision.Serial
 (** ["lsa"], no prediction. *)

@@ -284,7 +284,7 @@ let policy sub : Sched_iface.sched =
         Substrate.bk_loop_exit sub ~tid ~loopid;
         check_last_lock t ~tid) }
 
-module Base : Decision.S = struct
+module Base : Decision.Serial = struct
   let name = "mat"
 
   let needs_prediction = false
@@ -292,7 +292,7 @@ module Base : Decision.S = struct
   let policy = policy
 end
 
-module Last_lock : Decision.S = struct
+module Last_lock : Decision.Serial = struct
   let name = "mat-ll"
 
   let needs_prediction = true

@@ -9,8 +9,8 @@
     provably released its last lock, and lock-free threads are skipped at
     promotion. *)
 
-module Base : Decision.S
+module Base : Decision.Serial
 (** ["mat"], no prediction. *)
 
-module Last_lock : Decision.S
+module Last_lock : Decision.Serial
 (** ["mat-ll"]: MAT + last-lock analysis (Figure 2). *)

@@ -512,7 +512,7 @@ let policy sub : Sched_iface.sched =
           (fun (k, v) -> if k = "occupied_slots" then t.ghost_slots <- v)
           kv) }
 
-module Base : Decision.S = struct
+module Base : Decision.Serial = struct
   let name = "pds"
 
   let needs_prediction = false
@@ -520,7 +520,7 @@ module Base : Decision.S = struct
   let policy = policy
 end
 
-module Predicted : Decision.S = struct
+module Predicted : Decision.Serial = struct
   let name = "ppds"
 
   let needs_prediction = true

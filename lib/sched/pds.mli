@@ -16,8 +16,8 @@
     delays the next round decision past its lifetime and keeps every
     decision input deterministic. *)
 
-module Base : Decision.S
+module Base : Decision.Serial
 (** ["pds"], no prediction. *)
 
-module Predicted : Decision.S
+module Predicted : Decision.Serial
 (** ["ppds"]: PDS with prediction-shrunk rounds. *)

@@ -342,7 +342,7 @@ let policy sub : Sched_iface.sched =
         refresh_tid t tid;
         rescan t) }
 
-module Base : Decision.S = struct
+module Base : Decision.Serial = struct
   let name = "pmat"
 
   let needs_prediction = true

@@ -3,5 +3,5 @@
     does not conflict.  Requires the predictive transformation's summary
     (the substrate's bookkeeping module answers the conflict queries). *)
 
-module Base : Decision.S
+module Base : Decision.Serial
 (** ["pmat"], needs prediction. *)

@@ -25,8 +25,8 @@ type spec = {
 }
 
 val all : spec list
-(** seq, sat, psat, lsa, pds, ppds, mat, mat-ll, pmat, cgs, pcgs, adaptive,
-    freefall. *)
+(** seq, sat, psat, lsa, pds, ppds, mat, mat-ll, pmat, cgs, pcgs, wss,
+    cgs+ws, adaptive, freefall. *)
 
 val paper_figure1 : string list
 (** The five algorithms of Figure 1: seq, sat, lsa, pds, mat. *)

@@ -241,7 +241,7 @@ let policy sub : Sched_iface.sched =
         Substrate.bk_loop_exit sub ~tid ~loopid;
         release_token_if_lock_free t tid) }
 
-module Base : Decision.S = struct
+module Base : Decision.Serial = struct
   let name = "sat"
 
   let needs_prediction = false
@@ -249,7 +249,7 @@ module Base : Decision.S = struct
   let policy = policy
 end
 
-module Predicted : Decision.S = struct
+module Predicted : Decision.Serial = struct
   let name = "psat"
 
   let needs_prediction = true

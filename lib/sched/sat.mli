@@ -15,8 +15,8 @@
     without queueing.  Per-mutex acquisition orders are untouched — a
     lock-free thread can no longer appear in one. *)
 
-module Base : Decision.S
+module Base : Decision.Serial
 (** ["sat"], no prediction. *)
 
-module Predicted : Decision.S
+module Predicted : Decision.Serial
 (** ["psat"]: SAT with early token release via lock prediction. *)

@@ -77,7 +77,7 @@ let policy sub : Sched_iface.sched =
         Substrate.retire t.sub ~tid;
         if t.active = Some tid then activate_next t) }
 
-module Base : Decision.S = struct
+module Base : Decision.Serial = struct
   let name = "seq"
 
   let needs_prediction = false

@@ -3,5 +3,5 @@
     deterministic, single-CPU, wastes nested-invocation idle time
     (section 3.1). *)
 
-module Base : Decision.S
+module Base : Decision.Serial
 (** ["seq"], no prediction. *)

@@ -1,27 +1,25 @@
-(** The engine's event queue: a hierarchical timing wheel with a far-future
-    overflow heap.
+(** The engine's event queue: a binary min-heap on [(time, seq)] keys.
 
-    Keys are [(time, seq)] pairs compared lexicographically; the event engine
-    allocates monotonically increasing sequence numbers, so two events
-    scheduled for the same virtual time are delivered in scheduling order.
-    That stability is what makes the whole simulation deterministic, and the
-    wheel preserves it exactly: ticks only decide bucket {e placement}, each
-    bucket is sorted on the exact key before it is drained, so the pop
-    stream is bit-identical to a binary heap's ({!Reference}, the replaced
-    implementation, is kept as the differential-fuzz oracle).
+    Keys are compared lexicographically; the event engine allocates
+    monotonically increasing sequence numbers, so two events scheduled for
+    the same virtual time are delivered in scheduling order.  That
+    stability is what makes the whole simulation deterministic.
+
+    A heap is enough: the engine's keys are unique, so the pop stream is a
+    function of the keys alone, and on every benchmark workload its
+    [O(log n)] sifts over three flat arrays cost no more wall time than
+    the hierarchical timing wheel it replaced (EXPERIMENTS.md E23).
 
     Payloads are non-negative [int]s — the engine's pooled event-slot ids —
-    so the steady-state push/pop cycle allocates nothing.
+    and the arrays only grow, so the steady-state push/pop cycle allocates
+    nothing.
 
     Contract (both guaranteed by the engine, both checked): times are
     non-negative, and a push never predates the time of the last pop. *)
 
 type t
 
-val create : ?granularity_ms:float -> unit -> t
-(** [granularity_ms] (default [0.5]) is the width of one wheel tick.  It
-    trades bucket-sort width against cursor-scan length and never affects
-    ordering — only placement. *)
+val create : unit -> t
 
 val is_empty : t -> bool
 
@@ -54,24 +52,3 @@ val peek_time : t -> float
 (** Time of the minimum element, or [infinity] when empty. *)
 
 val clear : t -> unit
-
-(** The binary min-heap this wheel replaced: polymorphic payloads, no push
-    contract.  Tests fuzz it against the wheel; vacated slots are dropped
-    (the old representation leaked the popped entry in [data.(size)]). *)
-module Reference : sig
-  type 'a t
-
-  val create : unit -> 'a t
-
-  val is_empty : 'a t -> bool
-
-  val length : 'a t -> int
-
-  val push : 'a t -> time:float -> seq:int -> 'a -> unit
-
-  val pop : 'a t -> (float * int * 'a) option
-
-  val peek : 'a t -> (float * int * 'a) option
-
-  val clear : 'a t -> unit
-end

@@ -143,7 +143,7 @@ let policy sub : Sched_iface.sched =
         Substrate.bk_loop_exit sub ~tid ~loopid;
         rescan t) }
 
-module Base : Decision.S = struct
+module Base : Decision.Serial = struct
   let name = "pmat"
 
   let needs_prediction = true

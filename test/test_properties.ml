@@ -690,8 +690,8 @@ let decision_observables (module D : Detmt_sched.Decision.Parallel) ~workers
 (* Pairs of an indexed module and its reference; the serial modules run at
    pool width 1. *)
 let serial_pair
-    ((module I : Detmt_sched.Decision.S), (module R : Detmt_sched.Decision.S))
-    =
+    ( (module I : Detmt_sched.Decision.Serial),
+      (module R : Detmt_sched.Decision.Serial) ) =
   ( (module Detmt_sched.Decision.Of_serial (I) : Detmt_sched.Decision.Parallel),
     (module Detmt_sched.Decision.Of_serial (R) : Detmt_sched.Decision.Parallel)
   )
@@ -737,8 +737,8 @@ let check_agrees ?(min_grants = 0) ~variants ~workers ~wname ~cls ~gen
 
 let pmat_variants =
   [ serial_pair
-      ( (module Detmt_sched.Pmat.Base : Detmt_sched.Decision.S),
-        (module Pmat_reference.Base : Detmt_sched.Decision.S) ) ]
+      ( (module Detmt_sched.Pmat.Base : Detmt_sched.Decision.Serial),
+        (module Pmat_reference.Base : Detmt_sched.Decision.Serial) ) ]
 
 let prop_pmat_matches_reference =
   QCheck.Test.make ~count:40
@@ -829,8 +829,8 @@ let test_pmat_fixed_workloads () =
    candidate lists rather than the handful the golden rows reach. *)
 let mat_variants =
   List.map serial_pair
-    [ ((module Detmt_sched.Mat.Base : Detmt_sched.Decision.S),
-       (module Mat_reference.Base : Detmt_sched.Decision.S));
+    [ ((module Detmt_sched.Mat.Base : Detmt_sched.Decision.Serial),
+       (module Mat_reference.Base : Detmt_sched.Decision.Serial));
       ((module Detmt_sched.Mat.Last_lock), (module Mat_reference.Last_lock))
     ]
 

@@ -382,7 +382,7 @@ let test_workspace_holds_any () =
    quiescent between bursts, and the two counts must agree after every
    reply, at every quiescent-hook call and at the end of the run. *)
 let test_active_threads_counter () =
-  let check_run ~wname ~cls ~gen (module D : Detmt_sched.Decision.S) =
+  let check_run ~wname ~cls ~gen (module D : Detmt_sched.Decision.Serial) =
     let instrumented, summary = Detmt_transform.Transform.predictive cls in
     let engine = Detmt_sim.Engine.create () in
     let config = Config.default in
@@ -455,7 +455,7 @@ let test_active_threads_counter () =
       check_run ~wname:"prodcons"
         ~cls:(Detmt_workload.Prodcons.cls Detmt_workload.Prodcons.default)
         ~gen:Detmt_workload.Prodcons.gen d)
-    [ (module Detmt_sched.Mat.Base : Detmt_sched.Decision.S);
+    [ (module Detmt_sched.Mat.Base : Detmt_sched.Decision.Serial);
       (module Detmt_sched.Pmat.Base) ]
 
 (* [finish] evicts a thread from the replica's table; what callers could

@@ -141,86 +141,116 @@ let test_pqueue_push_contract () =
       Pqueue.push q ~time:1.0 ~seq:0 (-1));
   Alcotest.check_raises "negative time rejected"
     (Invalid_argument "Pqueue.push: time must be non-negative") (fun () ->
-      Pqueue.push q ~time:(-1.0) ~seq:0 0)
+      Pqueue.push q ~time:(-1.0) ~seq:0 0);
+  Pqueue.push q ~time:2.0 ~seq:0 0;
+  ignore (Pqueue.pop_raw q);
+  Alcotest.check_raises "push before the last pop rejected"
+    (Invalid_argument "Pqueue.push: time 1.5 predates the last pop 2")
+    (fun () -> Pqueue.push q ~time:1.5 ~seq:1 0);
+  Pqueue.push q ~time:2.0 ~seq:1 0;
+  Alcotest.(check int) "a push at the last pop's time is accepted" 1
+    (Pqueue.length q)
 
 let test_pqueue_reference_ordering () =
   (* The old polymorphic heap survives as the differential-fuzz oracle. *)
-  let q = Pqueue.Reference.create () in
-  Pqueue.Reference.push q ~time:3.0 ~seq:0 "c";
-  Pqueue.Reference.push q ~time:1.0 ~seq:1 "a";
-  Pqueue.Reference.push q ~time:2.0 ~seq:2 "b";
+  let q = Pqueue_reference.create () in
+  Pqueue_reference.push q ~time:3.0 ~seq:0 "c";
+  Pqueue_reference.push q ~time:1.0 ~seq:1 "a";
+  Pqueue_reference.push q ~time:2.0 ~seq:2 "b";
   let pop () =
-    match Pqueue.Reference.pop q with Some (_, _, v) -> v | None -> "?"
+    match Pqueue_reference.pop q with Some (_, _, v) -> v | None -> "?"
   in
   let p1 = pop () in
   let p2 = pop () in
   let p3 = pop () in
   Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] [ p1; p2; p3 ];
-  Alcotest.check b "drained" true (Pqueue.Reference.is_empty q);
-  Pqueue.Reference.push q ~time:5.0 ~seq:3 "d";
-  Pqueue.Reference.clear q;
-  Alcotest.(check int) "clear empties" 0 (Pqueue.Reference.length q)
+  Alcotest.check b "drained" true (Pqueue_reference.is_empty q);
+  Pqueue_reference.push q ~time:5.0 ~seq:3 "d";
+  Pqueue_reference.clear q;
+  Alcotest.(check int) "clear empties" 0 (Pqueue_reference.length q)
 
-(* Differential fuzz: the timing wheel must produce a pop/peek stream
-   bit-identical to the reference binary heap under random interleavings of
-   push / pop / peek — including same-instant seq ties, pushes landing at
-   the instant being drained, and far-future times that overflow every wheel
-   level into the heap.  Repeated across granularities, which move bucket
-   boundaries but must never change ordering. *)
+(* Differential fuzz: the heap must produce a pop/peek stream bit-identical
+   to the reference heap under random interleavings of push / pop / peek —
+   including same-instant seq ties, pushes landing at the instant being
+   drained, and far-future times.  The fourth operation is the engine's
+   order-oracle pattern: pop every entry at the minimum time, then push all
+   but one back under their original seqs. *)
 let test_pqueue_differential_fuzz () =
-  List.iter
-    (fun g ->
-      let rng = Rng.create 424242L in
-      let q = Pqueue.create ~granularity_ms:g () in
-      let r = Pqueue.Reference.create () in
-      let seq = ref 0 in
-      let last_pop = ref 0.0 in
-      for _ = 1 to 5000 do
-        let op = Rng.int rng 10 in
-        if op < 6 then begin
-          let t =
-            match Rng.int rng 5 with
-            | 0 -> !last_pop (* exact tie with the pop floor *)
-            | 1 -> !last_pop +. (float_of_int (Rng.int rng 4) *. g)
-            | 2 -> !last_pop +. Rng.float rng 50.0
-            | 3 -> !last_pop +. Rng.float rng 10_000.0
-            | _ -> !last_pop +. 100_000.0 +. Rng.float rng 1e6 (* overflow *)
-          in
-          Pqueue.push q ~time:t ~seq:!seq !seq;
-          Pqueue.Reference.push r ~time:t ~seq:!seq !seq;
-          incr seq
-        end
-        else if op < 9 then begin
-          match (Pqueue.pop q, Pqueue.Reference.pop r) with
-          | None, None -> ()
-          | Some (t1, s1, v1), Some (t2, s2, v2) ->
-            if not (t1 = t2 && s1 = s2 && v1 = v2) then
-              Alcotest.failf "pop mismatch (g=%g): (%g,%d,%d) vs (%g,%d,%d)"
-                g t1 s1 v1 t2 s2 v2;
-            last_pop := t1
-          | Some _, None | None, Some _ ->
-            Alcotest.fail "pop emptiness mismatch"
-        end
-        else begin
-          match (Pqueue.peek q, Pqueue.Reference.peek r) with
-          | None, None -> ()
-          | Some (t1, s1, v1), Some (t2, s2, v2) ->
-            if not (t1 = t2 && s1 = s2 && v1 = v2) then
-              Alcotest.failf "peek mismatch (g=%g)" g
-          | Some _, None | None, Some _ ->
-            Alcotest.fail "peek emptiness mismatch"
-        end
-      done;
-      let rec drain () =
-        match (Pqueue.pop q, Pqueue.Reference.pop r) with
-        | None, None -> ()
-        | Some a, Some b' when a = b' -> drain ()
-        | _ -> Alcotest.failf "drain mismatch (g=%g)" g
+  let rng = Rng.create 424242L in
+  let q = Pqueue.create () in
+  let r = Pqueue_reference.create () in
+  let seq = ref 0 in
+  let last_pop = ref 0.0 in
+  let pop_both what =
+    match (Pqueue.pop q, Pqueue_reference.pop r) with
+    | None, None -> None
+    | Some (t1, s1, v1), Some (t2, s2, v2) ->
+      if not (t1 = t2 && s1 = s2 && v1 = v2) then
+        Alcotest.failf "%s mismatch: (%g,%d,%d) vs (%g,%d,%d)" what t1 s1 v1
+          t2 s2 v2;
+      last_pop := t1;
+      Some (t1, s1, v1)
+    | Some _, None | None, Some _ ->
+      Alcotest.failf "%s emptiness mismatch" what
+  in
+  for _ = 1 to 5000 do
+    let op = Rng.int rng 11 in
+    if op < 6 then begin
+      let t =
+        match Rng.int rng 6 with
+        | 0 -> !last_pop (* exact tie with the pop floor *)
+        | 1 -> !last_pop +. (float_of_int (Rng.int rng 4) *. 0.5)
+        | 2 -> !last_pop +. Rng.float rng 50.0
+        | 3 -> !last_pop +. Rng.float rng 10_000.0
+        | 4 ->
+          (* a coarse grid shared across pops: equal times deep in the heap *)
+          (Float.ceil (!last_pop /. 25.0) +. float_of_int (Rng.int rng 16))
+          *. 25.0
+        | _ -> !last_pop +. 100_000.0 +. Rng.float rng 1e6
       in
-      drain ();
-      Alcotest.check b "both empty" true
-        (Pqueue.is_empty q && Pqueue.Reference.is_empty r))
-    [ 0.5; 0.05; 7.3 ]
+      Pqueue.push q ~time:t ~seq:!seq !seq;
+      Pqueue_reference.push r ~time:t ~seq:!seq !seq;
+      incr seq
+    end
+    else if op < 9 then ignore (pop_both "pop")
+    else if op < 10 then begin
+      match (Pqueue.peek q, Pqueue_reference.peek r) with
+      | None, None -> ()
+      | Some (t1, s1, v1), Some (t2, s2, v2) ->
+        if not (t1 = t2 && s1 = s2 && v1 = v2) then
+          Alcotest.fail "peek mismatch"
+      | Some _, None | None, Some _ -> Alcotest.fail "peek emptiness mismatch"
+    end
+    else
+      match pop_both "tie pop" with
+      | None -> ()
+      | Some ((t, _, _) as first) ->
+        let rec ties acc =
+          if Pqueue.peek_time q = t then
+            match pop_both "tie pop" with
+            | Some e -> ties (e :: acc)
+            | None -> List.rev acc
+          else List.rev acc
+        in
+        let all = ties [ first ] in
+        let chosen = Rng.int rng (List.length all) in
+        List.iteri
+          (fun i (t', s', v') ->
+            if i <> chosen then begin
+              Pqueue.push q ~time:t' ~seq:s' v';
+              Pqueue_reference.push r ~time:t' ~seq:s' v'
+            end)
+          all
+  done;
+  let rec drain () =
+    match (Pqueue.pop q, Pqueue_reference.pop r) with
+    | None, None -> ()
+    | Some a, Some b' when a = b' -> drain ()
+    | _ -> Alcotest.fail "drain mismatch"
+  in
+  drain ();
+  Alcotest.check b "both empty" true
+    (Pqueue.is_empty q && Pqueue_reference.is_empty r)
 
 (* ------------------------------ Engine ----------------------------- *)
 
