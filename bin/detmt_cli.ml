@@ -764,7 +764,12 @@ let explore_cmd =
       clients requests workers elastic schedulers workloads output =
     match replay with
     | Some path ->
-      let sched = Detmt.Schedule.load path in
+      let sched =
+        try Detmt.Schedule.load path
+        with Failure msg ->
+          Format.eprintf "%s@." msg;
+          exit 2
+      in
       let verdict, canonical, outcome = Detmt.Explore.replay sched in
       Format.printf "schedule:   %s (%d entries)@." path
         (Detmt.Schedule.size sched);

@@ -28,7 +28,6 @@ module Pqueue = Detmt_sim.Pqueue
 
 (* statistics *)
 module Summary = Detmt_stats.Summary
-module Histogram = Detmt_stats.Histogram
 module Table = Detmt_stats.Table
 module Series = Detmt_stats.Series
 

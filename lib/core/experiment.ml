@@ -487,7 +487,7 @@ let fig1 () =
     let series = List.filter (fun s -> Series.points s <> []) series in
     ( rows,
       (if series = [] then ""
-       else Format.asprintf "%a@." (fun ppf -> Series.chart ppf) series)
+       else Format.asprintf "%a@." Series.chart series)
       ^ "Expected shape: SEQ worst and degrading linearly; LSA best; MAT \
          ahead of SAT/PDS.\n\
          E19: cgs scales near-linearly with the pool on the 4096-mutex \
@@ -902,8 +902,7 @@ let shard () =
    up-front cost, so the sweep runs long enough (16 requests per client)
    to amortise them; the hotspot drifts twice over those 16 requests. *)
 let elastic_bench_policy =
-  { Reconfig.default_policy with
-    Reconfig.interval_ms = 0.5; split_above = 4; merge_below = -1;
+  { Reconfig.interval_ms = 0.5; split_above = 4; merge_below = -1;
     max_live = 16 }
 
 let elastic_bench_workload =

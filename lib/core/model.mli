@@ -41,10 +41,6 @@ val of_figure1 :
 (** Expected-value workload summary of the paper's benchmark, including the
     scheduler-call overheads from the runtime configuration. *)
 
-val serialised_demand_ms : workload -> scheduler:string -> float
-(** The per-request demand on the scheduler's bottleneck resource.
-    @raise Invalid_argument for schedulers the model does not cover. *)
-
 val predict_response_ms : workload -> scheduler:string -> float
 (** [max(solo, clients * serialised demand)]. *)
 

@@ -436,7 +436,7 @@ let candidates ?(skews = default_skews) ~pruned obs (s : Schedule.t) =
   List.stable_sort (fun (a, _) (b, _) -> compare b a) !cands
 
 let explore ?(skews = default_skews) ?(max_depth = 2) ?(max_width = 32)
-    ?(stop_on_divergence = true) ?progress ~budget (base : Schedule.t) =
+    ~budget (base : Schedule.t) =
   let cls, gen = resolve_workload base.Schedule.workload in
   let root = Schedule.with_entries base [] in
   let canonical, root_obs = run_one ~observe:true ~cls ~gen root in
@@ -474,15 +474,12 @@ let explore ?(skews = default_skews) ?(max_depth = 2) ?(max_width = 32)
       (match classify ~canonical outcome with
       | Divergent reason ->
         divergent := (sched, reason) :: !divergent;
-        if stop_on_divergence then stop := true
+        stop := true
       | Order_shifted ->
         incr shifted;
         if depth < max_depth then stack := push !stack sched obs
       | Equivalent ->
-        if depth < max_depth then stack := push !stack sched obs);
-      Option.iter
-        (fun f -> f ~explored:!explored ~divergent:(List.length !divergent))
-        progress
+        if depth < max_depth then stack := push !stack sched obs)
   done;
   { stats =
       { explored = !explored; pruned = !pruned; order_shifted = !shifted;

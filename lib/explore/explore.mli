@@ -25,8 +25,6 @@
     candidate generation enumerates crash/recovery points {e inside} the
     reconfiguration window. *)
 
-val workload_names : string list
-
 val resolve_workload :
   string ->
   Detmt_lang.Class_def.t
@@ -115,16 +113,14 @@ val explore :
   ?skews:float list ->
   ?max_depth:int ->
   ?max_width:int ->
-  ?stop_on_divergence:bool ->
-  ?progress:(explored:int -> divergent:int -> unit) ->
   budget:int ->
   Schedule.t ->
   result
 (** Bounded-DFS over the envelope rooted at [base] with its entries cleared;
     at most [budget] runs, schedules of at most [max_depth] entries
     (default 2), at most [max_width] children pushed per node (default 32,
-    best-ranked first).  Stops at the first divergence unless
-    [stop_on_divergence:false]. *)
+    best-ranked first).  Stops at the first divergence, so [divergent] holds
+    at most one schedule. *)
 
 val shrink : ?replicas:int -> Schedule.t -> Schedule.t * int * bool
 (** [shrink s] delta-debugs [s]'s entries to a 1-minimal list that still

@@ -95,6 +95,11 @@ let of_string s =
   and batching = ref None
   and elastic = ref false
   and entries = ref [] in
+  (* Run sizes must be at least 1: a witness with [requests -1] would replay
+     no request at all and pass as equivalent. *)
+  let count s =
+    match int_of_string_opt s with Some v when v >= 1 -> v | _ -> failwith s
+  in
   let parse_line n line =
     let line = String.trim line in
     if line = "" || line.[0] = '#' then ()
@@ -109,9 +114,9 @@ let of_string s =
           | "scheduler" -> scheduler := Some rest
           | "workload" -> workload := Some rest
           | "seed" -> seed := int_of_string rest
-          | "clients" -> clients := int_of_string rest
-          | "requests" -> requests := int_of_string rest
-          | "workers" -> workers := int_of_string rest
+          | "clients" -> clients := count rest
+          | "requests" -> requests := count rest
+          | "workers" -> workers := count rest
           | "elastic" -> elastic := bool_of_string rest
           | "batching" ->
             Scanf.sscanf rest "max_batch=%d delay_ms=%f" (fun m d ->

@@ -69,7 +69,8 @@ val to_string : t -> string
 
 val of_string : string -> t
 (** Inverse of {!to_string}; blank lines and [#] comments are ignored.
-    @raise Failure on a malformed line or a missing header field. *)
+    @raise Failure on a malformed line (including a [clients], [requests]
+    or [workers] value below 1) or a missing header field. *)
 
 val save : t -> string -> unit
 

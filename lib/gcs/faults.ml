@@ -117,8 +117,3 @@ let losses t = t.losses
 let duplicates_injected t = t.duplicates
 
 let partition_holds t = t.partition_holds
-
-let pp_stats ppf t =
-  Format.fprintf ppf
-    "%d transmissions, %d retransmits, %d duplicates, %d partition holds"
-    t.transmissions t.losses t.duplicates t.partition_holds

@@ -67,5 +67,3 @@ val duplicates_injected : t -> int
 
 val partition_holds : t -> int
 (** Transmissions delayed behind a partition heal. *)
-
-val pp_stats : Format.formatter -> t -> unit

@@ -76,8 +76,6 @@ let leader t = t.view.leader
 
 let on_view_change t f = t.callbacks <- f :: t.callbacks
 
-let epoch t = t.epoch
-
 (* An epoch bump is not itself a membership change: the new tag shows up on
    the next installed view.  The replication layer anchors the transition on
    a total-order barrier, so every replica tags at the same logical slot. *)
@@ -91,9 +89,6 @@ let kill t id =
     t.dead <- id :: t.dead;
     Engine.post t.engine ~delay:t.detection_timeout_ms t.detect_h id
   end
-
-let kill_at t id ~time =
-  Engine.schedule_at t.engine ~time (fun () -> kill t id)
 
 let join t id =
   t.dead <- List.filter (fun d -> d <> id) t.dead;

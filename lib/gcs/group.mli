@@ -36,9 +36,6 @@ val create :
     elastic reconfiguration starts at the epoch that created it.
     @raise Invalid_argument on an empty member list. *)
 
-val epoch : t -> int
-(** The epoch subsequent views will be tagged with. *)
-
 val set_epoch : t -> int -> unit
 (** Advance the epoch tag (monotone).  Installed by the replication layer at
     a total-order barrier; the current view is left untouched — the tag shows
@@ -59,9 +56,6 @@ val on_view_change : t -> (view -> unit) -> unit
 val kill : t -> int -> unit
 (** Mark a member failed now; the view change fires after the detection
     timeout.  Killing a dead member is a no-op. *)
-
-val kill_at : t -> int -> time:float -> unit
-(** Schedule a failure at an absolute virtual time. *)
 
 val join : t -> int -> unit
 (** A recovered member rejoins now: it is removed from the dead set and a

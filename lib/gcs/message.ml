@@ -1,5 +1,1 @@
 type 'a t = { seq : int; sender : int; sent_at : float; payload : 'a }
-
-let pp pp_payload ppf m =
-  Format.fprintf ppf "#%d from %d at %.2f: %a" m.seq m.sender m.sent_at
-    pp_payload m.payload

@@ -6,6 +6,3 @@ type 'a t = {
   sent_at : float;  (** virtual send time *)
   payload : 'a;
 }
-
-val pp :
-  (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a t -> unit

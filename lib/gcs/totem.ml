@@ -376,9 +376,6 @@ let set_alive t id alive =
   | Some s -> s.alive <- alive
   | None -> invalid_arg (Printf.sprintf "Totem.set_alive: unknown id %d" id)
 
-let is_alive t id =
-  match find t id with Some s -> s.alive | None -> false
-
 let broadcasts t = t.broadcasts
 
 let deliveries t = t.deliveries

@@ -89,8 +89,6 @@ val advance_watermark : 'a t -> id:int -> seq:int -> unit
 val set_alive : 'a t -> int -> bool -> unit
 (** Failure injection: a dead subscriber receives nothing until revived. *)
 
-val is_alive : 'a t -> int -> bool
-
 val broadcasts : 'a t -> int
 (** Number of [broadcast] calls so far. *)
 

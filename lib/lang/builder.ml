@@ -22,25 +22,15 @@ let field f = Sp_field f
 
 let global g = Sp_global g
 
-let call_result m = Sp_call m
-
 (* Mutex expressions. *)
 let mconst i = Mconst i
 
 let marg i = Marg i
 
-let mlocal v = Mlocal v
-
 let mfield f = Mfield f
-
-let mglobal g = Mglobal g
-
-let mcall m = Mcall m
 
 (* Statements. *)
 let compute ms = Compute (Fixed ms)
-
-let compute_arg i = Compute (Arg_dur i)
 
 let assign v e = Assign (v, e)
 
@@ -64,8 +54,6 @@ let notify_all p = Notify { param = p; all = true }
 
 let nested ~service ms = Nested { service; duration = Fixed ms }
 
-let nested_arg ~service i = Nested { service; duration = Arg_dur i }
-
 let state_incr f k = State_update (f, k)
 
 let if_ c a b = If (c, a, b)
@@ -76,24 +64,14 @@ let for_ n body = Loop { kind = For; count = Cfixed n; body }
 
 let for_arg i body = Loop { kind = For; count = Carg i; body }
 
-let while_ n body = Loop { kind = While; count = Cfixed n; body }
-
-let do_while n body = Loop { kind = Do_while; count = Cfixed n; body }
-
 let call m = Call m
 
 let virtual_call ~selector candidates = Virtual_call { candidates; selector }
 
 (* Conditions. *)
-let ctrue = Cconst true
-
-let cfalse = Cconst false
-
 let arg_bool i = Carg_bool i
 
 let field_eq_arg f i = Cfield_eq_arg (f, i)
-
-let cnot c = Cnot c
 
 (* Method and class definitions. *)
 let meth ?(final = true) ?(exported = true) ?(params = 0) name body =

@@ -28,30 +28,18 @@ val field : string -> sync_param
 
 val global : string -> sync_param
 
-val call_result : string -> sync_param
-(** The return value of a method call — spontaneous. *)
-
 (** {1 Mutex expressions} *)
 
 val mconst : int -> mexpr
 
 val marg : int -> mexpr
 
-val mlocal : string -> mexpr
-
 val mfield : string -> mexpr
-
-val mglobal : string -> mexpr
-
-val mcall : string -> mexpr
 
 (** {1 Statements} *)
 
 val compute : float -> stmt
 (** A local computation of the given virtual milliseconds. *)
-
-val compute_arg : int -> stmt
-(** Duration carried in a request argument. *)
 
 val assign : string -> mexpr -> stmt
 
@@ -78,8 +66,6 @@ val notify_all : sync_param -> stmt
 val nested : service:int -> float -> stmt
 (** A nested remote invocation of the given duration. *)
 
-val nested_arg : service:int -> int -> stmt
-
 val state_incr : string -> int -> stmt
 (** Shared-state update; must run under a lock (section 2). *)
 
@@ -92,10 +78,6 @@ val for_ : int -> block -> stmt
 val for_arg : int -> block -> stmt
 (** Iteration count carried in a request argument. *)
 
-val while_ : int -> block -> stmt
-
-val do_while : int -> block -> stmt
-
 val call : string -> stmt
 
 val virtual_call : selector:int -> string list -> stmt
@@ -104,15 +86,9 @@ val virtual_call : selector:int -> string list -> stmt
 
 (** {1 Conditions} *)
 
-val ctrue : cond
-
-val cfalse : cond
-
 val arg_bool : int -> cond
 
 val field_eq_arg : string -> int -> cond
-
-val cnot : cond -> cond
 
 (** {1 Methods and classes} *)
 

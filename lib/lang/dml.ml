@@ -500,9 +500,6 @@ let parse src =
   | cls -> Ok cls
   | exception Error msg -> Result.error msg
 
-let parse_exn src =
-  match parse src with Ok c -> c | Error msg -> invalid_arg msg
-
 (* ------------------------------ printer ----------------------------- *)
 
 let print_param b = function

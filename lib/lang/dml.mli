@@ -34,8 +34,5 @@
 val parse : string -> (Class_def.t, string) result
 (** Parse a class.  The error message carries the line number. *)
 
-val parse_exn : string -> Class_def.t
-(** @raise Invalid_argument with the parse error. *)
-
 val print : Class_def.t -> string
 (** Canonical DML text (a full round-trip inverse of {!parse}). *)

@@ -115,5 +115,3 @@ let class_def ppf (c : Class_def.t) =
   Format.fprintf ppf "@]@,}"
 
 let block_to_string body = Format.asprintf "%a" block body
-
-let method_to_string m = Format.asprintf "%a" method_def m

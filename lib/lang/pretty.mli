@@ -6,18 +6,8 @@
 
 val sync_param : Format.formatter -> Ast.sync_param -> unit
 
-val mexpr : Format.formatter -> Ast.mexpr -> unit
-
-val cond : Format.formatter -> Ast.cond -> unit
-
-val stmt : Format.formatter -> Ast.stmt -> unit
-
-val block : Format.formatter -> Ast.block -> unit
-
 val method_def : Format.formatter -> Class_def.method_def -> unit
 
 val class_def : Format.formatter -> Class_def.t -> unit
 
 val block_to_string : Ast.block -> string
-
-val method_to_string : Class_def.method_def -> string

@@ -4,6 +4,4 @@
     the request span, audit entries become instant events and recorder time
     series become counter tracks.  Output is deterministically sorted. *)
 
-val export : Recorder.t -> Json.t
-
 val to_string : Recorder.t -> string

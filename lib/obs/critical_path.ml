@@ -152,26 +152,3 @@ let table ?(title = "critical path: dominant latency component") r =
         List.iter (row (Printf.sprintf "epoch %d" epoch)) slices)
       epochs);
   t
-
-let slice_json (c, s) =
-  ( c,
-    Json.Obj
-      [ ("requests", Json.Int s.s_count); ("dominant_ms", Json.Float s.s_ms) ]
-  )
-
-let to_json r =
-  Json.Obj
-    [ ("requests", Json.Int (List.length r.items));
-      ("by_component", Json.Obj (List.map slice_json r.by_component));
-      ( "by_shard",
-        Json.Obj
-          (List.map
-             (fun (shard, slices) ->
-               (string_of_int shard, Json.Obj (List.map slice_json slices)))
-             r.by_shard) );
-      ( "by_epoch",
-        Json.Obj
-          (List.map
-             (fun (epoch, slices) ->
-               (string_of_int epoch, Json.Obj (List.map slice_json slices)))
-             r.by_epoch) ) ]

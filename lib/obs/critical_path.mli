@@ -38,5 +38,3 @@ val analyse : ?replicas:int -> Recorder.t -> report
     replica ids (default 3, the repo-wide default). *)
 
 val table : ?title:string -> report -> Detmt_stats.Table.t
-
-val to_json : report -> Json.t

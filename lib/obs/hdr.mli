@@ -28,8 +28,6 @@ val max : t -> float
 val quantile : t -> float -> float
 (** Bucket-approximate; [nan] when empty, raises on q outside [0;1]. *)
 
-val median : t -> float
-
 val cumulative : t -> (float * int) list
 (** [(upper_bound, samples <= upper_bound)] per occupied bucket, ascending —
     the OpenMetrics [_bucket{le=...}] series minus the final [+Inf] entry. *)

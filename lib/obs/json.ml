@@ -4,8 +4,8 @@
    snapshots; depending on an external JSON library would drag a dependency
    into every layer that links the recorder, so the few hundred lines are
    kept here.  The printer emits deterministic output (object fields in the
-   order given); the parser accepts standard JSON and exists so tests and
-   the CI smoke run can validate that exported files round-trip. *)
+   order given).  The tests read exported files back with their own
+   parser (test/readers.ml). *)
 
 type t =
   | Null
@@ -73,187 +73,8 @@ let to_string v =
   emit buf v;
   Buffer.contents buf
 
-let pp ppf v = Format.pp_print_string ppf (to_string v)
-
-(* ------------------------------ parsing ---------------------------- *)
-
-exception Parse_error of string
-
-type cursor = { src : string; mutable pos : int }
-
-let peek c = if c.pos < String.length c.src then Some c.src.[c.pos] else None
-
-let advance c = c.pos <- c.pos + 1
-
-let fail c msg =
-  raise (Parse_error (Printf.sprintf "%s at offset %d" msg c.pos))
-
-let rec skip_ws c =
-  match peek c with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-    advance c;
-    skip_ws c
-  | _ -> ()
-
-let expect c ch =
-  match peek c with
-  | Some x when x = ch -> advance c
-  | _ -> fail c (Printf.sprintf "expected %C" ch)
-
-let literal c word value =
-  let n = String.length word in
-  if
-    c.pos + n <= String.length c.src
-    && String.sub c.src c.pos n = word
-  then begin
-    c.pos <- c.pos + n;
-    value
-  end
-  else fail c (Printf.sprintf "expected %s" word)
-
-let parse_string_body c =
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek c with
-    | None -> fail c "unterminated string"
-    | Some '"' ->
-      advance c;
-      Buffer.contents buf
-    | Some '\\' -> (
-      advance c;
-      match peek c with
-      | Some '"' -> advance c; Buffer.add_char buf '"'; go ()
-      | Some '\\' -> advance c; Buffer.add_char buf '\\'; go ()
-      | Some '/' -> advance c; Buffer.add_char buf '/'; go ()
-      | Some 'n' -> advance c; Buffer.add_char buf '\n'; go ()
-      | Some 'r' -> advance c; Buffer.add_char buf '\r'; go ()
-      | Some 't' -> advance c; Buffer.add_char buf '\t'; go ()
-      | Some 'b' -> advance c; Buffer.add_char buf '\b'; go ()
-      | Some 'f' -> advance c; Buffer.add_char buf '\012'; go ()
-      | Some 'u' ->
-        advance c;
-        if c.pos + 4 > String.length c.src then fail c "short \\u escape";
-        let hex = String.sub c.src c.pos 4 in
-        c.pos <- c.pos + 4;
-        let code =
-          try int_of_string ("0x" ^ hex)
-          with _ -> fail c "bad \\u escape"
-        in
-        (* Encode as UTF-8; surrogate pairs are not reassembled (the
-           exporter never emits them). *)
-        if code < 0x80 then Buffer.add_char buf (Char.chr code)
-        else if code < 0x800 then begin
-          Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-          Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-        end
-        else begin
-          Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-          Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-          Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-        end;
-        go ()
-      | _ -> fail c "bad escape")
-    | Some ch ->
-      advance c;
-      Buffer.add_char buf ch;
-      go ()
-  in
-  go ()
-
-let parse_number c =
-  let start = c.pos in
-  let is_num_char = function
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
-  in
-  while (match peek c with Some ch -> is_num_char ch | None -> false) do
-    advance c
-  done;
-  let s = String.sub c.src start (c.pos - start) in
-  match int_of_string_opt s with
-  | Some i -> Int i
-  | None -> (
-    match float_of_string_opt s with
-    | Some f -> Float f
-    | None -> fail c (Printf.sprintf "bad number %S" s))
-
-let rec parse_value c =
-  skip_ws c;
-  match peek c with
-  | None -> fail c "unexpected end of input"
-  | Some 'n' -> literal c "null" Null
-  | Some 't' -> literal c "true" (Bool true)
-  | Some 'f' -> literal c "false" (Bool false)
-  | Some '"' ->
-    advance c;
-    String (parse_string_body c)
-  | Some '[' ->
-    advance c;
-    skip_ws c;
-    if peek c = Some ']' then begin
-      advance c;
-      List []
-    end
-    else
-      let rec items acc =
-        let v = parse_value c in
-        skip_ws c;
-        match peek c with
-        | Some ',' ->
-          advance c;
-          items (v :: acc)
-        | Some ']' ->
-          advance c;
-          List (List.rev (v :: acc))
-        | _ -> fail c "expected ',' or ']'"
-      in
-      items []
-  | Some '{' ->
-    advance c;
-    skip_ws c;
-    if peek c = Some '}' then begin
-      advance c;
-      Obj []
-    end
-    else
-      let field () =
-        skip_ws c;
-        expect c '"';
-        let k = parse_string_body c in
-        skip_ws c;
-        expect c ':';
-        let v = parse_value c in
-        (k, v)
-      in
-      let rec fields acc =
-        let kv = field () in
-        skip_ws c;
-        match peek c with
-        | Some ',' ->
-          advance c;
-          fields (kv :: acc)
-        | Some '}' ->
-          advance c;
-          Obj (List.rev (kv :: acc))
-        | _ -> fail c "expected ',' or '}'"
-      in
-      fields []
-  | Some ('-' | '0' .. '9') -> parse_number c
-  | Some ch -> fail c (Printf.sprintf "unexpected %C" ch)
-
-let parse s =
-  let c = { src = s; pos = 0 } in
-  match parse_value c with
-  | v ->
-    skip_ws c;
-    if c.pos <> String.length s then Error "trailing garbage"
-    else Ok v
-  | exception Parse_error msg -> Error msg
-
 (* ------------------------------ access ----------------------------- *)
 
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
-
-let to_list = function List items -> Some items | _ -> None

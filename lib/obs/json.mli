@@ -1,8 +1,6 @@
-(** Minimal JSON values: deterministic printer plus a validating parser.
-
-    Used by the Chrome-trace and benchmark exporters; the parser exists so
-    tests and CI can check that exported files are well-formed without an
-    external dependency. *)
+(** Minimal JSON values and a deterministic printer, used by the
+    Chrome-trace and benchmark exporters without an external
+    dependency. *)
 
 type t =
   | Null
@@ -16,11 +14,5 @@ type t =
 val to_string : t -> string
 (** Compact rendering; object fields keep the order given. *)
 
-val pp : Format.formatter -> t -> unit
-
-val parse : string -> (t, string) result
-
 val member : string -> t -> t option
 (** [member key v] is the field [key] when [v] is an object. *)
-
-val to_list : t -> t list option

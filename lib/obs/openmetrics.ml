@@ -6,11 +6,7 @@
    last value plus a companion "<name>_peak" family, and histograms emit
    the cumulative "_bucket{le=...}" series from the Hdr's occupied buckets
    plus "_sum"/"_count".  The exposition ends with "# EOF" as the spec
-   requires.
-
-   [parse] reads an exposition back into a [Json] document (family ->
-   {type, samples}), which is what the golden-file round-trip test checks
-   against: export -> parse -> Json print -> Json parse must be lossless. *)
+   requires. *)
 
 let sanitize name =
   let buf = Buffer.create (String.length name + 8) in
@@ -66,114 +62,3 @@ let export m =
     (Metrics.names m);
   Buffer.add_string buf "# EOF\n";
   Buffer.contents buf
-
-(* ------------------------------- parser ------------------------------ *)
-
-exception Bad of string
-
-let parse_labels s =
-  (* s is the text between '{' and '}': key="value",... *)
-  let n = String.length s in
-  let rec pairs i acc =
-    if i >= n then List.rev acc
-    else begin
-      let eq =
-        match String.index_from_opt s i '=' with
-        | Some e -> e
-        | None -> raise (Bad ("malformed label set: " ^ s))
-      in
-      let key = String.sub s i (eq - i) in
-      if eq + 1 >= n || s.[eq + 1] <> '"' then
-        raise (Bad ("unquoted label value: " ^ s));
-      let buf = Buffer.create 16 in
-      let rec scan j =
-        if j >= n then raise (Bad ("unterminated label value: " ^ s))
-        else
-          match s.[j] with
-          | '"' -> j + 1
-          | '\\' when j + 1 < n ->
-            Buffer.add_char buf s.[j + 1];
-            scan (j + 2)
-          | c ->
-            Buffer.add_char buf c;
-            scan (j + 1)
-      in
-      let after = scan (eq + 2) in
-      let acc = (key, Buffer.contents buf) :: acc in
-      if after < n && s.[after] = ',' then pairs (after + 1) acc
-      else if after = n then List.rev acc
-      else raise (Bad ("malformed label separator: " ^ s))
-    end
-  in
-  pairs 0 []
-
-let parse text =
-  let lines = String.split_on_char '\n' text in
-  let families = ref [] in (* (name, type, samples rev) newest first *)
-  let saw_eof = ref false in
-  let add_sample name labels value =
-    match !families with
-    | (fname, ty, samples) :: rest
-      when String.length name >= String.length fname
-           && String.sub name 0 (String.length fname) = fname ->
-      let s =
-        Json.Obj
-          [ ("name", Json.String name);
-          ( "labels",
-            Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) labels) );
-            ("value", Json.Float value) ]
-      in
-      families := (fname, ty, s :: samples) :: rest
-    | _ -> raise (Bad ("sample outside its family: " ^ name))
-  in
-  (try
-     List.iter
-       (fun line ->
-         if !saw_eof && line <> "" then raise (Bad "content after # EOF")
-         else if line = "" then ()
-         else if line = "# EOF" then saw_eof := true
-         else if String.length line > 7 && String.sub line 0 7 = "# TYPE " then begin
-           match String.split_on_char ' ' line with
-           | [ _hash; _type; name; ty ] ->
-             families := (name, ty, []) :: !families
-           | _ -> raise (Bad ("malformed TYPE line: " ^ line))
-         end
-         else if line.[0] = '#' then ()
-         else begin
-           match String.rindex_opt line ' ' with
-           | None -> raise (Bad ("malformed sample line: " ^ line))
-           | Some sp ->
-             let name_part = String.sub line 0 sp in
-             let value_part =
-               String.sub line (sp + 1) (String.length line - sp - 1)
-             in
-             let value =
-               match float_of_string_opt value_part with
-               | Some v -> v
-               | None -> raise (Bad ("bad sample value: " ^ value_part))
-             in
-             let name, labels =
-               match String.index_opt name_part '{' with
-               | None -> (name_part, [])
-               | Some b ->
-                 if name_part.[String.length name_part - 1] <> '}' then
-                   raise (Bad ("malformed labels: " ^ name_part));
-                 ( String.sub name_part 0 b,
-                   parse_labels
-                     (String.sub name_part (b + 1)
-                        (String.length name_part - b - 2)) )
-             in
-             add_sample name labels value
-         end)
-       lines;
-     if not !saw_eof then raise (Bad "missing # EOF terminator");
-     Ok
-       (Json.Obj
-          (List.rev_map
-             (fun (name, ty, samples) ->
-               ( name,
-                 Json.Obj
-                   [ ("type", Json.String ty);
-                     ("samples", Json.List (List.rev samples)) ] ))
-             !families))
-   with Bad msg -> Error msg)

@@ -8,7 +8,3 @@
 
 val export : Metrics.t -> string
 
-val parse : string -> (Json.t, string) result
-(** Parse an exposition back into a Json document mapping each family name
-    to [{"type": ..., "samples": [{"name"; "labels"; "value"}]}] — the
-    parse-back half of the golden-file round-trip test. *)

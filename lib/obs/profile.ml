@@ -129,10 +129,6 @@ let decision_cell t name =
     Hashtbl.add t.decisions name c;
     c
 
-let decision_begin t name = cell_begin (decision_cell t name)
-
-let decision_end t name = cell_end (decision_cell t name)
-
 (* A resolved decision cell: callers on the per-callback hot path hoist the
    string-keyed lookup to wrapper-construction time. *)
 type handle = cell
@@ -154,8 +150,6 @@ let attach_engine t engine =
          pop_end = (fun () -> cell_end pop);
          fire_begin = (fun () -> cell_begin fire);
          fire_end = (fun () -> cell_end fire) })
-
-let detach_engine engine = Detmt_sim.Engine.set_probe engine None
 
 (* -------------------------------- reports ---------------------------- *)
 

@@ -22,8 +22,6 @@ type phase =
   | Grant (** a scheduler decision performed against the replica *)
   | Flush (** Totem batch transmission *)
 
-val phase_name : phase -> string
-
 val create : unit -> t
 
 val reset : t -> unit
@@ -32,11 +30,6 @@ val reset : t -> unit
 val phase_begin : t -> phase -> unit
 
 val phase_end : t -> phase -> unit
-
-val decision_begin : t -> string -> unit
-(** Count + time a scheduler callback, keyed by decision-module name. *)
-
-val decision_end : t -> string -> unit
 
 type handle
 (** A pre-resolved decision cell; hot-path wrappers look the name up once
@@ -50,8 +43,6 @@ val handle_end : handle -> unit
 
 val attach_engine : t -> Detmt_sim.Engine.t -> unit
 (** Install engine probes timing [Pop] and [Dispatch]. *)
-
-val detach_engine : Detmt_sim.Engine.t -> unit
 
 (** {1 Reports} *)
 

@@ -95,8 +95,6 @@ let timeseries t = t.timeseries
 
 let profiler t = t.profile
 
-let profiling t = Option.is_some t.profile
-
 (* The virtual-clock source used to window metrics; installed by the
    replication layer at system construction.  Purely observational — the
    recorder only ever *reads* the clock. *)

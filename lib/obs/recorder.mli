@@ -27,8 +27,6 @@ val enabled : t -> bool
 
 val profiler : t -> Profile.t option
 
-val profiling : t -> bool
-
 (** {1 Metrics} *)
 
 val metrics : t -> Metrics.t

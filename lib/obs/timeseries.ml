@@ -59,10 +59,6 @@ let create ?(width_ms = 10.0) ?(retain = 256) () =
   { width = width_ms; retain; tracks = Hashtbl.create 32; cur = -1;
     on_roll = None; rolling = false }
 
-let width_ms t = t.width
-
-let retain t = t.retain
-
 let set_on_roll t f = t.on_roll <- f
 
 let index_of t at = int_of_float (Float.floor (at /. t.width))
@@ -165,32 +161,5 @@ let peak t name =
         Stdlib.max acc v)
       neg_infinity tr.wins
 
-let track_count t = Hashtbl.length t.tracks
-
 let point_count t =
   Hashtbl.fold (fun _ tr acc -> acc + tr.len) t.tracks 0
-
-let to_json t =
-  let track name =
-    match Hashtbl.find_opt t.tracks name with
-    | None -> Json.Null
-    | Some tr ->
-      Json.Obj
-        [ ("kind", Json.String (match tr.t_kind with
-            | Rate -> "rate"
-            | Sample -> "sample"));
-          ( "windows",
-            Json.List
-              (List.map
-                 (fun w ->
-                   Json.Obj
-                     [ ("start_ms", Json.Float w.w_start);
-                       ("n", Json.Int w.w_n); ("sum", Json.Float w.w_sum);
-                       ("min", Json.Float w.w_min);
-                       ("max", Json.Float w.w_max);
-                       ("last", Json.Float w.w_last) ])
-                 (windows t name)) ) ]
-  in
-  Json.Obj
-    ([ ("width_ms", Json.Float t.width); ("retain", Json.Int t.retain) ]
-    @ List.map (fun name -> (name, track name)) (names t))

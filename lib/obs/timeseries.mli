@@ -25,10 +25,6 @@ type window = {
 val create : ?width_ms:float -> ?retain:int -> unit -> t
 (** Defaults: 10 ms windows, 256 retained per track. *)
 
-val width_ms : t -> float
-
-val retain : t -> int
-
 val bump : t -> name:string -> at:float -> by:float -> unit
 (** Fold a counter increment into the window containing [at]. *)
 
@@ -54,9 +50,5 @@ val peak : t -> string -> float
 (** Max headline window value of a track ([Rate]: max per-window sum;
     [Sample]: max sample); [nan] for unknown tracks. *)
 
-val track_count : t -> int
-
 val point_count : t -> int
 (** Total retained windows across all tracks (the memory footprint). *)
-
-val to_json : t -> Json.t

@@ -28,8 +28,6 @@ type params = {
   client_latency_ms : float;
   detection_timeout_ms : float;
   faults : Faults.spec option;
-  recovery_poll_ms : float;
-  shard : int; (* which shard this group serialises; 0 when unsharded *)
   replica_base : int; (* replica ids are [base, base + replicas) *)
   batching : Totem.batching option;
 }
@@ -37,8 +35,8 @@ type params = {
 let default_params =
   { replicas = 3; scheduler = "mat"; workers = 1; config = Config.default;
     net_latency_ms = 0.5; client_latency_ms = 0.5;
-    detection_timeout_ms = 50.0; faults = None; recovery_poll_ms = 1.0;
-    shard = 0; replica_base = 0; batching = None }
+    detection_timeout_ms = 50.0; faults = None; replica_base = 0;
+    batching = None }
 
 type checkpoint_sink =
   replica:int -> seq:int -> hash:int64 -> state:(string * int) list -> unit
@@ -257,8 +255,7 @@ let make_replica t ~engine ~cls ~id =
   let make_sched actions =
     Detmt_sched.Registry.instantiate
       (Detmt_sched.Sched_config.make ~runtime:t.params.config
-         ?summary:t.summary ~obs:t.obs ~shard:t.params.shard
-         ~workers:t.params.workers t.scheduler.name)
+         ?summary:t.summary ~workers:t.params.workers t.scheduler.name)
       actions
   in
   let r =
@@ -456,6 +453,9 @@ let kill_replica t id =
    any post-join bus delivery can arrive, so the recovered replica observes
    exactly the donor's total order. *)
 
+(* How often a recovery waiting for donor quiescence re-checks. *)
+let recovery_poll_ms = 1.0
+
 let recover_replica t ?at id =
   if not (List.exists (fun r -> Replica.id r = id) t.members) then
     invalid_arg (Printf.sprintf "Active.recover_replica: unknown replica %d" id);
@@ -529,7 +529,7 @@ let recover_replica t ?at id =
         if Replica.active_threads donor > 0 then
           (* Wait for donor quiescence — the only moment the snapshot is a
              pure function of the delivered prefix. *)
-          Engine.schedule t.engine ~delay:t.params.recovery_poll_ms attempt
+          Engine.schedule t.engine ~delay:recovery_poll_ms attempt
         else perform donor
   in
   Engine.schedule_at t.engine ~time:begin_at attempt
@@ -678,8 +678,6 @@ let message_stats t = Totem.kind_counts t.bus
 let broadcasts t = Totem.broadcasts t.bus
 
 let wire_batches t = Totem.wire_batches t.bus
-
-let shard t = t.params.shard
 
 let params t = t.params
 

@@ -31,11 +31,6 @@ type params = {
   detection_timeout_ms : float;  (** failure-detection delay *)
   faults : Detmt_gcs.Faults.spec option;
       (** degrade the transport under the bus; [None] = perfect network *)
-  recovery_poll_ms : float;
-      (** how often a recovery waiting for donor quiescence re-checks *)
-  shard : int;
-      (** which shard this group serialises, [0] when unsharded — a metrics /
-          diagnostics namespace, never a behavioural input *)
   replica_base : int;
       (** first replica id of this group; ids are [base, base + replicas).
           {!Reconfig} gives each group a disjoint id window so flight-recorder
@@ -96,9 +91,10 @@ val kill_replica : t -> int -> unit
 
 val recover_replica : t -> ?at:float -> int -> unit
 (** Bring a killed replica back (at [at], default now).  The recovery waits
-    for a live donor to reach quiescence, transfers its snapshot (object
-    state, mutex fields, scheduler bookkeeping, duplicate-suppression table)
-    stamped with the donor's total-order watermark, rejoins the group (a
+    for a live donor to reach quiescence (re-checking every 1 ms of virtual
+    time), transfers its snapshot (object state, mutex fields, scheduler
+    bookkeeping, duplicate-suppression table) stamped with the donor's
+    total-order watermark, rejoins the group (a
     [Join] view; seniority ordering means the rejoiner never becomes
     leader), and replays the missed message suffix in sequence order.
     No-op if the replica is already live.
@@ -225,9 +221,6 @@ val broadcasts : t -> int
 
 val wire_batches : t -> int
 (** Batches the bus flushed onto the wire; [0] when batching is disabled. *)
-
-val shard : t -> int
-(** The shard id this group was created with. *)
 
 val params : t -> params
 

@@ -115,11 +115,6 @@ let create_on ~engine ~submit ~id ~rng ~gen ?(think_time_ms = 0.0)
   t.timeout_h <- Engine.register_handler engine (fun packed -> on_timeout t packed);
   t
 
-let create system ~id ~rng ~gen ?think_time_ms ?max_requests ?timeout_ms
-    ?max_retries () =
-  create_on ~engine:(Active.engine system) ~submit:(active_submit system) ~id
-    ~rng ~gen ?think_time_ms ?max_requests ?timeout_ms ?max_retries ()
-
 let completed t = t.completed
 
 let in_flight t = t.waiting

@@ -42,28 +42,8 @@ val create_on :
 (** [timeout_ms] arms the retry timer (off by default); [max_retries]
     (default 5) caps resubmissions per request. *)
 
-val create :
-  Active.t ->
-  id:int ->
-  rng:Detmt_sim.Rng.t ->
-  gen:request_gen ->
-  ?think_time_ms:float ->
-  ?max_requests:int ->
-  ?timeout_ms:float ->
-  ?max_retries:int ->
-  unit ->
-  t
-(** {!create_on} against one {!Active} group. *)
-
 val start : t -> unit
 (** Send the first request. *)
-
-val completed : t -> int
-
-val in_flight : t -> bool
-
-val retries : t -> int
-(** Requests resubmitted after a timeout. *)
 
 type run_stats = {
   run_completed : int;  (** requests answered, across all clients *)

@@ -221,27 +221,19 @@ type params = {
   slots : int;
   max_groups : int;
   base : Active.params;
-  drain_poll_ms : float;
   drain_timeout_ms : float;
 }
 
 let default_params =
   { initial_groups = 1; slots = 64; max_groups = 16;
-    base = Active.default_params; drain_poll_ms = 0.5;
-    drain_timeout_ms = 2000.0 }
+    base = Active.default_params; drain_timeout_ms = 2000.0 }
 
 type policy = {
   interval_ms : float;
   split_above : int;
   merge_below : int;
   max_live : int;
-  min_live : int;
-  hot_swap : bool;
 }
-
-let default_policy =
-  { interval_ms = 5.0; split_above = 24; merge_below = 2; max_live = 8;
-    min_live = 1; hot_swap = false }
 
 type group = {
   index : int; (* stable group id; never reused *)
@@ -306,7 +298,6 @@ type t = {
   mutable armed : bool;
   mutable tick_h : Engine.handler_id;
       (* typed autoscale timer; reads [policy] at fire time *)
-  adaptive_summary : Detmt_analysis.Predict.class_summary option Lazy.t;
   on_group : (index:int -> Active.t -> unit) option;
 }
 
@@ -347,7 +338,7 @@ let fresh_active t ~index ~scheduler =
   in
   let base =
     { t.params.base with
-      Active.shard = index; scheduler; workers;
+      Active.scheduler; workers;
       replica_base = inc * t.params.base.Active.replicas;
       faults = Option.map (salt_faults inc) t.params.base.Active.faults }
   in
@@ -378,10 +369,7 @@ let create ?(obs = Recorder.disabled) ?on_group ~engine ~cls
       pending = Hashtbl.create 256; answered = Hashtbl.create 256;
       response_times = Detmt_stats.Summary.create (); replies = 0;
       reply_times = []; fast_path = 0; cross_path = 0; held_total = 0;
-      policy = None; armed = false; tick_h = 0;
-      adaptive_summary =
-        lazy (Some (snd (Detmt_transform.Transform.predictive cls)));
-      on_group }
+      policy = None; armed = false; tick_h = 0; on_group }
   in
   t.groups <-
     Array.init params.initial_groups (fun index ->
@@ -431,6 +419,9 @@ let note_reply t ~response_ms =
   end
 
 (* ---------------------- submission & transitions --------------------- *)
+
+(* How often a draining barrier re-checks. *)
+let drain_poll_ms = 0.5
 
 let rec dispatch t ~sent_at ~client ~client_req ~meth ~args ~on_reply =
   let key = (client, client_req) in
@@ -560,7 +551,7 @@ and drain t ~deadline ~cmd ~barrier_seq =
     finish t
   end
   else
-    Engine.schedule t.engine ~delay:t.params.drain_poll_ms (fun () ->
+    Engine.schedule t.engine ~delay:drain_poll_ms (fun () ->
         drain t ~deadline ~cmd ~barrier_seq)
 
 and apply t ~cmd ~barrier_seq =
@@ -718,10 +709,10 @@ and request t cmd =
 
 (* A deterministic controller over the per-group queue depths the router
    already maintains (and exports as detmt.obs gauges): split the hottest
-   group above the high watermark, merge cold groups below the low one,
-   and consult the {!Detmt_sched.Adaptive} recommendation table to hot-swap
-   the hottest group's scheduler mid-run.  Ticks re-arm only while work is
-   in flight, so the controller never keeps the simulation alive. *)
+   group above the high watermark, merge cold groups below the low one.
+   The merge arm needs two cold groups, so it never merges the last one.
+   Ticks re-arm only while work is in flight, so the controller never
+   keeps the simulation alive. *)
 
 and decide t p =
   let live = t.live_groups in
@@ -743,8 +734,8 @@ and decide t p =
     then Some (Split hot.index)
     else begin
       let cold = List.filter (fun g -> g.inflight <= p.merge_below) live in
-      match (cold, t.live_n > p.min_live) with
-      | c0 :: _ :: _, true ->
+      match cold with
+      | c0 :: _ :: _ ->
         (* fold the highest-indexed cold group into the lowest-indexed one *)
         let from_g =
           List.fold_left (fun acc g -> max acc g.index) c0.index cold
@@ -752,23 +743,7 @@ and decide t p =
         if from_g <> c0.index then
           Some (Merge { from_g; into = c0.index })
         else None
-      | _ ->
-        if
-          p.hot_swap && hot.inflight > p.merge_below
-          && Lazy.force t.adaptive_summary <> None
-        then begin
-          (* Hot-swap targets stay serial: the group keeps its configured
-             pool width of 1, and no contention window has been measured. *)
-          let want =
-            Detmt_sched.Adaptive.recommend ~workers:1 ~conflict_rate:1.0
-              ~summary:(Lazy.force t.adaptive_summary)
-              ~avg_concurrency:(float_of_int hot.inflight)
-          in
-          if want <> Active.scheduler_name hot.sys then
-            Some (Hot_swap { group = hot.index; scheduler = want })
-          else None
-        end
-        else None
+      | _ -> None
     end
 
 and tick t p =
@@ -873,8 +848,6 @@ let run_clients t ~clients ~requests_per_client ~gen ?think_time_ms ?seed
        ?seed ?until_ms ())
 
 (* ----------------------------- accessors ----------------------------- *)
-
-let engine t = t.engine
 
 let epoch t = t.epoch
 

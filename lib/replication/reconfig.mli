@@ -78,13 +78,15 @@ type params = {
           [s mod initial_groups] *)
   max_groups : int;  (** hard cap on concurrently live groups *)
   base : Active.params;
-      (** per-group template: [shard] / [replica_base] / [faults] are
-          derived per incarnation (incarnation [i] gets replica ids from
-          [i * replicas] and a fault seed salted by [i]; incarnation 0 keeps
-          the base seed), [base.replica_base] must be 0 *)
-  drain_poll_ms : float;  (** how often a draining barrier re-checks *)
+      (** per-group template: [scheduler] / [workers] / [replica_base] /
+          [faults] are derived per incarnation (a hot swap names the
+          scheduler and the pool width follows it; incarnation [i] gets
+          replica ids from [i * replicas] and a fault seed salted by [i];
+          incarnation 0 keeps the base seed), [base.replica_base] must be
+          0 *)
   drain_timeout_ms : float;
-      (** virtual-time budget for a drain; exceeding it aborts the command *)
+      (** virtual-time budget for a drain (re-checked every 0.5 ms);
+          exceeding it aborts the command *)
 }
 
 val default_params : params
@@ -102,23 +104,18 @@ val route : shards:int -> int -> int
 
     A deterministic controller over the per-group queue depths the router
     maintains (exported as [reconfig.<g>.queue_depth] detmt.obs gauges):
-    split the hottest group above the high watermark, merge cold groups
-    below the low one, and — when [hot_swap] — consult
-    {!Detmt_sched.Adaptive.recommend} to rebuild the hottest group's
-    scheduler mid-run.  At most one command per tick; ticks re-arm only
-    while work is in flight, so the controller never keeps the simulation
-    alive. *)
+    split the hottest group above the high watermark and merge cold groups
+    below the low one; it never merges the last group and never issues a
+    [Hot_swap] (that stays an explicit {!request}).  At most one command per
+    tick; ticks re-arm only while work is in flight, so the controller
+    never keeps the simulation alive. *)
 
 type policy = {
   interval_ms : float;  (** tick period (virtual time) *)
   split_above : int;  (** split the hottest group at this queue depth *)
   merge_below : int;  (** groups at or below this depth are mergeable *)
   max_live : int;  (** controller's own live-group ceiling *)
-  min_live : int;  (** never merge below this many groups *)
-  hot_swap : bool;  (** allow mid-run scheduler swaps *)
 }
-
-val default_policy : policy
 
 val create :
   ?obs:Detmt_obs.Recorder.t ->
@@ -202,8 +199,6 @@ val run_clients :
   unit
 
 (** {2 Introspection} *)
-
-val engine : t -> Detmt_sim.Engine.t
 
 val epoch : t -> int
 (** Transitions applied so far. *)

@@ -35,8 +35,3 @@ let validate t =
   if t.pds_batch < 1 then invalid_arg "Config: pds_batch must be >= 1";
   if t.pds_dummy_timeout_ms <= 0.0 then
     invalid_arg "Config: pds_dummy_timeout_ms must be positive"
-
-let pp ppf t =
-  Format.fprintf ppf
-    "cores=%d lock=%.3fms bk=%.3fms reply=%.3fms pds_batch=%d" t.cores
-    t.lock_overhead_ms t.bookkeeping_overhead_ms t.reply_build_ms t.pds_batch

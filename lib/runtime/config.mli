@@ -26,5 +26,3 @@ val default : t
 
 val validate : t -> unit
 (** @raise Invalid_argument on nonsensical values. *)
-
-val pp : Format.formatter -> t -> unit

@@ -2,13 +2,13 @@ open Detmt_lang
 
 type outcome = Done | Yield of Op.t * (unit -> outcome)
 
-type oracle = string -> Request.t -> int
-
 exception Runtime_error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Runtime_error s)) fmt
 
-let default_oracle name (req : Request.t) =
+(* Resolution of spontaneous [Sp_call] parameters and [Mcall] mutex
+   expressions: hashes the call name into a small mutex-id range. *)
+let call_oracle name (req : Request.t) =
   (* Deterministic across replicas (depends only on the call name and the
      request), but opaque to static analysis.  Keyed by the request's
      (client, per-client sequence) identity, not its [uid]: the uid is the
@@ -24,7 +24,6 @@ type env = {
   ws : Workspace.t option;
       (* speculative execution: object-state reads and writes go through the
          thread's copy-on-write workspace instead of the committed state *)
-  oracle : oracle;
   req : Request.t;
   locals : (string, int) Hashtbl.t; (* locals hold mutex ids *)
 }
@@ -83,7 +82,7 @@ let eval_mexpr env = function
   | Ast.Mlocal v -> local env v
   | Ast.Mfield f -> obj_mutex_field env f
   | Ast.Mglobal g -> Object_state.global env.obj g
-  | Ast.Mcall name -> env.oracle name env.req
+  | Ast.Mcall name -> call_oracle name env.req
 
 let resolve_param env = function
   | Ast.Sp_this -> Object_state.self_mutex env.obj
@@ -91,7 +90,7 @@ let resolve_param env = function
   | Ast.Sp_local v -> local env v
   | Ast.Sp_field f -> obj_mutex_field env f
   | Ast.Sp_global g -> Object_state.global env.obj g
-  | Ast.Sp_call name -> env.oracle name env.req
+  | Ast.Sp_call name -> call_oracle name env.req
 
 let rec eval_cond env = function
   | Ast.Cconst b -> b
@@ -177,10 +176,10 @@ and exec_method env name k =
     let frame = { env with locals = Hashtbl.create 8 } in
     exec frame def.body k
 
-let start ~cls ~obj ?ws ?(oracle = default_oracle) ~req () =
+let start ~cls ~obj ?ws ~req () =
   if req.Request.dummy then Done
   else begin
-    let env = { cls; obj; ws; oracle; req; locals = Hashtbl.create 8 } in
+    let env = { cls; obj; ws; req; locals = Hashtbl.create 8 } in
     match Class_def.find_method cls req.meth with
     | None -> error "request for undefined method %S" req.meth
     | Some def ->

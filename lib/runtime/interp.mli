@@ -11,25 +11,12 @@
 
 type outcome = Done | Yield of Op.t * (unit -> outcome)
 
-type oracle = string -> Request.t -> int
-(** Resolution of spontaneous [Sp_call] parameters: must be a deterministic
-    function of the call name and the request. *)
-
-val default_oracle : oracle
-(** Hashes the call name and the request's [(client, client_req)] identity
-    into a small mutex-id range — deterministic across replicas but
-    unpredictable to the analysis, exactly like a real opaque call.  The
-    total-order [uid] is deliberately not an input: nested-invocation
-    messages consume slots, so a request's uid shifts with scheduler
-    timing. *)
-
 exception Runtime_error of string
 
 val start :
   cls:Detmt_lang.Class_def.t ->
   obj:Object_state.t ->
   ?ws:Workspace.t ->
-  ?oracle:oracle ->
   req:Request.t ->
   unit ->
   outcome
@@ -37,5 +24,11 @@ val start :
     Dummy requests complete immediately.  With [?ws], object-state reads and
     writes are routed through the copy-on-write workspace (speculative
     execution); [obj] is then only the page-in source behind it.
+    Opaque calls ([Sp_call], [Mcall]) resolve to a hash of the call name and
+    the request's [(client, client_req)] identity into a small mutex-id
+    range — deterministic across replicas but unpredictable to the
+    analysis, exactly like a real opaque call.  The total-order [uid] is
+    deliberately not an input: nested-invocation messages consume slots, so
+    a request's uid shifts with scheduler timing.
     @raise Runtime_error on ill-typed programs (bad argument index, raw
     [Sync], undefined method, ...). *)

@@ -3,26 +3,23 @@
    into a hash compared across replicas by the consistency checker. *)
 
 type t = {
-  self_mutex : int; (* the monitor of [this] *)
   mutex_fields : (string, int) Hashtbl.t;
   state_fields : (string, int) Hashtbl.t;
   globals : (string, int) Hashtbl.t;
 }
 
-let default_self_mutex = 1_000_000
-
-let create ?(self_mutex = default_self_mutex) (cls : Detmt_lang.Class_def.t) =
+let create (cls : Detmt_lang.Class_def.t) =
   let of_assoc l =
     let tbl = Hashtbl.create 16 in
     List.iter (fun (k, v) -> Hashtbl.replace tbl k v) l;
     tbl
   in
-  { self_mutex;
-    mutex_fields = of_assoc cls.mutex_fields;
+  { mutex_fields = of_assoc cls.mutex_fields;
     state_fields = of_assoc (List.map (fun f -> (f, 0)) cls.state_fields);
     globals = of_assoc cls.globals }
 
-let self_mutex t = t.self_mutex
+(* The monitor of [this]: one id, above every id the workloads allocate. *)
+let self_mutex _ = 1_000_000
 
 let get tbl what f =
   match Hashtbl.find_opt tbl f with
@@ -65,8 +62,3 @@ let fingerprint t =
 let state_snapshot t = sorted t.state_fields
 
 let mutex_field_snapshot t = sorted t.mutex_fields
-
-let pp ppf t =
-  List.iter
-    (fun (k, v) -> Format.fprintf ppf "%s=%d " k v)
-    (sorted t.state_fields)

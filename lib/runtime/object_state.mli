@@ -7,9 +7,7 @@
 
 type t
 
-val default_self_mutex : int
-
-val create : ?self_mutex:int -> Detmt_lang.Class_def.t -> t
+val create : Detmt_lang.Class_def.t -> t
 
 val self_mutex : t -> int
 (** The mutex id of the object's own monitor ([this]). *)
@@ -37,5 +35,3 @@ val state_snapshot : t -> (string * int) list
 val mutex_field_snapshot : t -> (string * int) list
 (** Sorted mutex-reference-field values — part of a state-transfer snapshot
     alongside {!state_snapshot}. *)
-
-val pp : Format.formatter -> t -> unit

@@ -53,7 +53,6 @@ type t = {
   mutable sched : Sched_iface.sched option;
   obs : Recorder.t;
   callbacks : callbacks;
-  oracle : Interp.oracle;
   mutable live : bool;
   mutable completed : int;
   mutable active : int; (* delivered, not yet terminated threads *)
@@ -351,10 +350,7 @@ let do_start_thread t tid =
   if observing t then
     Recorder.request_started t.obs ~replica:t.id ~uid:tid
       ~at:(Engine.now t.engine);
-  th.cont <-
-    Some
-      (Interp.start ~cls:t.cls ~obj:t.obj ?ws:th.ws ~oracle:t.oracle
-         ~req:th.req);
+  th.cont <- Some (Interp.start ~cls:t.cls ~obj:t.obj ?ws:th.ws ~req:th.req);
   advance t th
 
 (* --------------------------- workspace actions --------------------------- *)
@@ -459,8 +455,7 @@ let do_resume_nested t tid =
 
 (* ------------------------------------------------------------------ *)
 
-let create ~engine ~id ~cls ~config ?(oracle = Interp.default_oracle)
-    ?(obs = Recorder.disabled) ~callbacks ~make_sched () =
+let create ~engine ~id ~cls ~config ?(obs = Recorder.disabled) ~callbacks ~make_sched () =
   Config.validate config;
   let t =
     { id; engine; cpu = Cpu.create engine ~cores:config.Config.cores; config;
@@ -468,7 +463,7 @@ let create ~engine ~id ~cls ~config ?(oracle = Interp.default_oracle)
       condvars = Condvar.create ();
       trace_rec = Trace.create ~keep_events:config.Config.trace_events ();
       threads = Hashtbl.create 64; last_uid = min_int; sched = None; obs;
-      callbacks; oracle; live = true; completed = 0; active = 0; ws_commits = 0; ws_aborts = 0;
+      callbacks; live = true; completed = 0; active = 0; ws_commits = 0; ws_aborts = 0;
       acquisitions = 0;
       acq_hashes = Hashtbl.create 64; on_quiescent = None; advance_h = 0;
       finish_h = 0; pool_busy = 0 }
@@ -590,8 +585,6 @@ let set_alive t b = t.live <- b
 
 let alive t = t.live
 
-let scheduler_name t = (sched t).name
-
 let state_fingerprint t = Object_state.fingerprint t.obj
 
 let state_snapshot t = Object_state.state_snapshot t.obj
@@ -623,8 +616,6 @@ let sched_snapshot t = (sched t).snapshot ()
 let sched_restore t kv = (sched t).restore kv
 
 let cpu_busy_ms t = Cpu.busy_time t.cpu
-
-let lock_acquisitions t = t.acquisitions
 
 let ws_commits t = t.ws_commits
 

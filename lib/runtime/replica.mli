@@ -38,7 +38,6 @@ val create :
   id:int ->
   cls:Detmt_lang.Class_def.t ->
   config:Config.t ->
-  ?oracle:Interp.oracle ->
   ?obs:Detmt_obs.Recorder.t ->
   callbacks:callbacks ->
   make_sched:(Sched_iface.actions -> Sched_iface.sched) ->
@@ -67,8 +66,6 @@ val set_alive : t -> bool -> unit
 (** Failure injection: a dead replica silently drops everything. *)
 
 val alive : t -> bool
-
-val scheduler_name : t -> string
 
 val state_fingerprint : t -> int64
 
@@ -109,8 +106,6 @@ val sched_snapshot : t -> (string * int) list
 val sched_restore : t -> (string * int) list -> unit
 
 val cpu_busy_ms : t -> float
-
-val lock_acquisitions : t -> int
 
 val ws_commits : t -> int
 (** Speculative workspaces merged at their slot-order barrier. *)

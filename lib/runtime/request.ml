@@ -21,7 +21,3 @@ let make ~uid ~client ~client_req ~meth ~args ~sent_at =
 let dummy ~uid ~sent_at =
   { uid; client = -1; client_req = uid; meth = "__dummy"; args = [||];
     sent_at; dummy = true }
-
-let pp ppf t =
-  Format.fprintf ppf "req#%d %s from c%d%s" t.uid t.meth t.client
-    (if t.dummy then " (dummy)" else "")

@@ -20,5 +20,3 @@ val make :
   t
 
 val dummy : uid:int -> sent_at:float -> t
-
-val pp : Format.formatter -> t -> unit

@@ -51,14 +51,13 @@ type t = {
   vlocks : (int, int) Hashtbl.t; (* mutex -> virtual hold count *)
   mutable vheld : int; (* mutexes with a positive virtual hold count *)
   mutable acq_rev : int list; (* acquisition log, newest first *)
-  mutable acq_count : int;
 }
 
 let create ~base ~record_acquisitions =
   { base; record_acquisitions; state_reads = Hashtbl.create 8;
     state_over = Hashtbl.create 8; state_deltas = Hashtbl.create 8;
     mutex_reads = Hashtbl.create 8; mutex_over = Hashtbl.create 8;
-    vlocks = Hashtbl.create 8; vheld = 0; acq_rev = []; acq_count = 0 }
+    vlocks = Hashtbl.create 8; vheld = 0; acq_rev = [] }
 
 let record_acquisitions t = t.record_acquisitions
 
@@ -103,11 +102,6 @@ let state_field t f =
 let mutex_field t f =
   cow_read t.mutex_reads t.mutex_over (Object_state.mutex_field t.base) f
 
-(* Globals and the self monitor are immutable — read straight through. *)
-let global t g = Object_state.global t.base g
-
-let self_mutex t = Object_state.self_mutex t.base
-
 (* ------------------------------- writes -------------------------------- *)
 
 (* A blind increment of a never-read field stays a commutative delta (it
@@ -132,8 +126,7 @@ let vlock t ~mutex =
   Hashtbl.replace t.vlocks mutex (n + 1);
   (* Log every acquisition, re-entrant ones included — direct execution
      records re-entrant entries too, and the replay must match it. *)
-  t.acq_rev <- mutex :: t.acq_rev;
-  t.acq_count <- t.acq_count + 1
+  t.acq_rev <- mutex :: t.acq_rev
 
 let vunlock t ~mutex =
   match Hashtbl.find_opt t.vlocks mutex with
@@ -147,8 +140,6 @@ let vunlock t ~mutex =
 let holds_any t = t.vheld > 0
 
 let acquisition_log t = List.rev t.acq_rev
-
-let acquisitions t = t.acq_count
 
 (* --------------------------- validate + merge -------------------------- *)
 

@@ -36,10 +36,6 @@ val mutex_field : t -> string -> int
 
 val set_mutex_field : t -> string -> int -> unit
 
-val global : t -> string -> int
-
-val self_mutex : t -> int
-
 (** {2 Virtual locking} *)
 
 val vlock : t -> mutex:int -> unit
@@ -55,8 +51,6 @@ val holds_any : t -> bool
 
 val acquisition_log : t -> int list
 (** Virtually acquired mutexes in acquisition order. *)
-
-val acquisitions : t -> int
 
 (** {2 Validation and merge} *)
 

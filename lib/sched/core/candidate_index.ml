@@ -23,13 +23,7 @@ type 'a t = { mutable map : 'a M.t; mutable count : int }
 
 let create () = { map = M.empty; count = 0 }
 
-let clear t =
-  t.map <- M.empty;
-  t.count <- 0
-
 let cardinal t = t.count
-
-let is_empty t = t.count = 0
 
 let mem t key = M.mem key t.map
 
@@ -66,5 +60,3 @@ let iter t ~f = M.iter f t.map
 let fold t ~init ~f = M.fold f t.map init
 
 let to_list t = M.bindings t.map
-
-let keys t = List.map fst (M.bindings t.map)

@@ -9,12 +9,8 @@ type 'a t
 
 val create : unit -> 'a t
 
-val clear : 'a t -> unit
-
 val cardinal : 'a t -> int
 (** O(1). *)
-
-val is_empty : 'a t -> bool
 
 val mem : 'a t -> int -> bool
 
@@ -39,5 +35,3 @@ val fold : 'a t -> init:'b -> f:(int -> 'a -> 'b -> 'b) -> 'b
 
 val to_list : 'a t -> (int * 'a) list
 (** Ascending key order. *)
-
-val keys : 'a t -> int list

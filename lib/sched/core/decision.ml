@@ -67,8 +67,6 @@ module Pool = struct
 
   let saturated t = t.busy >= t.capacity
 
-  let worker_of t ~tid = Hashtbl.find_opt t.by_tid tid
-
   let dispatch t ~tid =
     if Hashtbl.mem t.by_tid tid then
       invalid_arg

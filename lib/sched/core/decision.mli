@@ -29,17 +29,11 @@ end
 module Pool : sig
   type t
 
-  val create : Substrate.t -> t
-  (** Nominal capacity [Substrate.workers]. *)
-
-  val capacity : t -> int
-
   val busy : t -> int
 
   val saturated : t -> bool
-  (** [busy >= capacity]: no fresh dispatches until occupancy drops. *)
-
-  val worker_of : t -> tid:int -> int option
+  (** [busy >= capacity], the capacity being [Substrate.workers]: no fresh
+      dispatches until occupancy drops. *)
 
   val dispatch : t -> tid:int -> int
   (** Claim the lowest free worker for [tid] (allocating a transient extra

@@ -28,9 +28,6 @@ let of_list xs = { front = xs; back = []; length = List.length xs }
 
 let to_list q = q.front @ List.rev q.back
 
-(* FIFO-order fold; [f] sees elements oldest first. *)
-let fold f acc q = List.fold_left f (List.fold_left f acc q.front) (List.rev q.back)
-
 (* Membership tests that build no list; [p] must be pure, since the
    elements are visited out of FIFO order. *)
 let for_all p q = List.for_all p q.front && List.for_all p q.back
@@ -39,9 +36,3 @@ let exists p q = List.exists p q.front || List.exists p q.back
 
 (* Keep only elements satisfying [p], preserving FIFO order. *)
 let filter p q = of_list (List.filter p (to_list q))
-
-(* Split into (satisfying, rest), both in FIFO order — the functional
-   equivalent of [List.partition] on the append-order list. *)
-let partition p q =
-  let yes, no = List.partition p (to_list q) in
-  (yes, of_list no)

@@ -2,22 +2,10 @@ type t = {
   scheduler : string;
   runtime : Detmt_runtime.Config.t;
   summary : Detmt_analysis.Predict.class_summary option;
-  obs : Detmt_obs.Recorder.t;
-  shard : int;
   workers : int;
 }
 
-let make ?(runtime = Detmt_runtime.Config.default) ?summary
-    ?(obs = Detmt_obs.Recorder.disabled) ?(shard = 0) ?(workers = 1) scheduler
-    =
-  if shard < 0 then invalid_arg "Sched_config.make: shard < 0";
+let make ?(runtime = Detmt_runtime.Config.default) ?summary ?(workers = 1)
+    scheduler =
   if workers < 1 then invalid_arg "Sched_config.make: workers < 1";
-  { scheduler; runtime; summary; obs; shard; workers }
-
-let with_scheduler t scheduler = { t with scheduler }
-
-let with_summary t summary = { t with summary }
-
-let with_workers t workers =
-  if workers < 1 then invalid_arg "Sched_config.with_workers: workers < 1";
-  { t with workers }
+  { scheduler; runtime; summary; workers }

@@ -1,9 +1,7 @@
 (** The one scheduler-construction record.
 
     Every scheduler in the registry is instantiated from this single record
-    via {!Registry.instantiate}; the previous ad-hoc per-module construction
-    signatures ([spec.make ~config ~summary], [Adaptive.make ~config
-    ~summary], direct [Decision.instantiate] at call sites) are retained
+    via {!Registry.instantiate}; direct [Decision.instantiate] calls remain
     only as low-level plumbing underneath it — see DESIGN.md, "Sharding and
     batching / configuration API".
 
@@ -13,45 +11,26 @@
     - [runtime]: the simulated runtime cost model ({!Detmt_runtime.Config});
     - [summary]: the §4.3 prediction tables, required when the named
       scheduler has [needs_prediction] set;
-    - [obs]: the flight recorder the instantiating layer runs under (decision
-      modules themselves receive the recorder again through
-      {!Detmt_runtime.Sched_iface.actions}; the handle here lets wrappers
-      and meta-schedulers record without an [actions] in hand);
-    - [shard]: which shard's group this instance serialises ([0] for the
-      unsharded single-group configuration) — per-shard metric namespaces
-      and diagnostics key off it;
     - [workers]: the simulated worker-pool width for the parallel
       conflict-graph family ([1] everywhere else — serial schedulers reject
-      anything larger at {!Registry.instantiate}). *)
+      anything larger at {!Registry.instantiate}).
+
+    The flight recorder is not part of it: decision modules receive it
+    through {!Detmt_runtime.Sched_iface.actions}. *)
 
 type t = {
   scheduler : string;
   runtime : Detmt_runtime.Config.t;
   summary : Detmt_analysis.Predict.class_summary option;
-  obs : Detmt_obs.Recorder.t;
-  shard : int;
   workers : int;
 }
 
 val make :
   ?runtime:Detmt_runtime.Config.t ->
   ?summary:Detmt_analysis.Predict.class_summary ->
-  ?obs:Detmt_obs.Recorder.t ->
-  ?shard:int ->
   ?workers:int ->
   string ->
   t
 (** [make name] builds a config for scheduler [name] with the default
-    runtime cost model, no prediction summary, the disabled recorder,
-    shard [0] and a single worker.
-    @raise Invalid_argument when [shard < 0] or [workers < 1]. *)
-
-val with_scheduler : t -> string -> t
-(** Same configuration, different decision policy (the adaptive
-    meta-scheduler swaps children this way). *)
-
-val with_summary : t -> Detmt_analysis.Predict.class_summary option -> t
-
-val with_workers : t -> int -> t
-(** Same configuration, different pool width.
+    runtime cost model, no prediction summary and a single worker.
     @raise Invalid_argument when [workers < 1]. *)

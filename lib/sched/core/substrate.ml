@@ -113,8 +113,6 @@ let thread t tid =
   | None ->
     invalid_arg (Printf.sprintf "%s: unknown thread t%d" t.name tid)
 
-let live_count t = Candidate_index.cardinal t.order
-
 (* Oldest-first views of the live threads (ascending admission order). *)
 
 let iter t ~f = Candidate_index.iter t.order ~f:(fun _ th -> f th)

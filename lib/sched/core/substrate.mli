@@ -66,8 +66,6 @@ val find_thread : t -> int -> thread option
 val thread : t -> int -> thread
 (** @raise Invalid_argument when the thread is not live. *)
 
-val live_count : t -> int
-
 val iter : t -> f:(thread -> unit) -> unit
 (** Ascending admission order. *)
 
@@ -107,9 +105,6 @@ val bk_loop_exit : t -> tid:int -> loopid:int -> unit
 (** {1 Observability} *)
 
 val observing : t -> bool
-
-val metric : t -> string -> string
-(** ["sched.<name>.<suffix>"]. *)
 
 val incr : ?by:int -> t -> string -> unit
 

@@ -45,15 +45,6 @@ let mem t ~mutex ~tid =
   let q = queue t mutex in
   List.mem tid q.front || List.mem tid q.back
 
-let remove t ~mutex ~tid =
-  if mem t ~mutex ~tid then begin
-    let q = queue t mutex in
-    q.front <- List.filter (fun w -> w <> tid) q.front;
-    q.back <- List.filter (fun w -> w <> tid) q.back;
-    true
-  end
-  else false
-
 let is_empty t ~mutex =
   let q = queue t mutex in
   q.front = [] && q.back = []

@@ -11,8 +11,6 @@ val head : t -> mutex:int -> int option
 
 val pop : t -> mutex:int -> int option
 
-val remove : t -> mutex:int -> tid:int -> bool
-
 val mem : t -> mutex:int -> tid:int -> bool
 
 val is_empty : t -> mutex:int -> bool

@@ -14,14 +14,6 @@ type spec = {
           ([Sched_config.workers]); {!instantiate} rejects [workers > 1]
           for serial specs. *)
   description : string;
-  make :
-    Sched_config.t ->
-    Detmt_runtime.Sched_iface.actions ->
-    Detmt_runtime.Sched_iface.sched;
-      (** Low-level per-spec constructor.  {b Deprecated as a call-site API}:
-          in-tree callers construct schedulers through {!instantiate} with a
-          {!Sched_config.t}; the field remains as the registry's internal
-          plumbing (see DESIGN.md). *)
 }
 
 val all : spec list

@@ -23,7 +23,6 @@ type t = {
   mutable scap : int;
   mutable wait_head : int; (* FIFO of segments waiting for a core *)
   mutable wait_tail : int;
-  mutable waiting : int;
 }
 
 let grow t =
@@ -75,7 +74,6 @@ let finish t s =
     t.wait_head <- t.snext.(w);
     if t.wait_head < 0 then t.wait_tail <- -1;
     t.snext.(w) <- -1;
-    t.waiting <- t.waiting - 1;
     start t w
   end;
   let h = t.sh.(s) in
@@ -95,16 +93,10 @@ let create engine ~cores =
   let t =
     { engine; cores; busy = 0; busy_time = 0.0; finish_h = 0; sd = [||];
       sh = [||]; sa = [||]; sk = [||]; snext = [||]; sfree = -1; scap = 0;
-      wait_head = -1; wait_tail = -1; waiting = 0 }
+      wait_head = -1; wait_tail = -1 }
   in
   t.finish_h <- Engine.register_handler engine (fun s -> finish t s);
   t
-
-let cores t = t.cores
-
-let busy t = t.busy
-
-let queued t = t.waiting
 
 let submit t s =
   if t.busy < t.cores then start t s
@@ -117,8 +109,7 @@ let submit t s =
     else begin
       t.snext.(t.wait_tail) <- s;
       t.wait_tail <- s
-    end;
-    t.waiting <- t.waiting + 1
+    end
   end
 
 let exec t ~duration k =

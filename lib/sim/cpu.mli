@@ -11,14 +11,6 @@ type t
 val create : Engine.t -> cores:int -> t
 (** [create engine ~cores] makes a pool of [cores] >= 1 cores. *)
 
-val cores : t -> int
-
-val busy : t -> int
-(** Number of cores currently executing a segment. *)
-
-val queued : t -> int
-(** Number of segments waiting for a free core. *)
-
 val exec : t -> duration:float -> (unit -> unit) -> unit
 (** [exec t ~duration k] occupies a core for [duration] virtual ms (queueing
     FIFO if none is free) and then calls [k]. *)

@@ -67,9 +67,6 @@ val run : ?until:float -> t -> unit
     queued, and the clock is left at the last executed event's time — it is
     {e not} advanced to [until], so a later [run] continues seamlessly. *)
 
-val step : t -> bool
-(** Execute the single next event.  Returns [false] when the queue is empty. *)
-
 val set_order_oracle : t -> (count:int -> int) option -> unit
 (** Schedule-injection hook for the schedule-space explorer: when several
     events are eligible at the same instant, the oracle is consulted with

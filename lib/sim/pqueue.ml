@@ -25,8 +25,6 @@ let create () =
   { times = [||]; seqs = [||]; values = [||]; size = 0;
     ptime = neg_infinity; pseq = 0 }
 
-let is_empty q = q.size = 0
-
 let length q = q.size
 
 let grow q =
@@ -129,8 +127,3 @@ let pop q =
   let top = peek q in
   ignore (pop_raw q);
   top
-
-let clear q =
-  q.size <- 0;
-  q.ptime <- neg_infinity;
-  q.pseq <- 0

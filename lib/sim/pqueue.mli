@@ -21,8 +21,6 @@ type t
 
 val create : unit -> t
 
-val is_empty : t -> bool
-
 val length : t -> int
 
 val push : t -> time:float -> seq:int -> int -> unit
@@ -50,5 +48,3 @@ val popped_seq : t -> int
 
 val peek_time : t -> float
 (** Time of the minimum element, or [infinity] when empty. *)
-
-val clear : t -> unit

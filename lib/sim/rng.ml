@@ -44,10 +44,6 @@ let exponential t mean =
   let u = float t 1.0 in
   -. mean *. log1p (-. u)
 
-let uniform_range t lo hi =
-  assert (hi >= lo);
-  lo +. float t (hi -. lo +. epsilon_float) |> min hi
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

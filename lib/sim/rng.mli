@@ -34,8 +34,5 @@ val bool : t -> float -> bool
 val exponential : t -> float -> float
 (** [exponential t mean] draws from an exponential distribution. *)
 
-val uniform_range : t -> float -> float -> float
-(** [uniform_range t lo hi] is uniform in [\[lo, hi)]. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle driven by [t]. *)

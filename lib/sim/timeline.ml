@@ -102,8 +102,8 @@ let state_at t ~tid ~time =
   | None -> char_of_state Absent
   | Some l -> char_of_state (state_of_line l ~time)
 
-let render ?(width = 72) ?threads:selection ppf t =
-  let tids = match selection with Some l -> l | None -> threads t in
+let render ?(width = 72) ppf t =
+  let tids = threads t in
   let span = t.hi -. t.lo in
   let span = if span <= 0.0 then 1.0 else span in
   let sample tid col =

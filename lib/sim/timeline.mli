@@ -26,8 +26,6 @@ val span : t -> float * float
 val state_at : t -> tid:int -> time:float -> char
 (** The rendered character for the thread's state at a virtual time. *)
 
-val render :
-  ?width:int -> ?threads:int list -> Format.formatter -> t -> unit
-(** Draw the timelines ([width] columns, default 72), one row per thread
-    (all of them, or the selected subset), plus a legend and the time
-    scale. *)
+val render : ?width:int -> Format.formatter -> t -> unit
+(** Draw the timelines ([width] columns, default 72), one row per thread,
+    plus a legend and the time scale. *)

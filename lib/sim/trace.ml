@@ -64,8 +64,6 @@ let record_at t ~time e =
   t.length <- t.length + 1;
   t.hash <- hash_event t.hash e
 
-let record t e = record_at t ~time:0.0 e
-
 let length t = t.length
 
 let events t = List.rev_map snd t.events
@@ -73,33 +71,3 @@ let events t = List.rev_map snd t.events
 let timed_events t = List.rev t.events
 
 let fingerprint t = t.hash
-
-let pp_event ppf = function
-  | Lock_requested { tid; syncid; mutex } ->
-    Format.fprintf ppf "want    t%d sync%d m%d" tid syncid mutex
-  | Lock_granted { tid; syncid; mutex } ->
-    Format.fprintf ppf "lock    t%d sync%d m%d" tid syncid mutex
-  | Unlocked { tid; syncid; mutex } ->
-    Format.fprintf ppf "unlock  t%d sync%d m%d" tid syncid mutex
-  | Wait_begin { tid; mutex } -> Format.fprintf ppf "wait    t%d m%d" tid mutex
-  | Wait_end { tid; mutex } -> Format.fprintf ppf "awake   t%d m%d" tid mutex
-  | Notify { tid; mutex; all } ->
-    Format.fprintf ppf "notify%s t%d m%d" (if all then "A" else " ") tid mutex
-  | Nested_begin { tid; service } ->
-    Format.fprintf ppf "nest>   t%d s%d" tid service
-  | Nested_end { tid; service } ->
-    Format.fprintf ppf "nest<   t%d s%d" tid service
-  | Thread_start { tid; method_name } ->
-    Format.fprintf ppf "start   t%d %s" tid method_name
-  | Thread_end { tid } -> Format.fprintf ppf "end     t%d" tid
-  | Control_delivered { sender; grant_seq; mutex; tid } ->
-    Format.fprintf ppf "ctrl    t%d m%d grant#%d from r%d" tid mutex grant_seq
-      sender
-  | View_change { sender } -> Format.fprintf ppf "view    from r%d" sender
-  | Ws_commit { tid; writes } ->
-    Format.fprintf ppf "wscmt   t%d w%d" tid writes
-  | Ws_abort { tid; conflicts } ->
-    Format.fprintf ppf "wsabrt  t%d c%d" tid conflicts
-
-let pp ppf t =
-  List.iter (fun e -> Format.fprintf ppf "%a@." pp_event e) (events t)

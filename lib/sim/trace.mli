@@ -40,9 +40,6 @@ val create : ?keep_events:bool -> unit -> t
 (** [keep_events] (default [false]) retains every recorded event for
     {!events} and {!timed_events}. *)
 
-val record : t -> event -> unit
-(** Record with timestamp 0 (unit tests). *)
-
 val record_at : t -> time:float -> event -> unit
 (** Record with the current virtual time; the timestamp feeds the timeline
     renderer and is excluded from {!fingerprint}. *)
@@ -58,7 +55,3 @@ val timed_events : t -> (float * event) list
 
 val fingerprint : t -> int64
 (** Order-sensitive hash of all recorded events. *)
-
-val pp_event : Format.formatter -> event -> unit
-
-val pp : Format.formatter -> t -> unit

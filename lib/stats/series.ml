@@ -20,7 +20,8 @@ let bounds series =
     in
     Some (List.fold_left fold (x0, x0, y0, y0) rest)
 
-let chart ?(width = 60) ?(height = 16) ppf series =
+let chart ppf series =
+  let width = 60 and height = 16 in
   match bounds series with
   | None -> Format.fprintf ppf "(no data)@."
   | Some (xlo, xhi, ylo, yhi) ->

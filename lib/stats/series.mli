@@ -5,8 +5,6 @@ type t
 
 val create : name:string -> t
 
-val name : t -> string
-
 val add : t -> x:float -> y:float -> unit
 
 val points : t -> (float * float) list
@@ -15,7 +13,7 @@ val points : t -> (float * float) list
 val y_at : t -> float -> float option
 (** Exact-x lookup. *)
 
-val chart :
-  ?width:int -> ?height:int -> Format.formatter -> t list -> unit
-(** Plot several series on shared axes; each series is drawn with its own
-    letter ([A], [B], ...) and a legend is printed underneath. *)
+val chart : Format.formatter -> t list -> unit
+(** Plot several series on shared axes (60 columns by 16 rows); each series
+    is drawn with its own letter ([A], [B], ...) and a legend is printed
+    underneath. *)

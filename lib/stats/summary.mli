@@ -17,8 +17,6 @@ val mean : t -> float
 val variance : t -> float
 (** Unbiased sample variance; [nan] with fewer than two samples. *)
 
-val stddev : t -> float
-
 val min : t -> float
 
 val max : t -> float

@@ -15,8 +15,6 @@ let rows t = List.rev t.rev_rows
 
 let columns t = t.columns
 
-let title t = t.title
-
 let cell_width t =
   let widths = Array.of_list (List.map String.length t.columns) in
   let fit cells =

@@ -17,8 +17,6 @@ val rows : t -> string list list
 
 val columns : t -> string list
 
-val title : t -> string
-
 val pp : Format.formatter -> t -> unit
 
 val to_csv : t -> string

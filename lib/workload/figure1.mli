@@ -38,5 +38,3 @@ val cls : params -> Detmt_lang.Class_def.t
 
 val gen : params -> Detmt_replication.Client.request_gen
 (** Pre-draws all decisions from the client stream. *)
-
-val method_name : string

@@ -36,11 +36,3 @@ val cls : params -> Detmt_lang.Class_def.t
 (** @raise Invalid_argument when [objects < 1]. *)
 
 val gen : params -> Detmt_replication.Client.request_gen
-
-val center : params -> seq:int -> int
-(** Where the hot zone's rank-0 object sits for a client's [seq]-th request
-    — exposed for tests and bench labelling. *)
-
-val update_method : string
-
-val transfer_method : string

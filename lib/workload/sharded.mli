@@ -41,8 +41,4 @@ val cls : params -> Detmt_lang.Class_def.t
 
 val gen : params -> Detmt_replication.Client.request_gen
 
-val update_method : string
-
-val transfer_method : string
-
 val opaque_method : string

@@ -14,8 +14,6 @@ type params = {
 
 val default : params
 
-val method_name : string
-
 val cls : params -> Detmt_lang.Class_def.t
 
 val gen : params -> Detmt_replication.Client.request_gen

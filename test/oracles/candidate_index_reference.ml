@@ -7,11 +7,7 @@ type 'a t = (int, 'a) Hashtbl.t
 
 let create () : 'a t = Hashtbl.create 64
 
-let clear = Hashtbl.reset
-
 let cardinal = Hashtbl.length
-
-let is_empty t = Hashtbl.length t = 0
 
 let mem = Hashtbl.mem
 
@@ -35,5 +31,3 @@ let fold t ~init ~f =
   List.fold_left (fun acc (k, v) -> f k v acc) init (sorted t)
 
 let to_list = sorted
-
-let keys t = List.map fst (sorted t)

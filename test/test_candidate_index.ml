@@ -15,10 +15,9 @@ let pl = Alcotest.(list (pair int string))
 
 let test_empty () =
   let t : string Ci.t = Ci.create () in
-  Alcotest.check b "is_empty" true (Ci.is_empty t);
   Alcotest.(check int) "cardinal" 0 (Ci.cardinal t);
   Alcotest.check b "min" true (Ci.min t = None);
-  Alcotest.check il "keys" [] (Ci.keys t)
+  Alcotest.check pl "to_list" [] (Ci.to_list t)
 
 let test_insert_order () =
   let t = Ci.create () in
@@ -43,10 +42,10 @@ let test_remove () =
   Ci.remove t 4 (* absent: no-op, no count underflow *);
   Ci.remove t 99;
   Alcotest.(check int) "cardinal" 2 (Ci.cardinal t);
-  Alcotest.check il "keys" [ 2; 6 ] (Ci.keys t);
+  Alcotest.check il "keys" [ 2; 6 ] (List.map fst (Ci.to_list t));
   Ci.remove t 2;
   Ci.remove t 6;
-  Alcotest.check b "empty again" true (Ci.is_empty t)
+  Alcotest.(check int) "empty again" 0 (Ci.cardinal t)
 
 let test_find_first () =
   let t = Ci.create () in
@@ -57,12 +56,6 @@ let test_find_first () =
     (Ci.find_first t ~f:(fun _ v -> v > 500) = None);
   Alcotest.check b "least key wins" true
     (Ci.find_first t ~f:(fun _ _ -> true) = Some (1, 10))
-
-let test_clear () =
-  let t = Ci.create () in
-  List.iter (fun k -> Ci.add t ~key:k k) [ 1; 2; 3 ];
-  Ci.clear t;
-  Alcotest.check b "cleared" true (Ci.is_empty t && Ci.cardinal t = 0)
 
 (* Differential fuzz: random op sequences, the index and the replaced
    scan-based implementation must agree on every observation. *)
@@ -108,7 +101,6 @@ let suite =
      test_replace_does_not_double_count);
     ("remove", `Quick, test_remove);
     ("find_first", `Quick, test_find_first);
-    ("clear", `Quick, test_clear);
     ("differential vs reference scan", `Quick,
      test_differential_vs_reference);
     ("fold/iter consistent", `Quick, test_fold_iter_consistent);

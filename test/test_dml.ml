@@ -5,6 +5,9 @@ open Detmt_lang
 
 let b = Alcotest.bool
 
+let parse_exn src =
+  match Dml.parse src with Ok c -> c | Error msg -> invalid_arg msg
+
 let sample =
   {|
 // a replicated counter with every construct exercised
@@ -50,7 +53,7 @@ let fixed_sample_cls () =
 
 let test_parse_sample () =
   let c =
-    Dml.parse_exn
+    parse_exn
       (String.concat ""
          [ "class C { statefield count; statefield count2; export final \
             m(3) { count += 1; } }" ])
@@ -93,7 +96,7 @@ let test_roundtrip_workloads () =
 let test_parsed_class_runs () =
   (* End-to-end: a class written in DML executes under a scheduler. *)
   let cls =
-    Dml.parse_exn
+    parse_exn
       {|class FromText {
           statefield hits;
           export final poke(1) {
@@ -138,7 +141,7 @@ let test_error_messages () =
 
 let test_comments_and_negatives () =
   let cls =
-    Dml.parse_exn
+    parse_exn
       "class C { statefield s; // trailing comment\n export final m(0) { \
        sync this { s += -5; } } }"
   in

@@ -355,7 +355,7 @@ let test_emitter () =
   let doc = E.json s rows in
   Alcotest.(check (option string)) "schema 4" (Some "4")
     (Option.map Detmt.Json.to_string (Detmt.Json.member "schema_version" doc));
-  match Detmt.Json.parse (Detmt.Json.to_string doc) with
+  match Readers.json (Detmt.Json.to_string doc) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "BENCH JSON does not parse: %s" e
 

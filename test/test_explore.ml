@@ -34,7 +34,14 @@ let test_schedule_parse_errors () =
   Alcotest.check b "junk entry" true
     (bad "# detmt explore schedule v1\nscheduler mat\nworkload figure1\nwarp 9\n");
   Alcotest.check b "missing scheduler" true
-    (bad "# detmt explore schedule v1\nworkload figure1\n")
+    (bad "# detmt explore schedule v1\nworkload figure1\n");
+  List.iter
+    (fun line ->
+      Alcotest.check b line true
+        (bad
+           ("# detmt explore schedule v1\nscheduler mat\nworkload figure1\n"
+          ^ line ^ "\n")))
+    [ "requests -1"; "clients -2"; "workers 0" ]
 
 let test_schedule_comments_ignored () =
   let s =
@@ -196,6 +203,16 @@ let test_elastic_crash_witness_clean () =
     Alcotest.failf "elastic crash witness diverged: %s" d
   | _ -> ()
 
+(* The workspace witnesses replay [equivalent] and [order-shifted]: either
+   is admissible, a divergence is not. *)
+let test_ws_witnesses_clean () =
+  List.iter
+    (fun file ->
+      match replay_witness file with
+      | Explore.Divergent d -> Alcotest.failf "%s diverged: %s" file d
+      | _ -> ())
+    [ "ws_commit_barrier_skew.sched"; "ws_safety_net_reorder.sched" ]
+
 let test_witness_sizes_bounded () =
   (* The ISSUE bounds the promotion-race witness at 25 events; ours are
      1-minimal. *)
@@ -239,4 +256,6 @@ let () =
           Alcotest.test_case "elastic crash-in-window clean" `Quick
             test_elastic_crash_witness_clean;
           Alcotest.test_case "witnesses bounded" `Quick
-            test_witness_sizes_bounded ] ) ]
+            test_witness_sizes_bounded;
+          Alcotest.test_case "ws witnesses clean" `Quick
+            test_ws_witnesses_clean ] ) ]

@@ -163,7 +163,7 @@ let breakdown_tests =
 let export_json () =
   let obs = Recorder.create () in
   let _system = run ~scheduler:"mat" ~clients:2 ~requests:2 ~obs () in
-  match Json.parse (Chrome.to_string obs) with
+  match Readers.json (Chrome.to_string obs) with
   | Error msg -> Alcotest.failf "chrome export does not parse: %s" msg
   | Ok json -> json
 
@@ -366,16 +366,21 @@ let test_pmat_deferral_audit () =
 (* ------------------------ windowed time series ----------------------- *)
 
 (* Virtual-time windows are part of the deterministic surface: two runs
-   with the same seed must produce byte-identical window stores. *)
+   with the same seed must produce identical window stores. *)
 let test_series_seed_reproducible () =
-  let series_json () =
+  let series () =
     let obs = Recorder.create () in
     ignore (run ~scheduler:"mat" ~obs ());
-    Json.to_string (Timeseries.to_json (Recorder.timeseries obs))
+    let ts = Recorder.timeseries obs in
+    List.map
+      (fun name -> (name, Timeseries.kind ts name, Timeseries.windows ts name))
+      (Timeseries.names ts)
   in
-  let a = series_json () and b = series_json () in
-  Alcotest.(check string) "windows reproduce" a b;
-  Alcotest.(check bool) "windows non-trivial" true (String.length a > 64)
+  let a = series () and b = series () in
+  (* [compare], not [=]: an empty window's extrema may be nan *)
+  Alcotest.(check bool) "windows reproduce" true (compare a b = 0);
+  Alcotest.(check bool) "windows non-trivial" true
+    (List.exists (fun (_, _, ws) -> ws <> []) a)
 
 let test_series_windowing () =
   let ts = Timeseries.create ~width_ms:10.0 ~retain:4 () in
@@ -592,11 +597,11 @@ let test_openmetrics_roundtrip () =
   let obs = Recorder.create () in
   ignore (run ~scheduler:"mat" ~obs ());
   let text = Openmetrics.export (Recorder.metrics obs) in
-  match Openmetrics.parse text with
+  match Readers.openmetrics text with
   | Error msg -> Alcotest.failf "exposition does not parse back: %s" msg
   | Ok doc ->
     (* the parse is an Obs.Json value: it must survive a print/parse cycle *)
-    (match Json.parse (Json.to_string doc) with
+    (match Readers.json (Json.to_string doc) with
     | Error msg -> Alcotest.failf "parsed doc not valid Json: %s" msg
     | Ok doc' ->
       Alcotest.(check string) "json round-trip" (Json.to_string doc)

@@ -236,8 +236,8 @@ let test_hot_swap_same_scheduler_is_noop () =
    resurrect the dead replica, and the recovery lands on the group's
    current incarnation when it fires. *)
 let test_hot_swap_races_recovery () =
-  let _, system, gen = make ~scheduler:"mat" () in
-  Engine.schedule_at (Reconfig.engine system) ~time:5.0 (fun () ->
+  let engine, system, gen = make ~scheduler:"mat" () in
+  Engine.schedule_at engine ~time:5.0 (fun () ->
       Reconfig.kill_replica system ~group:0 ~offset:2);
   Reconfig.request_at system ~at:10.0
     (Reconfig.Hot_swap { group = 0; scheduler = "lsa" });
@@ -316,7 +316,8 @@ let hotspot_make ?(scheduler = "mat") () =
 let autoscaled_run () =
   let _, system, gen = hotspot_make () in
   Reconfig.set_autoscale system
-    { Reconfig.default_policy with Reconfig.split_above = 8; max_live = 4 };
+    { Reconfig.interval_ms = 5.0; split_above = 8; merge_below = 2;
+      max_live = 4 };
   let stats =
     Reconfig.run_clients_stats system ~clients:48 ~requests_per_client:6 ~gen
       ~seed:11L ()

@@ -276,15 +276,8 @@ let test_config_api () =
   let cfg = Detmt_sched.Sched_config.make "mat" in
   Alcotest.(check string) "name carried" "mat"
     cfg.Detmt_sched.Sched_config.scheduler;
-  Alcotest.(check int) "default shard" 0 cfg.Detmt_sched.Sched_config.shard;
   Alcotest.check b "default summary empty" true
     (cfg.Detmt_sched.Sched_config.summary = None);
-  Alcotest.(check string) "with_scheduler swaps the policy" "pds"
-    (Detmt_sched.Sched_config.with_scheduler cfg "pds")
-      .Detmt_sched.Sched_config.scheduler;
-  Alcotest.check_raises "negative shard rejected"
-    (Invalid_argument "Sched_config.make: shard < 0") (fun () ->
-      ignore (Detmt_sched.Sched_config.make ~shard:(-1) "mat"));
   Alcotest.(check (list string)) "deterministic decision modules"
     [ "seq"; "sat"; "psat"; "lsa"; "pds"; "ppds"; "mat"; "mat-ll"; "pmat";
       "cgs"; "pcgs"; "wss"; "cgs+ws" ]

@@ -90,7 +90,8 @@ let test_figure4_pretty () =
      so the bench output stays faithful. *)
   let transformed, _ = Transform.predictive figure4_class in
   let text =
-    Pretty.method_to_string (Class_def.find_method_exn transformed "foo")
+    Format.asprintf "%a" Pretty.method_def
+      (Class_def.find_method_exn transformed "foo")
   in
   let has needle =
     let n = String.length needle and h = String.length text in
