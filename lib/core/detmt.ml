@@ -95,7 +95,7 @@ module Bookkeeping = Detmt_sched.Bookkeeping
 module Sched_config = Detmt_sched.Sched_config
 module Substrate = Detmt_sched.Substrate
 module Decision = Detmt_sched.Decision
-module Candidate_index = Detmt_sched.Candidate_index
+module Seq_index = Detmt_sched.Seq_index
 module Fqueue = Detmt_sched.Fqueue
 module Waitq = Detmt_sched.Waitq
 module Registry = Detmt_sched.Registry

@@ -1,6 +1,6 @@
 (** The shared scheduler substrate — the policy-independent half of the
     paper's two-module architecture.  Owns thread lifecycle (arrival-ordered
-    candidate index, O(log n) per update), per-mutex FIFO wait queues, the
+    {!Seq_index}, no allocation per update), per-mutex FIFO wait queues, the
     prediction plumbing around {!Bookkeeping}, and the flight-recorder
     helpers.  Decision modules ({!Decision.Serial}) keep only policy state. *)
 
@@ -65,6 +65,11 @@ val find_thread : t -> int -> thread option
 
 val thread : t -> int -> thread
 (** @raise Invalid_argument when the thread is not live. *)
+
+val by_seq : t -> int -> thread
+(** The live thread admitted with this seq; decision modules keep seq-keyed
+    {!Seq_index} sets and resolve their members here.  Unspecified when no
+    live thread has the seq. *)
 
 val iter : t -> f:(thread -> unit) -> unit
 (** Ascending admission order. *)

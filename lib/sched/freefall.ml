@@ -14,11 +14,11 @@ type kind = Plock | Preacquire
 type t = {
   sub : Substrate.t;
   rng : Rng.t;
-  waiting : (int * kind) Candidate_index.t; (* tid -> (mutex, kind) *)
+  waiting : (int * kind) Seq_index.t; (* tid -> (mutex, kind) *)
 }
 
 let grant t tid kind =
-  Candidate_index.remove t.waiting tid;
+  Seq_index.remove t.waiting tid;
   if Substrate.observing t.sub then Substrate.incr t.sub "grants";
   let actions = Substrate.actions t.sub in
   match kind with
@@ -28,9 +28,14 @@ let grant t tid kind =
 (* Ascending tid by construction — the same order the replaced fold+sort
    produced, so the random pick consumes the rng stream identically. *)
 let candidates t ~mutex =
-  Candidate_index.fold t.waiting ~init:[] ~f:(fun tid (m, kind) acc ->
-      if m = mutex then (tid, kind) :: acc else acc)
-  |> List.rev
+  let rec go tid acc =
+    if tid < 0 then List.rev acc
+    else
+      let m, kind = Seq_index.get t.waiting tid in
+      go (Seq_index.next_above t.waiting tid)
+        (if m = mutex then (tid, kind) :: acc else acc)
+  in
+  go (Seq_index.min_key t.waiting) []
 
 let wake_random t ~mutex =
   match candidates t ~mutex with
@@ -43,19 +48,19 @@ let wake_random t ~mutex =
 let on_lock t tid ~syncid:_ ~mutex =
   let actions = Substrate.actions t.sub in
   if actions.mutex_free_for ~tid ~mutex then actions.grant_lock tid
-  else Candidate_index.add t.waiting ~key:tid (mutex, Plock)
+  else Seq_index.add t.waiting tid (mutex, Plock)
 
 let on_wakeup t tid ~mutex =
   let actions = Substrate.actions t.sub in
   if actions.mutex_free_for ~tid ~mutex then actions.grant_reacquire tid
-  else Candidate_index.add t.waiting ~key:tid (mutex, Preacquire)
+  else Seq_index.add t.waiting tid (mutex, Preacquire)
 
 let policy sub : Sched_iface.sched =
   let actions = Substrate.actions sub in
   let t =
     { sub;
       rng = Rng.create (Int64.of_int (0x5EED + actions.replica_id));
-      waiting = Candidate_index.create () }
+      waiting = Seq_index.create () }
   in
   let base =
     Sched_iface.no_op_sched ~name:(Substrate.name sub)

@@ -25,7 +25,7 @@ type t = {
   mutable grant_seq : int;
   (* --- follower state --- *)
   enforced : Waitq.t; (* per mutex: leader-ordered tids *)
-  requested : int Candidate_index.t; (* tid -> mutex it locally requested *)
+  requested : int Seq_index.t; (* tid -> mutex it locally requested *)
   mutable draining : bool;
       (* a promoted leader first drains already-received decisions *)
 }
@@ -87,10 +87,11 @@ let leader_on_unlock t ~mutex =
 let follower_try t ~mutex =
   match Waitq.head t.enforced ~mutex with
   | Some tid
-    when Candidate_index.find t.requested tid = Some mutex
+    when Seq_index.mem t.requested tid
+         && Seq_index.get t.requested tid = mutex
          && (Substrate.actions t.sub).mutex_free_for ~tid ~mutex ->
     ignore (Waitq.pop t.enforced ~mutex);
-    Candidate_index.remove t.requested tid;
+    Seq_index.remove t.requested tid;
     if Substrate.observing t.sub then begin
       Substrate.incr t.sub "follower_grants";
       Substrate.audit t.sub ~tid ~action:(pending_action t tid) ~mutex
@@ -103,7 +104,7 @@ let follower_try t ~mutex =
 
 let follower_request t tid ~mutex pending =
   (Substrate.thread t.sub tid).pending <- Some pending;
-  Candidate_index.add t.requested ~key:tid mutex;
+  Seq_index.add t.requested tid mutex;
   (if Substrate.observing t.sub && Waitq.head t.enforced ~mutex <> Some tid
    then begin
      Substrate.incr t.sub "deferrals";
@@ -116,25 +117,30 @@ let follower_request t tid ~mutex pending =
 
 (* A follower promoted to leader finishes the dead leader's published
    decisions first (all survivors received the same prefix, in total order),
-   then switches to greedy mode.  The drain order is ascending tid — the
-   index iterates sorted by construction. *)
-let drain_done t =
-  List.iter
-    (fun (tid, mutex) ->
-      Candidate_index.remove t.requested tid;
-      match Substrate.find_thread t.sub tid with
-      | Some { Substrate.pending = Some p; _ } -> leader_request t tid ~mutex p
-      | Some _ | None -> ())
-    (Candidate_index.to_list t.requested)
+   then switches to greedy mode.  The drain order is ascending tid: each
+   step takes the index's least key (nothing re-enters it once [draining]
+   is off, so this is the order of the index when the drain began). *)
+let rec drain_done t =
+  match Seq_index.min_key t.requested with
+  | -1 -> ()
+  | tid ->
+    let mutex = Seq_index.get t.requested tid in
+    Seq_index.remove t.requested tid;
+    (match Substrate.find_thread t.sub tid with
+    | Some { Substrate.pending = Some p; _ } -> leader_request t tid ~mutex p
+    | Some _ | None -> ());
+    drain_done t
+
+(* Whether a locally requested tid still waits on an enforced decision. *)
+let rec unconsumed t tid =
+  tid >= 0
+  && (Waitq.mem t.enforced ~mutex:(Seq_index.get t.requested tid) ~tid
+     || unconsumed t (Seq_index.next_above t.requested tid))
 
 let check_promotion t =
   if is_leader t && t.draining then begin
     (* Drained when no enforced decisions remain unconsumed. *)
-    let remaining =
-      Candidate_index.fold t.requested ~init:0 ~f:(fun tid mutex acc ->
-          if Waitq.mem t.enforced ~mutex ~tid then acc + 1 else acc)
-    in
-    if remaining = 0 then begin
+    if not (unconsumed t (Seq_index.min_key t.requested)) then begin
       t.draining <- false;
       drain_done t
     end
@@ -192,7 +198,7 @@ let on_control t ~sender:_ control =
 let policy sub : Sched_iface.sched =
   let t =
     { sub; grant_seq = 0; enforced = Waitq.create ();
-      requested = Candidate_index.create ();
+      requested = Seq_index.create ();
       draining = not ((Substrate.actions sub).is_leader ()) }
   in
   let base =

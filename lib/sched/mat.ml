@@ -21,11 +21,11 @@
    Decision-module state is the primary designation plus two promotion
    indexes; the thread records (role flags, pending operations, arrival
    order) live in the substrate.  The indexes partition the live threads
-   that are not suspended by their [ex_primary] flag, keyed by admission
-   seq, and are updated at every event that changes one of those flags.  A
-   promotion then takes the least key of an index, O(log n) in the live
-   threads, where a scan over them was linear.  The scan is kept as the
-   test oracle [test/mat_reference.ml]. *)
+   that are not suspended by their [ex_primary] flag, as {!Seq_index} sets
+   of admission seqs, and are updated at every event that changes one of
+   those flags.  A promotion then takes the least key of an index, O(1)
+   and allocation-free, where a scan over the live threads was linear.
+   The scan is kept as the test oracle [test/mat_reference.ml]. *)
 
 open Detmt_runtime
 module Audit = Detmt_obs.Audit
@@ -34,10 +34,10 @@ type t = {
   sub : Substrate.t;
   mutable primary : int option;
   mutable primary_wants : int option; (* mutex the primary waits on *)
-  ready_ex : Substrate.thread Candidate_index.t;
-      (* by seq: ex-primaries that are not suspended *)
-  runnable : Substrate.thread Candidate_index.t;
-      (* by seq: threads that are neither suspended nor ex-primaries *)
+  ready_ex : unit Seq_index.t;
+      (* seqs of the ex-primaries that are not suspended *)
+  runnable : unit Seq_index.t;
+      (* seqs of the threads that are neither suspended nor ex-primaries *)
 }
 
 let never_locks_again t tid = Substrate.no_future_locks t.sub ~tid
@@ -48,21 +48,28 @@ let never_locks_again t tid = Substrate.no_future_locks t.sub ~tid
 let reindex t (th : Substrate.thread) =
   let key = th.seq in
   if th.suspended then begin
-    Candidate_index.remove t.ready_ex key;
-    Candidate_index.remove t.runnable key
+    Seq_index.remove t.ready_ex key;
+    Seq_index.remove t.runnable key
   end
   else if th.ex_primary then begin
-    Candidate_index.remove t.runnable key;
-    Candidate_index.add t.ready_ex ~key th
+    Seq_index.remove t.runnable key;
+    Seq_index.add t.ready_ex key ()
   end
   else begin
-    Candidate_index.remove t.ready_ex key;
-    Candidate_index.add t.runnable ~key th
+    Seq_index.remove t.ready_ex key;
+    Seq_index.add t.runnable key ()
   end
 
 let unindex t (th : Substrate.thread) =
-  Candidate_index.remove t.ready_ex th.seq;
-  Candidate_index.remove t.runnable th.seq
+  Seq_index.remove t.ready_ex th.seq;
+  Seq_index.remove t.runnable th.seq
+
+(* The least runnable seq from [seq] on whose thread may still lock, or
+   [-1]. *)
+let rec first_locking t seq =
+  if seq < 0 || not (never_locks_again t (Substrate.by_seq t.sub seq).tid)
+  then seq
+  else first_locking t (Seq_index.next_above t.runnable seq)
 
 (* Execute the primary's pending operation, waiting for the mutex via
    [primary_wants] when it is still held (necessarily by a suspended
@@ -101,20 +108,17 @@ and promote t =
   if t.primary = None then begin
     (* 1. A blocked (ex-)primary that can continue takes priority. *)
     let candidate =
-      match Candidate_index.min t.ready_ex with
-      | Some _ as ready_ex -> ready_ex
-      | None -> (
+      match Seq_index.min_key t.ready_ex with
+      | -1 -> (
         (* 2. The oldest secondary — skipping, in the bookkeeping variant,
            threads that provably never lock again. *)
         match Substrate.bookkeeping t.sub with
-        | None -> Candidate_index.min t.runnable
-        | Some _ ->
-          Candidate_index.find_first t.runnable ~f:(fun _ th ->
-              not (never_locks_again t th.tid)))
+        | None -> Seq_index.min_key t.runnable
+        | Some _ -> first_locking t (Seq_index.min_key t.runnable))
+      | ready_ex -> ready_ex
     in
-    match candidate with
-    | None -> ()
-    | Some (_, th) ->
+    if candidate >= 0 then begin
+      let th = Substrate.by_seq t.sub candidate in
       if Substrate.observing t.sub then begin
         Substrate.incr t.sub "promotions";
         Substrate.audit t.sub ~tid:th.tid ~action:Audit.Promote
@@ -136,6 +140,7 @@ and promote t =
       end;
       t.primary <- Some th.tid;
       run_primary t th
+    end
   end
 
 let demote t (th : Substrate.thread) =
@@ -254,8 +259,8 @@ let on_terminate t tid =
 let policy sub : Sched_iface.sched =
   let t =
     { sub; primary = None; primary_wants = None;
-      ready_ex = Candidate_index.create ();
-      runnable = Candidate_index.create () }
+      ready_ex = Seq_index.create_set ();
+      runnable = Seq_index.create_set () }
   in
   let base =
     Sched_iface.no_op_sched ~name:(Substrate.name sub)
