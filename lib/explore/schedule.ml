@@ -104,39 +104,49 @@ let of_string s =
     let line = String.trim line in
     if line = "" || line.[0] = '#' then ()
     else
-      try
-        match String.index_opt line ' ' with
-        | None -> fail_line n line "missing argument"
-        | Some i -> (
-          let key = String.sub line 0 i in
-          let rest = String.sub line (i + 1) (String.length line - i - 1) in
-          match key with
-          | "scheduler" -> scheduler := Some rest
-          | "workload" -> workload := Some rest
-          | "seed" -> seed := int_of_string rest
-          | "clients" -> clients := count rest
-          | "requests" -> requests := count rest
-          | "workers" -> workers := count rest
-          | "elastic" -> elastic := bool_of_string rest
-          | "batching" ->
-            Scanf.sscanf rest "max_batch=%d delay_ms=%f" (fun m d ->
-                batching := Some { Detmt_gcs.Totem.max_batch = m; delay_ms = d })
-          | "delay" ->
-            Scanf.sscanf rest "seq=%d dest=%d extra_ms=%f" (fun seq dest e ->
-                entries := Delay { seq; dest; extra_ms = e } :: !entries)
-          | "reorder" ->
-            Scanf.sscanf rest "at=%d pick=%d" (fun at_index pick ->
-                entries := Reorder { at_index; pick } :: !entries)
-          | "flush" ->
-            Scanf.sscanf rest "after_seq=%d" (fun after_seq ->
-                entries := Flush { after_seq } :: !entries)
-          | "crash" ->
-            Scanf.sscanf rest "replica=%d at_ms=%f recover_at_ms=%f"
-              (fun replica at_ms recover_at_ms ->
-                entries := Crash { replica; at_ms; recover_at_ms } :: !entries)
-          | other -> fail_line n line ("unknown directive " ^ other))
-      with Scanf.Scan_failure _ | End_of_file | Failure _ ->
-        fail_line n line "malformed arguments"
+      match String.index_opt line ' ' with
+      | None -> fail_line n line "missing argument"
+      | Some i -> (
+        let key = String.sub line 0 i in
+        let rest = String.sub line (i + 1) (String.length line - i - 1) in
+        (* Only the argument parsers' failures are "malformed arguments";
+           [fail_line]'s own [Failure] must pass through. *)
+        let args f =
+          try f () with Scanf.Scan_failure _ | End_of_file | Failure _ ->
+            fail_line n line "malformed arguments"
+        in
+        match key with
+        | "scheduler" -> scheduler := Some rest
+        | "workload" -> workload := Some rest
+        | "seed" -> args (fun () -> seed := int_of_string rest)
+        | "clients" -> args (fun () -> clients := count rest)
+        | "requests" -> args (fun () -> requests := count rest)
+        | "workers" -> args (fun () -> workers := count rest)
+        | "elastic" -> args (fun () -> elastic := bool_of_string rest)
+        | "batching" ->
+          args (fun () ->
+              Scanf.sscanf rest "max_batch=%d delay_ms=%f" (fun m d ->
+                  batching :=
+                    Some { Detmt_gcs.Totem.max_batch = m; delay_ms = d }))
+        | "delay" ->
+          args (fun () ->
+              Scanf.sscanf rest "seq=%d dest=%d extra_ms=%f" (fun seq dest e ->
+                  entries := Delay { seq; dest; extra_ms = e } :: !entries))
+        | "reorder" ->
+          args (fun () ->
+              Scanf.sscanf rest "at=%d pick=%d" (fun at_index pick ->
+                  entries := Reorder { at_index; pick } :: !entries))
+        | "flush" ->
+          args (fun () ->
+              Scanf.sscanf rest "after_seq=%d" (fun after_seq ->
+                  entries := Flush { after_seq } :: !entries))
+        | "crash" ->
+          args (fun () ->
+              Scanf.sscanf rest "replica=%d at_ms=%f recover_at_ms=%f"
+                (fun replica at_ms recover_at_ms ->
+                  entries :=
+                    Crash { replica; at_ms; recover_at_ms } :: !entries))
+        | other -> fail_line n line ("unknown directive " ^ other))
   in
   List.iteri (fun i l -> parse_line (i + 1) l) (String.split_on_char '\n' s);
   match (!scheduler, !workload) with

@@ -41,7 +41,30 @@ let test_schedule_parse_errors () =
         (bad
            ("# detmt explore schedule v1\nscheduler mat\nworkload figure1\n"
           ^ line ^ "\n")))
-    [ "requests -1"; "clients -2"; "workers 0" ]
+    [ "requests -1"; "clients -2"; "workers 0" ];
+  (* The message names what is wrong with the line. *)
+  let message line =
+    match
+      Schedule.of_string
+        ("# detmt explore schedule v1\nscheduler mat\nworkload figure1\n"
+       ^ line ^ "\n")
+    with
+    | exception Failure msg -> msg
+    | _ -> "parsed"
+  in
+  let mentions what msg =
+    let n = String.length what in
+    let rec at i =
+      i + n <= String.length msg && (String.sub msg i n = what || at (i + 1))
+    in
+    at 0
+  in
+  Alcotest.check b "unknown directive named" true
+    (mentions "unknown directive warp" (message "warp 9"));
+  Alcotest.check b "bare word: missing argument" true
+    (mentions "missing argument" (message "foo"));
+  Alcotest.check b "bad number: malformed arguments" true
+    (mentions "malformed arguments" (message "seed x"))
 
 let test_schedule_comments_ignored () =
   let s =
