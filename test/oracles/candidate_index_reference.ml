@@ -1,7 +1,8 @@
-(* The scan-based implementation {!Detmt_sched.Candidate_index} replaced,
-   kept verbatim in spirit: candidates in a hash table, every query folds
-   and sorts.  Only the differential unit tests and the bench's
-   indexed-vs-scan dispatch comparison use it. *)
+(* The scan-based candidate index the decision modules started from, kept
+   verbatim in spirit: candidates in a hash table, every query folds and
+   sorts.  It is the oracle of {!Detmt_sched.Seq_index}: only the
+   differential unit tests and the bench's indexed-vs-scan dispatch
+   comparison use it. *)
 
 type 'a t = (int, 'a) Hashtbl.t
 
