@@ -26,26 +26,9 @@ let sharded_wl wname p = { wname; cls = W.Sharded.cls p; gen = W.Sharded.gen p }
 
 let hotspot_wl wname p = { wname; cls = W.Hotspot.cls p; gen = W.Hotspot.gen p }
 
-(* E20a setting: every fourth request synchronises through a local the §4.3
-   analysis cannot resolve, so its conflict class is [Top] even though the
-   dynamic closure is one of 64 mutexes.  Plain cgs serialises each opaque
-   request against everything in flight; cgs+ws speculates it in a
-   workspace off the critical path and merges at its slot barrier. *)
-let workspace_workload =
-  { W.Sharded.default with W.Sharded.cross_ratio = 0.0; opaque_ratio = 0.25 }
-
-let workload = function
-  | "figure1" -> figure1_wl "figure1" W.Figure1.default
-  | "compute-heavy" -> figure1_wl "compute-heavy" W.Figure1.compute_heavy
-  | "disjoint" ->
-    mk "disjoint" (W.Disjoint.cls W.Disjoint.default) W.Disjoint.gen
-  | "tail" -> tail_wl "tail" W.Tail_compute.default
-  | "prodcons" ->
-    mk "prodcons" (W.Prodcons.cls W.Prodcons.default) W.Prodcons.gen
-  | "sharded" -> sharded_wl "sharded" W.Sharded.default
-  | "sharded-opaque" -> sharded_wl "sharded-opaque" workspace_workload
-  | "hotspot" -> hotspot_wl "hotspot" W.Hotspot.default
-  | other -> failwith (Printf.sprintf "unknown workload %S" other)
+let workload wname =
+  let cls, gen = W.Catalog.find wname in
+  { wname; cls; gen }
 
 type system =
   | Active
@@ -137,6 +120,24 @@ type row = { config : config; outcome : outcome; cost : cost }
 
 let metric r name =
   Option.value (List.assoc_opt name r.outcome.metrics) ~default:Float.nan
+
+(* The host rates, computed from the cost so that the outcome stays a
+   function of the configuration: events per wall-clock second, and minor
+   words per executed event and per answered request — [nan] for a row
+   that counts no events or answers no request. *)
+let host_rates r =
+  let per n d = if d > 0.0 then n /. d else Float.nan in
+  let events = metric r "events" in
+  [ ("events_per_s", per events (r.cost.wall_ms /. 1000.0));
+    ("words_per_event", per r.cost.minor_words events);
+    ("words_per_request",
+     per r.cost.minor_words (float_of_int r.outcome.replies)) ]
+
+(* What a table column or a claim reads: a host rate, else a metric. *)
+let column r name =
+  match List.assoc_opt name (host_rates r) with
+  | Some v -> v
+  | None -> metric r name
 
 (* Host-side cost of one call: wall-clock milliseconds and GC-allocated
    words.  Host measurements only, so recording them cannot perturb the
@@ -997,20 +998,6 @@ let raw_chain c =
       { wall_ms; minor_words; major_words; series_points = 0;
         peak_pending = 0.0 } }
 
-(* The derived host columns: events per wall-clock second, and minor words
-   allocated per executed event and per answered request. *)
-let engine_rates _ r =
-  let events = metric r "events" in
-  [ ("events_per_s",
-     if r.cost.wall_ms > 0.0 then events /. (r.cost.wall_ms /. 1000.0)
-     else 0.0);
-    ("words_per_event",
-     if events > 0.0 then r.cost.minor_words /. events else 0.0);
-    ("words_per_request",
-     if r.outcome.replies > 0 then
-       r.cost.minor_words /. float_of_int r.outcome.replies
-     else 0.0) ]
-
 (* The conflict-graph family's load-independence points: the pool at 4
    workers, 64 and 256 clients x 2 requests.  cgs runs figure1 (per-mutex
    heads); cgs+ws runs single-group sharded-opaque (speculations and
@@ -1035,8 +1022,8 @@ let load_independence rows =
         (match (at 64, at 256) with
         | Some lo, Some hi ->
           Some
-            (metric hi "words_per_request"
-            <= 1.5 *. metric lo "words_per_request")
+            (column hi "words_per_request"
+            <= 1.5 *. column lo "words_per_request")
         | _ -> None))
     load_points
 
@@ -1060,12 +1047,11 @@ let engine () =
             requests = 2 })
         load_points [ 64; 256 ])
     ~run:(fun grid ->
-      ( derive engine_rates
-          (List.map
-             (fun c ->
-               if c.workload.wname = "raw-chain" then raw_chain c
-               else run ~obs:Recorder.disabled c)
-             grid),
+      ( List.map
+          (fun c ->
+            if c.workload.wname = "raw-chain" then raw_chain c
+            else run ~obs:Recorder.disabled c)
+          grid,
         "Expected shape: the raw chain costs a few words/event (boxed float \
          timestamps only); the macro rows sit well under the pre-wheel \
          baseline recorded in EXPERIMENTS.md E18.\n" ))
@@ -1080,7 +1066,7 @@ let engine () =
             if r.config.workload.wname = "raw-chain" then
               Some
                 ( "raw chain under 16 words/event",
-                  metric r "words_per_event" < 16.0 )
+                  column r "words_per_event" < 16.0 )
             else None)
           rows
       @ load_independence rows)
@@ -1161,7 +1147,7 @@ let tables spec rows =
           Table.add_row t
             (List.map (fun k -> json_cell (List.assoc k f)) varying
             @ List.map snd (outcome_cells r)
-            @ List.map (fun m -> fmt_metric (metric r m)) spec.columns))
+            @ List.map (fun m -> fmt_metric (column r m)) spec.columns))
         rows fields;
       t)
     sections
@@ -1186,18 +1172,21 @@ let row_json r =
             Json.Obj (List.map (fun (n, v) -> (n, finite v)) o.metrics)) ]);
       ("cost",
        Json.Obj
-         [ ("wall_ms", Json.Float k.wall_ms);
-           ("minor_words", Json.Float k.minor_words);
-           ("major_words", Json.Float k.major_words);
-           ("series_points", Json.Int k.series_points);
-           ("peak_pending", Json.Float k.peak_pending) ]) ]
+         ([ ("wall_ms", Json.Float k.wall_ms);
+            ("minor_words", Json.Float k.minor_words);
+            ("major_words", Json.Float k.major_words);
+            ("series_points", Json.Int k.series_points);
+            ("peak_pending", Json.Float k.peak_pending) ]
+         @ List.map (fun (n, v) -> (n, finite v)) (host_rates r))) ]
 
 (* schema_version history: v2 added the host-cost columns, v3 the engine
    suite's events_per_s / words_per_event, v4 is the uniform row: every
-   BENCH file is {config, outcome, cost} rows plus the spec's claims. *)
+   BENCH file is {config, outcome, cost} rows plus the spec's claims; v5
+   moves the host rates from the engine rows' outcome into every row's
+   cost, so an outcome holds no host measurement. *)
 let json spec rows =
   Json.Obj
-    [ ("schema_version", Json.Int 4);
+    [ ("schema_version", Json.Int 5);
       ("experiment", Json.String spec.name);
       ("title", Json.String spec.title);
       ("claims",

@@ -17,8 +17,8 @@ type workload = {
 }
 
 val workload : string -> workload
-(** A built-in workload: figure1, compute-heavy, disjoint, tail, prodcons,
-    sharded, sharded-opaque, hotspot.  @raise Failure on another name. *)
+(** A built-in workload by its {!Detmt_workload.Catalog} name.
+    @raise Invalid_argument on another name, listing the valid ones. *)
 
 type system =
   | Active  (** one replica group *)
@@ -136,8 +136,9 @@ val tables : spec -> row list -> Detmt_stats.Table.t list
     that vary, the outcome, and the spec's {!spec.columns}. *)
 
 val json : spec -> row list -> Detmt_obs.Json.t
-(** The [BENCH_<name>.json] document: [schema_version] 4, the claims, and
-    every row's configuration, outcome, metrics and host cost. *)
+(** The [BENCH_<name>.json] document: [schema_version] 5, the claims, and
+    every row's configuration, outcome, metrics and host cost (with the
+    host rates: events per second, words per event and per request). *)
 
 val pp_row : Format.formatter -> row -> unit
 (** One row as [key: value] lines. *)

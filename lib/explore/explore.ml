@@ -17,46 +17,6 @@
 open Detmt_sim
 open Detmt_replication
 
-(* ------------------------------ workloads ----------------------------- *)
-
-let workload_names =
-  [ "figure1"; "compute-heavy"; "disjoint"; "tail"; "prodcons"; "hotspot";
-    "sharded-opaque" ]
-
-(* The workspace stressor: 25% of the requests are Top-class opaque
-   closures, so under wss/cgs+ws the envelope exercises speculative
-   execution, the slot-order commit barrier and the abort/retry path. *)
-let sharded_opaque_params =
-  { Detmt_workload.Sharded.default with
-    Detmt_workload.Sharded.cross_ratio = 0.0; opaque_ratio = 0.25 }
-
-let resolve_workload = function
-  | "figure1" ->
-    ( Detmt_workload.Figure1.cls Detmt_workload.Figure1.default,
-      Detmt_workload.Figure1.gen Detmt_workload.Figure1.default )
-  | "compute-heavy" ->
-    ( Detmt_workload.Figure1.cls Detmt_workload.Figure1.compute_heavy,
-      Detmt_workload.Figure1.gen Detmt_workload.Figure1.compute_heavy )
-  | "disjoint" ->
-    ( Detmt_workload.Disjoint.cls Detmt_workload.Disjoint.default,
-      Detmt_workload.Disjoint.gen )
-  | "tail" ->
-    ( Detmt_workload.Tail_compute.cls Detmt_workload.Tail_compute.default,
-      Detmt_workload.Tail_compute.gen Detmt_workload.Tail_compute.default )
-  | "prodcons" ->
-    ( Detmt_workload.Prodcons.cls Detmt_workload.Prodcons.default,
-      Detmt_workload.Prodcons.gen )
-  | "hotspot" ->
-    ( Detmt_workload.Hotspot.cls Detmt_workload.Hotspot.default,
-      Detmt_workload.Hotspot.gen Detmt_workload.Hotspot.default )
-  | "sharded-opaque" ->
-    ( Detmt_workload.Sharded.cls sharded_opaque_params,
-      Detmt_workload.Sharded.gen sharded_opaque_params )
-  | other ->
-    invalid_arg
-      (Printf.sprintf "Explore: unknown workload %S (valid: %s)" other
-         (String.concat ", " workload_names))
-
 (* ------------------------------ one run ------------------------------- *)
 
 type outcome = {
@@ -269,7 +229,7 @@ let run_one_elastic ~replicas ~observe ~cls ~gen (s : Schedule.t) =
       o_recoveries = Reconfig.recoveries system;
       o_transitions = Reconfig.epoch system;
       o_epochs_agree = Reconfig.epochs_agree system;
-      o_order_fp = Reconfig.fingerprint system;
+      o_order_fp = Reconfig.order_fingerprint system;
       o_events = Engine.events_executed engine;
       o_duration_ms = Engine.now engine }
   in
@@ -437,7 +397,7 @@ let candidates ?(skews = default_skews) ~pruned obs (s : Schedule.t) =
 
 let explore ?(skews = default_skews) ?(max_depth = 2) ?(max_width = 32)
     ~budget (base : Schedule.t) =
-  let cls, gen = resolve_workload base.Schedule.workload in
+  let cls, gen = Detmt_workload.Catalog.find base.Schedule.workload in
   let root = Schedule.with_entries base [] in
   let canonical, root_obs = run_one ~observe:true ~cls ~gen root in
   let explored = ref 1
@@ -491,7 +451,7 @@ let explore ?(skews = default_skews) ?(max_depth = 2) ?(max_width = 32)
 (* Classic ddmin over the entry list: find a 1-minimal subset that still
    diverges.  Every probe is one full run, so the count is reported. *)
 let shrink ?replicas (s : Schedule.t) =
-  let cls, gen = resolve_workload s.Schedule.workload in
+  let cls, gen = Detmt_workload.Catalog.find s.Schedule.workload in
   let canonical, _ = run_one ?replicas ~cls ~gen (Schedule.with_entries s []) in
   let probes = ref 0 in
   let diverges entries =
@@ -543,7 +503,7 @@ let shrink ?replicas (s : Schedule.t) =
 (* ------------------------------- replay ------------------------------- *)
 
 let replay ?replicas (s : Schedule.t) =
-  let cls, gen = resolve_workload s.Schedule.workload in
+  let cls, gen = Detmt_workload.Catalog.find s.Schedule.workload in
   let canonical, _ = run_one ?replicas ~cls ~gen (Schedule.with_entries s []) in
   let outcome, _ = run_one ?replicas ~cls ~gen s in
   (classify ~canonical outcome, canonical, outcome)

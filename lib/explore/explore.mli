@@ -25,16 +25,6 @@
     candidate generation enumerates crash/recovery points {e inside} the
     reconfiguration window. *)
 
-val resolve_workload :
-  string ->
-  Detmt_lang.Class_def.t
-  * (client:int ->
-    seq:int ->
-    Detmt_sim.Rng.t ->
-    string * Detmt_lang.Ast.value array)
-(** Workload class and request generator by name.
-    @raise Invalid_argument on an unknown name. *)
-
 type outcome = {
   o_replies : int;
   o_expected : int;
@@ -53,8 +43,9 @@ type outcome = {
           the same total-order slot; vacuously true on static schedules *)
   o_order_fp : int64;
       (** broadcast total-order fingerprint (on elastic schedules:
-          {!Detmt_replication.Reconfig.fingerprint}, which also folds the
-          transition log) *)
+          {!Detmt_replication.Reconfig.order_fingerprint}, every
+          incarnation's order plus each transition's epoch and barrier
+          slot) *)
   o_events : int;
   o_duration_ms : float;
 }

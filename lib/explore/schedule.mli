@@ -27,7 +27,7 @@ type entry =
 
 type t = {
   scheduler : string;  (** a {!Detmt_sched.Registry} name *)
-  workload : string;  (** an {!Explore.workload_names} name *)
+  workload : string;  (** a {!Detmt_workload.Catalog} name *)
   seed : int;
   clients : int;
   requests : int;  (** requests per client *)

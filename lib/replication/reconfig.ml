@@ -962,3 +962,17 @@ let fingerprint t =
       fnv_mix h (Int64.of_int (Hashtbl.hash tr.tr_command)))
     (fold_fingerprint (groups_ever t) ~replies:t.replies)
     (List.rev t.transitions)
+
+(* Total-order hash: every incarnation's broadcast order, then the slot
+   each transition was applied at — no replica state, reply or time. *)
+let order_fingerprint t =
+  let h =
+    List.fold_left
+      (fun h sys -> fnv_mix h (Active.order_fingerprint sys))
+      0xcbf29ce484222325L (groups_ever t)
+  in
+  List.fold_left
+    (fun h tr ->
+      fnv_mix (fnv_mix h (Int64.of_int tr.tr_epoch))
+        (Int64.of_int tr.tr_barrier_seq))
+    h (List.rev t.transitions)

@@ -286,6 +286,13 @@ val fingerprint : t -> int64
     (epoch, barrier slot, virtual time, command) folded on after it — the
     seed-reproducibility oracle for multi-group runs. *)
 
+val order_fingerprint : t -> int64
+(** FNV-1a fold of every incarnation's {!Active.order_fingerprint}, in
+    {!groups_ever} order, then each transition's epoch and barrier slot.
+    Equal values mean two runs saw the same total orders and applied every
+    transition at the same slot — the elastic counterpart of
+    {!Active.order_fingerprint}. *)
+
 val fold_fingerprint : Active.t list -> replies:int -> int64
 (** FNV-1a fold of the groups' live-replica ids, trace and state
     fingerprints, in list order, then the reply count. *)

@@ -8,11 +8,15 @@ let fully_predictable = function
          (fun (m : Detmt_analysis.Predict.method_summary) -> not m.fallback)
          cs.methods
 
+(* The one child that drives the worker pool; every other child is serial
+   and runs at width 1. *)
+let pool_child = "cgs"
+
 let recommend ~workers ~conflict_rate ~summary ~avg_concurrency =
   if avg_concurrency <= 1.05 then "seq"
   else if fully_predictable summary then
     if workers > 1 && conflict_rate <= 0.05 && avg_concurrency >= 2.0 then
-      "cgs"
+      pool_child
       (* a worker pool is available and locks almost never contend: the
          conflict graph stays edge-free and class-disjoint requests run
          concurrently — the one regime where a serial token costs real
@@ -26,41 +30,10 @@ let recommend ~workers ~conflict_rate ~summary ~avg_concurrency =
          pMAT's per-event queue scan pays on every delivery *)
   else "mat"
 
-(* The children the analyser can pick.  (Not routed through {!Registry} to
-   keep the module dependency one-way.)  Prediction-based children degrade
-   to their pessimistic base module when no summary is available; the
-   conflict-graph children degrade to MAT (without a summary every class is
-   opaque, so CGS would serialise). *)
-let make_child name ~config ~summary ~workers actions =
-  let inst (module D : Decision.Serial) =
-    Decision.instantiate (module D) ~config ~summary actions
-  in
-  let pinst (module D : Decision.Parallel) =
-    Decision.instantiate_parallel (module D) ~config ~summary ~workers
-      actions
-  in
-  match (name, summary) with
-  | "seq", _ -> inst (module Seq_sched.Base)
-  | "sat", _ -> inst (module Sat.Base)
-  | "psat", Some _ -> inst (module Sat.Predicted)
-  | "psat", None -> inst (module Sat.Base)
-  | "mat", _ -> inst (module Mat.Base)
-  | "pmat", Some _ -> inst (module Pmat.Base)
-  | "pmat", None -> inst (module Mat.Base)
-  | "pds", _ -> inst (module Pds.Base)
-  | "ppds", Some _ -> inst (module Pds.Predicted)
-  | "ppds", None -> inst (module Pds.Base)
-  | "cgs", Some _ -> pinst (module Cgs.Base)
-  | "cgs", None -> inst (module Mat.Base)
-  | "pcgs", Some _ -> pinst (module Cgs.Predicted)
-  | "pcgs", None -> inst (module Mat.Base)
-  | other, _ -> invalid_arg ("Adaptive: unknown child scheduler " ^ other)
-
 type t = {
   actions : Sched_iface.actions;
-  config : Config.t;
-  summary : Detmt_analysis.Predict.class_summary option;
-  workers : int;
+  cfg : Sched_config.t;
+  instantiate : Sched_config.t -> Sched_iface.actions -> Sched_iface.sched;
   window : int;
   on_switch : string -> unit;
   mutable child : Sched_iface.sched;
@@ -73,14 +46,18 @@ type t = {
   mutable window_contended : int; (* lock requests finding the mutex held *)
 }
 
+(* A child is a registry entry under the meta-scheduler's runtime model and
+   summary; only [pool_child] gets the pool. *)
+let child_config (cfg : Sched_config.t) name =
+  let workers = if String.equal name pool_child then cfg.workers else 1 in
+  Sched_config.make ~runtime:cfg.runtime ?summary:cfg.summary ~workers name
+
 let switch t name =
   if not (String.equal name t.child_name) then begin
     (* Only legal at quiescence: the fresh child starts with no thread
        state, which is exactly the replica's situation. *)
     assert (t.alive_threads = 0);
-    t.child <-
-      make_child name ~config:t.config ~summary:t.summary ~workers:t.workers
-        t.actions;
+    t.child <- t.instantiate (child_config t.cfg name) t.actions;
     t.child_name <- name;
     t.on_switch name
   end
@@ -103,7 +80,7 @@ let reconsider t =
     t.window_locks <- 0;
     t.window_contended <- 0;
     switch t
-      (recommend ~workers:t.workers ~conflict_rate ~summary:t.summary
+      (recommend ~workers:t.cfg.workers ~conflict_rate ~summary:t.cfg.summary
          ~avg_concurrency)
   end
 
@@ -149,20 +126,18 @@ let iface t =
     snapshot = (fun () -> t.child.snapshot ());
     restore = (fun kv -> t.child.restore kv) }
 
-let of_config ?(window = 20) ?(on_switch = fun _ -> ())
+let of_config ?(window = 20) ?(on_switch = fun _ -> ()) ~instantiate
     (cfg : Sched_config.t) actions : Sched_iface.sched =
-  let config = cfg.Sched_config.runtime
-  and summary = cfg.Sched_config.summary
-  and workers = cfg.Sched_config.workers in
   (* Prior before anything has been measured: assume moderate concurrency
      and full contention — the conflict-graph child is only picked once a
      window has demonstrated that locks do not contend. *)
   let initial =
-    recommend ~workers ~conflict_rate:1.0 ~summary ~avg_concurrency:4.0
+    recommend ~workers:cfg.workers ~conflict_rate:1.0 ~summary:cfg.summary
+      ~avg_concurrency:4.0
   in
   let t =
-    { actions; config; summary; workers; window; on_switch;
-      child = make_child initial ~config ~summary ~workers actions;
+    { actions; cfg; instantiate; window; on_switch;
+      child = instantiate (child_config cfg initial) actions;
       child_name = initial; alive_threads = 0; window_requests = 0;
       concurrency_sum = 0; window_locks = 0; window_contended = 0 }
   in

@@ -2,7 +2,7 @@
     that chooses the appropriate scheduler at runtime depending on the client
     interaction patterns and the methods lock pattern").
 
-    A meta decision module that delegates to a child scheduler and, at
+    A meta-scheduler that delegates to a child scheduler and, at
     quiescent points (no thread alive) after every [window] delivered
     requests, re-evaluates which child fits the observed interaction
     pattern:
@@ -22,9 +22,11 @@
       scheduler (CGS): class-disjoint requests run concurrently, the one
       regime where any serial token costs real throughput.
 
-    Prediction-based children fall back to their pessimistic base module
-    (psat→sat, pmat→mat, ppds→pds, cgs/pcgs→mat) when no summary is
-    available.
+    Children are registry entries built through the [instantiate] the
+    registry hands in, so they get the meta-scheduler's runtime model and
+    summary, and the worker pool goes to the conflict-graph child only.  A
+    prediction-based child is recommended only when the summary makes the
+    class fully predictable, so a child never lacks its summary.
 
     Every input to the decision (delivery and termination order, the static
     summary, the contention counts — deterministic because the child's
@@ -46,14 +48,17 @@ val recommend :
 val of_config :
   ?window:int ->
   ?on_switch:(string -> unit) ->
+  instantiate:
+    (Sched_config.t ->
+    Detmt_runtime.Sched_iface.actions ->
+    Detmt_runtime.Sched_iface.sched) ->
   Sched_config.t ->
   Detmt_runtime.Sched_iface.actions ->
   Detmt_runtime.Sched_iface.sched
 (** Build the meta-scheduler from the unified {!Sched_config.t} record
     (the [scheduler] field is ignored — this {e is} the adaptive scheduler).
-    [window] (default 20) is the number of requests observed between
-    re-evaluations; [on_switch] fires with the new child's name whenever the
-    delegate changes (including the initial choice).  This is the only
-    constructor: the deprecated [make ~config ~summary] entry point was
-    removed once {!Registry.instantiate} became the single construction
-    path. *)
+    [instantiate] builds a child from its configuration; its one value is
+    {!Registry.instantiate}, passed in because the registry depends on this
+    module.  [window] (default 20) is the number of requests observed
+    between re-evaluations; [on_switch] fires with the new child's name
+    whenever the delegate changes (including the initial choice). *)

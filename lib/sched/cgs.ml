@@ -39,7 +39,7 @@
    4. Within one request, lock grants are immediate (its class owns its
       mutexes while it runs), so the intra-request order is program order.
 
-   The {!Predicted} variant (pcgs) additionally shrinks a running request's
+   The {!pcgs} variant additionally shrinks a running request's
    in-flight blockset to [held ∪ future_mutexes] once the bookkeeping
    module proves the prediction exact — early release, Figure 2 style — so
    successors can start before the predecessor terminates.  Threads whose
@@ -52,7 +52,7 @@
    parked, so its notifier can never run.  Every condvar workload in the
    tree resolves its monitor ([Sp_this]), which keeps the hole open.
 
-   Workspace speculation (the {!Workspace} and {!Safety_net} variants).
+   Workspace speculation (the {!wss} and {!safety_net} variants).
    Instead of waiting for the graph to clear, a speculation-eligible request
    is dispatched immediately against a copy-on-write workspace
    ({!Detmt_runtime.Workspace}): reads page committed values in, writes stay
@@ -89,10 +89,10 @@
    the speculation commits — safe, merely slower; no in-tree workload mixes
    the two.
 
-   [wss] ({!Workspace}) speculates {e every} condvar-free request and
+   [wss] ({!wss}) speculates {e every} condvar-free request and
    replays the virtual acquisition log into the real acquisition
    fingerprints at commit, so its per-mutex order is the slot-order
-   projection — differentially equal to SEQ.  [cgs+ws] ({!Safety_net})
+   projection — differentially equal to SEQ.  [cgs+ws] ({!safety_net})
    keeps the conflict graph for resolvable classes and speculates only
    [Top]-class requests (the ones plain CGS would serialise), leaving
    acquisition fingerprints to the direct executions — differentially equal
@@ -782,35 +782,10 @@ let policy ?(spec = No_spec) ?(record_acq = false) ~early sub pool :
         Substrate.bk_loop_exit sub ~tid ~loopid;
         bk_refresh t tid) }
 
-module Base : Decision.Parallel = struct
-  let name = "cgs"
+let cgs sub pool = policy ~early:false sub pool
 
-  let needs_prediction = true
+let pcgs sub pool = policy ~early:true sub pool
 
-  let policy sub pool = policy ~early:false sub pool
-end
+let wss sub pool = policy ~spec:Spec_all ~record_acq:true ~early:false sub pool
 
-module Predicted : Decision.Parallel = struct
-  let name = "pcgs"
-
-  let needs_prediction = true
-
-  let policy sub pool = policy ~early:true sub pool
-end
-
-module Workspace : Decision.Parallel = struct
-  let name = "wss"
-
-  let needs_prediction = true
-
-  let policy sub pool =
-    policy ~spec:Spec_all ~record_acq:true ~early:false sub pool
-end
-
-module Safety_net : Decision.Parallel = struct
-  let name = "cgs+ws"
-
-  let needs_prediction = true
-
-  let policy sub pool = policy ~spec:Spec_top ~early:false sub pool
-end
+let safety_net sub pool = policy ~spec:Spec_top ~early:false sub pool

@@ -7,17 +7,17 @@
     independent of the worker count.  Construct via
     {!Registry.instantiate} with [Sched_config.workers]. *)
 
-module Base : Decision.Parallel
+val cgs : Substrate.t -> Decision.Pool.t -> Detmt_runtime.Sched_iface.sched
 (** ["cgs"]: static classes — a running request blocks its whole class until
     it terminates. *)
 
-module Predicted : Decision.Parallel
+val pcgs : Substrate.t -> Decision.Pool.t -> Detmt_runtime.Sched_iface.sched
 (** ["pcgs"]: prediction-shrunk blocksets — once bookkeeping proves the
     prediction exact, a running request blocks only [held ∪ future] mutexes
     (early release), letting class successors start before it terminates.
     Condvar-using methods keep the static class. *)
 
-module Workspace : Decision.Parallel
+val wss : Substrate.t -> Decision.Pool.t -> Detmt_runtime.Sched_iface.sched
 (** ["wss"]: workspace speculation — every condvar-free request executes
     immediately against a copy-on-write workspace
     ({!Detmt_runtime.Workspace}) and merges at its slot-order commit
@@ -26,7 +26,7 @@ module Workspace : Decision.Parallel
     so observables (replies, states, per-mutex order) match SEQ exactly at
     any worker count. *)
 
-module Safety_net : Decision.Parallel
+val safety_net : Substrate.t -> Decision.Pool.t -> Detmt_runtime.Sched_iface.sched
 (** ["cgs+ws"]: CGS dispatch for requests whose conflict class resolves,
     workspace speculation for the opaque ([Top]-class) ones plain CGS would
     serialise behind everything — the safety net that keeps mispredicted

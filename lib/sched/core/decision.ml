@@ -1,36 +1,18 @@
-(* The decision-module signatures of the two-module scheduler architecture.
+(* Decision policies of the two-module scheduler architecture.
 
    "The scheduler is split into a generic bookkeeping module and an
-   algorithm-specific decision module" (section 5).  A decision module is a
-   policy over a prepared {!Substrate}: it receives the substrate (which
-   already carries the replica actions, the configuration and — for
-   prediction-aware variants — a bookkeeping instance) and returns the
-   scheduler callback record.
+   algorithm-specific decision module" (section 5).  A decision policy
+   receives a prepared {!Substrate} (which already carries the replica
+   actions, the configuration and — for prediction-aware entries — a
+   bookkeeping instance) and returns the scheduler callback record.
 
-   Two signatures coexist:
-
-   - {!Serial}: one grant at a time, worker-pool width fixed at 1.  All
-     nine paper schedulers are serial modules.
-   - {!Parallel}: the policy additionally receives a {!Pool} — a
-     deterministic allocator over [Substrate.workers] simulated workers —
-     and may hold several threads in flight at once (multi-grant decisions,
-     worker-completion bookkeeping).  The conflict-graph family (cgs/pcgs)
-     lives here.
-
-   {!Of_serial} lifts a serial module into the parallel signature (pool
-   width 1), so the registry stores one constructor shape. *)
+   A [Serial] policy grants one thing at a time at pool width 1; all nine
+   paper schedulers are serial.  A [Parallel] policy additionally receives
+   a {!Pool} — a deterministic allocator over [Substrate.workers] simulated
+   workers — and may hold several threads in flight at once (multi-grant
+   decisions, worker-completion bookkeeping): the conflict-graph family. *)
 
 open Detmt_runtime
-
-module type Serial = sig
-  val name : string
-
-  val needs_prediction : bool
-  (** Whether [instantiate] must build a {!Bookkeeping} from the class
-      summary (and fail without one). *)
-
-  val policy : Substrate.t -> Sched_iface.sched
-end
 
 (* ------------------------------- pool ---------------------------------- *)
 
@@ -59,8 +41,6 @@ module Pool = struct
     { sub; capacity = Substrate.workers sub;
       free_set = Seq_index.create_set (); next_fresh = 0;
       by_tid = Hashtbl.create 16; busy = 0 }
-
-  let capacity t = t.capacity
 
   let busy t = t.busy
 
@@ -96,63 +76,22 @@ module Pool = struct
       (Substrate.actions t.sub).pool_complete ~worker:w ~tid
 end
 
-module type Parallel = sig
-  val name : string
+(* ---------------------------- instantiation ---------------------------- *)
 
-  val needs_prediction : bool
+type policy =
+  | Serial of (Substrate.t -> Sched_iface.sched)
+  | Parallel of (Substrate.t -> Pool.t -> Sched_iface.sched)
 
-  val policy : Substrate.t -> Pool.t -> Sched_iface.sched
-  (** The pool is created over [Substrate.workers] workers; the policy owns
-      its occupancy (every dispatched thread must eventually be completed
-      back). *)
-end
-
-module Of_serial (D : Serial) : Parallel = struct
-  let name = D.name
-
-  let needs_prediction = D.needs_prediction
-
-  let policy sub pool =
-    if Pool.capacity pool <> 1 then
-      invalid_arg
-        (Printf.sprintf
-           "%s: serial decision module cannot drive %d workers" D.name
-           (Pool.capacity pool));
-    D.policy sub
-end
-
-(* --------------------------- instantiation ----------------------------- *)
-
-let make_bookkeeping ~name ~needs_prediction
-    ~(summary : Detmt_analysis.Predict.class_summary option) =
-  if needs_prediction then
-    match summary with
-    | Some _ -> Some (Bookkeeping.create ~summary ())
-    | None ->
-      invalid_arg
-        (Printf.sprintf
-           "%s needs a prediction summary (run Transform.predictive)" name)
-  else None
-
-let instantiate (module D : Serial) ~config
-    ~(summary : Detmt_analysis.Predict.class_summary option) actions =
+let instantiate policy ~needs_prediction (cfg : Sched_config.t) actions =
+  let summary = cfg.Sched_config.summary in
   let bookkeeping =
-    make_bookkeeping ~name:D.name ~needs_prediction:D.needs_prediction
-      ~summary
-  in
-  D.policy (Substrate.create ?bookkeeping ?summary ~name:D.name ~config actions)
-
-let instantiate_parallel (module D : Parallel) ~config
-    ~(summary : Detmt_analysis.Predict.class_summary option) ~workers actions
-    =
-  if workers < 1 then
-    invalid_arg (Printf.sprintf "%s: workers < 1" D.name);
-  let bookkeeping =
-    make_bookkeeping ~name:D.name ~needs_prediction:D.needs_prediction
-      ~summary
+    if needs_prediction then Some (Bookkeeping.create ~summary ()) else None
   in
   let sub =
-    Substrate.create ?bookkeeping ?summary ~workers ~name:D.name ~config
+    Substrate.create ?bookkeeping ?summary ~workers:cfg.Sched_config.workers
+      ~name:cfg.Sched_config.scheduler ~config:cfg.Sched_config.runtime
       actions
   in
-  D.policy sub (Pool.create sub)
+  match policy with
+  | Serial policy -> policy sub
+  | Parallel policy -> policy sub (Pool.create sub)

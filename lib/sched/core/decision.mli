@@ -1,31 +1,25 @@
-(** Decision modules: the policy half of the two-module architecture.  One
-    first-class module per scheduler variant; {!instantiate} (serial) or
-    {!instantiate_parallel} prepares the {!Substrate} (with a {!Bookkeeping}
-    when the variant needs prediction) and applies the policy.
+(** Decision policies: the policy half of the two-module architecture.
 
-    {!Serial} is the single-grant signature the nine paper schedulers
-    implement.  {!Parallel} policies additionally receive a {!Pool} — a
-    deterministic allocator over [Substrate.workers] simulated workers — and
-    may hold several threads in flight at once.  {!Of_serial} lifts a
-    serial module into the parallel signature at pool width 1. *)
+    A scheduler file exports plain policy functions; {!Registry} is the one
+    place that binds a name to a policy, a prediction flag and a
+    description.  {!instantiate} prepares the {!Substrate} (with a
+    {!Bookkeeping} when the entry needs prediction) and applies the policy.
+
+    A {!Serial} policy issues one grant at a time at pool width 1 — the nine
+    paper schedulers.  A {!Parallel} policy additionally receives a {!Pool}
+    — a deterministic allocator over [Substrate.workers] simulated workers —
+    and may hold several threads in flight at once (the conflict-graph
+    family). *)
 
 open Detmt_runtime
 
-module type Serial = sig
-  val name : string
-
-  val needs_prediction : bool
-
-  val policy : Substrate.t -> Sched_iface.sched
-end
-
-(** Deterministic worker allocator for parallel decision modules: a
-    dispatch always takes the lowest free worker index, so the assignment is
-    a pure function of the grant order.  [capacity] is the nominal width a
-    policy consults before dispatching fresh work; [dispatch] itself never
-    fails, so a policy may deliberately oversubscribe (the conflict-graph
-    family resumes condvar waiters on a transient extra worker to keep
-    wakeup ordering independent of pool occupancy). *)
+(** Deterministic worker allocator for parallel policies: a dispatch always
+    takes the lowest free worker index, so the assignment is a pure function
+    of the grant order.  [capacity] is the nominal width a policy consults
+    before dispatching fresh work; [dispatch] itself never fails, so a
+    policy may deliberately oversubscribe (the conflict-graph family
+    resumes condvar waiters on a transient extra worker to keep wakeup
+    ordering independent of pool occupancy). *)
 module Pool : sig
   type t
 
@@ -46,34 +40,21 @@ module Pool : sig
       [actions.pool_complete]. *)
 end
 
-module type Parallel = sig
-  val name : string
-
-  val needs_prediction : bool
-
-  val policy : Substrate.t -> Pool.t -> Sched_iface.sched
-end
-
-module Of_serial (_ : Serial) : Parallel
-(** Pool width must be 1; the lifted policy raises otherwise. *)
+type policy =
+  | Serial of (Substrate.t -> Sched_iface.sched)
+  | Parallel of (Substrate.t -> Pool.t -> Sched_iface.sched)
+      (** The pool is created over [Substrate.workers] workers; the policy
+          owns its occupancy (every dispatched thread must eventually be
+          completed back). *)
 
 val instantiate :
-  (module Serial) ->
-  config:Config.t ->
-  summary:Detmt_analysis.Predict.class_summary option ->
+  policy ->
+  needs_prediction:bool ->
+  Sched_config.t ->
   Sched_iface.actions ->
   Sched_iface.sched
-(** @raise Invalid_argument when the variant needs prediction and no summary
-    is given. *)
-
-val instantiate_parallel :
-  (module Parallel) ->
-  config:Config.t ->
-  summary:Detmt_analysis.Predict.class_summary option ->
-  workers:int ->
-  Sched_iface.actions ->
-  Sched_iface.sched
-(** As {!instantiate}, with the substrate prepared for [workers] simulated
-    pool workers.
-    @raise Invalid_argument when [workers < 1], or when the variant needs
-    prediction and no summary is given. *)
+(** Build the substrate named [cfg.scheduler] over [cfg.runtime],
+    [cfg.summary] and [cfg.workers], attach a {!Bookkeeping} when
+    [needs_prediction], and apply the policy (with a fresh {!Pool} for a
+    {!Parallel} one).  Checks nothing: {!Registry.instantiate} validates
+    the configuration against the entry before calling it. *)

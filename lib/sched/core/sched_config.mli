@@ -1,11 +1,11 @@
 (** The one scheduler-construction record.
 
     Every scheduler in the registry is instantiated from this single record
-    via {!Registry.instantiate}; direct [Decision.instantiate] calls remain
-    only as low-level plumbing underneath it — see DESIGN.md, "Sharding and
-    batching / configuration API".
+    via {!Registry.instantiate}, which looks the name up and hands the
+    record to {!Decision.instantiate} (or, for the adaptive entry, to
+    {!Adaptive.of_config}) — see DESIGN.md, "Configuration API".
 
-    The record carries everything a decision module may need at birth:
+    The record carries everything a decision policy may need at birth:
 
     - [scheduler]: registry name ("mat", "psat", ...) to instantiate;
     - [runtime]: the simulated runtime cost model ({!Detmt_runtime.Config});
@@ -15,10 +15,11 @@
       conflict-graph family ([1] everywhere else — serial schedulers reject
       anything larger at {!Registry.instantiate}).
 
-    The flight recorder is not part of it: decision modules receive it
-    through {!Detmt_runtime.Sched_iface.actions}. *)
+    The record is private, so {!make} is its only constructor and [workers]
+    is checked once, there.  The flight recorder is not part of it:
+    policies receive it through {!Detmt_runtime.Sched_iface.actions}. *)
 
-type t = {
+type t = private {
   scheduler : string;
   runtime : Detmt_runtime.Config.t;
   summary : Detmt_analysis.Predict.class_summary option;

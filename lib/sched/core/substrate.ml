@@ -11,9 +11,9 @@
      injected calls, with the decision-module queries re-exported;
    - flight-recorder boilerplate: the scheduler-named audit/metric helpers.
 
-   Decision modules ({!Decision.Serial}) hold only policy state (who is primary,
-   which round is open, where the token is) and consult the substrate for
-   everything else. *)
+   Decision policies ({!Decision.policy}) hold only policy state (who is
+   primary, which round is open, where the token is) and consult the
+   substrate for everything else. *)
 
 open Detmt_runtime
 module Recorder = Detmt_obs.Recorder

@@ -2,7 +2,7 @@
     paper's two-module architecture.  Owns thread lifecycle (arrival-ordered
     {!Seq_index}, no allocation per update), per-mutex FIFO wait queues, the
     prediction plumbing around {!Bookkeeping}, and the flight-recorder
-    helpers.  Decision modules ({!Decision.Serial}) keep only policy state. *)
+    helpers.  Decision policies ({!Decision.policy}) keep only policy state. *)
 
 open Detmt_runtime
 

@@ -75,11 +75,3 @@ let policy sub : Sched_iface.sched =
       (fun _tid ~syncid:_ ~mutex ~freed -> if freed then wake_random t ~mutex);
     on_wait = (fun _tid ~mutex -> wake_random t ~mutex);
     on_terminate = (fun tid -> Substrate.retire sub ~tid) }
-
-module Base : Decision.Serial = struct
-  let name = "freefall"
-
-  let needs_prediction = false
-
-  let policy = policy
-end

@@ -3,5 +3,5 @@
     per-replica generator.  Replicas diverge; the consistency checker must
     catch it (motivation experiment E10). *)
 
-module Base : Decision.Serial
-(** ["freefall"], no prediction, not deterministic. *)
+val policy : Substrate.t -> Detmt_runtime.Sched_iface.sched
+(** The ["freefall"] registry entry (not deterministic). *)

@@ -220,11 +220,3 @@ let policy sub : Sched_iface.sched =
       (fun kv ->
         List.iter (fun (k, v) -> if k = "grant_seq" then t.grant_seq <- v) kv)
   }
-
-module Base : Decision.Serial = struct
-  let name = "lsa"
-
-  let needs_prediction = false
-
-  let policy = policy
-end

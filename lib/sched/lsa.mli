@@ -11,5 +11,5 @@
     already-published decisions (identical on all survivors thanks to total
     order) and then switches to greedy mode. *)
 
-module Base : Decision.Serial
-(** ["lsa"], no prediction. *)
+val policy : Substrate.t -> Detmt_runtime.Sched_iface.sched
+(** The ["lsa"] registry entry. *)

@@ -13,8 +13,8 @@
    that has released its last lock keeps delaying everybody until it
    terminates.
 
-   The {!Last_lock} variant (MAT+LL, Figure 2) equips the substrate with the
-   bookkeeping module: when it proves the primary will never lock again,
+   The mat-ll registry entry (MAT+LL, Figure 2) equips the substrate with
+   the bookkeeping module: when it proves the primary will never lock again,
    primacy is handed over immediately, and lock-free threads are skipped
    during promotion.
 
@@ -288,19 +288,3 @@ let policy sub : Sched_iface.sched =
       (fun tid ~loopid ->
         Substrate.bk_loop_exit sub ~tid ~loopid;
         check_last_lock t ~tid) }
-
-module Base : Decision.Serial = struct
-  let name = "mat"
-
-  let needs_prediction = false
-
-  let policy = policy
-end
-
-module Last_lock : Decision.Serial = struct
-  let name = "mat-ll"
-
-  let needs_prediction = true
-
-  let policy = policy
-end

@@ -511,19 +511,3 @@ let policy sub : Sched_iface.sched =
         List.iter
           (fun (k, v) -> if k = "occupied_slots" then t.ghost_slots <- v)
           kv) }
-
-module Base : Decision.Serial = struct
-  let name = "pds"
-
-  let needs_prediction = false
-
-  let policy = policy
-end
-
-module Predicted : Decision.Serial = struct
-  let name = "ppds"
-
-  let needs_prediction = true
-
-  let policy = policy
-end

@@ -8,7 +8,7 @@
     mechanism that unblocks incomplete batches at the price of extra
     group-communication traffic (section 3.3).
 
-    {!Predicted} (pPDS) shrinks round membership with the bookkeeping
+    The ["ppds"] entry (pPDS) shrinks round membership with the bookkeeping
     module: a member whose exact lock set is known, condvar-free and
     provably disjoint from every other live member leaves the round
     discipline entirely — its locks are granted on demand and the round does
@@ -16,8 +16,6 @@
     delays the next round decision past its lifetime and keeps every
     decision input deterministic. *)
 
-module Base : Decision.Serial
-(** ["pds"], no prediction. *)
-
-module Predicted : Decision.Serial
-(** ["ppds"]: PDS with prediction-shrunk rounds. *)
+val policy : Substrate.t -> Detmt_runtime.Sched_iface.sched
+(** The ["pds"] registry entry, and ["ppds"] (prediction-shrunk rounds)
+    when the substrate carries a bookkeeping module. *)

@@ -345,11 +345,3 @@ let policy sub : Sched_iface.sched =
         Substrate.bk_loop_exit sub ~tid ~loopid;
         refresh_tid t tid;
         rescan t) }
-
-module Base : Decision.Serial = struct
-  let name = "pmat"
-
-  let needs_prediction = true
-
-  let policy = policy
-end

@@ -3,5 +3,5 @@
     does not conflict.  Requires the predictive transformation's summary
     (the substrate's bookkeeping module answers the conflict queries). *)
 
-module Base : Decision.Serial
-(** ["pmat"], needs prediction. *)
+val policy : Substrate.t -> Detmt_runtime.Sched_iface.sched
+(** The ["pmat"] registry entry. *)

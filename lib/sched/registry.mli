@@ -1,4 +1,6 @@
-(** Name-based construction of decision modules.
+(** The scheduler table: the one place that binds a name to a decision
+    policy ({!Decision.policy}), a prediction flag and a description, and
+    the one way to build a scheduler ({!instantiate}).
 
     [needs_prediction] tells the replication layer which transformation the
     scheduler requires: predictive schedulers must run code produced by
@@ -10,8 +12,9 @@ type spec = {
   needs_prediction : bool;
   deterministic : bool;  (** [false] only for the freefall baseline *)
   parallel : bool;
-      (** Whether the decision module drives a multi-worker pool
-          ([Sched_config.workers]); {!instantiate} rejects [workers > 1]
+      (** Whether the entry drives a multi-worker pool
+          ([Sched_config.workers]): a [Parallel] {!Decision.policy}, or
+          the adaptive meta-scheduler; {!instantiate} rejects [workers > 1]
           for serial specs. *)
   description : string;
 }
@@ -24,13 +27,13 @@ val paper_figure1 : string list
 (** The five algorithms of Figure 1: seq, sat, lsa, pds, mat. *)
 
 val deterministic_decisions : string list
-(** Names of the deterministic decision modules — every registered
+(** Names of the deterministic decision policies — every registered
     deterministic scheduler except the adaptive meta-scheduler (which is a
     chooser over these, driven separately).  This is the set the fingerprint
     oracle and the cross-scheduler fuzz quantify over. *)
 
 val parallel_decisions : string list
-(** Names of the decision modules that accept [Sched_config.workers > 1]
+(** Names of the decision policies that accept [Sched_config.workers > 1]
     (the conflict-graph family). *)
 
 val find : string -> spec option

@@ -240,19 +240,3 @@ let policy sub : Sched_iface.sched =
       (fun tid ~loopid ->
         Substrate.bk_loop_exit sub ~tid ~loopid;
         release_token_if_lock_free t tid) }
-
-module Base : Decision.Serial = struct
-  let name = "sat"
-
-  let needs_prediction = false
-
-  let policy = policy
-end
-
-module Predicted : Decision.Serial = struct
-  let name = "psat"
-
-  let needs_prediction = true
-
-  let policy = policy
-end

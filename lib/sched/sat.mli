@@ -9,14 +9,12 @@
     the idle time of nested invocations but never keeps more than one CPU
     busy (section 3.1).
 
-    {!Predicted} (pSAT) adds the bookkeeping module: the activation token is
-    released early once the active thread is past its last lock acquisition
-    and holds no mutex, and such lock-free threads resume nested replies
-    without queueing.  Per-mutex acquisition orders are untouched — a
+    The ["psat"] entry (pSAT) adds the bookkeeping module: the activation
+    token is released early once the active thread is past its last lock
+    acquisition and holds no mutex, and such lock-free threads resume
+    nested replies without queueing.  Per-mutex acquisition orders are untouched — a
     lock-free thread can no longer appear in one. *)
 
-module Base : Decision.Serial
-(** ["sat"], no prediction. *)
-
-module Predicted : Decision.Serial
-(** ["psat"]: SAT with early token release via lock prediction. *)
+val policy : Substrate.t -> Detmt_runtime.Sched_iface.sched
+(** The ["sat"] registry entry, and ["psat"] (early token release via lock
+    prediction) when the substrate carries a bookkeeping module. *)

@@ -76,11 +76,3 @@ let policy sub : Sched_iface.sched =
       (fun tid ->
         Substrate.retire t.sub ~tid;
         if t.active = Some tid then activate_next t) }
-
-module Base : Decision.Serial = struct
-  let name = "seq"
-
-  let needs_prediction = false
-
-  let policy = policy
-end

@@ -3,5 +3,5 @@
     deterministic, single-CPU, wastes nested-invocation idle time
     (section 3.1). *)
 
-module Base : Decision.Serial
-(** ["seq"], no prediction. *)
+val policy : Substrate.t -> Detmt_runtime.Sched_iface.sched
+(** The ["seq"] registry entry. *)

@@ -567,35 +567,10 @@ let policy ?(spec = No_spec) ?(record_acq = false) ~early sub pool :
         Substrate.bk_loop_exit sub ~tid ~loopid;
         if refresh t (node t tid) then rescan t) }
 
-module Base : Decision.Parallel = struct
-  let name = "cgs"
+let cgs sub pool = policy ~early:false sub pool
 
-  let needs_prediction = true
+let pcgs sub pool = policy ~early:true sub pool
 
-  let policy sub pool = policy ~early:false sub pool
-end
+let wss sub pool = policy ~spec:Spec_all ~record_acq:true ~early:false sub pool
 
-module Predicted : Decision.Parallel = struct
-  let name = "pcgs"
-
-  let needs_prediction = true
-
-  let policy sub pool = policy ~early:true sub pool
-end
-
-module Workspace : Decision.Parallel = struct
-  let name = "wss"
-
-  let needs_prediction = true
-
-  let policy sub pool =
-    policy ~spec:Spec_all ~record_acq:true ~early:false sub pool
-end
-
-module Safety_net : Decision.Parallel = struct
-  let name = "cgs+ws"
-
-  let needs_prediction = true
-
-  let policy sub pool = policy ~spec:Spec_top ~early:false sub pool
-end
+let safety_net sub pool = policy ~spec:Spec_top ~early:false sub pool

@@ -235,19 +235,3 @@ let policy sub : Sched_iface.sched =
       (fun tid ~loopid ->
         Substrate.bk_loop_exit sub ~tid ~loopid;
         check_last_lock t ~tid) }
-
-module Base : Decision.Serial = struct
-  let name = "mat"
-
-  let needs_prediction = false
-
-  let policy = policy
-end
-
-module Last_lock : Decision.Serial = struct
-  let name = "mat-ll"
-
-  let needs_prediction = true
-
-  let policy = policy
-end

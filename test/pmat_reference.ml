@@ -142,11 +142,3 @@ let policy sub : Sched_iface.sched =
       (fun tid ~loopid ->
         Substrate.bk_loop_exit sub ~tid ~loopid;
         rescan t) }
-
-module Base : Decision.Serial = struct
-  let name = "pmat"
-
-  let needs_prediction = true
-
-  let policy = policy
-end

@@ -124,6 +124,7 @@ let test_on_switch_fires () =
   let make_sched actions =
     Detmt_sched.Adaptive.of_config ~window:4
       ~on_switch:(fun name -> switches := name :: !switches)
+      ~instantiate:Detmt_sched.Registry.instantiate
       (Detmt_sched.Sched_config.make ~summary "adaptive")
       actions
   in

@@ -353,7 +353,7 @@ let test_emitter () =
       (Detmt.Table.columns t)
   | ts -> Alcotest.failf "%d tables" (List.length ts));
   let doc = E.json s rows in
-  Alcotest.(check (option string)) "schema 4" (Some "4")
+  Alcotest.(check (option string)) "schema 5" (Some "5")
     (Option.map Detmt.Json.to_string (Detmt.Json.member "schema_version" doc));
   match Readers.json (Detmt.Json.to_string doc) with
   | Ok _ -> ()

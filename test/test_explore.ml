@@ -97,7 +97,7 @@ let base scheduler =
 
 let test_canonical_baseline () =
   let s = base "seq" in
-  let cls, gen = Explore.resolve_workload s.Schedule.workload in
+  let cls, gen = Detmt_workload.Catalog.find s.Schedule.workload in
   let outcome, obs = Explore.run_one ~observe:true ~cls ~gen s in
   Alcotest.check i "all replies" outcome.Explore.o_expected
     outcome.Explore.o_replies;
@@ -110,7 +110,7 @@ let test_canonical_baseline () =
 
 let test_classify_tiers () =
   let s = base "seq" in
-  let cls, gen = Explore.resolve_workload s.Schedule.workload in
+  let cls, gen = Detmt_workload.Catalog.find s.Schedule.workload in
   let canonical, _ = Explore.run_one ~cls ~gen s in
   Alcotest.check b "self-equivalent" true
     (Explore.classify ~canonical canonical = Explore.Equivalent);
@@ -139,7 +139,7 @@ let elastic_base scheduler =
 
 let test_elastic_canonical_baseline () =
   let s = elastic_base "mat" in
-  let cls, gen = Explore.resolve_workload s.Schedule.workload in
+  let cls, gen = Detmt_workload.Catalog.find s.Schedule.workload in
   let outcome, _ = Explore.run_one ~cls ~gen s in
   Alcotest.check i "all replies" outcome.Explore.o_expected
     outcome.Explore.o_replies;
@@ -236,6 +236,17 @@ let test_ws_witnesses_clean () =
       | _ -> ())
     [ "ws_commit_barrier_skew.sched"; "ws_safety_net_reorder.sched" ]
 
+(* The crash and the recovery leave every incarnation's broadcast order and
+   both transition slots as in the canonical run, so the elastic order
+   fingerprint matches and the identical-order tier (reply count, state
+   hashes) decides the verdict. *)
+let test_elastic_crash_witness_equivalent () =
+  match replay_witness "elastic_crash_in_window.sched" with
+  | Explore.Equivalent -> ()
+  | v ->
+    Alcotest.failf "elastic crash witness replayed %s"
+      (Explore.verdict_to_string v)
+
 let test_witness_sizes_bounded () =
   (* The ISSUE bounds the promotion-race witness at 25 events; ours are
      1-minimal. *)
@@ -281,4 +292,6 @@ let () =
           Alcotest.test_case "witnesses bounded" `Quick
             test_witness_sizes_bounded;
           Alcotest.test_case "ws witnesses clean" `Quick
-            test_ws_witnesses_clean ] ) ]
+            test_ws_witnesses_clean;
+          Alcotest.test_case "elastic crash-in-window equivalent" `Quick
+            test_elastic_crash_witness_equivalent ] ) ]

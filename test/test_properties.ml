@@ -586,8 +586,8 @@ let test_cgs_fixed_workloads () =
    replies return after the call's duration.  Per replica, the two
    implementations must agree on the decision sequence, the reply table,
    the final state and the per-mutex acquisition fingerprint. *)
-let decision_observables (module D : Detmt_sched.Decision.Parallel) ~workers
-    ~cls ~gen ~clients ~requests ~seed =
+let decision_observables ~name policy ~workers ~cls ~gen ~clients ~requests
+    ~seed =
   let module Replica = Detmt_runtime.Replica in
   let instrumented, summary = Detmt_transform.Transform.predictive cls in
   let engine = Detmt_sim.Engine.create () in
@@ -604,9 +604,9 @@ let decision_observables (module D : Detmt_sched.Decision.Parallel) ~workers
         log (kind, tid, worker tid);
         grant tid
       in
-      Detmt_sched.Decision.instantiate_parallel
-        (module D)
-        ~config ~summary:(Some summary) ~workers
+      Detmt_sched.Decision.instantiate policy
+        ~needs_prediction:(Detmt_sched.Registry.find_exn name).needs_prediction
+        (Detmt_sched.Sched_config.make ~runtime:config ~summary ~workers name)
         { actions with
           pool_dispatch =
             (fun ~worker ~tid ->
@@ -687,20 +687,24 @@ let decision_observables (module D : Detmt_sched.Decision.Parallel) ~workers
         Replica.mutex_acquisition_fingerprint r ))
     replicas
 
-(* Pairs of an indexed module and its reference; the serial modules run at
-   pool width 1. *)
-let serial_pair
-    ( (module I : Detmt_sched.Decision.Serial),
-      (module R : Detmt_sched.Decision.Serial) ) =
-  ( (module Detmt_sched.Decision.Of_serial (I) : Detmt_sched.Decision.Parallel),
-    (module Detmt_sched.Decision.Of_serial (R) : Detmt_sched.Decision.Parallel)
-  )
+(* Variants are (registry name, indexed policy, reference policy); the
+   serial policies run at pool width 1. *)
+let serial_pair (name, indexed, reference) =
+  ( name,
+    Detmt_sched.Decision.Serial indexed,
+    Detmt_sched.Decision.Serial reference )
+
+let parallel_pair (name, indexed, reference) =
+  ( name,
+    Detmt_sched.Decision.Parallel indexed,
+    Detmt_sched.Decision.Parallel reference )
 
 let agrees ~variants ~workers ~cls ~gen ~clients ~requests ~seed =
   List.for_all
-    (fun (indexed, reference) ->
-      let run d =
-        decision_observables d ~workers ~cls ~gen ~clients ~requests ~seed
+    (fun (name, indexed, reference) ->
+      let run policy =
+        decision_observables ~name policy ~workers ~cls ~gen ~clients
+          ~requests ~seed
       in
       run indexed = run reference)
     variants
@@ -713,9 +717,10 @@ let is_grant (kind, _, _) = kind = `Lock || kind = `Reacquire || kind = `Resume
 let check_agrees ?(min_grants = 0) ~variants ~workers ~wname ~cls ~gen
     ~clients ~requests ~seed () =
   List.iter
-    (fun ((module I : Detmt_sched.Decision.Parallel), reference) ->
-      let run d =
-        decision_observables d ~workers ~cls ~gen ~clients ~requests ~seed
+    (fun (name, indexed, reference) ->
+      let run policy =
+        decision_observables ~name policy ~workers ~cls ~gen ~clients
+          ~requests ~seed
       in
       let expected = run reference in
       List.iter
@@ -723,22 +728,20 @@ let check_agrees ?(min_grants = 0) ~variants ~workers ~wname ~cls ~gen
           Alcotest.(check bool)
             (Printf.sprintf "%s@%d %s seed=%Ld: every request granted and \
                              answered"
-               I.name workers wname seed)
+               name workers wname seed)
             true
             (List.length (List.filter is_grant decisions) >= min_grants
             && List.length replies = clients * requests))
         expected;
       Alcotest.(check bool)
-        (Printf.sprintf "%s@%d == reference on %s seed=%Ld" I.name workers
+        (Printf.sprintf "%s@%d == reference on %s seed=%Ld" name workers
            wname seed)
         true
-        (run (module I) = expected))
+        (run indexed = expected))
     variants
 
 let pmat_variants =
-  [ serial_pair
-      ( (module Detmt_sched.Pmat.Base : Detmt_sched.Decision.Serial),
-        (module Pmat_reference.Base : Detmt_sched.Decision.Serial) ) ]
+  [ serial_pair ("pmat", Detmt_sched.Pmat.policy, Pmat_reference.policy) ]
 
 let prop_pmat_matches_reference =
   QCheck.Test.make ~count:40
@@ -829,10 +832,8 @@ let test_pmat_fixed_workloads () =
    candidate lists rather than the handful the golden rows reach. *)
 let mat_variants =
   List.map serial_pair
-    [ ((module Detmt_sched.Mat.Base : Detmt_sched.Decision.Serial),
-       (module Mat_reference.Base : Detmt_sched.Decision.Serial));
-      ((module Detmt_sched.Mat.Last_lock), (module Mat_reference.Last_lock))
-    ]
+    [ ("mat", Detmt_sched.Mat.policy, Mat_reference.policy);
+      ("mat-ll", Detmt_sched.Mat.policy, Mat_reference.policy) ]
 
 let prop_mat_matches_reference =
   QCheck.Test.make ~count:30
@@ -868,12 +869,11 @@ let test_mat_many_clients () =
    abort injector, whose speculations invalidate each other, so aborted
    nodes re-enter the waiting set with their original, older slot. *)
 let cgs_variants =
-  [ ((module Detmt_sched.Cgs.Base : Detmt_sched.Decision.Parallel),
-     (module Cgs_reference.Base : Detmt_sched.Decision.Parallel));
-    ((module Detmt_sched.Cgs.Predicted), (module Cgs_reference.Predicted));
-    ((module Detmt_sched.Cgs.Workspace), (module Cgs_reference.Workspace));
-    ((module Detmt_sched.Cgs.Safety_net), (module Cgs_reference.Safety_net))
-  ]
+  List.map parallel_pair
+    [ ("cgs", Detmt_sched.Cgs.cgs, Cgs_reference.cgs);
+      ("pcgs", Detmt_sched.Cgs.pcgs, Cgs_reference.pcgs);
+      ("wss", Detmt_sched.Cgs.wss, Cgs_reference.wss);
+      ("cgs+ws", Detmt_sched.Cgs.safety_net, Cgs_reference.safety_net) ]
 
 let prop_cgs_matches_reference =
   QCheck.Test.make ~count:30

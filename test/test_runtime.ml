@@ -382,7 +382,7 @@ let test_workspace_holds_any () =
    quiescent between bursts, and the two counts must agree after every
    reply, at every quiescent-hook call and at the end of the run. *)
 let test_active_threads_counter () =
-  let check_run ~wname ~cls ~gen (module D : Detmt_sched.Decision.Serial) =
+  let check_run ~wname ~cls ~gen name =
     let instrumented, summary = Detmt_transform.Transform.predictive cls in
     let engine = Detmt_sim.Engine.create () in
     let config = Config.default in
@@ -396,7 +396,7 @@ let test_active_threads_counter () =
         | Some _ -> incr folded
       done;
       Alcotest.(check int)
-        (Printf.sprintf "%s/%s: active_threads %s" D.name wname what)
+        (Printf.sprintf "%s/%s: active_threads %s" name wname what)
         !folded (Replica.active_threads r)
     in
     let callbacks =
@@ -412,8 +412,8 @@ let test_active_threads_counter () =
     let r =
       Replica.create ~engine ~id:0 ~cls:instrumented ~config ~callbacks
         ~make_sched:
-          (Detmt_sched.Decision.instantiate (module D) ~config
-             ~summary:(Some summary))
+          (Detmt_sched.Registry.instantiate
+             (Detmt_sched.Sched_config.make ~runtime:config ~summary name))
         ()
     in
     self := Some r;
@@ -439,11 +439,11 @@ let test_active_threads_counter () =
     Detmt_sim.Engine.run engine;
     agree "at the end";
     Alcotest.(check int)
-      (Printf.sprintf "%s/%s: every request completed" D.name wname)
+      (Printf.sprintf "%s/%s: every request completed" name wname)
       (clients * bursts)
       (Replica.completed_requests r);
     Alcotest.(check bool)
-      (Printf.sprintf "%s/%s: quiescent between bursts" D.name wname)
+      (Printf.sprintf "%s/%s: quiescent between bursts" name wname)
       true (!quiescent >= bursts)
   in
   List.iter
@@ -455,8 +455,7 @@ let test_active_threads_counter () =
       check_run ~wname:"prodcons"
         ~cls:(Detmt_workload.Prodcons.cls Detmt_workload.Prodcons.default)
         ~gen:Detmt_workload.Prodcons.gen d)
-    [ (module Detmt_sched.Mat.Base : Detmt_sched.Decision.Serial);
-      (module Detmt_sched.Pmat.Base) ]
+    [ "mat"; "pmat" ]
 
 (* [finish] evicts a thread from the replica's table; what callers could
    ask of a finished thread must still answer as before.  One MAT replica
@@ -486,9 +485,8 @@ let test_finished_threads_evicted () =
   let r =
     Replica.create ~engine ~id:0 ~cls:instrumented ~config ~callbacks
       ~make_sched:
-        (Detmt_sched.Decision.instantiate
-           (module Detmt_sched.Mat.Base)
-           ~config ~summary:(Some summary))
+        (Detmt_sched.Registry.instantiate
+           (Detmt_sched.Sched_config.make ~runtime:config ~summary "mat"))
       ()
   in
   self := Some r;

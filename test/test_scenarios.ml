@@ -193,6 +193,7 @@ let test_adaptive_phase_switch () =
   let make_sched actions =
     Detmt_sched.Adaptive.of_config ~window:6
       ~on_switch:(fun name -> switches := name :: !switches)
+      ~instantiate:Detmt_sched.Registry.instantiate
       (Detmt_sched.Sched_config.make ~runtime:zero_overhead ~summary
          "adaptive")
       actions

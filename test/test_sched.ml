@@ -270,8 +270,11 @@ let test_registry () =
      with Invalid_argument _ -> true)
 
 (* The unified construction API: Sched_config.make defaults and validation,
-   the deterministic_decisions set, and Registry.instantiate's up-front
-   checks (unknown name; predictive scheduler without a summary). *)
+   the deterministic_decisions set, and Registry.instantiate over every
+   entry: each builds with a figure1 predictive summary at width 1 (the
+   parallel ones also at width 4) under its own name, and the up-front
+   checks reject an unknown name, a serial entry at width 4 and a
+   predictive entry without a summary. *)
 let test_config_api () =
   let cfg = Detmt_sched.Sched_config.make "mat" in
   Alcotest.(check string) "name carried" "mat"
@@ -288,7 +291,7 @@ let test_config_api () =
       false
     with Invalid_argument _ -> true
   in
-  (* instantiate validates before touching the actions, so inert stubs do *)
+  (* no entry touches the actions while it is built, so inert stubs do *)
   let dummy_actions =
     { Detmt_runtime.Sched_iface.replica_id = 0;
       start_thread = ignore; grant_lock = ignore; grant_reacquire = ignore;
@@ -315,16 +318,30 @@ let test_config_api () =
          Detmt_sched.Registry.instantiate
            (Detmt_sched.Sched_config.make "nope")
            dummy_actions));
-  Alcotest.check b "predictive scheduler without summary rejected" true
-    (raises_invalid (fun () ->
-         Detmt_sched.Registry.instantiate
-           (Detmt_sched.Sched_config.make "pmat")
-           dummy_actions));
-  Alcotest.check b "workers > 1 on a serial scheduler rejected" true
-    (raises_invalid (fun () ->
-         Detmt_sched.Registry.instantiate
-           (Detmt_sched.Sched_config.make ~workers:4 "mat")
-           dummy_actions));
+  let _, summary =
+    Detmt_transform.Transform.predictive
+      (Detmt_workload.Figure1.cls Detmt_workload.Figure1.default)
+  in
+  let build ?summary ~workers name =
+    Detmt_sched.Registry.instantiate
+      (Detmt_sched.Sched_config.make ?summary ~workers name)
+      dummy_actions
+  in
+  List.iter
+    (fun (spec : Detmt_sched.Registry.spec) ->
+      let name = spec.name in
+      Alcotest.(check string) (name ^ " builds at width 1") name
+        (build ~summary ~workers:1 name).name;
+      if List.mem name Detmt_sched.Registry.parallel_decisions then
+        Alcotest.(check string) (name ^ " builds at width 4") name
+          (build ~summary ~workers:4 name).name;
+      if not spec.parallel then
+        Alcotest.check b (name ^ " is serial: width 4 rejected") true
+          (raises_invalid (fun () -> build ~summary ~workers:4 name));
+      if spec.needs_prediction then
+        Alcotest.check b (name ^ " without a summary rejected") true
+          (raises_invalid (fun () -> build ~workers:1 name)))
+    Detmt_sched.Registry.all;
   Alcotest.check_raises "workers < 1 rejected by the config"
     (Invalid_argument "Sched_config.make: workers < 1") (fun () ->
       ignore (Detmt_sched.Sched_config.make ~workers:0 "cgs"));
