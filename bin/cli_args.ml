@@ -6,28 +6,38 @@
 
 open Cmdliner
 
+(* A name from a fixed table: any other value is a usage error (exit 124)
+   that names the flag and lists the valid names. *)
+let name_conv names = Arg.enum (List.map (fun n -> (n, n)) names)
+
+let scheduler_names =
+  List.map (fun s -> s.Detmt.Registry.name) Detmt.Registry.all
+
+let scheduler_name = name_conv scheduler_names
+
 let scheduler =
-  let names = List.map (fun s -> s.Detmt.Registry.name) Detmt.Registry.all in
   Arg.(
-    value & opt string "mat"
+    value & opt scheduler_name "mat"
     & info [ "scheduler" ] ~docv:"NAME"
-        ~doc:("Scheduler to use: " ^ String.concat ", " names ^ "."))
+        ~doc:("Scheduler to use: " ^ String.concat ", " scheduler_names ^ "."))
 
 let schedulers_all ~doc =
-  Arg.(value & opt_all string [] & info [ "scheduler" ] ~docv:"NAME" ~doc)
+  Arg.(
+    value & opt_all scheduler_name [] & info [ "scheduler" ] ~docv:"NAME" ~doc)
 
 let workload_doc =
-  "Workload: figure1 (the paper's benchmark), compute-heavy, disjoint, \
-   tail, prodcons, sharded (partitionable object space), sharded-opaque, \
-   hotspot."
+  "Workload: " ^ String.concat ", " Detmt.Catalog.names ^ "."
+
+let workload_name = name_conv Detmt.Catalog.names
 
 let workload =
   Arg.(
-    value & opt string "figure1"
+    value & opt workload_name "figure1"
     & info [ "workload" ] ~docv:"NAME" ~doc:workload_doc)
 
 let workloads_all ~doc =
-  Arg.(value & opt_all string [] & info [ "workload" ] ~docv:"NAME" ~doc)
+  Arg.(
+    value & opt_all workload_name [] & info [ "workload" ] ~docv:"NAME" ~doc)
 
 let int_opt name ~default ~doc =
   Arg.(value & opt int default & info [ name ] ~docv:"N" ~doc)

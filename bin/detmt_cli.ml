@@ -1220,7 +1220,7 @@ let reshard_cmd =
   let swap_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some A.scheduler_name) None
       & info [ "swap-to" ] ~docv:"SCHEDULER"
           ~doc:
             "Also hot-swap group 0 to this scheduler at 12ms, between the \
@@ -1313,7 +1313,7 @@ let bench_cmd =
           "Drop grid points with more than N groups."
       $ opt_arg Arg.int "clients" "N" "Run every grid point at N clients."
       $ A.seed
-      $ opt_arg Arg.string "scheduler" "NAME"
+      $ opt_arg A.scheduler_name "scheduler" "NAME"
           "Run every grid point under this scheduler."
       $ opt_arg Arg.int "workers" "N" "Run every grid point at this pool width."
       $ Arg.(

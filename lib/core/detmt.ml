@@ -129,6 +129,7 @@ module Hotspot = Detmt_workload.Hotspot
 module Disjoint = Detmt_workload.Disjoint
 module Tail_compute = Detmt_workload.Tail_compute
 module Prodcons = Detmt_workload.Prodcons
+module Catalog = Detmt_workload.Catalog
 
 (* experiments *)
 module Experiment = Experiment

@@ -1,6 +1,14 @@
-open Detmt_lang
+(* Compiled method bodies.
 
-type outcome = Done | Yield of Op.t * (unit -> outcome)
+   A method body is lowered once, on its first call, to an instruction
+   array: branches and loops become jumps with resolved targets, locals and
+   loop counters become slots of an int array, and ops whose operands are
+   all static are built at compile time and yielded as they are.  A request
+   runs on a cursor (code, program counter, slots, saved caller frames), so
+   stepping a thread allocates only the [Op.t] record of an op whose mutex
+   or duration comes from an argument, a local or a field. *)
+
+open Detmt_lang
 
 exception Runtime_error of string
 
@@ -18,172 +26,392 @@ let call_oracle name (req : Request.t) =
   let h = Hashtbl.hash (name, req.client, req.client_req) in
   h mod 97
 
-type env = {
-  cls : Class_def.t;
+(* A mutex-valued operand: a sync parameter or the right-hand side of an
+   assignment.  A local is its value slot; the slot after it is 1 once the
+   local has been assigned. *)
+type operand =
+  | Const of int
+  | This
+  | Arg of int
+  | Local of int * string
+  | Field of string
+  | Global of string
+  | Opaque of string
+
+type instr =
+  | Emit of Op.t (* a static op, built at compile time *)
+  | Compute_arg of int
+  | Nested_arg of { service : int; arg : int }
+  | Lock of int * operand
+  | Unlock of int * operand
+  | Lockinfo of int * operand
+  | Wait of operand
+  | Notify of operand * bool
+  | Hold of int * operand (* slot := mutex, for the guarded wait after it *)
+  | Wait_until of { slot : int; field : string; min : int }
+  | Assign of int * operand
+  | Assign_field of string * operand
+  | Branch_unless of Ast.cond * int
+  | Jump of int
+  | Loop_init of { slot : int; count : Ast.count; at_least_once : bool }
+  | Loop_next of { slot : int; exit : int } (* exit, or count one down *)
+  | Call of int (* method index *)
+  | Virtual_call of {
+      selector : int;
+      targets : int array; (* method indexes, -1 when undefined *)
+      names : string array;
+    }
+  | Undefined_call of string
+  | Raw_sync of string (* the printed sync parameter *)
+  | Return
+
+type code = { instrs : instr array; nslots : int }
+
+type methods = {
+  defs : Class_def.method_def array;
+  codes : code option array; (* compiled on first call *)
+  index : (string, int) Hashtbl.t; (* name -> first method of that name *)
+}
+
+type program = { cls : Class_def.t; mutable methods : methods option }
+
+type frame = { f_code : code; f_pc : int; f_slots : int array }
+
+type cursor = {
+  prog : program;
   obj : Object_state.t;
   ws : Workspace.t option;
       (* speculative execution: object-state reads and writes go through the
          thread's copy-on-write workspace instead of the committed state *)
   req : Request.t;
-  locals : (string, int) Hashtbl.t; (* locals hold mutex ids *)
+  mutable code : code;
+  mutable pc : int;
+  mutable slots : int array;
+  mutable stack : frame list; (* callers, innermost first *)
+  mutable op : Op.t;
 }
+
+let program cls = { cls; methods = None }
+
+let methods p =
+  match p.methods with
+  | Some m -> m
+  | None ->
+    let defs = Array.of_list p.cls.Class_def.methods in
+    let index = Hashtbl.create (2 * Array.length defs) in
+    Array.iteri
+      (fun i (d : Class_def.method_def) ->
+        if not (Hashtbl.mem index d.name) then Hashtbl.add index d.name i)
+      defs;
+    let m = { defs; codes = Array.make (Array.length defs) None; index } in
+    p.methods <- Some m;
+    m
+
+let method_index m name =
+  match Hashtbl.find m.index name with i -> i | exception Not_found -> -1
+
+(* ----------------------------- compiler ----------------------------- *)
+
+let compile m (def : Class_def.method_def) =
+  let code = ref (Array.make 16 Return) and len = ref 0 in
+  let emit i =
+    if !len = Array.length !code then
+      code := Array.append !code (Array.make !len Return);
+    !code.(!len) <- i;
+    incr len
+  in
+  let patch at i = !code.(at) <- i in
+  let slots = ref 0 in
+  let fresh n =
+    let s = !slots in
+    slots := s + n;
+    s
+  in
+  let locals = Hashtbl.create 4 in
+  let local_slot v =
+    match Hashtbl.find_opt locals v with
+    | Some s -> s
+    | None ->
+      let s = fresh 2 in
+      Hashtbl.add locals v s;
+      s
+  in
+  let local v = Local (local_slot v, v) in
+  let param = function
+    | Ast.Sp_this -> This
+    | Ast.Sp_arg i -> Arg i
+    | Ast.Sp_local v -> local v
+    | Ast.Sp_field f -> Field f
+    | Ast.Sp_global g -> Global g
+    | Ast.Sp_call name -> Opaque name
+  in
+  let mexpr = function
+    | Ast.Mconst c -> Const c
+    | Ast.Marg i -> Arg i
+    | Ast.Mlocal v -> local v
+    | Ast.Mfield f -> Field f
+    | Ast.Mglobal g -> Global g
+    | Ast.Mcall name -> Opaque name
+  in
+  let rec block b = List.iter stmt b
+  and stmt = function
+    | Ast.Compute (Ast.Fixed duration) -> emit (Emit (Op.Compute { duration }))
+    | Ast.Compute (Ast.Arg_dur i) -> emit (Compute_arg i)
+    | Ast.Assign (v, e) ->
+      let e = mexpr e in
+      emit (Assign (local_slot v, e))
+    | Ast.Assign_field (f, e) -> emit (Assign_field (f, mexpr e))
+    | Ast.Sync (p, _) | Ast.Lock_acquire p | Ast.Lock_release p ->
+      emit (Raw_sync (Format.asprintf "%a" Pretty.sync_param p))
+    | Ast.Wait p -> emit (Wait (param p))
+    | Ast.Wait_until { param = p; field; min } ->
+      let slot = fresh 1 in
+      emit (Hold (slot, param p));
+      emit (Wait_until { slot; field; min })
+    | Ast.Notify { param = p; all } -> emit (Notify (param p, all))
+    | Ast.Nested { service; duration = Ast.Fixed duration } ->
+      emit (Emit (Op.Nested { service; duration }))
+    | Ast.Nested { service; duration = Ast.Arg_dur arg } ->
+      emit (Nested_arg { service; arg })
+    | Ast.State_update (field, delta) ->
+      emit (Emit (Op.State_update { field; delta }))
+    | Ast.If (c, a, b) ->
+      let branch = !len in
+      emit Return;
+      block a;
+      if b = [] then patch branch (Branch_unless (c, !len))
+      else begin
+        let jump = !len in
+        emit Return;
+        patch branch (Branch_unless (c, !len));
+        block b;
+        patch jump (Jump !len)
+      end
+    | Ast.Loop { kind; count; body } ->
+      let slot = fresh 1 in
+      emit (Loop_init { slot; count; at_least_once = kind = Ast.Do_while });
+      let top = !len in
+      emit Return;
+      block body;
+      emit (Jump top);
+      patch top (Loop_next { slot; exit = !len })
+    | Ast.Call name -> (
+      match method_index m name with
+      | -1 -> emit (Undefined_call name)
+      | i -> emit (Call i))
+    | Ast.Virtual_call { candidates; selector } ->
+      let names = Array.of_list candidates in
+      emit
+        (Virtual_call
+           { selector; targets = Array.map (method_index m) names; names })
+    | Ast.Sched_lock (syncid, p) -> emit (Lock (syncid, param p))
+    | Ast.Sched_unlock (syncid, p) -> emit (Unlock (syncid, param p))
+    | Ast.Lockinfo (syncid, p) -> emit (Lockinfo (syncid, param p))
+    | Ast.Ignore_sync syncid -> emit (Emit (Op.Ignore { syncid }))
+    | Ast.Loop_enter loopid -> emit (Emit (Op.Loop_enter { loopid }))
+    | Ast.Loop_exit loopid -> emit (Emit (Op.Loop_exit { loopid }))
+  in
+  block def.body;
+  emit Return;
+  { instrs = Array.sub !code 0 !len; nslots = !slots }
+
+let code_of m i =
+  match m.codes.(i) with
+  | Some c -> c
+  | None ->
+    let c = compile m m.defs.(i) in
+    m.codes.(i) <- Some c;
+    c
+
+(* A frame without locals, loops or guarded waits shares the empty array;
+   small frames are allocated inline rather than by a C call. *)
+let frame_slots code =
+  match code.nslots with
+  | 0 -> [||]
+  | 1 -> [| 0 |]
+  | 2 -> [| 0; 0 |]
+  | 3 -> [| 0; 0; 0 |]
+  | 4 -> [| 0; 0; 0; 0 |]
+  | n -> Array.make n 0
+
+(* ------------------------------ running ----------------------------- *)
 
 (* Object-state access, routed through the workspace when speculating.
    Globals and the self monitor are immutable, so they read through either
    way. *)
 
-let obj_mutex_field env f =
-  match env.ws with
+let obj_mutex_field c f =
+  match c.ws with
   | Some w -> Workspace.mutex_field w f
-  | None -> Object_state.mutex_field env.obj f
+  | None -> Object_state.mutex_field c.obj f
 
-let obj_set_mutex_field env f v =
-  match env.ws with
+let obj_set_mutex_field c f v =
+  match c.ws with
   | Some w -> Workspace.set_mutex_field w f v
-  | None -> Object_state.set_mutex_field env.obj f v
+  | None -> Object_state.set_mutex_field c.obj f v
 
-let obj_state_field env f =
-  match env.ws with
+let obj_state_field c f =
+  match c.ws with
   | Some w -> Workspace.state_field w f
-  | None -> Object_state.state_field env.obj f
+  | None -> Object_state.state_field c.obj f
 
-let arg env i =
-  let args = env.req.args in
+let arg c i =
+  let args = c.req.args in
   if i < 0 || i >= Array.length args then
-    error "%s: argument %d out of range (request has %d)" env.req.meth i
+    error "%s: argument %d out of range (request has %d)" c.req.meth i
       (Array.length args)
   else args.(i)
 
-let arg_mutex env i =
-  match arg env i with
+let arg_mutex c i =
+  match arg c i with
   | Ast.Vmutex m -> m
   | Ast.Vint m -> m
-  | Ast.Vbool _ -> error "%s: arg%d is a bool, mutex expected" env.req.meth i
+  | Ast.Vbool _ -> error "%s: arg%d is a bool, mutex expected" c.req.meth i
 
-let arg_int env i =
-  match arg env i with
+let arg_int c i =
+  match arg c i with
   | Ast.Vint n | Ast.Vmutex n -> n
-  | Ast.Vbool _ -> error "%s: arg%d is a bool, int expected" env.req.meth i
+  | Ast.Vbool _ -> error "%s: arg%d is a bool, int expected" c.req.meth i
 
-let arg_bool env i =
-  match arg env i with
+let arg_bool c i =
+  match arg c i with
   | Ast.Vbool b -> b
-  | Ast.Vint _ | Ast.Vmutex _ ->
-    error "%s: arg%d is not a bool" env.req.meth i
+  | Ast.Vint _ | Ast.Vmutex _ -> error "%s: arg%d is not a bool" c.req.meth i
 
-let local env v =
-  match Hashtbl.find_opt env.locals v with
-  | Some m -> m
-  | None -> error "%s: local %S read before assignment" env.req.meth v
+let operand c = function
+  | Const m -> m
+  | This -> Object_state.self_mutex c.obj
+  | Arg i -> arg_mutex c i
+  | Local (s, v) ->
+    if c.slots.(s + 1) = 0 then
+      error "%s: local %S read before assignment" c.req.meth v
+    else c.slots.(s)
+  | Field f -> obj_mutex_field c f
+  | Global g -> Object_state.global c.obj g
+  | Opaque name -> call_oracle name c.req
 
-let eval_mexpr env = function
-  | Ast.Mconst m -> m
-  | Ast.Marg i -> arg_mutex env i
-  | Ast.Mlocal v -> local env v
-  | Ast.Mfield f -> obj_mutex_field env f
-  | Ast.Mglobal g -> Object_state.global env.obj g
-  | Ast.Mcall name -> call_oracle name env.req
-
-let resolve_param env = function
-  | Ast.Sp_this -> Object_state.self_mutex env.obj
-  | Ast.Sp_arg i -> arg_mutex env i
-  | Ast.Sp_local v -> local env v
-  | Ast.Sp_field f -> obj_mutex_field env f
-  | Ast.Sp_global g -> Object_state.global env.obj g
-  | Ast.Sp_call name -> call_oracle name env.req
-
-let rec eval_cond env = function
+let rec eval_cond c = function
   | Ast.Cconst b -> b
-  | Ast.Carg_bool i -> arg_bool env i
-  | Ast.Carg_int_eq (i, k) -> arg_int env i = k
-  | Ast.Cfield_eq_arg (f, i) -> obj_mutex_field env f = arg_mutex env i
-  | Ast.Cnot c -> not (eval_cond env c)
+  | Ast.Carg_bool i -> arg_bool c i
+  | Ast.Carg_int_eq (i, k) -> arg_int c i = k
+  | Ast.Cfield_eq_arg (f, i) -> obj_mutex_field c f = arg_mutex c i
+  | Ast.Cnot cond -> not (eval_cond c cond)
 
-let resolve_dur env = function
-  | Ast.Fixed ms -> ms
-  | Ast.Arg_dur i -> float_of_int (arg_int env i)
-
-let resolve_count env = function
+let resolve_count c = function
   | Ast.Cfixed n -> n
-  | Ast.Carg i -> arg_int env i
+  | Ast.Carg i -> arg_int c i
 
-(* CPS execution: [exec env body k] runs [body] then continues with [k]. *)
-let rec exec env (body : Ast.block) (k : unit -> outcome) : outcome =
-  match body with
-  | [] -> k ()
-  | stmt :: rest -> exec_stmt env stmt (fun () -> exec env rest k)
+(* Each dynamic call gets a fresh frame (Java semantics); request arguments
+   are shared with the caller. *)
+let enter c i =
+  let code = code_of (methods c.prog) i in
+  c.stack <- { f_code = c.code; f_pc = c.pc; f_slots = c.slots } :: c.stack;
+  c.code <- code;
+  c.pc <- 0;
+  c.slots <- frame_slots code
 
-and exec_stmt env stmt k =
-  match stmt with
-  | Ast.Compute d -> Yield (Op.Compute { duration = resolve_dur env d }, k)
-  | Ast.Assign (v, e) ->
-    Hashtbl.replace env.locals v (eval_mexpr env e);
-    k ()
-  | Ast.Assign_field (f, e) ->
-    obj_set_mutex_field env f (eval_mexpr env e);
-    k ()
-  | Ast.Sync (p, _) | Ast.Lock_acquire p | Ast.Lock_release p ->
-    error "%s: raw synchronisation on %s — program was not transformed"
-      env.req.meth
-      (Format.asprintf "%a" Pretty.sync_param p)
-  | Ast.Wait p -> Yield (Op.Wait { mutex = resolve_param env p }, k)
-  | Ast.Wait_until { param; field; min } ->
+let yield c op =
+  c.op <- op;
+  true
+
+let rec next c =
+  let i = c.code.instrs.(c.pc) in
+  c.pc <- c.pc + 1;
+  match i with
+  | Emit op -> yield c op
+  | Compute_arg a ->
+    yield c (Op.Compute { duration = float_of_int (arg_int c a) })
+  | Nested_arg { service; arg } ->
+    yield c (Op.Nested { service; duration = float_of_int (arg_int c arg) })
+  | Lock (syncid, m) -> yield c (Op.Lock { syncid; mutex = operand c m })
+  | Unlock (syncid, m) -> yield c (Op.Unlock { syncid; mutex = operand c m })
+  | Lockinfo (syncid, m) ->
+    yield c (Op.Lockinfo { syncid; mutex = operand c m })
+  | Wait m -> yield c (Op.Wait { mutex = operand c m })
+  | Notify (m, all) -> yield c (Op.Notify { mutex = operand c m; all })
+  | Hold (slot, m) ->
+    c.slots.(slot) <- operand c m;
+    next c
+  | Wait_until { slot; field; min } ->
     (* Java guarded-wait idiom: re-check the condition after every wake-up,
        waiting again while it does not hold. *)
-    let mutex = resolve_param env param in
-    let rec check () =
-      if obj_state_field env field >= min then k ()
-      else Yield (Op.Wait { mutex }, check)
-    in
-    check ()
-  | Ast.Notify { param; all } ->
-    Yield (Op.Notify { mutex = resolve_param env param; all }, k)
-  | Ast.Nested { service; duration } ->
-    Yield (Op.Nested { service; duration = resolve_dur env duration }, k)
-  | Ast.State_update (field, delta) ->
-    Yield (Op.State_update { field; delta }, k)
-  | Ast.If (c, a, b) ->
-    if eval_cond env c then exec env a k else exec env b k
-  | Ast.Loop { kind; count; body } ->
-    let n = resolve_count env count in
-    let n = if kind = Ast.Do_while then max 1 n else n in
-    let rec iter i () = if i >= n then k () else exec env body (iter (i + 1)) in
-    iter 0 ()
-  | Ast.Call name -> exec_method env name k
-  | Ast.Virtual_call { candidates; selector } -> (
-    let idx = arg_int env selector in
-    match List.nth_opt candidates idx with
-    | Some name -> exec_method env name k
-    | None ->
+    if obj_state_field c field >= min then next c
+    else begin
+      c.pc <- c.pc - 1;
+      yield c (Op.Wait { mutex = c.slots.(slot) })
+    end
+  | Assign (slot, m) ->
+    c.slots.(slot) <- operand c m;
+    c.slots.(slot + 1) <- 1;
+    next c
+  | Assign_field (f, m) ->
+    obj_set_mutex_field c f (operand c m);
+    next c
+  | Branch_unless (cond, target) ->
+    if not (eval_cond c cond) then c.pc <- target;
+    next c
+  | Jump target ->
+    c.pc <- target;
+    next c
+  | Loop_init { slot; count; at_least_once } ->
+    let n = resolve_count c count in
+    c.slots.(slot) <- (if at_least_once then max 1 n else n);
+    next c
+  | Loop_next { slot; exit } ->
+    let left = c.slots.(slot) in
+    if left <= 0 then c.pc <- exit else c.slots.(slot) <- left - 1;
+    next c
+  | Call m ->
+    enter c m;
+    next c
+  | Virtual_call { selector; targets; names } ->
+    let idx = arg_int c selector in
+    (* A negative selector fails like [List.nth_opt] on the candidate list. *)
+    if idx < 0 then invalid_arg "List.nth"
+    else if idx >= Array.length targets then
       error "%s: virtual dispatch selector %d out of range (%d candidates)"
-        env.req.meth idx (List.length candidates))
-  | Ast.Sched_lock (syncid, p) ->
-    Yield (Op.Lock { syncid; mutex = resolve_param env p }, k)
-  | Ast.Sched_unlock (syncid, p) ->
-    Yield (Op.Unlock { syncid; mutex = resolve_param env p }, k)
-  | Ast.Lockinfo (syncid, p) ->
-    Yield (Op.Lockinfo { syncid; mutex = resolve_param env p }, k)
-  | Ast.Ignore_sync syncid -> Yield (Op.Ignore { syncid }, k)
-  | Ast.Loop_enter loopid -> Yield (Op.Loop_enter { loopid }, k)
-  | Ast.Loop_exit loopid -> Yield (Op.Loop_exit { loopid }, k)
+        c.req.meth idx (Array.length targets)
+    else if targets.(idx) < 0 then
+      error "%s: call to undefined method %S" c.req.meth names.(idx)
+    else begin
+      enter c targets.(idx);
+      next c
+    end
+  | Undefined_call name ->
+    error "%s: call to undefined method %S" c.req.meth name
+  | Raw_sync p ->
+    error "%s: raw synchronisation on %s — program was not transformed"
+      c.req.meth p
+  | Return -> (
+    match c.stack with
+    | [] ->
+      c.pc <- c.pc - 1;
+      false
+    | f :: callers ->
+      c.code <- f.f_code;
+      c.pc <- f.f_pc;
+      c.slots <- f.f_slots;
+      c.stack <- callers;
+      next c)
 
-and exec_method env name k =
-  match Class_def.find_method env.cls name with
-  | None -> error "%s: call to undefined method %S" env.req.meth name
-  | Some def ->
-    (* Each dynamic call gets a fresh local frame (Java semantics); request
-       arguments are shared with the caller. *)
-    let frame = { env with locals = Hashtbl.create 8 } in
-    exec frame def.body k
+let op c = c.op
 
-let start ~cls ~obj ?ws ~req () =
-  if req.Request.dummy then Done
-  else begin
-    let env = { cls; obj; ws; req; locals = Hashtbl.create 8 } in
-    match Class_def.find_method cls req.meth with
-    | None -> error "request for undefined method %S" req.meth
-    | Some def ->
-      if not def.exported then
-        error "request for non-exported method %S" req.meth
-      else exec env def.body (fun () -> Done)
-  end
+let finished = { instrs = [| Return |]; nslots = 0 }
+
+let no_op = Op.Ignore { syncid = -1 }
+
+let start prog ~obj ?ws (req : Request.t) =
+  let code =
+    if req.dummy then finished
+    else begin
+      let m = methods prog in
+      match method_index m req.meth with
+      | -1 -> error "request for undefined method %S" req.meth
+      | i ->
+        if not m.defs.(i).exported then
+          error "request for non-exported method %S" req.meth
+        else code_of m i
+    end
+  in
+  { prog; obj; ws; req; code; pc = 0; slots = frame_slots code; stack = [];
+    op = no_op }

@@ -24,7 +24,9 @@ type callbacks = {
 type thread = {
   tid : int;
   req : Request.t;
-  mutable cont : (unit -> Interp.outcome) option;
+  mutable cursor : Interp.cursor option;
+      (* set once per (re-)execution by [start_thread]; [None] before it and
+         after a discarded speculation *)
   mutable status : thread_status;
   mutable nested_count : int; (* nested invocations issued so far *)
   mutable buffered_replies : int list; (* call indices answered early *)
@@ -38,7 +40,7 @@ type t = {
   engine : Engine.t;
   cpu : Cpu.t;
   config : Config.t;
-  cls : Detmt_lang.Class_def.t;
+  program : Interp.program;
   obj : Object_state.t;
   mutexes : Mutex_table.t;
   condvars : Condvar.t;
@@ -112,22 +114,21 @@ let record_acquisition t ~mutex ~th =
     Int64.mul (Int64.logxor h (Int64.of_int x)) 0x100000001B3L
   in
   let prev =
-    Option.value ~default:0xCBF29CE484222325L
-      (Hashtbl.find_opt t.acq_hashes mutex)
+    match Hashtbl.find t.acq_hashes mutex with
+    | h -> h
+    | exception Not_found -> 0xCBF29CE484222325L
   in
   Hashtbl.replace t.acq_hashes mutex
     (mix (mix prev th.req.Request.client) th.req.Request.client_req)
 
 let rec advance t th =
   if t.live then
-    match th.cont with
+    match th.cursor with
     | None ->
-      invalid_arg (Printf.sprintf "Replica %d: t%d has no continuation" t.id
-                     th.tid)
-    | Some k ->
-      th.cont <- None;
+      invalid_arg (Printf.sprintf "Replica %d: t%d has no cursor" t.id th.tid)
+    | Some c ->
       th.status <- Running;
-      step t th (k ())
+      if Interp.next c then handle_op t th (Interp.op c) else body_done t th
 
 (* Charge CPU time and continue; zero-cost steps continue synchronously.
    The continuation is a typed (handler, tid) pair, so charging cost never
@@ -142,26 +143,20 @@ and after_cost_finish t duration th =
   if duration <= 0.0 then finish t th
   else Cpu.exec_h t.cpu ~duration t.finish_h th.tid
 
-and step t th outcome =
-  match outcome with
-  | Interp.Done -> (
-    match th.ws with
-    | Some _ ->
-      (* Speculation complete: hold the workspace until the scheduler grants
-         the slot-order commit barrier.  The reply is built (and the reply
-         cost charged) only after a successful merge. *)
-      th.status <- Commit_pending;
-      if observing t then rec_wait_begin t th Recorder.Commit_hold;
-      (sched t).on_ws_event th.tid Sched_iface.Ws_ready
-    | None ->
-      (* Final computation: build the reply message (section 4.1). *)
-      let cost =
-        if th.req.Request.dummy then 0.0 else t.config.reply_build_ms
-      in
-      after_cost_finish t cost th)
-  | Interp.Yield (op, k) ->
-    th.cont <- Some k;
-    handle_op t th op
+and body_done t th =
+  th.cursor <- None;
+  match th.ws with
+  | Some _ ->
+    (* Speculation complete: hold the workspace until the scheduler grants
+       the slot-order commit barrier.  The reply is built (and the reply
+       cost charged) only after a successful merge. *)
+    th.status <- Commit_pending;
+    if observing t then rec_wait_begin t th Recorder.Commit_hold;
+    (sched t).on_ws_event th.tid Sched_iface.Ws_ready
+  | None ->
+    (* Final computation: build the reply message (section 4.1). *)
+    let cost = if th.req.Request.dummy then 0.0 else t.config.reply_build_ms in
+    after_cost_finish t cost th
 
 and finish t th =
   if t.live then begin
@@ -232,7 +227,7 @@ and ws_unsafe_abort t th =
   record t (Trace.Ws_abort { tid = th.tid; conflicts = 0 });
   if observing t then Recorder.incr t.obs "replica.ws.aborts_unsafe";
   th.ws <- None;
-  th.cont <- None;
+  th.cursor <- None;
   th.status <- Created;
   (sched t).on_ws_event th.tid Sched_iface.Ws_unsafe
 
@@ -350,7 +345,7 @@ let do_start_thread t tid =
   if observing t then
     Recorder.request_started t.obs ~replica:t.id ~uid:tid
       ~at:(Engine.now t.engine);
-  th.cont <- Some (Interp.start ~cls:t.cls ~obj:t.obj ?ws:th.ws ~req:th.req);
+  th.cursor <- Some (Interp.start t.program ~obj:t.obj ?ws:th.ws th.req);
   advance t th
 
 (* --------------------------- workspace actions --------------------------- *)
@@ -404,7 +399,7 @@ let do_ws_commit t tid =
       record t (Trace.Ws_abort { tid; conflicts = List.length conflicts });
       if observing t then Recorder.incr t.obs "replica.ws.aborts_stale";
       th.ws <- None;
-      th.cont <- None;
+      th.cursor <- None;
       th.status <- Created;
       false)
   | _ ->
@@ -459,7 +454,8 @@ let create ~engine ~id ~cls ~config ?(obs = Recorder.disabled) ~callbacks ~make_
   Config.validate config;
   let t =
     { id; engine; cpu = Cpu.create engine ~cores:config.Config.cores; config;
-      cls; obj = Object_state.create cls; mutexes = Mutex_table.create ();
+      program = Interp.program cls; obj = Object_state.create cls;
+      mutexes = Mutex_table.create ();
       condvars = Condvar.create ();
       trace_rec = Trace.create ~keep_events:config.Config.trace_events ();
       threads = Hashtbl.create 64; last_uid = min_int; sched = None; obs;
@@ -540,7 +536,7 @@ let deliver_request t req =
            t.last_uid);
     t.last_uid <- tid;
     Hashtbl.add t.threads tid
-      { tid; req; cont = None; status = Created; nested_count = 0;
+      { tid; req; cursor = None; status = Created; nested_count = 0;
         buffered_replies = []; ws = None };
     t.active <- t.active + 1;
     if observing t then begin

@@ -47,12 +47,15 @@ let op_stream cls args =
     Detmt_runtime.Request.make ~uid:0 ~client:0 ~client_req:0 ~meth:"m" ~args
       ~sent_at:0.0
   in
-  let rec collect acc = function
-    | Detmt_runtime.Interp.Done -> List.rev acc
-    | Detmt_runtime.Interp.Yield (op, k) -> collect (op :: acc) (k ())
+  let c =
+    Detmt_runtime.Interp.(start (program instrumented) ~obj req)
+  in
+  let rec collect acc =
+    if Detmt_runtime.Interp.next c then
+      collect (Detmt_runtime.Interp.op c :: acc)
+    else List.rev acc
   in
   collect []
-    (Detmt_runtime.Interp.start ~cls:instrumented ~obj ~req ())
 
 let prop_interp_lock_discipline =
   QCheck.Test.make ~count:200 ~name:"interpreter op stream is lock-balanced"
@@ -1004,6 +1007,153 @@ let prop_runs_reproducible =
       in
       fp () = fp ())
 
+(* ------------- compiled cursor vs the CPS interpreter oracle ------------- *)
+
+(* The op stream a request yields, and the error it ends in, if any.
+   Between steps both sides see the same object-state changes: a state
+   update is applied as the replica would apply it, and every wait is
+   answered by one unit on every state field, so guarded waits re-check
+   and eventually pass.  [max_ops] bounds a request that never does. *)
+type interp_run = { ops : Detmt_runtime.Op.t list; error : string option }
+
+let max_ops = 2_000
+
+let settle obj (cls : Class_def.t) op =
+  let bump f d =
+    try Detmt_runtime.Object_state.update_state obj f d
+    with Invalid_argument _ -> ()
+  in
+  match op with
+  | Detmt_runtime.Op.State_update { field; delta } -> bump field delta
+  | Detmt_runtime.Op.Wait _ -> List.iter (fun f -> bump f 1) cls.state_fields
+  | _ -> ()
+
+let interp_outcome ops run =
+  match run () with
+  | () -> { ops = List.rev !ops; error = None }
+  | exception Detmt_runtime.Interp.Runtime_error m ->
+    { ops = List.rev !ops; error = Some ("runtime error: " ^ m) }
+  | exception Interp_reference.Runtime_error m ->
+    { ops = List.rev !ops; error = Some ("runtime error: " ^ m) }
+  | exception Invalid_argument m ->
+    { ops = List.rev !ops; error = Some ("invalid argument: " ^ m) }
+
+let reference_run cls req =
+  let obj = Detmt_runtime.Object_state.create cls in
+  let ops = ref [] in
+  let rec go n k =
+    if n < max_ops then
+      match k () with
+      | Interp_reference.Done -> ()
+      | Interp_reference.Yield (op, k) ->
+        ops := op :: !ops;
+        settle obj cls op;
+        go (n + 1) k
+  in
+  interp_outcome ops (fun () ->
+      go 0 (fun () -> Interp_reference.start ~cls ~obj ~req ()))
+
+let compiled_run prog cls req =
+  let obj = Detmt_runtime.Object_state.create cls in
+  let ops = ref [] in
+  interp_outcome ops (fun () ->
+      let c = Detmt_runtime.Interp.start prog ~obj req in
+      let rec go n =
+        if n < max_ops && Detmt_runtime.Interp.next c then begin
+          let op = Detmt_runtime.Interp.op c in
+          ops := op :: !ops;
+          settle obj cls op;
+          go (n + 1)
+        end
+      in
+      go 0)
+
+(* Every request of [requests] (plus a dummy) on [cls] gives the oracle's
+   op stream and error; one program serves all of them, so methods compiled
+   by an earlier request are reused.  Returns the first mismatch. *)
+let interp_mismatch cls requests =
+  let prog = Detmt_runtime.Interp.program cls in
+  let reqs =
+    Detmt_runtime.Request.dummy ~uid:0 ~sent_at:0.0
+    :: List.mapi
+         (fun k (meth, args) ->
+           Detmt_runtime.Request.make ~uid:(k + 1) ~client:(k mod 3)
+             ~client_req:k ~meth ~args ~sent_at:0.0)
+         requests
+  in
+  List.find_map
+    (fun req ->
+      let want = reference_run cls req and got = compiled_run prog cls req in
+      if List.equal Detmt_runtime.Op.equal want.ops got.ops
+         && want.error = got.error
+      then None
+      else
+        Some
+          (Printf.sprintf "%s%s: oracle %d ops%s, compiled %d ops%s"
+             req.Detmt_runtime.Request.meth
+             (if req.Detmt_runtime.Request.dummy then " (dummy)" else "")
+             (List.length want.ops)
+             (Option.fold ~none:"" ~some:(( ^ ) ", ") want.error)
+             (List.length got.ops)
+             (Option.fold ~none:"" ~some:(( ^ ) ", ") got.error)))
+    reqs
+
+(* Any argument vector, ill-typed and out-of-range ones included. *)
+let gen_any_args : Ast.value array QCheck.Gen.t =
+  let open QCheck.Gen in
+  let value =
+    oneof
+      [ map (fun m -> Ast.Vmutex m) (int_range (-2) 5);
+        map (fun n -> Ast.Vint n) (int_range (-2) 5);
+        map (fun b -> Ast.Vbool b) bool ]
+  in
+  map Array.of_list (list_size (int_range 0 4) value)
+
+let prop_interp_matches_reference =
+  QCheck.Test.make ~count:200
+    ~name:"compiled cursor matches the CPS interpreter on generated classes"
+    (QCheck.make
+       ~print:(fun (c, _) -> Class_def.show c)
+       QCheck.Gen.(
+         pair Testgen.gen_class
+           (list_size (int_range 1 4)
+              (oneof [ Testgen.gen_args; gen_any_args ]))))
+    (fun (cls, arg_list) ->
+      let requests = List.map (fun args -> ("m", args)) arg_list in
+      List.for_all
+        (fun variant ->
+          match interp_mismatch variant requests with
+          | None -> true
+          | Some msg -> QCheck.Test.fail_report msg)
+        [ cls;
+          Detmt_transform.Transform.basic cls;
+          fst (Detmt_transform.Transform.predictive cls) ])
+
+let test_interp_catalog_matches_reference () =
+  List.iter
+    (fun name ->
+      let cls, gen = Detmt_workload.Catalog.find name in
+      let rng = Detmt_sim.Rng.create 42L in
+      let requests =
+        List.init 24 (fun k -> gen ~client:(k mod 4) ~seq:(k / 4) rng)
+      in
+      List.iter
+        (fun (variant, cls) ->
+          match interp_mismatch cls requests with
+          | None -> ()
+          | Some msg -> Alcotest.failf "%s (%s): %s" name variant msg)
+        [ ("basic", Detmt_transform.Transform.basic cls);
+          ("predictive", fst (Detmt_transform.Transform.predictive cls)) ])
+    Detmt_workload.Catalog.names
+
+let test_interp_cases_match_reference () =
+  List.iter
+    (fun { Interp_cases.name; cls; requests } ->
+      match interp_mismatch cls requests with
+      | None -> ()
+      | Some msg -> Alcotest.failf "%s: %s" name msg)
+    Interp_cases.cases
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_wellformed;
@@ -1035,6 +1185,11 @@ let suite =
       ("cgs fixed-workload reference differential", `Quick,
        test_cgs_reference_fixed_workloads);
       ("cgs reference differential at 256 clients", `Quick,
-       test_cgs_reference_many_clients) ]
+       test_cgs_reference_many_clients);
+      QCheck_alcotest.to_alcotest prop_interp_matches_reference;
+      ("compiled cursor matches the interpreter on every catalog class",
+       `Quick, test_interp_catalog_matches_reference);
+      ("compiled cursor matches the interpreter on hand-written classes",
+       `Quick, test_interp_cases_match_reference) ]
 
 let () = Alcotest.run "properties" [ ("properties", suite) ]

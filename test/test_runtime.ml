@@ -145,17 +145,23 @@ let test_condvar_remove () =
 
 (* ------------------------------ Interp ----------------------------- *)
 
+(* One cursor step: [Some op] while the request yields, [None] once its
+   method has finished. *)
+let step c = if Interp.next c then Some (Interp.op c) else None
+
 (* Drive the interpreter by hand, collecting the op stream. *)
 let ops_of ?(args = [||]) cls meth =
   let obj = Object_state.create cls in
   let req =
     Request.make ~uid:0 ~client:0 ~client_req:0 ~meth ~args ~sent_at:0.0
   in
-  let rec collect acc = function
-    | Interp.Done -> List.rev acc
-    | Interp.Yield (op, k) -> collect (op :: acc) (k ())
+  let c = Interp.start (Interp.program cls) ~obj req in
+  let rec collect acc =
+    match step c with
+    | Some op -> collect (op :: acc)
+    | None -> List.rev acc
   in
-  collect [] (Interp.start ~cls ~obj ~req ())
+  collect []
 
 let simple_cls body =
   Builder.cls ~cname:"C" ~state_fields:[ "st" ]
@@ -268,16 +274,17 @@ let test_interp_guarded_wait () =
     Request.make ~uid:0 ~client:0 ~client_req:0 ~meth:"m" ~args:[||]
       ~sent_at:0.0
   in
-  (match Interp.start ~cls ~obj:cls_obj ~req () with
-  | Interp.Yield (Op.Lock _, k) -> (
-    match k () with
-    | Interp.Yield (Op.Wait _, k2) -> (
+  let c = Interp.start (Interp.program cls) ~obj:cls_obj req in
+  (match step c with
+  | Some (Op.Lock _) -> (
+    match step c with
+    | Some (Op.Wait _) -> (
       (* simulate the producer *)
       Object_state.update_state cls_obj "st" 1;
-      match k2 () with
-      | Interp.Yield (Op.Unlock _, k3) -> (
-        match k3 () with
-        | Interp.Done -> ()
+      match step c with
+      | Some (Op.Unlock _) -> (
+        match step c with
+        | None -> ()
         | _ -> Alcotest.fail "expected done")
       | _ -> Alcotest.fail "expected unlock after condition holds")
     | _ -> Alcotest.fail "expected wait while condition is false")
@@ -317,9 +324,9 @@ let test_interp_dummy_is_noop () =
   let cls = instrumented [ Builder.compute 5.0 ] in
   let obj = Object_state.create cls in
   let req = Request.dummy ~uid:0 ~sent_at:0.0 in
-  (match Interp.start ~cls ~obj ~req () with
-  | Interp.Done -> ()
-  | Interp.Yield _ -> Alcotest.fail "dummy must not execute")
+  (match step (Interp.start (Interp.program cls) ~obj req) with
+  | None -> ()
+  | Some _ -> Alcotest.fail "dummy must not execute")
 
 (* --------------------------- Object_state -------------------------- *)
 
@@ -540,6 +547,50 @@ let test_finished_threads_evicted () =
     | () -> false
     | exception Invalid_argument _ -> true)
 
+(* Steady state allocates only dynamic ops: once a method is compiled, a
+   request allocates its cursor (nine fields and a header), its frame (the
+   shared empty array for a method without locals or loops, as figure1's
+   [work] is) and the 3-word [Op.t] record of each op whose mutex is read at
+   run time; nothing per statement and nothing per yield. *)
+let test_interp_steady_state_allocation () =
+  let p = Detmt_workload.Figure1.default in
+  let cls =
+    fst (Detmt_transform.Transform.predictive (Detmt_workload.Figure1.cls p))
+  in
+  let meth, args =
+    Detmt_workload.Figure1.gen p ~client:0 ~seq:0 (Detmt_sim.Rng.create 7L)
+  in
+  let req =
+    Request.make ~uid:1 ~client:0 ~client_req:0 ~meth ~args ~sent_at:0.0
+  in
+  let obj = Object_state.create cls in
+  let prog = Interp.program cls in
+  (* ops and dynamic ops are counted in place, so the loop allocates nothing *)
+  let counts = [| 0; 0 |] in
+  let run () =
+    let c = Interp.start prog ~obj req in
+    counts.(0) <- 0;
+    counts.(1) <- 0;
+    while Interp.next c do
+      counts.(0) <- counts.(0) + 1;
+      match Interp.op c with
+      | Op.Lock _ | Op.Unlock _ | Op.Lockinfo _ -> counts.(1) <- counts.(1) + 1
+      | _ -> ()
+    done
+  in
+  run () (* warm-up: compiles [work] *);
+  let before = Gc.minor_words () in
+  run ();
+  let spent = Gc.minor_words () -. before in
+  let ops = counts.(0) and dynamic = counts.(1) in
+  let cursor_words = 10 in
+  if ops < 30 || dynamic < 20 then
+    Alcotest.failf "figure1 request yielded %d ops, %d dynamic" ops dynamic;
+  if spent > float_of_int (cursor_words + (3 * dynamic)) then
+    Alcotest.failf "%.0f minor words for %d ops (%d dynamic): bound %d" spent
+      ops dynamic
+      (cursor_words + (3 * dynamic))
+
 let suite =
   [ ("mutex basic", `Quick, test_mutex_basic);
     ("mutex reentrant", `Quick, test_mutex_reentrant);
@@ -569,6 +620,8 @@ let suite =
     ("interp dummy is noop", `Quick, test_interp_dummy_is_noop);
     ("object state fingerprint", `Quick, test_object_state_fingerprint);
     ("object state fields", `Quick, test_object_state_mutable_fields);
+    ("interp: steady state allocates only dynamic ops", `Quick,
+     test_interp_steady_state_allocation);
   ]
 
 let () = Alcotest.run "runtime" [ ("runtime", suite) ]
