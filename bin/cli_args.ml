@@ -70,9 +70,9 @@ let shards ~default ~doc =
   let limit = Detmt.Reconfig.default_params.max_groups in
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 0 && n <= limit -> Ok n
+    | Some n when n >= 1 && n <= limit -> Ok n
     | _ ->
-      Error (`Msg (Printf.sprintf "expected a group count from 0 to %d" limit))
+      Error (`Msg (Printf.sprintf "expected a group count from 1 to %d" limit))
   in
   Arg.(
     value

@@ -511,7 +511,7 @@ let top_cmd =
       Detmt.Reconfig.create ~obs ~engine ~cls
         ~params:
           { Detmt.Reconfig.default_params with
-            initial_groups = max 1 shards; base = params }
+            initial_groups = shards; base = params }
         ()
     in
     let submit = Detmt.Reconfig.submit sys in
@@ -671,38 +671,23 @@ let fingerprint_cmd =
                 Detmt.Recorder.create ~profile:(Detmt.Profile.create ()) ()
               else Detmt.Recorder.disabled
             in
-            let params =
-              { Detmt.Active.default_params with scheduler; workers }
+            let system =
+              Detmt.Reconfig.create ~obs ~engine ~cls
+                ~params:
+                  { Detmt.Reconfig.default_params with
+                    initial_groups = shards;
+                    base =
+                      { Detmt.Active.default_params with scheduler; workers }
+                  }
+                ()
             in
-            let replies, fps =
-              if shards = 0 then begin
-                (* legacy unsharded path — [--shards 1] must print the same
-                   lines through {!Detmt.Reconfig} *)
-                let system =
-                  Detmt.Active.create ~obs ~engine ~cls ~params ()
-                in
-                Detmt.Client.run_clients ~engine ~system ~clients
-                  ~requests_per_client:requests ~gen
-                  ~seed:(Int64.of_int seed) ();
-                ( Detmt.Active.replies_received system,
-                  List.map replica_fp (Detmt.Active.live_replicas system) )
-              end
-              else begin
-                let system =
-                  Detmt.Reconfig.create ~obs ~engine ~cls
-                    ~params:
-                      { Detmt.Reconfig.default_params with
-                        initial_groups = shards; base = params }
-                    ()
-                in
-                Detmt.Reconfig.run_clients system ~clients
-                  ~requests_per_client:requests ~gen
-                  ~seed:(Int64.of_int seed) ();
-                ( Detmt.Reconfig.replies_received system,
-                  List.concat_map
-                    (fun g -> List.map replica_fp (Detmt.Active.live_replicas g))
-                    (Detmt.Reconfig.live_systems system) )
-              end
+            Detmt.Reconfig.run_clients system ~clients
+              ~requests_per_client:requests ~gen ~seed:(Int64.of_int seed) ();
+            let replies = Detmt.Reconfig.replies_received system
+            and fps =
+              List.concat_map
+                (fun g -> List.map replica_fp (Detmt.Active.live_replicas g))
+                (Detmt.Reconfig.live_systems system)
             in
             Format.printf "%-13s %-9s replies=%-3d %s@." workload scheduler
               replies (String.concat " " fps))
@@ -722,11 +707,8 @@ let fingerprint_cmd =
          prodcons)."
   in
   let shards_arg =
-    A.shards ~default:0
-      ~doc:
-        "Fingerprint the sharded system with this many groups.  0 (the \
-         default) is the legacy unsharded path; 1 prints bit-identical \
-         output through the sharded one — the refactoring contract."
+    A.shards ~default:1
+      ~doc:"Fingerprint the multi-group system with this many groups."
   in
   let obs_flag =
     Arg.(
@@ -770,20 +752,24 @@ let explore_cmd =
           Format.eprintf "%s@." msg;
           exit 2
       in
-      let verdict, canonical, outcome = Detmt.Explore.replay sched in
+      let verdict, canonical, outcome =
+        try Detmt.Explore.replay sched
+        with Invalid_argument msg ->
+          Format.eprintf "%s: %s@." path msg;
+          exit 2
+      in
       Format.printf "schedule:   %s (%d entries)@." path
         (Detmt.Schedule.size sched);
       Format.printf "scheduler:  %s  workload: %s  seed: %d@."
         sched.Detmt.Schedule.scheduler sched.Detmt.Schedule.workload
         sched.Detmt.Schedule.seed;
-      Format.printf "canonical:  replies=%d/%d outstanding=%d order=%Lx@."
-        canonical.Detmt.Explore.o_replies canonical.Detmt.Explore.o_expected
-        canonical.Detmt.Explore.o_outstanding
-        canonical.Detmt.Explore.o_order_fp;
-      Format.printf "perturbed:  replies=%d/%d outstanding=%d order=%Lx@."
-        outcome.Detmt.Explore.o_replies outcome.Detmt.Explore.o_expected
-        outcome.Detmt.Explore.o_outstanding outcome.Detmt.Explore.o_order_fp;
-      (match outcome.Detmt.Explore.o_divergence with
+      let pp_run what (o : Detmt.Checked_run.outcome) =
+        Format.printf "%-11s replies=%d/%d outstanding=%d order=%Lx@." what
+          o.o_replies o.o_expected o.o_outstanding o.o_order_fp
+      in
+      pp_run "canonical:" canonical;
+      pp_run "perturbed:" outcome;
+      (match outcome.o_divergence with
       | Some d ->
         Format.printf "divergence: %a@." Detmt.Consistency.pp_divergence d
       | None -> ());
@@ -1056,7 +1042,7 @@ let chaos_cmd =
         (fun o ->
           Option.iter
             (forensics ~seed ~clients ~requests_per_client ~cls ~gen o)
-            o.Detmt.Chaos.o_divergence)
+            o.Detmt.Chaos.o_run.o_divergence)
         outcomes;
     let failed = List.filter (fun o -> not (Detmt.Chaos.ok o)) outcomes in
     if failed <> [] then begin

@@ -14,6 +14,7 @@
    - {!Replica}/{!Interp}/{!Mutex_table}/{!Condvar}: the replica runtime
    - {!Registry}/{!Bookkeeping} and the decision modules: the schedulers
    - {!Active}/{!Passive}/{!Client}/{!Consistency}/{!Failover}: replication
+   - {!Checked_run}/{!Chaos}: the determinism-checked run and fault sweep
    - {!Schedule}/{!Explore}: bounded schedule-space model checking
    - {!Figure1}/{!Disjoint}/{!Tail_compute}/{!Prodcons}: paper workloads
    - {!Experiment}: the experiment registry — every table and figure *)
@@ -117,6 +118,7 @@ module Client = Detmt_replication.Client
 module Consistency = Detmt_replication.Consistency
 module Failover = Detmt_replication.Failover
 module Chaos = Detmt_replication.Chaos
+module Checked_run = Detmt_replication.Checked_run
 
 (* schedule-space exploration *)
 module Schedule = Detmt_explore.Schedule

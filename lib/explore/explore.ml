@@ -19,23 +19,6 @@ open Detmt_replication
 
 (* ------------------------------ one run ------------------------------- *)
 
-type outcome = {
-  o_replies : int;
-  o_expected : int;
-  o_outstanding : int;
-  o_duplicate_replies : int;
-  o_divergence : Consistency.divergence option;
-  o_states_agree : bool;
-  o_acquisitions_agree : bool;
-  o_state_fps : (int * int64) list;
-  o_recoveries : int;
-  o_transitions : int; (* reconfiguration epochs applied; 0 on static runs *)
-  o_epochs_agree : bool; (* vacuously true on static runs *)
-  o_order_fp : int64;
-  o_events : int;
-  o_duration_ms : float;
-}
-
 (* What the canonical (or any observed) run exposes for candidate
    generation: every point-to-point delivery with its planned arrival, the
    width of every multi-way simultaneity, the executed-event journal and the
@@ -57,10 +40,14 @@ let elastic_cycle =
 
 let elastic_window = (6.0, 20.0)
 
+(* A schedule's entries, keyed for the oracles; crash entries become the
+   checked run's crash points (recovery only when it comes after the
+   kill). *)
 let entry_tables (s : Schedule.t) =
   let delays = Hashtbl.create 16
   and reorders = Hashtbl.create 16
-  and flushes = Hashtbl.create 16 in
+  and flushes = Hashtbl.create 16
+  and crashes = ref [] in
   List.iter
     (function
       | Schedule.Delay { seq; dest; extra_ms } ->
@@ -68,9 +55,14 @@ let entry_tables (s : Schedule.t) =
       | Schedule.Reorder { at_index; pick } ->
         Hashtbl.replace reorders at_index pick
       | Schedule.Flush { after_seq } -> Hashtbl.replace flushes after_seq ()
-      | Schedule.Crash _ -> ())
+      | Schedule.Crash { replica; at_ms; recover_at_ms } ->
+        crashes :=
+          { Checked_run.offset = replica; kill_ms = at_ms;
+            recover_ms =
+              (if recover_at_ms > at_ms then Some recover_at_ms else None) }
+          :: !crashes)
     s.Schedule.entries;
-  (delays, reorders, flushes)
+  (delays, reorders, flushes, List.rev !crashes)
 
 let tie_oracle engine ~observe ~reorders =
   let ties = ref [] and tie_index = ref 0 in
@@ -86,88 +78,17 @@ let tie_oracle engine ~observe ~reorders =
            | _ -> 0));
   ties
 
-let run_one_static ~replicas ~observe ~cls ~gen (s : Schedule.t) =
+(* Every schedule runs through {!Checked_run}: a static one issues no
+   command, an elastic one the canonical split/merge cycle.  Oracles attach
+   to every incarnation the run creates ([on_group]); delivery keys stay
+   unambiguous across buses because each incarnation owns a distinct
+   replica-id window.  Crash entries name offsets into group 0, which the
+   cycle never retires. *)
+let run_one ?(observe = false) ~cls ~gen (s : Schedule.t) =
   let engine = Engine.create () in
-  let params =
-    { Active.default_params with
-      scheduler = s.Schedule.scheduler; workers = s.Schedule.workers;
-      replicas; batching = s.Schedule.batching }
-  in
-  let system = Active.create ~engine ~cls ~params () in
-  let monitor = Consistency.create_monitor () in
-  Active.set_checkpoint_sink system (fun ~replica ~seq ~hash ~state ->
-      Consistency.observe monitor ~replica ~seq ~hash ~state);
-  let delays, reorders, flushes = entry_tables s in
-  List.iter
-    (function
-      | Schedule.Crash { replica; at_ms; recover_at_ms } ->
-        Engine.schedule_at engine ~time:at_ms (fun () ->
-            Active.kill_replica system replica);
-        if recover_at_ms > at_ms then
-          Active.recover_replica system ~at:recover_at_ms replica
-      | _ -> ())
-    s.Schedule.entries;
+  let delays, reorders, flushes, crashes = entry_tables s in
   let deliveries = ref [] in
-  if Hashtbl.length delays > 0 || observe then
-    Active.set_delivery_oracle system
-      (Some
-         (fun ~seq ~sender:_ ~dest ~planned_ms ->
-           if observe then deliveries := (seq, dest, planned_ms) :: !deliveries;
-           match Hashtbl.find_opt delays (seq, dest) with
-           | Some extra -> extra
-           | None -> 0.0));
-  if Hashtbl.length flushes > 0 then
-    Active.set_flush_oracle system
-      (Some (fun ~seq ~pending:_ -> Hashtbl.mem flushes seq));
-  let ties = tie_oracle engine ~observe ~reorders in
-  if observe then Engine.set_journaling engine true;
-  (* [until_ms = infinity] runs to queue drain but reports a stall through
-     [run_outstanding] instead of raising: an introduced deadlock is a
-     verdict here, not a harness failure. *)
-  let stats =
-    Client.run_clients_stats ~engine ~system ~clients:s.Schedule.clients
-      ~requests_per_client:s.Schedule.requests ~gen
-      ~seed:(Int64.of_int s.Schedule.seed) ~until_ms:Float.infinity ()
-  in
-  let report = Consistency.check (Active.live_replicas system) in
-  let outcome =
-    { o_replies = Active.replies_received system;
-      o_expected = s.Schedule.clients * s.Schedule.requests;
-      o_outstanding = stats.Client.run_outstanding;
-      o_duplicate_replies = Active.duplicate_client_replies system;
-      o_divergence = Consistency.first_divergence monitor;
-      o_states_agree = report.Consistency.states_agree;
-      o_acquisitions_agree = report.Consistency.acquisitions_agree;
-      o_state_fps = report.Consistency.state_hashes;
-      o_recoveries = Active.recoveries system;
-      o_transitions = 0;
-      o_epochs_agree = true;
-      o_order_fp = Active.order_fingerprint system;
-      o_events = Engine.events_executed engine;
-      o_duration_ms = Engine.now engine }
-  in
-  let observation =
-    { obs_deliveries = List.rev !deliveries;
-      obs_ties = List.rev !ties;
-      obs_journal = Engine.journal engine;
-      obs_broadcasts = Active.broadcasts system }
-  in
-  (outcome, observation)
-
-(* Elastic runs go through {!Reconfig} with the canonical split/merge cycle.
-   Oracles and consistency monitors attach to every incarnation the run
-   creates ([on_group]); delivery keys stay unambiguous across buses because
-   each incarnation owns a distinct replica-id window.  Crash entries name
-   offsets into group 0, which the cycle never retires. *)
-let run_one_elastic ~replicas ~observe ~cls ~gen (s : Schedule.t) =
-  let engine = Engine.create () in
-  let delays, reorders, flushes = entry_tables s in
-  let deliveries = ref [] and monitors = ref [] in
-  let on_group ~index:_ sys =
-    let monitor = Consistency.create_monitor () in
-    monitors := !monitors @ [ monitor ];
-    Active.set_checkpoint_sink sys (fun ~replica ~seq ~hash ~state ->
-        Consistency.observe monitor ~replica ~seq ~hash ~state);
+  let on_group sys =
     if Hashtbl.length delays > 0 || observe then
       Active.set_delivery_oracle sys
         (Some
@@ -181,57 +102,24 @@ let run_one_elastic ~replicas ~observe ~cls ~gen (s : Schedule.t) =
       Active.set_flush_oracle sys
         (Some (fun ~seq ~pending:_ -> Hashtbl.mem flushes seq))
   in
+  let ties = tie_oracle engine ~observe ~reorders in
+  if observe then Engine.set_journaling engine true;
   let base =
     { Active.default_params with
       scheduler = s.Schedule.scheduler; workers = s.Schedule.workers;
-      replicas; batching = s.Schedule.batching }
+      batching = s.Schedule.batching }
   in
-  let system =
-    Reconfig.create ~on_group ~engine ~cls
+  (* [until_ms = infinity] runs to queue drain but reports a stall through
+     [o_outstanding] instead of raising: an introduced deadlock is a
+     verdict here, not a harness failure. *)
+  let system, outcome =
+    Checked_run.run ~on_group ~crashes
+      ~commands:(if s.Schedule.elastic then elastic_cycle else [])
+      ~until_ms:Float.infinity ~engine
       ~params:{ Reconfig.default_params with base }
-      ()
-  in
-  List.iter (fun (at, c) -> Reconfig.request_at system ~at c) elastic_cycle;
-  List.iter
-    (function
-      | Schedule.Crash { replica; at_ms; recover_at_ms } ->
-        Engine.schedule_at engine ~time:at_ms (fun () ->
-            Reconfig.kill_replica system ~group:0 ~offset:replica);
-        if recover_at_ms > at_ms then
-          Reconfig.recover_replica system ~group:0 ~offset:replica
-            ~at:recover_at_ms
-      | _ -> ())
-    s.Schedule.entries;
-  let ties = tie_oracle engine ~observe ~reorders in
-  if observe then Engine.set_journaling engine true;
-  let stats =
-    Reconfig.run_clients_stats system ~clients:s.Schedule.clients
-      ~requests_per_client:s.Schedule.requests ~gen
-      ~seed:(Int64.of_int s.Schedule.seed) ~until_ms:Float.infinity ()
-  in
-  let reports =
-    List.map
-      (fun sys -> Consistency.check (Active.live_replicas sys))
-      (Reconfig.groups_ever system)
-  in
-  let outcome =
-    { o_replies = Reconfig.replies_received system;
-      o_expected = s.Schedule.clients * s.Schedule.requests;
-      o_outstanding = stats.Client.run_outstanding;
-      o_duplicate_replies = Reconfig.duplicate_client_replies system;
-      o_divergence = List.find_map Consistency.first_divergence !monitors;
-      o_states_agree =
-        List.for_all (fun r -> r.Consistency.states_agree) reports;
-      o_acquisitions_agree =
-        List.for_all (fun r -> r.Consistency.acquisitions_agree) reports;
-      o_state_fps =
-        List.concat_map (fun r -> r.Consistency.state_hashes) reports;
-      o_recoveries = Reconfig.recoveries system;
-      o_transitions = Reconfig.epoch system;
-      o_epochs_agree = Reconfig.epochs_agree system;
-      o_order_fp = Reconfig.order_fingerprint system;
-      o_events = Engine.events_executed engine;
-      o_duration_ms = Engine.now engine }
+      ~cls ~gen ~clients:s.Schedule.clients
+      ~requests_per_client:s.Schedule.requests
+      ~seed:(Int64.of_int s.Schedule.seed) ()
   in
   let observation =
     { obs_deliveries = List.rev !deliveries;
@@ -241,42 +129,36 @@ let run_one_elastic ~replicas ~observe ~cls ~gen (s : Schedule.t) =
   in
   (outcome, observation)
 
-let run_one ?(replicas = 3) ?(observe = false) ~cls ~gen (s : Schedule.t) =
-  if s.Schedule.elastic then run_one_elastic ~replicas ~observe ~cls ~gen s
-  else run_one_static ~replicas ~observe ~cls ~gen s
-
 (* ------------------------------ verdicts ------------------------------ *)
 
 type verdict = Equivalent | Order_shifted | Divergent of string
 
-(* Two-tier check.  Replica-internal agreement (checkpoints, final states,
-   acquisition orders, exactly-once replies, no introduced stall) must hold
-   on EVERY admissible schedule — a violation indicts the scheduler
-   directly.  Equality against the canonical run is only meaningful when the
+(* Two-tier check.  Replica-internal agreement ({!Checked_run.violation}),
+   every reconfiguration applied and no introduced stall must hold on EVERY
+   admissible schedule — a violation indicts the scheduler directly.
+   Equality against the canonical run is only meaningful when the
    perturbation left the broadcast total order unchanged: closed-loop
    clients and scheduler control traffic feed delivery timing back into the
    order, so a shifted order legitimately yields different (internally
    consistent) results. *)
-let classify ~canonical (o : outcome) =
-  if o.o_divergence <> None then
-    Divergent "replica checkpoint streams diverge"
-  else if not o.o_states_agree then Divergent "final replica states diverge"
-  else if o.o_recoveries = 0 && not o.o_acquisitions_agree then
-    Divergent "per-mutex acquisition orders diverge"
-  else if not o.o_epochs_agree then
-    Divergent "epoch transitions diverge across replicas"
-  else if o.o_transitions <> canonical.o_transitions then
-    Divergent "reconfiguration did not apply"
-  else if o.o_duplicate_replies > 0 then Divergent "duplicate client replies"
-  else if o.o_outstanding > canonical.o_outstanding then
-    Divergent "introduced client stall"
-  else if o.o_order_fp = canonical.o_order_fp then
-    if o.o_replies <> canonical.o_replies then
-      Divergent "reply count differs under an identical total order"
-    else if o.o_state_fps <> canonical.o_state_fps then
-      Divergent "replica state differs under an identical total order"
-    else Equivalent
-  else Order_shifted
+let classify ~canonical (o : Checked_run.outcome) =
+  let state_fps (o : Checked_run.outcome) =
+    List.concat_map (fun r -> r.Consistency.state_hashes) o.o_reports
+  in
+  match Checked_run.violation o with
+  | Some reason -> Divergent reason
+  | None ->
+    if o.o_transitions <> canonical.Checked_run.o_transitions then
+      Divergent "reconfiguration did not apply"
+    else if o.o_outstanding > canonical.o_outstanding then
+      Divergent "introduced client stall"
+    else if o.o_order_fp = canonical.o_order_fp then
+      if o.o_replies <> canonical.o_replies then
+        Divergent "reply count differs under an identical total order"
+      else if state_fps o <> state_fps canonical then
+        Divergent "replica state differs under an identical total order"
+      else Equivalent
+    else Order_shifted
 
 let verdict_to_string = function
   | Equivalent -> "equivalent"
@@ -319,18 +201,7 @@ type result = {
    perturbations overlapping busy windows have the most interleavings to
    flip.  Returns (score, entry) pairs, best first, with prune accounting. *)
 let candidates ?(skews = default_skews) ~pruned obs (s : Schedule.t) =
-  let delayed = Hashtbl.create 16
-  and reordered = Hashtbl.create 16
-  and flushed = Hashtbl.create 16 in
-  List.iter
-    (function
-      | Schedule.Delay { seq; dest; _ } ->
-        Hashtbl.replace delayed (seq, dest) ()
-      | Schedule.Reorder { at_index; _ } ->
-        Hashtbl.replace reordered at_index ()
-      | Schedule.Flush { after_seq } -> Hashtbl.replace flushed after_seq ()
-      | Schedule.Crash _ -> ())
-    s.Schedule.entries;
+  let delayed, reordered, flushed, crashes = entry_tables s in
   let cands = ref [] in
   List.iter
     (fun (seq, dest, planned) ->
@@ -373,13 +244,7 @@ let candidates ?(skews = default_skews) ~pruned obs (s : Schedule.t) =
      the merge drain — each with a post-merge recovery.  One crash per
      schedule: a second one would leave group 0 without a live majority of
      history to transfer from. *)
-  if
-    s.Schedule.elastic
-    && not
-         (List.exists
-            (function Schedule.Crash _ -> true | _ -> false)
-            s.Schedule.entries)
-  then begin
+  if s.Schedule.elastic && crashes = [] then begin
     let w_open, w_close = elastic_window in
     List.iter
       (fun at_ms ->
@@ -435,10 +300,8 @@ let explore ?(skews = default_skews) ?(max_depth = 2) ?(max_width = 32)
       | Divergent reason ->
         divergent := (sched, reason) :: !divergent;
         stop := true
-      | Order_shifted ->
-        incr shifted;
-        if depth < max_depth then stack := push !stack sched obs
-      | Equivalent ->
+      | verdict ->
+        if verdict = Order_shifted then incr shifted;
         if depth < max_depth then stack := push !stack sched obs)
   done;
   { stats =
@@ -450,13 +313,13 @@ let explore ?(skews = default_skews) ?(max_depth = 2) ?(max_width = 32)
 
 (* Classic ddmin over the entry list: find a 1-minimal subset that still
    diverges.  Every probe is one full run, so the count is reported. *)
-let shrink ?replicas (s : Schedule.t) =
+let shrink (s : Schedule.t) =
   let cls, gen = Detmt_workload.Catalog.find s.Schedule.workload in
-  let canonical, _ = run_one ?replicas ~cls ~gen (Schedule.with_entries s []) in
+  let canonical, _ = run_one ~cls ~gen (Schedule.with_entries s []) in
   let probes = ref 0 in
   let diverges entries =
     incr probes;
-    let o, _ = run_one ?replicas ~cls ~gen (Schedule.with_entries s entries) in
+    let o, _ = run_one ~cls ~gen (Schedule.with_entries s entries) in
     match classify ~canonical o with Divergent _ -> true | _ -> false
   in
   let rec take k = function
@@ -502,8 +365,8 @@ let shrink ?replicas (s : Schedule.t) =
 
 (* ------------------------------- replay ------------------------------- *)
 
-let replay ?replicas (s : Schedule.t) =
+let replay (s : Schedule.t) =
   let cls, gen = Detmt_workload.Catalog.find s.Schedule.workload in
-  let canonical, _ = run_one ?replicas ~cls ~gen (Schedule.with_entries s []) in
-  let outcome, _ = run_one ?replicas ~cls ~gen s in
+  let canonical, _ = run_one ~cls ~gen (Schedule.with_entries s []) in
+  let outcome, _ = run_one ~cls ~gen s in
   (classify ~canonical outcome, canonical, outcome)

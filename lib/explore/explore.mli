@@ -17,38 +17,14 @@
     shares (they commute with the whole run).  Divergences shrink to
     1-minimal replayable witnesses via ddmin.
 
-    A schedule marked [elastic] runs through
-    {!Detmt_replication.Reconfig} with a canonical split/merge cycle
-    (split at 6 ms, merge back at 20 ms of virtual time); the oracle set
-    then additionally demands that every epoch transition applies and is
-    observed bit-identically by every replica of every incarnation, and
-    candidate generation enumerates crash/recovery points {e inside} the
-    reconfiguration window. *)
-
-type outcome = {
-  o_replies : int;
-  o_expected : int;
-  o_outstanding : int;  (** clients still waiting when the queue drained *)
-  o_duplicate_replies : int;
-  o_divergence : Detmt_replication.Consistency.divergence option;
-      (** first checkpoint disagreement caught during the run *)
-  o_states_agree : bool;
-  o_acquisitions_agree : bool;
-  o_state_fps : (int * int64) list;
-  o_recoveries : int;
-  o_transitions : int;
-      (** reconfiguration epochs applied; 0 on static schedules *)
-  o_epochs_agree : bool;
-      (** every replica of every incarnation saw each epoch transition at
-          the same total-order slot; vacuously true on static schedules *)
-  o_order_fp : int64;
-      (** broadcast total-order fingerprint (on elastic schedules:
-          {!Detmt_replication.Reconfig.order_fingerprint}, every
-          incarnation's order plus each transition's epoch and barrier
-          slot) *)
-  o_events : int;
-  o_duration_ms : float;
-}
+    Every schedule is one {!Detmt_replication.Checked_run.run} through
+    {!Detmt_replication.Reconfig}, the run {!Detmt_replication.Chaos}
+    makes too.  A static schedule issues no command; one marked [elastic]
+    issues a canonical split/merge cycle (split at 6 ms, merge back at
+    20 ms of virtual time), so the oracle set additionally demands that
+    every epoch transition applies and is observed bit-identically by every
+    replica of every incarnation, and candidate generation enumerates
+    crash/recovery points {e inside} the reconfiguration window. *)
 
 type observation = {
   obs_deliveries : (int * int * float) list;
@@ -59,16 +35,19 @@ type observation = {
 }
 
 val run_one :
-  ?replicas:int ->
   ?observe:bool ->
   cls:Detmt_lang.Class_def.t ->
   gen:Detmt_replication.Client.request_gen ->
   Schedule.t ->
-  outcome * observation
-(** Execute one schedule (default 3 replicas).  With [observe] (default
+  Detmt_replication.Checked_run.outcome * observation
+(** Execute one schedule on three replicas.  With [observe] (default
     false) the run also journals events and records every delivery and tie
     instant — the raw material for candidate generation.  A schedule with no
-    entries is the canonical run. *)
+    entries is the canonical run.  The outcome's [o_order_fp] is
+    {!Detmt_replication.Reconfig.order_fingerprint}: every incarnation's
+    broadcast total order plus each transition's epoch and barrier slot.
+    @raise Invalid_argument when a crash entry names a replica outside
+    [0 .. 2]. *)
 
 type verdict =
   | Equivalent
@@ -79,7 +58,13 @@ type verdict =
           internally consistent, hence admissible *)
   | Divergent of string  (** a real scheduler-determinism violation *)
 
-val classify : canonical:outcome -> outcome -> verdict
+val classify :
+  canonical:Detmt_replication.Checked_run.outcome ->
+  Detmt_replication.Checked_run.outcome ->
+  verdict
+(** {!Detmt_replication.Checked_run.violation}, a missing reconfiguration
+    or an introduced stall is [Divergent]; otherwise the run is compared
+    with [canonical] when the total order is unchanged. *)
 
 val verdict_to_string : verdict -> string
 
@@ -113,13 +98,17 @@ val explore :
     best-ranked first).  Stops at the first divergence, so [divergent] holds
     at most one schedule. *)
 
-val shrink : ?replicas:int -> Schedule.t -> Schedule.t * int * bool
+val shrink : Schedule.t -> Schedule.t * int * bool
 (** [shrink s] delta-debugs [s]'s entries to a 1-minimal list that still
     yields a [Divergent] verdict.  Returns [(minimal, probes, diverged)];
     when [diverged] is false the input did not reproduce and is returned
     unchanged. *)
 
 val replay :
-  ?replicas:int -> Schedule.t -> verdict * outcome * outcome
+  Schedule.t ->
+  verdict
+  * Detmt_replication.Checked_run.outcome
+  * Detmt_replication.Checked_run.outcome
 (** Run the canonical schedule and then [s]; returns
-    [(verdict, canonical, perturbed)]. *)
+    [(verdict, canonical, perturbed)].
+    @raise Invalid_argument as {!run_one}. *)

@@ -144,6 +144,7 @@ let of_string s =
           args (fun () ->
               Scanf.sscanf rest "replica=%d at_ms=%f recover_at_ms=%f"
                 (fun replica at_ms recover_at_ms ->
+                  if replica < 0 then failwith "negative replica";
                   entries :=
                     Crash { replica; at_ms; recover_at_ms } :: !entries))
         | other -> fail_line n line ("unknown directive " ^ other))

@@ -37,10 +37,11 @@ type t = {
           pre-parallel witnesses round-trip unchanged. *)
   batching : Detmt_gcs.Totem.batching option;
   elastic : bool;
-      (** run through {!Detmt_replication.Reconfig} with the canonical
-          split/merge cycle instead of a static group; [Crash] entries then
-          name offsets into group 0.  Serialized as an [elastic true] header
-          line only when set, so pre-elastic witnesses parse unchanged. *)
+      (** issue the canonical split/merge cycle; a static schedule runs
+          through the same {!Detmt_replication.Reconfig} system with no
+          command.  [Crash] entries name offsets into group 0 either way.
+          Serialized as an [elastic true] header line only when set, so
+          pre-elastic witnesses parse unchanged. *)
   entries : entry list;
 }
 
@@ -70,7 +71,8 @@ val to_string : t -> string
 val of_string : string -> t
 (** Inverse of {!to_string}; blank lines and [#] comments are ignored.
     @raise Failure on a malformed line (including a [clients], [requests]
-    or [workers] value below 1) or a missing header field. *)
+    or [workers] value below 1 and a negative crash replica) or a missing
+    header field. *)
 
 val save : t -> string -> unit
 

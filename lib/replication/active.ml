@@ -645,10 +645,6 @@ let bootstrap t ~from ~carry_state =
 
 let faults t = Totem.faults t.bus
 
-let suppressed_duplicates t = Totem.suppressed_duplicates t.bus
-
-let watermark_suppressed t = Totem.watermark_suppressed t.bus
-
 let set_delivery_oracle t oracle = Totem.set_delivery_oracle t.bus oracle
 
 let set_flush_oracle t oracle = Totem.set_flush_oracle t.bus oracle

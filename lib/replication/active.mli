@@ -169,14 +169,6 @@ val logged_messages : t -> int
 val faults : t -> Detmt_gcs.Faults.t option
 (** The fault plan attached to the bus, for its counters. *)
 
-val suppressed_duplicates : t -> int
-(** True transport duplicates the bus kept from the replicas (stale
-    replay-covered copies excluded — see {!watermark_suppressed}). *)
-
-val watermark_suppressed : t -> int
-(** Stale in-flight copies suppressed as replay-covered after a recovery's
-    state transfer advanced the bus watermark. *)
-
 val set_delivery_oracle :
   t ->
   (seq:int -> sender:int -> dest:int -> planned_ms:float -> float) option ->

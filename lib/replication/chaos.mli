@@ -1,19 +1,16 @@
 (** Chaos harness: fault scenarios x deterministic schedulers.
 
-    Each run wires a workload through {!Reconfig} (one {!Active} group per
-    shard; the default single group is byte-for-byte the unsharded path) on
-    a degraded transport ({!Detmt_gcs.Faults}), optionally kills and
-    recovers a replica in every group, and checks the robustness
-    invariants:
+    Each run is one {!Checked_run.run} through {!Reconfig} (one {!Active}
+    group per shard) on a degraded transport ({!Detmt_gcs.Faults}),
+    optionally killing and recovering a replica in every group.  On top of
+    the shared internal-consistency conditions ({!Checked_run.violation})
+    it checks the robustness invariants:
 
-    - every submitted request is answered exactly once (retries included),
-    - the runtime divergence detector never fires,
-    - survivors (and a recovered replica) agree on the final state,
+    - every submitted request is answered (exactly once: duplicates are a
+      shared condition),
     - the simulation drains without deadlock,
     - scheduled recoveries complete,
-    - scheduled reconfigurations apply, with every replica of every
-      incarnation observing every epoch transition at the same total-order
-      slot.
+    - scheduled reconfigurations apply.
 
     Scenarios carrying reconfiguration commands add live shard split/merge
     and scheduler hot swap under the same fault injection; the rest run
@@ -24,10 +21,9 @@ type scenario = {
   name : string;
   descr : string;
   faults : seed:int64 -> Detmt_gcs.Faults.spec option;
-  kill : (float * int) option;
-      (** [(time_ms, replica)] — the replica is an offset into each group's
-          id window, so every shard loses its [k]-th replica. *)
-  recover_at : float option;
+  crash : Checked_run.crash option;
+      (** the offset is into each group's id window, so every shard loses
+          the replica at that offset *)
   reconfig :
     (initial:int -> scheduler:string -> (float * Reconfig.command) list)
     option;
@@ -54,34 +50,20 @@ type outcome = {
   o_scenario : string;
   o_scheduler : string;
   o_shards : int;
-  o_expected : int;
-  o_replies : int;
-  o_duplicate_replies : int;
-  o_retries : int;
-  o_checkpoints : int;
-  o_divergence : Consistency.divergence option;
-  o_recoveries : int;
+  o_run : Checked_run.outcome;
   o_recoveries_wanted : int;
-  o_states_agree : bool;
-  o_acquisitions_agree : bool;
-  o_suppressed_duplicates : int;
-      (** true transport duplicates suppressed by the bus watermark *)
-  o_watermark_suppressed : int;
-      (** stale replay-covered copies suppressed after a recovery's state
-          transfer (previously miscounted as transport duplicates) *)
-  o_losses : int;
+  o_transitions_wanted : int;
+  o_losses : int;  (** injected transport faults, summed over groups *)
   o_duplicates_injected : int;
   o_partition_holds : int;
-  o_transitions : int;  (** reconfiguration epochs applied *)
-  o_transitions_wanted : int;
-  o_epochs_agree : bool;
-      (** {!Reconfig.epochs_agree}; vacuously true for static runs *)
-  o_duration_ms : float;
   o_fingerprint : int64;
+      (** every replica's state and trace hashes, the reply count and the
+          end time: equal across two runs with the same seed *)
 }
 
 val ok : outcome -> bool
-(** All invariants hold. *)
+(** {!Checked_run.violation} finds nothing, every request was answered and
+    every wanted recovery and reconfiguration applied. *)
 
 val run :
   ?seed:int64 ->
@@ -104,16 +86,15 @@ val run :
     space into that many independent Totem groups; each group gets its own
     fault stream (salted from [seed]), its own kill/recovery when the
     scenario schedules one, and its own consistency monitor.  The outcome
-    aggregates across groups: counters sum, agreement flags AND,
-    [o_recoveries_wanted] scales with the shard count, and
-    {!outcome.o_fingerprint} folds every group's replica hashes in shard
-    order — for [shards = 1] it is the same value the unsharded harness
-    produced.  [timeout_ms] arms the clients' retry timers (default 60
-    virtual ms).  [obs] (default disabled) records the run; the transport's fault counters are folded into its metrics,
-    and its checkpoint times and audit log support the forensics mode
-    ([detmt-cli chaos --forensics]): {!outcome.o_divergence} names the first
-    divergent checkpoint sequence, whose recording time keys the audit
-    window.
+    aggregates across groups: counters sum, [o_recoveries_wanted] scales
+    with the shard count, and {!outcome.o_fingerprint} folds every group's
+    replica hashes in shard order.  [timeout_ms] arms the clients' retry
+    timers (default 60 virtual ms).  [obs] (default disabled) records the
+    run; the transport's fault counters are folded into its metrics, and
+    its checkpoint times and audit log support the forensics mode
+    ([detmt-cli chaos --forensics]): {!Checked_run.outcome.o_divergence}
+    names the first divergent checkpoint sequence, whose recording time
+    keys the audit window.
     @raise Failure on deadlock (with full diagnostics). *)
 
 val sweep :

@@ -366,9 +366,7 @@ let rec next c =
     next c
   | Virtual_call { selector; targets; names } ->
     let idx = arg_int c selector in
-    (* A negative selector fails like [List.nth_opt] on the candidate list. *)
-    if idx < 0 then invalid_arg "List.nth"
-    else if idx >= Array.length targets then
+    if idx < 0 || idx >= Array.length targets then
       error "%s: virtual dispatch selector %d out of range (%d candidates)"
         c.req.meth idx (Array.length targets)
     else if targets.(idx) < 0 then

@@ -1,5 +1,8 @@
 (* The small-step CPS interpreter that {!Detmt_runtime.Interp} replaced,
-   kept verbatim as the differential oracle for the compiled cursor: a
+   kept as the differential oracle for the compiled cursor (verbatim but
+   for a negative virtual-dispatch selector, now the out-of-range
+   [Runtime_error] every other bad selector raises, not [List.nth]'s
+   [Invalid_argument]): a
    thread is a continuation producing an [outcome], and every statement and
    every yield builds a fresh closure.  [test_properties.ml] runs both on
    generated, catalog and hand-written classes and requires equal op
@@ -160,7 +163,7 @@ and exec_stmt env stmt k =
   | Ast.Call name -> exec_method env name k
   | Ast.Virtual_call { candidates; selector } -> (
     let idx = arg_int env selector in
-    match List.nth_opt candidates idx with
+    match if idx < 0 then None else List.nth_opt candidates idx with
     | Some name -> exec_method env name k
     | None ->
       error "%s: virtual dispatch selector %d out of range (%d candidates)"

@@ -114,11 +114,10 @@ let test_retries_stay_exactly_once () =
     run ~clients:2 ~requests_per_client:3 ~timeout_ms:5.0 ~scenario:"lossy"
       ~scheduler:"sat" ()
   in
-  Alcotest.check b "timeouts forced retries" true (o.Chaos.o_retries > 0);
-  Alcotest.(check int) "every request answered" o.Chaos.o_expected
-    o.Chaos.o_replies;
-  Alcotest.(check int) "no request answered twice" 0
-    o.Chaos.o_duplicate_replies;
+  let r = o.Chaos.o_run in
+  Alcotest.check b "timeouts forced retries" true (r.o_retries > 0);
+  Alcotest.(check int) "every request answered" r.o_expected r.o_replies;
+  Alcotest.(check int) "no request answered twice" 0 r.o_duplicate_replies;
   Alcotest.check b "all invariants hold" true (Chaos.ok o)
 
 (* A killed replica rejoins via state transfer and converges with the
@@ -132,10 +131,13 @@ let test_recovery_converges () =
       in
       Alcotest.(check int)
         (scheduler ^ ": recovery completed")
-        1 o.Chaos.o_recoveries;
+        1 o.Chaos.o_run.o_recoveries;
       Alcotest.check b
         (scheduler ^ ": recovered state agrees")
-        true o.Chaos.o_states_agree;
+        true
+        (List.for_all
+           (fun r -> r.Consistency.states_agree)
+           o.Chaos.o_run.o_reports);
       Alcotest.check b (scheduler ^ ": invariants hold") true (Chaos.ok o))
     [ "seq"; "lsa"; "pds" ]
 
@@ -252,9 +254,9 @@ let test_seeded_determinism () =
         (Printf.sprintf "%s/%s replays bit-identically" scenario scheduler)
         true
         (Int64.equal a.Chaos.o_fingerprint b'.Chaos.o_fingerprint
-        && a.Chaos.o_retries = b'.Chaos.o_retries
+        && a.Chaos.o_run.o_retries = b'.Chaos.o_run.o_retries
         && a.Chaos.o_losses = b'.Chaos.o_losses
-        && a.Chaos.o_duration_ms = b'.Chaos.o_duration_ms))
+        && a.Chaos.o_run.o_duration_ms = b'.Chaos.o_run.o_duration_ms))
     [ ("lossy", "pds"); ("dup-storm", "lsa"); ("lossy-crash-recover", "mat") ]
 
 (* A request that parks on a condvar nobody notifies must surface as a

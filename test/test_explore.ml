@@ -4,6 +4,8 @@
    shrinking, and replay of every checked-in witness under test/witnesses. *)
 
 open Detmt_explore
+module Checked_run = Detmt_replication.Checked_run
+module Consistency = Detmt_replication.Consistency
 
 let b = Alcotest.bool
 let i = Alcotest.int
@@ -41,7 +43,8 @@ let test_schedule_parse_errors () =
         (bad
            ("# detmt explore schedule v1\nscheduler mat\nworkload figure1\n"
           ^ line ^ "\n")))
-    [ "requests -1"; "clients -2"; "workers 0" ];
+    [ "requests -1"; "clients -2"; "workers 0";
+      "crash replica=-1 at_ms=13 recover_at_ms=40" ];
   (* The message names what is wrong with the line. *)
   let message line =
     match
@@ -95,15 +98,18 @@ let test_schedule_elastic_roundtrip () =
 let base scheduler =
   Schedule.make ~clients:3 ~requests:3 ~scheduler ~workload:"figure1" []
 
+let states_agree (o : Checked_run.outcome) =
+  List.for_all (fun r -> r.Consistency.states_agree) o.o_reports
+
 let test_canonical_baseline () =
   let s = base "seq" in
   let cls, gen = Detmt_workload.Catalog.find s.Schedule.workload in
   let outcome, obs = Explore.run_one ~observe:true ~cls ~gen s in
-  Alcotest.check i "all replies" outcome.Explore.o_expected
-    outcome.Explore.o_replies;
-  Alcotest.check i "no outstanding" 0 outcome.Explore.o_outstanding;
-  Alcotest.check b "no divergence" true (outcome.Explore.o_divergence = None);
-  Alcotest.check b "states agree" true outcome.Explore.o_states_agree;
+  Alcotest.check i "all replies" outcome.Checked_run.o_expected
+    outcome.Checked_run.o_replies;
+  Alcotest.check i "no outstanding" 0 outcome.Checked_run.o_outstanding;
+  Alcotest.check b "no divergence" true (outcome.Checked_run.o_divergence = None);
+  Alcotest.check b "states agree" true (states_agree outcome);
   Alcotest.check b "deliveries observed" true (obs.Explore.obs_deliveries <> []);
   Alcotest.check b "journal populated" true
     (Array.length obs.Explore.obs_journal > 0)
@@ -116,18 +122,24 @@ let test_classify_tiers () =
     (Explore.classify ~canonical canonical = Explore.Equivalent);
   (* A different total order with consistent internals is Order_shifted, not
      Divergent. *)
-  let shifted = { canonical with Explore.o_order_fp = 1L } in
+  let shifted = { canonical with Checked_run.o_order_fp = 1L } in
   Alcotest.check b "order shift admissible" true
     (Explore.classify ~canonical shifted = Explore.Order_shifted);
   (* Internal disagreement is Divergent no matter the order. *)
-  let diverged = { shifted with Explore.o_acquisitions_agree = false } in
+  let diverged =
+    { shifted with
+      Checked_run.o_reports =
+        List.map
+          (fun r -> { r with Consistency.acquisitions_agree = false })
+          shifted.Checked_run.o_reports }
+  in
   (match Explore.classify ~canonical diverged with
   | Explore.Divergent _ -> ()
   | v -> Alcotest.failf "expected Divergent, got %s" (Explore.verdict_to_string v));
   (* Same order but different replies: the scheduler dropped or duplicated
      work — Divergent. *)
   let missing =
-    { canonical with Explore.o_replies = canonical.Explore.o_replies - 1 }
+    { canonical with Checked_run.o_replies = canonical.Checked_run.o_replies - 1 }
   in
   match Explore.classify ~canonical missing with
   | Explore.Divergent _ -> ()
@@ -141,12 +153,12 @@ let test_elastic_canonical_baseline () =
   let s = elastic_base "mat" in
   let cls, gen = Detmt_workload.Catalog.find s.Schedule.workload in
   let outcome, _ = Explore.run_one ~cls ~gen s in
-  Alcotest.check i "all replies" outcome.Explore.o_expected
-    outcome.Explore.o_replies;
-  Alcotest.check i "split and merge applied" 2 outcome.Explore.o_transitions;
-  Alcotest.check b "epochs agree" true outcome.Explore.o_epochs_agree;
-  Alcotest.check b "states agree" true outcome.Explore.o_states_agree;
-  Alcotest.check b "no divergence" true (outcome.Explore.o_divergence = None)
+  Alcotest.check i "all replies" outcome.Checked_run.o_expected
+    outcome.Checked_run.o_replies;
+  Alcotest.check i "split and merge applied" 2 outcome.Checked_run.o_transitions;
+  Alcotest.check b "epochs agree" true outcome.Checked_run.o_epochs_agree;
+  Alcotest.check b "states agree" true (states_agree outcome);
+  Alcotest.check b "no divergence" true (outcome.Checked_run.o_divergence = None)
 
 (* -------------------------------- search -------------------------------- *)
 
@@ -247,6 +259,22 @@ let test_elastic_crash_witness_equivalent () =
     Alcotest.failf "elastic crash witness replayed %s"
       (Explore.verdict_to_string v)
 
+(* A static run with a crash and a later recovery: no checked-in witness
+   and no enumerated candidate crashes a static schedule, so this pins the
+   path.  Crash and recovery traffic leave the total order as canonical. *)
+let test_static_crash_equivalent () =
+  let s =
+    Schedule.make ~scheduler:"mat" ~workload:"figure1"
+      [ Schedule.Crash { replica = 2; at_ms = 13.0; recover_at_ms = 40.0 } ]
+  in
+  match Explore.replay s with
+  | Explore.Equivalent, _, o ->
+    Alcotest.check i "all replies" 20 o.Checked_run.o_replies;
+    Alcotest.check i "expected" 20 o.Checked_run.o_expected;
+    Alcotest.check i "one recovery" 1 o.Checked_run.o_recoveries
+  | v, _, _ ->
+    Alcotest.failf "static crash replayed %s" (Explore.verdict_to_string v)
+
 let test_witness_sizes_bounded () =
   (* The ISSUE bounds the promotion-race witness at 25 events; ours are
      1-minimal. *)
@@ -294,4 +322,6 @@ let () =
           Alcotest.test_case "ws witnesses clean" `Quick
             test_ws_witnesses_clean;
           Alcotest.test_case "elastic crash-in-window equivalent" `Quick
-            test_elastic_crash_witness_equivalent ] ) ]
+            test_elastic_crash_witness_equivalent;
+          Alcotest.test_case "static crash-recover equivalent" `Quick
+            test_static_crash_equivalent ] ) ]

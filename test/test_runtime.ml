@@ -308,6 +308,20 @@ let test_interp_rejects_bad_arg () =
        false
      with Interp.Runtime_error _ -> true)
 
+let test_interp_rejects_negative_selector () =
+  let cls =
+    Builder.cls ~cname:"C" ~state_fields:[]
+      [ Builder.meth "m" ~params:1 [ Builder.virtual_call ~selector:0 [ "h" ] ];
+        Builder.helper "h" [ Builder.compute 1.0 ] ]
+  in
+  let cls = Detmt_transform.Transform.basic cls in
+  Alcotest.check b "selector -1 is a runtime error" true
+    (try
+       ignore (ops_of ~args:[| Ast.Vint (-1) |] cls "m");
+       false
+     with Interp.Runtime_error msg ->
+       msg = "m: virtual dispatch selector -1 out of range (1 candidates)")
+
 let test_interp_rejects_helper_request () =
   let cls =
     Builder.cls ~cname:"C" ~state_fields:[]
@@ -617,6 +631,8 @@ let suite =
     ("interp rejects bad arg", `Quick, test_interp_rejects_bad_arg);
     ("interp rejects helper request", `Quick,
      test_interp_rejects_helper_request);
+    ("interp rejects negative selector", `Quick,
+     test_interp_rejects_negative_selector);
     ("interp dummy is noop", `Quick, test_interp_dummy_is_noop);
     ("object state fingerprint", `Quick, test_object_state_fingerprint);
     ("object state fields", `Quick, test_object_state_mutable_fields);

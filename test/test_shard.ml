@@ -244,7 +244,7 @@ let test_chaos_sharded_reproducible () =
 let test_chaos_sharded_recovery_per_group () =
   let o = chaos_run ~shards:2 ~scenario_name:"crash-recover" ~seed:42L in
   Alcotest.(check int) "every group recovers its killed replica" 2
-    o.Chaos.o_recoveries;
+    o.Chaos.o_run.o_recoveries;
   Alcotest.(check int) "wanted scales with shards" 2 o.Chaos.o_recoveries_wanted
 
 (* ------------------------------ params ------------------------------ *)
