@@ -171,11 +171,9 @@ let write_out out s =
     close_out oc;
     Format.eprintf "wrote %s@." path
 
-(* Run one configuration with the flight recorder on.  Determinism contract:
-   this is the exact run [detmt-cli run] performs with the same flags — the
-   recorder is read-only.  [shards > 1] records the sharded system instead
-   (shard 0's metric names are the unsharded ones, so the single-shard
-   recording is unchanged). *)
+(* Run one configuration on [shards] groups with the flight recorder on.
+   Determinism contract: on one group this is the exact run [detmt-cli run]
+   performs with the same flags — the recorder is read-only. *)
 let record_run ?obs ~scheduler ~workers ~clients ~requests ~replicas ~seed
     ~workload ~latency ~shards () =
   let obs = match obs with Some o -> o | None -> Detmt.Recorder.create () in
@@ -183,16 +181,14 @@ let record_run ?obs ~scheduler ~workers ~clients ~requests ~replicas ~seed
     (Detmt.Experiment.run ~obs
        { Detmt.Experiment.base with
          workload = Detmt.Experiment.workload workload;
-         system = (if shards <= 1 then Active else Static shards);
+         system = Static shards;
          scheduler; workers; clients; requests; replicas;
          seed = Int64.of_int seed; latency_ms = latency });
   obs
 
 let trace_shards_arg =
   A.shards ~default:1
-    ~doc:
-      "Record the sharded system with this many groups instead of the \
-       single-group one (1 = the unsharded path)."
+    ~doc:"Record the system with this many replica groups (1 = one group)."
 
 let trace_format_arg =
   let doc =
@@ -388,15 +384,20 @@ let profile_cmd =
            ~seed ~workload ~latency ~shards ());
       Unix.gettimeofday () -. t0
     in
-    let best f =
-      List.fold_left Stdlib.min infinity (List.init repeats (fun _ -> f ()))
-    in
-    let wall_baseline = best (fun () -> timed Detmt.Recorder.disabled) in
     let p = Detmt.Profile.create () in
-    let wall_profiled =
-      best (fun () ->
-          Detmt.Profile.reset p;
-          timed (Detmt.Recorder.profile_only p))
+    (* Baseline and profiled runs alternate, so host drift over the repeats
+       lands on both sides instead of reading as profiler cost. *)
+    let rec best n ~baseline ~profiled =
+      if n = 0 then (baseline, profiled)
+      else
+        let b = timed Detmt.Recorder.disabled in
+        Detmt.Profile.reset p;
+        let pr = timed (Detmt.Recorder.profile_only p) in
+        best (n - 1) ~baseline:(Float.min baseline b)
+          ~profiled:(Float.min profiled pr)
+    in
+    let wall_baseline, wall_profiled =
+      best repeats ~baseline:infinity ~profiled:infinity
     in
     let overhead_pct =
       Detmt.Profile.overhead_pct ~baseline:wall_baseline

@@ -23,13 +23,13 @@ let run scheduler =
   Failover.kill_and_measure ~system ~replica:0 ~at:kill_at;
   Client.run_clients ~engine ~system ~clients:8 ~requests_per_client:30
     ~gen:Disjoint.gen ~until_ms:60_000.0 ();
-  let analysis = Failover.analyze ~system ~kill_at in
+  let times = Active.reply_times system in
+  let analysis = Failover.analyze ~kill_at times in
   let report = Consistency.check (Active.live_replicas system) in
   Format.printf "%-7s %a  survivors consistent=%b@." scheduler Failover.pp
     analysis
     (report.Consistency.states_agree && report.Consistency.acquisitions_agree);
   (* A small reply-timeline sketch around the failure. *)
-  let times = Active.reply_times system in
   let window = List.filter (fun t -> t > 100.0 && t < 260.0) times in
   let buckets = Array.make 16 0 in
   List.iter

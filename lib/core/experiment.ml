@@ -30,10 +30,7 @@ let workload wname =
   let cls, gen = W.Catalog.find wname in
   { wname; cls; gen }
 
-type system =
-  | Active
-  | Static of int
-  | Autoscale of Reconfig.policy
+type system = Static of int | Autoscale of Reconfig.policy
 
 type drive = Closed | Open_loop of float | Kill_leader of float
 
@@ -55,7 +52,7 @@ type config = {
 
 let base =
   let p = Active.default_params in
-  { workload = workload "figure1"; system = Active; scheduler = p.scheduler;
+  { workload = workload "figure1"; system = Static 1; scheduler = p.scheduler;
     workers = p.workers; clients = 8; requests = 10; replicas = p.replicas;
     seed = 42L; latency_ms = p.net_latency_ms;
     pds_batch = p.config.pds_batch;
@@ -69,7 +66,6 @@ let config_fields c =
     ("system",
      Json.String
        (match c.system with
-       | Active -> "active"
        | Static n -> Printf.sprintf "static-%d" n
        | Autoscale _ -> "autoscale"));
     ("scheduler", Json.String c.scheduler);
@@ -184,129 +180,118 @@ let sched_metrics obs scheduler =
       ("totem_deliveries",
        float_of_int (Detmt_obs.Metrics.counter_value m "totem.deliveries")) ]
 
+(* The broadcast kinds {!Active} counts: every row reports each of them,
+   so all rows share one metric schema. *)
+let message_kinds =
+  [ "barrier"; "control"; "nested-reply"; "pds-dummy"; "request" ]
+
 let run ?obs c =
   let obs = match obs with Some o -> o | None -> Recorder.create () in
   let engine = Engine.create () in
-  let cls = c.workload.cls and gen = c.workload.gen in
-  let clients = c.clients and requests_per_client = c.requests
-  and seed = c.seed in
-  let base = params c in
-  let expected =
-    match c.drive with Open_loop _ -> c.requests | _ -> c.clients * c.requests
+  let initial_groups =
+    match c.system with Static n -> n | Autoscale _ -> 1
   in
-  (* [drive] is the costed part; [summary] reads the finished system as
-     (replies, response times, consistent, fingerprint, metrics). *)
-  let drive, summary =
-    match c.system with
-    | Active ->
-      let system = Active.create ~obs ~engine ~cls ~params:base () in
-      let closed ?until_ms () =
-        Client.run_clients ~engine ~system ~clients ~requests_per_client ~gen
-          ~seed ?until_ms ()
-      in
-      let drive () =
-        match c.drive with
-        | Closed -> closed ()
-        | Kill_leader at ->
-          Failover.kill_and_measure ~system ~replica:0 ~at;
-          closed ~until_ms:60_000.0 ()
-        | Open_loop rate ->
-          let horizon = 10.0 *. (float_of_int c.requests *. 1000.0 /. rate) in
-          Client.run_open_loop ~engine ~system ~rate_per_s:rate
-            ~requests:c.requests ~gen ~seed ~until_ms:horizon ()
-      in
-      let summary () =
-        let replies = Active.replies_received system in
-        let report = Consistency.check (Active.live_replicas system) in
-        let failover =
-          match c.drive with
-          | Kill_leader kill_at ->
-            let a = Failover.analyze ~system ~kill_at in
-            [ ("takeover_ms", a.Failover.takeover_ms);
-              ("replies_after", float_of_int a.replies_after) ]
-          | Closed | Open_loop _ -> []
-        in
-        ( replies,
-          Active.response_times system,
-          report.states_agree && report.acquisitions_agree,
-          (* the multi-group fold over one group: an [Active] row and a
-             [Static 1] row of the same run print the same fingerprint *)
-          Reconfig.fold_fingerprint [ system ] ~replies,
-          [ ("broadcasts", float_of_int (Active.broadcasts system));
-            ("cpu_busy_ms",
-             match Active.replicas system with
-             | r :: _ -> Detmt_runtime.Replica.cpu_busy_ms r
-             | [] -> 0.0);
-            ("states_agree", flag report.states_agree);
-            ("acquisitions_agree", flag report.acquisitions_agree);
-            ("traces_agree", flag report.traces_agree) ]
-          @ List.map
-              (fun (kind, n) -> ("msg." ^ kind, float_of_int n))
-              (Active.message_stats system)
-          @ failover
-          @ sched_metrics obs c.scheduler )
-      in
-      (drive, summary)
-    | Static _ | Autoscale _ ->
-      let initial_groups = match c.system with Static n -> n | _ -> 1 in
-      let system =
-        Reconfig.create ~obs ~engine ~cls
-          ~params:{ Reconfig.default_params with Reconfig.initial_groups; base }
-          ()
-      in
-      (match c.system with
-      | Autoscale policy -> Reconfig.set_autoscale system policy
-      | _ -> ());
-      let drive () =
-        ignore
-          (Reconfig.run_clients_stats system ~clients ~requests_per_client
-             ~gen ~seed ())
-      in
-      let summary () =
-        let i f = float_of_int (f system) in
-        let states = Reconfig.states_agree system in
-        let acquisitions = Reconfig.acquisitions_agree system in
-        let epochs = Reconfig.epochs_agree system in
-        ( Reconfig.replies_received system,
-          Reconfig.response_times system,
-          states && acquisitions && epochs,
-          Reconfig.fingerprint system,
-          [ ("groups_final", i Reconfig.group_count);
-            ("epoch", i Reconfig.epoch);
-            ("splits", i Reconfig.splits);
-            ("merges", i Reconfig.merges);
-            ("swaps", i Reconfig.swaps);
-            ("held", i Reconfig.held_requests);
-            ("fast_path", i Reconfig.fast_path_requests);
-            ("cross_group", i Reconfig.cross_group_requests);
-            ("broadcasts", i Reconfig.broadcasts);
-            ("wire_batches",
-             float_of_int
-               (List.fold_left
-                  (fun n g -> n + Active.wire_batches g)
-                  0 (Reconfig.groups_ever system)));
-            ("states_agree", flag states);
-            ("acquisitions_agree", flag acquisitions);
-            ("epochs_agree", flag epochs) ] )
-      in
-      (drive, summary)
+  let system =
+    Reconfig.create ~obs ~engine ~cls:c.workload.cls
+      ~params:
+        { Reconfig.default_params with
+          Reconfig.initial_groups; base = params c }
+      ()
+  in
+  (match c.system with
+  | Autoscale policy -> Reconfig.set_autoscale system policy
+  | Static _ -> ());
+  let closed ?until_ms () =
+    ignore
+      (Reconfig.run_clients_stats system ~clients:c.clients
+         ~requests_per_client:c.requests ~gen:c.workload.gen ~seed:c.seed
+         ?until_ms ())
+  in
+  let drive () =
+    match c.drive with
+    | Closed -> closed ()
+    | Kill_leader at ->
+      Engine.schedule_at engine ~time:at (fun () ->
+          Reconfig.kill_replica system ~group:0 ~offset:0);
+      closed ~until_ms:60_000.0 ()
+    | Open_loop rate ->
+      let horizon = 10.0 *. (float_of_int c.requests *. 1000.0 /. rate) in
+      Client.run_open_loop ~engine ~submit:(Reconfig.submit system)
+        ~rate_per_s:rate ~requests:c.requests ~gen:c.workload.gen ~seed:c.seed
+        ~until_ms:horizon ()
   in
   let (), wall_ms, minor_words, major_words = costed drive in
-  let replies, times, consistent, fingerprint, metrics = summary () in
+  let replies = Reconfig.replies_received system in
+  let times = Reconfig.response_times system in
+  let groups = Reconfig.groups_ever system in
+  let reports = Reconfig.reports system in
+  let agree f = List.for_all f reports in
+  let states = agree (fun r -> r.Consistency.states_agree)
+  and acquisitions = agree (fun r -> r.Consistency.acquisitions_agree)
+  and traces = agree (fun r -> r.Consistency.traces_agree)
+  and epochs = Reconfig.epochs_agree system in
+  let sum f = float_of_int (List.fold_left (fun n g -> n + f g) 0 groups) in
+  let i f = float_of_int (f system) in
+  let failover =
+    match c.drive with
+    | Kill_leader kill_at ->
+      let a = Failover.analyze ~kill_at (Reconfig.reply_times system) in
+      [ ("takeover_ms", a.Failover.takeover_ms);
+        ("replies_after", float_of_int a.replies_after) ]
+    | Closed | Open_loop _ -> []
+  in
+  let metrics =
+    [ ("events", float_of_int (Engine.events_executed engine));
+      ("broadcasts", i Reconfig.broadcasts);
+      ("wire_batches", sum Active.wire_batches) ]
+    @ List.map
+        (fun kind ->
+          ( "msg." ^ kind,
+            sum (fun g ->
+                Option.value ~default:0
+                  (List.assoc_opt kind (Active.message_stats g))) ))
+        message_kinds
+    @ [ (* replica 0's busy time in every incarnation *)
+        ("cpu_busy_ms",
+         List.fold_left
+           (fun acc g ->
+             match Active.replicas g with
+             | r :: _ -> acc +. Detmt_runtime.Replica.cpu_busy_ms r
+             | [] -> acc)
+           0.0 groups);
+        ("states_agree", flag states);
+        ("acquisitions_agree", flag acquisitions);
+        ("traces_agree", flag traces);
+        ("epochs_agree", flag epochs);
+        ("groups_final", i Reconfig.group_count);
+        ("epoch", i Reconfig.epoch);
+        ("splits", i Reconfig.splits);
+        ("merges", i Reconfig.merges);
+        ("swaps", i Reconfig.swaps);
+        ("held", i Reconfig.held_requests);
+        ("fast_path", i Reconfig.fast_path_requests);
+        ("cross_group", i Reconfig.cross_group_requests) ]
+    @ failover @ sched_metrics obs c.scheduler
+  in
   let duration_ms = Engine.now engine in
   let ts = Recorder.timeseries obs in
   let peak = Timeseries.peak ts "engine.pending" in
   { config = c;
     outcome =
-      { expected; replies; mean_ms = Summary.mean times;
+      { expected =
+          (match c.drive with
+          | Open_loop _ -> c.requests
+          | Closed | Kill_leader _ -> c.clients * c.requests);
+        replies; mean_ms = Summary.mean times;
         p95_ms = Summary.quantile times 0.95;
         throughput_per_s =
           (if duration_ms > 0.0 then
              1000.0 *. float_of_int replies /. duration_ms
            else 0.0);
-        duration_ms; consistent; fingerprint;
-        metrics =
-          ("events", float_of_int (Engine.events_executed engine)) :: metrics };
+        duration_ms;
+        consistent = states && acquisitions && epochs;
+        fingerprint = Reconfig.fingerprint system;
+        metrics };
     cost =
       { wall_ms; minor_words; major_words;
         series_points = Timeseries.point_count ts;
@@ -1028,7 +1013,7 @@ let load_independence rows =
     load_points
 
 (* Raw typed-event throughput, then full-stack points (clients through
-   Active through Totem through the scheduler) with observability off.
+   Reconfig, Active and Totem to the scheduler) with observability off.
    Larger macro points are [--clients 8192] / [16384] away. *)
 let engine () =
   let raw =

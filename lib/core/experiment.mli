@@ -4,9 +4,10 @@
     section 5 questions) and every derived grid (E5–E20) is one {!spec}: a
     default grid of run configurations, a run function returning uniform
     {!row}s plus free text (charts, listings), and the claims its rows must
-    satisfy.  One runner ({!run}) builds the system a {!config} names; one
-    emitter renders rows as a table, CSV or a [BENCH_<name>.json] document.
-    [detmt-cli bench] and the tests are thin wrappers over {!specs}. *)
+    satisfy.  One runner ({!run}) builds the {!Detmt_replication.Reconfig}
+    system a {!config} names; one emitter renders rows as a table, CSV or a
+    [BENCH_<name>.json] document.  [detmt-cli bench] and the tests are thin
+    wrappers over {!specs}. *)
 
 (** {2 Configurations} *)
 
@@ -20,23 +21,21 @@ val workload : string -> workload
 (** A built-in workload by its {!Detmt_workload.Catalog} name.
     @raise Invalid_argument on another name, listing the valid ones. *)
 
+(** The replica groups a row runs on: always a {!Detmt_replication.Reconfig}
+    system. *)
 type system =
-  | Active  (** one replica group *)
-  | Static of int
-      (** {!Detmt_replication.Reconfig} fixed at N groups: the static
-          sharded layout *)
+  | Static of int  (** fixed at N groups; [Static 1] is one replica group *)
   | Autoscale of Detmt_replication.Reconfig.policy
-      (** {!Detmt_replication.Reconfig} from one group, under the
-          controller *)
+      (** from one group, under the controller *)
 
-(** How an [Active] system is driven; the multi-group systems always run a
-    closed loop. *)
+(** How the clients drive a system. *)
 type drive =
   | Closed  (** [clients] closed-loop clients, [requests] each *)
   | Open_loop of float
       (** Poisson arrivals at this rate (req/s), [requests] in total, until
           ten times the time the load needs at capacity *)
-  | Kill_leader of float  (** closed loop; replica 0 dies at this time *)
+  | Kill_leader of float
+      (** closed loop; replica 0 of group 0 dies at this time *)
 
 type config = {
   workload : workload;
@@ -55,7 +54,7 @@ type config = {
 }
 
 val base : config
-(** figure1 on one group under mat: 1 worker, 8 clients x 10 requests, 3
+(** figure1 on [Static 1] under mat: 1 worker, 8 clients x 10 requests, 3
     replicas, seed 42, {!Detmt_replication.Active.default_params}
     otherwise. *)
 
@@ -76,8 +75,12 @@ type outcome = {
           and the reply count (and the transition log, for elastic
           systems) *)
   metrics : (string * float) list;
-      (** named counters: events, broadcasts, routing, reconfiguration,
-          agreement flags (1/0), grants... *)
+      (** named counters, the same keys on every row of one recorder
+          setting: events, broadcasts, wire batches, [msg.<kind>], replica
+          0's busy time, agreement flags (1/0), groups, epochs and routing,
+          and with an enabled recorder grants, deferrals and Totem
+          deliveries; [takeover_ms] and [replies_after] under
+          [Kill_leader], and a spec's derived columns *)
 }
 
 type cost = {

@@ -80,10 +80,7 @@ let run ?obs ?(on_group = ignore) ?(commands = []) ?(crashes = []) ?timeout_ms
           (fun n m -> n + Consistency.checkpoints_compared m)
           0 monitors;
       o_divergence = List.find_map Consistency.first_divergence monitors;
-      o_reports =
-        List.map
-          (fun g -> Consistency.check (Active.live_replicas g))
-          (Reconfig.groups_ever system);
+      o_reports = Reconfig.reports system;
       o_recoveries = Reconfig.recoveries system;
       o_transitions = Reconfig.epoch system;
       o_epochs_agree = Reconfig.epochs_agree system;

@@ -22,9 +22,7 @@ type outcome = {
   o_checkpoints : int;  (** cross-replica checkpoint comparisons *)
   o_divergence : Consistency.divergence option;
       (** first checkpoint disagreement caught during the run *)
-  o_reports : Consistency.report list;
-      (** every incarnation's live replicas compared after the run, in
-          {!Reconfig.groups_ever} order *)
+  o_reports : Consistency.report list;  (** {!Reconfig.reports} *)
   o_recoveries : int;
   o_transitions : int;  (** reconfiguration epochs applied *)
   o_epochs_agree : bool;  (** {!Reconfig.epochs_agree} *)

@@ -121,7 +121,7 @@ let in_flight t = t.waiting
 
 let retries t = t.retries
 
-let run_open_loop ~engine ~system ~rate_per_s ~requests ~gen ?(seed = 42L)
+let run_open_loop ~engine ~submit ~rate_per_s ~requests ~gen ?(seed = 42L)
     ?until_ms () =
   if rate_per_s <= 0.0 then invalid_arg "Client.run_open_loop: rate <= 0";
   let rng = Rng.create seed in
@@ -134,7 +134,7 @@ let run_open_loop ~engine ~system ~rate_per_s ~requests ~gen ?(seed = 42L)
   arrive_h :=
     Engine.register_handler engine (fun seq ->
         let meth, args = gen ~client:0 ~seq rng in
-        Active.submit system ~client:0 ~client_req:seq ~meth ~args
+        submit ~client:0 ~client_req:seq ~meth ~args
           ~on_reply:(fun ~response_ms:_ -> incr completed);
         if seq + 1 < requests then
           Engine.post engine ~delay:(Rng.exponential rng mean_gap_ms)

@@ -113,7 +113,7 @@ val run_clients :
 
 val run_open_loop :
   engine:Detmt_sim.Engine.t ->
-  system:Active.t ->
+  submit:submit_fn ->
   rate_per_s:float ->
   requests:int ->
   gen:request_gen ->
@@ -121,7 +121,8 @@ val run_open_loop :
   ?until_ms:float ->
   unit ->
   unit
-(** Open-loop (Poisson) arrivals at [rate_per_s], [requests] in total, from a
-    single logical client population — for throughput/saturation studies: an
-    overloaded scheduler builds an unbounded backlog instead of throttling
-    the clients.  Runs to completion (or [until_ms]). *)
+(** Open-loop (Poisson) arrivals at [rate_per_s], [requests] in total,
+    against an arbitrary [submit] target, from a single logical client
+    population — for throughput/saturation studies: an overloaded scheduler
+    builds an unbounded backlog instead of throttling the clients.  Runs to
+    completion (or [until_ms]). *)

@@ -19,8 +19,7 @@ let max_gap times =
   in
   go 0.0 times
 
-let analyze ~system ~kill_at =
-  let times = Active.reply_times system in
+let analyze ~kill_at times =
   let before = List.filter (fun t -> t <= kill_at) times in
   let after = List.filter (fun t -> t > kill_at) times in
   (* The failure hole spans from the last pre-failure reply to the first

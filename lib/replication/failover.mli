@@ -23,7 +23,8 @@ val kill_and_measure :
 (** Schedule the failure: the replica stops executing, the bus stops
     delivering to it, and the group detects the failure after its timeout. *)
 
-val analyze : system:Active.t -> kill_at:float -> analysis
-(** Run after the simulation finished. *)
+val analyze : kill_at:float -> float list -> analysis
+(** Analyse the client-side reply arrival times of a finished run, in
+    order ({!Active.reply_times}, {!Reconfig.reply_times}). *)
 
 val pp : Format.formatter -> analysis -> unit

@@ -915,30 +915,19 @@ let aggregate_state t =
     (live_systems t);
   Hashtbl.fold (fun f v l -> (f, v) :: l) acc [] |> List.sort compare
 
-let consistent t =
-  List.for_all
-    (fun sys ->
-      Consistency.consistent (Consistency.check (Active.live_replicas sys)))
+let reports t =
+  List.map
+    (fun sys -> Consistency.check (Active.live_replicas sys))
     (groups_ever t)
+
+let consistent t = List.for_all Consistency.consistent (reports t)
 
 (* The recovery-tolerant oracle: a recovered replica's trace covers only
    its post-recovery suffix, so after crash-recovery only state (and
    acquisition order going forward) is comparable — the same contract
    {!Chaos} checks. *)
 let states_agree t =
-  List.for_all
-    (fun sys ->
-      (Consistency.check (Active.live_replicas sys)).Consistency.states_agree)
-    (groups_ever t)
-
-(* Within each group, every live replica granted the mutexes in the same
-   order. *)
-let acquisitions_agree t =
-  List.for_all
-    (fun sys ->
-      let r = Consistency.check (Active.live_replicas sys) in
-      r.Consistency.acquisitions_agree)
-    (groups_ever t)
+  List.for_all (fun r -> r.Consistency.states_agree) (reports t)
 
 (* Bit-identical epoch observation: within each group, every live replica
    folded the same barriers at the same total-order slots. *)

@@ -262,19 +262,20 @@ val aggregate_state : t -> (string * int) list
     aggregate: a split-then-merge cycle leaves it exactly where the static
     run put it. *)
 
+val reports : t -> Consistency.report list
+(** Every incarnation's live replicas compared ({!Consistency.check}), one
+    report per incarnation in {!groups_ever} order — retired incarnations
+    frozen at their last barrier. *)
+
 val consistent : t -> bool
-(** Every incarnation's live replicas agree on state, acquisition order and
-    trace — including retired incarnations, frozen at their last barrier. *)
+(** Every report of {!reports} agrees on state, acquisition order and
+    trace. *)
 
 val states_agree : t -> bool
-(** Every incarnation's live replicas agree on observable state — the
+(** Every report of {!reports} agrees on observable state — the
     recovery-tolerant oracle ({!consistent} minus trace/acquisition
     comparison, which a recovered replica's suffix-only history cannot
     satisfy); the contract {!Chaos} checks after crash-recovery runs. *)
-
-val acquisitions_agree : t -> bool
-(** Every incarnation's live replicas granted mutexes in the same order —
-    the paper's determinism criterion, checked without the traces. *)
 
 val epochs_agree : t -> bool
 (** Within every incarnation, all live replicas hold identical barrier
@@ -282,9 +283,10 @@ val epochs_agree : t -> bool
     was observed bit-identically at the same total-order slot. *)
 
 val fingerprint : t -> int64
-(** {!fold_fingerprint} over every incarnation, with the transition log
-    (epoch, barrier slot, virtual time, command) folded on after it — the
-    seed-reproducibility oracle for multi-group runs. *)
+(** FNV-1a fold of every incarnation's live-replica ids, trace and state
+    fingerprints (in {!groups_ever} order) and the reply count, with the
+    transition log (epoch, barrier slot, virtual time, command) folded on
+    after it — the seed-reproducibility oracle for multi-group runs. *)
 
 val order_fingerprint : t -> int64
 (** FNV-1a fold of every incarnation's {!Active.order_fingerprint}, in
@@ -292,7 +294,3 @@ val order_fingerprint : t -> int64
     Equal values mean two runs saw the same total orders and applied every
     transition at the same slot — the elastic counterpart of
     {!Active.order_fingerprint}. *)
-
-val fold_fingerprint : Active.t list -> replies:int -> int64
-(** FNV-1a fold of the groups' live-replica ids, trace and state
-    fingerprints, in list order, then the reply count. *)

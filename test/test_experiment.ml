@@ -170,17 +170,73 @@ let test_run_workload_fields () =
   Alcotest.check b "grants recorded" true (E.metric r "grants" > 0.0);
   Alcotest.check b "series recorded" true (r.cost.series_points > 0)
 
-(* The runner's one-group fingerprint is {!Detmt.Reconfig.fingerprint}'s
-   fold, so the unsharded and the 1-group static path of one run agree on
-   it. *)
-let test_one_group_is_one_shard () =
-  let c = { E.base with clients = 4; requests = 3 } in
-  let active = E.run c and shard = E.run { c with system = Static 1 } in
-  Alcotest.(check string) "fingerprint"
-    (Printf.sprintf "%Lx" active.outcome.fingerprint)
-    (Printf.sprintf "%Lx" shard.outcome.fingerprint);
-  Alcotest.(check (float 0.0)) "mean" active.outcome.mean_ms
-    shard.outcome.mean_ms
+(* One row per drive, pinned when a one-group row still ran on a bare
+   {!Detmt.Active} system rather than on [Static 1]: every row now runs
+   through {!Detmt.Reconfig}, and these must not move. *)
+let test_rows_pinned () =
+  let check what c ~replies ~mean ~p95 ~fp extra =
+    let r = E.run c in
+    Alcotest.(check int) (what ^ ": replies") replies r.outcome.replies;
+    Alcotest.(check (float 0.0)) (what ^ ": mean") mean r.outcome.mean_ms;
+    Alcotest.(check (float 0.0)) (what ^ ": p95") p95 r.outcome.p95_ms;
+    Alcotest.(check string) (what ^ ": fingerprint") fp
+      (Printf.sprintf "%Lx" r.outcome.fingerprint);
+    Alcotest.check b (what ^ ": consistent") true r.outcome.consistent;
+    List.iter
+      (fun (k, v) ->
+        Alcotest.(check (float 0.0)) (what ^ ": " ^ k) v (E.metric r k))
+      extra
+  in
+  check "closed figure1" { E.base with clients = 4; requests = 3 }
+    ~replies:12 ~mean:0x1.025f92c5f92d2p+6 ~p95:0x1.e628f5c28f5d4p+6
+    ~fp:"cfa3d3abd244f63a" [];
+  check "open loop"
+    { E.base with scheduler = "lsa"; clients = 1; requests = 30;
+      drive = Open_loop 200.0 }
+    ~replies:30 ~mean:0x1.e6a66644398b1p+5 ~p95:0x1.8f315745042acp+6
+    ~fp:"ffcf6fd4ea089734" [];
+  check "kill leader"
+    { E.base with workload = E.workload "disjoint"; scheduler = "lsa";
+      requests = 30; drive = Kill_leader 150.0 }
+    ~replies:240 ~mean:0x1.03d2f1a9fbe55p+4 ~p95:0x1.033333333334p+4
+    ~fp:"4d34e9e2f2f226d0" [ ("takeover_ms", 0x1.44f5c28f5c296p+5) ];
+  check "determinism lsa"
+    { E.base with workload = E.workload "tail"; scheduler = "lsa";
+      requests = 5 }
+    ~replies:40 ~mean:0x1.480c49ba5e353p+5 ~p95:0x1.6a66666666668p+5
+    ~fp:"5765f7eaed101446" [ ("traces_agree", 0.0) ]
+
+(* One metric schema: under one recorder setting, every system reports the
+   same runner keys in the same order, and a drive adds only its own. *)
+let test_one_schema () =
+  let keys ?obs c = List.map fst (E.run ?obs c).outcome.metrics in
+  let c =
+    { E.base with workload = E.workload "hotspot"; clients = 16; requests = 4 }
+  in
+  List.iter
+    (fun (setting, obs) ->
+      let one = keys ?obs c in
+      List.iter
+        (fun (what, system) ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s, %s" setting what)
+            one
+            (keys ?obs { c with system }))
+        [ ("static 4", E.Static 4);
+          ("autoscale", E.Autoscale E.elastic_bench_policy) ];
+      Alcotest.(check (list string)) (setting ^ ", open loop") one
+        (keys ?obs { c with clients = 1; drive = Open_loop 200.0 });
+      let without_takeover =
+        List.filter
+          (fun k -> k <> "takeover_ms" && k <> "replies_after")
+          (keys ?obs { c with drive = Kill_leader 5.0 })
+      in
+      Alcotest.(check (list string)) (setting ^ ", kill leader") one
+        without_takeover)
+    [ ("recorder on", None); ("recorder off", Some Detmt.Recorder.disabled) ];
+  Alcotest.check b "kill leader reports its take-over" true
+    (Float.is_finite
+       (E.metric (E.run { c with drive = Kill_leader 5.0 }) "takeover_ms"))
 
 (* Static layouts once ran on a separate sharding runtime; these are its
    fingerprints and mean responses (16 clients x 4 requests, seed 42).
@@ -371,7 +427,7 @@ let suite =
     ("determinism matrix", `Quick, test_determinism_matrix);
     ("run_workload fields", `Quick, test_run_workload_fields);
     ("saturation smoke", `Quick, test_saturation_smoke);
-    ("runner: one group = one shard", `Quick, test_one_group_is_one_shard);
+    ("runner: rows pinned across drives", `Quick, test_rows_pinned);
     ("interference experiment", `Quick, test_interference_experiment);
     ("model experiment shape", `Quick, test_model_experiment_shape);
     ("claims: E19 at 64 clients", `Quick, test_claim_e19);
@@ -388,6 +444,7 @@ let suite =
     ("claims: E18 cgs-family load independence", `Quick, test_claim_e18_load);
     ("restrict: a serial scheduler runs at width 1", `Quick,
      test_restrict_scheduler_width);
+    ("runner: one metric schema", `Quick, test_one_schema);
   ]
 
 let () = Alcotest.run "experiment" [ ("experiment", suite) ]

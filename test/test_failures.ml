@@ -100,7 +100,7 @@ let test_failover_analysis_monotone () =
   let engine, system = build () in
   Client.run_clients ~engine ~system ~clients:4 ~requests_per_client:5
     ~gen:figure1_gen ();
-  let a = Failover.analyze ~system ~kill_at:50.0 in
+  let a = Failover.analyze ~kill_at:50.0 (Active.reply_times system) in
   Alcotest.check b "gaps are finite" true (a.Failover.gap_after_ms >= 0.0)
 
 let suite =

@@ -209,8 +209,9 @@ let test_chrome_golden () =
   (* Chrome exporter output for a fixed small run, compared byte for byte
      against the committed golden file.  Regenerate after an intentional
      schema change with:
-       dune exec bin/detmt_cli.exe -- trace -s mat -w figure1 -c 2 -n 1 \
-         --format chrome -o test/chrome_golden.json *)
+       dune exec bin/detmt_cli.exe -- trace --scheduler mat \
+         --workload figure1 --clients 2 --requests 1 --format chrome \
+         -o test/chrome_golden.json *)
   let obs = Recorder.create () in
   let _system = run ~scheduler:"mat" ~clients:2 ~requests:1 ~obs () in
   let got = Chrome.to_string obs in
@@ -580,10 +581,11 @@ let test_critical_path () =
 (* --------------------------- OpenMetrics ----------------------------- *)
 
 let test_openmetrics_golden () =
-  (* Fixed small run against the committed exposition.  Regenerate after an
-     intentional schema change with:
-       dune exec bin/detmt_cli.exe -- metrics -s mat -w figure1 -c 2 -n 1 \
-         -f openmetrics -o test/openmetrics_golden.txt *)
+  (* Fixed small run on one bare [Active] group against the committed
+     exposition.  Regenerate after an intentional schema change by writing
+     [got] below to test/openmetrics_golden.txt: the CLI's
+     [metrics -f openmetrics] runs through [Reconfig] and also emits the
+     [reconfig.*] family, so its output is not this file. *)
   let obs = Recorder.create () in
   ignore (run ~scheduler:"mat" ~clients:2 ~requests:1 ~obs ());
   let got = Openmetrics.export (Recorder.metrics obs) in

@@ -145,7 +145,7 @@ let test_failover_lsa_leader () =
     ~gen:figure1_gen ~until_ms:60_000.0 ();
   Alcotest.(check int) "all replies despite leader failure" 20
     (Active.replies_received system);
-  let a = Failover.analyze ~system ~kill_at:100.0 in
+  let a = Failover.analyze ~kill_at:100.0 (Active.reply_times system) in
   Alcotest.check b "visible take-over gap" true (a.Failover.takeover_ms > 0.0)
 
 let test_passive_replay () =

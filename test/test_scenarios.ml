@@ -131,8 +131,8 @@ let test_mat_waiter_priority () =
 let test_open_loop_completes () =
   let wl = Detmt_workload.Disjoint.default in
   let engine, system = build ~scheduler:"pmat" (Detmt_workload.Disjoint.cls wl) in
-  Client.run_open_loop ~engine ~system ~rate_per_s:100.0 ~requests:50
-    ~gen:Detmt_workload.Disjoint.gen ();
+  Client.run_open_loop ~engine ~submit:(Active.submit system)
+    ~rate_per_s:100.0 ~requests:50 ~gen:Detmt_workload.Disjoint.gen ();
   Alcotest.(check int) "all answered" 50 (Active.replies_received system)
 
 let test_open_loop_deterministic () =
@@ -141,8 +141,9 @@ let test_open_loop_deterministic () =
     let engine, system =
       build ~scheduler:"mat" ~replicas:3 (Detmt_workload.Disjoint.cls wl)
     in
-    Client.run_open_loop ~engine ~system ~rate_per_s:200.0 ~requests:30
-      ~gen:Detmt_workload.Disjoint.gen ~seed:11L ();
+    Client.run_open_loop ~engine ~submit:(Active.submit system)
+      ~rate_per_s:200.0 ~requests:30 ~gen:Detmt_workload.Disjoint.gen
+      ~seed:11L ();
     List.map
       (fun r -> Trace.fingerprint (Detmt_runtime.Replica.trace r))
       (Active.replicas system)
