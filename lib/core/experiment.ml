@@ -1048,11 +1048,19 @@ let engine () =
          else Some (List.for_all (fun r -> metric r "events" > 0.0) rows))
       @ List.filter_map
           (fun r ->
-            if r.config.workload.wname = "raw-chain" then
+            match (r.config.workload.wname, r.config.scheduler) with
+            | "raw-chain", _ ->
               Some
                 ( "raw chain under 16 words/event",
                   column r "words_per_event" < 16.0 )
-            else None)
+            | "figure1", "mat" when r.config.clients = 256 ->
+              (* The replica hot path (trace and acquisition folds, mutex
+                 and field lookups) allocates nothing per op: a regression
+                 there shows up here, whatever the host's load. *)
+              Some
+                ( "mat on figure1@256 under 33 words/event",
+                  column r "words_per_event" < 33.0 )
+            | _ -> None)
           rows
       @ load_independence rows)
     ~title:

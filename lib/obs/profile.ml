@@ -117,6 +117,15 @@ let cell_seconds c =
   if c.sampled = 0 then 0.0
   else c.seconds *. float_of_int c.outer /. float_of_int c.sampled
 
+(* Outermost activations and how many of them were timed: the profiler's
+   deterministic cost, since only a timed activation reads the clock. *)
+let activations t =
+  let add (outer, timed) c = (outer + c.outer, timed + c.sampled) in
+  Hashtbl.fold
+    (fun _ c acc -> add acc c)
+    t.decisions
+    (Array.fold_left add (0, 0) t.cells)
+
 let phase_begin t p = cell_begin t.cells.(phase_index p)
 
 let phase_end t p = cell_end t.cells.(phase_index p)
@@ -243,8 +252,56 @@ let to_json t =
 let overhead_pct ~baseline ~profiled =
   if baseline <= 0.0 then 0.0 else (profiled -. baseline) /. baseline *. 100.0
 
-let report ~scheduler ~workload ~workers ~clients ~requests ~shards ~repeats
-    ~wall_baseline ~wall_profiled t =
+(* ----------------------------- overhead ------------------------------ *)
+
+type run = { wall_s : float; minor_words : float }
+
+type overhead = {
+  pairs : int;
+  wall_q1_pct : float;
+  wall_median_pct : float;
+  wall_q3_pct : float;
+  words_baseline : float;
+  words_profiled : float;
+  words_pct : float;
+  outermost : int;
+  timed : int;
+  timed_pct : float;
+}
+
+(* Wall time is a distribution over the pairs, for reading only.  Words
+   come from the last pair, whose two runs both follow a warm-up: the
+   simulation is deterministic, so the difference is what the profiler
+   allocates. *)
+let overhead t pairs =
+  if pairs = [] then invalid_arg "Profile.overhead: no pairs";
+  let walls = Detmt_stats.Summary.create () in
+  List.iter
+    (fun (b, p) ->
+      Detmt_stats.Summary.add walls
+        (overhead_pct ~baseline:b.wall_s ~profiled:p.wall_s))
+    pairs;
+  let b, p = List.nth pairs (List.length pairs - 1) in
+  let outermost, timed = activations t in
+  { pairs = List.length pairs;
+    wall_q1_pct = Detmt_stats.Summary.quantile walls 0.25;
+    wall_median_pct = Detmt_stats.Summary.median walls;
+    wall_q3_pct = Detmt_stats.Summary.quantile walls 0.75;
+    words_baseline = b.minor_words; words_profiled = p.minor_words;
+    words_pct =
+      overhead_pct ~baseline:b.minor_words ~profiled:p.minor_words;
+    outermost; timed;
+    timed_pct =
+      (if outermost = 0 then 0.0
+       else float_of_int timed *. 100.0 /. float_of_int outermost) }
+
+let violations o ~bound_pct =
+  List.filter
+    (fun (_, pct) -> pct > bound_pct)
+    [ ("timed share of activations", o.timed_pct);
+      ("minor words overhead", o.words_pct) ]
+
+let report ~scheduler ~workload ~workers ~clients ~requests ~shards o t =
   Json.Obj
     [ ("scheduler", Json.String scheduler);
       ("workload", Json.String workload);
@@ -252,10 +309,16 @@ let report ~scheduler ~workload ~workers ~clients ~requests ~shards ~repeats
       ("clients", Json.Int clients);
       ("requests", Json.Int requests);
       ("shards", Json.Int shards);
-      ("repeats", Json.Int repeats);
+      ("pairs", Json.Int o.pairs);
       ("profile", to_json t);
-      ("wall_baseline_s", Json.Float wall_baseline);
-      ("wall_profiled_s", Json.Float wall_profiled);
-      ( "overhead_pct",
-        Json.Float
-          (overhead_pct ~baseline:wall_baseline ~profiled:wall_profiled) ) ]
+      ("activations", Json.Int o.outermost);
+      ("timed_activations", Json.Int o.timed);
+      ("timed_pct", Json.Float o.timed_pct);
+      ("minor_words_baseline", Json.Float o.words_baseline);
+      ("minor_words_profiled", Json.Float o.words_profiled);
+      ("words_overhead_pct", Json.Float o.words_pct);
+      ( "wall_overhead_pct",
+        Json.Obj
+          [ ("q1", Json.Float o.wall_q1_pct);
+            ("median", Json.Float o.wall_median_pct);
+            ("q3", Json.Float o.wall_q3_pct) ] ) ]

@@ -80,9 +80,40 @@ val to_table : ?title:string -> t -> Detmt_stats.Table.t
 
 val to_json : t -> Json.t
 
-val overhead_pct : baseline:float -> profiled:float -> float
-(** The profiled run's wall-clock overhead against the observability-off
-    baseline, in percent ([0] for a non-positive baseline). *)
+(** {1 The profiler's overhead}
+
+    Measured from interleaved pairs: an observability-off baseline run, then
+    the same run profiled.  What the profiler adds deterministically — the
+    share of activations it timestamps and the minor words it allocates —
+    is what a check can gate on; the wall-clock overhead (in percent) is
+    reported as a median and interquartile range over the pairs, because
+    one 0.1 s run on a shared host varies by tens of percent. *)
+
+type run = { wall_s : float; minor_words : float }
+
+type overhead = {
+  pairs : int;
+  wall_q1_pct : float;
+  wall_median_pct : float;
+  wall_q3_pct : float;  (** wall overhead over the pairs; never gated *)
+  words_baseline : float;
+  words_profiled : float;
+  words_pct : float;  (** minor words of the last pair's two runs *)
+  outermost : int;
+  timed : int;
+  timed_pct : float;
+      (** outermost activations of every phase and decision module, and how
+          many were timestamped: a timed activation is the only one that
+          reads the wall clock *)
+}
+
+val overhead : t -> (run * run) list -> overhead
+(** [overhead t pairs] summarises [(baseline, profiled)] pairs; [t] holds
+    the last profiled run.  @raise Invalid_argument on no pairs. *)
+
+val violations : overhead -> bound_pct:float -> (string * float) list
+(** The deterministic measures above [bound_pct] percent: the share of
+    timed activations and the minor-words overhead. *)
 
 val report :
   scheduler:string ->
@@ -91,10 +122,8 @@ val report :
   clients:int ->
   requests:int ->
   shards:int ->
-  repeats:int ->
-  wall_baseline:float ->
-  wall_profiled:float ->
+  overhead ->
   t ->
   Json.t
 (** The [detmt-cli profile --json] document: the run's configuration, the
-    profile ({!to_json}), both best-of-[repeats] walls and the overhead. *)
+    profile ({!to_json}) and the {!overhead}. *)

@@ -15,6 +15,9 @@ val owner : t -> mutex:int -> int option
 val hold_count : t -> mutex:int -> int
 (** Reentrancy depth; 0 when free. *)
 
+val owns : t -> mutex:int -> tid:int -> bool
+(** [owner t ~mutex = Some tid], without building the option. *)
+
 val is_free_for : t -> mutex:int -> tid:int -> bool
 (** Free, or already owned by [tid] (reentrant entry). *)
 
@@ -45,3 +48,9 @@ val held_by : t -> tid:int -> int list
 val holds_any : t -> tid:int -> bool
 (** [held_by t ~tid <> []], in O(1): a per-thread count of owned mutexes is
     kept up to date whenever a mutex becomes held or free. *)
+
+val forget : t -> tid:int -> unit
+(** Drop a terminated thread's count.  A thread's count is allocated at its
+    first acquisition and then updated in place, so acquiring and releasing
+    a mutex that has an entry allocates nothing; [forget] keeps the table
+    as large as the live threads, not the run's history. *)

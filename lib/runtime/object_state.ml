@@ -21,10 +21,13 @@ let create (cls : Detmt_lang.Class_def.t) =
 (* The monitor of [this]: one id, above every id the workloads allocate. *)
 let self_mutex _ = 1_000_000
 
+(* [Hashtbl.find], not [find_opt]: a field read or [update_state] is per
+   op, and allocates nothing. *)
 let get tbl what f =
-  match Hashtbl.find_opt tbl f with
-  | Some v -> v
-  | None -> invalid_arg (Printf.sprintf "Object_state: no %s %S" what f)
+  match Hashtbl.find tbl f with
+  | v -> v
+  | exception Not_found ->
+    invalid_arg (Printf.sprintf "Object_state: no %s %S" what f)
 
 let mutex_field t f = get t.mutex_fields "mutex field" f
 

@@ -60,8 +60,7 @@ type t = {
   mutable active : int; (* delivered, not yet terminated threads *)
   mutable ws_commits : int; (* workspace merges at the slot-order barrier *)
   mutable ws_aborts : int; (* discarded speculations (stale or unsafe) *)
-  mutable acquisitions : int;
-  acq_hashes : (int, int64) Hashtbl.t; (* per-mutex acquisition-order hash *)
+  acquisitions : Acquisition_order.t;
   mutable on_quiescent : (completed:int -> unit) option;
       (* fired whenever the last active thread terminates — the replication
          layer hangs divergence checkpoints off this *)
@@ -81,11 +80,17 @@ let sched t =
   | None -> invalid_arg "Replica: scheduler not attached"
 
 let thread t tid =
-  match Hashtbl.find_opt t.threads tid with
-  | Some th -> th
-  | None -> invalid_arg (Printf.sprintf "Replica %d: unknown thread %d" t.id tid)
+  match Hashtbl.find t.threads tid with
+  | th -> th
+  | exception Not_found ->
+    invalid_arg (Printf.sprintf "Replica %d: unknown thread %d" t.id tid)
 
-let record t ev = Trace.record_at t.trace_rec ~time:(Engine.now t.engine) ev
+let now t = Engine.now t.engine
+
+(* The hot event kinds go through [Trace]'s field-level recorders, which
+   build no event block unless the trace keeps events; [record] is for the
+   rare kinds (notify, control, workspace verdicts). *)
+let record t ev = Trace.record_at t.trace_rec ~time:(now t) ev
 
 (* Observability (the flight recorder) is guarded at every call site:
    [t.obs] defaults to [Recorder.disabled] and must never affect the
@@ -99,27 +104,9 @@ let rec_wait_begin t th kind =
 let rec_wait_end t th =
   Recorder.wait_end t.obs ~replica:t.id ~uid:th.tid ~at:(Engine.now t.engine)
 
-(* Per-mutex ordering is the determinism property the schedulers guarantee:
-   LSA's leader/follower pair legitimately interleaves acquisitions of
-   *different* mutexes differently, but the sequence of owners of each single
-   mutex must match on every replica.  Owners are identified by the
-   request's (client, per-client sequence) pair, not the thread id: tids
-   are total-order slot numbers, and nested-invocation messages consume
-   slots, so the tid a given request lands on shifts with scheduler timing
-   even when the acquisition order is logically identical — the request
-   identity is what cross-scheduler differential comparisons need. *)
 let record_acquisition t ~mutex ~th =
-  t.acquisitions <- t.acquisitions + 1;
-  let mix h x =
-    Int64.mul (Int64.logxor h (Int64.of_int x)) 0x100000001B3L
-  in
-  let prev =
-    match Hashtbl.find t.acq_hashes mutex with
-    | h -> h
-    | exception Not_found -> 0xCBF29CE484222325L
-  in
-  Hashtbl.replace t.acq_hashes mutex
-    (mix (mix prev th.req.Request.client) th.req.Request.client_req)
+  Acquisition_order.record t.acquisitions ~mutex ~client:th.req.Request.client
+    ~client_req:th.req.Request.client_req
 
 let rec advance t th =
   if t.live then
@@ -161,7 +148,7 @@ and body_done t th =
 and finish t th =
   if t.live then begin
     th.status <- Terminated;
-    record t (Trace.Thread_end { tid = th.tid });
+    Trace.thread_end t.trace_rec ~time:(now t) ~tid:th.tid;
     if observing t then begin
       Recorder.request_ended t.obs ~replica:t.id ~uid:th.tid
         ~at:(Engine.now t.engine);
@@ -170,6 +157,7 @@ and finish t th =
     t.completed <- t.completed + 1;
     t.active <- t.active - 1;
     Hashtbl.remove t.threads th.tid;
+    Mutex_table.forget t.mutexes ~tid:th.tid;
     (sched t).on_terminate th.tid;
     if not th.req.Request.dummy then t.callbacks.send_reply th.req;
     (* Local quiescence: every delivered request has run to completion.  The
@@ -236,18 +224,19 @@ and handle_direct_op t th op =
   match op with
   | Op.Compute { duration } -> Cpu.exec_h t.cpu ~duration t.advance_h th.tid
   | Op.Lock { syncid; mutex } ->
-    if Mutex_table.owner t.mutexes ~mutex = Some th.tid then begin
+    if Mutex_table.owns t.mutexes ~mutex ~tid:th.tid then begin
       (* Re-entrant entry: no scheduling decision needed (section 2: binary,
          re-entrant mutexes). *)
       Mutex_table.acquire t.mutexes ~mutex ~tid:th.tid;
-      record t (Trace.Lock_granted { tid = th.tid; syncid; mutex });
+      Trace.lock_granted t.trace_rec ~time:(now t) ~tid:th.tid ~syncid ~mutex;
       record_acquisition t ~mutex ~th;
       s.on_acquired th.tid ~syncid ~mutex;
       after_cost_advance t t.config.lock_overhead_ms th
     end
     else begin
       th.status <- Lock_blocked { syncid; mutex };
-      record t (Trace.Lock_requested { tid = th.tid; syncid; mutex });
+      Trace.lock_requested t.trace_rec ~time:(now t) ~tid:th.tid ~syncid
+        ~mutex;
       if observing t then
         (* The scheduler may defer the grant even when the mutex is free;
            attribute that stall to policy, not contention. *)
@@ -259,14 +248,14 @@ and handle_direct_op t th op =
     end
   | Op.Unlock { syncid; mutex } ->
     let freed = Mutex_table.release t.mutexes ~mutex ~tid:th.tid in
-    record t (Trace.Unlocked { tid = th.tid; syncid; mutex });
+    Trace.unlocked t.trace_rec ~time:(now t) ~tid:th.tid ~syncid ~mutex;
     s.on_unlock th.tid ~syncid ~mutex ~freed;
     after_cost_advance t t.config.lock_overhead_ms th
   | Op.Wait { mutex } ->
     let count = Mutex_table.release_all t.mutexes ~mutex ~tid:th.tid in
     th.status <- Wait_parked { mutex; count };
     Condvar.park t.condvars ~mutex ~tid:th.tid;
-    record t (Trace.Wait_begin { tid = th.tid; mutex });
+    Trace.wait_begin t.trace_rec ~time:(now t) ~tid:th.tid ~mutex;
     if observing t then rec_wait_begin t th Recorder.Condvar;
     s.on_wait th.tid ~mutex
   | Op.Notify { mutex; all } ->
@@ -295,7 +284,7 @@ and handle_direct_op t th op =
   | Op.Nested { service; duration } ->
     let call_index = th.nested_count in
     th.nested_count <- call_index + 1;
-    record t (Trace.Nested_begin { tid = th.tid; service });
+    Trace.nested_begin t.trace_rec ~time:(now t) ~tid:th.tid ~service;
     if List.mem call_index th.buffered_replies then begin
       (* The reply (broadcast by the invoking replica) overtook us. *)
       th.buffered_replies <-
@@ -303,7 +292,7 @@ and handle_direct_op t th op =
       th.status <- Nested_ready { call_index };
       if observing t then rec_wait_begin t th Recorder.Resume_hold;
       s.on_nested_begin th.tid;
-      record t (Trace.Nested_end { tid = th.tid; service = 0 });
+      Trace.nested_end t.trace_rec ~time:(now t) ~tid:th.tid ~service:0;
       s.on_nested_reply th.tid
     end
     else begin
@@ -341,7 +330,8 @@ let do_start_thread t tid =
   (match th.status with
   | Created -> ()
   | _ -> invalid_arg (Printf.sprintf "Replica %d: t%d started twice" t.id tid));
-  record t (Trace.Thread_start { tid; method_name = th.req.Request.meth });
+  Trace.thread_start t.trace_rec ~time:(now t) ~tid
+    ~method_name:th.req.Request.meth;
   if observing t then
     Recorder.request_started t.obs ~replica:t.id ~uid:tid
       ~at:(Engine.now t.engine);
@@ -412,7 +402,7 @@ let do_grant_lock t tid =
   match th.status with
   | Lock_blocked { syncid; mutex } ->
     Mutex_table.acquire t.mutexes ~mutex ~tid;
-    record t (Trace.Lock_granted { tid; syncid; mutex });
+    Trace.lock_granted t.trace_rec ~time:(now t) ~tid ~syncid ~mutex;
     if observing t then rec_wait_end t th;
     record_acquisition t ~mutex ~th;
     (sched t).on_acquired tid ~syncid ~mutex;
@@ -427,7 +417,7 @@ let do_grant_reacquire t tid =
   match th.status with
   | Reacquire_blocked { mutex; count } ->
     Mutex_table.restore t.mutexes ~mutex ~tid ~count;
-    record t (Trace.Wait_end { tid; mutex });
+    Trace.wait_end t.trace_rec ~time:(now t) ~tid ~mutex;
     if observing t then rec_wait_end t th;
     record_acquisition t ~mutex ~th;
     (sched t).on_reacquired tid ~mutex;
@@ -460,9 +450,8 @@ let create ~engine ~id ~cls ~config ?(obs = Recorder.disabled) ~callbacks ~make_
       trace_rec = Trace.create ~keep_events:config.Config.trace_events ();
       threads = Hashtbl.create 64; last_uid = min_int; sched = None; obs;
       callbacks; live = true; completed = 0; active = 0; ws_commits = 0; ws_aborts = 0;
-      acquisitions = 0;
-      acq_hashes = Hashtbl.create 64; on_quiescent = None; advance_h = 0;
-      finish_h = 0; pool_busy = 0 }
+      acquisitions = Acquisition_order.create (); on_quiescent = None;
+      advance_h = 0; finish_h = 0; pool_busy = 0 }
   in
   t.advance_h <- Engine.register_handler engine (fun tid -> advance t (thread t tid));
   t.finish_h <- Engine.register_handler engine (fun tid -> finish t (thread t tid));
@@ -551,20 +540,20 @@ let deliver_request t req =
 
 let nested_reply t ~tid ~call_index =
   if t.live then
-    match Hashtbl.find_opt t.threads tid with
-    | Some ({ status = Nested_blocked { call_index = pending }; _ } as th)
+    match Hashtbl.find t.threads tid with
+    | { status = Nested_blocked { call_index = pending }; _ } as th
       when pending = call_index ->
       th.status <- Nested_ready { call_index };
       if observing t then begin
         rec_wait_end t th;
         rec_wait_begin t th Recorder.Resume_hold
       end;
-      record t (Trace.Nested_end { tid; service = 0 });
+      Trace.nested_end t.trace_rec ~time:(now t) ~tid ~service:0;
       (sched t).on_nested_reply tid
-    | Some th -> th.buffered_replies <- call_index :: th.buffered_replies
-    | None when tid <= t.last_uid ->
+    | th -> th.buffered_replies <- call_index :: th.buffered_replies
+    | exception Not_found when tid <= t.last_uid ->
       () (* a late reply for a finished thread: nothing waits for it *)
-    | None ->
+    | exception Not_found ->
       invalid_arg (Printf.sprintf "Replica %d: unknown thread %d" t.id tid)
 
 let deliver_control t ~sender control =
@@ -618,11 +607,4 @@ let ws_commits t = t.ws_commits
 let ws_aborts t = t.ws_aborts
 
 let mutex_acquisition_fingerprint t =
-  let entries =
-    Hashtbl.fold (fun m h acc -> (m, h) :: acc) t.acq_hashes []
-    |> List.sort compare
-  in
-  let mix h x = Int64.mul (Int64.logxor h x) 0x100000001B3L in
-  List.fold_left
-    (fun acc (m, h) -> mix (mix acc (Int64.of_int m)) h)
-    0xCBF29CE484222325L entries
+  Acquisition_order.fingerprint t.acquisitions

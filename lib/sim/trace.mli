@@ -8,7 +8,15 @@
     The hash and the count are always kept, so a trace's memory does not
     grow with the run.  The event list itself is retained only for a trace
     created with [~keep_events:true] (timelines and forensics); retaining
-    it never changes {!fingerprint} or {!length}. *)
+    it never changes {!fingerprint} or {!length}.
+
+    The replica's hot kinds (lock requested, granted and released, wait
+    begin/end, nested begin/end, thread start/end) have field-level
+    recorders: they mix the fields straight into the unboxed running hash,
+    so without [keep_events] recording one allocates nothing, and the
+    {!event} block is built only when it is kept.  {!record_at} folds any
+    event with the same encoding — the kind's tag, then its fields in
+    declaration order — so both routes give the same fingerprint. *)
 
 type event =
   | Lock_requested of { tid : int; syncid : int; mutex : int }
@@ -43,6 +51,32 @@ val create : ?keep_events:bool -> unit -> t
 val record_at : t -> time:float -> event -> unit
 (** Record with the current virtual time; the timestamp feeds the timeline
     renderer and is excluded from {!fingerprint}. *)
+
+(** {1 Field-level recorders}
+
+    Each is [record_at t ~time (K { ... })] for its kind [K], without the
+    event block unless the trace keeps events. *)
+
+val lock_requested :
+  t -> time:float -> tid:int -> syncid:int -> mutex:int -> unit
+
+val lock_granted :
+  t -> time:float -> tid:int -> syncid:int -> mutex:int -> unit
+
+val unlocked :
+  t -> time:float -> tid:int -> syncid:int -> mutex:int -> unit
+
+val wait_begin : t -> time:float -> tid:int -> mutex:int -> unit
+
+val wait_end : t -> time:float -> tid:int -> mutex:int -> unit
+
+val nested_begin : t -> time:float -> tid:int -> service:int -> unit
+
+val nested_end : t -> time:float -> tid:int -> service:int -> unit
+
+val thread_start : t -> time:float -> tid:int -> method_name:string -> unit
+
+val thread_end : t -> time:float -> tid:int -> unit
 
 val length : t -> int
 

@@ -355,6 +355,12 @@ let test_claim_e18_load () =
         "cgs+ws@4 on sharded-opaque: words/request at 256 clients <= 1.5x \
          the 64-client row" ]
 
+(* The replica hot path's allocation gate, on its own full-size row. *)
+let test_claim_e18_words () =
+  check_claims "engine"
+    (rows "engine" ~keep:(fun c -> wname "figure1" c && c.scheduler = "mat"))
+    ~expect:[ "mat on figure1@256 under 33 words/event" ]
+
 (* Re-pointing a grid at a serial scheduler puts its pool rows at width 1
    (a serial module rejects a wider pool); a parallel one keeps them. *)
 let test_restrict_scheduler_width () =
@@ -445,6 +451,7 @@ let suite =
     ("restrict: a serial scheduler runs at width 1", `Quick,
      test_restrict_scheduler_width);
     ("runner: one metric schema", `Quick, test_one_schema);
+    ("claims: E18 mat words per event", `Quick, test_claim_e18_words);
   ]
 
 let () = Alcotest.run "experiment" [ ("experiment", suite) ]

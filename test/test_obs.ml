@@ -532,23 +532,42 @@ let test_profile_json () =
     (fun k -> ignore (number [ "alloc"; k ]))
     [ "minor_words"; "major_words"; "promoted_words" ];
   ignore (number [ "wall_seconds" ]);
-  (* The outer document [profile --json] prints around it. *)
+  (* The outer document [profile --json] prints around it, from three
+     interleaved pairs: the wall overhead is their median, the words come
+     from the last pair. *)
+  let pair b p =
+    ( { Profile.wall_s = 2.0; minor_words = 1000.0 },
+      { Profile.wall_s = b; minor_words = p } )
+  in
+  let o =
+    Profile.overhead p
+      [ pair 2.2 1500.0; pair 1.9 1500.0; pair 2.1 1010.0 ]
+  in
   let report =
     Profile.report ~scheduler:"cgs+ws" ~workload:"sharded-opaque" ~workers:4
-      ~clients:8 ~requests:2 ~shards:1 ~repeats:3 ~wall_baseline:2.0
-      ~wall_profiled:2.1 p
+      ~clients:8 ~requests:2 ~shards:1 o p
   in
   Alcotest.(check (list string)) "report keys"
     [ "scheduler"; "workload"; "workers"; "clients"; "requests"; "shards";
-      "repeats"; "profile"; "wall_baseline_s"; "wall_profiled_s";
-      "overhead_pct" ]
+      "pairs"; "profile"; "activations"; "timed_activations"; "timed_pct";
+      "minor_words_baseline"; "minor_words_profiled"; "words_overhead_pct";
+      "wall_overhead_pct" ]
     (match report with Json.Obj kvs -> List.map fst kvs | _ -> []);
   Alcotest.(check bool) "report records the pool width" true
     (Json.member "workers" report = Some (Json.Int 4));
-  Alcotest.(check (float 1e-9)) "overhead in percent" 5.0
-    (match Json.member "overhead_pct" report with
-    | Some (Json.Float f) -> f
-    | _ -> nan)
+  Alcotest.(check (float 1e-9)) "median wall overhead" 5.0
+    o.Profile.wall_median_pct;
+  Alcotest.(check (float 1e-9)) "words from the last pair" 1.0
+    o.Profile.words_pct;
+  (* One outermost activation in 1024 is timed, plus each cell's first. *)
+  let outermost = o.Profile.outermost and timed = o.Profile.timed in
+  Alcotest.(check bool) "activations sampled" true
+    (outermost > 0 && timed >= 1 && timed <= (outermost / 1024) + 16);
+  Alcotest.(check (list string)) "within a 5% bound" []
+    (List.map fst (Profile.violations o ~bound_pct:5.0));
+  Alcotest.(check (list string)) "words over a 0.5% bound"
+    [ "minor words overhead" ]
+    (List.map fst (Profile.violations o ~bound_pct:0.5))
 
 (* ------------------------- critical path ----------------------------- *)
 

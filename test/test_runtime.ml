@@ -1,6 +1,7 @@
 (* Unit tests for the replica runtime: mutex table, workspace hold set,
    condition variables, the interpreter's op stream, object state, the
-   replica's live-thread counter and its eviction of finished threads. *)
+   replica's live-thread counter and its eviction of finished threads, and
+   the per-op paths that allocate nothing. *)
 
 open Detmt_lang
 open Detmt_runtime
@@ -605,6 +606,44 @@ let test_interp_steady_state_allocation () =
       ops dynamic
       (cursor_words + (3 * dynamic))
 
+(* ------------------------- allocation-free ops ------------------------ *)
+
+(* Once a mutex has an entry and the thread its held count, a re-entrant
+   lock/unlock cycle touches both in place. *)
+let test_mutex_no_allocation () =
+  let t = Mutex_table.create () in
+  No_alloc.check "minor words per lock/unlock cycle" (fun () ->
+      if not (Mutex_table.is_free_for t ~mutex:3 ~tid:1) then
+        Alcotest.fail "mutex 3 not free for t1";
+      Mutex_table.acquire t ~mutex:3 ~tid:1;
+      Mutex_table.acquire t ~mutex:3 ~tid:1;
+      if not (Mutex_table.owns t ~mutex:3 ~tid:1) then
+        Alcotest.fail "t1 does not own mutex 3";
+      if not (Mutex_table.holds_any t ~tid:1) then
+        Alcotest.fail "t1 holds nothing";
+      ignore (Mutex_table.release t ~mutex:3 ~tid:1);
+      if not (Mutex_table.release t ~mutex:3 ~tid:1) then
+        Alcotest.fail "mutex 3 not freed");
+  Alcotest.check b "free after the cycles" false
+    (Mutex_table.holds_any t ~tid:1);
+  Mutex_table.forget t ~tid:1;
+  Alcotest.check b "forgotten" false (Mutex_table.holds_any t ~tid:1)
+
+let test_acquisition_order_no_allocation () =
+  let a = Acquisition_order.create () in
+  let req = ref 0 in
+  No_alloc.check "minor words per grant of a seen mutex" (fun () ->
+      incr req;
+      Acquisition_order.record a ~mutex:5 ~client:(!req land 7)
+        ~client_req:!req)
+
+let test_update_state_no_allocation () =
+  let o = Object_state.create (simple_cls []) in
+  No_alloc.check "minor words per update_state" (fun () ->
+      Object_state.update_state o "st" 1);
+  Alcotest.(check int) "updates applied" 10_100
+    (Object_state.state_field o "st")
+
 let suite =
   [ ("mutex basic", `Quick, test_mutex_basic);
     ("mutex reentrant", `Quick, test_mutex_reentrant);
@@ -638,6 +677,12 @@ let suite =
     ("object state fields", `Quick, test_object_state_mutable_fields);
     ("interp: steady state allocates only dynamic ops", `Quick,
      test_interp_steady_state_allocation);
+    ("mutex table: lock/unlock allocates nothing", `Quick,
+     test_mutex_no_allocation);
+    ("acquisition order: grants allocate nothing", `Quick,
+     test_acquisition_order_no_allocation);
+    ("object state: update_state allocates nothing", `Quick,
+     test_update_state_no_allocation);
   ]
 
 let () = Alcotest.run "runtime" [ ("runtime", suite) ]

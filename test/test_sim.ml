@@ -523,6 +523,85 @@ let test_trace_event_retention () =
   Alcotest.check b "no events by default" true
     (Trace.events hashed = [] && Trace.timed_events hashed = [])
 
+(* The trace encoding, pinned: a stream covering all 14 kinds, recorded
+   once through [record_at] with the events kept and once through the
+   field-level recorders (the rest through [record_at]) without them.  The
+   literal is the fingerprint the event-block fold gave this stream before
+   the field-level recorders existed, so a reordered tag or field changes
+   it. *)
+let pinned_stream =
+  [ Trace.Thread_start { tid = 7; method_name = "transfer" };
+    Trace.Lock_requested { tid = 7; syncid = 2; mutex = 41 };
+    Trace.Lock_granted { tid = 7; syncid = 2; mutex = 41 };
+    Trace.Lock_granted { tid = 7; syncid = 3; mutex = 1_000_000 };
+    Trace.Wait_begin { tid = 7; mutex = 41 };
+    Trace.Notify { tid = 8; mutex = 41; all = true };
+    Trace.Notify { tid = 8; mutex = 41; all = false };
+    Trace.Wait_end { tid = 7; mutex = 41 };
+    Trace.Nested_begin { tid = 7; service = 3 };
+    Trace.Nested_end { tid = 7; service = 0 };
+    Trace.Unlocked { tid = 7; syncid = 3; mutex = 1_000_000 };
+    Trace.Unlocked { tid = 7; syncid = 2; mutex = 41 };
+    Trace.Control_delivered { sender = 1; grant_seq = 5; mutex = 41; tid = 9 };
+    Trace.View_change { sender = 2 };
+    Trace.Ws_commit { tid = 10; writes = 3 };
+    Trace.Ws_abort { tid = 11; conflicts = 0 };
+    Trace.Ws_abort { tid = 12; conflicts = 2 };
+    Trace.Thread_end { tid = 7 } ]
+
+let pinned_fingerprint = 0x4357ba4d25172302L
+
+let test_trace_encoding_pinned () =
+  let kept = Trace.create ~keep_events:true () in
+  List.iteri
+    (fun i e -> Trace.record_at kept ~time:(float_of_int i) e)
+    pinned_stream;
+  let fields = Trace.create () in
+  List.iteri
+    (fun i e ->
+      let t = fields and time = float_of_int i in
+      match e with
+      | Trace.Lock_requested { tid; syncid; mutex } ->
+        Trace.lock_requested t ~time ~tid ~syncid ~mutex
+      | Trace.Lock_granted { tid; syncid; mutex } ->
+        Trace.lock_granted t ~time ~tid ~syncid ~mutex
+      | Trace.Unlocked { tid; syncid; mutex } ->
+        Trace.unlocked t ~time ~tid ~syncid ~mutex
+      | Trace.Wait_begin { tid; mutex } -> Trace.wait_begin t ~time ~tid ~mutex
+      | Trace.Wait_end { tid; mutex } -> Trace.wait_end t ~time ~tid ~mutex
+      | Trace.Nested_begin { tid; service } ->
+        Trace.nested_begin t ~time ~tid ~service
+      | Trace.Nested_end { tid; service } ->
+        Trace.nested_end t ~time ~tid ~service
+      | Trace.Thread_start { tid; method_name } ->
+        Trace.thread_start t ~time ~tid ~method_name
+      | Trace.Thread_end { tid } -> Trace.thread_end t ~time ~tid
+      | cold -> Trace.record_at t ~time cold)
+    pinned_stream;
+  Alcotest.(check int64) "record_at, events kept" pinned_fingerprint
+    (Trace.fingerprint kept);
+  Alcotest.(check int64) "field-level recorders" pinned_fingerprint
+    (Trace.fingerprint fields);
+  Alcotest.(check int) "lengths" (Trace.length kept) (Trace.length fields);
+  Alcotest.check b "kept events" true (Trace.events kept = pinned_stream)
+
+(* Recording the hot kinds into a trace that keeps no events allocates
+   nothing: the fields are mixed straight into the unboxed hash. *)
+let test_trace_no_allocation () =
+  let t = Trace.create () in
+  let time = 0.5 in
+  No_alloc.check "minor words per recorded event" (fun () ->
+      let tid = Trace.length t in
+      Trace.thread_start t ~time ~tid ~method_name:"transfer";
+      Trace.lock_requested t ~time ~tid ~syncid:1 ~mutex:4;
+      Trace.lock_granted t ~time ~tid ~syncid:1 ~mutex:4;
+      Trace.wait_begin t ~time ~tid ~mutex:4;
+      Trace.wait_end t ~time ~tid ~mutex:4;
+      Trace.nested_begin t ~time ~tid ~service:2;
+      Trace.nested_end t ~time ~tid ~service:0;
+      Trace.unlocked t ~time ~tid ~syncid:1 ~mutex:4;
+      Trace.thread_end t ~time ~tid)
+
 (* ---------------------------- properties --------------------------- *)
 
 let prop_pqueue_drains_sorted =
@@ -588,6 +667,8 @@ let suite =
     ("trace event retention", `Quick, test_trace_event_retention);
     QCheck_alcotest.to_alcotest prop_pqueue_drains_sorted;
     QCheck_alcotest.to_alcotest prop_rng_int_in_bounds;
+    ("trace encoding pinned", `Quick, test_trace_encoding_pinned);
+    ("trace: hot kinds allocate nothing", `Quick, test_trace_no_allocation);
   ]
 
 let () = Alcotest.run "sim" [ ("sim", suite) ]
