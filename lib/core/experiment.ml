@@ -1024,7 +1024,7 @@ let engine () =
      :: List.map
           (fun scheduler ->
             { base with scheduler; clients = 256; requests = 4 })
-          [ "seq"; "mat"; "lsa" ])
+          [ "seq"; "mat"; "lsa"; "pmat" ])
     @ axes
         (fun (scheduler, wname) clients ->
           { base with
@@ -1059,6 +1059,12 @@ let engine () =
                  there shows up here, whatever the host's load. *)
               Some
                 ( "mat on figure1@256 under 33 words/event",
+                  column r "words_per_event" < 33.0 )
+            | "figure1", "pmat" when r.config.clients = 256 ->
+              (* pMAT's claim refresh and the §4.3 bookkeeping allocate
+                 nothing per event, so its row meets mat's bound. *)
+              Some
+                ( "pmat on figure1@256 under 33 words/event",
                   column r "words_per_event" < 33.0 )
             | _ -> None)
           rows

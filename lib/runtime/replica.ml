@@ -362,7 +362,8 @@ let do_ws_commit t tid =
     match Workspace.conflicts w with
     | [] ->
       t.ws_commits <- t.ws_commits + 1;
-      record t (Trace.Ws_commit { tid; writes = Workspace.write_set_size w });
+      Trace.ws_commit t.trace_rec ~time:(now t) ~tid
+        ~writes:(Workspace.write_set_size w);
       if observing t then begin
         Recorder.incr t.obs "replica.ws.commits";
         Recorder.observe t.obs "replica.ws.write_set"
@@ -558,11 +559,11 @@ let nested_reply t ~tid ~call_index =
 
 let deliver_control t ~sender control =
   if t.live then begin
-    record t
-      (match control with
-      | Sched_iface.Lsa_grant { grant_seq; mutex; tid } ->
-        Trace.Control_delivered { sender; grant_seq; mutex; tid }
-      | Sched_iface.View_change -> Trace.View_change { sender });
+    (match control with
+    | Sched_iface.Lsa_grant { grant_seq; mutex; tid } ->
+      Trace.control_delivered t.trace_rec ~time:(now t) ~sender ~grant_seq
+        ~mutex ~tid
+    | Sched_iface.View_change -> record t (Trace.View_change { sender }));
     (sched t).on_control ~sender control
   end
 

@@ -111,7 +111,7 @@
 open Detmt_runtime
 module Audit = Detmt_obs.Audit
 module Predict = Detmt_analysis.Predict
-module Iset = Bookkeeping.Iset
+module Iset = Set.Make (Int)
 
 type cls = Top | Mutexes of Iset.t
 

@@ -7,14 +7,22 @@
     decision module the scheduler implementation may use to find out about
     conflicting locks."
 
-    Per thread, a copy of the static syncid table is kept and updated from the
-    injected calls: [lockInfo] marks an entry announced, [ignore] discards it,
-    an acquisition outside any active loop marks it passed, and loop markers
-    maintain the active/exited scope sets.  A thread is {e predicted} when
-    every entry is resolved and no changing scope is active or still ahead —
-    then its exact future lock set is known. *)
+    Each start method's summary is compiled once, at its first
+    registration, into a dense plan: every syncid maps to a slot, every
+    slot records its enclosing loops, and every loop its slots and whether
+    it is changing.  A thread's table is an [int] per slot (pending,
+    passed, ignored, or the announced mutex itself), the stack of loops it
+    is in, the loops it has left, and its future lock multiset as a small
+    sorted counted array.  [lockInfo] announces an entry, [ignore]
+    discards it, an acquisition outside any active loop passes it, and
+    loop markers move the scope stack.  A thread is {e predicted} when
+    every entry is resolved and no changing scope is active or still ahead
+    — then its exact future lock set is known.
 
-module Iset : Set.S with type elt = int and type t = Set.Make(Int).t
+    Tables are pooled per plan: [release] returns one to its plan's free
+    list, and [register] reuses it.  After warm-up, registering, every
+    event, the boolean queries and releasing allocate nothing; only
+    {!future_mutexes} builds its list. *)
 
 type t
 
@@ -23,11 +31,13 @@ val create : summary:Detmt_analysis.Predict.class_summary option -> unit -> t
     prediction-aware schedulers behave like their pessimistic bases. *)
 
 val register : t -> tid:int -> meth:string -> unit
-(** Attach a fresh copy of the start method's static table to the thread.
-    Methods without a (non-fallback) summary get pessimistic defaults. *)
+(** Attach a fresh table of the start method's plan to the thread (the plan
+    is compiled on the method's first registration).  Methods without a
+    (non-fallback) summary get pessimistic defaults.  Sids and lids are
+    small non-negative counters, as {!Detmt_analysis.Syncid} hands out. *)
 
 val release : t -> tid:int -> unit
-(** Forget a terminated thread. *)
+(** Forget a terminated thread; its table returns to its plan's pool. *)
 
 (* Runtime notifications, wired from the scheduler callbacks. *)
 
@@ -58,14 +68,8 @@ val no_future_locks : t -> tid:int -> bool
 
 val future_mutexes : t -> tid:int -> int list option
 (** The exact future lock set (ascending, duplicate-free), or [None] when
-    not predicted.  Maintained incrementally: O(n) only in the size of the
-    set itself, never in the number of table entries. *)
-
-val future_set : t -> tid:int -> Iset.t option
-(** {!future_mutexes} without building a list: the table's own persistent
-    set, physically unchanged until the thread's next bookkeeping event
-    that moves it.  Incremental consumers (pMAT's claim sets) compare it by
-    physical equality to skip unchanged events. *)
+    not predicted.  Builds the list; the incremental consumer (pMAT's claim
+    sets) reads the {!table} instead. *)
 
 val uses_condvars : t -> tid:int -> bool
 (** Whether the thread's start method may execute a condition-variable
@@ -74,3 +78,29 @@ val uses_condvars : t -> tid:int -> bool
     serialisation discipline (pPDS independence) must exclude such threads:
     a wait re-enters the grant machinery at a timing-dependent point, and a
     notify wakes third parties at one. *)
+
+(** {1 Tables}
+
+    Allocation-free reads of one thread's table, for decision modules that
+    mirror its future set incrementally. *)
+
+type table
+
+val table : t -> tid:int -> table
+(** The thread's table, or a shared pessimistic one (never predicted) when
+    the thread has none.  Valid until the thread is released. *)
+
+val is_predicted : table -> bool
+(** {!predicted} of the table's thread. *)
+
+val stamp : table -> int
+(** Changes whenever the table's future set changes and when the table is
+    (re-)registered; the stamps of one bookkeeping module never repeat, so
+    an equal stamp means the same future set. *)
+
+val future_length : table -> int
+(** The size of the future set (whether or not the thread is predicted). *)
+
+val future_mutex : table -> int -> int
+(** [future_mutex tab i], for [0 <= i < future_length tab]: the future set
+    in ascending order. *)

@@ -107,7 +107,7 @@ let retire t ~tid =
   | Some bk -> Bookkeeping.release bk ~tid
   | None -> ()
 
-let find_thread t tid = Hashtbl.find_opt t.by_tid tid
+let lookup t tid = Hashtbl.find t.by_tid tid
 
 let thread t tid =
   match Hashtbl.find t.by_tid tid with
@@ -154,11 +154,6 @@ let future_mutexes t ~tid =
   match t.bookkeeping with
   | None -> None
   | Some bk -> Bookkeeping.future_mutexes bk ~tid
-
-let future_set t ~tid =
-  match t.bookkeeping with
-  | None -> None
-  | Some bk -> Bookkeeping.future_set bk ~tid
 
 let uses_condvars t ~tid =
   match t.bookkeeping with

@@ -61,7 +61,9 @@ val remove : t -> tid:int -> unit
 val retire : t -> tid:int -> unit
 (** Termination: leave the order and release the bookkeeping table. *)
 
-val find_thread : t -> int -> thread option
+val lookup : t -> int -> thread
+(** The live thread with this tid, without an option to allocate.
+    @raise Not_found when the thread is not live. *)
 
 val thread : t -> int -> thread
 (** @raise Invalid_argument when the thread is not live. *)
@@ -88,10 +90,6 @@ val future_may_lock : t -> tid:int -> mutex:int -> bool
 val no_future_locks : t -> tid:int -> bool
 
 val future_mutexes : t -> tid:int -> int list option
-
-val future_set : t -> tid:int -> Bookkeeping.Iset.t option
-(** As {!future_mutexes}, as the bookkeeping table's own set (no list
-    built); [None] when not predicted. *)
 
 val uses_condvars : t -> tid:int -> bool
 

@@ -34,10 +34,10 @@ let is_leader t = (Substrate.actions t.sub).is_leader ()
 
 (* The action a grant of [tid] will perform, for the audit log. *)
 let pending_action t tid =
-  match Substrate.find_thread t.sub tid with
-  | Some { Substrate.pending = Some (Substrate.Reacquire _); _ } ->
+  match Substrate.lookup t.sub tid with
+  | { Substrate.pending = Some (Substrate.Reacquire _); _ } ->
     Audit.Grant_reacquire
-  | Some _ | None -> Audit.Grant_lock
+  | _ | (exception Not_found) -> Audit.Grant_lock
 
 let perform t tid = Substrate.perform t.sub (Substrate.thread t.sub tid)
 
@@ -126,9 +126,9 @@ let rec drain_done t =
   | tid ->
     let mutex = Seq_index.get t.requested tid in
     Seq_index.remove t.requested tid;
-    (match Substrate.find_thread t.sub tid with
-    | Some { Substrate.pending = Some p; _ } -> leader_request t tid ~mutex p
-    | Some _ | None -> ());
+    (match Substrate.lookup t.sub tid with
+    | { Substrate.pending = Some p; _ } -> leader_request t tid ~mutex p
+    | _ | (exception Not_found) -> ());
     drain_done t
 
 (* Whether a locally requested tid still waits on an enforced decision. *)

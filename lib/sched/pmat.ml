@@ -24,7 +24,11 @@
    entries change only at its own bookkeeping events (admission, lockInfo,
    ignore, acquisition, loop enter/exit, leaving the queue on wait,
    re-entering it on wakeup, termination), so each event costs O(1) plus
-   the size of its future-set delta.  Every seq-keyed set is a
+   the size of its future-set delta.  A thread's claims are mirrored in a
+   pooled record: the sorted mutexes it claims and the bookkeeping stamp
+   they reflect.  An event that leaves the future set alone stops at the
+   stamp comparison; one that moves it merges the old and new sorted
+   arrays into the per-mutex claim sets.  Every seq-keyed set is a
    {!Seq_index}, so none of these updates allocates.  The claim half of
    the rule is kept per mutex as well: the [ready] index holds each
    mutex's least-seq waiter while no smaller claim exists, so a
@@ -52,18 +56,29 @@
 
 open Detmt_runtime
 module Audit = Detmt_obs.Audit
-module Iset = Bookkeeping.Iset
+
+(* The mutexes a queued thread is entered under in [claims], ascending, and
+   the bookkeeping stamp they mirror ([-1]: the empty set of an unpredicted
+   thread).  Records are pooled: [withdraw] returns one, [refresh] takes
+   it. *)
+type claim = {
+  mutable mutexes : int array;
+  mutable len : int;
+  mutable seen : int;
+}
 
 type t = {
   sub : Substrate.t;
+  bk : Bookkeeping.t;
   unpredicted : unit Seq_index.t;
       (* seqs of the queued threads without a known future; the least is
          the gate *)
   claims : (int, unit Seq_index.t) Hashtbl.t;
       (* mutex -> seqs of the queued predicted threads whose future set
          holds it *)
-  claimed : (int, Iset.t) Hashtbl.t;
-      (* tid -> the mutexes it is entered under in [claims] *)
+  claimed : claim Seq_index.t; (* seq -> the queued thread's claim record *)
+  mutable spare : claim array; (* released records, [spares] of them *)
+  mutable spares : int;
   waiting : (int, unit Seq_index.t) Hashtbl.t;
       (* mutex -> seqs of the queued threads with a pending lock or
          re-acquisition of it *)
@@ -109,54 +124,72 @@ let set_claim t seq ~mutex ~claimed =
   if claimed then Seq_index.add set seq () else Seq_index.remove set seq;
   recheck t mutex
 
-let find_claimed t tid =
-  match Hashtbl.find t.claimed tid with
-  | set -> set
-  | exception Not_found -> Iset.empty
+let claim_record t seq =
+  if Seq_index.mem t.claimed seq then Seq_index.get t.claimed seq
+  else begin
+    let c =
+      if t.spares = 0 then { mutexes = Array.make 4 0; len = 0; seen = -1 }
+      else begin
+        t.spares <- t.spares - 1;
+        t.spare.(t.spares)
+      end
+    in
+    Seq_index.add t.claimed seq c;
+    c
+  end
 
 (* Bring a queued thread's gate and claim entries in line with its
-   bookkeeping table.  The table's future set is persistent and physically
-   unchanged by events that do not move it, so most events stop at the
-   physical-equality test. *)
+   bookkeeping table.  Most events leave the future set alone, and stop at
+   the stamp test; the others merge the old and the new sorted mutex
+   arrays, touching only the mutexes that changed. *)
 let refresh t (th : Substrate.thread) =
-  let future = Substrate.future_set t.sub ~tid:th.tid in
-  (match future with
-  | Some _ -> Seq_index.remove t.unpredicted th.seq
-  | None -> Seq_index.add t.unpredicted th.seq ());
-  let now = Option.value ~default:Iset.empty future in
-  let before = find_claimed t th.tid in
-  if now != before then begin
-    Iset.iter
-      (fun m ->
-        if not (Iset.mem m now) then
-          set_claim t th.seq ~mutex:m ~claimed:false)
-      before;
-    Iset.iter
-      (fun m ->
-        if not (Iset.mem m before) then
-          set_claim t th.seq ~mutex:m ~claimed:true)
-      now;
-    if Iset.is_empty now then Hashtbl.remove t.claimed th.tid
-    else Hashtbl.replace t.claimed th.tid now
+  let tab = Bookkeeping.table t.bk ~tid:th.tid in
+  let predicted = Bookkeeping.is_predicted tab in
+  if predicted then Seq_index.remove t.unpredicted th.seq
+  else Seq_index.add t.unpredicted th.seq ();
+  let c = claim_record t th.seq in
+  let stamp = if predicted then Bookkeeping.stamp tab else -1 in
+  if stamp <> c.seen then begin
+    let n = if predicted then Bookkeeping.future_length tab else 0 in
+    let i = ref 0 and j = ref 0 in
+    while !i < c.len || !j < n do
+      let old = if !i < c.len then c.mutexes.(!i) else max_int
+      and now = if !j < n then Bookkeeping.future_mutex tab !j else max_int in
+      if !j >= n || (!i < c.len && old < now) then begin
+        set_claim t th.seq ~mutex:old ~claimed:false;
+        incr i
+      end
+      else if !i >= c.len || now < old then begin
+        set_claim t th.seq ~mutex:now ~claimed:true;
+        incr j
+      end
+      else begin
+        incr i;
+        incr j
+      end
+    done;
+    if Array.length c.mutexes < n then c.mutexes <- Array.make (2 * n) 0;
+    for k = 0 to n - 1 do
+      c.mutexes.(k) <- Bookkeeping.future_mutex tab k
+    done;
+    c.len <- n;
+    c.seen <- stamp
   end
 
 let refresh_tid t tid =
-  match Substrate.find_thread t.sub tid with
-  | Some th -> refresh t th
-  | None -> ()
+  match Substrate.lookup t.sub tid with
+  | th -> refresh t th
+  | exception Not_found -> ()
 
 (* --------------------------- pending requests ------------------------- *)
 
-let pending_mutex (th : Substrate.thread) =
-  match th.pending with
-  | Some (Substrate.Lock mutex | Substrate.Reacquire mutex) -> Some mutex
-  | Some Substrate.Resume | None -> None
-
+(* Both match the pending operation in place: a helper returning the
+   mutex as an option would allocate it on every lock. *)
 let set_pending t (th : Substrate.thread) op =
   th.pending <- Some op;
-  match pending_mutex th with
-  | None -> ()
-  | Some mutex ->
+  match op with
+  | Substrate.Resume -> ()
+  | Substrate.Lock mutex | Substrate.Reacquire mutex ->
     let w = per_mutex t.waiting mutex in
     (* a new least waiter displaces the old one from [ready] *)
     let h = Seq_index.min_key w in
@@ -165,23 +198,36 @@ let set_pending t (th : Substrate.thread) op =
     recheck t mutex
 
 let clear_pending t (th : Substrate.thread) =
-  match pending_mutex th with
-  | None -> ()
-  | Some mutex ->
+  match th.pending with
+  | Some Substrate.Resume | None -> ()
+  | Some (Substrate.Lock mutex | Substrate.Reacquire mutex) ->
     Seq_index.remove (per_mutex t.waiting mutex) th.seq;
     Seq_index.remove t.ready th.seq;
     recheck t mutex
 
-(* The thread leaves the queue (wait or termination): drop every entry. *)
+(* The thread leaves the queue (wait or termination): drop every entry and
+   return its claim record to the pool. *)
 let withdraw t tid =
-  match Substrate.find_thread t.sub tid with
-  | None -> ()
-  | Some th ->
+  match Substrate.lookup t.sub tid with
+  | exception Not_found -> ()
+  | th ->
     Seq_index.remove t.unpredicted th.seq;
-    Iset.iter
-      (fun m -> set_claim t th.seq ~mutex:m ~claimed:false)
-      (find_claimed t tid);
-    Hashtbl.remove t.claimed tid;
+    if Seq_index.mem t.claimed th.seq then begin
+      let c = Seq_index.get t.claimed th.seq in
+      for i = 0 to c.len - 1 do
+        set_claim t th.seq ~mutex:c.mutexes.(i) ~claimed:false
+      done;
+      c.len <- 0;
+      c.seen <- -1;
+      Seq_index.remove t.claimed th.seq;
+      if t.spares = Array.length t.spare then begin
+        let spare = Array.make ((2 * t.spares) + 1) c in
+        Array.blit t.spare 0 spare 0 t.spares;
+        t.spare <- spare
+      end;
+      t.spare.(t.spares) <- c;
+      t.spares <- t.spares + 1
+    end;
     clear_pending t th
 
 (* ------------------------------ grants -------------------------------- *)
@@ -195,15 +241,13 @@ let mutex_free t (th : Substrate.thread) =
   | Some (Substrate.Lock mutex | Substrate.Reacquire mutex) ->
     (Substrate.actions t.sub).mutex_free_for ~tid:th.tid ~mutex
 
-(* The least-seq eligible pending thread: the first [ready] waiter (no
-   smaller claim on its mutex) whose mutex is free, unless the gate comes
-   first. *)
+(* The seq of the least-seq eligible pending thread, or [-1]: the first
+   [ready] waiter (no smaller claim on its mutex) whose mutex is free,
+   unless the gate comes first. *)
 let rec first_free t ~gate seq =
-  if seq < 0 || seq > gate then None
-  else
-    let th = Substrate.by_seq t.sub seq in
-    if mutex_free t th then Some th
-    else first_free t ~gate (Seq_index.next_above t.ready seq)
+  if seq < 0 || seq > gate then -1
+  else if mutex_free t (Substrate.by_seq t.sub seq) then seq
+  else first_free t ~gate (Seq_index.next_above t.ready seq)
 
 let next_grant t = first_free t ~gate:(gate t) (Seq_index.min_key t.ready)
 
@@ -230,11 +274,11 @@ let grant t (th : Substrate.thread) =
 (* Grant until nothing is grantable; every grant may cascade through the
    scheduler, so the search restarts from the queue head each time. *)
 let rec rescan t =
-  match next_grant t with
-  | Some th ->
-    grant t th;
+  let seq = next_grant t in
+  if seq >= 0 then begin
+    grant t (Substrate.by_seq t.sub seq);
     rescan t
-  | None -> ()
+  end
 
 (* ---------------------------- callbacks ------------------------------- *)
 
@@ -269,9 +313,9 @@ let on_lock t tid ~syncid:_ ~mutex =
   set_pending t (Substrate.thread t.sub tid) (Substrate.Lock mutex);
   rescan t;
   if Substrate.observing t.sub then
-    match Substrate.find_thread t.sub tid with
-    | Some th when th.pending <> None -> audit_deferral t th ~mutex
-    | Some _ | None -> ()
+    match Substrate.lookup t.sub tid with
+    | th when th.pending <> None -> audit_deferral t th ~mutex
+    | _ | (exception Not_found) -> ()
 
 let on_unlock t _tid ~syncid:_ ~mutex:_ ~freed = if freed then rescan t
 
@@ -304,9 +348,15 @@ let on_terminate t tid =
 (* Every bookkeeping event updates the thread's table first, then its gate
    and claim entries. *)
 let policy sub : Sched_iface.sched =
+  let bk =
+    match Substrate.bookkeeping sub with
+    | Some bk -> bk
+    | None -> Bookkeeping.create ~summary:None ()
+  in
   let t =
-    { sub; unpredicted = Seq_index.create_set (); claims = Hashtbl.create 64;
-      claimed = Hashtbl.create 64; waiting = Hashtbl.create 64;
+    { sub; bk; unpredicted = Seq_index.create_set ();
+      claims = Hashtbl.create 64; claimed = Seq_index.create (); spare = [||];
+      spares = 0; waiting = Hashtbl.create 64;
       ready = Seq_index.create_set () }
   in
   let base =

@@ -101,6 +101,15 @@ let thread_end t ~time ~tid =
   if t.keep_events then keep t time (Thread_end { tid });
   fold1 t 9 tid
 
+let control_delivered t ~time ~sender ~grant_seq ~mutex ~tid =
+  if t.keep_events then
+    keep t time (Control_delivered { sender; grant_seq; mutex; tid });
+  fold4 t 10 sender grant_seq mutex tid
+
+let ws_commit t ~time ~tid ~writes =
+  if t.keep_events then keep t time (Ws_commit { tid; writes });
+  fold2 t 13 tid writes
+
 let record_at t ~time e =
   match e with
   | Lock_requested { tid; syncid; mutex } ->
@@ -118,14 +127,11 @@ let record_at t ~time e =
     if t.keep_events then keep t time e;
     fold3 t 5 tid mutex (Bool.to_int all)
   | Control_delivered { sender; grant_seq; mutex; tid } ->
-    if t.keep_events then keep t time e;
-    fold4 t 10 sender grant_seq mutex tid
+    control_delivered t ~time ~sender ~grant_seq ~mutex ~tid
   | View_change { sender } ->
     if t.keep_events then keep t time e;
     fold1 t 12 sender
-  | Ws_commit { tid; writes } ->
-    if t.keep_events then keep t time e;
-    fold2 t 13 tid writes
+  | Ws_commit { tid; writes } -> ws_commit t ~time ~tid ~writes
   | Ws_abort { tid; conflicts } ->
     if t.keep_events then keep t time e;
     fold2 t 14 tid conflicts

@@ -11,7 +11,8 @@
     it never changes {!fingerprint} or {!length}.
 
     The replica's hot kinds (lock requested, granted and released, wait
-    begin/end, nested begin/end, thread start/end) have field-level
+    begin/end, nested begin/end, thread start/end, control delivered and
+    workspace commit) have field-level
     recorders: they mix the fields straight into the unboxed running hash,
     so without [keep_events] recording one allocates nothing, and the
     {!event} block is built only when it is kept.  {!record_at} folds any
@@ -77,6 +78,12 @@ val nested_end : t -> time:float -> tid:int -> service:int -> unit
 val thread_start : t -> time:float -> tid:int -> method_name:string -> unit
 
 val thread_end : t -> time:float -> tid:int -> unit
+
+val control_delivered :
+  t -> time:float -> sender:int -> grant_seq:int -> mutex:int -> tid:int ->
+  unit
+
+val ws_commit : t -> time:float -> tid:int -> writes:int -> unit
 
 val length : t -> int
 

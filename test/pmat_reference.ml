@@ -72,8 +72,8 @@ let on_lock t tid ~syncid:_ ~mutex =
      predecessor gates it (the crossover cost the paper's section 4.3
      analyses). *)
   if Substrate.observing t.sub then
-    match Substrate.find_thread t.sub tid with
-    | Some th when th.pending <> None ->
+    match Substrate.lookup t.sub tid with
+    | th when th.pending <> None ->
       Substrate.incr t.sub "deferrals";
       Substrate.audit t.sub ~tid ~action:Audit.Defer ~mutex
         ~rule:
@@ -87,7 +87,7 @@ let on_lock t tid ~syncid:_ ~mutex =
                else None)
              (Substrate.threads t.sub))
         ()
-    | _ -> ()
+    | _ | (exception Not_found) -> ()
 
 let on_unlock t _tid ~syncid:_ ~mutex:_ ~freed = if freed then rescan t
 

@@ -361,6 +361,12 @@ let test_claim_e18_words () =
     (rows "engine" ~keep:(fun c -> wname "figure1" c && c.scheduler = "mat"))
     ~expect:[ "mat on figure1@256 under 33 words/event" ]
 
+(* The §4.3 bookkeeping and claim refresh gate, on pMAT's full-size row. *)
+let test_claim_e18_pmat_words () =
+  check_claims "engine"
+    (rows "engine" ~keep:(fun c -> wname "figure1" c && c.scheduler = "pmat"))
+    ~expect:[ "pmat on figure1@256 under 33 words/event" ]
+
 (* Re-pointing a grid at a serial scheduler puts its pool rows at width 1
    (a serial module rejects a wider pool); a parallel one keeps them. *)
 let test_restrict_scheduler_width () =
@@ -452,6 +458,7 @@ let suite =
      test_restrict_scheduler_width);
     ("runner: one metric schema", `Quick, test_one_schema);
     ("claims: E18 mat words per event", `Quick, test_claim_e18_words);
+    ("claims: E18 pmat words per event", `Quick, test_claim_e18_pmat_words);
   ]
 
 let () = Alcotest.run "experiment" [ ("experiment", suite) ]

@@ -236,6 +236,28 @@ let test_freefall_completes () =
 
 (* ------------------------------ Registry ---------------------------- *)
 
+(* Inert replica actions: every mutex is free, every call a no-op. *)
+let dummy_actions =
+  { Detmt_runtime.Sched_iface.replica_id = 0;
+    start_thread = ignore; grant_lock = ignore; grant_reacquire = ignore;
+    resume_nested = ignore;
+    ws_begin = (fun ~tid:_ ~record_acquisitions:_ -> ());
+    ws_commit = (fun ~tid:_ -> true);
+    mutex_owner = (fun _ -> None);
+    mutex_free_for = (fun ~tid:_ ~mutex:_ -> true);
+    holds_any_mutex = (fun _ -> false);
+    request_method = (fun _ -> "m");
+    request_arg = (fun ~tid:_ _ -> None);
+    self_mutex = (fun () -> 1_000_000);
+    pool_dispatch = (fun ~worker:_ ~tid:_ -> ());
+    pool_complete = (fun ~worker:_ ~tid:_ -> ());
+    broadcast_control = ignore;
+    inject_dummy = (fun () -> ());
+    schedule = (fun ~delay:_ _ -> ());
+    now = (fun () -> 0.0);
+    is_leader = (fun () -> true);
+    obs = Detmt_obs.Recorder.disabled }
+
 let test_registry () =
   Alcotest.(check int) "fifteen schedulers" 15
     (List.length Detmt_sched.Registry.all);
@@ -292,27 +314,6 @@ let test_config_api () =
     with Invalid_argument _ -> true
   in
   (* no entry touches the actions while it is built, so inert stubs do *)
-  let dummy_actions =
-    { Detmt_runtime.Sched_iface.replica_id = 0;
-      start_thread = ignore; grant_lock = ignore; grant_reacquire = ignore;
-      resume_nested = ignore;
-      ws_begin = (fun ~tid:_ ~record_acquisitions:_ -> ());
-      ws_commit = (fun ~tid:_ -> true);
-      mutex_owner = (fun _ -> None);
-      mutex_free_for = (fun ~tid:_ ~mutex:_ -> true);
-      holds_any_mutex = (fun _ -> false);
-      request_method = (fun _ -> "m");
-      request_arg = (fun ~tid:_ _ -> None);
-      self_mutex = (fun () -> 1_000_000);
-      pool_dispatch = (fun ~worker:_ ~tid:_ -> ());
-      pool_complete = (fun ~worker:_ ~tid:_ -> ());
-      broadcast_control = ignore;
-      inject_dummy = (fun () -> ());
-      schedule = (fun ~delay:_ _ -> ());
-      now = (fun () -> 0.0);
-      is_leader = (fun () -> true);
-      obs = Detmt_obs.Recorder.disabled }
-  in
   Alcotest.check b "instantiate rejects unknown names" true
     (raises_invalid (fun () ->
          Detmt_sched.Registry.instantiate
@@ -348,6 +349,37 @@ let test_config_api () =
   Alcotest.(check int) "default workers" 1
     (Detmt_sched.Sched_config.make "cgs").Detmt_sched.Sched_config.workers
 
+(* pMAT's claim refresh after each bookkeeping event: the stamp test, and
+   the merge of the old and new future sets into the per-mutex claims,
+   allocate nothing once the claim records and per-mutex indexes exist.
+   One queued thread announces a mutex, loses its prediction in an unknown
+   scope, regains it, and re-announces another mutex. *)
+let test_pmat_refresh_no_allocation () =
+  let cls =
+    let open Builder in
+    Builder.cls ~cname:"L" ~state_fields:[ "st" ]
+      [ meth "go" ~params:1
+          [ assign "m" (marg 0);
+            for_ 3 [ sync (local "m") [ state_incr "st" 1 ] ] ] ]
+  in
+  let _, summary = Detmt_transform.Transform.predictive cls in
+  let actions =
+    { dummy_actions with
+      Detmt_runtime.Sched_iface.request_method = (fun _ -> "go") }
+  in
+  let s =
+    Detmt_sched.Registry.instantiate
+      (Detmt_sched.Sched_config.make ~summary "pmat")
+      actions
+  in
+  s.on_request 1;
+  s.on_request 2;
+  No_alloc.check "minor words per pMAT claim refresh" (fun () ->
+      s.on_lockinfo 1 ~syncid:1 ~mutex:5;
+      s.on_loop_enter 1 ~loopid:99;
+      s.on_loop_exit 1 ~loopid:99;
+      s.on_lockinfo 1 ~syncid:1 ~mutex:6)
+
 let suite =
   [ ("seq serialises everything", `Quick, test_seq_serialises_everything);
     ("seq wastes nested idle", `Quick, test_seq_wastes_nested_idle);
@@ -379,6 +411,8 @@ let suite =
     ("freefall completes", `Quick, test_freefall_completes);
     ("registry", `Quick, test_registry);
     ("config api", `Quick, test_config_api);
+    ("pmat: claim refresh allocates nothing", `Quick,
+     test_pmat_refresh_no_allocation);
   ]
 
 let () = Alcotest.run "sched" [ ("sched", suite) ]

@@ -576,6 +576,9 @@ let test_trace_encoding_pinned () =
       | Trace.Thread_start { tid; method_name } ->
         Trace.thread_start t ~time ~tid ~method_name
       | Trace.Thread_end { tid } -> Trace.thread_end t ~time ~tid
+      | Trace.Control_delivered { sender; grant_seq; mutex; tid } ->
+        Trace.control_delivered t ~time ~sender ~grant_seq ~mutex ~tid
+      | Trace.Ws_commit { tid; writes } -> Trace.ws_commit t ~time ~tid ~writes
       | cold -> Trace.record_at t ~time cold)
     pinned_stream;
   Alcotest.(check int64) "record_at, events kept" pinned_fingerprint
@@ -600,6 +603,8 @@ let test_trace_no_allocation () =
       Trace.nested_begin t ~time ~tid ~service:2;
       Trace.nested_end t ~time ~tid ~service:0;
       Trace.unlocked t ~time ~tid ~syncid:1 ~mutex:4;
+      Trace.control_delivered t ~time ~sender:1 ~grant_seq:tid ~mutex:4 ~tid;
+      Trace.ws_commit t ~time ~tid ~writes:2;
       Trace.thread_end t ~time ~tid)
 
 (* ---------------------------- properties --------------------------- *)
