@@ -521,8 +521,7 @@ let fig1b () =
 
 (* Render a small run's per-thread schedule — the visual form of the
    paper's Figures 2 and 3. *)
-let timeline ?(scheduler = "mat") ?(workload = `Tail) ?(clients = 3)
-    ?(requests = 2) () =
+let timeline ?(scheduler = "mat") ?(workload = `Tail) () =
   let wl =
     match workload with
     | `Tail ->
@@ -532,19 +531,20 @@ let timeline ?(scheduler = "mat") ?(workload = `Tail) ?(clients = 3)
       mk "disjoint" (W.Disjoint.cls W.Disjoint.default) W.Disjoint.gen
   in
   let engine = Engine.create () in
+  let group =
+    { Active.default_params with
+      scheduler;
+      config =
+        { Active.default_params.config with
+          Detmt_runtime.Config.trace_events = true } }
+  in
   let system =
-    Active.create ~engine ~cls:wl.cls
-      ~params:
-        { Active.default_params with
-          scheduler;
-          config =
-            { Active.default_params.config with
-              Detmt_runtime.Config.trace_events = true } }
+    Reconfig.create ~engine ~cls:wl.cls
+      ~params:{ Reconfig.default_params with Reconfig.base = group }
       ()
   in
-  Client.run_clients ~engine ~system ~clients ~requests_per_client:requests
-    ~gen:wl.gen ();
-  match Active.replicas system with
+  Reconfig.run_clients system ~clients:3 ~requests_per_client:2 ~gen:wl.gen ();
+  match List.concat_map Active.replicas (Reconfig.live_systems system) with
   | r :: _ ->
     Timeline.of_trace
       (Trace.timed_events (Detmt_runtime.Replica.trace r))

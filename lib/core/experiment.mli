@@ -149,9 +149,10 @@ val pp_row : Format.formatter -> row -> unit
 (** {2 Shared settings} *)
 
 val timeline :
-  ?scheduler:string -> ?workload:[ `Tail | `Disjoint ] -> ?clients:int ->
-  ?requests:int -> unit -> Detmt_sim.Timeline.t
-(** Per-thread schedule of a small run — the visual form of Figures 2/3. *)
+  ?scheduler:string -> ?workload:[ `Tail | `Disjoint ] -> unit ->
+  Detmt_sim.Timeline.t
+(** Per-thread schedule of a small run (3 clients x 2 requests on one
+    group, replica 0) — the visual form of Figures 2/3. *)
 
 val elastic_bench_policy : Detmt_replication.Reconfig.policy
 (** The E16 controller: 0.5 ms ticks, split above queue depth 4, never

@@ -10,20 +10,25 @@
    barrier are attributed to the epoch in which they were delivered. *)
 
 (* The latency components a request's time can be dominated by, in the
-   exact-sum breakdown order (the deterministic tie-break: earliest wins). *)
-let components =
-  [ "client-queue"; "broadcast"; "sched-start"; "lock-contention";
-    "lock-policy"; "reacquire"; "condvar"; "nested-idle"; "resume-hold";
-    "exec"; "reply-net" ]
+   exact-sum breakdown order (the deterministic tie-break: earliest wins).
+   One table, so the names and the values cannot drift apart. *)
+let fields : (string * (Recorder.breakdown -> float)) list =
+  [ ("client-queue", fun b -> b.client_queue);
+    ("broadcast", fun b -> b.broadcast);
+    ("sched-start", fun b -> b.sched_start);
+    ("lock-contention", fun b -> b.lock_wait);
+    ("lock-policy", fun b -> b.policy_wait);
+    ("reacquire", fun b -> b.reacquire_wait);
+    ("condvar", fun b -> b.condvar_wait);
+    ("nested-idle", fun b -> b.nested_idle);
+    ("resume-hold", fun b -> b.resume_hold);
+    ("commit-hold", fun b -> b.commit_hold);
+    ("exec", fun b -> b.exec);
+    ("reply-net", fun b -> b.reply_net) ]
 
-let component_values (b : Recorder.breakdown) =
-  [ ("client-queue", b.client_queue); ("broadcast", b.broadcast);
-    ("sched-start", b.sched_start); ("lock-contention", b.lock_wait);
-    ("lock-policy", b.policy_wait); ("reacquire", b.reacquire_wait);
-    ("condvar", b.condvar_wait); ("nested-idle", b.nested_idle);
-    ("resume-hold", b.resume_hold); ("commit-hold", b.commit_hold);
-    ("exec", b.exec);
-    ("reply-net", b.reply_net) ]
+let components = List.map fst fields
+
+let component_values b = List.map (fun (k, f) -> (k, f b)) fields
 
 type item = {
   cp_uid : int;

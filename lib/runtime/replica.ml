@@ -398,7 +398,9 @@ let do_ws_commit t tid =
       (Printf.sprintf "Replica %d: ws_commit for t%d not commit-pending" t.id
          tid)
 
-let do_grant_lock t tid =
+(* Release a thread stopped at a scheduler gate; which gate is the
+   thread's own status. *)
+let do_proceed t tid =
   let th = thread t tid in
   match th.status with
   | Lock_blocked { syncid; mutex } ->
@@ -408,14 +410,6 @@ let do_grant_lock t tid =
     record_acquisition t ~mutex ~th;
     (sched t).on_acquired tid ~syncid ~mutex;
     after_cost_advance t t.config.lock_overhead_ms th
-  | _ ->
-    invalid_arg
-      (Printf.sprintf "Replica %d: grant_lock for t%d not lock-blocked" t.id
-         tid)
-
-let do_grant_reacquire t tid =
-  let th = thread t tid in
-  match th.status with
   | Reacquire_blocked { mutex; count } ->
     Mutex_table.restore t.mutexes ~mutex ~tid ~count;
     Trace.wait_end t.trace_rec ~time:(now t) ~tid ~mutex;
@@ -423,21 +417,12 @@ let do_grant_reacquire t tid =
     record_acquisition t ~mutex ~th;
     (sched t).on_reacquired tid ~mutex;
     after_cost_advance t t.config.lock_overhead_ms th
-  | _ ->
-    invalid_arg
-      (Printf.sprintf "Replica %d: grant_reacquire for t%d not waiting" t.id
-         tid)
-
-let do_resume_nested t tid =
-  let th = thread t tid in
-  match th.status with
   | Nested_ready _ ->
     if observing t then rec_wait_end t th;
     advance t th
   | _ ->
     invalid_arg
-      (Printf.sprintf "Replica %d: resume_nested for t%d with no reply" t.id
-         tid)
+      (Printf.sprintf "Replica %d: proceed for t%d at no gate" t.id tid)
 
 (* ------------------------------------------------------------------ *)
 
@@ -459,9 +444,7 @@ let create ~engine ~id ~cls ~config ?(obs = Recorder.disabled) ~callbacks ~make_
   let actions =
     { Sched_iface.replica_id = id;
       start_thread = (fun tid -> do_start_thread t tid);
-      grant_lock = (fun tid -> do_grant_lock t tid);
-      grant_reacquire = (fun tid -> do_grant_reacquire t tid);
-      resume_nested = (fun tid -> do_resume_nested t tid);
+      proceed = (fun tid -> do_proceed t tid);
       ws_begin =
         (fun ~tid ~record_acquisitions ->
           do_ws_begin t ~tid ~record_acquisitions);

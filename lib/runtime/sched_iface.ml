@@ -3,21 +3,23 @@
    The replica engine intercepts every synchronisation-relevant operation and
    reports it to the scheduler (a "decision module", section 4.3) through the
    [sched] callbacks; the scheduler answers asynchronously through [actions].
-   A scheduler must eventually grant every blocked operation it was told
+   A scheduler must eventually release every blocked operation it was told
    about, choosing the moment (and hence the deterministic order).
 
    Contract, per operation:
    - [on_request tid]: a new thread was delivered in total order.  The
      scheduler starts it (now or later) with [actions.start_thread].
-   - [on_lock tid ~syncid ~mutex]: the thread is blocked wanting [mutex].
-     Grant with [actions.grant_lock] — only when the mutex is free for the
-     thread ([actions.mutex_free_for]), otherwise the replica raises.
-     Re-entrant acquisitions are short-circuited by the replica and surface
-     only as [on_acquired].
-   - [on_wakeup tid ~mutex]: a wait was notified; the thread needs to
-     re-acquire the monitor.  Grant with [actions.grant_reacquire].
-   - [on_nested_reply tid]: the nested-invocation reply arrived; resume the
-     thread with [actions.resume_nested].
+   - [on_lock tid ~syncid ~mutex], [on_wakeup tid ~mutex] and
+     [on_nested_reply tid]: the thread stopped at a gate — blocked wanting
+     [mutex], notified and needing to re-acquire the monitor, or holding the
+     nested-invocation reply.  Release it with [actions.proceed tid]; the
+     replica performs whichever of the three its own thread status names
+     ([Lock_blocked], [Reacquire_blocked], [Nested_ready]) and raises
+     [Invalid_argument] for a thread in any other status.  An acquisition
+     is released only when the mutex is free for the thread
+     ([actions.mutex_free_for]), otherwise the replica raises.  Re-entrant
+     acquisitions are short-circuited by the replica and surface only as
+     [on_acquired].
 
    Purely informational callbacks: [on_acquired], [on_unlock], [on_wait],
    [on_terminate], and the bookkeeping stream [on_lockinfo] / [on_ignore] /
@@ -45,9 +47,9 @@ type control =
 type actions = {
   replica_id : int;
   start_thread : int -> unit;
-  grant_lock : int -> unit;
-  grant_reacquire : int -> unit;
-  resume_nested : int -> unit;
+  proceed : int -> unit;
+      (* release a thread stopped at a lock, re-acquisition or nested-reply
+         gate (see the contract above) *)
   mutex_owner : int -> int option;
   mutex_free_for : tid:int -> mutex:int -> bool;
   holds_any_mutex : int -> bool;

@@ -625,7 +625,7 @@ let on_request t tid =
    than crashing the replica with a grant on a held mutex. *)
 let on_lock t tid ~syncid:_ ~mutex =
   let th = Substrate.thread t.sub tid in
-  th.pending <- Some (Substrate.Lock mutex);
+  Substrate.hold th Lock ~mutex;
   if (Substrate.actions t.sub).mutex_free_for ~tid ~mutex then begin
     if Substrate.observing t.sub then begin
       Substrate.incr t.sub "grants";
@@ -689,7 +689,7 @@ let on_wakeup t tid ~mutex =
   let n = node t tid in
   transition t n (Woken mutex);
   ignore (refresh t n);
-  (Substrate.thread t.sub tid).pending <- Some (Substrate.Reacquire mutex);
+  Substrate.hold (Substrate.thread t.sub tid) Reacquire ~mutex;
   rescan t
 
 let on_reacquired t tid ~mutex =
@@ -699,7 +699,7 @@ let on_reacquired t tid ~mutex =
 
 let on_nested_reply t tid =
   (* The thread kept its worker across the nested invocation: resume. *)
-  (Substrate.actions t.sub).resume_nested tid
+  Substrate.perform t.sub (Substrate.thread t.sub tid)
 
 let on_ws_event t tid ev =
   let n = node t tid in

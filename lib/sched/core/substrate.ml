@@ -5,6 +5,8 @@
    - thread lifecycle: arrival-ordered registration (a monotone sequence
      number per admission), a {!Seq_index} over the live threads (no
      allocation per update, ascending iteration), O(1) tid lookup;
+   - the gate each thread is stopped at, and the one release path to the
+     replica ([perform]);
    - per-mutex FIFO wait queues ({!Waitq});
    - the prediction plumbing: an optional {!Bookkeeping} instance,
      registered per request with the start method and updated from the
@@ -19,10 +21,11 @@ open Detmt_runtime
 module Recorder = Detmt_obs.Recorder
 module Audit = Detmt_obs.Audit
 
-(* The pending operation of a thread stopped at a scheduler gate.  [Resume]
+(* The scheduler gate a thread is stopped at, [Open] when none.  [Resume]
    is a nested reply awaiting policy admission (SAT's queue, MAT's
-   ex-primaries). *)
-type pending = Lock of int | Reacquire of int | Resume
+   ex-primaries).  A constant constructor plus the [gate_mutex] field, so
+   holding a thread allocates nothing. *)
+type gate = Open | Lock | Reacquire | Resume
 
 type thread = {
   tid : int;
@@ -30,7 +33,8 @@ type thread = {
   mutable is_primary : bool; (* MAT-family role flag *)
   mutable ex_primary : bool; (* suspended while primary; resumes as primary *)
   mutable suspended : bool;
-  mutable pending : pending option;
+  mutable gate : gate;
+  mutable gate_mutex : int; (* the mutex of a [Lock] or [Reacquire] gate *)
 }
 
 type t = {
@@ -76,7 +80,7 @@ let waitq t = t.waitq
 let enqueue t ~tid =
   let th =
     { tid; seq = t.next_seq; is_primary = false; ex_primary = false;
-      suspended = false; pending = None }
+      suspended = false; gate = Open; gate_mutex = -1 }
   in
   t.next_seq <- t.next_seq + 1;
   Hashtbl.replace t.by_tid tid th;
@@ -207,31 +211,28 @@ let audit t ~tid ~action ?mutex ~rule ?candidates () =
 
 (* ------------------------------- grants -------------------------------- *)
 
-(* Execute a thread's pending operation.  The caller has decided the grant;
-   audit emission stays with the caller (rules differ per policy). *)
-let perform_pending t th =
-  match th.pending with
-  | Some (Lock _) ->
-    th.pending <- None;
-    t.actions.grant_lock th.tid
-  | Some (Reacquire _) ->
-    th.pending <- None;
-    t.actions.grant_reacquire th.tid
-  | Some Resume ->
-    th.pending <- None;
-    t.actions.resume_nested th.tid
-  | None ->
-    invalid_arg (Printf.sprintf "%s: no pending op for t%d" t.name th.tid)
+let hold th gate ~mutex =
+  th.gate <- gate;
+  th.gate_mutex <- mutex
 
-(* Every grant a decision module performs flows through here, so this is
-   the one place the profiler's Grant phase is timed.  Grants can cascade
-   (a grant unblocks the interpreter, which reports the next operation,
-   which may grant again synchronously); the profiler times the outermost
+let grant_action th =
+  match th.gate with
+  | Reacquire -> Audit.Grant_reacquire
+  | Resume -> Audit.Resume_nested
+  | Lock | Open -> Audit.Grant_lock
+
+(* Every release a decision module performs flows through here — the only
+   caller of [actions.proceed] — so this is the one place the profiler's
+   Grant phase is timed.  The caller has decided the release; audit
+   emission stays with it (rules differ per policy).  Releases can cascade
+   (the resumed interpreter reports its next operation, which may be
+   released again synchronously); the profiler times the outermost
    activation only. *)
 let perform t th =
+  th.gate <- Open;
   match Recorder.profiler t.actions.obs with
-  | None -> perform_pending t th
+  | None -> t.actions.proceed th.tid
   | Some p ->
     Detmt_obs.Profile.phase_begin p Detmt_obs.Profile.Grant;
-    perform_pending t th;
+    t.actions.proceed th.tid;
     Detmt_obs.Profile.phase_end p Detmt_obs.Profile.Grant

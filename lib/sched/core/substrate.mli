@@ -1,12 +1,17 @@
 (** The shared scheduler substrate — the policy-independent half of the
     paper's two-module architecture.  Owns thread lifecycle (arrival-ordered
-    {!Seq_index}, no allocation per update), per-mutex FIFO wait queues, the
-    prediction plumbing around {!Bookkeeping}, and the flight-recorder
-    helpers.  Decision policies ({!Decision.policy}) keep only policy state. *)
+    {!Seq_index}, no allocation per update), the gate each thread is
+    stopped at, per-mutex FIFO wait queues, the prediction plumbing around
+    {!Bookkeeping}, the flight-recorder helpers, and the one release path:
+    {!perform} is the only caller of [actions.proceed].  Decision policies
+    ({!Decision.policy}) keep only policy state. *)
 
 open Detmt_runtime
 
-type pending = Lock of int | Reacquire of int | Resume
+(** What a thread is stopped at: nothing ([Open]), a lock acquisition, a
+    monitor re-acquisition after notify, or a nested reply awaiting policy
+    admission. *)
+type gate = Open | Lock | Reacquire | Resume
 
 type thread = {
   tid : int;
@@ -14,7 +19,9 @@ type thread = {
   mutable is_primary : bool;
   mutable ex_primary : bool;
   mutable suspended : bool;
-  mutable pending : pending option;
+  mutable gate : gate;  (** set by {!hold}, reopened by {!perform} *)
+  mutable gate_mutex : int;
+      (** the mutex of a [Lock] or [Reacquire] gate; stale otherwise *)
 }
 
 type t
@@ -125,7 +132,16 @@ val audit :
 
 (** {1 Grants} *)
 
+val hold : thread -> gate -> mutex:int -> unit
+(** Record the gate the thread is stopped at (the [mutex] of a [Resume]
+    gate is not read).  Allocates nothing. *)
+
+val grant_action : thread -> Detmt_obs.Audit.action
+(** The audit action releasing the thread's gate performs ([Grant_lock]
+    for an [Open] one). *)
+
 val perform : t -> thread -> unit
-(** Execute and clear the thread's pending operation; audit emission stays
-    with the calling policy.
-    @raise Invalid_argument when nothing is pending. *)
+(** The only release path: reopen the thread's gate and call
+    [actions.proceed], timed as the profiler's [Grant] phase.  Audit
+    emission stays with the calling policy.  The replica raises
+    [Invalid_argument] when the thread is stopped at no gate. *)

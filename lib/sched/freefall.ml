@@ -9,21 +9,16 @@
 open Detmt_sim
 open Detmt_runtime
 
-type kind = Plock | Preacquire
-
 type t = {
   sub : Substrate.t;
   rng : Rng.t;
-  waiting : (int * kind) Seq_index.t; (* tid -> (mutex, kind) *)
+  waiting : Substrate.thread Seq_index.t; (* tid -> thread held at a gate *)
 }
 
-let grant t tid kind =
-  Seq_index.remove t.waiting tid;
+let grant t (th : Substrate.thread) =
+  Seq_index.remove t.waiting th.tid;
   if Substrate.observing t.sub then Substrate.incr t.sub "grants";
-  let actions = Substrate.actions t.sub in
-  match kind with
-  | Plock -> actions.grant_lock tid
-  | Preacquire -> actions.grant_reacquire tid
+  Substrate.perform t.sub th
 
 (* Ascending tid by construction — the same order the replaced fold+sort
    produced, so the random pick consumes the rng stream identically. *)
@@ -31,9 +26,9 @@ let candidates t ~mutex =
   let rec go tid acc =
     if tid < 0 then List.rev acc
     else
-      let m, kind = Seq_index.get t.waiting tid in
+      let th = Seq_index.get t.waiting tid in
       go (Seq_index.next_above t.waiting tid)
-        (if m = mutex then (tid, kind) :: acc else acc)
+        (if th.gate_mutex = mutex then th :: acc else acc)
   in
   go (Seq_index.min_key t.waiting) []
 
@@ -42,18 +37,18 @@ let wake_random t ~mutex =
   | [] -> ()
   | cands ->
     (* Random pick: the per-replica divergence source. *)
-    let tid, kind = List.nth cands (Rng.int t.rng (List.length cands)) in
-    grant t tid kind
+    grant t (List.nth cands (Rng.int t.rng (List.length cands)))
 
-let on_lock t tid ~syncid:_ ~mutex =
-  let actions = Substrate.actions t.sub in
-  if actions.mutex_free_for ~tid ~mutex then actions.grant_lock tid
-  else Seq_index.add t.waiting tid (mutex, Plock)
-
-let on_wakeup t tid ~mutex =
-  let actions = Substrate.actions t.sub in
-  if actions.mutex_free_for ~tid ~mutex then actions.grant_reacquire tid
-  else Seq_index.add t.waiting tid (mutex, Preacquire)
+(* A lock or a re-acquisition: granted at once when the mutex is free,
+   otherwise held until a release picks it. *)
+let request t gate tid ~mutex =
+  let th = Substrate.thread t.sub tid in
+  if (Substrate.actions t.sub).mutex_free_for ~tid ~mutex then
+    Substrate.perform t.sub th
+  else begin
+    Substrate.hold th gate ~mutex;
+    Seq_index.add t.waiting tid th
+  end
 
 let policy sub : Sched_iface.sched =
   let actions = Substrate.actions sub in
@@ -67,8 +62,10 @@ let policy sub : Sched_iface.sched =
       ~on_request:(fun tid ->
         ignore (Substrate.admit sub ~tid);
         actions.start_thread tid)
-      ~on_lock:(on_lock t) ~on_wakeup:(on_wakeup t)
-      ~on_nested_reply:(fun tid -> actions.resume_nested tid)
+      ~on_lock:(fun tid ~syncid:_ ~mutex -> request t Substrate.Lock tid ~mutex)
+      ~on_wakeup:(request t Substrate.Reacquire)
+      ~on_nested_reply:(fun tid ->
+        Substrate.perform sub (Substrate.thread sub tid))
   in
   { base with
     on_unlock =

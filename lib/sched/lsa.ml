@@ -13,7 +13,7 @@
 
    Decision-module state: the grant counter, the follower's enforced order
    and its local-request index, and the promotion drain flag.  The leader's
-   per-mutex wait queues and the pending-operation records live in the
+   per-mutex wait queues and the gate each thread is held at live in the
    substrate. *)
 
 open Detmt_runtime
@@ -25,40 +25,33 @@ type t = {
   mutable grant_seq : int;
   (* --- follower state --- *)
   enforced : Waitq.t; (* per mutex: leader-ordered tids *)
-  requested : int Seq_index.t; (* tid -> mutex it locally requested *)
+  requested : Substrate.thread Seq_index.t;
+      (* tid -> the thread held at its locally requested gate *)
   mutable draining : bool;
       (* a promoted leader first drains already-received decisions *)
 }
 
 let is_leader t = (Substrate.actions t.sub).is_leader ()
 
-(* The action a grant of [tid] will perform, for the audit log. *)
-let pending_action t tid =
-  match Substrate.lookup t.sub tid with
-  | { Substrate.pending = Some (Substrate.Reacquire _); _ } ->
-    Audit.Grant_reacquire
-  | _ | (exception Not_found) -> Audit.Grant_lock
-
-let perform t tid = Substrate.perform t.sub (Substrate.thread t.sub tid)
-
 (* Leader: grant greedily, broadcasting each decision. *)
 let leader_grant t tid ~mutex =
+  let th = Substrate.thread t.sub tid in
   t.grant_seq <- t.grant_seq + 1;
   if Substrate.observing t.sub then begin
     Substrate.incr t.sub "grant_broadcasts";
-    Substrate.audit t.sub ~tid ~action:(pending_action t tid) ~mutex
+    Substrate.audit t.sub ~tid ~action:(Substrate.grant_action th) ~mutex
       ~rule:Audit.Leader_greedy
       ~candidates:(Waitq.waiting (Substrate.waitq t.sub) ~mutex)
       ()
   end;
   (Substrate.actions t.sub).broadcast_control
     (Sched_iface.Lsa_grant { grant_seq = t.grant_seq; mutex; tid });
-  perform t tid
+  Substrate.perform t.sub th
 
-let leader_request t tid ~mutex pending =
+(* The thread is held at its lock or re-acquisition gate. *)
+let leader_request t tid ~mutex =
   let actions = Substrate.actions t.sub in
   let waitq = Substrate.waitq t.sub in
-  (Substrate.thread t.sub tid).pending <- Some pending;
   if actions.mutex_free_for ~tid ~mutex && Waitq.is_empty waitq ~mutex then
     leader_grant t tid ~mutex
   else begin
@@ -88,23 +81,24 @@ let follower_try t ~mutex =
   match Waitq.head t.enforced ~mutex with
   | Some tid
     when Seq_index.mem t.requested tid
-         && Seq_index.get t.requested tid = mutex
+         && (Seq_index.get t.requested tid).gate_mutex = mutex
          && (Substrate.actions t.sub).mutex_free_for ~tid ~mutex ->
+    let th = Seq_index.get t.requested tid in
     ignore (Waitq.pop t.enforced ~mutex);
     Seq_index.remove t.requested tid;
     if Substrate.observing t.sub then begin
       Substrate.incr t.sub "follower_grants";
-      Substrate.audit t.sub ~tid ~action:(pending_action t tid) ~mutex
+      Substrate.audit t.sub ~tid ~action:(Substrate.grant_action th) ~mutex
         ~rule:Audit.Follower_enforced
         ~candidates:(Waitq.waiting t.enforced ~mutex)
         ()
     end;
-    perform t tid
+    Substrate.perform t.sub th
   | Some _ | None -> ()
 
-let follower_request t tid ~mutex pending =
-  (Substrate.thread t.sub tid).pending <- Some pending;
-  Seq_index.add t.requested tid mutex;
+let follower_request t (th : Substrate.thread) ~mutex =
+  let tid = th.tid in
+  Seq_index.add t.requested tid th;
   (if Substrate.observing t.sub && Waitq.head t.enforced ~mutex <> Some tid
    then begin
      Substrate.incr t.sub "deferrals";
@@ -124,17 +118,16 @@ let rec drain_done t =
   match Seq_index.min_key t.requested with
   | -1 -> ()
   | tid ->
-    let mutex = Seq_index.get t.requested tid in
+    let th = Seq_index.get t.requested tid in
     Seq_index.remove t.requested tid;
-    (match Substrate.lookup t.sub tid with
-    | { Substrate.pending = Some p; _ } -> leader_request t tid ~mutex p
-    | _ | (exception Not_found) -> ());
+    if th.gate <> Open then leader_request t tid ~mutex:th.gate_mutex;
     drain_done t
 
 (* Whether a locally requested tid still waits on an enforced decision. *)
 let rec unconsumed t tid =
   tid >= 0
-  && (Waitq.mem t.enforced ~mutex:(Seq_index.get t.requested tid) ~tid
+  && (Waitq.mem t.enforced ~mutex:(Seq_index.get t.requested tid).gate_mutex
+        ~tid
      || unconsumed t (Seq_index.next_above t.requested tid))
 
 let check_promotion t =
@@ -150,19 +143,14 @@ let on_request t tid =
   ignore (Substrate.admit t.sub ~tid);
   (Substrate.actions t.sub).start_thread tid
 
-let on_lock t tid ~syncid:_ ~mutex =
-  if is_leader t && not t.draining then
-    leader_request t tid ~mutex (Substrate.Lock mutex)
+(* A lock or a re-acquisition: hold the thread at its gate, then decide
+   (leader) or wait for the leader's decision (follower). *)
+let request t gate tid ~mutex =
+  let th = Substrate.thread t.sub tid in
+  Substrate.hold th gate ~mutex;
+  if is_leader t && not t.draining then leader_request t tid ~mutex
   else begin
-    follower_request t tid ~mutex (Substrate.Lock mutex);
-    check_promotion t
-  end
-
-let on_wakeup t tid ~mutex =
-  if is_leader t && not t.draining then
-    leader_request t tid ~mutex (Substrate.Reacquire mutex)
-  else begin
-    follower_request t tid ~mutex (Substrate.Reacquire mutex);
+    follower_request t th ~mutex;
     check_promotion t
   end
 
@@ -176,7 +164,7 @@ let on_wait t tid ~mutex =
   if is_leader t && not t.draining then leader_on_unlock t ~mutex
   else follower_try t ~mutex
 
-let on_nested_reply t tid = (Substrate.actions t.sub).resume_nested tid
+let on_nested_reply t tid = Substrate.perform t.sub (Substrate.thread t.sub tid)
 
 let on_terminate t tid = Substrate.retire t.sub ~tid
 
@@ -203,7 +191,9 @@ let policy sub : Sched_iface.sched =
   in
   let base =
     Sched_iface.no_op_sched ~name:(Substrate.name sub)
-      ~on_request:(on_request t) ~on_lock:(on_lock t) ~on_wakeup:(on_wakeup t)
+      ~on_request:(on_request t)
+      ~on_lock:(fun tid ~syncid:_ ~mutex -> request t Substrate.Lock tid ~mutex)
+      ~on_wakeup:(request t Substrate.Reacquire)
       ~on_nested_reply:(on_nested_reply t)
   in
   { base with

@@ -19,7 +19,7 @@
    during promotion.
 
    Decision-module state is the primary designation plus two promotion
-   indexes; the thread records (role flags, pending operations, arrival
+   indexes; the thread records (role flags, gates, arrival
    order) live in the substrate.  The indexes partition the live threads
    that are not suspended by their [ex_primary] flag, as {!Seq_index} sets
    of admission seqs, and are updated at every event that changes one of
@@ -97,12 +97,11 @@ let rec run_primary t (th : Substrate.thread) =
       t.primary_wants <- Some mutex
     end
   in
-  match th.pending with
-  | None -> ()
-  | Some Substrate.Resume -> Substrate.perform t.sub th
-  | Some (Substrate.Lock mutex) -> try_grant ~mutex ~action:Audit.Grant_lock
-  | Some (Substrate.Reacquire mutex) ->
-    try_grant ~mutex ~action:Audit.Grant_reacquire
+  match th.gate with
+  | Open -> ()
+  | Resume -> Substrate.perform t.sub th
+  | Lock | Reacquire ->
+    try_grant ~mutex:th.gate_mutex ~action:(Substrate.grant_action th)
 
 and promote t =
   if t.primary = None then begin
@@ -162,7 +161,7 @@ let check_last_lock t ~tid =
     when p = tid && never_locks_again t tid
          && not ((Substrate.actions t.sub).holds_any_mutex tid) ->
     let th = Substrate.thread t.sub tid in
-    if th.pending = None then begin
+    if th.gate = Open then begin
       if Substrate.observing t.sub then begin
         Substrate.incr t.sub "handoffs";
         Substrate.audit t.sub ~tid ~action:Audit.Handoff
@@ -179,7 +178,7 @@ let on_request t tid =
 
 let on_lock t tid ~syncid:_ ~mutex =
   let th = Substrate.thread t.sub tid in
-  th.pending <- Some (Substrate.Lock mutex);
+  Substrate.hold th Lock ~mutex;
   if th.is_primary then run_primary t th
   else begin
     (* A secondary blocks on its lock no matter whether it conflicts with
@@ -218,7 +217,7 @@ let on_wait t tid ~mutex =
 let on_wakeup t tid ~mutex =
   let th = Substrate.thread t.sub tid in
   th.suspended <- false;
-  th.pending <- Some (Substrate.Reacquire mutex);
+  Substrate.hold th Reacquire ~mutex;
   (* Every waiter once held the monitor, so it was primary when it locked and
      suspended as primary: resume with ex-primary priority. *)
   th.ex_primary <- true;
@@ -230,7 +229,7 @@ let on_nested_begin t tid =
   th.suspended <- true;
   if th.is_primary then begin
     th.ex_primary <- true;
-    th.pending <- Some Substrate.Resume
+    Substrate.hold th Resume ~mutex:(-1)
   end;
   reindex t th;
   if th.is_primary then demote t th
@@ -244,7 +243,7 @@ let on_nested_reply t tid =
     promote t
   else
     (* A secondary may run without restrictions. *)
-    (Substrate.actions t.sub).resume_nested tid
+    Substrate.perform t.sub th
 
 let on_terminate t tid =
   let th = Substrate.thread t.sub tid in

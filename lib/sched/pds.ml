@@ -51,7 +51,7 @@ open Detmt_runtime
 module Audit = Detmt_obs.Audit
 
 type arrival =
-  | A_lock of int (* mutex; includes monitor re-acquisitions *)
+  | A_lock (* held at a lock or re-acquisition gate *)
   | A_suspended (* condvar waits count as arrived; see [on_nested_begin] *)
 
 type t = {
@@ -70,7 +70,6 @@ type t = {
          snapshot: the member identities are gone but the occupancy must
          survive, or a recovered replica's batches would fill differently *)
   arrived : (int, arrival) Hashtbl.t;
-  reacquire : (int, unit) Hashtbl.t; (* pending op is a re-acquisition *)
   independent : (int, unit) Hashtbl.t;
       (* pPDS: members released from round discipline, running free until
          termination (their slot stays occupied, see above) *)
@@ -111,14 +110,6 @@ let fill_slots t =
       (Substrate.actions t.sub).start_thread tid
   done
 
-let grant t tid =
-  let actions = Substrate.actions t.sub in
-  if Hashtbl.mem t.reacquire tid then begin
-    Hashtbl.remove t.reacquire tid;
-    actions.grant_reacquire tid
-  end
-  else actions.grant_lock tid
-
 (* Grant every still-waiting round member whose mutex is currently free.
    Decided requests go first, in age order; a second-in-round request is
    eligible only once no decided request for its mutex remains.  Without
@@ -132,17 +123,15 @@ let grant_eligible t =
     t.round_unreleased <- (tid, mutex) :: t.round_unreleased;
     Hashtbl.replace t.round_grants tid
       (1 + Option.value ~default:0 (Hashtbl.find_opt t.round_grants tid));
+    let th = Substrate.thread t.sub tid in
     if observing t then begin
       Substrate.incr t.sub "grants";
-      Substrate.audit t.sub ~tid
-        ~action:
-          (if Hashtbl.mem t.reacquire tid then Audit.Grant_reacquire
-           else Audit.Grant_lock)
-        ~mutex ~rule
+      Substrate.audit t.sub ~tid ~action:(Substrate.grant_action th) ~mutex
+        ~rule
         ~candidates:(List.map fst t.round_waiting)
         ()
     end;
-    grant t tid
+    Substrate.perform t.sub th
   in
   let rec go () =
     let decided =
@@ -217,17 +206,15 @@ let independence_eligible t ~requests:_ (tid, mutex) =
 let launch_independent t (tid, mutex) =
   Hashtbl.replace t.independent tid ();
   Hashtbl.remove t.arrived tid;
+  let th = Substrate.thread t.sub tid in
   if observing t then begin
     Substrate.incr t.sub "independent_grants";
-    Substrate.audit t.sub ~tid
-      ~action:
-        (if Hashtbl.mem t.reacquire tid then Audit.Grant_reacquire
-         else Audit.Grant_lock)
-      ~mutex ~rule:Audit.Predicted_no_conflict
+    Substrate.audit t.sub ~tid ~action:(Substrate.grant_action th) ~mutex
+      ~rule:Audit.Predicted_no_conflict
       ~candidates:(List.filter (fun u -> u <> tid) (Fqueue.to_list t.slots))
       ()
   end;
-  grant t tid
+  Substrate.perform t.sub th
 
 (* An independent's later lock requests are granted on sight: its closure is
    unreachable for every other thread until it terminates. *)
@@ -238,7 +225,7 @@ let independent_lock t tid ~mutex =
       Substrate.audit t.sub ~tid ~action:Audit.Grant_lock ~mutex
         ~rule:Audit.Predicted_no_conflict ()
     end;
-    grant t tid
+    Substrate.perform t.sub (Substrate.thread t.sub tid)
   end
   else Waitq.push t.indep_deferred ~mutex tid
 
@@ -290,7 +277,8 @@ and check_round t =
         List.filter_map
           (fun tid ->
             match Hashtbl.find_opt t.arrived tid with
-            | Some (A_lock mutex) -> Some (tid, mutex)
+            | Some A_lock ->
+              Some (tid, (Substrate.thread t.sub tid).gate_mutex)
             | Some A_suspended | None -> None)
           (Fqueue.to_list t.slots)
       in
@@ -356,6 +344,7 @@ let rec insert_sorted x = function
   | l -> x :: l
 
 let on_lock t tid ~syncid:_ ~mutex =
+  Substrate.hold (Substrate.thread t.sub tid) Lock ~mutex;
   if Hashtbl.mem t.independent tid then independent_lock t tid ~mutex
   else
     let second_in_round =
@@ -373,7 +362,7 @@ let on_lock t tid ~syncid:_ ~mutex =
       end_round_if_done t
     end
     else begin
-      Hashtbl.replace t.arrived tid (A_lock mutex);
+      Hashtbl.replace t.arrived tid A_lock;
       if t.round_open then begin
         (* Arrived after the round was decided: wait for the next one. *)
         if observing t then begin
@@ -394,8 +383,8 @@ let on_lock t tid ~syncid:_ ~mutex =
     end
 
 let on_wakeup t tid ~mutex =
-  Hashtbl.replace t.reacquire tid ();
-  Hashtbl.replace t.arrived tid (A_lock mutex);
+  Substrate.hold (Substrate.thread t.sub tid) Reacquire ~mutex;
+  Hashtbl.replace t.arrived tid A_lock;
   if not t.round_open then check_round t
 
 let on_unlock t tid ~syncid:_ ~mutex ~freed =
@@ -445,7 +434,7 @@ let on_nested_begin t tid =
 let on_nested_reply t tid =
   (* Resume immediately: the thread free-runs to its next lock request. *)
   Hashtbl.remove t.arrived tid;
-  (Substrate.actions t.sub).resume_nested tid;
+  Substrate.perform t.sub (Substrate.thread t.sub tid);
   if not t.round_open then check_round t
 
 let on_terminate t tid =
@@ -477,7 +466,7 @@ let policy sub : Sched_iface.sched =
       backlog = Fqueue.empty; slots = Fqueue.empty;
       terminated = Hashtbl.create 16; ghost_slots = 0;
       arrived = Hashtbl.create 64;
-      reacquire = Hashtbl.create 16; independent = Hashtbl.create 16;
+      independent = Hashtbl.create 16;
       indep_deferred = Waitq.create (); round_open = false;
       round_members = []; round_grants = Hashtbl.create 16;
       round_waiting = []; second_waiting = []; round_unreleased = [];

@@ -183,24 +183,22 @@ let refresh_tid t tid =
 
 (* --------------------------- pending requests ------------------------- *)
 
-(* Both match the pending operation in place: a helper returning the
-   mutex as an option would allocate it on every lock. *)
-let set_pending t (th : Substrate.thread) op =
-  th.pending <- Some op;
-  match op with
-  | Substrate.Resume -> ()
-  | Substrate.Lock mutex | Substrate.Reacquire mutex ->
-    let w = per_mutex t.waiting mutex in
-    (* a new least waiter displaces the old one from [ready] *)
-    let h = Seq_index.min_key w in
-    if h > th.seq then Seq_index.remove t.ready h;
-    Seq_index.add w th.seq ();
-    recheck t mutex
+(* Hold the thread at a lock or re-acquisition gate and enter it as a
+   waiter of the mutex. *)
+let set_pending t (th : Substrate.thread) gate ~mutex =
+  Substrate.hold th gate ~mutex;
+  let w = per_mutex t.waiting mutex in
+  (* a new least waiter displaces the old one from [ready] *)
+  let h = Seq_index.min_key w in
+  if h > th.seq then Seq_index.remove t.ready h;
+  Seq_index.add w th.seq ();
+  recheck t mutex
 
 let clear_pending t (th : Substrate.thread) =
-  match th.pending with
-  | Some Substrate.Resume | None -> ()
-  | Some (Substrate.Lock mutex | Substrate.Reacquire mutex) ->
+  match th.gate with
+  | Open | Resume -> ()
+  | Lock | Reacquire ->
+    let mutex = th.gate_mutex in
     Seq_index.remove (per_mutex t.waiting mutex) th.seq;
     Seq_index.remove t.ready th.seq;
     recheck t mutex
@@ -236,10 +234,10 @@ let gate t =
   match Seq_index.min_key t.unpredicted with -1 -> max_int | seq -> seq
 
 let mutex_free t (th : Substrate.thread) =
-  match th.pending with
-  | None | Some Substrate.Resume -> false
-  | Some (Substrate.Lock mutex | Substrate.Reacquire mutex) ->
-    (Substrate.actions t.sub).mutex_free_for ~tid:th.tid ~mutex
+  match th.gate with
+  | Open | Resume -> false
+  | Lock | Reacquire ->
+    (Substrate.actions t.sub).mutex_free_for ~tid:th.tid ~mutex:th.gate_mutex
 
 (* The seq of the least-seq eligible pending thread, or [-1]: the first
    [ready] waiter (no smaller claim on its mutex) whose mutex is free,
@@ -259,16 +257,12 @@ let predecessors ?(p = fun _ -> true) t (th : Substrate.thread) =
 
 let grant t (th : Substrate.thread) =
   clear_pending t th;
-  (if Substrate.observing t.sub then
-     let action, mutex =
-       match th.pending with
-       | Some (Substrate.Lock mutex) -> (Audit.Grant_lock, mutex)
-       | Some (Substrate.Reacquire mutex) -> (Audit.Grant_reacquire, mutex)
-       | Some Substrate.Resume | None -> assert false
-     in
-     Substrate.incr t.sub "grants";
-     Substrate.audit t.sub ~tid:th.tid ~action ~mutex
-       ~rule:Audit.Predicted_no_conflict ~candidates:(predecessors t th) ());
+  if Substrate.observing t.sub then begin
+    Substrate.incr t.sub "grants";
+    Substrate.audit t.sub ~tid:th.tid ~action:(Substrate.grant_action th)
+      ~mutex:th.gate_mutex ~rule:Audit.Predicted_no_conflict
+      ~candidates:(predecessors t th) ()
+  end;
   Substrate.perform t.sub th
 
 (* Grant until nothing is grantable; every grant may cascade through the
@@ -310,11 +304,11 @@ let audit_deferral t (th : Substrate.thread) ~mutex =
     ~candidates ()
 
 let on_lock t tid ~syncid:_ ~mutex =
-  set_pending t (Substrate.thread t.sub tid) (Substrate.Lock mutex);
+  set_pending t (Substrate.thread t.sub tid) Lock ~mutex;
   rescan t;
   if Substrate.observing t.sub then
     match Substrate.lookup t.sub tid with
-    | th when th.pending <> None -> audit_deferral t th ~mutex
+    | th when th.gate <> Open -> audit_deferral t th ~mutex
     | _ | (exception Not_found) -> ()
 
 let on_unlock t _tid ~syncid:_ ~mutex:_ ~freed = if freed then rescan t
@@ -332,13 +326,13 @@ let on_wakeup t tid ~mutex =
      execution. *)
   let th = Substrate.enqueue t.sub ~tid in
   refresh t th;
-  set_pending t th (Substrate.Reacquire mutex);
+  set_pending t th Reacquire ~mutex;
   rescan t
 
 let on_nested_reply t tid =
   (* The thread kept its queue position; it resumes freely (only lock
      acquisitions are gated). *)
-  (Substrate.actions t.sub).resume_nested tid
+  Substrate.perform t.sub (Substrate.thread t.sub tid)
 
 let on_terminate t tid =
   withdraw t tid;

@@ -20,15 +20,11 @@
 open Detmt_runtime
 module Audit = Detmt_obs.Audit
 
-type item =
-  | Start of int
-  | Grant of int * int (* tid, mutex *)
-  | Reacquire of int * int
-  | Resume of int
-
 type t = {
   sub : Substrate.t;
-  mutable queue : item Fqueue.t; (* FIFO: head activates first *)
+  mutable queue : Substrate.thread Fqueue.t;
+      (* FIFO: head activates first — by its gate, an [Open] thread starts,
+         a held one is granted or resumed *)
   reacquires : Waitq.t; (* blocked monitor re-acquisitions, per mutex *)
   mutable active : int option;
 }
@@ -37,11 +33,8 @@ type t = {
    queues; blocked re-acquisitions in [t.reacquires].  Both preserve block
    order per mutex. *)
 
-let item_tid = function
-  | Start tid | Grant (tid, _) | Reacquire (tid, _) | Resume tid -> tid
-
-let enqueue t item =
-  t.queue <- Fqueue.push t.queue item;
+let enqueue t th =
+  t.queue <- Fqueue.push t.queue th;
   if Substrate.observing t.sub then
     Substrate.observe t.sub "queue_depth" (float_of_int (Fqueue.length t.queue))
 
@@ -55,28 +48,32 @@ let lock_free t tid =
 let rec activate_next t =
   match Fqueue.pop t.queue with
   | None -> t.active <- None
-  | Some (item, rest) -> (
+  | Some ((th : Substrate.thread), rest) -> (
     t.queue <- rest;
     let actions = Substrate.actions t.sub in
-    let fifo_audit ~tid ~action ?mutex () =
+    let tid = th.tid and mutex = th.gate_mutex in
+    let fifo_audit ~action ?mutex () =
       if Substrate.observing t.sub then begin
         Substrate.incr t.sub "activations";
         Substrate.audit t.sub ~tid ~action ?mutex ~rule:Audit.Fifo_head
-          ~candidates:(List.map item_tid (Fqueue.to_list rest))
+          ~candidates:
+            (List.map
+               (fun (u : Substrate.thread) -> u.tid)
+               (Fqueue.to_list rest))
           ()
       end
     in
-    match item with
-    | Start tid ->
+    match th.gate with
+    | Open ->
       t.active <- Some tid;
-      fifo_audit ~tid ~action:Audit.Start_thread ();
+      fifo_audit ~action:Audit.Start_thread ();
       actions.start_thread tid;
       release_token_if_lock_free t tid
-    | Grant (tid, mutex) ->
+    | Lock | Reacquire ->
       if actions.mutex_free_for ~tid ~mutex then begin
         t.active <- Some tid;
-        fifo_audit ~tid ~action:Audit.Grant_lock ~mutex ();
-        actions.grant_lock tid
+        fifo_audit ~action:(Substrate.grant_action th) ~mutex ();
+        Substrate.perform t.sub th
       end
       else begin
         (* The mutex was re-taken since this thread was queued: block again
@@ -86,28 +83,15 @@ let rec activate_next t =
           Substrate.audit t.sub ~tid ~action:Audit.Defer ~mutex
             ~rule:Audit.Mutex_held ()
         end;
-        Waitq.push (Substrate.waitq t.sub) ~mutex tid;
+        Waitq.push
+          (if th.gate = Lock then Substrate.waitq t.sub else t.reacquires)
+          ~mutex tid;
         activate_next t
       end
-    | Reacquire (tid, mutex) ->
-      if actions.mutex_free_for ~tid ~mutex then begin
-        t.active <- Some tid;
-        fifo_audit ~tid ~action:Audit.Grant_reacquire ~mutex ();
-        actions.grant_reacquire tid
-      end
-      else begin
-        if Substrate.observing t.sub then begin
-          Substrate.incr t.sub "deferrals";
-          Substrate.audit t.sub ~tid ~action:Audit.Defer ~mutex
-            ~rule:Audit.Mutex_held ()
-        end;
-        Waitq.push t.reacquires ~mutex tid;
-        activate_next t
-      end
-    | Resume tid ->
+    | Resume ->
       t.active <- Some tid;
-      fifo_audit ~tid ~action:Audit.Resume_nested ();
-      actions.resume_nested tid;
+      fifo_audit ~action:Audit.Resume_nested ();
+      Substrate.perform t.sub th;
       release_token_if_lock_free t tid)
 
 (* pSAT early handoff: the activation token is freed while the lock-free
@@ -130,19 +114,20 @@ let suspend_active t tid =
   end
 
 let on_request t tid =
-  ignore (Substrate.admit t.sub ~tid);
-  enqueue t (Start tid);
+  enqueue t (Substrate.admit t.sub ~tid);
   if t.active = None then activate_next t
 
 let on_lock t tid ~syncid:_ ~mutex =
   let actions = Substrate.actions t.sub in
+  let th = Substrate.thread t.sub tid in
+  Substrate.hold th Lock ~mutex;
   if actions.mutex_free_for ~tid ~mutex then begin
     if Substrate.observing t.sub then begin
       Substrate.incr t.sub "grants";
       Substrate.audit t.sub ~tid ~action:Audit.Grant_lock ~mutex
         ~rule:Audit.Mutex_free ()
     end;
-    actions.grant_lock tid
+    Substrate.perform t.sub th
   end
   else begin
     (* The holder must be a suspended thread; block until it releases. *)
@@ -162,15 +147,15 @@ let on_lock t tid ~syncid:_ ~mutex =
    re-acquisitions, as the original release order interleaved them per
    queue). *)
 let release_blocked t ~mutex =
-  let rec drain q wrap =
+  let rec drain q =
     match Waitq.pop q ~mutex with
     | None -> ()
     | Some tid ->
-      enqueue t (wrap tid);
-      drain q wrap
+      enqueue t (Substrate.thread t.sub tid);
+      drain q
   in
-  drain (Substrate.waitq t.sub) (fun tid -> Grant (tid, mutex));
-  drain t.reacquires (fun tid -> Reacquire (tid, mutex))
+  drain (Substrate.waitq t.sub);
+  drain t.reacquires
 
 let on_unlock t tid ~syncid:_ ~mutex ~freed =
   if freed then begin
@@ -186,12 +171,15 @@ let on_wait t tid ~mutex =
   suspend_active t tid
 
 let on_wakeup t tid ~mutex =
-  enqueue t (Reacquire (tid, mutex));
+  let th = Substrate.thread t.sub tid in
+  Substrate.hold th Reacquire ~mutex;
+  enqueue t th;
   if t.active = None then activate_next t
 
 let on_nested_begin t tid = suspend_active t tid
 
 let on_nested_reply t tid =
+  let th = Substrate.thread t.sub tid in
   if lock_free t tid then begin
     (* pSAT: a lock-free thread resumes without queueing for the token. *)
     if Substrate.observing t.sub then begin
@@ -199,10 +187,11 @@ let on_nested_reply t tid =
       Substrate.audit t.sub ~tid ~action:Audit.Resume_nested
         ~rule:Audit.Last_lock_handoff ()
     end;
-    (Substrate.actions t.sub).resume_nested tid
+    Substrate.perform t.sub th
   end
   else begin
-    enqueue t (Resume tid);
+    Substrate.hold th Resume ~mutex:(-1);
+    enqueue t th;
     if t.active = None then activate_next t
   end
 

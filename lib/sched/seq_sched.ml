@@ -15,6 +15,8 @@ type t = {
   mutable active : int option;
 }
 
+let release t tid = Substrate.perform t.sub (Substrate.thread t.sub tid)
+
 let activate_next t =
   match Queue.take_opt t.pending with
   | None -> t.active <- None
@@ -52,24 +54,20 @@ let on_lock t tid ~syncid:_ ~mutex =
     Substrate.audit t.sub ~tid ~action:Audit.Grant_lock ~mutex
       ~rule:Audit.Mutex_free ()
   end;
-  (Substrate.actions t.sub).grant_lock tid
+  release t tid
 
-let on_wakeup t tid ~mutex:_ =
-  (* A wait under SEQ can only be woken by the same request chain; resume
-     immediately.  (In practice waits deadlock under SEQ — see the paper's
-     argument for multithreading.) *)
-  (Substrate.actions t.sub).grant_reacquire tid
-
-let on_nested_reply t tid =
-  (* SEQ does not use the idle time: the active thread simply continues. *)
-  (Substrate.actions t.sub).resume_nested tid
+(* A wait under SEQ can only be woken by the same request chain; resume
+   immediately.  (In practice waits deadlock under SEQ — see the paper's
+   argument for multithreading.)  Nor does SEQ use the nested idle time:
+   the active thread simply continues on its reply. *)
+let on_wakeup t tid ~mutex:_ = release t tid
 
 let policy sub : Sched_iface.sched =
   let t = { sub; pending = Queue.create (); active = None } in
   let base =
     Sched_iface.no_op_sched ~name:(Substrate.name sub)
       ~on_request:(on_request t) ~on_lock:(on_lock t) ~on_wakeup:(on_wakeup t)
-      ~on_nested_reply:(on_nested_reply t)
+      ~on_nested_reply:(release t)
   in
   { base with
     on_terminate =

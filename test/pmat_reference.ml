@@ -21,9 +21,10 @@ let may_conflict t tid ~mutex = Substrate.future_may_lock t.sub ~tid ~mutex
 
 (* Is the pending request of [th] grantable given all queue predecessors? *)
 let eligible t ~preceding (th : Substrate.thread) =
-  match th.pending with
-  | None | Some Substrate.Resume -> false
-  | Some (Substrate.Lock mutex | Substrate.Reacquire mutex) ->
+  match th.gate with
+  | Open | Resume -> false
+  | Lock | Reacquire ->
+    let mutex = th.gate_mutex in
     (Substrate.actions t.sub).mutex_free_for ~tid:th.tid ~mutex
     && List.for_all
          (fun (u : Substrate.thread) ->
@@ -31,18 +32,13 @@ let eligible t ~preceding (th : Substrate.thread) =
          preceding
 
 let grant t ~preceding (th : Substrate.thread) =
-  (if Substrate.observing t.sub then
-     let action, mutex =
-       match th.pending with
-       | Some (Substrate.Lock mutex) -> (Audit.Grant_lock, mutex)
-       | Some (Substrate.Reacquire mutex) -> (Audit.Grant_reacquire, mutex)
-       | Some Substrate.Resume | None -> assert false
-     in
-     Substrate.incr t.sub "grants";
-     Substrate.audit t.sub ~tid:th.tid ~action ~mutex
-       ~rule:Audit.Predicted_no_conflict
-       ~candidates:(List.map (fun (u : Substrate.thread) -> u.tid) preceding)
-       ());
+  if Substrate.observing t.sub then begin
+    Substrate.incr t.sub "grants";
+    Substrate.audit t.sub ~tid:th.tid ~action:(Substrate.grant_action th)
+      ~mutex:th.gate_mutex ~rule:Audit.Predicted_no_conflict
+      ~candidates:(List.map (fun (u : Substrate.thread) -> u.tid) preceding)
+      ()
+  end;
   Substrate.perform t.sub th
 
 (* Scan the queue in order and grant every request that has become
@@ -65,7 +61,7 @@ let on_request t tid =
   (Substrate.actions t.sub).start_thread tid
 
 let on_lock t tid ~syncid:_ ~mutex =
-  (Substrate.thread t.sub tid).pending <- Some (Substrate.Lock mutex);
+  Substrate.hold (Substrate.thread t.sub tid) Lock ~mutex;
   rescan t;
   (* If the request is still pending, explain why it was deferred: either
      the mutex is genuinely held, or an unpredicted / conflicting queue
@@ -73,7 +69,7 @@ let on_lock t tid ~syncid:_ ~mutex =
      analyses). *)
   if Substrate.observing t.sub then
     match Substrate.lookup t.sub tid with
-    | th when th.pending <> None ->
+    | th when th.gate <> Open ->
       Substrate.incr t.sub "deferrals";
       Substrate.audit t.sub ~tid ~action:Audit.Defer ~mutex
         ~rule:
@@ -101,13 +97,13 @@ let on_wakeup t tid ~mutex =
   (* Re-enter at the tail, pending the monitor re-acquisition.  The position
      is deterministic: notifications are ordered by the deterministic
      execution. *)
-  (Substrate.enqueue t.sub ~tid).pending <- Some (Substrate.Reacquire mutex);
+  Substrate.hold (Substrate.enqueue t.sub ~tid) Reacquire ~mutex;
   rescan t
 
 let on_nested_reply t tid =
   (* The thread kept its queue position; it resumes freely (only lock
      acquisitions are gated). *)
-  (Substrate.actions t.sub).resume_nested tid
+  Substrate.perform t.sub (Substrate.thread t.sub tid)
 
 let on_terminate t tid =
   Substrate.retire t.sub ~tid;

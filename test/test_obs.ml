@@ -495,6 +495,38 @@ let test_profile_phases () =
   Profile.reset p;
   Alcotest.(check int) "reset clears calls" 0 (row "dispatch").Profile.p_calls
 
+(* Every release of a held thread goes through the substrate's one grant
+   path, so every registry entry reports its [grant] phase, and every entry
+   whose requests all run directly (all but the speculating wss) releases
+   the same locks, re-acquisitions and nested replies on figure1. *)
+let test_profile_grant_coverage () =
+  let grants name =
+    let p = Profile.create () in
+    ignore
+      (Detmt.Experiment.run ~obs:(Recorder.profile_only p)
+         { Detmt.Experiment.base with scheduler = name; clients = 16;
+           requests = 4 });
+    let row =
+      List.find (fun r -> r.Profile.p_phase = "grant") (Profile.phase_rows p)
+    in
+    (name, row.Profile.p_calls)
+  in
+  let counts =
+    List.map
+      (fun (spec : Detmt_sched.Registry.spec) -> grants spec.name)
+      Detmt_sched.Registry.all
+  in
+  List.iter
+    (fun (name, calls) ->
+      Alcotest.(check bool) (name ^ " times its grants") true (calls > 0))
+    counts;
+  let direct = List.filter (fun (name, _) -> name <> "wss") counts in
+  let mat = List.assoc "mat" counts in
+  List.iter
+    (fun (name, calls) ->
+      Alcotest.(check int) (name ^ " grants as many as mat") mat calls)
+    direct
+
 (* The [profile --json] document's shape, which dashboards read. *)
 let test_profile_json () =
   let p = Profile.create () in
@@ -597,6 +629,26 @@ let test_critical_path () =
     (List.length report.Critical_path.items)
     by_component_count
 
+(* A workspace run: the requests whose latency the commit barrier
+   dominated must land in a slice like every other request. *)
+let test_critical_path_commit_hold () =
+  let obs = Recorder.create () in
+  let row =
+    Detmt.Experiment.run ~obs
+      { Detmt.Experiment.base with
+        workload = Detmt.Experiment.workload "sharded-opaque";
+        scheduler = "wss"; workers = 4; clients = 32; requests = 2 }
+  in
+  let report = Critical_path.analyse obs in
+  let count slices =
+    List.fold_left (fun acc (_, s) -> acc + s.Critical_path.s_count) 0 slices
+  in
+  Alcotest.(check int) "overall slices count every answered request"
+    row.outcome.replies
+    (count report.Critical_path.by_component);
+  Alcotest.(check bool) "the commit barrier dominates some request" true
+    (List.mem_assoc "commit-hold" report.Critical_path.by_component)
+
 (* --------------------------- OpenMetrics ----------------------------- *)
 
 let test_openmetrics_golden () =
@@ -662,10 +714,14 @@ let () =
       ( "profile",
         [ Alcotest.test_case "phases + decisions + alloc" `Quick
             test_profile_phases;
-          Alcotest.test_case "json schema" `Quick test_profile_json ] );
+          Alcotest.test_case "json schema" `Quick test_profile_json;
+          Alcotest.test_case "grant phase covers every entry" `Quick
+            test_profile_grant_coverage ] );
       ( "critical-path",
         [ Alcotest.test_case "dominant components" `Quick
-            test_critical_path ] );
+            test_critical_path;
+          Alcotest.test_case "commit-hold counted" `Quick
+            test_critical_path_commit_hold ] );
       ( "openmetrics",
         [ Alcotest.test_case "golden" `Quick test_openmetrics_golden;
           Alcotest.test_case "parse round-trip" `Quick

@@ -625,9 +625,17 @@ let decision_observables ~name policy ~workers ~cls ~gen ~clients ~requests
               let ok = actions.ws_commit ~tid in
               log (`Ws_commit, tid, Bool.to_int ok);
               ok);
-          grant_lock = logged `Lock actions.grant_lock;
-          grant_reacquire = logged `Reacquire actions.grant_reacquire;
-          resume_nested = logged `Resume actions.resume_nested }
+          (* A release is logged by the gate the replica holds the thread
+             at when [proceed] is called. *)
+          proceed =
+            (fun tid ->
+              let kind =
+                match Replica.thread_status (Option.get !self) tid with
+                | Some (Replica.Reacquire_blocked _) -> `Reacquire
+                | Some (Replica.Nested_ready _) -> `Resume
+                | _ -> `Lock
+              in
+              logged kind actions.proceed tid) }
     in
     let callbacks =
       { Replica.send_reply =

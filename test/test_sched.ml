@@ -239,8 +239,7 @@ let test_freefall_completes () =
 (* Inert replica actions: every mutex is free, every call a no-op. *)
 let dummy_actions =
   { Detmt_runtime.Sched_iface.replica_id = 0;
-    start_thread = ignore; grant_lock = ignore; grant_reacquire = ignore;
-    resume_nested = ignore;
+    start_thread = ignore; proceed = ignore;
     ws_begin = (fun ~tid:_ ~record_acquisitions:_ -> ());
     ws_commit = (fun ~tid:_ -> true);
     mutex_owner = (fun _ -> None);
@@ -380,6 +379,19 @@ let test_pmat_refresh_no_allocation () =
       s.on_loop_exit 1 ~loopid:99;
       s.on_lockinfo 1 ~syncid:1 ~mutex:6)
 
+(* Holding a thread at a lock gate and releasing it through the substrate
+   allocates nothing: the gate is a constant constructor and a mutex int. *)
+let test_gate_no_allocation () =
+  let module Substrate = Detmt_sched.Substrate in
+  let sub =
+    Substrate.create ~name:"gate" ~config:Detmt_runtime.Config.default
+      dummy_actions
+  in
+  let th = Substrate.admit sub ~tid:1 in
+  No_alloc.check "minor words per held and performed lock" (fun () ->
+      Substrate.hold th Lock ~mutex:3;
+      Substrate.perform sub th)
+
 let suite =
   [ ("seq serialises everything", `Quick, test_seq_serialises_everything);
     ("seq wastes nested idle", `Quick, test_seq_wastes_nested_idle);
@@ -413,6 +425,8 @@ let suite =
     ("config api", `Quick, test_config_api);
     ("pmat: claim refresh allocates nothing", `Quick,
      test_pmat_refresh_no_allocation);
+    ("substrate: a held lock gate allocates nothing", `Quick,
+     test_gate_no_allocation);
   ]
 
 let () = Alcotest.run "sched" [ ("sched", suite) ]
