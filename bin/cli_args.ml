@@ -2,7 +2,9 @@
 
    One spelling per concept — [--scheduler], [--workload], [--seed],
    [--shards], [-o]/[--output] — so flags read the same on [run], [bench],
-   [chaos], [trace], [fingerprint] and [shard]. *)
+   [chaos], [trace], [fingerprint] and [shard].  The single-run subcommands
+   ([run], [trace], [metrics], [profile], [top]) take all their run flags
+   as one {!config} term. *)
 
 open Cmdliner
 
@@ -84,6 +86,22 @@ let latency =
     value & opt float 0.5
     & info [ "latency" ] ~docv:"MS"
         ~doc:"One-way network latency between replicas, in virtual ms.")
+
+(* The run one configuration names: the one place the single-run flags
+   become an [Experiment.config], always on [Static shards] groups. *)
+let config =
+  let make workload scheduler workers clients requests replicas seed latency
+      shards =
+    { Detmt.Experiment.base with
+      workload = Detmt.Experiment.workload workload;
+      system = Static shards; scheduler; workers; clients; requests; replicas;
+      seed = Int64.of_int seed; latency_ms = latency }
+  in
+  Term.(
+    const make $ workload $ scheduler $ workers $ clients $ requests
+    $ replicas $ seed $ latency
+    $ shards ~default:1
+        ~doc:"Run the system on this many replica groups (1 = one group).")
 
 let output =
   Arg.(

@@ -2,19 +2,21 @@
    experiments.
 
    [bench] runs any grid of the experiment registry (every figure of the
-   paper and every derived experiment) and checks its claims; [run]
-   executes a single configuration with full control over the parameters,
-   and [sched] lists the available decision modules.  All subcommands share
-   the flag vocabulary of {!Cli_args}: [--scheduler], [--workload],
-   [--seed], [--shards], [-o]. *)
+   paper and every derived experiment) and checks its claims; [run],
+   [trace], [metrics], [profile] and [top] each observe one run, described
+   by one [Experiment.config] that {!Cli_args.config} builds from the run
+   flags, on the system [Experiment.system] builds from it; and [sched]
+   lists the available decision modules.  All subcommands share the flag
+   vocabulary of {!Cli_args}: [--scheduler], [--workload], [--seed],
+   [--shards], [-o]. *)
 
 open Cmdliner
 module A = Cli_args
 
-let print_table t = Format.printf "%a@." Detmt.Table.pp t
+let render csv t =
+  if csv then Detmt.Table.to_csv t else Format.asprintf "%a@." Detmt.Table.pp t
 
-let emit csv t =
-  if csv then print_string (Detmt.Table.to_csv t) else print_table t
+let emit csv t = print_string (render csv t)
 
 (* ------------------------------ run --------------------------------- *)
 
@@ -35,14 +37,7 @@ let histogram_flag =
            ~doc:"Also print a response-time histogram.")
 
 let run_cmd =
-  let run scheduler workers clients requests replicas seed workload latency
-      histogram =
-    let config =
-      { Detmt.Experiment.base with
-        workload = Detmt.Experiment.workload workload; scheduler; workers;
-        clients; requests; replicas; seed = Int64.of_int seed;
-        latency_ms = latency }
-    in
+  let run config histogram =
     (* the histogram reads the recorder's response-time family *)
     let obs =
       if histogram then Detmt.Recorder.create () else Detmt.Recorder.disabled
@@ -58,14 +53,9 @@ let run_cmd =
         (Detmt.Hdr.cumulative h)
     | _ -> ()
   in
-  let term =
-    Term.(
-      const run $ A.scheduler $ A.workers $ A.clients $ A.requests
-      $ A.replicas $ A.seed $ A.workload $ A.latency $ histogram_flag)
-  in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one workload under one scheduler and report.")
-    term
+    Term.(const run $ A.config $ histogram_flag)
 
 (* Machine-checkable registry listing: one row per decision module with its
    determinism and prediction flags.  CI greps this to assert the registry
@@ -171,24 +161,11 @@ let write_out out s =
     close_out oc;
     Format.eprintf "wrote %s@." path
 
-(* Run one configuration on [shards] groups with the flight recorder on.
-   Determinism contract: on one group this is the exact run [detmt-cli run]
-   performs with the same flags — the recorder is read-only. *)
-let record_run ?obs ~scheduler ~workers ~clients ~requests ~replicas ~seed
-    ~workload ~latency ~shards () =
-  let obs = match obs with Some o -> o | None -> Detmt.Recorder.create () in
-  ignore
-    (Detmt.Experiment.run ~obs
-       { Detmt.Experiment.base with
-         workload = Detmt.Experiment.workload workload;
-         system = Static shards;
-         scheduler; workers; clients; requests; replicas;
-         seed = Int64.of_int seed; latency_ms = latency });
-  obs
-
-let trace_shards_arg =
-  A.shards ~default:1
-    ~doc:"Record the system with this many replica groups (1 = one group)."
+(* "<scheduler> on <workload>, C clients x R requests": the run every
+   single-run title names. *)
+let run_title what (c : Detmt.Experiment.config) =
+  Printf.sprintf "%s: %s on %s, %d clients x %d requests" what c.scheduler
+    c.workload.wname c.clients c.requests
 
 let trace_format_arg =
   let doc =
@@ -200,42 +177,20 @@ let trace_format_arg =
   Arg.(value & opt string "breakdown" & info [ "format" ] ~docv:"FMT" ~doc)
 
 let trace_cmd =
-  let run scheduler workers clients requests replicas seed workload latency
-      shards format csv out =
-    let obs =
-      record_run ~scheduler ~workers ~clients ~requests ~replicas ~seed
-        ~workload ~latency ~shards ()
-    in
+  (* Determinism contract: the recorded run is the exact run [detmt-cli run]
+     performs with the same flags — the recorder is read-only. *)
+  let run (c : Detmt.Experiment.config) format csv out =
+    let obs = Detmt.Recorder.create () in
+    ignore (Detmt.Experiment.run ~obs c);
     match format with
     | "breakdown" ->
-      let title =
-        Printf.sprintf
-          "Per-request latency breakdown (ms): %s on %s, %d clients x %d \
-           requests"
-          scheduler workload clients requests
-      in
-      let t = Detmt.Recorder.breakdown_table ~title obs in
-      (match out with
-      | None -> emit csv t
-      | Some _ ->
-        write_out out
-          (if csv then Detmt.Table.to_csv t
-           else Format.asprintf "%a@." Detmt.Table.pp t))
+      let title = run_title "Per-request latency breakdown (ms)" c in
+      write_out out (render csv (Detmt.Recorder.breakdown_table ~title obs))
     | "chrome" -> write_out out (Detmt.Chrome.to_string obs)
     | "critical" ->
-      let report = Detmt.Critical_path.analyse ~replicas obs in
-      let title =
-        Printf.sprintf
-          "Critical path: %s on %s, %d clients x %d requests" scheduler
-          workload clients requests
-      in
-      let t = Detmt.Critical_path.table ~title report in
-      (match out with
-      | None -> emit csv t
-      | Some _ ->
-        write_out out
-          (if csv then Detmt.Table.to_csv t
-           else Format.asprintf "%a@." Detmt.Table.pp t))
+      let report = Detmt.Critical_path.analyse ~replicas:c.replicas obs in
+      let title = run_title "Critical path" c in
+      write_out out (render csv (Detmt.Critical_path.table ~title report))
     | "audit" ->
       let buf = Buffer.create 4096 in
       let ppf = Format.formatter_of_buffer buf in
@@ -256,10 +211,7 @@ let trace_cmd =
           request spans: a per-request latency breakdown whose columns sum \
           to the measured response time, Chrome trace-event JSON, or the \
           scheduler decision audit log.")
-    Term.(
-      const run $ A.scheduler $ A.workers $ A.clients $ A.requests
-      $ A.replicas $ A.seed $ A.workload $ A.latency $ trace_shards_arg
-      $ trace_format_arg $ A.csv $ A.output)
+    Term.(const run $ A.config $ trace_format_arg $ A.csv $ A.output)
 
 (* Render the windowed time series as extra CSV-safe table rows: one row
    per track with the per-window headline values joined by commas — label
@@ -291,12 +243,9 @@ let series_table ~title ts =
   t
 
 let metrics_cmd =
-  let run scheduler workers clients requests replicas seed workload latency
-      shards csv json format series out =
-    let obs =
-      record_run ~scheduler ~workers ~clients ~requests ~replicas ~seed
-        ~workload ~latency ~shards ()
-    in
+  let run (c : Detmt.Experiment.config) csv json format series out =
+    let obs = Detmt.Recorder.create () in
+    ignore (Detmt.Experiment.run ~obs c);
     let m = Detmt.Recorder.metrics obs in
     match format with
     | "openmetrics" -> write_out out (Detmt.Openmetrics.export m)
@@ -304,25 +253,14 @@ let metrics_cmd =
       if json then
         write_out out (Detmt.Json.to_string (Detmt.Metrics.to_json m))
       else
-        let title =
-          Printf.sprintf "Metrics: %s on %s, %d clients x %d requests"
-            scheduler workload clients requests
-        in
-        let t = Detmt.Metrics.to_table ~title m in
-        let render t =
-          if csv then Detmt.Table.to_csv t
-          else Format.asprintf "%a@." Detmt.Table.pp t
-        in
-        let body =
-          render t
+        write_out out
+          (render csv (Detmt.Metrics.to_table ~title:(run_title "Metrics" c) m)
           ^
           if series then
-            render
+            render csv
               (series_table ~title:"Windowed series (virtual time)"
                  (Detmt.Recorder.timeseries obs))
-          else ""
-        in
-        (match out with None -> print_string body | Some _ -> write_out out body)
+          else "")
     | other ->
       Format.eprintf "unknown metrics format %S (table, openmetrics)@." other;
       exit 2
@@ -356,9 +294,8 @@ let metrics_cmd =
           $(b,-f openmetrics) emits the OpenMetrics text exposition; \
           $(b,--series) appends the windowed virtual-time series.")
     Term.(
-      const run $ A.scheduler $ A.workers $ A.clients $ A.requests
-      $ A.replicas $ A.seed $ A.workload $ A.latency $ trace_shards_arg
-      $ A.csv $ json_flag $ format_arg $ series_flag $ A.output)
+      const run $ A.config $ A.csv $ json_flag $ format_arg $ series_flag
+      $ A.output)
 
 (* ----------------------------- profile ------------------------------ *)
 
@@ -372,8 +309,7 @@ let metrics_cmd =
    interleaved pairs and never gated, since host noise alone moves a 0.1 s
    run by tens of percent. *)
 let profile_cmd =
-  let run scheduler workers clients requests replicas seed workload latency
-      shards repeats check_overhead json out =
+  let run (c : Detmt.Experiment.config) repeats check_overhead json out =
     if repeats < 1 then begin
       Format.eprintf "profile: --repeats must be >= 1@.";
       exit 2
@@ -382,9 +318,7 @@ let profile_cmd =
       Gc.compact ();
       let words0 = Gc.minor_words () in
       let t0 = Unix.gettimeofday () in
-      ignore
-        (record_run ~obs ~scheduler ~workers ~clients ~requests ~replicas
-           ~seed ~workload ~latency ~shards ());
+      ignore (Detmt.Experiment.run ~obs c);
       let wall_s = Unix.gettimeofday () -. t0 in
       { Detmt.Profile.wall_s; minor_words = Gc.minor_words () -. words0 }
     in
@@ -401,15 +335,15 @@ let profile_cmd =
     if json then
       write_out out
         (Detmt.Json.to_string
-           (Detmt.Profile.report ~scheduler ~workload ~workers ~clients
-              ~requests ~shards o p)
+           (Detmt.Profile.report ~scheduler:c.scheduler
+              ~workload:c.workload.wname ~workers:c.workers ~clients:c.clients
+              ~requests:c.requests
+              ~shards:(match c.system with Static n -> n | Autoscale _ -> 1)
+              o p)
         ^ "\n")
     else begin
-      let title =
-        Printf.sprintf "Hot-path profile: %s on %s, %d clients x %d requests"
-          scheduler workload clients requests
-      in
-      print_table (Detmt.Profile.to_table ~title p);
+      emit false
+        (Detmt.Profile.to_table ~title:(run_title "Hot-path profile" c) p);
       let a = Detmt.Profile.alloc p in
       Format.printf "allocation:    %.0f minor + %.0f major words (%.0f \
                      promoted)@."
@@ -464,9 +398,8 @@ let profile_cmd =
           and allocation (Gc.quick_stat deltas) — plus the profiler's own \
           overhead against interleaved observability-off baseline runs.")
     Term.(
-      const run $ A.scheduler $ A.workers $ A.clients $ A.requests
-      $ A.replicas $ A.seed $ A.workload $ A.latency $ trace_shards_arg
-      $ repeats_arg $ check_overhead_arg $ json_flag $ A.output)
+      const run $ A.config $ repeats_arg $ check_overhead_arg $ json_flag
+      $ A.output)
 
 (* ------------------------------- top --------------------------------- *)
 
@@ -499,43 +432,31 @@ let default_top_tracks =
    exactly the same events at the same virtual times as one uninterrupted
    run, so the displayed run is the run every other command reproduces. *)
 let top_cmd =
-  let run scheduler workers clients requests replicas seed workload latency
-      shards frame_ms delay frames no_ansi tracks =
+  let run (c : Detmt.Experiment.config) frame_ms delay frames no_ansi tracks =
     if frame_ms <= 0.0 then begin
       Format.eprintf "top: --frame-ms must be positive@.";
       exit 2
     end;
-    let { Detmt.Experiment.cls; gen; _ } = Detmt.Experiment.workload workload in
-    let params =
-      { Detmt.Active.default_params with
-        scheduler; workers; replicas; net_latency_ms = latency }
-    in
     let engine = Detmt.Engine.create () in
     let obs = Detmt.Recorder.create ~width_ms:frame_ms () in
-    (* one group is bit-identical to the unsharded path *)
-    let sys =
-      Detmt.Reconfig.create ~obs ~engine ~cls
-        ~params:
-          { Detmt.Reconfig.default_params with
-            initial_groups = shards; base = params }
-        ()
-    in
+    let sys = Detmt.Experiment.system ~obs engine c in
     let submit = Detmt.Reconfig.submit sys in
     let replies () = Detmt.Reconfig.replies_received sys in
-    let master = Detmt.Rng.create (Int64.of_int seed) in
+    let master = Detmt.Rng.create c.seed in
     let all =
-      List.init clients (fun id ->
+      List.init c.clients (fun id ->
           Detmt.Client.create_on ~engine ~submit ~id
-            ~rng:(Detmt.Rng.split master) ~gen ~max_requests:requests ())
+            ~rng:(Detmt.Rng.split master) ~gen:c.workload.gen
+            ~max_requests:c.requests ())
     in
     List.iter Detmt.Client.start all;
-    let expected = clients * requests in
+    let expected = c.clients * c.requests in
     let ts = Detmt.Recorder.timeseries obs in
     let frame = ref 0 in
     let render () =
       if not no_ansi then print_string "\027[2J\027[H";
-      Printf.printf "detmt top — %s on %s  vt=%.1f ms  frame %d\n" scheduler
-        workload (Detmt.Engine.now engine) !frame;
+      Printf.printf "detmt top — %s on %s  vt=%.1f ms  frame %d\n"
+        c.scheduler c.workload.wname (Detmt.Engine.now engine) !frame;
       Printf.printf
         "events=%d  queue=%d  replies=%d/%d\n\n"
         (Detmt.Engine.events_executed engine)
@@ -632,9 +553,8 @@ let top_cmd =
           the events of an uninterrupted one, so what you watch is the run \
           every other command reproduces.")
     Term.(
-      const run $ A.scheduler $ A.workers $ A.clients $ A.requests
-      $ A.replicas $ A.seed $ A.workload $ A.latency $ trace_shards_arg
-      $ frame_ms_arg $ delay_arg $ frames_arg $ no_ansi_flag $ track_arg)
+      const run $ A.config $ frame_ms_arg $ delay_arg $ frames_arg
+      $ no_ansi_flag $ track_arg)
 
 (* --------------------------- fingerprint ---------------------------- *)
 
@@ -661,9 +581,7 @@ let fingerprint_cmd =
     in
     List.iter
       (fun workload ->
-        let { Detmt.Experiment.cls; gen; _ } =
-          Detmt.Experiment.workload workload
-        in
+        let workload = Detmt.Experiment.workload workload in
         List.iter
           (fun scheduler ->
             (* seq deadlocks on prodcons (section 1); the stalled run still
@@ -678,25 +596,22 @@ let fingerprint_cmd =
               else Detmt.Recorder.disabled
             in
             let system =
-              Detmt.Reconfig.create ~obs ~engine ~cls
-                ~params:
-                  { Detmt.Reconfig.default_params with
-                    initial_groups = shards;
-                    base =
-                      { Detmt.Active.default_params with scheduler; workers }
-                  }
-                ()
+              Detmt.Experiment.system ~obs engine
+                { Detmt.Experiment.base with
+                  workload; system = Static shards; scheduler; workers }
             in
-            Detmt.Reconfig.run_clients system ~clients
-              ~requests_per_client:requests ~gen ~seed:(Int64.of_int seed) ();
+            ignore
+              (Detmt.Reconfig.run_clients_stats system ~clients
+                 ~requests_per_client:requests ~gen:workload.gen
+                 ~seed:(Int64.of_int seed) ());
             let replies = Detmt.Reconfig.replies_received system
             and fps =
               List.concat_map
                 (fun g -> List.map replica_fp (Detmt.Active.live_replicas g))
                 (Detmt.Reconfig.live_systems system)
             in
-            Format.printf "%-13s %-9s replies=%-3d %s@." workload scheduler
-              replies (String.concat " " fps))
+            Format.printf "%-13s %-9s replies=%-3d %s@." workload.wname
+              scheduler replies (String.concat " " fps))
           schedulers)
       workloads
   in
@@ -1137,21 +1052,21 @@ let shard_cmd =
 
 let reshard_cmd =
   let run clients requests seed scheduler autoscale swap_to =
-    let workload = Detmt.Experiment.elastic_bench_workload in
-    let cls = Detmt.Hotspot.cls workload in
-    let gen = Detmt.Hotspot.gen workload in
+    let hotspot = Detmt.Experiment.elastic_bench_workload in
+    let gen = Detmt.Hotspot.gen hotspot in
     let engine = Detmt.Engine.create () in
     let system =
-      Detmt.Reconfig.create ~engine ~cls
-        ~params:
-          { Detmt.Reconfig.default_params with
-            Detmt.Reconfig.base =
-              { Detmt.Active.default_params with scheduler } }
-        ()
+      Detmt.Experiment.system engine
+        { Detmt.Experiment.base with
+          workload =
+            { wname = "hotspot(drift=8)"; cls = Detmt.Hotspot.cls hotspot;
+              gen };
+          system =
+            (if autoscale then Autoscale Detmt.Experiment.elastic_bench_policy
+             else Static 1);
+          scheduler }
     in
-    if autoscale then
-      Detmt.Reconfig.set_autoscale system Detmt.Experiment.elastic_bench_policy
-    else begin
+    if not autoscale then begin
       Detmt.Reconfig.request_at system ~at:6.0 (Detmt.Reconfig.Split 0);
       (match swap_to with
       | Some s ->

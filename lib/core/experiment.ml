@@ -150,14 +150,29 @@ let costed f =
     Gc.minor_words () -. minor0,
     s1.Gc.major_words -. s0.Gc.major_words )
 
-let params c =
-  { Active.default_params with
-    Active.scheduler = c.scheduler; workers = c.workers;
-    replicas = c.replicas; net_latency_ms = c.latency_ms;
-    batching = c.batching;
-    config =
-      { Detmt_runtime.Config.default with
-        pds_batch = c.pds_batch; bookkeeping_overhead_ms = c.bookkeeping_ms } }
+let system ?obs ?(trace_events = false) engine c =
+  let base =
+    { Active.default_params with
+      Active.scheduler = c.scheduler; workers = c.workers;
+      replicas = c.replicas; net_latency_ms = c.latency_ms;
+      batching = c.batching;
+      config =
+        { Detmt_runtime.Config.default with
+          pds_batch = c.pds_batch; bookkeeping_overhead_ms = c.bookkeeping_ms;
+          trace_events } }
+  in
+  let initial_groups =
+    match c.system with Static n -> n | Autoscale _ -> 1
+  in
+  let t =
+    Reconfig.create ?obs ~engine ~cls:c.workload.cls
+      ~params:{ Reconfig.default_params with Reconfig.initial_groups; base }
+      ()
+  in
+  (match c.system with
+  | Autoscale policy -> Reconfig.set_autoscale t policy
+  | Static _ -> ());
+  t
 
 let flag b = if b then 1.0 else 0.0
 
@@ -188,19 +203,7 @@ let message_kinds =
 let run ?obs c =
   let obs = match obs with Some o -> o | None -> Recorder.create () in
   let engine = Engine.create () in
-  let initial_groups =
-    match c.system with Static n -> n | Autoscale _ -> 1
-  in
-  let system =
-    Reconfig.create ~obs ~engine ~cls:c.workload.cls
-      ~params:
-        { Reconfig.default_params with
-          Reconfig.initial_groups; base = params c }
-      ()
-  in
-  (match c.system with
-  | Autoscale policy -> Reconfig.set_autoscale system policy
-  | Static _ -> ());
+  let system = system ~obs engine c in
   let closed ?until_ms () =
     ignore
       (Reconfig.run_clients_stats system ~clients:c.clients
@@ -530,20 +533,12 @@ let timeline ?(scheduler = "mat") ?(workload = `Tail) () =
     | `Disjoint ->
       mk "disjoint" (W.Disjoint.cls W.Disjoint.default) W.Disjoint.gen
   in
+  let c = { base with workload = wl; scheduler; clients = 3; requests = 2 } in
   let engine = Engine.create () in
-  let group =
-    { Active.default_params with
-      scheduler;
-      config =
-        { Active.default_params.config with
-          Detmt_runtime.Config.trace_events = true } }
-  in
-  let system =
-    Reconfig.create ~engine ~cls:wl.cls
-      ~params:{ Reconfig.default_params with Reconfig.base = group }
-      ()
-  in
-  Reconfig.run_clients system ~clients:3 ~requests_per_client:2 ~gen:wl.gen ();
+  let system = system ~trace_events:true engine c in
+  ignore
+    (Reconfig.run_clients_stats system ~clients:c.clients
+       ~requests_per_client:c.requests ~gen:wl.gen ~seed:c.seed ());
   match List.concat_map Active.replicas (Reconfig.live_systems system) with
   | r :: _ ->
     Timeline.of_trace

@@ -4,8 +4,9 @@
     section 5 questions) and every derived grid (E5–E20) is one {!spec}: a
     default grid of run configurations, a run function returning uniform
     {!row}s plus free text (charts, listings), and the claims its rows must
-    satisfy.  One runner ({!run}) builds the {!Detmt_replication.Reconfig}
-    system a {!config} names; one emitter renders rows as a table, CSV or a
+    satisfy.  One constructor ({!system}) builds the
+    {!Detmt_replication.Reconfig} system a {!config} names, and one runner
+    ({!run}) drives it; one emitter renders rows as a table, CSV or a
     [BENCH_<name>.json] document.  [detmt-cli bench] and the tests are thin
     wrappers over {!specs}. *)
 
@@ -58,6 +59,20 @@ val base : config
     replicas, seed 42, {!Detmt_replication.Active.default_params}
     otherwise. *)
 
+val system :
+  ?obs:Detmt_obs.Recorder.t ->
+  ?trace_events:bool ->
+  Detmt_sim.Engine.t ->
+  config ->
+  Detmt_replication.Reconfig.t
+(** The system a configuration names, on [engine], before any client runs:
+    [Static n] groups, or one group under the [Autoscale] controller, each
+    of [replicas] replicas running [scheduler] at pool width [workers].
+    The [drive], [clients], [requests], [seed] and [workload.gen] fields are
+    the caller's to apply.  [obs] defaults to
+    {!Detmt_obs.Recorder.disabled}; [trace_events] (default [false]) keeps
+    every replica's full event list, not only its fingerprint. *)
+
 (** {2 Rows} *)
 
 type outcome = {
@@ -98,7 +113,8 @@ val metric : row -> string -> float
 (** A named counter; [nan] when the row does not carry it. *)
 
 val run : ?obs:Detmt_obs.Recorder.t -> config -> row
-(** Build the system, drive it to completion and summarise it.  [obs]
+(** Build the {!system}, drive it as [drive] says to completion and
+    summarise it.  [obs]
     defaults to a fresh enabled recorder (the series columns of {!cost});
     recorders are read-only, so the outcome never depends on it.
     @raise Failure if a closed loop deadlocks. *)
@@ -151,8 +167,9 @@ val pp_row : Format.formatter -> row -> unit
 val timeline :
   ?scheduler:string -> ?workload:[ `Tail | `Disjoint ] -> unit ->
   Detmt_sim.Timeline.t
-(** Per-thread schedule of a small run (3 clients x 2 requests on one
-    group, replica 0) — the visual form of Figures 2/3. *)
+(** Per-thread schedule of a small run: the {!system} of {!base} with 3
+    clients x 2 requests and [trace_events] on, read from replica 0 — the
+    visual form of Figures 2/3. *)
 
 val elastic_bench_policy : Detmt_replication.Reconfig.policy
 (** The E16 controller: 0.5 ms ticks, split above queue depth 4, never

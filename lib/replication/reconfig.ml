@@ -841,12 +841,6 @@ let run_clients_stats t ~clients ~requests_per_client ~gen ?think_time_ms
     ~clients ~requests_per_client ~gen ?think_time_ms ?seed ?until_ms
     ?timeout_ms ?max_retries ()
 
-let run_clients t ~clients ~requests_per_client ~gen ?think_time_ms ?seed
-    ?until_ms () =
-  ignore
-    (run_clients_stats t ~clients ~requests_per_client ~gen ?think_time_ms
-       ?seed ?until_ms ())
-
 (* ----------------------------- accessors ----------------------------- *)
 
 let epoch t = t.epoch

@@ -187,17 +187,6 @@ val run_clients_stats :
 (** Closed-loop clients against the elastic system — the same client code as
     the unsharded path, with an epoch-aware deadlock report. *)
 
-val run_clients :
-  t ->
-  clients:int ->
-  requests_per_client:int ->
-  gen:Client.request_gen ->
-  ?think_time_ms:float ->
-  ?seed:int64 ->
-  ?until_ms:float ->
-  unit ->
-  unit
-
 (** {2 Introspection} *)
 
 val epoch : t -> int

@@ -34,8 +34,6 @@ type t = {
   actions : Sched_iface.actions;
   cfg : Sched_config.t;
   instantiate : Sched_config.t -> Sched_iface.actions -> Sched_iface.sched;
-  window : int;
-  on_switch : string -> unit;
   mutable child : Sched_iface.sched;
   mutable child_name : string;
   mutable alive_threads : int;
@@ -58,13 +56,15 @@ let switch t name =
        state, which is exactly the replica's situation. *)
     assert (t.alive_threads = 0);
     t.child <- t.instantiate (child_config t.cfg name) t.actions;
-    t.child_name <- name;
-    t.on_switch name
+    t.child_name <- name
   end
+
+(* Requests observed between re-evaluations. *)
+let window = 20
 
 (* Quiescent point: re-evaluate once enough of the stream has been seen. *)
 let reconsider t =
-  if t.alive_threads = 0 && t.window_requests >= t.window then begin
+  if t.alive_threads = 0 && t.window_requests >= window then begin
     let avg_concurrency =
       float_of_int t.concurrency_sum /. float_of_int t.window_requests
     in
@@ -126,8 +126,7 @@ let iface t =
     snapshot = (fun () -> t.child.snapshot ());
     restore = (fun kv -> t.child.restore kv) }
 
-let of_config ?(window = 20) ?(on_switch = fun _ -> ()) ~instantiate
-    (cfg : Sched_config.t) actions : Sched_iface.sched =
+let of_config ~instantiate (cfg : Sched_config.t) actions : Sched_iface.sched =
   (* Prior before anything has been measured: assume moderate concurrency
      and full contention — the conflict-graph child is only picked once a
      window has demonstrated that locks do not contend. *)
@@ -135,11 +134,8 @@ let of_config ?(window = 20) ?(on_switch = fun _ -> ()) ~instantiate
     recommend ~workers:cfg.workers ~conflict_rate:1.0 ~summary:cfg.summary
       ~avg_concurrency:4.0
   in
-  let t =
-    { actions; cfg; instantiate; window; on_switch;
+  iface
+    { actions; cfg; instantiate;
       child = instantiate (child_config cfg initial) actions;
       child_name = initial; alive_threads = 0; window_requests = 0;
       concurrency_sum = 0; window_locks = 0; window_contended = 0 }
-  in
-  t.on_switch initial;
-  iface t

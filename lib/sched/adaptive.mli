@@ -3,7 +3,7 @@
     interaction patterns and the methods lock pattern").
 
     A meta-scheduler that delegates to a child scheduler and, at
-    quiescent points (no thread alive) after every [window] delivered
+    quiescent points (no thread alive) after every 20 delivered
     requests, re-evaluates which child fits the observed interaction
     pattern:
 
@@ -46,8 +46,6 @@ val recommend :
     and contention is near zero. *)
 
 val of_config :
-  ?window:int ->
-  ?on_switch:(string -> unit) ->
   instantiate:
     (Sched_config.t ->
     Detmt_runtime.Sched_iface.actions ->
@@ -59,6 +57,6 @@ val of_config :
     (the [scheduler] field is ignored — this {e is} the adaptive scheduler).
     [instantiate] builds a child from its configuration; its one value is
     {!Registry.instantiate}, passed in because the registry depends on this
-    module.  [window] (default 20) is the number of requests observed
-    between re-evaluations; [on_switch] fires with the new child's name
-    whenever the delegate changes (including the initial choice). *)
+    module.  The child is re-chosen at the first quiescent point after
+    every 20 requests; it books its recorder counters under its own name
+    ([sched.<child>.*]). *)

@@ -123,15 +123,15 @@ let determinism_tests =
 let sum_columns (b : Recorder.breakdown) =
   b.client_queue +. b.broadcast +. b.sched_start +. b.lock_wait
   +. b.policy_wait +. b.reacquire_wait +. b.condvar_wait +. b.nested_idle
-  +. b.resume_hold +. b.exec +. b.reply_net
+  +. b.resume_hold +. b.commit_hold +. b.exec +. b.reply_net
 
-let test_breakdown_sums scheduler () =
+(* [replies] runs the system with [obs] on and returns its answered
+   requests; the result is the checked breakdowns. *)
+let check_breakdown_sums replies =
   let obs = Recorder.create () in
-  let system = run ~scheduler ~obs () in
+  let replies = replies obs in
   let bs = Recorder.breakdowns obs in
-  Alcotest.(check int)
-    "one breakdown per answered request"
-    (Active.replies_received system)
+  Alcotest.(check int) "one breakdown per answered request" replies
     (List.length bs);
   List.iter
     (fun (b : Recorder.breakdown) ->
@@ -147,9 +147,31 @@ let test_breakdown_sums scheduler () =
           ("policy_wait", b.policy_wait);
           ("reacquire_wait", b.reacquire_wait);
           ("condvar_wait", b.condvar_wait); ("nested_idle", b.nested_idle);
-          ("resume_hold", b.resume_hold); ("exec", b.exec);
-          ("reply_net", b.reply_net) ])
-    bs
+          ("resume_hold", b.resume_hold); ("commit_hold", b.commit_hold);
+          ("exec", b.exec); ("reply_net", b.reply_net) ])
+    bs;
+  bs
+
+let test_breakdown_sums scheduler () =
+  ignore
+    (check_breakdown_sums (fun obs ->
+         Active.replies_received (run ~scheduler ~obs ())))
+
+(* The parallel family under the commit barrier: wss@4 on sharded-opaque
+   holds some requests at commit (3 of them commit-dominated). *)
+let test_breakdown_sums_commit_hold () =
+  let bs =
+    check_breakdown_sums (fun obs ->
+        let row =
+          Detmt.Experiment.run ~obs
+            { Detmt.Experiment.base with
+              workload = Detmt.Experiment.workload "sharded-opaque";
+              scheduler = "wss"; workers = 4; clients = 32; requests = 2 }
+        in
+        row.outcome.replies)
+  in
+  Alcotest.(check bool) "the commit barrier holds some request" true
+    (List.exists (fun (b : Recorder.breakdown) -> b.commit_hold > 0.0) bs)
 
 let breakdown_tests =
   List.map
@@ -157,6 +179,8 @@ let breakdown_tests =
       Alcotest.test_case (Printf.sprintf "breakdowns sum to total: %s" s)
         `Quick (test_breakdown_sums s))
     [ "seq"; "sat"; "lsa"; "pds"; "mat"; "mat-ll"; "pmat" ]
+  @ [ Alcotest.test_case "breakdowns sum to total: wss@4 sharded-opaque"
+        `Quick test_breakdown_sums_commit_hold ]
 
 (* --------------------------- Chrome export -------------------------- *)
 

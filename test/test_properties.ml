@@ -180,8 +180,9 @@ let sharded_reply_table (cls, seed) ~scheduler =
     Detmt_replication.Shard.create ~engine ~cls
       ~params:{ Detmt_replication.Shard.shards = 1; base } ()
   in
-  R.run_clients system ~clients:4 ~requests_per_client:3 ~gen:fuzz_gen ~seed
-    ();
+  ignore
+    (R.run_clients_stats system ~clients:4 ~requests_per_client:3
+       ~gen:fuzz_gen ~seed ());
   ( R.replies_received system,
     R.reply_times system,
     List.map
@@ -222,8 +223,9 @@ let elastic_run (cls, seed) ~scheduler ~commands =
   List.iter
     (fun (at, c) -> Detmt_replication.Reconfig.request_at system ~at c)
     commands;
-  Detmt_replication.Reconfig.run_clients system ~clients:4
-    ~requests_per_client:3 ~gen:fuzz_gen ~seed ();
+  ignore
+    (Detmt_replication.Reconfig.run_clients_stats system ~clients:4
+       ~requests_per_client:3 ~gen:fuzz_gen ~seed ());
   system
 
 let split_merge_cycle =

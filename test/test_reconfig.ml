@@ -59,8 +59,9 @@ let test_one_group_equals_one_shard () =
   in
   let run_elastic () =
     let _, system, _ = make ~cross:0.3 () in
-    Reconfig.run_clients system ~clients:8 ~requests_per_client:5 ~gen
-      ~seed:3L ();
+    ignore
+      (Reconfig.run_clients_stats system ~clients:8 ~requests_per_client:5
+         ~gen ~seed:3L ());
     ( Reconfig.replies_received system,
       Reconfig.reply_times system,
       Active.order_fingerprint (List.hd (Reconfig.live_systems system)) )

@@ -177,13 +177,34 @@ let test_open_loop_backlog_grows_when_saturated () =
 
 let test_adaptive_phase_switch () =
   (* Phase 1: strictly sequential deliveries (drain between requests) ->
-     the analyser picks SEQ.  Phase 2: a concurrent burst -> it picks PMAT
-     (the class is fully predictable). *)
+     the analyser picks SEQ.  Phase 2: concurrent bursts -> it picks PMAT
+     (the class is fully predictable).  The analyser re-decides after every
+     20 requests, so each phase spans a window and then runs some requests
+     under its choice; the meta-scheduler books under its children's names,
+     so the recorder's sched.<child>.* counters show which child ran. *)
   let wl = Detmt_workload.Disjoint.default in
   let cls = Detmt_workload.Disjoint.cls wl in
   let instrumented, summary = Detmt_transform.Transform.predictive cls in
   let engine = Engine.create () in
-  let switches = ref [] in
+  let obs = Detmt_obs.Recorder.create () in
+  let counters () =
+    let m = Detmt_obs.Recorder.metrics obs in
+    List.map
+      (fun name -> (name, Detmt_obs.Metrics.counter_value m name))
+      (Detmt_obs.Metrics.names m)
+  in
+  (* the children that booked a counter since the [before] snapshot *)
+  let ran_since before =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (name, v) ->
+           match String.split_on_char '.' name with
+           | "sched" :: child :: _
+             when v > Option.value ~default:0 (List.assoc_opt name before) ->
+             Some child
+           | _ -> None)
+         (counters ()))
+  in
   let callbacks =
     { Detmt_runtime.Replica.send_reply = (fun _ -> ());
       do_nested = (fun ~tid:_ ~call_index:_ ~service:_ ~duration:_ -> ());
@@ -192,8 +213,7 @@ let test_adaptive_phase_switch () =
       is_leader = (fun () -> true) }
   in
   let make_sched actions =
-    Detmt_sched.Adaptive.of_config ~window:6
-      ~on_switch:(fun name -> switches := name :: !switches)
+    Detmt_sched.Adaptive.of_config
       ~instantiate:Detmt_sched.Registry.instantiate
       (Detmt_sched.Sched_config.make ~runtime:zero_overhead ~summary
          "adaptive")
@@ -201,7 +221,7 @@ let test_adaptive_phase_switch () =
   in
   let replica =
     Detmt_runtime.Replica.create ~engine ~id:0 ~cls:instrumented
-      ~config:zero_overhead ~callbacks ~make_sched ()
+      ~config:zero_overhead ~obs ~callbacks ~make_sched ()
   in
   let rng = Rng.create 1L in
   let uid = ref 0 in
@@ -212,23 +232,27 @@ let test_adaptive_phase_switch () =
          ~args ~sent_at:(Engine.now engine));
     incr uid
   in
-  (* phase 1: one at a time *)
-  for _ = 1 to 8 do
-    deliver ();
-    Engine.run engine
-  done;
-  (* phase 2: bursts of six *)
-  for _ = 1 to 3 do
-    for _ = 1 to 6 do
+  let burst n =
+    for _ = 1 to n do
       deliver ()
     done;
     Engine.run engine
+  in
+  (* phase 1: one at a time *)
+  for _ = 1 to 24 do
+    burst 1
   done;
-  let history = List.rev !switches in
+  let phase1 = ran_since [] in
+  (* phase 2: bursts of six *)
+  for _ = 1 to 3 do
+    burst 6
+  done;
+  let before = counters () in
+  burst 6;
   Alcotest.check b "sequential phase selected seq" true
-    (List.mem "seq" history);
+    (List.mem "seq" phase1);
   Alcotest.(check string) "concurrent phase selected pmat" "pmat"
-    (List.nth history (List.length history - 1));
+    (String.concat "," (ran_since before));
   Alcotest.(check int) "everything processed" !uid
     (Detmt_runtime.Replica.completed_requests replica)
 

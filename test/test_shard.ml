@@ -25,8 +25,9 @@ let make ?(scheduler = "mat") ?batching ~shards ~cross () =
   (engine, system, Detmt_workload.Sharded.gen workload)
 
 let drive ?(clients = 8) ?(requests = 4) ?(seed = 7L) system gen =
-  Reconfig.run_clients system ~clients ~requests_per_client:requests ~gen ~seed
-    ()
+  ignore
+    (Reconfig.run_clients_stats system ~clients ~requests_per_client:requests
+       ~gen ~seed ())
 
 (* ------------------------------ router ------------------------------ *)
 
@@ -160,8 +161,9 @@ let test_cross_shard_forced () =
   let gen ~client:_ ~seq:_ _rng =
     ("transfer", [| Detmt_lang.Ast.Vmutex a; Detmt_lang.Ast.Vmutex bb |])
   in
-  Reconfig.run_clients system ~clients:4 ~requests_per_client:3 ~gen
-    ~seed:5L ();
+  ignore
+    (Reconfig.run_clients_stats system ~clients:4 ~requests_per_client:3 ~gen
+       ~seed:5L ());
   ignore engine;
   Alcotest.(check int) "all replies" 12 (Shard.replies_received system);
   Alcotest.(check int) "every request crossed" 12
@@ -179,8 +181,9 @@ let test_self_transfer_fast_path () =
   let gen ~client:_ ~seq:_ _rng =
     ("transfer", [| Detmt_lang.Ast.Vmutex 3; Detmt_lang.Ast.Vmutex 3 |])
   in
-  Reconfig.run_clients system ~clients:4 ~requests_per_client:3 ~gen
-    ~seed:5L ();
+  ignore
+    (Reconfig.run_clients_stats system ~clients:4 ~requests_per_client:3 ~gen
+       ~seed:5L ());
   ignore engine;
   Alcotest.(check int) "all replies" 12 (Shard.replies_received system);
   Alcotest.(check int) "no cross-shard deliveries" 0
