@@ -176,33 +176,42 @@ let trace_format_arg =
   in
   Arg.(value & opt string "breakdown" & info [ "format" ] ~docv:"FMT" ~doc)
 
+(* Every format [trace] accepts, in the order its usage text names them,
+   with its renderer: the one list an unknown [--format] is told about. *)
+let trace_formats =
+  [ ( "breakdown",
+      fun ~csv (c : Detmt.Experiment.config) obs ->
+        let title = run_title "Per-request latency breakdown (ms)" c in
+        render csv (Detmt.Recorder.breakdown_table ~title obs) );
+    ("chrome", fun ~csv:_ _ obs -> Detmt.Chrome.to_string obs);
+    ( "audit",
+      fun ~csv:_ _ obs ->
+        let buf = Buffer.create 4096 in
+        let ppf = Format.formatter_of_buffer buf in
+        List.iter
+          (fun e -> Format.fprintf ppf "%a@." Detmt.Audit.pp_entry e)
+          (Detmt.Recorder.audit_entries obs);
+        Format.pp_print_flush ppf ();
+        Buffer.contents buf );
+    ( "critical",
+      fun ~csv (c : Detmt.Experiment.config) obs ->
+        let report = Detmt.Critical_path.analyse ~replicas:c.replicas obs in
+        let title = run_title "Critical path" c in
+        render csv (Detmt.Critical_path.table ~title report) ) ]
+
 let trace_cmd =
   (* Determinism contract: the recorded run is the exact run [detmt-cli run]
      performs with the same flags — the recorder is read-only. *)
   let run (c : Detmt.Experiment.config) format csv out =
-    let obs = Detmt.Recorder.create () in
-    ignore (Detmt.Experiment.run ~obs c);
-    match format with
-    | "breakdown" ->
-      let title = run_title "Per-request latency breakdown (ms)" c in
-      write_out out (render csv (Detmt.Recorder.breakdown_table ~title obs))
-    | "chrome" -> write_out out (Detmt.Chrome.to_string obs)
-    | "critical" ->
-      let report = Detmt.Critical_path.analyse ~replicas:c.replicas obs in
-      let title = run_title "Critical path" c in
-      write_out out (render csv (Detmt.Critical_path.table ~title report))
-    | "audit" ->
-      let buf = Buffer.create 4096 in
-      let ppf = Format.formatter_of_buffer buf in
-      List.iter
-        (fun e -> Format.fprintf ppf "%a@." Detmt.Audit.pp_entry e)
-        (Detmt.Recorder.audit_entries obs);
-      Format.pp_print_flush ppf ();
-      write_out out (Buffer.contents buf)
-    | other ->
-      Format.eprintf "unknown trace format %S (breakdown, chrome, audit)@."
-        other;
+    match List.assoc_opt format trace_formats with
+    | None ->
+      Format.eprintf "unknown trace format %S (%s)@." format
+        (String.concat ", " (List.map fst trace_formats));
       exit 2
+    | Some export ->
+      let obs = Detmt.Recorder.create () in
+      ignore (Detmt.Experiment.run ~obs c);
+      write_out out (export ~csv c obs)
   in
   Cmd.v
     (Cmd.info "trace"
@@ -442,14 +451,9 @@ let top_cmd =
     let sys = Detmt.Experiment.system ~obs engine c in
     let submit = Detmt.Reconfig.submit sys in
     let replies () = Detmt.Reconfig.replies_received sys in
-    let master = Detmt.Rng.create c.seed in
-    let all =
-      List.init c.clients (fun id ->
-          Detmt.Client.create_on ~engine ~submit ~id
-            ~rng:(Detmt.Rng.split master) ~gen:c.workload.gen
-            ~max_requests:c.requests ())
-    in
-    List.iter Detmt.Client.start all;
+    ignore
+      (Detmt.Client.start_clients ~engine ~submit ~clients:c.clients
+         ~requests_per_client:c.requests ~gen:c.workload.gen ~seed:c.seed ());
     let expected = c.clients * c.requests in
     let ts = Detmt.Recorder.timeseries obs in
     let frame = ref 0 in

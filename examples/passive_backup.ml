@@ -38,7 +38,7 @@ let () =
     let meth = if Rng.bool rng 0.6 then "deposit" else "withdraw" in
     Passive.submit passive ~client:0 ~client_req:i ~meth
       ~args:[| Ast.Vmutex (Rng.int rng 4) |]
-      ~on_reply:(fun ~response_ms:_ -> ())
+      ~on_reply:(fun ~client:_ ~client_req:_ ~response_ms:_ -> ())
   in
   for i = 0 to 19 do send i done;
   Engine.run engine;

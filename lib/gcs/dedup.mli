@@ -3,9 +3,20 @@
     "Additional replication logic that is transparent to the client ensures a
     unique message identifier for each client request enabling replicas to
     ignore duplicated requests."  Identifiers are [(client_id, request_no)]
-    pairs. *)
+    pairs, packed into one [int] by {!key}; the set is open-addressed, so
+    {!mark} and {!seen} allocate nothing until the table doubles. *)
 
 type t
+
+val key : client:int -> request:int -> int
+(** The packed identifier: [(client + 1) * 2^32 + request].  Client [-1]
+    (the PDS fillers) packs below every real client, and packed keys sort
+    like the [(client, request)] pairs.
+    @raise Invalid_argument unless [-1 <= client < 2^30] and
+    [0 <= request < 2^32]. *)
+
+val unkey : int -> int * int
+(** [unkey (key ~client ~request) = (client, request)]. *)
 
 val create : unit -> t
 

@@ -5,9 +5,10 @@ type 'a subscriber = {
   id : int;
   mutable handler : 'a Message.t -> unit;
   mutable alive : bool;
-  mutable last_delivery : float;
-      (* FIFO floor: deliveries to one subscriber never reorder even if the
-         latency function is not monotone *)
+  last_delivery : float array;
+      (* one cell, the FIFO floor: deliveries to one subscriber never
+         reorder even if the latency function is not monotone.  A flat
+         float array keeps it unboxed. *)
   mutable last_seq : int;
       (* highest sequence number handed to the application: the GCS delivers
          exactly once even when the transport duplicates a packet *)
@@ -109,7 +110,9 @@ let deliver_one t sub (msg : 'a Message.t) =
     if Recorder.enabled t.obs then Recorder.incr t.obs "totem.dedup_hits"
   end
 
-let ib_append sub ~due msg =
+(* [msg] is the broadcast's one [Some] cell, shared by every subscriber's
+   inbox. *)
+let[@inline] ib_append sub ~due msg =
   let cap = Array.length sub.ib_due in
   if sub.ib_len = cap then begin
     let ncap = max 8 (2 * cap) in
@@ -126,14 +129,14 @@ let ib_append sub ~due msg =
   let mask = Array.length sub.ib_due - 1 in
   let idx = (sub.ib_head + sub.ib_len) land mask in
   sub.ib_due.(idx) <- due;
-  sub.ib_msg.(idx) <- Some msg;
+  sub.ib_msg.(idx) <- msg;
   sub.ib_len <- sub.ib_len + 1
 
 (* Schedule a drain of [sub] at [time] unless one is already armed for
    exactly that instant (fused same-instant delivery).  A drain pending at
    a different instant never covers this one: it would fire at a different
    virtual time and change when the message reaches the application. *)
-let arm_drain t sub ~time =
+let[@inline] arm_drain t sub ~time =
   let n = sub.dt_len in
   let lo = ref 0 and hi = ref n in
   while !lo < !hi do
@@ -205,58 +208,68 @@ let drain t sub =
     done
   end
 
+(* Queue one point-to-point delivery of [msg] (boxed once per broadcast in
+   [some_msg]) to a live [sub]: fault plan, explorer oracle, FIFO floor,
+   inbox and drain.  The fault-free path builds no plan and no closure; its
+   times stay unboxed up to the engine post. *)
+let transmit_to t sub some_msg (msg : 'a Message.t) =
+  t.deliveries <- t.deliveries + 1;
+  let seq = msg.Message.seq and sender = msg.Message.sender in
+  let now = Engine.now t.engine in
+  let base = t.latency ~sender ~dest:sub.id in
+  let plan =
+    match t.faults with
+    | None -> None
+    | Some f ->
+      Some
+        (Faults.plan f ~seq ~sender ~dest:sub.id ~sent_at:now
+           ~base_latency_ms:base)
+  in
+  let arrival =
+    match plan with None -> now +. base | Some d -> d.Faults.arrival_ms
+  in
+  if Recorder.enabled t.obs then begin
+    Recorder.incr t.obs "totem.transmissions";
+    match plan with
+    | Some { Faults.retransmits; _ } when retransmits > 0 ->
+      Recorder.incr t.obs ~by:retransmits "totem.retransmits"
+    | _ -> ()
+  end;
+  (* Explorer hook: perturb this one delivery.  The FIFO floor below still
+     applies, so per-subscriber sequence order — the GCS contract — survives
+     any oracle. *)
+  let arrival =
+    match t.delivery_oracle with
+    | None -> arrival
+    | Some oracle ->
+      arrival
+      +. Float.max 0.0 (oracle ~seq ~sender ~dest:sub.id ~planned_ms:arrival)
+  in
+  let floor = sub.last_delivery.(0) in
+  let time = if arrival > floor then arrival else floor in
+  sub.last_delivery.(0) <- time;
+  ib_append sub ~due:time some_msg;
+  arm_drain t sub ~time;
+  (* The duplicate copy trails the (floored) first delivery, so it can never
+     deliver out of order; the watermark suppresses it. *)
+  match plan with
+  | Some { Faults.duplicate_extra_ms = Some extra; _ } ->
+    let dup_time = time +. extra in
+    ib_append sub ~due:dup_time some_msg;
+    arm_drain t sub ~time:dup_time
+  | _ -> ()
+
+let rec transmit_each t some_msg msg = function
+  | [] -> ()
+  | sub :: rest ->
+    if sub.alive then transmit_to t sub some_msg msg;
+    transmit_each t some_msg msg rest
+
 (* Put one sequenced message on the wire: schedule its per-subscriber
    deliveries (fault plans, FIFO floors, watermarks).  With batching, this
    runs at flush time rather than broadcast time, so arrival times are
    computed from the instant the batch actually hits the network. *)
-let transmit t (msg : 'a Message.t) =
-  let now = Engine.now t.engine in
-  let seq = msg.Message.seq and sender = msg.Message.sender in
-  let deliver_to sub =
-    if sub.alive then begin
-      t.deliveries <- t.deliveries + 1;
-      let base = t.latency ~sender ~dest:sub.id in
-      let arrival, dup_extra, retransmits =
-        match t.faults with
-        | None -> (now +. base, None, 0)
-        | Some f ->
-          let d =
-            Faults.plan f ~seq ~sender ~dest:sub.id ~sent_at:now
-              ~base_latency_ms:base
-          in
-          (d.Faults.arrival_ms, d.Faults.duplicate_extra_ms, d.Faults.retransmits)
-      in
-      if Recorder.enabled t.obs then begin
-        Recorder.incr t.obs "totem.transmissions";
-        if retransmits > 0 then
-          Recorder.incr t.obs ~by:retransmits "totem.retransmits"
-      end;
-      (* Explorer hook: perturb this one delivery.  The FIFO floor below
-         still applies, so per-subscriber sequence order — the GCS contract
-         — survives any oracle. *)
-      let arrival =
-        match t.delivery_oracle with
-        | None -> arrival
-        | Some oracle ->
-          arrival
-          +. Float.max 0.0
-               (oracle ~seq ~sender ~dest:sub.id ~planned_ms:arrival)
-      in
-      let time = Float.max arrival sub.last_delivery in
-      sub.last_delivery <- time;
-      ib_append sub ~due:time msg;
-      arm_drain t sub ~time;
-      (* The duplicate copy trails the (floored) first delivery, so it can
-         never deliver out of order; the watermark suppresses it. *)
-      Option.iter
-        (fun extra ->
-          let dup_time = time +. extra in
-          ib_append sub ~due:dup_time msg;
-          arm_drain t sub ~time:dup_time)
-        dup_extra
-    end
-  in
-  List.iter deliver_to t.subscribers
+let transmit t msg = transmit_each t (Some msg) msg t.subscribers
 
 (* Flush the pending batch onto the wire in sequence order.  Bumping the
    epoch cancels the delay timer armed when the batch opened (a timer that
@@ -316,7 +329,7 @@ let subscribe t ~id handler =
     t.by_id <- by_id
   end;
   let sub =
-    { id; handler; alive = true; last_delivery = 0.0; last_seq = -1;
+    { id; handler; alive = true; last_delivery = [| 0.0 |]; last_seq = -1;
       watermark_floor = -1; ib_due = [||]; ib_msg = [||]; ib_head = 0;
       ib_len = 0; dt = [||]; dt_len = 0 }
   in
@@ -334,7 +347,7 @@ let resubscribe t ~id handler =
   | Some s ->
     s.handler <- handler;
     s.alive <- true;
-    s.last_delivery <- Engine.now t.engine
+    s.last_delivery.(0) <- Engine.now t.engine
 
 let broadcast t ~sender payload =
   let seq = t.next_seq in
@@ -357,7 +370,7 @@ let broadcast t ~sender payload =
       (* First message of a fresh batch arms the flush timer; the epoch
          argument invalidates it if the batch flushes early. *)
       Engine.post t.engine ~delay:b.delay_ms t.flush_h t.flush_epoch);
-  seq
+  msg
 
 (* After an out-of-band state transfer the replication layer owns every
    message up to [seq]; stale in-flight copies (retransmits, duplicates,
@@ -393,7 +406,9 @@ let watermark_suppressed t = t.watermark_suppressed
 let faults t = t.faults
 
 let count_kind t kind =
-  let n = Option.value ~default:0 (Hashtbl.find_opt t.kinds kind) in
+  let n =
+    match Hashtbl.find t.kinds kind with n -> n | exception Not_found -> 0
+  in
   Hashtbl.replace t.kinds kind (n + 1);
   if Recorder.enabled t.obs then Recorder.incr t.obs ("totem.msg." ^ kind)
 

@@ -59,10 +59,15 @@ val resubscribe : 'a t -> id:int -> ('a Message.t -> unit) -> unit
     here — state transfer is the replication layer's job.
     @raise Invalid_argument on an unknown id. *)
 
-val broadcast : 'a t -> sender:int -> 'a -> int
-(** Stamp and enqueue a message to all live subscribers; returns the sequence
-    number.  The sender also receives its own message (self-delivery), as in
-    closed-group total-order protocols. *)
+val broadcast : 'a t -> sender:int -> 'a -> 'a Message.t
+(** Stamp and enqueue a message to all live subscribers; returns the stamped
+    message (its [seq] is the total-order slot), the very record every
+    subscriber receives.  The sender also receives its own message
+    (self-delivery), as in closed-group total-order protocols.
+
+    A broadcast allocates the message and one [Some] cell its subscribers'
+    inboxes share; queueing a fault-free delivery allocates no closure, no
+    plan and no float box before the engine post. *)
 
 val advance_watermark : 'a t -> id:int -> seq:int -> unit
 (** Raise the subscriber's exactly-once watermark to [seq] (no-op when

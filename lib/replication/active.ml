@@ -41,6 +41,8 @@ let default_params =
 type checkpoint_sink =
   replica:int -> seq:int -> hash:int64 -> state:(string * int) list -> unit
 
+type on_reply = client:int -> client_req:int -> response_ms:float -> unit
+
 type t = {
   engine : Engine.t;
   params : params;
@@ -52,18 +54,22 @@ type t = {
   mutable dedups : Dedup.t array;
   summary : Detmt_analysis.Predict.class_summary option;
   scheduler : Detmt_sched.Registry.spec;
-  (* client-side bookkeeping *)
-  reply_waiters : (int * int, float * (response_ms:float -> unit)) Hashtbl.t;
-      (* (client, client_req) -> (sent_at, callback) *)
-  answered : (int * int, unit) Hashtbl.t;
+  (* client-side bookkeeping, keyed by [Dedup.key] of (client,
+     client_req) *)
+  reply_waiters : (int, int) Hashtbl.t; (* key -> waiter slot *)
+  wt : Freelist.t;
+  mutable wt_sent : float array; (* per waiter: submission time *)
+  mutable wt_cb : on_reply array; (* per waiter: the client callback *)
+  answered : Dedup.t;
       (* requests already answered at the client: with retries in play a
          late replica reply must never fire the callback a second time *)
   response_times : Detmt_stats.Summary.t;
   mutable replies : int;
   mutable duplicate_client_replies : int;
-  mutable reply_times : float list; (* arrival times at clients, reversed *)
-  (* nested invocations outstanding: (tid, call_index) -> (service, dur) *)
-  outstanding_nested : (int * int, int * float) Hashtbl.t;
+  mutable reply_times : float array; (* arrival times at clients, in order *)
+  mutable n_reply_times : int;
+  (* nested invocations outstanding: [nested_key] -> duration *)
+  outstanding_nested : (int, float) Hashtbl.t;
   mutable dummy_seq : int;
   (* recovery bookkeeping *)
   log : payload Message.t Queue.t;
@@ -83,37 +89,37 @@ type t = {
      saw every epoch transition at the same total-order slot *)
   barrier_fp : int64 array;
   barrier_seen : int array;
-  (* pooled reply-delivery events: a replica's send_reply posts one typed
-     event whose argument is a pool slot holding (from_replica, request),
-     so the per-reply client-latency hop allocates nothing *)
-  mutable rp_from : int array; (* sender replica; freelist link when free *)
+  (* Pooled typed events: each hop posts one event whose argument is a
+     slot of its pool, so no hop allocates a closure.  The reply hop
+     (replica -> client) holds (from_replica, request); the submit hop
+     (client -> sequencer) the request payload and its [on_ordered]; the
+     nested hop (the external service call) its performer and
+     [nested_key]. *)
+  rp : Freelist.t;
+  mutable rp_from : int array;
   mutable rp_req : Request.t array;
-  mutable rp_free : int;
-  mutable rp_cap : int;
   mutable reply_h : Engine.handler_id;
+  sb : Freelist.t;
+  mutable sb_payload : payload array;
+  mutable sb_ordered : (seq:int -> unit) option array;
+  mutable submit_h : Engine.handler_id;
+  nx : Freelist.t;
+  mutable nx_by : int array;
+  mutable nx_key : int array;
+  mutable nested_h : Engine.handler_id;
 }
 
 let blank_request = Request.dummy ~uid:(-1) ~sent_at:0.0
 
-let rp_grow t =
-  let cap = max 16 (2 * t.rp_cap) in
-  let from = Array.make cap (-1) and req = Array.make cap blank_request in
-  Array.blit t.rp_from 0 from 0 t.rp_cap;
-  Array.blit t.rp_req 0 req 0 t.rp_cap;
-  for i = t.rp_cap to cap - 2 do
-    from.(i) <- i + 1
-  done;
-  from.(cap - 1) <- -1;
-  t.rp_free <- t.rp_cap;
-  t.rp_from <- from;
-  t.rp_req <- req;
-  t.rp_cap <- cap
+let blank_payload = P_control Sched_iface.View_change
 
-let rp_alloc t =
-  if t.rp_free < 0 then rp_grow t;
-  let s = t.rp_free in
-  t.rp_free <- t.rp_from.(s);
-  s
+let ignore_reply ~client:_ ~client_req:_ ~response_ms:_ = ()
+
+(* (tid, call_index) packed into one int; sorts like the pair. *)
+let nested_key ~tid ~call_index =
+  if tid < 0 || call_index < 0 || call_index >= 1 lsl 31 then
+    invalid_arg "Active: nested call key out of range";
+  (tid lsl 31) lor call_index
 
 let leader_id t = Group.leader t.grp
 
@@ -136,9 +142,9 @@ let payload_id = function
    rejoining replica missed. *)
 let bcast t ~sender ~kind payload =
   Totem.count_kind t.bus kind;
-  let seq = Totem.broadcast t.bus ~sender payload in
-  Queue.push { Message.seq; sender; sent_at = Engine.now t.engine; payload }
-    t.log;
+  let msg = Totem.broadcast t.bus ~sender payload in
+  let seq = msg.Message.seq in
+  Queue.push msg t.log;
   t.last_seq <- seq;
   t.order_fp <-
     order_mix
@@ -172,23 +178,31 @@ let trim_log t =
 
 (* Every replica registers the outstanding call (so a view change can
    re-issue calls the dead invoker never completed); only the invoker
-   schedules the external service. *)
-let register_nested t ~tid ~call_index ~service ~duration =
-  if not (Hashtbl.mem t.outstanding_nested (tid, call_index)) then
-    Hashtbl.replace t.outstanding_nested (tid, call_index) (service, duration)
+   schedules the external service.  The service id plays no part in the
+   reply, so only the duration is kept. *)
+let register_nested t ~key ~duration =
+  if not (Hashtbl.mem t.outstanding_nested key) then
+    Hashtbl.add t.outstanding_nested key duration
 
-let perform_nested t ~by ~tid ~call_index ~service ~duration =
-  register_nested t ~tid ~call_index ~service ~duration;
-  Engine.schedule t.engine ~delay:duration (fun () ->
-      (* Do not answer twice, and a replica that died while the external call
-         was in flight cannot spread the reply (the new leader re-issues). *)
-      if
-        Hashtbl.mem t.outstanding_nested (tid, call_index)
-        && Group.alive t.grp by
-      then
-        ignore
-          (bcast t ~sender:(-2) ~kind:"nested-reply"
-             (P_nested_reply { tid; call_index })))
+let perform_nested t ~by ~key ~duration =
+  register_nested t ~key ~duration;
+  let s = Freelist.alloc t.nx in
+  t.nx_by <- Freelist.fit t.nx_by t.nx 0;
+  t.nx_key <- Freelist.fit t.nx_key t.nx 0;
+  t.nx_by.(s) <- by;
+  t.nx_key.(s) <- key;
+  Engine.post t.engine ~delay:duration t.nested_h s
+
+let on_nested_done t s =
+  let by = t.nx_by.(s) and key = t.nx_key.(s) in
+  Freelist.release t.nx s;
+  (* Do not answer twice, and a replica that died while the external call
+     was in flight cannot spread the reply (the new leader re-issues). *)
+  if Hashtbl.mem t.outstanding_nested key && Group.alive t.grp by then
+    ignore
+      (bcast t ~sender:(-2) ~kind:"nested-reply"
+         (P_nested_reply
+            { tid = key lsr 31; call_index = key land 0x7FFF_FFFF }))
 
 let inject_dummy t ~from_replica =
   (* Every replica's PDS timer fires; only the leader broadcasts so the
@@ -202,25 +216,38 @@ let inject_dummy t ~from_replica =
               args = [||]; sent_at = Engine.now t.engine; dummy = true }))
   end
 
+let push_reply_time t at =
+  if t.n_reply_times = Array.length t.reply_times then begin
+    let a = Array.make (max 64 (2 * t.n_reply_times)) 0.0 in
+    Array.blit t.reply_times 0 a 0 t.n_reply_times;
+    t.reply_times <- a
+  end;
+  t.reply_times.(t.n_reply_times) <- at;
+  t.n_reply_times <- t.n_reply_times + 1
+
 let on_first_reply t ~from_replica (req : Request.t) =
-  let key = (req.client, req.client_req) in
-  match Hashtbl.find_opt t.reply_waiters key with
-  | None -> () (* later replicas' replies for an already-answered request *)
-  | Some (sent_at, callback) ->
+  let client = req.client and client_req = req.client_req in
+  let key = Dedup.key ~client ~request:client_req in
+  match Hashtbl.find t.reply_waiters key with
+  | exception Not_found ->
+    () (* later replicas' replies for an already-answered request *)
+  | w ->
     Hashtbl.remove t.reply_waiters key;
-    if Hashtbl.mem t.answered key then
+    let sent_at = t.wt_sent.(w) and callback = t.wt_cb.(w) in
+    t.wt_cb.(w) <- ignore_reply;
+    Freelist.release t.wt w;
+    if Dedup.seen t.answered ~client ~request:client_req then
       (* A retry re-registered the waiter after the answer was delivered;
          firing the callback again would violate exactly-once. *)
       t.duplicate_client_replies <- t.duplicate_client_replies + 1
     else begin
-      Hashtbl.add t.answered key ();
+      ignore (Dedup.mark t.answered ~client ~request:client_req);
       let response_ms =
         Engine.now t.engine +. t.params.client_latency_ms -. sent_at
       in
       Detmt_stats.Summary.add t.response_times response_ms;
       t.replies <- t.replies + 1;
-      t.reply_times <-
-        (Engine.now t.engine +. t.params.client_latency_ms) :: t.reply_times;
+      push_reply_time t (Engine.now t.engine +. t.params.client_latency_ms);
       if Recorder.enabled t.obs then begin
         Recorder.reply_observed t.obs ~replica:from_replica
           ~uid:req.Request.uid ~client:req.client ~client_req:req.client_req
@@ -230,22 +257,24 @@ let on_first_reply t ~from_replica (req : Request.t) =
         Recorder.set_gauge t.obs "active.inflight"
           (float_of_int (Hashtbl.length t.reply_waiters))
       end;
-      callback ~response_ms
+      callback ~client ~client_req ~response_ms
     end
 
 let make_replica t ~engine ~cls ~id =
   let callbacks =
     { Replica.send_reply =
         (fun req ->
-          let s = rp_alloc t in
+          let s = Freelist.alloc t.rp in
+          t.rp_from <- Freelist.fit t.rp_from t.rp (-1);
+          t.rp_req <- Freelist.fit t.rp_req t.rp blank_request;
           t.rp_from.(s) <- id;
           t.rp_req.(s) <- req;
           Engine.post engine ~delay:t.params.client_latency_ms t.reply_h s);
       do_nested =
-        (fun ~tid ~call_index ~service ~duration ->
-          register_nested t ~tid ~call_index ~service ~duration;
-          if is_leader t id then
-            perform_nested t ~by:id ~tid ~call_index ~service ~duration);
+        (fun ~tid ~call_index ~service:_ ~duration ->
+          let key = nested_key ~tid ~call_index in
+          register_nested t ~key ~duration;
+          if is_leader t id then perform_nested t ~by:id ~key ~duration);
       broadcast_control =
         (fun control ->
           ignore (bcast t ~sender:id ~kind:"control" (P_control control)));
@@ -296,7 +325,7 @@ let deliver t replica (msg : payload Message.t) =
       Replica.deliver_request replica req
     end
   | P_nested_reply { tid; call_index } ->
-    Hashtbl.remove t.outstanding_nested (tid, call_index);
+    Hashtbl.remove t.outstanding_nested (nested_key ~tid ~call_index);
     Replica.nested_reply replica ~tid ~call_index
   | P_control control -> Replica.deliver_control replica ~sender:msg.sender control
   | P_barrier { epoch; label } ->
@@ -305,6 +334,23 @@ let deliver t replica (msg : payload Message.t) =
     let mix h v = Int64.add (Int64.mul h 1000003L) (Int64.of_int v) in
     t.barrier_fp.(s) <-
       mix (mix (mix t.barrier_fp.(s) msg.seq) epoch) (Hashtbl.hash label)
+
+(* The submit hop's arrival at the sequencer: broadcast the request. *)
+let on_sequencer t s =
+  let payload = t.sb_payload.(s) and on_ordered = t.sb_ordered.(s) in
+  t.sb_payload.(s) <- blank_payload;
+  t.sb_ordered.(s) <- None;
+  Freelist.release t.sb s;
+  match payload with
+  | P_request { client; client_req; _ } -> (
+    if Recorder.enabled t.obs then
+      Recorder.request_broadcast t.obs ~client ~client_req
+        ~at:(Engine.now t.engine);
+    let seq = bcast t ~sender:(1000 + client) ~kind:"request" payload in
+    (* Fires once the request holds a slot in this group's total order —
+       the hook cross-shard coordination hangs its second phase on. *)
+    match on_ordered with Some f -> f ~seq | None -> ())
+  | _ -> assert false
 
 let create ?(obs = Recorder.disabled) ~engine ~cls ~(params : params) () =
   (* Continuous telemetry: window metrics by the virtual clock, snapshot
@@ -342,9 +388,10 @@ let create ?(obs = Recorder.disabled) ~engine ~cls ~(params : params) () =
     { engine; params; obs; bus; grp; cls_instr = cls'; members = []; summary;
       scheduler;
       dedups = Array.init params.replicas (fun _ -> Dedup.create ());
-      reply_waiters = Hashtbl.create 256; answered = Hashtbl.create 256;
+      reply_waiters = Hashtbl.create 256; wt = Freelist.create ();
+      wt_sent = [||]; wt_cb = [||]; answered = Dedup.create ();
       response_times = Detmt_stats.Summary.create (); replies = 0;
-      duplicate_client_replies = 0; reply_times = [];
+      duplicate_client_replies = 0; reply_times = [||]; n_reply_times = 0;
       outstanding_nested = Hashtbl.create 64; dummy_seq = 0;
       log = Queue.create (); last_seq = -1; order_fp = 0x2545F4914F6CDD1DL;
       last_delivered = Array.make params.replicas (-1);
@@ -352,16 +399,20 @@ let create ?(obs = Recorder.disabled) ~engine ~cls ~(params : params) () =
       checkpoint_sink = None; recoveries = 0;
       barrier_fp = Array.make params.replicas 0x9E3779B97F4A7C15L;
       barrier_seen = Array.make params.replicas 0;
-      rp_from = [||]; rp_req = [||]; rp_free = -1; rp_cap = 0; reply_h = 0 }
+      rp = Freelist.create (); rp_from = [||]; rp_req = [||]; reply_h = 0;
+      sb = Freelist.create (); sb_payload = [||]; sb_ordered = [||];
+      submit_h = 0; nx = Freelist.create (); nx_by = [||]; nx_key = [||];
+      nested_h = 0 }
   in
   t.reply_h <-
     Engine.register_handler engine (fun s ->
         let from = t.rp_from.(s) and req = t.rp_req.(s) in
         (* clear the slot before dispatch so the request is collectable *)
         t.rp_req.(s) <- blank_request;
-        t.rp_from.(s) <- t.rp_free;
-        t.rp_free <- s;
+        Freelist.release t.rp s;
         on_first_reply t ~from_replica:from req);
+  t.submit_h <- Engine.register_handler engine (fun s -> on_sequencer t s);
+  t.nested_h <- Engine.register_handler engine (fun s -> on_nested_done t s);
   let replicas =
     List.map (fun id -> make_replica t ~engine ~cls:cls' ~id) members
   in
@@ -393,35 +444,40 @@ let create ?(obs = Recorder.disabled) ~engine ~cls ~(params : params) () =
           |> List.sort compare
         in
         List.iter
-          (fun ((tid, call_index), (service, duration)) ->
-            perform_nested t ~by:view.Group.leader ~tid ~call_index ~service
-              ~duration)
+          (fun (key, duration) ->
+            perform_nested t ~by:view.Group.leader ~key ~duration)
           pending);
   t
 
 let submit ?on_ordered t ~client ~client_req ~meth ~args ~on_reply =
-  let key = (client, client_req) in
   (* A retry that raced with its own answer must not re-register a waiter:
      the next replica reply would fire the callback a second time. *)
-  if not (Hashtbl.mem t.answered key) then begin
+  if not (Dedup.seen t.answered ~client ~request:client_req) then begin
+    let key = Dedup.key ~client ~request:client_req in
     let sent_at = Engine.now t.engine in
-    Hashtbl.replace t.reply_waiters key (sent_at, on_reply);
+    let w =
+      match Hashtbl.find t.reply_waiters key with
+      | w -> w
+      | exception Not_found ->
+        let w = Freelist.alloc t.wt in
+        t.wt_sent <- Freelist.fit t.wt_sent t.wt 0.0;
+        t.wt_cb <- Freelist.fit t.wt_cb t.wt ignore_reply;
+        Hashtbl.add t.reply_waiters key w;
+        w
+    in
+    t.wt_sent.(w) <- sent_at;
+    t.wt_cb.(w) <- on_reply;
     if Recorder.enabled t.obs then
       Recorder.set_gauge t.obs "active.inflight"
         (float_of_int (Hashtbl.length t.reply_waiters));
     (* client -> sequencer latency before the totally-ordered broadcast *)
-    Engine.schedule t.engine ~delay:t.params.client_latency_ms (fun () ->
-        if Recorder.enabled t.obs then
-          Recorder.request_broadcast t.obs ~client ~client_req
-            ~at:(Engine.now t.engine);
-        let seq =
-          bcast t ~sender:(1000 + client) ~kind:"request"
-            (P_request { client; client_req; meth; args; sent_at;
-                         dummy = false })
-        in
-        (* Fires once the request holds a slot in this group's total order —
-           the hook cross-shard coordination hangs its second phase on. *)
-        match on_ordered with Some f -> f ~seq | None -> ())
+    let s = Freelist.alloc t.sb in
+    t.sb_payload <- Freelist.fit t.sb_payload t.sb blank_payload;
+    t.sb_ordered <- Freelist.fit t.sb_ordered t.sb None;
+    t.sb_payload.(s) <-
+      P_request { client; client_req; meth; args; sent_at; dummy = false };
+    t.sb_ordered.(s) <- on_ordered;
+    Engine.post t.engine ~delay:t.params.client_latency_ms t.submit_h s
   end
 
 let engine t = t.engine
@@ -661,13 +717,14 @@ let response_times t = t.response_times
 let replies_received t = t.replies
 
 let outstanding_requests t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.reply_waiters []
-  |> List.filter (fun k -> not (Hashtbl.mem t.answered k))
+  Hashtbl.fold (fun k _ acc -> Dedup.unkey k :: acc) t.reply_waiters []
+  |> List.filter (fun (client, request) ->
+         not (Dedup.seen t.answered ~client ~request))
   |> List.sort compare
 
 let duplicate_client_replies t = t.duplicate_client_replies
 
-let reply_times t = List.rev t.reply_times
+let reply_times t = List.init t.n_reply_times (Array.get t.reply_times)
 
 let message_stats t = Totem.kind_counts t.bus
 

@@ -60,6 +60,14 @@ val create :
     {!Detmt_obs.Recorder.disabled}) is threaded through the bus, every
     replica and every scheduler; recording is strictly read-only. *)
 
+type on_reply = client:int -> client_req:int -> response_ms:float -> unit
+(** A reply callback: it hears which request was answered, so a submitter
+    can pass one callback for all its requests instead of a closure per
+    request. *)
+
+val ignore_reply : on_reply
+(** The callback that ignores its reply. *)
+
 val submit :
   ?on_ordered:(seq:int -> unit) ->
   t ->
@@ -67,10 +75,16 @@ val submit :
   client_req:int ->
   meth:string ->
   args:Detmt_lang.Ast.value array ->
-  on_reply:(response_ms:float -> unit) ->
+  on_reply:on_reply ->
   unit
 (** Broadcast one request; [on_reply] fires at the client when the first
-    replica reply arrives, with the end-to-end response time.  Resubmitting
+    replica reply arrives, with the request's identity and the end-to-end
+    response time.
+
+    The lifecycle allocates no closure: the client -> sequencer hop, the
+    replica -> client reply hop and every nested external call are typed
+    engine events over pooled slots, and the client-side tables are keyed
+    by {!Detmt_gcs.Dedup.key}.  Resubmitting
     an already-answered [(client, client_req)] is a no-op, so client-side
     retries keep exactly-once semantics.  [on_ordered] fires the moment the
     request is stamped into this group's total order (at broadcast, after

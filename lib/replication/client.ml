@@ -9,7 +9,7 @@ type submit_fn =
   client_req:int ->
   meth:string ->
   args:Detmt_lang.Ast.value array ->
-  on_reply:(response_ms:float -> unit) ->
+  on_reply:Active.on_reply ->
   unit
 
 (* A client drives any replicated system through a [submit_fn]; the closed
@@ -37,6 +37,8 @@ type t = {
   mutable timeout_h : Engine.handler_id;
       (* typed retry timer; the argument packs (seq, attempt) as
          [seq * (max_retries + 1) + attempt] *)
+  mutable answer : Active.on_reply;
+      (* the one reply callback of every request this client sends *)
 }
 
 let active_submit system ~client ~client_req ~meth ~args ~on_reply =
@@ -61,11 +63,11 @@ and on_timeout t packed =
   if t.waiting && t.current = seq && attempt < t.max_retries then begin
     t.retries <- t.retries + 1;
     t.submit ~client:t.id ~client_req:seq ~meth:t.cur_meth ~args:t.cur_args
-      ~on_reply:(reply_handler t ~seq);
+      ~on_reply:t.answer;
     arm_timeout t ~seq ~attempt:(attempt + 1)
   end
 
-and reply_handler t ~seq ~response_ms:_ =
+and reply_handler t ~seq =
   (* Guarded: a reply for a request we already moved past (late duplicate)
      must not double-count or restart the send loop. *)
   if t.waiting && t.current = seq then begin
@@ -83,8 +85,7 @@ and send_next t =
     let meth, args = t.gen ~client:t.id ~seq t.rng in
     t.cur_meth <- meth;
     t.cur_args <- args;
-    t.submit ~client:t.id ~client_req:seq ~meth ~args
-      ~on_reply:(reply_handler t ~seq);
+    t.submit ~client:t.id ~client_req:seq ~meth ~args ~on_reply:t.answer;
     arm_timeout t ~seq ~attempt:0
   end
 
@@ -109,8 +110,11 @@ let create_on ~engine ~submit ~id ~rng ~gen ?(think_time_ms = 0.0)
     { engine; submit; id; rng; gen; think_time_ms; max_requests; timeout_ms;
       max_retries; sent = 0; completed = 0; waiting = false; current = -1;
       retries = 0; cur_meth = ""; cur_args = [||]; think_h = 0;
-      timeout_h = 0 }
+      timeout_h = 0; answer = Active.ignore_reply }
   in
+  t.answer <-
+    (fun ~client:_ ~client_req ~response_ms:_ ->
+      reply_handler t ~seq:client_req);
   t.think_h <- Engine.register_handler engine (fun _ -> send_next t);
   t.timeout_h <- Engine.register_handler engine (fun packed -> on_timeout t packed);
   t
@@ -131,11 +135,11 @@ let run_open_loop ~engine ~submit ~rate_per_s ~requests ~gen ?(seed = 42L)
      independent of service completions (open loop).  One typed handler
      carries the arrival chain; its argument is the request seq. *)
   let arrive_h = ref 0 in
+  let on_reply ~client:_ ~client_req:_ ~response_ms:_ = incr completed in
   arrive_h :=
     Engine.register_handler engine (fun seq ->
         let meth, args = gen ~client:0 ~seq rng in
-        submit ~client:0 ~client_req:seq ~meth ~args
-          ~on_reply:(fun ~response_ms:_ -> incr completed);
+        submit ~client:0 ~client_req:seq ~meth ~args ~on_reply;
         if seq + 1 < requests then
           Engine.post engine ~delay:(Rng.exponential rng mean_gap_ms)
             !arrive_h (seq + 1));
@@ -146,6 +150,20 @@ let run_open_loop ~engine ~submit ~rate_per_s ~requests ~gen ?(seed = 42L)
     failwith
       (Printf.sprintf "open-loop run drained with %d of %d requests answered"
          !completed requests)
+
+(* Each client's stream is split from one master in client-id order, so a
+   run's clients are a function of [seed] alone. *)
+let start_clients ~engine ~submit ~clients ~requests_per_client ~gen
+    ?(think_time_ms = 0.0) ?(seed = 42L) ?timeout_ms ?max_retries () =
+  let master = Rng.create seed in
+  let all =
+    List.init clients (fun id ->
+        create_on ~engine ~submit ~id ~rng:(Rng.split master) ~gen
+          ~think_time_ms ~max_requests:requests_per_client ?timeout_ms
+          ?max_retries ())
+  in
+  List.iter start all;
+  all
 
 type run_stats = {
   run_completed : int;
@@ -219,14 +237,10 @@ let run_clients_stats_on ~engine ~submit
     ?(diagnose = fun ~stuck -> stuck_header ~stuck) ~clients
     ~requests_per_client ~gen ?(think_time_ms = 0.0) ?(seed = 42L) ?until_ms
     ?timeout_ms ?max_retries () =
-  let master = Rng.create seed in
   let all =
-    List.init clients (fun id ->
-        create_on ~engine ~submit ~id ~rng:(Rng.split master) ~gen
-          ~think_time_ms ~max_requests:requests_per_client ?timeout_ms
-          ?max_retries ())
+    start_clients ~engine ~submit ~clients ~requests_per_client ~gen
+      ~think_time_ms ~seed ?timeout_ms ?max_retries ()
   in
-  List.iter start all;
   Engine.run ?until:until_ms engine;
   let stuck = List.filter in_flight all in
   if stuck <> [] && until_ms = None then

@@ -18,7 +18,7 @@ type submit_fn =
   client_req:int ->
   meth:string ->
   args:Detmt_lang.Ast.value array ->
-  on_reply:(response_ms:float -> unit) ->
+  on_reply:Active.on_reply ->
   unit
 (** What a client needs from a replicated system: submit one request, hear
     back once.  {!Active.submit} and {!Reconfig.submit} both have this shape, so
@@ -27,23 +27,24 @@ type submit_fn =
 
 type t
 
-val create_on :
+val start_clients :
   engine:Detmt_sim.Engine.t ->
   submit:submit_fn ->
-  id:int ->
-  rng:Detmt_sim.Rng.t ->
+  clients:int ->
+  requests_per_client:int ->
   gen:request_gen ->
   ?think_time_ms:float ->
-  ?max_requests:int ->
+  ?seed:int64 ->
   ?timeout_ms:float ->
   ?max_retries:int ->
   unit ->
-  t
-(** [timeout_ms] arms the retry timer (off by default); [max_retries]
-    (default 5) caps resubmissions per request. *)
-
-val start : t -> unit
-(** Send the first request. *)
+  t list
+(** Create clients [0 .. clients - 1], each on its own stream split in id
+    order from one master [Rng.create seed] (default [42L]), and send each
+    one's first request.  The engine is not run: {!run_clients_stats_on}
+    runs it to completion, and a live view can step it.  [timeout_ms] arms
+    each client's retry timer (off by default); [max_retries] (default 5)
+    caps resubmissions per request. *)
 
 type run_stats = {
   run_completed : int;  (** requests answered, across all clients *)

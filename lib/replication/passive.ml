@@ -73,7 +73,7 @@ let replay t ?from () =
   List.iter
     (fun e ->
       Active.submit backup_sys ~client:e.client ~client_req:e.client_req
-        ~meth:e.meth ~args:e.args ~on_reply:(fun ~response_ms:_ -> ());
+        ~meth:e.meth ~args:e.args ~on_reply:Active.ignore_reply;
       Engine.run engine)
     entries;
   Engine.run engine;

@@ -28,7 +28,7 @@ val submit :
   client_req:int ->
   meth:string ->
   args:Detmt_lang.Ast.value array ->
-  on_reply:(response_ms:float -> unit) ->
+  on_reply:Active.on_reply ->
   unit
 
 val primary : t -> Detmt_runtime.Replica.t

@@ -240,6 +240,8 @@ type group = {
   mutable sys : Active.t; (* current incarnation (hot swap replaces it) *)
   mutable live : bool;
   mutable inflight : int; (* requests latched on this group right now *)
+  g_reply : Active.on_reply;
+      (* this group's one reply callback for every request it carries *)
 }
 
 (* A request waits for every involved group to answer; the latch fires the
@@ -249,7 +251,7 @@ type group = {
 type latch = {
   mutable remaining : int;
   l_sent_at : float;
-  l_on_reply : response_ms:float -> unit;
+  l_on_reply : Active.on_reply;
 }
 
 type held = {
@@ -257,7 +259,7 @@ type held = {
   h_client_req : int;
   h_meth : string;
   h_args : Ast.value array;
-  h_on_reply : response_ms:float -> unit;
+  h_on_reply : Active.on_reply;
   h_at : float; (* admission time: queue delay counts into the response *)
 }
 
@@ -285,8 +287,8 @@ type t = {
   commands : command Queue.t;
   mutable aborted : int; (* drains that timed out; command dropped *)
   (* client-side bookkeeping *)
-  pending : (int * int, latch) Hashtbl.t;
-  answered : (int * int, unit) Hashtbl.t;
+  pending : (int, latch) Hashtbl.t; (* by [Dedup.key] *)
+  answered : Dedup.t;
   response_times : Detmt_stats.Summary.t;
   mutable replies : int;
   mutable reply_times : float list; (* newest first *)
@@ -317,6 +319,47 @@ let slots_of t index =
     if t.owner.(s) = index then acc := s :: !acc
   done;
   !acc
+
+let find_group t index =
+  if index < 0 || index >= Array.length t.groups then None
+  else Some t.groups.(index)
+
+let group_of t index =
+  if index < 0 || index >= Array.length t.groups then
+    invalid_arg (Printf.sprintf "Reconfig: no group %d" index)
+  else t.groups.(index)
+
+let client_arrival t =
+  Engine.now t.engine +. t.params.base.Active.client_latency_ms
+
+let note_reply t ~response_ms =
+  t.replies <- t.replies + 1;
+  Detmt_stats.Summary.add t.response_times response_ms;
+  t.reply_times <- client_arrival t :: t.reply_times;
+  if Recorder.enabled t.obs then begin
+    Recorder.incr t.obs "reconfig.replies";
+    Recorder.observe t.obs "reconfig.response_ms" response_ms
+  end
+
+(* A group answered a request: the latch fires the client callback once
+   every involved group has answered.  Each group answers a key exactly
+   once, and the latch outlives every answer but the last. *)
+let group_reply t index ~client ~client_req ~response_ms:_ =
+  let g = group_of t index in
+  let key = Dedup.key ~client ~request:client_req in
+  let latch = Hashtbl.find t.pending key in
+  g.inflight <- g.inflight - 1;
+  latch.remaining <- latch.remaining - 1;
+  if latch.remaining = 0 then begin
+    Hashtbl.remove t.pending key;
+    ignore (Dedup.mark t.answered ~client ~request:client_req);
+    let response_ms = client_arrival t -. latch.l_sent_at in
+    note_reply t ~response_ms;
+    latch.l_on_reply ~client ~client_req ~response_ms
+  end
+
+let new_group t ~index sys =
+  { index; sys; live = true; inflight = 0; g_reply = group_reply t index }
 
 (* Group [index]'s current incarnation gets a fresh disjoint replica-id
    window and its own fault seed; incarnation 0 (the initial group 0) keeps
@@ -366,15 +409,14 @@ let create ?(obs = Recorder.disabled) ?on_group ~engine ~cls
       retired = []; incarnations = 0; epoch = 0;
       transitions = []; frozen = false; busy = false; held = Queue.create ();
       commands = Queue.create (); aborted = 0;
-      pending = Hashtbl.create 256; answered = Hashtbl.create 256;
+      pending = Hashtbl.create 256; answered = Dedup.create ();
       response_times = Detmt_stats.Summary.create (); replies = 0;
       reply_times = []; fast_path = 0; cross_path = 0; held_total = 0;
       policy = None; armed = false; tick_h = 0; on_group }
   in
   t.groups <-
     Array.init params.initial_groups (fun index ->
-        { index; sys = fresh_active t ~index ~scheduler; live = true;
-          inflight = 0 });
+        new_group t ~index (fresh_active t ~index ~scheduler));
   refresh_live t;
   (* Deterministic transformation: every group computed the same summary;
      group 0's copy drives the routing plans. *)
@@ -382,15 +424,6 @@ let create ?(obs = Recorder.disabled) ?on_group ~engine ~cls
   t
 
 (* ------------------------------- routing ----------------------------- *)
-
-let find_group t index =
-  if index < 0 || index >= Array.length t.groups then None
-  else Some t.groups.(index)
-
-let group_of t index =
-  if index < 0 || index >= Array.length t.groups then
-    invalid_arg (Printf.sprintf "Reconfig: no group %d" index)
-  else t.groups.(index)
 
 let route_of t m = t.owner.(route ~shards:t.params.slots m)
 
@@ -406,25 +439,12 @@ let group_set t ~meth ~args =
     | Some [] -> [ (coordinator t).index ]
     | Some ms -> List.sort_uniq compare (List.map (route_of t) ms)
 
-let client_arrival t =
-  Engine.now t.engine +. t.params.base.Active.client_latency_ms
-
-let note_reply t ~response_ms =
-  t.replies <- t.replies + 1;
-  Detmt_stats.Summary.add t.response_times response_ms;
-  t.reply_times <- client_arrival t :: t.reply_times;
-  if Recorder.enabled t.obs then begin
-    Recorder.incr t.obs "reconfig.replies";
-    Recorder.observe t.obs "reconfig.response_ms" response_ms
-  end
-
 (* ---------------------- submission & transitions --------------------- *)
 
 (* How often a draining barrier re-checks. *)
 let drain_poll_ms = 0.5
 
 let rec dispatch t ~sent_at ~client ~client_req ~meth ~args ~on_reply =
-  let key = (client, client_req) in
   match group_set t ~meth ~args with
   | [] -> assert false
   | coordinator :: followers as involved ->
@@ -433,41 +453,25 @@ let rec dispatch t ~sent_at ~client ~client_req ~meth ~args ~on_reply =
        drain).  Pending latches never straddle an epoch — the drain step
        empties [pending] before any transition applies — so the involved
        set resolved here is stable for the latch's whole lifetime. *)
-    let latch =
-      match Hashtbl.find_opt t.pending key with
-      | Some l -> l
-      | None ->
-        let l =
-          { remaining = List.length involved; l_sent_at = sent_at;
-            l_on_reply = on_reply }
-        in
-        Hashtbl.replace t.pending key l;
-        List.iter
-          (fun gi ->
-            let g = group_of t gi in
-            g.inflight <- g.inflight + 1;
-            if Recorder.enabled t.obs then
-              Recorder.incr t.obs (Printf.sprintf "reconfig.%d.requests" gi))
-          involved;
-        if followers = [] then t.fast_path <- t.fast_path + 1
-        else t.cross_path <- t.cross_path + 1;
-        if Recorder.enabled t.obs then
-          Recorder.incr t.obs
-            (if followers = [] then "reconfig.fast_path"
-             else "reconfig.cross_path");
-        l
-    in
-    let group_reply g ~response_ms:_ =
-      g.inflight <- g.inflight - 1;
-      latch.remaining <- latch.remaining - 1;
-      if latch.remaining = 0 then begin
-        Hashtbl.remove t.pending key;
-        Hashtbl.replace t.answered key ();
-        let response_ms = client_arrival t -. latch.l_sent_at in
-        note_reply t ~response_ms;
-        latch.l_on_reply ~response_ms
-      end
-    in
+    let key = Dedup.key ~client ~request:client_req in
+    if not (Hashtbl.mem t.pending key) then begin
+      Hashtbl.add t.pending key
+        { remaining = List.length involved; l_sent_at = sent_at;
+          l_on_reply = on_reply };
+      List.iter
+        (fun gi ->
+          let g = group_of t gi in
+          g.inflight <- g.inflight + 1;
+          if Recorder.enabled t.obs then
+            Recorder.incr t.obs (Printf.sprintf "reconfig.%d.requests" gi))
+        involved;
+      if followers = [] then t.fast_path <- t.fast_path + 1
+      else t.cross_path <- t.cross_path + 1;
+      if Recorder.enabled t.obs then
+        Recorder.incr t.obs
+          (if followers = [] then "reconfig.fast_path"
+           else "reconfig.cross_path")
+    end;
     (* Phase 1 orders the request on the coordinator (smallest involved
        group); phase 2 submits to the rest, in ascending order, the moment
        it holds a slot in the coordinator's total order.  Both phases run
@@ -482,16 +486,15 @@ let rec dispatch t ~sent_at ~client ~client_req ~meth ~args ~on_reply =
               (fun gi ->
                 let g = group_of t gi in
                 Active.submit g.sys ~client ~client_req ~meth ~args
-                  ~on_reply:(group_reply g))
+                  ~on_reply:g.g_reply)
               followers)
     in
     let co = group_of t coordinator in
     Active.submit ?on_ordered co.sys ~client ~client_req ~meth ~args
-      ~on_reply:(group_reply co)
+      ~on_reply:co.g_reply
 
 and submit t ~client ~client_req ~meth ~args ~on_reply =
-  let key = (client, client_req) in
-  if not (Hashtbl.mem t.answered key) then begin
+  if not (Dedup.seen t.answered ~client ~request:client_req) then begin
     if t.frozen then begin
       (* Admission is frozen behind a reconfiguration barrier: hold the
          submission (retries included) and re-resolve its route under the
@@ -603,7 +606,7 @@ and apply_split t gi =
     in
     Active.bootstrap sys ~from:g.sys ~carry_state:false;
     t.groups <-
-      Array.append t.groups [| { index; sys; live = true; inflight = 0 } |];
+      Array.append t.groups [| new_group t ~index sys |];
     refresh_live t;
     List.iteri (fun k s -> if k mod 2 = 1 then t.owner.(s) <- index) owned;
     if Recorder.enabled t.obs then Recorder.incr t.obs "reconfig.splits";
@@ -664,7 +667,8 @@ and finish t =
   Queue.transfer t.held flush;
   Queue.iter
     (fun h ->
-      if not (Hashtbl.mem t.answered (h.h_client, h.h_client_req)) then
+      if not (Dedup.seen t.answered ~client:h.h_client ~request:h.h_client_req)
+      then
         dispatch t ~sent_at:h.h_at ~client:h.h_client
           ~client_req:h.h_client_req ~meth:h.h_meth ~args:h.h_args
           ~on_reply:h.h_on_reply)

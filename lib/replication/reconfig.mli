@@ -153,7 +153,7 @@ val submit :
   client_req:int ->
   meth:string ->
   args:Detmt_lang.Ast.value array ->
-  on_reply:(response_ms:float -> unit) ->
+  on_reply:Active.on_reply ->
   unit
 (** Route and submit one request ({!Client.submit_fn} shape).  Exactly-once
     end to end across epochs: a submission or retry arriving while a

@@ -18,7 +18,9 @@ type handler_id = int
    Handler 0 is the thunk path — the slot's closure cell is the payload —
    kept for cold producers (test setup, one-shot fault injections); every
    hot producer registers a handler once and posts (handler, arg) pairs,
-   so the steady-state schedule/fire cycle allocates nothing. *)
+   so no event allocates a closure or an arena record.  The clock is a
+   boxed float field, so each fired event still boxes its time, and so
+   does each [post_at] whose time was computed. *)
 let thunk_handler = 0
 
 let nop () = ()
@@ -35,6 +37,7 @@ type t = {
   mutable clock : float;
   mutable next_seq : int;
   mutable executed : int;
+  mutable thunks : int; (* executed thunk (handler 0) events *)
   mutable order_oracle : (count:int -> int) option;
   mutable journaling : bool;
   mutable journal : float list; (* executed event times, newest first *)
@@ -47,7 +50,7 @@ let unregistered (_ : int) =
 let create () =
   { queue = Pqueue.create (); eh = [||]; ea = [||]; ek = [||]; efree = -1;
     ecap = 0; handlers = Array.make 8 unregistered; nhandlers = 1;
-    clock = 0.0; next_seq = 0; executed = 0; order_oracle = None;
+    clock = 0.0; next_seq = 0; executed = 0; thunks = 0; order_oracle = None;
     journaling = false; journal = []; probe = None }
 
 let set_probe t p = t.probe <- p
@@ -151,6 +154,7 @@ let fire t ~time s =
   if t.journaling then t.journal <- time :: t.journal;
   let h = t.eh.(s) in
   if h = thunk_handler then begin
+    t.thunks <- t.thunks + 1;
     let f = t.ek.(s) in
     release_slot t s;
     match t.probe with
@@ -235,3 +239,5 @@ let run ?until t =
 let pending t = Pqueue.length t.queue
 
 let events_executed t = t.executed
+
+let thunks_executed t = t.thunks

@@ -6,10 +6,14 @@
 
     Events are typed: a producer {!register_handler}s an [int -> unit]
     dispatch function once and then {!post}s [(handler, arg)] pairs, which
-    land in a pooled event arena — the steady-state schedule/fire cycle
-    allocates nothing.  {!schedule} / {!schedule_at} remain as the thunk
-    constructor for cold paths (test setup, one-shot fault injections);
-    a thunk event is simply handler 0 with the closure in its slot. *)
+    land in a pooled event arena, so an event allocates no closure and no
+    record.  It is not free: the clock is a boxed float, so firing an event
+    boxes its time (2 words), and a {!post_at} whose time the caller
+    computed boxes that time where it is passed (2 words more).
+    {!schedule} / {!schedule_at} remain as the thunk constructor for cold
+    paths (test setup, one-shot fault injections); a thunk event is simply
+    handler 0 with the closure in its slot, and {!thunks_executed} counts
+    them. *)
 
 type t
 
@@ -108,3 +112,8 @@ val pending : t -> int
 val events_executed : t -> int
 (** Total number of events executed since creation (a determinism probe:
     identical runs execute identical event counts). *)
+
+val thunks_executed : t -> int
+(** How many of those were thunk events ({!schedule} / {!schedule_at}):
+    a hot path that posts typed events keeps this at its cold-path
+    count. *)

@@ -2,8 +2,8 @@
 
    Slot [i] holds one entry: [times.(i)] (a flat float array, so keys are
    unboxed), [seqs.(i)] and [values.(i)].  Sift-up and sift-down move a
-   hole instead of swapping, and the arrays only grow (by doubling), so the
-   steady-state push/pop cycle allocates nothing.
+   hole instead of swapping, and the arrays only grow (by doubling), so a
+   push allocates nothing; a pop boxes the time it stores in [ptime].
 
    The engine's sequence numbers are unique, so no two live entries share a
    key and every correct min-heap pops the same stream: the order is a

@@ -11,8 +11,9 @@
     the hierarchical timing wheel it replaced (EXPERIMENTS.md E23).
 
     Payloads are non-negative [int]s — the engine's pooled event-slot ids —
-    and the arrays only grow, so the steady-state push/pop cycle allocates
-    nothing.
+    and the arrays only grow, so a push allocates nothing.  {!pop_raw}
+    does allocate: it stores the popped time in a float field of a mixed
+    record, which boxes it (2 words per pop).
 
     Contract (both guaranteed by the engine, both checked): times are
     non-negative, and a push never predates the time of the last pop. *)

@@ -1,28 +1,36 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives unboxed in an 8-byte buffer: a mutable
+   [int64] record field would box every new state, and the native compiler
+   keeps the [int64] temporaries of an inlined [get]/[mix]/[set] in
+   registers, so [int] and [bool] allocate nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 seed;
+  t
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
 (* SplitMix64 output function: two xor-shift-multiply rounds. *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
             0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
             0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] int64 t =
+  let state = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 state;
+  mix state
 
 let split t =
   let seed = int64 t in
   (* Re-mix with a distinct constant so split streams do not overlap the
      parent stream even for adversarial seeds. *)
-  { state = mix (Int64.logxor seed 0xA0761D6478BD642FL) }
+  create (mix (Int64.logxor seed 0xA0761D6478BD642FL))
 
 let int t bound =
   assert (bound > 0);
@@ -31,7 +39,7 @@ let int t bound =
   let r = Int64.to_int (Int64.shift_right_logical (int64 t) 2) in
   r mod bound
 
-let float t bound =
+let[@inline] float t bound =
   assert (bound > 0.);
   (* 53 random bits into [0,1). *)
   let bits = Int64.shift_right_logical (int64 t) 11 in

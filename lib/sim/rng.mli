@@ -4,7 +4,11 @@
     that a run is a pure function of its seeds.  The generator is the SplitMix64
     construction of Steele, Lea and Flood; it is fast, has a 64-bit state and
     supports {!split}, which derives an independent stream — used to give each
-    client, replica and workload its own stream without coordination. *)
+    client, replica and workload its own stream without coordination.
+
+    The state is kept unboxed, so {!int} and {!bool} allocate nothing;
+    {!int64} and {!float} box only their result, and {!create}, {!copy}
+    and {!split} allocate the new generator. *)
 
 type t
 

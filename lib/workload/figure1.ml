@@ -43,12 +43,19 @@ let cls p =
   cls ~cname:"Figure1" ~state_fields:[ "state" ]
     [ meth method_name ~params:(3 * p.iterations) body ]
 
-let gen p ~client:_ ~seq:_ rng =
-  let args =
-    Array.init (3 * p.iterations) (fun j ->
-        match j mod 3 with
-        | 0 -> Ast.Vbool (Detmt_sim.Rng.bool rng p.p_nested)
-        | 1 -> Ast.Vbool (Detmt_sim.Rng.bool rng p.p_compute)
-        | _ -> Ast.Vmutex (Detmt_sim.Rng.int rng p.n_mutexes))
-  in
-  (method_name, args)
+(* The argument values are immutable, so one generator shares them across
+   requests: only the args array is fresh per request. *)
+let vtrue = Ast.Vbool true
+
+let vfalse = Ast.Vbool false
+
+let gen p =
+  let mutexes = Array.init p.n_mutexes (fun m -> Ast.Vmutex m) in
+  fun ~client:_ ~seq:_ rng ->
+    let args = Array.make (3 * p.iterations) vfalse in
+    for i = 0 to p.iterations - 1 do
+      if Detmt_sim.Rng.bool rng p.p_nested then args.(3 * i) <- vtrue;
+      if Detmt_sim.Rng.bool rng p.p_compute then args.((3 * i) + 1) <- vtrue;
+      args.((3 * i) + 2) <- mutexes.(Detmt_sim.Rng.int rng p.n_mutexes)
+    done;
+    (method_name, args)

@@ -37,4 +37,6 @@ val cls : params -> Detmt_lang.Class_def.t
 (** The remote object: one exported method ["work"]. *)
 
 val gen : params -> Detmt_replication.Client.request_gen
-(** Pre-draws all decisions from the client stream. *)
+(** Pre-draws all decisions from the client stream.  [gen p] builds its
+    [Vmutex] values once; per request only the args array is fresh, and the
+    [Vbool] values are shared constants. *)

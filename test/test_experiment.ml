@@ -359,13 +359,47 @@ let test_claim_e18_load () =
 let test_claim_e18_words () =
   check_claims "engine"
     (rows "engine" ~keep:(fun c -> wname "figure1" c && c.scheduler = "mat"))
-    ~expect:[ "mat on figure1@256 under 33 words/event" ]
+    ~expect:[ "mat on figure1@256 under 16.4 words/event" ]
 
 (* The §4.3 bookkeeping and claim refresh gate, on pMAT's full-size row. *)
 let test_claim_e18_pmat_words () =
   check_claims "engine"
     (rows "engine" ~keep:(fun c -> wname "figure1" c && c.scheduler = "pmat"))
-    ~expect:[ "pmat on figure1@256 under 33 words/event" ]
+    ~expect:[ "pmat on figure1@256 under 16.1 words/event" ]
+
+(* The request lifecycle without decisions: seq's row pins what the
+   client, GCS and replica path cost on their own. *)
+let test_claim_e18_seq_words () =
+  check_claims "engine"
+    (rows "engine" ~keep:(fun c -> wname "figure1" c && c.scheduler = "seq"))
+    ~expect:[ "seq on figure1@256 under 17.3 words/event" ]
+
+(* The raw chain's cost is its two boxed timestamps, exactly. *)
+let test_claim_e18_raw_chain () =
+  check_claims "engine"
+    (rows "engine" ~keep:(fun c -> wname "raw-chain" c))
+    ~expect:[ "raw chain at most 4 words/event" ]
+
+(* The request path posts typed events only: a figure1 run fires no thunk
+   event, and the count does not grow with the client count. *)
+let test_no_thunks_on_request_path () =
+  List.iter
+    (fun clients ->
+      let c = { E.base with clients; requests = 4 } in
+      let engine = Detmt.Engine.create () in
+      let sys = E.system ~obs:Detmt.Recorder.disabled engine c in
+      let stats =
+        Detmt.Reconfig.run_clients_stats sys ~clients ~requests_per_client:4
+          ~gen:c.workload.gen ~seed:c.seed ()
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "%d clients: replies" clients)
+        (clients * 4) stats.Detmt.Client.run_completed;
+      Alcotest.(check int)
+        (Printf.sprintf "%d clients: thunk events" clients)
+        0
+        (Detmt.Engine.thunks_executed engine))
+    [ 8; 32 ]
 
 (* Re-pointing a grid at a serial scheduler puts its pool rows at width 1
    (a serial module rejects a wider pool); a parallel one keeps them. *)
@@ -459,6 +493,10 @@ let suite =
     ("runner: one metric schema", `Quick, test_one_schema);
     ("claims: E18 mat words per event", `Quick, test_claim_e18_words);
     ("claims: E18 pmat words per event", `Quick, test_claim_e18_pmat_words);
+    ("claims: E18 seq words per event", `Quick, test_claim_e18_seq_words);
+    ("claims: E18 raw chain words per event", `Quick, test_claim_e18_raw_chain);
+    ("runner: no thunk event on the request path", `Quick,
+     test_no_thunks_on_request_path);
   ]
 
 let () = Alcotest.run "experiment" [ ("experiment", suite) ]

@@ -68,7 +68,7 @@ let test_duplicate_requests_suppressed () =
   let replies = ref 0 in
   for _attempt = 1 to 3 do
     Active.submit system ~client:0 ~client_req:0 ~meth ~args
-      ~on_reply:(fun ~response_ms:_ -> incr replies)
+      ~on_reply:(fun ~client:_ ~client_req:_ ~response_ms:_ -> incr replies)
   done;
   Engine.run engine;
   Alcotest.(check int) "one reply for one logical request" 1 !replies;

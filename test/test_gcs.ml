@@ -128,6 +128,62 @@ let test_dedup () =
   Alcotest.(check int) "duplicates suppressed" 1 (Dedup.duplicates d);
   Alcotest.check b "seen query" true (Dedup.seen d ~client:1 ~request:1)
 
+(* Keys pack (client, request) so that the PDS fillers' client -1 never
+   collides with a real client, and they sort like the pairs. *)
+let test_dedup_keys () =
+  let pairs = [ (-1, 0); (-1, 7); (0, 0); (0, 1); (0, 7); (1, 0); (3, 5) ] in
+  let keys =
+    List.map (fun (client, request) -> Dedup.key ~client ~request) pairs
+  in
+  Alcotest.(check (list int)) "sorted like the pairs" keys
+    (List.sort compare keys);
+  Alcotest.(check int) "distinct" (List.length pairs)
+    (List.length (List.sort_uniq compare keys));
+  Alcotest.(check (list (pair int int))) "unkey inverts key" pairs
+    (List.map Dedup.unkey keys);
+  let d = Dedup.create () in
+  Alcotest.check b "filler new" false (Dedup.mark d ~client:(-1) ~request:3);
+  Alcotest.check b "real client 0 not confused with the filler" false
+    (Dedup.seen d ~client:0 ~request:3);
+  Alcotest.check b "out of range rejected" true
+    (try
+       ignore (Dedup.key ~client:(-2) ~request:0);
+       false
+     with Invalid_argument _ -> true)
+
+(* A mark allocates nothing, fresh or duplicate, once the table has room:
+   20 000 warm-up keys grow it to hold 32 767, more than the 30 100 keys
+   the check reaches. *)
+let test_dedup_no_allocation () =
+  let d = Dedup.create () in
+  for r = 0 to 19_999 do
+    ignore (Dedup.mark d ~client:0 ~request:r)
+  done;
+  let next = ref 20_000 in
+  No_alloc.check "minor words per fresh Dedup.mark" (fun () ->
+      ignore (Dedup.mark d ~client:1 ~request:!next);
+      incr next);
+  No_alloc.check "minor words per duplicate Dedup.mark" (fun () ->
+      ignore (Dedup.mark d ~client:0 ~request:5))
+
+(* One broadcast to three subscribers, drained, costs its message record,
+   the one [Some] cell the inboxes share and the engine's boxed times
+   (popped and posted) of the three drain events: no closure, plan tuple or
+   per-subscriber box. *)
+let test_broadcast_allocation () =
+  let engine = Engine.create () in
+  let bus = Totem.create engine in
+  let got = ref 0 in
+  List.iter
+    (fun id -> Totem.subscribe bus ~id (fun _ -> incr got))
+    [ 0; 1; 2 ];
+  No_alloc.check_words "minor words per broadcast, 3 subscribers"
+    ~words:(5 + 2 + (3 * (2 + 2)))
+    (fun () ->
+      ignore (Totem.broadcast bus ~sender:9 0);
+      Engine.run engine);
+  Alcotest.(check int) "every copy delivered" (3 * 10_100) !got
+
 (* ------------------------------ Group ------------------------------ *)
 
 let test_group_initial_view () =
@@ -334,6 +390,10 @@ let suite =
     ("duplicate subscriber rejected", `Quick,
      test_duplicate_subscriber_rejected);
     ("dedup", `Quick, test_dedup);
+    ("dedup keys", `Quick, test_dedup_keys);
+    ("dedup: mark allocates nothing", `Quick, test_dedup_no_allocation);
+    ("totem: broadcast to three allocates no closure", `Quick,
+     test_broadcast_allocation);
     ("group initial view", `Quick, test_group_initial_view);
     ("group failure detection delay", `Quick,
      test_group_failure_detection_delay);

@@ -362,7 +362,7 @@ let pmat_deferrals meths =
     (fun i meth ->
       Active.submit system ~client:i ~client_req:0 ~meth
         ~args:[| Detmt_lang.Ast.Vmutex 1 |]
-        ~on_reply:(fun ~response_ms:_ -> ()))
+        ~on_reply:(fun ~client:_ ~client_req:_ ~response_ms:_ -> ()))
     meths;
   Engine.run engine;
   Alcotest.(check int) "all answered" (List.length meths)

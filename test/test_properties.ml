@@ -369,7 +369,8 @@ let open_loop_observables (cls, seed) ~scheduler ~workers =
         (fun () ->
           Detmt_replication.Active.submit system ~client ~client_req:r ~meth
             ~args
-            ~on_reply:(fun ~response_ms:_ -> incr replies))
+            ~on_reply:(fun ~client:_ ~client_req:_ ~response_ms:_ ->
+              incr replies))
     done
   done;
   Detmt_sim.Engine.run engine;

@@ -157,7 +157,7 @@ let test_passive_replay () =
   for i = 0 to 9 do
     let meth, args = figure1_gen ~client:0 ~seq:i rng in
     Passive.submit passive ~client:0 ~client_req:i ~meth ~args
-      ~on_reply:(fun ~response_ms:_ -> ())
+      ~on_reply:(fun ~client:_ ~client_req:_ ~response_ms:_ -> ())
   done;
   Engine.run engine;
   let primary = Passive.primary passive in
@@ -175,7 +175,7 @@ let test_passive_checkpoint_replay () =
   let send i =
     let meth, args = figure1_gen ~client:0 ~seq:i rng in
     Passive.submit passive ~client:0 ~client_req:i ~meth ~args
-      ~on_reply:(fun ~response_ms:_ -> ())
+      ~on_reply:(fun ~client:_ ~client_req:_ ~response_ms:_ -> ())
   in
   for i = 0 to 4 do send i done;
   Engine.run engine;

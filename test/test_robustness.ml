@@ -65,7 +65,7 @@ let test_deep_program_no_stack_overflow () =
       ()
   in
   Active.submit system ~client:0 ~client_req:0 ~meth:"m"
-    ~args:[| Ast.Vmutex 1 |] ~on_reply:(fun ~response_ms:_ -> ());
+    ~args:[| Ast.Vmutex 1 |] ~on_reply:Active.ignore_reply;
   Detmt_sim.Engine.run engine;
   match Active.replicas system with
   | [ r ] ->
@@ -138,13 +138,13 @@ let test_many_waiters_stress () =
   for i = 0 to 29 do
     Active.submit system ~client:1 ~client_req:i
       ~meth:Detmt_workload.Prodcons.consume_method ~args:[||]
-      ~on_reply:(fun ~response_ms:_ -> ())
+      ~on_reply:(fun ~client:_ ~client_req:_ ~response_ms:_ -> ())
   done;
   Detmt_sim.Engine.schedule engine ~delay:50.0 (fun () ->
       for i = 0 to 29 do
         Active.submit system ~client:2 ~client_req:i
           ~meth:Detmt_workload.Prodcons.produce_method ~args:[||]
-          ~on_reply:(fun ~response_ms:_ -> ())
+          ~on_reply:(fun ~client:_ ~client_req:_ ~response_ms:_ -> ())
       done);
   Detmt_sim.Engine.run engine;
   Alcotest.(check int) "all 60 answered" 60 (Active.replies_received system);

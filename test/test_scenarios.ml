@@ -75,7 +75,7 @@ let test_notify_fifo_order () =
   List.iteri
     (fun i meth ->
       Active.submit system ~client:0 ~client_req:i ~meth ~args:[||]
-        ~on_reply:(fun ~response_ms:_ -> ()))
+        ~on_reply:(fun ~client:_ ~client_req:_ ~response_ms:_ -> ()))
     [ "waiter"; "waiter"; "waiter"; "release_all" ];
   Engine.run engine;
   match Active.replicas system with
@@ -99,7 +99,7 @@ let test_mat_waiter_priority () =
   List.iteri
     (fun i meth ->
       Active.submit system ~client:0 ~client_req:i ~meth ~args:[||]
-        ~on_reply:(fun ~response_ms:_ -> ()))
+        ~on_reply:(fun ~client:_ ~client_req:_ ~response_ms:_ -> ()))
     [ "waiter"; "release_all"; "release_all" ];
   Engine.run engine;
   match Active.replicas system with
@@ -161,7 +161,8 @@ let test_open_loop_backlog_grows_when_saturated () =
       Engine.schedule_at engine ~time:at (fun () ->
           let meth, args = Detmt_workload.Disjoint.gen ~client:0 ~seq rng in
           Active.submit system ~client:0 ~client_req:seq ~meth ~args
-            ~on_reply:(fun ~response_ms -> times := response_ms :: !times);
+            ~on_reply:(fun ~client:_ ~client_req:_ ~response_ms ->
+              times := response_ms :: !times);
           arrive (seq + 1) (at +. 1.0))
   in
   (* service time ~7 ms, arrivals every 1 ms: heavy overload *)
@@ -277,7 +278,7 @@ let reentry_order scheduler =
   List.iteri
     (fun i meth ->
       Active.submit system ~client:0 ~client_req:i ~meth ~args:[||]
-        ~on_reply:(fun ~response_ms:_ -> ()))
+        ~on_reply:(fun ~client:_ ~client_req:_ ~response_ms:_ -> ()))
     [ "waiter"; "notifier"; "third" ];
   Engine.run engine;
   match Active.replicas system with

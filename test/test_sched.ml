@@ -44,7 +44,7 @@ let run_requests ?(replicas = 1) ~scheduler reqs =
   List.iteri
     (fun i (meth, args) ->
       Active.submit system ~client:0 ~client_req:i ~meth ~args
-        ~on_reply:(fun ~response_ms ->
+        ~on_reply:(fun ~client:_ ~client_req:_ ~response_ms ->
           last_reply := Float.max !last_reply response_ms))
     reqs;
   Engine.run engine;
@@ -158,7 +158,7 @@ let test_pds_round_opens_when_batch_arrives () =
   List.iteri
     (fun i req ->
       Active.submit system ~client:0 ~client_req:i ~meth:(fst req)
-        ~args:(snd req) ~on_reply:(fun ~response_ms ->
+        ~args:(snd req) ~on_reply:(fun ~client:_ ~client_req:_ ~response_ms ->
           replies := response_ms :: !replies))
     [ locked 1; locked 2 ];
   Engine.run engine;
@@ -183,7 +183,7 @@ let test_pds_dummy_fills_partial_batch () =
   let done_ = ref false in
   Active.submit system ~client:0 ~client_req:0 ~meth:"locked"
     ~args:[| Ast.Vmutex 1 |]
-    ~on_reply:(fun ~response_ms:_ -> done_ := true);
+    ~on_reply:(fun ~client:_ ~client_req:_ ~response_ms:_ -> done_ := true);
   Engine.run engine;
   Alcotest.check b "request eventually processed" true !done_;
   Alcotest.check b "dummies were broadcast" true

@@ -64,6 +64,47 @@ let test_rng_copy () =
   Alcotest.check b "copy continues identically" true
     (Rng.int64 a = Rng.int64 c)
 
+(* Known answers: the first outputs of two seeds, pinned as literals, so
+   a change of the generator's representation cannot shift a stream. *)
+let test_rng_known_answers () =
+  let check seed ~int64s ~ints ~bools ~split_int64 ~split_int ~after =
+    let r = Rng.create seed in
+    let what s = Printf.sprintf "seed %Ld: %s" seed s in
+    List.iter
+      (fun x -> Alcotest.(check int64) (what "int64") x (Rng.int64 r))
+      int64s;
+    List.iter
+      (fun (bound, x) -> Alcotest.(check int) (what "int") x (Rng.int r bound))
+      ints;
+    List.iter
+      (fun x -> Alcotest.(check bool) (what "bool") x (Rng.bool r 0.5))
+      bools;
+    let c = Rng.split r in
+    Alcotest.(check int64) (what "split int64") split_int64 (Rng.int64 c);
+    Alcotest.(check int) (what "split int") split_int (Rng.int c 1000);
+    Alcotest.(check int64) (what "parent after split") after (Rng.int64 r)
+  in
+  check 42L
+    ~int64s:[ -4767286540954276203L; 2949826092126892291L ]
+    ~ints:[ (1000, 964); (1_000_000_007, 953467420) ]
+    ~bools:[ true; false; true; false; true; false; true; true ]
+    ~split_int64:(-6364961906347145113L) ~split_int:808
+    ~after:(-8854191821003330121L);
+  check 1234L
+    ~int64s:[ -4968325692281840421L; -7509856599009106652L ]
+    ~ints:[ (1000, 486); (1_000_000_007, 41568278) ]
+    ~bools:[ false; false; true; true; true; false; true; true ]
+    ~split_int64:7686859650435242468L ~split_int:191
+    ~after:(-7389255908054379832L)
+
+let test_rng_no_allocation () =
+  let rng = Rng.create 7L in
+  let sink = ref 0 in
+  No_alloc.check "minor words per Rng.int" (fun () ->
+      sink := !sink + Rng.int rng 100);
+  No_alloc.check "minor words per Rng.bool" (fun () ->
+      if Rng.bool rng 0.2 then incr sink)
+
 let test_rng_exponential_mean () =
   let rng = Rng.create 21L in
   let n = 100_000 in
@@ -641,6 +682,8 @@ let suite =
     ("rng copy", `Quick, test_rng_copy);
     ("rng exponential mean", `Quick, test_rng_exponential_mean);
     ("rng shuffle permutation", `Quick, test_rng_shuffle_permutation);
+    ("rng known answers", `Quick, test_rng_known_answers);
+    ("rng: int and bool allocate nothing", `Quick, test_rng_no_allocation);
     ("pqueue ordering", `Quick, test_pqueue_ordering);
     ("pqueue stable ties", `Quick, test_pqueue_stable_ties);
     ("pqueue peek", `Quick, test_pqueue_peek);
