@@ -153,7 +153,7 @@ let[@inline] arm_drain t sub ~time =
     Array.blit sub.dt pos sub.dt (pos + 1) (n - pos);
     sub.dt.(pos) <- time;
     sub.dt_len <- n + 1;
-    Engine.post_at t.engine ~time t.drain_h sub.id
+    Engine.post_at_from t.engine sub.dt pos t.drain_h sub.id
   end
 
 (* Remove every due inbox entry; deliver them (in inbox = sequence order)
@@ -211,7 +211,8 @@ let drain t sub =
 (* Queue one point-to-point delivery of [msg] (boxed once per broadcast in
    [some_msg]) to a live [sub]: fault plan, explorer oracle, FIFO floor,
    inbox and drain.  The fault-free path builds no plan and no closure; its
-   times stay unboxed up to the engine post. *)
+   times stay unboxed into the engine's heap: the drain is posted by its
+   slot in [sub.dt]. *)
 let transmit_to t sub some_msg (msg : 'a Message.t) =
   t.deliveries <- t.deliveries + 1;
   let seq = msg.Message.seq and sender = msg.Message.sender in

@@ -11,6 +11,10 @@ type payload =
       args : Detmt_lang.Ast.value array;
       sent_at : float;
       dummy : bool;
+      mutable req : Request.t;
+          (* the request every replica runs, built at its first delivery
+             (uid = the message's seq) and shared by the other replicas and
+             by recovery replay; [blank_request] until then *)
     }
   | P_nested_reply of { tid : int; call_index : int }
   | P_control of Sched_iface.control
@@ -131,9 +135,14 @@ let slot t id = id - t.params.replica_base
 
 let order_mix h v = Int64.add (Int64.mul h 1000003L) (Int64.of_int v)
 
+(* The hot kinds hash without building their tuple ([Payload_hash] folds
+   the same ints [Hashtbl.hash] gives); the cold ones hash a tuple. *)
 let payload_id = function
-  | P_request r -> Hashtbl.hash (0, r.client, r.client_req, r.meth, r.dummy)
-  | P_nested_reply r -> Hashtbl.hash (1, r.tid, r.call_index)
+  | P_request r ->
+    Payload_hash.request ~client:r.client ~client_req:r.client_req
+      ~meth:r.meth ~dummy:r.dummy
+  | P_nested_reply r ->
+    Payload_hash.nested_reply ~tid:r.tid ~call_index:r.call_index
   | P_control c -> Hashtbl.hash (2, c)
   | P_barrier b -> Hashtbl.hash (3, b.epoch, b.label)
 
@@ -213,7 +222,8 @@ let inject_dummy t ~from_replica =
       (bcast t ~sender:(-1) ~kind:"pds-dummy"
          (P_request
             { client = -1; client_req = t.dummy_seq; meth = "__dummy";
-              args = [||]; sent_at = Engine.now t.engine; dummy = true }))
+              args = [||]; sent_at = Engine.now t.engine; dummy = true;
+              req = blank_request }))
   end
 
 let push_reply_time t at =
@@ -315,12 +325,20 @@ let deliver t replica (msg : payload Message.t) =
   t.last_delivered.(slot t id) <- msg.seq;
   trim_log t;
   match msg.payload with
-  | P_request { client; client_req; meth; args; sent_at; dummy } ->
+  | P_request ({ client; client_req; meth; args; sent_at; dummy; req } as p)
+    ->
     if not (Dedup.mark t.dedups.(slot t id) ~client ~request:client_req)
     then begin
       let req =
-        { Request.uid = msg.seq; client; client_req; meth; args; sent_at;
-          dummy }
+        if req.Request.uid = msg.seq then req
+        else begin
+          let req =
+            { Request.uid = msg.seq; client; client_req; meth; args; sent_at;
+              dummy }
+          in
+          p.req <- req;
+          req
+        end
       in
       Replica.deliver_request replica req
     end
@@ -475,7 +493,9 @@ let submit ?on_ordered t ~client ~client_req ~meth ~args ~on_reply =
     t.sb_payload <- Freelist.fit t.sb_payload t.sb blank_payload;
     t.sb_ordered <- Freelist.fit t.sb_ordered t.sb None;
     t.sb_payload.(s) <-
-      P_request { client; client_req; meth; args; sent_at; dummy = false };
+      P_request
+        { client; client_req; meth; args; sent_at; dummy = false;
+          req = blank_request };
     t.sb_ordered.(s) <- on_ordered;
     Engine.post t.engine ~delay:t.params.client_latency_ms t.submit_h s
   end

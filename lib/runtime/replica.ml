@@ -12,6 +12,23 @@ type thread_status =
   | Commit_pending
   | Terminated
 
+(* A thread's status as the hot path keeps it: a constant constructor for
+   each [thread_status] case, and the ints of a gate case in the thread's
+   [gate_mutex] / [gate_arg] fields, so stopping a thread at a gate
+   allocates nothing.  [status] builds the public variant on query. *)
+module State = struct
+  type t =
+    | Created
+    | Running
+    | Lock_blocked (* gate_mutex; gate_arg = syncid *)
+    | Wait_parked (* gate_mutex; gate_arg = count *)
+    | Reacquire_blocked (* gate_mutex; gate_arg = count *)
+    | Nested_blocked (* gate_arg = call_index *)
+    | Nested_ready (* gate_arg = call_index *)
+    | Commit_pending
+    | Terminated
+end
+
 type callbacks = {
   send_reply : Request.t -> unit;
   do_nested :
@@ -27,7 +44,9 @@ type thread = {
   mutable cursor : Interp.cursor option;
       (* set once per (re-)execution by [start_thread]; [None] before it and
          after a discarded speculation *)
-  mutable status : thread_status;
+  mutable state : State.t;
+  mutable gate_mutex : int;
+  mutable gate_arg : int;
   mutable nested_count : int; (* nested invocations issued so far *)
   mutable buffered_replies : int list; (* call indices answered early *)
   mutable ws : Workspace.t option;
@@ -74,6 +93,26 @@ type t = {
          observation-only series behind [observing]) *)
 }
 
+(* Stop [th] at a gate: its state and the two ints that case carries. *)
+let hold th state ~mutex ~arg =
+  th.state <- state;
+  th.gate_mutex <- mutex;
+  th.gate_arg <- arg
+
+let status th =
+  match th.state with
+  | State.Created -> Created
+  | Running -> Running
+  | Lock_blocked ->
+    Lock_blocked { syncid = th.gate_arg; mutex = th.gate_mutex }
+  | Wait_parked -> Wait_parked { mutex = th.gate_mutex; count = th.gate_arg }
+  | Reacquire_blocked ->
+    Reacquire_blocked { mutex = th.gate_mutex; count = th.gate_arg }
+  | Nested_blocked -> Nested_blocked { call_index = th.gate_arg }
+  | Nested_ready -> Nested_ready { call_index = th.gate_arg }
+  | Commit_pending -> Commit_pending
+  | Terminated -> Terminated
+
 let sched t =
   match t.sched with
   | Some s -> s
@@ -114,7 +153,7 @@ let rec advance t th =
     | None ->
       invalid_arg (Printf.sprintf "Replica %d: t%d has no cursor" t.id th.tid)
     | Some c ->
-      th.status <- Running;
+      th.state <- State.Running;
       if Interp.next c then handle_op t th (Interp.op c) else body_done t th
 
 (* Charge CPU time and continue; zero-cost steps continue synchronously.
@@ -137,7 +176,7 @@ and body_done t th =
     (* Speculation complete: hold the workspace until the scheduler grants
        the slot-order commit barrier.  The reply is built (and the reply
        cost charged) only after a successful merge. *)
-    th.status <- Commit_pending;
+    th.state <- State.Commit_pending;
     if observing t then rec_wait_begin t th Recorder.Commit_hold;
     (sched t).on_ws_event th.tid Sched_iface.Ws_ready
   | None ->
@@ -147,7 +186,7 @@ and body_done t th =
 
 and finish t th =
   if t.live then begin
-    th.status <- Terminated;
+    th.state <- State.Terminated;
     Trace.thread_end t.trace_rec ~time:(now t) ~tid:th.tid;
     if observing t then begin
       Recorder.request_ended t.obs ~replica:t.id ~uid:th.tid
@@ -216,7 +255,7 @@ and ws_unsafe_abort t th =
   if observing t then Recorder.incr t.obs "replica.ws.aborts_unsafe";
   th.ws <- None;
   th.cursor <- None;
-  th.status <- Created;
+  th.state <- State.Created;
   (sched t).on_ws_event th.tid Sched_iface.Ws_unsafe
 
 and handle_direct_op t th op =
@@ -234,7 +273,7 @@ and handle_direct_op t th op =
       after_cost_advance t t.config.lock_overhead_ms th
     end
     else begin
-      th.status <- Lock_blocked { syncid; mutex };
+      hold th State.Lock_blocked ~mutex ~arg:syncid;
       Trace.lock_requested t.trace_rec ~time:(now t) ~tid:th.tid ~syncid
         ~mutex;
       if observing t then
@@ -253,7 +292,7 @@ and handle_direct_op t th op =
     after_cost_advance t t.config.lock_overhead_ms th
   | Op.Wait { mutex } ->
     let count = Mutex_table.release_all t.mutexes ~mutex ~tid:th.tid in
-    th.status <- Wait_parked { mutex; count };
+    hold th State.Wait_parked ~mutex ~arg:count;
     Condvar.park t.condvars ~mutex ~tid:th.tid;
     Trace.wait_begin t.trace_rec ~time:(now t) ~tid:th.tid ~mutex;
     if observing t then rec_wait_begin t th Recorder.Condvar;
@@ -267,9 +306,9 @@ and handle_direct_op t th op =
     List.iter
       (fun wtid ->
         let w = thread t wtid in
-        match w.status with
-        | Wait_parked { mutex = m; count } when m = mutex ->
-          w.status <- Reacquire_blocked { mutex; count };
+        match w.state with
+        | State.Wait_parked when w.gate_mutex = mutex ->
+          w.state <- State.Reacquire_blocked;
           if observing t then begin
             rec_wait_end t w;
             rec_wait_begin t w Recorder.Reacquire
@@ -289,14 +328,14 @@ and handle_direct_op t th op =
       (* The reply (broadcast by the invoking replica) overtook us. *)
       th.buffered_replies <-
         List.filter (fun i -> i <> call_index) th.buffered_replies;
-      th.status <- Nested_ready { call_index };
+      hold th State.Nested_ready ~mutex:(-1) ~arg:call_index;
       if observing t then rec_wait_begin t th Recorder.Resume_hold;
       s.on_nested_begin th.tid;
       Trace.nested_end t.trace_rec ~time:(now t) ~tid:th.tid ~service:0;
       s.on_nested_reply th.tid
     end
     else begin
-      th.status <- Nested_blocked { call_index };
+      hold th State.Nested_blocked ~mutex:(-1) ~arg:call_index;
       if observing t then rec_wait_begin t th Recorder.Nested;
       s.on_nested_begin th.tid;
       t.callbacks.do_nested ~tid:th.tid ~call_index ~service ~duration
@@ -327,8 +366,8 @@ and handle_direct_op t th op =
 
 let do_start_thread t tid =
   let th = thread t tid in
-  (match th.status with
-  | Created -> ()
+  (match th.state with
+  | State.Created -> ()
   | _ -> invalid_arg (Printf.sprintf "Replica %d: t%d started twice" t.id tid));
   Trace.thread_start t.trace_rec ~time:(now t) ~tid
     ~method_name:th.req.Request.meth;
@@ -342,8 +381,8 @@ let do_start_thread t tid =
 
 let do_ws_begin t ~tid ~record_acquisitions =
   let th = thread t tid in
-  (match th.status with
-  | Created -> ()
+  (match th.state with
+  | State.Created -> ()
   | _ ->
     invalid_arg
       (Printf.sprintf "Replica %d: ws_begin for t%d not in Created" t.id tid));
@@ -356,8 +395,8 @@ let do_ws_begin t ~tid ~record_acquisitions =
    re-execution, are functions of the total order alone. *)
 let do_ws_commit t tid =
   let th = thread t tid in
-  match (th.status, th.ws) with
-  | Commit_pending, Some w -> (
+  match (th.state, th.ws) with
+  | State.Commit_pending, Some w -> (
     if observing t then rec_wait_end t th;
     match Workspace.conflicts w with
     | [] ->
@@ -379,7 +418,7 @@ let do_ws_commit t tid =
           (fun mutex -> record_acquisition t ~mutex ~th)
           (Workspace.acquisition_log w);
       th.ws <- None;
-      th.status <- Running;
+      th.state <- State.Running;
       after_cost_finish t
         (if th.req.Request.dummy then 0.0 else t.config.reply_build_ms)
         th;
@@ -391,7 +430,7 @@ let do_ws_commit t tid =
       if observing t then Recorder.incr t.obs "replica.ws.aborts_stale";
       th.ws <- None;
       th.cursor <- None;
-      th.status <- Created;
+      th.state <- State.Created;
       false)
   | _ ->
     invalid_arg
@@ -402,22 +441,24 @@ let do_ws_commit t tid =
    thread's own status. *)
 let do_proceed t tid =
   let th = thread t tid in
-  match th.status with
-  | Lock_blocked { syncid; mutex } ->
+  let mutex = th.gate_mutex in
+  match th.state with
+  | State.Lock_blocked ->
+    let syncid = th.gate_arg in
     Mutex_table.acquire t.mutexes ~mutex ~tid;
     Trace.lock_granted t.trace_rec ~time:(now t) ~tid ~syncid ~mutex;
     if observing t then rec_wait_end t th;
     record_acquisition t ~mutex ~th;
     (sched t).on_acquired tid ~syncid ~mutex;
     after_cost_advance t t.config.lock_overhead_ms th
-  | Reacquire_blocked { mutex; count } ->
-    Mutex_table.restore t.mutexes ~mutex ~tid ~count;
+  | Reacquire_blocked ->
+    Mutex_table.restore t.mutexes ~mutex ~tid ~count:th.gate_arg;
     Trace.wait_end t.trace_rec ~time:(now t) ~tid ~mutex;
     if observing t then rec_wait_end t th;
     record_acquisition t ~mutex ~th;
     (sched t).on_reacquired tid ~mutex;
     after_cost_advance t t.config.lock_overhead_ms th
-  | Nested_ready _ ->
+  | Nested_ready ->
     if observing t then rec_wait_end t th;
     advance t th
   | _ ->
@@ -509,8 +550,8 @@ let deliver_request t req =
            t.last_uid);
     t.last_uid <- tid;
     Hashtbl.add t.threads tid
-      { tid; req; cursor = None; status = Created; nested_count = 0;
-        buffered_replies = []; ws = None };
+      { tid; req; cursor = None; state = State.Created; gate_mutex = -1;
+        gate_arg = 0; nested_count = 0; buffered_replies = []; ws = None };
     t.active <- t.active + 1;
     if observing t then begin
       Recorder.request_delivered t.obs ~replica:t.id ~uid:tid
@@ -525,9 +566,9 @@ let deliver_request t req =
 let nested_reply t ~tid ~call_index =
   if t.live then
     match Hashtbl.find t.threads tid with
-    | { status = Nested_blocked { call_index = pending }; _ } as th
+    | { state = State.Nested_blocked; gate_arg = pending; _ } as th
       when pending = call_index ->
-      th.status <- Nested_ready { call_index };
+      th.state <- State.Nested_ready;
       if observing t then begin
         rec_wait_end t th;
         rec_wait_begin t th Recorder.Resume_hold
@@ -568,12 +609,12 @@ let active_threads t = t.active
 
 let thread_status t tid =
   match Hashtbl.find_opt t.threads tid with
-  | Some th -> Some th.status
+  | Some th -> Some (status th)
   | None when tid <= t.last_uid -> Some Terminated
   | None -> None
 
 let threads_overview t =
-  Hashtbl.fold (fun tid th acc -> (tid, th.status) :: acc) t.threads []
+  Hashtbl.fold (fun tid th acc -> (tid, status th) :: acc) t.threads []
   |> List.sort compare
 
 let lock_holders t = Mutex_table.holders t.mutexes

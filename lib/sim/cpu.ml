@@ -2,7 +2,10 @@
    continuation (engine handler id + immediate argument, or a thunk for the
    closure API), and an intrusive link doubling as freelist and FIFO chain.
    Completion is one registered engine handler whose argument is the
-   segment slot, so a compute burst costs no allocation per segment. *)
+   segment slot, so a compute burst costs no allocation per segment.  No
+   float crosses into the engine either (under [-opaque] each would be
+   boxed): a segment's completion is posted by its slot in [sd], and the
+   busy total accumulates in a one-cell float array. *)
 
 let nop () = ()
 
@@ -12,7 +15,7 @@ type t = {
   engine : Engine.t;
   cores : int;
   mutable busy : int;
-  mutable busy_time : float;
+  busy_time : float array; (* one cell: cumulative core-busy time *)
   mutable finish_h : Engine.handler_id;
   mutable sd : float array; (* segment duration *)
   mutable sh : int array; (* continuation handler, or [thunk_cont] *)
@@ -62,8 +65,8 @@ let release t s =
 
 let start t s =
   t.busy <- t.busy + 1;
-  t.busy_time <- t.busy_time +. t.sd.(s);
-  Engine.post t.engine ~delay:t.sd.(s) t.finish_h s
+  t.busy_time.(0) <- t.busy_time.(0) +. t.sd.(s);
+  Engine.post_from t.engine t.sd s t.finish_h s
 
 let finish t s =
   t.busy <- t.busy - 1;
@@ -91,7 +94,7 @@ let finish t s =
 let create engine ~cores =
   if cores < 1 then invalid_arg "Cpu.create: cores must be >= 1";
   let t =
-    { engine; cores; busy = 0; busy_time = 0.0; finish_h = 0; sd = [||];
+    { engine; cores; busy = 0; busy_time = [| 0.0 |]; finish_h = 0; sd = [||];
       sh = [||]; sa = [||]; sk = [||]; snext = [||]; sfree = -1; scap = 0;
       wait_head = -1; wait_tail = -1 }
   in
@@ -128,4 +131,4 @@ let exec_h t ~duration h x =
   t.sa.(s) <- x;
   submit t s
 
-let busy_time t = t.busy_time
+let busy_time t = t.busy_time.(0)

@@ -18,7 +18,9 @@ val exec : t -> duration:float -> (unit -> unit) -> unit
 val exec_h : t -> duration:float -> Engine.handler_id -> int -> unit
 (** [exec_h t ~duration h x] is {!exec} with a typed continuation: when the
     segment completes, [h] is invoked with [x] (via {!Engine.invoke}).
-    Segments are pooled, so this path allocates nothing per segment. *)
+    Segments are pooled and the duration reaches the engine unboxed, so
+    the segment and its completion allocate nothing; only the engine's
+    clock is re-boxed when the completion fires at a new instant. *)
 
 val busy_time : t -> float
 (** Cumulative core-busy virtual time — used to report CPU utilisation. *)

@@ -18,15 +18,25 @@ type handler_id = int
    Handler 0 is the thunk path — the slot's closure cell is the payload —
    kept for cold producers (test setup, one-shot fault injections); every
    hot producer registers a handler once and posts (handler, arg) pairs,
-   so no event allocates a closure or an arena record.  The clock is a
-   boxed float field, so each fired event still boxes its time, and so
-   does each [post_at] whose time was computed. *)
+   so no event allocates a closure or an arena record.
+
+   Nor does an event box its time.  Dune's dev profile compiles with
+   [-opaque], so nothing is inlined across modules and every float passed
+   to or returned from another module's function is boxed.  Times
+   therefore cross into the heap in flat float arrays: a post computes its
+   time into the one-cell [stage] (or names a slot of the caller's own
+   array) and the heap reads it there; a pop leaves its time in the
+   heap's one-cell [popped].  The clock stays a boxed field, so [now] is a
+   free pointer read; firing re-boxes it only when the popped time
+   differs from it, i.e. when the instant moves. *)
 let thunk_handler = 0
 
 let nop () = ()
 
 type t = {
   queue : Pqueue.t; (* slot ids keyed by (time, seq) *)
+  popped : float array; (* the queue's cell: time of the last pop *)
+  stage : float array; (* one cell: the time a post hands the queue *)
   mutable eh : int array; (* per-slot handler id *)
   mutable ea : int array; (* per-slot argument; freelist link when free *)
   mutable ek : (unit -> unit) array; (* per-slot thunk (handler 0 only) *)
@@ -48,9 +58,11 @@ let unregistered (_ : int) =
   invalid_arg "Engine: dispatch through an unregistered handler"
 
 let create () =
-  { queue = Pqueue.create (); eh = [||]; ea = [||]; ek = [||]; efree = -1;
-    ecap = 0; handlers = Array.make 8 unregistered; nhandlers = 1;
-    clock = 0.0; next_seq = 0; executed = 0; thunks = 0; order_oracle = None;
+  let queue = Pqueue.create () in
+  { queue; popped = Pqueue.popped queue; stage = [| 0.0 |]; eh = [||];
+    ea = [||]; ek = [||]; efree = -1; ecap = 0;
+    handlers = Array.make 8 unregistered; nhandlers = 1; clock = 0.0;
+    next_seq = 0; executed = 0; thunks = 0; order_oracle = None;
     journaling = false; journal = []; probe = None }
 
 let set_probe t p = t.probe <- p
@@ -103,40 +115,59 @@ let release_slot t s =
   t.ea.(s) <- t.efree;
   t.efree <- s
 
-let enqueue t ~time s =
-  Pqueue.push t.queue ~time ~seq:t.next_seq s;
+let enqueue t times i s =
+  Pqueue.push_from t.queue times i ~seq:t.next_seq s;
   t.next_seq <- t.next_seq + 1
 
 (* ----------------------------- scheduling --------------------------- *)
 
-let schedule_at t ~time f =
+(* Every post and schedule checks its time in [times.(i)]; [who] names
+   the public entry point in the error messages. *)
+let check_time who t times i =
+  let time = times.(i) in
   if time < t.clock then
     invalid_arg
-      (Printf.sprintf "Engine.schedule_at: time %g is before now %g" time
-         t.clock);
+      (Printf.sprintf "%s: time %g is before now %g" who time t.clock)
+
+let schedule_at t ~time f =
+  t.stage.(0) <- time;
+  check_time "Engine.schedule_at" t t.stage 0;
   let s = alloc_slot t in
   t.eh.(s) <- thunk_handler;
   t.ek.(s) <- f;
-  enqueue t ~time s
+  enqueue t t.stage 0 s
 
 let schedule t ~delay f =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
   schedule_at t ~time:(t.clock +. delay) f
 
-let post_at t ~time h x =
-  if time < t.clock then
-    invalid_arg
-      (Printf.sprintf "Engine.post_at: time %g is before now %g" time t.clock);
+(* Post [(h, x)] at the time in [times.(i)]. *)
+let post_in who t times i h x =
+  check_time who t times i;
   if h <= 0 || h >= t.nhandlers then
-    invalid_arg (Printf.sprintf "Engine.post_at: unknown handler %d" h);
+    invalid_arg (Printf.sprintf "%s: unknown handler %d" who h);
   let s = alloc_slot t in
   t.eh.(s) <- h;
   t.ea.(s) <- x;
-  enqueue t ~time s
+  enqueue t times i s
+
+let post_at_from t times i h x =
+  post_in "Engine.post_at_from" t times i h x
+
+let post_at t ~time h x =
+  t.stage.(0) <- time;
+  post_in "Engine.post_at" t t.stage 0 h x
 
 let post t ~delay h x =
   if delay < 0.0 then invalid_arg "Engine.post: negative delay";
-  post_at t ~time:(t.clock +. delay) h x
+  t.stage.(0) <- t.clock +. delay;
+  post_in "Engine.post" t t.stage 0 h x
+
+let post_from t delays i h x =
+  let delay = delays.(i) in
+  if delay < 0.0 then invalid_arg "Engine.post_from: negative delay";
+  t.stage.(0) <- t.clock +. delay;
+  post_in "Engine.post_from" t t.stage 0 h x
 
 let set_order_oracle t oracle = t.order_oracle <- oracle
 
@@ -148,10 +179,12 @@ let journal t = Array.of_list (List.rev t.journal)
 
 (* ------------------------------ stepping ----------------------------- *)
 
-let fire t ~time s =
-  t.clock <- time;
+(* Fire the slot just popped: its time is in [t.popped]. *)
+let fire t s =
+  let time = t.popped.(0) in
+  if time <> t.clock then t.clock <- time;
   t.executed <- t.executed + 1;
-  if t.journaling then t.journal <- time :: t.journal;
+  if t.journaling then t.journal <- t.clock :: t.journal;
   let h = t.eh.(s) in
   if h = thunk_handler then begin
     t.thunks <- t.thunks + 1;
@@ -195,15 +228,14 @@ let step t =
   match t.order_oracle with
   | None ->
     let s = pop t in
-    if s < 0 then false else fire t ~time:(Pqueue.popped_time t.queue) s
+    if s < 0 then false else fire t s
   | Some pick ->
     let s = pop t in
     if s < 0 then false
     else begin
-      let time = Pqueue.popped_time t.queue in
       let seq = Pqueue.popped_seq t.queue in
       let rec drain acc =
-        if Pqueue.peek_time t.queue = time then begin
+        if Pqueue.peek_time t.queue = t.popped.(0) then begin
           let s' = Pqueue.pop_raw t.queue in
           drain ((Pqueue.popped_seq t.queue, s') :: acc)
         end
@@ -211,18 +243,19 @@ let step t =
       in
       let ties = (seq, s) :: drain [] in
       let count = List.length ties in
-      if count = 1 then fire t ~time s
+      if count = 1 then fire t s
       else begin
         let i =
           let i = pick ~count in
           if i < 0 || i >= count then 0 else i
         in
         let chosen = List.nth ties i in
+        (* Every tie shares the popped time, which [popped] still holds. *)
         List.iteri
           (fun j (seq', s') ->
-            if j <> i then Pqueue.push t.queue ~time ~seq:seq' s')
+            if j <> i then Pqueue.push_from t.queue t.popped 0 ~seq:seq' s')
           ties;
-        fire t ~time (snd chosen)
+        fire t (snd chosen)
       end
     end
 
@@ -230,9 +263,9 @@ let run ?until t =
   match until with
   | None -> while step t do () done
   | Some limit ->
-    (* [peek_time] is [infinity] on an empty queue, so the emptiness check
-       must come first: [~until:infinity] means "run to drain". *)
-    while Pqueue.length t.queue > 0 && Pqueue.peek_time t.queue <= limit do
+    (* [due_by] is false on an empty queue, so [~until:infinity] means
+       "run to drain". *)
+    while Pqueue.due_by t.queue limit do
       ignore (step t)
     done
 

@@ -7,9 +7,14 @@
     Events are typed: a producer {!register_handler}s an [int -> unit]
     dispatch function once and then {!post}s [(handler, arg)] pairs, which
     land in a pooled event arena, so an event allocates no closure and no
-    record.  It is not free: the clock is a boxed float, so firing an event
-    boxes its time (2 words), and a {!post_at} whose time the caller
-    computed boxes that time where it is passed (2 words more).
+    record, and it boxes no time either: a post hands its time to the heap
+    in a flat float cell, and firing re-boxes the clock (2 words) only when
+    the popped time differs from it.  Events at an unchanged instant cost
+    nothing.  The one float a caller still boxes is a computed [~delay] or
+    [~time] argument: under dune's [-opaque] dev profile every float that
+    crosses a module boundary is boxed, so a producer with a computed time
+    keeps it in a float array and posts with {!post_from} /
+    {!post_at_from}.
     {!schedule} / {!schedule_at} remain as the thunk constructor for cold
     paths (test setup, one-shot fault injections); a thunk event is simply
     handler 0 with the closure in its slot, and {!thunks_executed} counts
@@ -20,7 +25,8 @@ type t
 val create : unit -> t
 
 val now : t -> float
-(** Current virtual time in milliseconds. *)
+(** Current virtual time in milliseconds.  The clock is kept boxed, so
+    this is a pointer read that allocates nothing. *)
 
 (** {1 Typed events} *)
 
@@ -43,6 +49,14 @@ val post : t -> delay:float -> handler_id -> int -> unit
 val post_at : t -> time:float -> handler_id -> int -> unit
 (** [post_at t ~time h x] is {!post} at absolute virtual time [time],
     which must not lie in the past. *)
+
+val post_from : t -> float array -> int -> handler_id -> int -> unit
+(** [post_from t delays i h x] is [post t ~delay:delays.(i) h x], reading
+    the delay from a flat float array so that no float is boxed. *)
+
+val post_at_from : t -> float array -> int -> handler_id -> int -> unit
+(** [post_at_from t times i h x] is [post_at t ~time:times.(i) h x],
+    reading the time from a flat float array so that no float is boxed. *)
 
 val invoke : t -> handler_id -> int -> unit
 (** Call a registered handler synchronously (no event, no clock movement).

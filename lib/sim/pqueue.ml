@@ -2,8 +2,14 @@
 
    Slot [i] holds one entry: [times.(i)] (a flat float array, so keys are
    unboxed), [seqs.(i)] and [values.(i)].  Sift-up and sift-down move a
-   hole instead of swapping, and the arrays only grow (by doubling), so a
-   push allocates nothing; a pop boxes the time it stores in [ptime].
+   hole instead of swapping, and the arrays only grow (by doubling).
+
+   No float crosses this module's boundary on the hot path: dune's dev
+   profile compiles with [-opaque], so nothing is inlined across modules
+   and every float argument or result of a cross-module call is boxed.
+   [push_from] reads its time from a caller's flat float array, and
+   [pop_raw] writes the popped time into the one-cell [popped] array, so
+   neither allocates.
 
    The engine's sequence numbers are unique, so no two live entries share a
    key and every correct min-heap pops the same stream: the order is a
@@ -17,13 +23,13 @@ type t = {
   mutable seqs : int array;
   mutable values : int array;
   mutable size : int;
-  mutable ptime : float; (* key of the last popped entry *)
+  popped : float array; (* one cell: time of the last popped entry *)
   mutable pseq : int;
 }
 
 let create () =
   { times = [||]; seqs = [||]; values = [||]; size = 0;
-    ptime = neg_infinity; pseq = 0 }
+    popped = [| neg_infinity |]; pseq = 0 }
 
 let length q = q.size
 
@@ -42,14 +48,15 @@ let grow q =
 (* Both sifts move a hole and write the sifted entry once, at the end.
    They index the arrays directly, with the moving key in unboxed locals:
    a helper taking a float argument would box it on every call. *)
-let push q ~time ~seq value =
+let push_from q src i ~seq value =
+  let time = src.(i) in
   if value < 0 then invalid_arg "Pqueue.push: payload must be >= 0";
   if not (time >= 0.0) then
     invalid_arg "Pqueue.push: time must be non-negative";
-  if time < q.ptime then
+  if time < q.popped.(0) then
     invalid_arg
       (Printf.sprintf "Pqueue.push: time %g predates the last pop %g" time
-         q.ptime);
+         q.popped.(0));
   if q.size = Array.length q.times then grow q;
   let times = q.times and seqs = q.seqs and values = q.values in
   let hole = ref q.size in
@@ -69,6 +76,8 @@ let push q ~time ~seq value =
   times.(!hole) <- time;
   seqs.(!hole) <- seq;
   values.(!hole) <- value
+
+let push q ~time ~seq value = push_from q [| time |] 0 ~seq value
 
 (* Re-seat the last entry, starting from a hole at the root. *)
 let sift_down_last q =
@@ -107,18 +116,20 @@ let pop_raw q =
   if q.size = 0 then -1
   else begin
     let v = q.values.(0) in
-    q.ptime <- q.times.(0);
+    q.popped.(0) <- q.times.(0);
     q.pseq <- q.seqs.(0);
     q.size <- q.size - 1;
     if q.size > 0 then sift_down_last q;
     v
   end
 
-let popped_time q = q.ptime
+let popped q = q.popped
 
 let popped_seq q = q.pseq
 
 let peek_time q = if q.size = 0 then infinity else q.times.(0)
+
+let due_by q limit = q.size > 0 && q.times.(0) <= limit
 
 let peek q =
   if q.size = 0 then None else Some (q.times.(0), q.seqs.(0), q.values.(0))

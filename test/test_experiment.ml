@@ -359,26 +359,26 @@ let test_claim_e18_load () =
 let test_claim_e18_words () =
   check_claims "engine"
     (rows "engine" ~keep:(fun c -> wname "figure1" c && c.scheduler = "mat"))
-    ~expect:[ "mat on figure1@256 under 16.4 words/event" ]
+    ~expect:[ "mat on figure1@256 under 7.4 words/event" ]
 
 (* The §4.3 bookkeeping and claim refresh gate, on pMAT's full-size row. *)
 let test_claim_e18_pmat_words () =
   check_claims "engine"
     (rows "engine" ~keep:(fun c -> wname "figure1" c && c.scheduler = "pmat"))
-    ~expect:[ "pmat on figure1@256 under 16.1 words/event" ]
+    ~expect:[ "pmat on figure1@256 under 7.1 words/event" ]
 
 (* The request lifecycle without decisions: seq's row pins what the
    client, GCS and replica path cost on their own. *)
 let test_claim_e18_seq_words () =
   check_claims "engine"
     (rows "engine" ~keep:(fun c -> wname "figure1" c && c.scheduler = "seq"))
-    ~expect:[ "seq on figure1@256 under 17.3 words/event" ]
+    ~expect:[ "seq on figure1@256 under 8.3 words/event" ]
 
-(* The raw chain's cost is its two boxed timestamps, exactly. *)
+(* The raw chain boxes only the clock, once per new instant. *)
 let test_claim_e18_raw_chain () =
   check_claims "engine"
     (rows "engine" ~keep:(fun c -> wname "raw-chain" c))
-    ~expect:[ "raw chain at most 4 words/event" ]
+    ~expect:[ "raw chain at most 0.047 words/event" ]
 
 (* The request path posts typed events only: a figure1 run fires no thunk
    event, and the count does not grow with the client count. *)

@@ -167,9 +167,9 @@ let test_dedup_no_allocation () =
       ignore (Dedup.mark d ~client:0 ~request:5))
 
 (* One broadcast to three subscribers, drained, costs its message record,
-   the one [Some] cell the inboxes share and the engine's boxed times
-   (popped and posted) of the three drain events: no closure, plan tuple or
-   per-subscriber box. *)
+   the one [Some] cell the inboxes share and one re-boxed clock for the
+   three drains, which fire at the same instant: no closure, plan tuple,
+   per-subscriber box or boxed event time. *)
 let test_broadcast_allocation () =
   let engine = Engine.create () in
   let bus = Totem.create engine in
@@ -178,7 +178,7 @@ let test_broadcast_allocation () =
     (fun id -> Totem.subscribe bus ~id (fun _ -> incr got))
     [ 0; 1; 2 ];
   No_alloc.check_words "minor words per broadcast, 3 subscribers"
-    ~words:(5 + 2 + (3 * (2 + 2)))
+    ~words:(5 + 2 + 2)
     (fun () ->
       ignore (Totem.broadcast bus ~sender:9 0);
       Engine.run engine);

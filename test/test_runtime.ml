@@ -644,6 +644,53 @@ let test_update_state_no_allocation () =
   Alcotest.(check int) "updates applied" 10_100
     (Object_state.state_field o "st")
 
+(* A thread held at a lock gate and then granted allocates nothing in the
+   replica: the gate is a constant state and two int fields of the thread.
+   The method loops over one monitor under a stub scheduler that holds
+   every lock request until the test proceeds it; with no lock overhead a
+   grant runs the thread on, synchronously, to its next request.  Each
+   round yields a lock and an unlock op, whose mutex the interpreter reads
+   at run time, so its two 3-word [Op.t] records are the whole cost. *)
+let test_replica_lock_gate_no_allocation () =
+  let open Builder in
+  let cls = instrumented [ for_arg 0 [ sync this [] ] ] in
+  let engine = Detmt_sim.Engine.create () in
+  let config = { Config.default with lock_overhead_ms = 0.0 } in
+  let held = ref (-1) and acts = ref None in
+  let callbacks =
+    { Replica.send_reply = (fun _ -> ());
+      do_nested = (fun ~tid:_ ~call_index:_ ~service:_ ~duration:_ -> ());
+      broadcast_control = (fun _ -> ());
+      inject_dummy = (fun () -> ());
+      is_leader = (fun () -> true) }
+  in
+  let make_sched (a : Sched_iface.actions) =
+    acts := Some a;
+    Sched_iface.no_op_sched ~name:"hold"
+      ~on_request:(fun tid -> a.start_thread tid)
+      ~on_lock:(fun tid ~syncid:_ ~mutex:_ -> held := tid)
+      ~on_wakeup:(fun _ ~mutex:_ -> ())
+      ~on_nested_reply:(fun _ -> ())
+  in
+  let r = Replica.create ~engine ~id:0 ~cls ~config ~callbacks ~make_sched () in
+  Replica.deliver_request r
+    (Request.make ~uid:0 ~client:0 ~client_req:0 ~meth:"m"
+       ~args:[| Ast.Vint 1_000_000; Ast.Vint 0; Ast.Vint 0 |]
+       ~sent_at:0.0);
+  let proceed = (Option.get !acts).Sched_iface.proceed in
+  Alcotest.(check int) "held at the first lock" 0 !held;
+  No_alloc.check_words "minor words per held and granted lock" ~words:6
+    (fun () ->
+      held := -1;
+      proceed 0;
+      if !held <> 0 then Alcotest.fail "t0 not held at its next lock");
+  match Replica.thread_status r 0 with
+  | Some (Replica.Lock_blocked { mutex; _ }) ->
+    Alcotest.(check int) "the status names the monitor"
+      (Object_state.self_mutex (Replica.object_state r))
+      mutex
+  | _ -> Alcotest.fail "t0 does not read Lock_blocked"
+
 let suite =
   [ ("mutex basic", `Quick, test_mutex_basic);
     ("mutex reentrant", `Quick, test_mutex_reentrant);
@@ -683,6 +730,8 @@ let suite =
      test_acquisition_order_no_allocation);
     ("object state: update_state allocates nothing", `Quick,
      test_update_state_no_allocation);
+    ("replica: a held and granted lock allocates nothing", `Quick,
+     test_replica_lock_gate_no_allocation);
   ]
 
 let () = Alcotest.run "runtime" [ ("runtime", suite) ]

@@ -439,6 +439,36 @@ let test_engine_typed_events () =
     [ 10; 11; 20; 30; 99 ] (List.rev !log);
   Alcotest.(check int) "invoke is not an event" 4 (Engine.events_executed e)
 
+(* Event times reach the heap and come back in flat float cells, so a post
+   and its pop allocate nothing while the instant stays put; only moving
+   the clock re-boxes it, 2 words.  Each way of naming the time is
+   checked. *)
+let test_engine_event_no_allocation () =
+  let e = Engine.create () in
+  let h = Engine.register_handler e (fun _ -> ()) in
+  let delays = [| 0.0; 1.0 |] and times = [| 0.0 |] in
+  No_alloc.check "minor words per post and pop, same instant" (fun () ->
+      Engine.post e ~delay:0.0 h 0;
+      Engine.post_from e delays 0 h 0;
+      times.(0) <- Engine.now e;
+      Engine.post_at_from e times 0 h 0;
+      Engine.run e);
+  No_alloc.check_words "minor words per post and pop, new instant" ~words:2
+    (fun () ->
+      Engine.post e ~delay:1.0 h 0;
+      Engine.run e);
+  No_alloc.check_words "minor words per post_from and pop, new instant"
+    ~words:2 (fun () ->
+      Engine.post_from e delays 1 h 0;
+      Engine.run e);
+  No_alloc.check_words "minor words per post_at_from and pop, new instant"
+    ~words:2 (fun () ->
+      times.(0) <- Engine.now e +. 1.0;
+      Engine.post_at_from e times 0 h 0;
+      Engine.run e);
+  Alcotest.(check int) "every event fired" ((3 + 3) * 10_100)
+    (Engine.events_executed e)
+
 let test_engine_post_rejects_bad_handler () =
   let e = Engine.create () in
   Alcotest.check_raises "unregistered handler rejected"
@@ -516,6 +546,28 @@ let test_cpu_exec_h () =
   Alcotest.(check (list int)) "typed segments keep FIFO order" [ 1; 2; 3 ]
     (List.rev !order);
   Alcotest.(check (float 1e-9)) "durations charged" 3.0 (Cpu.busy_time cpu)
+
+(* A segment reaches the engine by its slot in the pool, so [exec_h] and
+   its completion allocate nothing: queued behind a busy core or not, at
+   the same instant.  A segment that moves the clock costs the clock's
+   re-box, 2 words. *)
+let test_cpu_no_allocation () =
+  let e = Engine.create () in
+  let cpu = Cpu.create e ~cores:1 in
+  let done_ = ref 0 in
+  let h = Engine.register_handler e (fun _ -> incr done_) in
+  No_alloc.check "minor words per exec_h and completion, same instant"
+    (fun () ->
+      Cpu.exec_h cpu ~duration:0.0 h 0;
+      Cpu.exec_h cpu ~duration:0.0 h 1;
+      Engine.run e);
+  No_alloc.check_words "minor words per exec_h and completion, new instant"
+    ~words:2 (fun () ->
+      Cpu.exec_h cpu ~duration:1.0 h 0;
+      Engine.run e);
+  Alcotest.(check int) "every segment completed" (3 * 10_100) !done_;
+  Alcotest.(check (float 1e-9)) "durations charged" 10_100.0
+    (Cpu.busy_time cpu)
 
 (* ------------------------------ Trace ------------------------------ *)
 
@@ -695,6 +747,8 @@ let suite =
     ("engine typed events", `Quick, test_engine_typed_events);
     ("engine post rejects bad handler", `Quick,
      test_engine_post_rejects_bad_handler);
+    ("engine: posts and pops box only a moved clock", `Quick,
+     test_engine_event_no_allocation);
     ("engine clock", `Quick, test_engine_clock_advances);
     ("engine zero-delay fifo", `Quick, test_engine_zero_delay_fifo);
     ("engine rejects past", `Quick, test_engine_rejects_past);
@@ -709,6 +763,8 @@ let suite =
     ("cpu queueing", `Quick, test_cpu_queueing);
     ("cpu fifo", `Quick, test_cpu_fifo);
     ("cpu exec_h", `Quick, test_cpu_exec_h);
+    ("cpu: exec_h and its completion allocate nothing", `Quick,
+     test_cpu_no_allocation);
     ("trace order-sensitive", `Quick, test_trace_fingerprint_order_sensitive);
     ("trace equal fingerprints", `Quick,
      test_trace_fingerprint_equal_for_equal);
