@@ -1011,10 +1011,12 @@ let load_independence rows =
    and acquisition folds, mutex and field lookups, scheduler gates), pMAT's
    claim refresh and the §4.3 bookkeeping allocate nothing per op, the
    request lifecycle around them allocates no closure, tuple or boxed key
-   (E30), and event times are boxed only when the clock moves (E31).  Each
-   bound is the row's E31 level plus under 10%, so a regression on any of
-   those paths fails the claim whatever the host's load. *)
-let figure1_words_bounds = [ ("seq", 8.3); ("mat", 7.4); ("pmat", 7.1) ]
+   (E30), event times are boxed only when the clock moves (E31), and the
+   interpreter yields its ops in the cursor rather than as fresh records
+   (E32).  Each bound is the row's E32 level plus under 10%, so a
+   regression on any of those paths fails the claim whatever the host's
+   load. *)
+let figure1_words_bounds = [ ("seq", 5.9); ("mat", 5.0); ("pmat", 4.5) ]
 
 (* The raw chain's words/event: its E31 level (0.043, the clock re-boxed
    once per new instant) plus under 10%. *)

@@ -11,11 +11,13 @@ type t
 val create : unit -> t
 
 val park : t -> mutex:int -> tid:int -> unit
-(** Append the thread to the mutex's wait set.
+(** Append the thread to the mutex's wait set.  Allocates nothing once the
+    set has held as many waiters before.
     @raise Invalid_argument when the thread is already parked there. *)
 
-val notify_one : t -> mutex:int -> int option
-(** Remove and return the longest-waiting thread, if any. *)
+val notify_one : t -> mutex:int -> int
+(** Remove and return the longest-waiting thread; [-1] when none waits.
+    Allocates nothing. *)
 
 val notify_all : t -> mutex:int -> int list
 (** Remove and return all waiters in FIFO order. *)

@@ -3,10 +3,13 @@
    A method body is lowered once, on its first call, to an instruction
    array: branches and loops become jumps with resolved targets, locals and
    loop counters become slots of an int array, and ops whose operands are
-   all static are built at compile time and yielded as they are.  A request
-   runs on a cursor (code, program counter, slots, saved caller frames), so
-   stepping a thread allocates only the [Op.t] record of an op whose mutex
-   or duration comes from an argument, a local or a field. *)
+   all static are built at compile time.  A request runs on a cursor (code,
+   program counter, slots, saved caller frames).  A yield builds no op: the
+   cursor records the op's kind, the instruction that yielded it (which
+   holds its static operands) and the one int read at run time (a mutex, or
+   an argument-timed duration), and the replica reads them through the
+   accessors.  Stepping a thread therefore allocates nothing; only the
+   [duration] of an argument-timed op boxes its float, on query. *)
 
 open Detmt_lang
 
@@ -39,7 +42,7 @@ type operand =
   | Opaque of string
 
 type instr =
-  | Emit of Op.t (* a static op, built at compile time *)
+  | Emit of Op.kind * Op.t (* a static op, built at compile time *)
   | Compute_arg of int
   | Nested_arg of { service : int; arg : int }
   | Lock of int * operand
@@ -88,7 +91,9 @@ type cursor = {
   mutable pc : int;
   mutable slots : int array;
   mutable stack : frame list; (* callers, innermost first *)
-  mutable op : Op.t;
+  mutable kind : Op.kind; (* of the op the last [next] yielded *)
+  mutable instr : instr; (* that yielded it: its static operands *)
+  mutable value : int; (* its run-time operand: a mutex or a duration *)
 }
 
 let program cls = { cls; methods = None }
@@ -153,9 +158,10 @@ let compile m (def : Class_def.method_def) =
     | Ast.Mglobal g -> Global g
     | Ast.Mcall name -> Opaque name
   in
+  let static op = emit (Emit (Op.kind op, op)) in
   let rec block b = List.iter stmt b
   and stmt = function
-    | Ast.Compute (Ast.Fixed duration) -> emit (Emit (Op.Compute { duration }))
+    | Ast.Compute (Ast.Fixed duration) -> static (Op.Compute { duration })
     | Ast.Compute (Ast.Arg_dur i) -> emit (Compute_arg i)
     | Ast.Assign (v, e) ->
       let e = mexpr e in
@@ -170,11 +176,11 @@ let compile m (def : Class_def.method_def) =
       emit (Wait_until { slot; field; min })
     | Ast.Notify { param = p; all } -> emit (Notify (param p, all))
     | Ast.Nested { service; duration = Ast.Fixed duration } ->
-      emit (Emit (Op.Nested { service; duration }))
+      static (Op.Nested { service; duration })
     | Ast.Nested { service; duration = Ast.Arg_dur arg } ->
       emit (Nested_arg { service; arg })
     | Ast.State_update (field, delta) ->
-      emit (Emit (Op.State_update { field; delta }))
+      static (Op.State_update { field; delta })
     | Ast.If (c, a, b) ->
       let branch = !len in
       emit Return;
@@ -207,9 +213,9 @@ let compile m (def : Class_def.method_def) =
     | Ast.Sched_lock (syncid, p) -> emit (Lock (syncid, param p))
     | Ast.Sched_unlock (syncid, p) -> emit (Unlock (syncid, param p))
     | Ast.Lockinfo (syncid, p) -> emit (Lockinfo (syncid, param p))
-    | Ast.Ignore_sync syncid -> emit (Emit (Op.Ignore { syncid }))
-    | Ast.Loop_enter loopid -> emit (Emit (Op.Loop_enter { loopid }))
-    | Ast.Loop_exit loopid -> emit (Emit (Op.Loop_exit { loopid }))
+    | Ast.Ignore_sync syncid -> static (Op.Ignore { syncid })
+    | Ast.Loop_enter loopid -> static (Op.Loop_enter { loopid })
+    | Ast.Loop_exit loopid -> static (Op.Loop_exit { loopid })
   in
   block def.body;
   emit Return;
@@ -310,25 +316,24 @@ let enter c i =
   c.pc <- 0;
   c.slots <- frame_slots code
 
-let yield c op =
-  c.op <- op;
+let yield c kind i value =
+  c.kind <- kind;
+  c.instr <- i;
+  c.value <- value;
   true
 
 let rec next c =
   let i = c.code.instrs.(c.pc) in
   c.pc <- c.pc + 1;
   match i with
-  | Emit op -> yield c op
-  | Compute_arg a ->
-    yield c (Op.Compute { duration = float_of_int (arg_int c a) })
-  | Nested_arg { service; arg } ->
-    yield c (Op.Nested { service; duration = float_of_int (arg_int c arg) })
-  | Lock (syncid, m) -> yield c (Op.Lock { syncid; mutex = operand c m })
-  | Unlock (syncid, m) -> yield c (Op.Unlock { syncid; mutex = operand c m })
-  | Lockinfo (syncid, m) ->
-    yield c (Op.Lockinfo { syncid; mutex = operand c m })
-  | Wait m -> yield c (Op.Wait { mutex = operand c m })
-  | Notify (m, all) -> yield c (Op.Notify { mutex = operand c m; all })
+  | Emit (kind, _) -> yield c kind i 0
+  | Compute_arg a -> yield c Op.Compute i (arg_int c a)
+  | Nested_arg { arg; _ } -> yield c Op.Nested i (arg_int c arg)
+  | Lock (_, m) -> yield c Op.Lock i (operand c m)
+  | Unlock (_, m) -> yield c Op.Unlock i (operand c m)
+  | Lockinfo (_, m) -> yield c Op.Lockinfo i (operand c m)
+  | Wait m -> yield c Op.Wait i (operand c m)
+  | Notify (m, _) -> yield c Op.Notify i (operand c m)
   | Hold (slot, m) ->
     c.slots.(slot) <- operand c m;
     next c
@@ -338,7 +343,7 @@ let rec next c =
     if obj_state_field c field >= min then next c
     else begin
       c.pc <- c.pc - 1;
-      yield c (Op.Wait { mutex = c.slots.(slot) })
+      yield c Op.Wait i c.slots.(slot)
     end
   | Assign (slot, m) ->
     c.slots.(slot) <- operand c m;
@@ -392,11 +397,73 @@ let rec next c =
       c.stack <- callers;
       next c)
 
-let op c = c.op
+(* ------------------------- the current op --------------------------- *)
+
+let kind c = c.kind
+
+let no_operand c what =
+  invalid_arg
+    (Printf.sprintf "Interp.%s: the current op of %s has none" what c.req.meth)
+
+let syncid c =
+  match c.instr with
+  | Lock (syncid, _) | Unlock (syncid, _) | Lockinfo (syncid, _) -> syncid
+  | Emit (_, Op.Ignore { syncid }) -> syncid
+  | _ -> no_operand c "syncid"
+
+let loopid c =
+  match c.instr with
+  | Emit (_, (Op.Loop_enter { loopid } | Op.Loop_exit { loopid })) -> loopid
+  | _ -> no_operand c "loopid"
+
+let mutex c =
+  match c.instr with
+  | Lock _ | Unlock _ | Lockinfo _ | Wait _ | Wait_until _ | Notify _ ->
+    c.value
+  | _ -> no_operand c "mutex"
+
+let all c =
+  match c.instr with Notify (_, all) -> all | _ -> no_operand c "all"
+
+let service c =
+  match c.instr with
+  | Nested_arg { service; _ } | Emit (_, Op.Nested { service; _ }) -> service
+  | _ -> no_operand c "service"
+
+(* A static duration is the float its instruction already holds; an
+   argument-timed one is boxed here, once per query. *)
+let duration c =
+  match c.instr with
+  | Emit (_, (Op.Compute { duration } | Op.Nested { duration; _ })) ->
+    duration
+  | Compute_arg _ | Nested_arg _ -> float_of_int c.value
+  | _ -> no_operand c "duration"
+
+let field c =
+  match c.instr with
+  | Emit (_, Op.State_update { field; _ }) -> field
+  | _ -> no_operand c "field"
+
+let delta c =
+  match c.instr with
+  | Emit (_, Op.State_update { delta; _ }) -> delta
+  | _ -> no_operand c "delta"
+
+module Testing = struct
+  let op c =
+    match c.instr with
+    | Emit (_, op) -> op
+    | Compute_arg _ -> Op.Compute { duration = duration c }
+    | Nested_arg { service; _ } -> Op.Nested { service; duration = duration c }
+    | Lock (syncid, _) -> Op.Lock { syncid; mutex = c.value }
+    | Unlock (syncid, _) -> Op.Unlock { syncid; mutex = c.value }
+    | Lockinfo (syncid, _) -> Op.Lockinfo { syncid; mutex = c.value }
+    | Wait _ | Wait_until _ -> Op.Wait { mutex = c.value }
+    | Notify (_, all) -> Op.Notify { mutex = c.value; all }
+    | _ -> invalid_arg "Interp.Testing.op: no op yielded yet"
+end
 
 let finished = { instrs = [| Return |]; nslots = 0 }
-
-let no_op = Op.Ignore { syncid = -1 }
 
 let start prog ~obj ?ws (req : Request.t) =
   let code =
@@ -412,4 +479,9 @@ let start prog ~obj ?ws (req : Request.t) =
     end
   in
   { prog; obj; ws; req; code; pc = 0; slots = frame_slots code; stack = [];
-    op = no_op }
+    kind = Op.Ignore; instr = Return; value = 0 }
+
+let idle =
+  let cls = Class_def.make ~cname:"idle" [] in
+  start (program cls) ~obj:(Object_state.create cls)
+    (Request.dummy ~uid:(-1) ~sent_at:0.0)

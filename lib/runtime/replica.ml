@@ -41,9 +41,9 @@ type callbacks = {
 type thread = {
   tid : int;
   req : Request.t;
-  mutable cursor : Interp.cursor option;
-      (* set once per (re-)execution by [start_thread]; [None] before it and
-         after a discarded speculation *)
+  mutable cursor : Interp.cursor;
+      (* set once per (re-)execution by [start_thread]; [Interp.idle] before
+         it, after the body is done and after a discarded speculation *)
   mutable state : State.t;
   mutable gate_mutex : int;
   mutable gate_arg : int;
@@ -147,14 +147,37 @@ let record_acquisition t ~mutex ~th =
   Acquisition_order.record t.acquisitions ~mutex ~client:th.req.Request.client
     ~client_req:th.req.Request.client_req
 
+(* A notified waiter moves from its wait set to the reacquire gate. *)
+let wake t s ~mutex wtid =
+  let w = thread t wtid in
+  match w.state with
+  | State.Wait_parked when w.gate_mutex = mutex ->
+    w.state <- State.Reacquire_blocked;
+    if observing t then begin
+      rec_wait_end t w;
+      rec_wait_begin t w Recorder.Reacquire
+    end;
+    s.Sched_iface.on_wakeup wtid ~mutex
+  | _ ->
+    invalid_arg
+      (Printf.sprintf "Replica %d: notified t%d is not waiting" t.id wtid)
+
+(* A walk, not [List.iter] of a partial application: an empty notify-all
+   builds no closure. *)
+let rec wake_all t s ~mutex = function
+  | [] -> ()
+  | wtid :: rest ->
+    wake t s ~mutex wtid;
+    wake_all t s ~mutex rest
+
 let rec advance t th =
-  if t.live then
-    match th.cursor with
-    | None ->
-      invalid_arg (Printf.sprintf "Replica %d: t%d has no cursor" t.id th.tid)
-    | Some c ->
-      th.state <- State.Running;
-      if Interp.next c then handle_op t th (Interp.op c) else body_done t th
+  if t.live then begin
+    let c = th.cursor in
+    if c == Interp.idle then
+      invalid_arg (Printf.sprintf "Replica %d: t%d has no cursor" t.id th.tid);
+    th.state <- State.Running;
+    if Interp.next c then handle_op t th c else body_done t th
+  end
 
 (* Charge CPU time and continue; zero-cost steps continue synchronously.
    The continuation is a typed (handler, tid) pair, so charging cost never
@@ -170,7 +193,7 @@ and after_cost_finish t duration th =
   else Cpu.exec_h t.cpu ~duration t.finish_h th.tid
 
 and body_done t th =
-  th.cursor <- None;
+  th.cursor <- Interp.idle;
   match th.ws with
   | Some _ ->
     (* Speculation complete: hold the workspace until the scheduler grants
@@ -207,42 +230,46 @@ and finish t th =
     | _ -> ()
   end
 
-and handle_op t th op =
+(* The op is the cursor's current one: its kind and operands are read in
+   place, so dispatching it allocates nothing. *)
+and handle_op t th c =
   match th.ws with
-  | Some w -> handle_spec_op t th w op
-  | None -> handle_direct_op t th op
+  | Some w -> handle_spec_op t th w c
+  | None -> handle_direct_op t th c
 
 (* Speculative execution: no committed-state side effects and no grant
    traffic through the scheduler.  Locks are virtualised into the workspace
    (same time charge as a direct grant, so a one-worker speculative run
    costs what SEQ costs); operations that cannot be virtualised abort the
    speculation — the thread re-executes directly in slot order. *)
-and handle_spec_op t th w op =
-  match op with
-  | Op.Compute { duration } -> Cpu.exec_h t.cpu ~duration t.advance_h th.tid
-  | Op.Lock { syncid = _; mutex } ->
-    Workspace.vlock w ~mutex;
+and handle_spec_op t th w c =
+  match Interp.kind c with
+  | Op.Compute ->
+    Cpu.exec_h t.cpu ~duration:(Interp.duration c) t.advance_h th.tid
+  | Op.Lock ->
+    Workspace.vlock w ~mutex:(Interp.mutex c);
     after_cost_advance t t.config.lock_overhead_ms th
-  | Op.Unlock { syncid = _; mutex } ->
-    Workspace.vunlock w ~mutex;
+  | Op.Unlock ->
+    Workspace.vunlock w ~mutex:(Interp.mutex c);
     after_cost_advance t t.config.lock_overhead_ms th
-  | Op.State_update { field; delta } ->
+  | Op.State_update ->
     (* Same system-model check as direct execution, against the virtual
        hold set. *)
+    let field = Interp.field c in
     if not (Workspace.holds_any w) then
       invalid_arg
         (Printf.sprintf
            "Replica %d: speculative t%d updates %S without holding a lock"
            t.id th.tid field);
-    Workspace.update_state w field delta;
+    Workspace.update_state w field (Interp.delta c);
     advance t th
-  | Op.Lockinfo _ | Op.Ignore _ | Op.Loop_enter _ | Op.Loop_exit _ ->
+  | Op.Lockinfo | Op.Ignore | Op.Loop_enter | Op.Loop_exit ->
     (* Announcements are suppressed while speculating: an aborted request
        re-executes from the top and replays the whole stream, so the
        bookkeeping module must not consume a partial one.  The injected
        call still costs its time. *)
     after_cost_advance t t.config.bookkeeping_overhead_ms th
-  | Op.Wait _ | Op.Notify _ | Op.Nested _ -> ws_unsafe_abort t th
+  | Op.Wait | Op.Notify | Op.Nested -> ws_unsafe_abort t th
 
 (* An operation the workspace cannot virtualise: discard the speculation and
    hand the thread back to the scheduler for direct re-execution.  The
@@ -254,15 +281,17 @@ and ws_unsafe_abort t th =
   record t (Trace.Ws_abort { tid = th.tid; conflicts = 0 });
   if observing t then Recorder.incr t.obs "replica.ws.aborts_unsafe";
   th.ws <- None;
-  th.cursor <- None;
+  th.cursor <- Interp.idle;
   th.state <- State.Created;
   (sched t).on_ws_event th.tid Sched_iface.Ws_unsafe
 
-and handle_direct_op t th op =
+and handle_direct_op t th c =
   let s = sched t in
-  match op with
-  | Op.Compute { duration } -> Cpu.exec_h t.cpu ~duration t.advance_h th.tid
-  | Op.Lock { syncid; mutex } ->
+  match Interp.kind c with
+  | Op.Compute ->
+    Cpu.exec_h t.cpu ~duration:(Interp.duration c) t.advance_h th.tid
+  | Op.Lock ->
+    let syncid = Interp.syncid c and mutex = Interp.mutex c in
     if Mutex_table.owns t.mutexes ~mutex ~tid:th.tid then begin
       (* Re-entrant entry: no scheduling decision needed (section 2: binary,
          re-entrant mutexes). *)
@@ -285,42 +314,31 @@ and handle_direct_op t th op =
            else Recorder.Lock_contention);
       s.on_lock th.tid ~syncid ~mutex
     end
-  | Op.Unlock { syncid; mutex } ->
+  | Op.Unlock ->
+    let syncid = Interp.syncid c and mutex = Interp.mutex c in
     let freed = Mutex_table.release t.mutexes ~mutex ~tid:th.tid in
     Trace.unlocked t.trace_rec ~time:(now t) ~tid:th.tid ~syncid ~mutex;
     s.on_unlock th.tid ~syncid ~mutex ~freed;
     after_cost_advance t t.config.lock_overhead_ms th
-  | Op.Wait { mutex } ->
+  | Op.Wait ->
+    let mutex = Interp.mutex c in
     let count = Mutex_table.release_all t.mutexes ~mutex ~tid:th.tid in
     hold th State.Wait_parked ~mutex ~arg:count;
     Condvar.park t.condvars ~mutex ~tid:th.tid;
     Trace.wait_begin t.trace_rec ~time:(now t) ~tid:th.tid ~mutex;
     if observing t then rec_wait_begin t th Recorder.Condvar;
     s.on_wait th.tid ~mutex
-  | Op.Notify { mutex; all } ->
-    record t (Trace.Notify { tid = th.tid; mutex; all });
-    let woken =
-      if all then Condvar.notify_all t.condvars ~mutex
-      else Option.to_list (Condvar.notify_one t.condvars ~mutex)
-    in
-    List.iter
-      (fun wtid ->
-        let w = thread t wtid in
-        match w.state with
-        | State.Wait_parked when w.gate_mutex = mutex ->
-          w.state <- State.Reacquire_blocked;
-          if observing t then begin
-            rec_wait_end t w;
-            rec_wait_begin t w Recorder.Reacquire
-          end;
-          s.on_wakeup wtid ~mutex
-        | _ ->
-          invalid_arg
-            (Printf.sprintf "Replica %d: notified t%d is not waiting" t.id
-               wtid))
-      woken;
+  | Op.Notify ->
+    let mutex = Interp.mutex c and all = Interp.all c in
+    Trace.notified t.trace_rec ~time:(now t) ~tid:th.tid ~mutex ~all;
+    if all then wake_all t s ~mutex (Condvar.notify_all t.condvars ~mutex)
+    else begin
+      let wtid = Condvar.notify_one t.condvars ~mutex in
+      if wtid >= 0 then wake t s ~mutex wtid
+    end;
     after_cost_advance t t.config.lock_overhead_ms th
-  | Op.Nested { service; duration } ->
+  | Op.Nested ->
+    let service = Interp.service c in
     let call_index = th.nested_count in
     th.nested_count <- call_index + 1;
     Trace.nested_begin t.trace_rec ~time:(now t) ~tid:th.tid ~service;
@@ -338,27 +356,29 @@ and handle_direct_op t th op =
       hold th State.Nested_blocked ~mutex:(-1) ~arg:call_index;
       if observing t then rec_wait_begin t th Recorder.Nested;
       s.on_nested_begin th.tid;
-      t.callbacks.do_nested ~tid:th.tid ~call_index ~service ~duration
+      t.callbacks.do_nested ~tid:th.tid ~call_index ~service
+        ~duration:(Interp.duration c)
     end
-  | Op.Lockinfo { syncid; mutex } ->
-    s.on_lockinfo th.tid ~syncid ~mutex;
+  | Op.Lockinfo ->
+    s.on_lockinfo th.tid ~syncid:(Interp.syncid c) ~mutex:(Interp.mutex c);
     after_cost_advance t t.config.bookkeeping_overhead_ms th
-  | Op.Ignore { syncid } ->
-    s.on_ignore th.tid ~syncid;
+  | Op.Ignore ->
+    s.on_ignore th.tid ~syncid:(Interp.syncid c);
     after_cost_advance t t.config.bookkeeping_overhead_ms th
-  | Op.Loop_enter { loopid } ->
-    s.on_loop_enter th.tid ~loopid;
+  | Op.Loop_enter ->
+    s.on_loop_enter th.tid ~loopid:(Interp.loopid c);
     after_cost_advance t t.config.bookkeeping_overhead_ms th
-  | Op.Loop_exit { loopid } ->
-    s.on_loop_exit th.tid ~loopid;
+  | Op.Loop_exit ->
+    s.on_loop_exit th.tid ~loopid:(Interp.loopid c);
     after_cost_advance t t.config.bookkeeping_overhead_ms th
-  | Op.State_update { field; delta } ->
+  | Op.State_update ->
     (* System model (section 2): shared state is accessed under a lock. *)
+    let field = Interp.field c in
     if not (Mutex_table.holds_any t.mutexes ~tid:th.tid) then
       invalid_arg
         (Printf.sprintf "Replica %d: t%d updates %S without holding a lock"
            t.id th.tid field);
-    Object_state.update_state t.obj field delta;
+    Object_state.update_state t.obj field (Interp.delta c);
     advance t th
 
 (* ------------------------------------------------------------------ *)
@@ -374,7 +394,7 @@ let do_start_thread t tid =
   if observing t then
     Recorder.request_started t.obs ~replica:t.id ~uid:tid
       ~at:(Engine.now t.engine);
-  th.cursor <- Some (Interp.start t.program ~obj:t.obj ?ws:th.ws th.req);
+  th.cursor <- Interp.start t.program ~obj:t.obj ?ws:th.ws th.req;
   advance t th
 
 (* --------------------------- workspace actions --------------------------- *)
@@ -429,7 +449,7 @@ let do_ws_commit t tid =
       record t (Trace.Ws_abort { tid; conflicts = List.length conflicts });
       if observing t then Recorder.incr t.obs "replica.ws.aborts_stale";
       th.ws <- None;
-      th.cursor <- None;
+      th.cursor <- Interp.idle;
       th.state <- State.Created;
       false)
   | _ ->
@@ -550,7 +570,7 @@ let deliver_request t req =
            t.last_uid);
     t.last_uid <- tid;
     Hashtbl.add t.threads tid
-      { tid; req; cursor = None; state = State.Created; gate_mutex = -1;
+      { tid; req; cursor = Interp.idle; state = State.Created; gate_mutex = -1;
         gate_arg = 0; nested_count = 0; buffered_replies = []; ws = None };
     t.active <- t.active + 1;
     if observing t then begin

@@ -50,7 +50,8 @@ type t = {
   mutex_over : (string, int) Hashtbl.t;
   vlocks : (int, int) Hashtbl.t; (* mutex -> virtual hold count *)
   mutable vheld : int; (* mutexes with a positive virtual hold count *)
-  mutable acq_rev : int list; (* acquisition log, newest first *)
+  mutable acq_rev : int list;
+      (* acquisition log, newest first; kept only with [record_acquisitions] *)
 }
 
 let create ~base ~record_acquisitions =
@@ -63,33 +64,35 @@ let record_acquisitions t = t.record_acquisitions
 
 (* ------------------------------- reads --------------------------------- *)
 
-(* Overlay first, then the read cache, then lazy page-in from the committed
-   state.  The page-in value is what validation later compares against. *)
-let cow_read reads over committed f =
-  match Hashtbl.find_opt over f with
-  | Some v -> v
-  | None -> (
-    match Hashtbl.find_opt reads f with
-    | Some v -> v
-    | None ->
-      let v = committed f in
-      Hashtbl.replace reads f v;
-      v)
+(* Lookups are [Hashtbl.find] with [Not_found], not [find_opt]: a hit is
+   per op on the speculative path, and allocates nothing. *)
+
+(* The read cache, else a lazy page-in of [get base f] from the committed
+   state.  The page-in value is what validation later compares against.
+   The getter comes unapplied, so a hit builds no closure. *)
+let page_in reads get base f =
+  match Hashtbl.find reads f with
+  | v -> v
+  | exception Not_found ->
+    let v = get base f in
+    Hashtbl.replace reads f v;
+    v
+
+(* Overlay first, then the read cache or a page-in. *)
+let cow_read reads over get base f =
+  match Hashtbl.find over f with
+  | v -> v
+  | exception Not_found -> page_in reads get base f
 
 let state_field t f =
-  match Hashtbl.find_opt t.state_over f with
-  | Some v -> v
-  | None ->
+  match Hashtbl.find t.state_over f with
+  | v -> v
+  | exception Not_found -> (
     let committed =
-      match Hashtbl.find_opt t.state_reads f with
-      | Some v -> v
-      | None ->
-        let v = Object_state.state_field t.base f in
-        Hashtbl.replace t.state_reads f v;
-        v
+      page_in t.state_reads Object_state.state_field t.base f
     in
-    (match Hashtbl.find_opt t.state_deltas f with
-    | Some d ->
+    match Hashtbl.find t.state_deltas f with
+    | d ->
       (* First read of a blindly-incremented field: fold the pending delta
          into the value world.  The paged-in read above pins the committed
          value, so from here on the field is ordinary validated state. *)
@@ -97,10 +100,10 @@ let state_field t f =
       let v = committed + d in
       Hashtbl.replace t.state_over f v;
       v
-    | None -> committed)
+    | exception Not_found -> committed)
 
 let mutex_field t f =
-  cow_read t.mutex_reads t.mutex_over (Object_state.mutex_field t.base) f
+  cow_read t.mutex_reads t.mutex_over Object_state.mutex_field t.base f
 
 (* ------------------------------- writes -------------------------------- *)
 
@@ -111,8 +114,12 @@ let update_state t f delta =
   if Hashtbl.mem t.state_over f || Hashtbl.mem t.state_reads f then
     Hashtbl.replace t.state_over f (state_field t f + delta)
   else
-    Hashtbl.replace t.state_deltas f
-      (delta + Option.value ~default:0 (Hashtbl.find_opt t.state_deltas f))
+    let pending =
+      match Hashtbl.find t.state_deltas f with
+      | d -> d
+      | exception Not_found -> 0
+    in
+    Hashtbl.replace t.state_deltas f (pending + delta)
 
 let set_mutex_field t f v =
   ignore (mutex_field t f) (* page in: validates existence, records a read *);
@@ -121,19 +128,22 @@ let set_mutex_field t f v =
 (* --------------------------- virtual locking --------------------------- *)
 
 let vlock t ~mutex =
-  let n = Option.value ~default:0 (Hashtbl.find_opt t.vlocks mutex) in
+  let n =
+    match Hashtbl.find t.vlocks mutex with n -> n | exception Not_found -> 0
+  in
   if n = 0 then t.vheld <- t.vheld + 1;
   Hashtbl.replace t.vlocks mutex (n + 1);
   (* Log every acquisition, re-entrant ones included — direct execution
-     records re-entrant entries too, and the replay must match it. *)
-  t.acq_rev <- mutex :: t.acq_rev
+     records re-entrant entries too, and the replay must match it.  Without
+     a replay there is no log to keep. *)
+  if t.record_acquisitions then t.acq_rev <- mutex :: t.acq_rev
 
 let vunlock t ~mutex =
-  match Hashtbl.find_opt t.vlocks mutex with
-  | Some n when n > 0 ->
+  match Hashtbl.find t.vlocks mutex with
+  | n when n > 0 ->
     if n = 1 then t.vheld <- t.vheld - 1;
     Hashtbl.replace t.vlocks mutex (n - 1)
-  | Some _ | None ->
+  | _ | (exception Not_found) ->
     invalid_arg
       (Printf.sprintf "Workspace.vunlock: mutex %d not virtually held" mutex)
 

@@ -39,8 +39,10 @@ val set_mutex_field : t -> string -> int -> unit
 (** {2 Virtual locking} *)
 
 val vlock : t -> mutex:int -> unit
-(** Re-entrant; every call (re-entrant ones included) is appended to the
-    acquisition log, matching what direct execution records. *)
+(** Re-entrant; with [record_acquisitions], every call (re-entrant ones
+    included) is appended to the acquisition log, matching what direct
+    execution records.  A hit on a mutex already in the table allocates
+    nothing without [record_acquisitions]. *)
 
 val vunlock : t -> mutex:int -> unit
 (** @raise Invalid_argument when the mutex is not virtually held. *)
@@ -50,7 +52,8 @@ val holds_any : t -> bool
     {!vlock} and {!vunlock}. *)
 
 val acquisition_log : t -> int list
-(** Virtually acquired mutexes in acquisition order. *)
+(** Virtually acquired mutexes in acquisition order; [[]] without
+    [record_acquisitions]. *)
 
 (** {2 Validation and merge} *)
 

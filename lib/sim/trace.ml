@@ -106,6 +106,10 @@ let control_delivered t ~time ~sender ~grant_seq ~mutex ~tid =
     keep t time (Control_delivered { sender; grant_seq; mutex; tid });
   fold4 t 10 sender grant_seq mutex tid
 
+let notified t ~time ~tid ~mutex ~all =
+  if t.keep_events then keep t time (Notify { tid; mutex; all });
+  fold3 t 5 tid mutex (Bool.to_int all)
+
 let ws_commit t ~time ~tid ~writes =
   if t.keep_events then keep t time (Ws_commit { tid; writes });
   fold2 t 13 tid writes
@@ -123,9 +127,7 @@ let record_at t ~time e =
   | Nested_end { tid; service } -> nested_end t ~time ~tid ~service
   | Thread_start { tid; method_name } -> thread_start t ~time ~tid ~method_name
   | Thread_end { tid } -> thread_end t ~time ~tid
-  | Notify { tid; mutex; all } ->
-    if t.keep_events then keep t time e;
-    fold3 t 5 tid mutex (Bool.to_int all)
+  | Notify { tid; mutex; all } -> notified t ~time ~tid ~mutex ~all
   | Control_delivered { sender; grant_seq; mutex; tid } ->
     control_delivered t ~time ~sender ~grant_seq ~mutex ~tid
   | View_change { sender } ->

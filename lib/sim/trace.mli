@@ -75,6 +75,8 @@ val nested_begin : t -> time:float -> tid:int -> service:int -> unit
 
 val nested_end : t -> time:float -> tid:int -> service:int -> unit
 
+val notified : t -> time:float -> tid:int -> mutex:int -> all:bool -> unit
+
 val thread_start : t -> time:float -> tid:int -> method_name:string -> unit
 
 val thread_end : t -> time:float -> tid:int -> unit

@@ -52,7 +52,7 @@ let op_stream cls args =
   in
   let rec collect acc =
     if Detmt_runtime.Interp.next c then
-      collect (Detmt_runtime.Interp.op c :: acc)
+      collect (Detmt_runtime.Interp.Testing.op c :: acc)
     else List.rev acc
   in
   collect []
@@ -1071,7 +1071,7 @@ let compiled_run prog cls req =
       let c = Detmt_runtime.Interp.start prog ~obj req in
       let rec go n =
         if n < max_ops && Detmt_runtime.Interp.next c then begin
-          let op = Detmt_runtime.Interp.op c in
+          let op = Detmt_runtime.Interp.Testing.op c in
           ops := op :: !ops;
           settle obj cls op;
           go (n + 1)

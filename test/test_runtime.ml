@@ -115,10 +115,10 @@ let test_condvar_fifo () =
   Condvar.park cv ~mutex:1 ~tid:11;
   Condvar.park cv ~mutex:1 ~tid:12;
   Alcotest.check b "notify_one pops oldest" true
-    (Condvar.notify_one cv ~mutex:1 = Some 10);
+    (Condvar.notify_one cv ~mutex:1 = 10);
   Alcotest.(check (list int)) "notify_all in fifo order" [ 11; 12 ]
     (Condvar.notify_all cv ~mutex:1);
-  Alcotest.check b "empty now" true (Condvar.notify_one cv ~mutex:1 = None)
+  Alcotest.check b "empty now" true (Condvar.notify_one cv ~mutex:1 = -1)
 
 let test_condvar_per_mutex () =
   let cv = Condvar.create () in
@@ -127,7 +127,7 @@ let test_condvar_per_mutex () =
   Alcotest.(check (list int)) "mutex 1 waiters" [ 10 ]
     (Condvar.waiting cv ~mutex:1);
   Alcotest.check b "notify on other mutex" true
-    (Condvar.notify_one cv ~mutex:2 = Some 20)
+    (Condvar.notify_one cv ~mutex:2 = 20)
 
 let test_condvar_double_park_rejected () =
   let cv = Condvar.create () in
@@ -137,6 +137,49 @@ let test_condvar_double_park_rejected () =
        Condvar.park cv ~mutex:1 ~tid:5;
        false
      with Invalid_argument _ -> true)
+
+(* The wait sets against a list model: random parks (of threads not yet
+   waiting), notifies, notify-alls and removals on two mutexes, enough to
+   wrap each ring and grow it while wrapped; after every step each wait
+   set lists the model's waiters in FIFO order. *)
+let prop_condvar_fifo_model =
+  QCheck.Test.make ~count:300 ~name:"condvar: wait sets are FIFO after every op"
+    QCheck.(list_of_size Gen.(int_range 1 80) (pair small_nat small_nat))
+    (fun steps ->
+      let cv = Condvar.create () in
+      let model = [| []; [] |] in
+      let step (choice, x) =
+        let mutex = x mod 2 and tid = x mod 12 in
+        match choice mod 5 with
+        | 0 | 1 ->
+          if not (List.mem tid model.(mutex)) then begin
+            Condvar.park cv ~mutex ~tid;
+            model.(mutex) <- model.(mutex) @ [ tid ]
+          end;
+          true
+        | 2 -> (
+          let got = Condvar.notify_one cv ~mutex in
+          match model.(mutex) with
+          | [] -> got = -1
+          | w :: rest ->
+            model.(mutex) <- rest;
+            got = w)
+        | 3 ->
+          let got = Condvar.notify_all cv ~mutex in
+          let want = model.(mutex) in
+          model.(mutex) <- [];
+          got = want
+        | _ ->
+          let present = List.mem tid model.(mutex) in
+          model.(mutex) <- List.filter (( <> ) tid) model.(mutex);
+          Condvar.remove cv ~mutex ~tid = present
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && Condvar.waiting cv ~mutex:0 = model.(0)
+          && Condvar.waiting cv ~mutex:1 = model.(1))
+        steps)
 
 let test_condvar_remove () =
   let cv = Condvar.create () in
@@ -148,7 +191,7 @@ let test_condvar_remove () =
 
 (* One cursor step: [Some op] while the request yields, [None] once its
    method has finished. *)
-let step c = if Interp.next c then Some (Interp.op c) else None
+let step c = if Interp.next c then Some (Interp.Testing.op c) else None
 
 (* Drive the interpreter by hand, collecting the op stream. *)
 let ops_of ?(args = [||]) cls meth =
@@ -372,11 +415,12 @@ let test_object_state_mutable_fields () =
 
 (* The workspace's virtual hold set: [holds_any] is a count of mutexes with
    a positive virtual hold, so re-entrant holds and interleaved releases of
-   different mutexes must keep it exact. *)
+   different mutexes must keep it exact.  The log is the one a replay reads,
+   so the workspace records acquisitions. *)
 let test_workspace_holds_any () =
   let ws =
     Workspace.create ~base:(Object_state.create (simple_cls []))
-      ~record_acquisitions:false
+      ~record_acquisitions:true
   in
   let holds what expected =
     Alcotest.check b what expected (Workspace.holds_any ws)
@@ -562,11 +606,12 @@ let test_finished_threads_evicted () =
     | () -> false
     | exception Invalid_argument _ -> true)
 
-(* Steady state allocates only dynamic ops: once a method is compiled, a
-   request allocates its cursor (nine fields and a header), its frame (the
-   shared empty array for a method without locals or loops, as figure1's
-   [work] is) and the 3-word [Op.t] record of each op whose mutex is read at
-   run time; nothing per statement and nothing per yield. *)
+(* Steady state allocates only the cursor: once a method is compiled, a
+   request allocates its cursor (eleven fields and a header) and its frame
+   (the shared empty array for a method without locals or loops, as
+   figure1's [work] is).  A yield builds no op: the cursor holds the op's
+   kind and operands in place, so nothing is allocated per statement and
+   nothing per op, whether its mutex is static or read at run time. *)
 let test_interp_steady_state_allocation () =
   let p = Detmt_workload.Figure1.default in
   let cls =
@@ -588,23 +633,24 @@ let test_interp_steady_state_allocation () =
     counts.(1) <- 0;
     while Interp.next c do
       counts.(0) <- counts.(0) + 1;
-      match Interp.op c with
-      | Op.Lock _ | Op.Unlock _ | Op.Lockinfo _ -> counts.(1) <- counts.(1) + 1
+      match Interp.kind c with
+      | Op.Lock | Op.Unlock | Op.Lockinfo -> counts.(1) <- counts.(1) + 1
       | _ -> ()
     done
   in
   run () (* warm-up: compiles [work] *);
   let before = Gc.minor_words () in
+  let baseline = Gc.minor_words () -. before in
+  let before = Gc.minor_words () in
   run ();
-  let spent = Gc.minor_words () -. before in
+  let spent = Gc.minor_words () -. before -. baseline in
   let ops = counts.(0) and dynamic = counts.(1) in
-  let cursor_words = 10 in
   if ops < 30 || dynamic < 20 then
     Alcotest.failf "figure1 request yielded %d ops, %d dynamic" ops dynamic;
-  if spent > float_of_int (cursor_words + (3 * dynamic)) then
-    Alcotest.failf "%.0f minor words for %d ops (%d dynamic): bound %d" spent
-      ops dynamic
-      (cursor_words + (3 * dynamic))
+  Alcotest.(check (float 0.))
+    (Printf.sprintf "minor words for %d ops (%d dynamic): the cursor's" ops
+       dynamic)
+    12. spent
 
 (* ------------------------- allocation-free ops ------------------------ *)
 
@@ -637,6 +683,25 @@ let test_acquisition_order_no_allocation () =
       Acquisition_order.record a ~mutex:5 ~client:(!req land 7)
         ~client_req:!req)
 
+(* A speculative round on a warmed workspace, with no acquisition replay
+   (cgs+ws): a hit on the virtual lock table, on the read cache and on the
+   overlay allocates nothing. *)
+let test_workspace_no_allocation () =
+  let ws =
+    Workspace.create ~base:(Object_state.create (simple_cls []))
+      ~record_acquisitions:false
+  in
+  ignore (Workspace.state_field ws "st");
+  ignore (Workspace.mutex_field ws "f");
+  No_alloc.check "minor words per vlock/update_state/vunlock round" (fun () ->
+      Workspace.vlock ws ~mutex:3;
+      Workspace.update_state ws "st" 1;
+      if Workspace.mutex_field ws "f" <> 42 then Alcotest.fail "field f moved";
+      Workspace.vunlock ws ~mutex:3);
+  Alcotest.(check int) "updates applied" 10_100 (Workspace.state_field ws "st");
+  Alcotest.(check (list int)) "no log without a replay" []
+    (Workspace.acquisition_log ws)
+
 let test_update_state_no_allocation () =
   let o = Object_state.create (simple_cls []) in
   No_alloc.check "minor words per update_state" (fun () ->
@@ -644,22 +709,25 @@ let test_update_state_no_allocation () =
   Alcotest.(check int) "updates applied" 10_100
     (Object_state.state_field o "st")
 
-(* A thread held at a lock gate and then granted allocates nothing in the
-   replica: the gate is a constant state and two int fields of the thread.
-   The method loops over one monitor under a stub scheduler that holds
-   every lock request until the test proceeds it; with no lock overhead a
-   grant runs the thread on, synchronously, to its next request.  Each
-   round yields a lock and an unlock op, whose mutex the interpreter reads
-   at run time, so its two 3-word [Op.t] records are the whole cost. *)
-let test_replica_lock_gate_no_allocation () =
-  let open Builder in
-  let cls = instrumented [ for_arg 0 [ sync this [] ] ] in
+(* One replica running [requests] of [cls] (method and arguments; the
+   uids count from 0) under a stub scheduler that holds every lock request
+   ([held] names the last thread held) until the test proceeds it, and
+   resumes a nested call as soon as its reply is delivered.  [call] is the
+   call index of the last nested call issued.  With no lock or bookkeeping
+   overhead, a grant runs the thread on, synchronously, to its next lock
+   request or nested call. *)
+let gated_replica cls requests =
   let engine = Detmt_sim.Engine.create () in
-  let config = { Config.default with lock_overhead_ms = 0.0 } in
-  let held = ref (-1) and acts = ref None in
+  let config =
+    { Config.default with
+      lock_overhead_ms = 0.0;
+      bookkeeping_overhead_ms = 0.0 }
+  in
+  let held = ref (-1) and call = ref (-1) and acts = ref None in
   let callbacks =
     { Replica.send_reply = (fun _ -> ());
-      do_nested = (fun ~tid:_ ~call_index:_ ~service:_ ~duration:_ -> ());
+      do_nested =
+        (fun ~tid:_ ~call_index ~service:_ ~duration:_ -> call := call_index);
       broadcast_control = (fun _ -> ());
       inject_dummy = (fun () -> ());
       is_leader = (fun () -> true) }
@@ -670,17 +738,30 @@ let test_replica_lock_gate_no_allocation () =
       ~on_request:(fun tid -> a.start_thread tid)
       ~on_lock:(fun tid ~syncid:_ ~mutex:_ -> held := tid)
       ~on_wakeup:(fun _ ~mutex:_ -> ())
-      ~on_nested_reply:(fun _ -> ())
+      ~on_nested_reply:(fun tid -> a.proceed tid)
   in
   let r = Replica.create ~engine ~id:0 ~cls ~config ~callbacks ~make_sched () in
-  Replica.deliver_request r
-    (Request.make ~uid:0 ~client:0 ~client_req:0 ~meth:"m"
-       ~args:[| Ast.Vint 1_000_000; Ast.Vint 0; Ast.Vint 0 |]
-       ~sent_at:0.0);
-  let proceed = (Option.get !acts).Sched_iface.proceed in
+  List.iteri
+    (fun uid (meth, args) ->
+      Replica.deliver_request r
+        (Request.make ~uid ~client:uid ~client_req:0 ~meth ~args ~sent_at:0.0))
+    requests;
+  (r, (Option.get !acts).Sched_iface.proceed, held, call)
+
+(* A thread held at a lock gate and then granted allocates nothing: the
+   gate is a constant state and two int fields of the thread, and the lock
+   and unlock ops the interpreter yields each round, whose mutex it reads at
+   run time, are its cursor's kind and operands, not fresh records.  The
+   method loops over one monitor. *)
+let test_replica_lock_gate_no_allocation () =
+  let open Builder in
+  let cls = instrumented [ for_arg 0 [ sync this [] ] ] in
+  let r, proceed, held, _ =
+    gated_replica cls
+      [ ("m", [| Ast.Vint 1_000_000; Ast.Vint 0; Ast.Vint 0 |]) ]
+  in
   Alcotest.(check int) "held at the first lock" 0 !held;
-  No_alloc.check_words "minor words per held and granted lock" ~words:6
-    (fun () ->
+  No_alloc.check "minor words per held and granted lock" (fun () ->
       held := -1;
       proceed 0;
       if !held <> 0 then Alcotest.fail "t0 not held at its next lock");
@@ -690,6 +771,97 @@ let test_replica_lock_gate_no_allocation () =
       (Object_state.self_mutex (Replica.object_state r))
       mutex
   | _ -> Alcotest.fail "t0 does not read Lock_blocked"
+
+(* A waiter and a notifier on one monitor, round after round: t0 waits,
+   t1 notifies it and (a notify-all on an empty set aside) runs on to its
+   next lock, and t0 reacquires and does the same.  Parking, waking and
+   reacquiring touch the warmed wait set and the mutex table in place, so
+   the round allocates nothing. *)
+let test_replica_wait_notify_no_allocation () =
+  let open Builder in
+  let cls =
+    Detmt_transform.Transform.basic
+      (cls ~cname:"C" ~state_fields:[] ~mutex_fields:[]
+         [ meth "waiter" ~params:1 [ for_arg 0 [ sync this [ wait this ] ] ];
+           meth "notifier" ~params:1
+             [ for_arg 0 [ sync this [ notify this; notify_all this ] ] ] ])
+  in
+  let args = [| Ast.Vint 1_000_000 |] in
+  let _, proceed, held, _ =
+    gated_replica cls [ ("waiter", args); ("notifier", args) ]
+  in
+  Alcotest.(check int) "both held at their first lock" 1 !held;
+  No_alloc.check "minor words per wait, notify and reacquire" (fun () ->
+      proceed 0 (* t0 waits *);
+      proceed 1 (* t1 notifies t0 and holds at its next lock *);
+      if !held <> 1 then Alcotest.fail "t1 not held at its next lock";
+      proceed 0 (* t0 reacquires and holds at its next lock *);
+      if !held <> 0 then Alcotest.fail "t0 not held at its next lock")
+
+(* Every announcement and a nested call, round after round: a static
+   duration is the float the compiled instruction holds, so the round
+   allocates nothing; an argument-timed one is boxed once, when the replica
+   reads it for the nested call. *)
+let test_replica_nested_round_allocation () =
+  let body duration =
+    [ Ast.Loop
+        { kind = Ast.For;
+          count = Ast.Carg 0;
+          body =
+            [ Ast.Sched_lock (1, Ast.Sp_this);
+              Ast.Lockinfo (2, Ast.Sp_arg 2);
+              Ast.Ignore_sync 3;
+              Ast.Loop_enter 4;
+              Ast.Nested { service = 1; duration };
+              Ast.State_update ("st", 1);
+              Ast.Loop_exit 4;
+              Ast.Sched_unlock (1, Ast.Sp_this) ] } ]
+  in
+  let round what duration ~words =
+    let r, proceed, held, call =
+      gated_replica (simple_cls (body duration))
+        [ ("m", [| Ast.Vint 1_000_000; Ast.Vint 5; Ast.Vmutex 9 |]) ]
+    in
+    No_alloc.check_words what ~words (fun () ->
+        held := -1;
+        proceed 0;
+        Replica.nested_reply r ~tid:0 ~call_index:!call;
+        if !held <> 0 then Alcotest.fail "t0 not held at its next lock");
+    Alcotest.(check int) "one nested call per round" 10_100 (!call + 1);
+    Alcotest.(check int) "one update per round" 10_100
+      (Object_state.state_field (Replica.object_state r) "st")
+  in
+  round "minor words per round, static nested" (Ast.Fixed 2.0) ~words:0;
+  round "minor words per round, argument-timed nested" (Ast.Arg_dur 1)
+    ~words:2
+
+(* The interpreter's own share: reading a static compute's duration
+   allocates nothing, an argument-timed one boxes its float. *)
+let test_interp_duration_allocation () =
+  let cls =
+    simple_cls
+      [ Ast.Loop
+          { kind = Ast.For;
+            count = Ast.Carg 0;
+            body =
+              [ Ast.Compute (Ast.Fixed 1.5); Ast.Compute (Ast.Arg_dur 1) ] } ]
+  in
+  let req =
+    Request.make ~uid:0 ~client:0 ~client_req:0 ~meth:"m"
+      ~args:[| Ast.Vint 1_000_000; Ast.Vint 3; Ast.Vint 0 |]
+      ~sent_at:0.0
+  in
+  let obj = Object_state.create cls in
+  let c = Interp.start (Interp.program cls) ~obj req in
+  let compute expected =
+    if not (Interp.next c && Interp.kind c = Op.Compute) then
+      Alcotest.fail "no compute op";
+    if Interp.duration c <> expected then Alcotest.fail "wrong duration"
+  in
+  No_alloc.check_words "minor words per static and argument-timed compute"
+    ~words:2 (fun () ->
+      compute 1.5;
+      compute 3.0)
 
 let suite =
   [ ("mutex basic", `Quick, test_mutex_basic);
@@ -705,6 +877,7 @@ let suite =
     ("condvar per mutex", `Quick, test_condvar_per_mutex);
     ("condvar double park", `Quick, test_condvar_double_park_rejected);
     ("condvar remove", `Quick, test_condvar_remove);
+    QCheck_alcotest.to_alcotest prop_condvar_fifo_model;
     ("interp lock stream", `Quick, test_interp_lock_stream);
     ("interp branches on args", `Quick, test_interp_branches_on_args);
     ("interp loop count from arg", `Quick, test_interp_loop_count_from_arg);
@@ -722,7 +895,7 @@ let suite =
     ("interp dummy is noop", `Quick, test_interp_dummy_is_noop);
     ("object state fingerprint", `Quick, test_object_state_fingerprint);
     ("object state fields", `Quick, test_object_state_mutable_fields);
-    ("interp: steady state allocates only dynamic ops", `Quick,
+    ("interp: steady state allocates only a cursor", `Quick,
      test_interp_steady_state_allocation);
     ("mutex table: lock/unlock allocates nothing", `Quick,
      test_mutex_no_allocation);
@@ -730,8 +903,16 @@ let suite =
      test_acquisition_order_no_allocation);
     ("object state: update_state allocates nothing", `Quick,
      test_update_state_no_allocation);
+    ("workspace: a warmed vlock/update/vunlock round allocates nothing",
+     `Quick, test_workspace_no_allocation);
     ("replica: a held and granted lock allocates nothing", `Quick,
      test_replica_lock_gate_no_allocation);
+    ("replica: a wait/notify round allocates nothing", `Quick,
+     test_replica_wait_notify_no_allocation);
+    ("replica: a nested round boxes only an argument-timed duration", `Quick,
+     test_replica_nested_round_allocation);
+    ("interp: only an argument-timed duration allocates", `Quick,
+     test_interp_duration_allocation);
   ]
 
 let () = Alcotest.run "runtime" [ ("runtime", suite) ]
