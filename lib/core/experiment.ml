@@ -1018,6 +1018,15 @@ let load_independence rows =
    load. *)
 let figure1_words_bounds = [ ("seq", 5.9); ("mat", 5.0); ("pmat", 4.5) ]
 
+(* E18's words/event bounds for the conflict-graph family at 4 workers and
+   256 clients: cgs on figure1 and cgs+ws on sharded-opaque.  A request's
+   workspace (pooled, on compiled field offsets) and its conflict-graph
+   decisions (classes as sorted int arrays, recycled nodes, loops instead
+   of closures) allocate nothing (E33).  Each bound is the row's E33 level
+   plus under 10%. *)
+let parallel_words_bounds =
+  [ ("cgs", "figure1", 5.6); ("cgs+ws", "sharded-opaque", 20.4) ]
+
 (* The raw chain's words/event: its E31 level (0.043, the clock re-boxed
    once per new instant) plus under 10%. *)
 let raw_chain_words_bound = 0.047
@@ -1067,6 +1076,17 @@ let engine () =
                 ( Printf.sprintf "raw chain at most %g words/event"
                     raw_chain_words_bound,
                   column r "words_per_event" <= raw_chain_words_bound )
+            | wname, scheduler
+              when r.config.clients = 256 && r.config.workers = 4 ->
+              List.find_map
+                (fun (s, w, bound) ->
+                  if s = scheduler && w = wname then
+                    Some
+                      ( Printf.sprintf "%s@4 on %s@256 under %g words/event"
+                          scheduler wname bound,
+                        column r "words_per_event" < bound )
+                  else None)
+                parallel_words_bounds
             | "figure1", scheduler when r.config.clients = 256 ->
               Option.map
                 (fun bound ->

@@ -66,9 +66,9 @@ let route ~shards m =
 (* Per start method: either the lock closure is exactly the mutexes carried
    in the listed argument positions (so the request's group set is a pure
    function of its arguments), or it is opaque and the request must be
-   ordered on every group. *)
+   ordered on every group.  The positions are sorted and distinct. *)
 type plan =
-  | Args of int list
+  | Args of int array
   | Everywhere
 
 exception Opaque
@@ -110,7 +110,7 @@ and scan_call cls visited acc name =
 
 let static_plan cls (m : Class_def.method_def) =
   match scan_block cls (ref [ m.name ]) [] m.body with
-  | acc -> Args (List.sort_uniq compare acc)
+  | acc -> Args (Array.of_list (List.sort_uniq compare acc))
   | exception Opaque -> Everywhere
 
 (* With a prediction summary the closure is already computed (inlining,
@@ -124,27 +124,18 @@ let summary_plan (m : Detmt_analysis.Predict.method_summary) =
         (fun (si : Detmt_analysis.Predict.sid_info) -> arg_of_param si.param)
         m.sids
     with
-    | ps -> Args (List.sort_uniq compare ps)
+    | ps -> Args (Array.of_list (List.sort_uniq compare ps))
     | exception Opaque -> Everywhere
 
-(* The mutex ids a request's routing depends on, straight from the plan:
-   [None] when the closure is opaque or the arguments malformed (order
-   everywhere), [Some []] when the request locks nothing. *)
-let plan_mutexes plans ~meth ~args =
-  match Hashtbl.find_opt plans meth with
-  | None | Some Everywhere -> None
-  | Some (Args positions) ->
-    List.fold_left
-      (fun acc i ->
-        match acc with
-        | None -> None
-        | Some ms ->
-          if i < Array.length args then
-            match args.(i) with
-            | Ast.Vmutex m -> Some (m :: ms)
-            | _ -> None
-          else None)
-      (Some []) positions
+(* Every listed argument is a mutex: the request's routing is a function of
+   those mutexes.  Otherwise (malformed arguments) it is ordered
+   everywhere. *)
+let rec mutex_args args positions i =
+  i = Array.length positions
+  || (let p = positions.(i) in
+      p < Array.length args
+      && (match args.(p) with Ast.Vmutex _ -> true | _ -> false)
+      && mutex_args args positions (i + 1))
 
 (* One plan per start method: from the §4.3 prediction summary when the
    scheduler uses one, otherwise a syntactic scan of the source body. *)
@@ -291,7 +282,8 @@ type t = {
   answered : Dedup.t;
   response_times : Detmt_stats.Summary.t;
   mutable replies : int;
-  mutable reply_times : float list; (* newest first *)
+  mutable reply_times : float array; (* arrival times at clients, in order *)
+  mutable n_reply_times : int;
   mutable fast_path : int;
   mutable cross_path : int;
   mutable held_total : int; (* submissions that queued behind a barrier *)
@@ -301,6 +293,10 @@ type t = {
   mutable tick_h : Engine.handler_id;
       (* typed autoscale timer; reads [policy] at fire time *)
   on_group : (index:int -> Active.t -> unit) option;
+  mutable involved : int array;
+      (* scratch: the ascending live group indices of the request being
+         routed, in [0, n_involved) *)
+  mutable n_involved : int;
 }
 
 let refresh_live t =
@@ -335,7 +331,13 @@ let client_arrival t =
 let note_reply t ~response_ms =
   t.replies <- t.replies + 1;
   Detmt_stats.Summary.add t.response_times response_ms;
-  t.reply_times <- client_arrival t :: t.reply_times;
+  if t.n_reply_times = Array.length t.reply_times then begin
+    let a = Array.make (max 64 (2 * t.n_reply_times)) 0.0 in
+    Array.blit t.reply_times 0 a 0 t.n_reply_times;
+    t.reply_times <- a
+  end;
+  t.reply_times.(t.n_reply_times) <- client_arrival t;
+  t.n_reply_times <- t.n_reply_times + 1;
   if Recorder.enabled t.obs then begin
     Recorder.incr t.obs "reconfig.replies";
     Recorder.observe t.obs "reconfig.response_ms" response_ms
@@ -411,8 +413,9 @@ let create ?(obs = Recorder.disabled) ?on_group ~engine ~cls
       commands = Queue.create (); aborted = 0;
       pending = Hashtbl.create 256; answered = Dedup.create ();
       response_times = Detmt_stats.Summary.create (); replies = 0;
-      reply_times = []; fast_path = 0; cross_path = 0; held_total = 0;
-      policy = None; armed = false; tick_h = 0; on_group }
+      reply_times = [||]; n_reply_times = 0; fast_path = 0; cross_path = 0;
+      held_total = 0; policy = None; armed = false; tick_h = 0; on_group;
+      involved = [||]; n_involved = 0 }
   in
   t.groups <-
     Array.init params.initial_groups (fun index ->
@@ -427,17 +430,53 @@ let create ?(obs = Recorder.disabled) ?on_group ~engine ~cls
 
 let route_of t m = t.owner.(route ~shards:t.params.slots m)
 
+(* Add a group index to the involved set, keeping it ascending and
+   distinct. *)
+let rec involved t gi i =
+  i < t.n_involved && (t.involved.(i) = gi || involved t gi (i + 1))
+
+let involve t gi =
+  let n = t.n_involved in
+  if not (involved t gi 0) then begin
+    if n = Array.length t.involved then
+      t.involved <- Array.append t.involved (Array.make (max 4 n) 0);
+    let i = ref n in
+    while !i > 0 && t.involved.(!i - 1) > gi do
+      t.involved.(!i) <- t.involved.(!i - 1);
+      decr i
+    done;
+    t.involved.(!i) <- gi;
+    t.n_involved <- n + 1
+  end
+
+let rec involve_list t = function
+  | [] -> ()
+  | gi :: rest ->
+    involve t gi;
+    involve_list t rest
+
 (* The live group indices a request involves under the current epoch —
-   a pure function of (plan, arguments, owner table).  Opaque closures are
-   ordered everywhere; requests that lock nothing run on the
-   coordinator. *)
-let group_set t ~meth ~args =
-  if t.live_n = 1 then t.live_idx
+   a pure function of (plan, arguments, owner table) — into [t.involved].
+   Opaque closures are ordered everywhere; requests that lock nothing run
+   on the coordinator.  Builds nothing. *)
+let route_request t ~meth ~args =
+  t.n_involved <- 0;
+  if t.live_n = 1 then involve_list t t.live_idx
   else
-    match plan_mutexes t.plans ~meth ~args with
-    | None -> t.live_idx
-    | Some [] -> [ (coordinator t).index ]
-    | Some ms -> List.sort_uniq compare (List.map (route_of t) ms)
+    match Hashtbl.find t.plans meth with
+    | Args ps when mutex_args args ps 0 ->
+      if Array.length ps = 0 then involve t (coordinator t).index
+      else
+        for i = 0 to Array.length ps - 1 do
+          match args.(ps.(i)) with
+          | Ast.Vmutex m -> involve t (route_of t m)
+          | _ -> ()
+        done
+    | Args _ | Everywhere | (exception Not_found) -> involve_list t t.live_idx
+
+let group_set t ~meth ~args =
+  route_request t ~meth ~args;
+  Array.to_list (Array.sub t.involved 0 t.n_involved)
 
 (* ---------------------- submission & transitions --------------------- *)
 
@@ -445,53 +484,52 @@ let group_set t ~meth ~args =
 let drain_poll_ms = 0.5
 
 let rec dispatch t ~sent_at ~client ~client_req ~meth ~args ~on_reply =
-  match group_set t ~meth ~args with
-  | [] -> assert false
-  | coordinator :: followers as involved ->
-    (* The latch survives client retries: a resubmission reuses it (each
-       group answers a key exactly once, so a second latch could never
-       drain).  Pending latches never straddle an epoch — the drain step
-       empties [pending] before any transition applies — so the involved
-       set resolved here is stable for the latch's whole lifetime. *)
-    let key = Dedup.key ~client ~request:client_req in
-    if not (Hashtbl.mem t.pending key) then begin
-      Hashtbl.add t.pending key
-        { remaining = List.length involved; l_sent_at = sent_at;
-          l_on_reply = on_reply };
-      List.iter
-        (fun gi ->
-          let g = group_of t gi in
-          g.inflight <- g.inflight + 1;
-          if Recorder.enabled t.obs then
-            Recorder.incr t.obs (Printf.sprintf "reconfig.%d.requests" gi))
-        involved;
-      if followers = [] then t.fast_path <- t.fast_path + 1
-      else t.cross_path <- t.cross_path + 1;
+  route_request t ~meth ~args;
+  let n = t.n_involved in
+  let coordinator = t.involved.(0) in
+  (* The latch survives client retries: a resubmission reuses it (each
+     group answers a key exactly once, so a second latch could never
+     drain).  Pending latches never straddle an epoch — the drain step
+     empties [pending] before any transition applies — so the involved
+     set resolved here is stable for the latch's whole lifetime. *)
+  let key = Dedup.key ~client ~request:client_req in
+  if not (Hashtbl.mem t.pending key) then begin
+    Hashtbl.add t.pending key
+      { remaining = n; l_sent_at = sent_at; l_on_reply = on_reply };
+    for i = 0 to n - 1 do
+      let gi = t.involved.(i) in
+      let g = group_of t gi in
+      g.inflight <- g.inflight + 1;
       if Recorder.enabled t.obs then
-        Recorder.incr t.obs
-          (if followers = [] then "reconfig.fast_path"
-           else "reconfig.cross_path")
-    end;
-    (* Phase 1 orders the request on the coordinator (smallest involved
-       group); phase 2 submits to the rest, in ascending order, the moment
-       it holds a slot in the coordinator's total order.  Both phases run
-       through the groups' ordinary total-order paths, so the outcome is a
-       pure function of the seed. *)
-    let on_ordered =
-      if followers = [] then None
-      else
-        Some
-          (fun ~seq:_ ->
-            List.iter
-              (fun gi ->
-                let g = group_of t gi in
-                Active.submit g.sys ~client ~client_req ~meth ~args
-                  ~on_reply:g.g_reply)
-              followers)
-    in
-    let co = group_of t coordinator in
-    Active.submit ?on_ordered co.sys ~client ~client_req ~meth ~args
-      ~on_reply:co.g_reply
+        Recorder.incr t.obs (Printf.sprintf "reconfig.%d.requests" gi)
+    done;
+    if n = 1 then t.fast_path <- t.fast_path + 1
+    else t.cross_path <- t.cross_path + 1;
+    if Recorder.enabled t.obs then
+      Recorder.incr t.obs
+        (if n = 1 then "reconfig.fast_path" else "reconfig.cross_path")
+  end;
+  (* Phase 1 orders the request on the coordinator (smallest involved
+     group); phase 2 submits to the rest, in ascending order, the moment
+     it holds a slot in the coordinator's total order.  Both phases run
+     through the groups' ordinary total-order paths, so the outcome is a
+     pure function of the seed. *)
+  let on_ordered =
+    if n = 1 then None
+    else
+      let followers = Array.to_list (Array.sub t.involved 1 (n - 1)) in
+      Some
+        (fun ~seq:_ ->
+          List.iter
+            (fun gi ->
+              let g = group_of t gi in
+              Active.submit g.sys ~client ~client_req ~meth ~args
+                ~on_reply:g.g_reply)
+            followers)
+  in
+  let co = group_of t coordinator in
+  Active.submit ?on_ordered co.sys ~client ~client_req ~meth ~args
+    ~on_reply:co.g_reply
 
 and submit t ~client ~client_req ~meth ~args ~on_reply =
   if not (Dedup.seen t.answered ~client ~request:client_req) then begin
@@ -859,7 +897,7 @@ let groups_ever t = live_systems t @ List.rev t.retired
 
 let replies_received t = t.replies
 
-let reply_times t = List.rev t.reply_times
+let reply_times t = List.init t.n_reply_times (Array.get t.reply_times)
 
 let response_times t = t.response_times
 

@@ -4,7 +4,10 @@
    array: branches and loops become jumps with resolved targets, locals and
    loop counters become slots of an int array, and ops whose operands are
    all static are built at compile time.  A request runs on a cursor (code,
-   program counter, slots, saved caller frames).  A yield builds no op: the
+   program counter, slots, saved caller frames).  Every field name is
+   resolved to its {!Object_state} offset at compile time, so a field read,
+   a field write or a state update indexes an array (of the object state, or
+   of the thread's workspace when it speculates).  A yield builds no op: the
    cursor records the op's kind, the instruction that yielded it (which
    holds its static operands) and the one int read at run time (a mutex, or
    an argument-timed duration), and the replica reads them through the
@@ -31,18 +34,28 @@ let call_oracle name (req : Request.t) =
 
 (* A mutex-valued operand: a sync parameter or the right-hand side of an
    assignment.  A local is its value slot; the slot after it is 1 once the
-   local has been assigned. *)
+   local has been assigned.  A field or global is its offset, [-1] when the
+   class does not declare it, and its name, for the error. *)
 type operand =
   | Const of int
   | This
   | Arg of int
   | Local of int * string
-  | Field of string
-  | Global of string
+  | Field of int * string
+  | Global of int * string
   | Opaque of string
+
+(* [Ast.cond] with its field resolved to an offset. *)
+type cond =
+  | Cconst of bool
+  | Carg_bool of int
+  | Carg_int_eq of int * int
+  | Cfield_eq_arg of int * string * int
+  | Cnot of cond
 
 type instr =
   | Emit of Op.kind * Op.t (* a static op, built at compile time *)
+  | Update of int * Op.t (* a state update: its field's offset, its op *)
   | Compute_arg of int
   | Nested_arg of { service : int; arg : int }
   | Lock of int * operand
@@ -51,10 +64,10 @@ type instr =
   | Wait of operand
   | Notify of operand * bool
   | Hold of int * operand (* slot := mutex, for the guarded wait after it *)
-  | Wait_until of { slot : int; field : string; min : int }
+  | Wait_until of { slot : int; field : int; name : string; min : int }
   | Assign of int * operand
-  | Assign_field of string * operand
-  | Branch_unless of Ast.cond * int
+  | Assign_field of int * string * operand
+  | Branch_unless of cond * int
   | Jump of int
   | Loop_init of { slot : int; count : Ast.count; at_least_once : bool }
   | Loop_next of { slot : int; exit : int } (* exit, or count one down *)
@@ -71,6 +84,7 @@ type instr =
 type code = { instrs : instr array; nslots : int }
 
 type methods = {
+  layout : Object_state.layout; (* field name -> offset, at compile time *)
   defs : Class_def.method_def array;
   codes : code option array; (* compiled on first call *)
   index : (string, int) Hashtbl.t; (* name -> first method of that name *)
@@ -83,9 +97,10 @@ type frame = { f_code : code; f_pc : int; f_slots : int array }
 type cursor = {
   prog : program;
   obj : Object_state.t;
-  ws : Workspace.t option;
+  ws : Workspace.t;
       (* speculative execution: object-state reads and writes go through the
-         thread's copy-on-write workspace instead of the committed state *)
+         thread's copy-on-write workspace instead of the committed state;
+         [Workspace.none] for direct execution *)
   req : Request.t;
   mutable code : code;
   mutable pc : int;
@@ -108,7 +123,10 @@ let methods p =
       (fun i (d : Class_def.method_def) ->
         if not (Hashtbl.mem index d.name) then Hashtbl.add index d.name i)
       defs;
-    let m = { defs; codes = Array.make (Array.length defs) None; index } in
+    let m =
+      { layout = Object_state.layout p.cls; defs;
+        codes = Array.make (Array.length defs) None; index }
+    in
     p.methods <- Some m;
     m
 
@@ -118,6 +136,7 @@ let method_index m name =
 (* ----------------------------- compiler ----------------------------- *)
 
 let compile m (def : Class_def.method_def) =
+  let layout = m.layout in
   let code = ref (Array.make 16 Return) and len = ref 0 in
   let emit i =
     if !len = Array.length !code then
@@ -142,21 +161,31 @@ let compile m (def : Class_def.method_def) =
       s
   in
   let local v = Local (local_slot v, v) in
+  let field f = Field (Object_state.mutex_offset layout f, f) in
+  let global g = Global (Object_state.global_offset layout g, g) in
   let param = function
     | Ast.Sp_this -> This
     | Ast.Sp_arg i -> Arg i
     | Ast.Sp_local v -> local v
-    | Ast.Sp_field f -> Field f
-    | Ast.Sp_global g -> Global g
+    | Ast.Sp_field f -> field f
+    | Ast.Sp_global g -> global g
     | Ast.Sp_call name -> Opaque name
   in
   let mexpr = function
     | Ast.Mconst c -> Const c
     | Ast.Marg i -> Arg i
     | Ast.Mlocal v -> local v
-    | Ast.Mfield f -> Field f
-    | Ast.Mglobal g -> Global g
+    | Ast.Mfield f -> field f
+    | Ast.Mglobal g -> global g
     | Ast.Mcall name -> Opaque name
+  in
+  let rec cond = function
+    | Ast.Cconst b -> Cconst b
+    | Ast.Carg_bool i -> Carg_bool i
+    | Ast.Carg_int_eq (i, k) -> Carg_int_eq (i, k)
+    | Ast.Cfield_eq_arg (f, i) ->
+      Cfield_eq_arg (Object_state.mutex_offset layout f, f, i)
+    | Ast.Cnot c -> Cnot (cond c)
   in
   let static op = emit (Emit (Op.kind op, op)) in
   let rec block b = List.iter stmt b
@@ -166,25 +195,33 @@ let compile m (def : Class_def.method_def) =
     | Ast.Assign (v, e) ->
       let e = mexpr e in
       emit (Assign (local_slot v, e))
-    | Ast.Assign_field (f, e) -> emit (Assign_field (f, mexpr e))
+    | Ast.Assign_field (f, e) ->
+      emit (Assign_field (Object_state.mutex_offset layout f, f, mexpr e))
     | Ast.Sync (p, _) | Ast.Lock_acquire p | Ast.Lock_release p ->
       emit (Raw_sync (Format.asprintf "%a" Pretty.sync_param p))
     | Ast.Wait p -> emit (Wait (param p))
     | Ast.Wait_until { param = p; field; min } ->
       let slot = fresh 1 in
       emit (Hold (slot, param p));
-      emit (Wait_until { slot; field; min })
+      emit
+        (Wait_until
+           { slot; field = Object_state.state_offset layout field;
+             name = field; min })
     | Ast.Notify { param = p; all } -> emit (Notify (param p, all))
     | Ast.Nested { service; duration = Ast.Fixed duration } ->
       static (Op.Nested { service; duration })
     | Ast.Nested { service; duration = Ast.Arg_dur arg } ->
       emit (Nested_arg { service; arg })
     | Ast.State_update (field, delta) ->
-      static (Op.State_update { field; delta })
+      emit
+        (Update
+           ( Object_state.state_offset layout field,
+             Op.State_update { field; delta } ))
     | Ast.If (c, a, b) ->
       let branch = !len in
       emit Return;
       block a;
+      let c = cond c in
       if b = [] then patch branch (Branch_unless (c, !len))
       else begin
         let jump = !len in
@@ -242,24 +279,25 @@ let frame_slots code =
 
 (* ------------------------------ running ----------------------------- *)
 
-(* Object-state access, routed through the workspace when speculating.
-   Globals and the self monitor are immutable, so they read through either
-   way. *)
+(* Object-state access by offset, routed through the workspace when
+   speculating.  An undeclared field raises here, when the statement is
+   reached, with the by-name accessors' error.  Globals and the self monitor
+   are immutable, so they read through either way. *)
 
-let obj_mutex_field c f =
-  match c.ws with
-  | Some w -> Workspace.mutex_field w f
-  | None -> Object_state.mutex_field c.obj f
+let obj_mutex_field c off f =
+  if off < 0 then Object_state.no_such "mutex field" f
+  else if c.ws == Workspace.none then Object_state.mutex_at c.obj off
+  else Workspace.mutex_field c.ws off
 
-let obj_set_mutex_field c f v =
-  match c.ws with
-  | Some w -> Workspace.set_mutex_field w f v
-  | None -> Object_state.set_mutex_field c.obj f v
+let obj_set_mutex_field c off f v =
+  if off < 0 then Object_state.no_such "mutex field" f
+  else if c.ws == Workspace.none then Object_state.set_mutex_at c.obj off v
+  else Workspace.set_mutex_field c.ws off v
 
-let obj_state_field c f =
-  match c.ws with
-  | Some w -> Workspace.state_field w f
-  | None -> Object_state.state_field c.obj f
+let obj_state_field c off f =
+  if off < 0 then Object_state.no_such "state field" f
+  else if c.ws == Workspace.none then Object_state.state_at c.obj off
+  else Workspace.state_field c.ws off
 
 let arg c i =
   let args = c.req.args in
@@ -292,16 +330,18 @@ let operand c = function
     if c.slots.(s + 1) = 0 then
       error "%s: local %S read before assignment" c.req.meth v
     else c.slots.(s)
-  | Field f -> obj_mutex_field c f
-  | Global g -> Object_state.global c.obj g
+  | Field (off, f) -> obj_mutex_field c off f
+  | Global (off, g) ->
+    if off < 0 then Object_state.no_such "global" g
+    else Object_state.global_at c.obj off
   | Opaque name -> call_oracle name c.req
 
 let rec eval_cond c = function
-  | Ast.Cconst b -> b
-  | Ast.Carg_bool i -> arg_bool c i
-  | Ast.Carg_int_eq (i, k) -> arg_int c i = k
-  | Ast.Cfield_eq_arg (f, i) -> obj_mutex_field c f = arg_mutex c i
-  | Ast.Cnot cond -> not (eval_cond c cond)
+  | Cconst b -> b
+  | Carg_bool i -> arg_bool c i
+  | Carg_int_eq (i, k) -> arg_int c i = k
+  | Cfield_eq_arg (off, f, i) -> obj_mutex_field c off f = arg_mutex c i
+  | Cnot cond -> not (eval_cond c cond)
 
 let resolve_count c = function
   | Ast.Cfixed n -> n
@@ -327,6 +367,7 @@ let rec next c =
   c.pc <- c.pc + 1;
   match i with
   | Emit (kind, _) -> yield c kind i 0
+  | Update _ -> yield c Op.State_update i 0
   | Compute_arg a -> yield c Op.Compute i (arg_int c a)
   | Nested_arg { arg; _ } -> yield c Op.Nested i (arg_int c arg)
   | Lock (_, m) -> yield c Op.Lock i (operand c m)
@@ -337,10 +378,10 @@ let rec next c =
   | Hold (slot, m) ->
     c.slots.(slot) <- operand c m;
     next c
-  | Wait_until { slot; field; min } ->
+  | Wait_until { slot; field; name; min } ->
     (* Java guarded-wait idiom: re-check the condition after every wake-up,
        waiting again while it does not hold. *)
-    if obj_state_field c field >= min then next c
+    if obj_state_field c field name >= min then next c
     else begin
       c.pc <- c.pc - 1;
       yield c Op.Wait i c.slots.(slot)
@@ -349,8 +390,8 @@ let rec next c =
     c.slots.(slot) <- operand c m;
     c.slots.(slot + 1) <- 1;
     next c
-  | Assign_field (f, m) ->
-    obj_set_mutex_field c f (operand c m);
+  | Assign_field (off, f, m) ->
+    obj_set_mutex_field c off f (operand c m);
     next c
   | Branch_unless (cond, target) ->
     if not (eval_cond c cond) then c.pc <- target;
@@ -440,19 +481,22 @@ let duration c =
   | _ -> no_operand c "duration"
 
 let field c =
+  match c.instr with Update (off, _) -> off | _ -> no_operand c "field"
+
+let field_name c =
   match c.instr with
-  | Emit (_, Op.State_update { field; _ }) -> field
-  | _ -> no_operand c "field"
+  | Update (_, Op.State_update { field; _ }) -> field
+  | _ -> no_operand c "field_name"
 
 let delta c =
   match c.instr with
-  | Emit (_, Op.State_update { delta; _ }) -> delta
+  | Update (_, Op.State_update { delta; _ }) -> delta
   | _ -> no_operand c "delta"
 
 module Testing = struct
   let op c =
     match c.instr with
-    | Emit (_, op) -> op
+    | Emit (_, op) | Update (_, op) -> op
     | Compute_arg _ -> Op.Compute { duration = duration c }
     | Nested_arg { service; _ } -> Op.Nested { service; duration = duration c }
     | Lock (syncid, _) -> Op.Lock { syncid; mutex = c.value }
@@ -465,7 +509,7 @@ end
 
 let finished = { instrs = [| Return |]; nslots = 0 }
 
-let start prog ~obj ?ws (req : Request.t) =
+let start prog ~obj ~ws (req : Request.t) =
   let code =
     if req.dummy then finished
     else begin
@@ -483,5 +527,5 @@ let start prog ~obj ?ws (req : Request.t) =
 
 let idle =
   let cls = Class_def.make ~cname:"idle" [] in
-  start (program cls) ~obj:(Object_state.create cls)
+  start (program cls) ~obj:(Object_state.create cls) ~ws:Workspace.none
     (Request.dummy ~uid:(-1) ~sent_at:0.0)

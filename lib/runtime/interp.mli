@@ -2,7 +2,8 @@
 
     Each method of a class is lowered once, on its first call, to an
     instruction array with resolved jump targets, int-slot locals and
-    preallocated static ops.  A request runs on a {!cursor}: the code, a
+    preallocated static ops; every field name is resolved to its
+    {!Object_state} offset.  A request runs on a {!cursor}: the code, a
     program counter, the frame's slots and the saved caller frames.  {!next}
     advances it to the next synchronisation-relevant op, which the cursor
     holds in place: the replica engine dispatches on its {!kind}, reads its
@@ -27,12 +28,14 @@ val program : Detmt_lang.Class_def.t -> program
 (** No method is compiled, or even indexed, until the first {!start}. *)
 
 val start :
-  program -> obj:Object_state.t -> ?ws:Workspace.t -> Request.t -> cursor
-(** [start prog ~obj req] positions a cursor at the top of the request's
-    start method.  Dummy requests finish at once.  With [?ws], object-state
-    reads and writes are routed through the copy-on-write workspace
-    (speculative execution); [obj] is then only the page-in source behind
-    it.  Opaque calls ([Sp_call], [Mcall]) resolve to a hash of the call
+  program -> obj:Object_state.t -> ws:Workspace.t -> Request.t -> cursor
+(** [start prog ~obj ~ws req] positions a cursor at the top of the request's
+    start method.  Dummy requests finish at once.  [obj] must be built from
+    the program's class, whose layout the compiled offsets follow.  With a
+    [ws] other than [Workspace.none], object-state reads and writes are
+    routed through the copy-on-write workspace (speculative execution);
+    [obj] is then only the page-in source behind it.  Opaque calls
+    ([Sp_call], [Mcall]) resolve to a hash of the call
     name and the request's [(client, client_req)] identity into a small
     mutex-id range — deterministic across replicas but unpredictable to the
     analysis, exactly like a real opaque call.  The total-order [uid] is
@@ -80,7 +83,11 @@ val duration : cursor -> float
 (** Of a compute or nested op.  A static duration is the float its compiled
     instruction holds; an argument-timed one is boxed afresh by each call. *)
 
-val field : cursor -> string
+val field : cursor -> int
+(** Of a state-update op: the field's {!Object_state} offset, [-1] when the
+    class does not declare it. *)
+
+val field_name : cursor -> string
 (** Of a state-update op. *)
 
 val delta : cursor -> int

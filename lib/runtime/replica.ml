@@ -49,9 +49,10 @@ type thread = {
   mutable gate_arg : int;
   mutable nested_count : int; (* nested invocations issued so far *)
   mutable buffered_replies : int list; (* call indices answered early *)
-  mutable ws : Workspace.t option;
-      (* speculative execution: attached by [ws_begin], merged or discarded
-         at [ws_commit]; [None] for direct execution *)
+  mutable ws : Workspace.t;
+      (* speculative execution: taken from the replica's pool by [ws_begin],
+         merged or discarded (and returned) at [ws_commit] or an unsafe
+         abort; [Workspace.none] for direct execution *)
 }
 
 type t = {
@@ -61,6 +62,7 @@ type t = {
   config : Config.t;
   program : Interp.program;
   obj : Object_state.t;
+  ws_pool : Workspace.Pool.t; (* released workspaces over [obj] *)
   mutexes : Mutex_table.t;
   condvars : Condvar.t;
   trace_rec : Trace.t;
@@ -194,15 +196,15 @@ and after_cost_finish t duration th =
 
 and body_done t th =
   th.cursor <- Interp.idle;
-  match th.ws with
-  | Some _ ->
+  if th.ws != Workspace.none then begin
     (* Speculation complete: hold the workspace until the scheduler grants
        the slot-order commit barrier.  The reply is built (and the reply
        cost charged) only after a successful merge. *)
     th.state <- State.Commit_pending;
     if observing t then rec_wait_begin t th Recorder.Commit_hold;
     (sched t).on_ws_event th.tid Sched_iface.Ws_ready
-  | None ->
+  end
+  else
     (* Final computation: build the reply message (section 4.1). *)
     let cost = if th.req.Request.dummy then 0.0 else t.config.reply_build_ms in
     after_cost_finish t cost th
@@ -233,9 +235,21 @@ and finish t th =
 (* The op is the cursor's current one: its kind and operands are read in
    place, so dispatching it allocates nothing. *)
 and handle_op t th c =
-  match th.ws with
-  | Some w -> handle_spec_op t th w c
-  | None -> handle_direct_op t th c
+  if th.ws == Workspace.none then handle_direct_op t th c
+  else handle_spec_op t th th.ws c
+
+(* The state update's field offset; an undeclared field raises the error
+   of the by-name accessors. *)
+and update_offset c =
+  match Interp.field c with
+  | -1 -> Object_state.no_such "state field" (Interp.field_name c)
+  | off -> off
+
+(* A thread's workspace goes back to the replica's pool, cleared, when its
+   speculation commits or is discarded. *)
+and discard_ws t th =
+  Workspace.Pool.release t.ws_pool th.ws;
+  th.ws <- Workspace.none
 
 (* Speculative execution: no committed-state side effects and no grant
    traffic through the scheduler.  Locks are virtualised into the workspace
@@ -255,13 +269,12 @@ and handle_spec_op t th w c =
   | Op.State_update ->
     (* Same system-model check as direct execution, against the virtual
        hold set. *)
-    let field = Interp.field c in
     if not (Workspace.holds_any w) then
       invalid_arg
         (Printf.sprintf
            "Replica %d: speculative t%d updates %S without holding a lock"
-           t.id th.tid field);
-    Workspace.update_state w field (Interp.delta c);
+           t.id th.tid (Interp.field_name c));
+    Workspace.update_state w (update_offset c) (Interp.delta c);
     advance t th
   | Op.Lockinfo | Op.Ignore | Op.Loop_enter | Op.Loop_exit ->
     (* Announcements are suppressed while speculating: an aborted request
@@ -280,7 +293,7 @@ and ws_unsafe_abort t th =
   t.ws_aborts <- t.ws_aborts + 1;
   record t (Trace.Ws_abort { tid = th.tid; conflicts = 0 });
   if observing t then Recorder.incr t.obs "replica.ws.aborts_unsafe";
-  th.ws <- None;
+  discard_ws t th;
   th.cursor <- Interp.idle;
   th.state <- State.Created;
   (sched t).on_ws_event th.tid Sched_iface.Ws_unsafe
@@ -373,12 +386,11 @@ and handle_direct_op t th c =
     after_cost_advance t t.config.bookkeeping_overhead_ms th
   | Op.State_update ->
     (* System model (section 2): shared state is accessed under a lock. *)
-    let field = Interp.field c in
     if not (Mutex_table.holds_any t.mutexes ~tid:th.tid) then
       invalid_arg
         (Printf.sprintf "Replica %d: t%d updates %S without holding a lock"
-           t.id th.tid field);
-    Object_state.update_state t.obj field (Interp.delta c);
+           t.id th.tid (Interp.field_name c));
+    Object_state.update_state_at t.obj (update_offset c) (Interp.delta c);
     advance t th
 
 (* ------------------------------------------------------------------ *)
@@ -394,7 +406,7 @@ let do_start_thread t tid =
   if observing t then
     Recorder.request_started t.obs ~replica:t.id ~uid:tid
       ~at:(Engine.now t.engine);
-  th.cursor <- Interp.start t.program ~obj:t.obj ?ws:th.ws th.req;
+  th.cursor <- Interp.start t.program ~obj:t.obj ~ws:th.ws th.req;
   advance t th
 
 (* --------------------------- workspace actions --------------------------- *)
@@ -406,7 +418,7 @@ let do_ws_begin t ~tid ~record_acquisitions =
   | _ ->
     invalid_arg
       (Printf.sprintf "Replica %d: ws_begin for t%d not in Created" t.id tid));
-  th.ws <- Some (Workspace.create ~base:t.obj ~record_acquisitions)
+  th.ws <- Workspace.Pool.take t.ws_pool ~record_acquisitions
 
 (* The slot-order commit barrier.  The scheduler guarantees quiescence for
    this slot (every older request terminated, no direct execution in
@@ -415,8 +427,9 @@ let do_ws_begin t ~tid ~record_acquisitions =
    re-execution, are functions of the total order alone. *)
 let do_ws_commit t tid =
   let th = thread t tid in
-  match (th.state, th.ws) with
-  | State.Commit_pending, Some w -> (
+  let w = th.ws in
+  match th.state with
+  | State.Commit_pending when w != Workspace.none -> (
     if observing t then rec_wait_end t th;
     match Workspace.conflicts w with
     | [] ->
@@ -433,11 +446,10 @@ let do_ws_commit t tid =
       Workspace.commit w;
       (* Replay the virtual acquisitions into the per-mutex order hashes —
          commits happen in slot order, so the projection matches SEQ's. *)
-      if Workspace.record_acquisitions w then
-        List.iter
-          (fun mutex -> record_acquisition t ~mutex ~th)
-          (Workspace.acquisition_log w);
-      th.ws <- None;
+      for i = 0 to Workspace.acquisitions w - 1 do
+        record_acquisition t ~mutex:(Workspace.acquisition w i) ~th
+      done;
+      discard_ws t th;
       th.state <- State.Running;
       after_cost_finish t
         (if th.req.Request.dummy then 0.0 else t.config.reply_build_ms)
@@ -448,7 +460,7 @@ let do_ws_commit t tid =
       t.ws_aborts <- t.ws_aborts + 1;
       record t (Trace.Ws_abort { tid; conflicts = List.length conflicts });
       if observing t then Recorder.incr t.obs "replica.ws.aborts_stale";
-      th.ws <- None;
+      discard_ws t th;
       th.cursor <- Interp.idle;
       th.state <- State.Created;
       false)
@@ -489,9 +501,11 @@ let do_proceed t tid =
 
 let create ~engine ~id ~cls ~config ?(obs = Recorder.disabled) ~callbacks ~make_sched () =
   Config.validate config;
+  let obj = Object_state.create cls in
   let t =
     { id; engine; cpu = Cpu.create engine ~cores:config.Config.cores; config;
-      program = Interp.program cls; obj = Object_state.create cls;
+      program = Interp.program cls; obj;
+      ws_pool = Workspace.Pool.create ~base:obj;
       mutexes = Mutex_table.create ();
       condvars = Condvar.create ();
       trace_rec = Trace.create ~keep_events:config.Config.trace_events ();
@@ -515,10 +529,12 @@ let create ~engine ~id ~cls ~config ?(obs = Recorder.disabled) ~callbacks ~make_
         (fun ~tid ~mutex -> Mutex_table.is_free_for t.mutexes ~mutex ~tid);
       holds_any_mutex = (fun tid -> Mutex_table.holds_any t.mutexes ~tid);
       request_method = (fun tid -> (thread t tid).req.Request.meth);
-      request_arg =
+      request_mutex_arg =
         (fun ~tid i ->
           let args = (thread t tid).req.Request.args in
-          if i >= 0 && i < Array.length args then Some args.(i) else None);
+          if i >= 0 && i < Array.length args then
+            match args.(i) with Detmt_lang.Ast.Vmutex m -> m | _ -> -1
+          else -1);
       self_mutex = (fun () -> Object_state.self_mutex t.obj);
       pool_dispatch =
         (fun ~worker ~tid:_ ->
@@ -571,7 +587,8 @@ let deliver_request t req =
     t.last_uid <- tid;
     Hashtbl.add t.threads tid
       { tid; req; cursor = Interp.idle; state = State.Created; gate_mutex = -1;
-        gate_arg = 0; nested_count = 0; buffered_replies = []; ws = None };
+        gate_arg = 0; nested_count = 0; buffered_replies = [];
+        ws = Workspace.none };
     t.active <- t.active + 1;
     if observing t then begin
       Recorder.request_delivered t.obs ~replica:t.id ~uid:tid
@@ -653,3 +670,7 @@ let ws_aborts t = t.ws_aborts
 
 let mutex_acquisition_fingerprint t =
   Acquisition_order.fingerprint t.acquisitions
+
+module Testing = struct
+  let workspace t tid = (thread t tid).ws
+end

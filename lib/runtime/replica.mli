@@ -123,3 +123,10 @@ val mutex_acquisition_fingerprint : t -> int64
     scheduler must agree.  Deliberately insensitive to the global interleaving
     of acquisitions of different mutexes, which LSA's leader/follower pair is
     allowed to differ on. *)
+
+module Testing : sig
+  val workspace : t -> int -> Workspace.t
+  (** The live thread's workspace ([Workspace.none] when it executes
+      directly), for the pool-ownership tests.
+      @raise Invalid_argument for an unknown thread. *)
+end

@@ -55,9 +55,10 @@ type actions = {
   holds_any_mutex : int -> bool;
   request_method : int -> string;
       (* start method of a delivered request, for bookkeeping registration *)
-  request_arg : tid:int -> int -> Detmt_lang.Ast.value option;
-      (* argument [i] of a delivered request, for conflict-class resolution
-         of [Sp_arg] sync parameters at delivery time; [None] out of range *)
+  request_mutex_arg : tid:int -> int -> int;
+      (* the mutex that argument [i] of a delivered request names, for
+         conflict-class resolution of [Sp_arg] sync parameters at delivery
+         time; [-1] when the argument is out of range or not a mutex *)
   self_mutex : unit -> int;
       (* the replica object's monitor, resolving [Sp_this] sync parameters *)
   pool_dispatch : worker:int -> tid:int -> unit;

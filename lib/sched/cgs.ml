@@ -18,7 +18,7 @@
    Class resolution, per start method of the summary:
    - [Sp_this]   -> the object monitor ([actions.self_mutex]);
    - [Sp_arg i]  -> the request's [i]-th argument when it is a mutex value
-                    ([actions.request_arg]);
+                    ([actions.request_mutex_arg]);
    - anything else (locals, fields, globals, call results, fallback or
      unknown methods) -> [Top], the opaque class that conflicts with
      everything, so unresolvable requests serialise exactly like SEQ.
@@ -104,16 +104,84 @@
    sets updated at every phase transition (see "decision indexes" and
    "decisions" below), so a decision costs a few set minima plus short
    scans of the pend-free waiters (at most one per mutex) and the woken
-   ones, independent of how many requests queue behind them, and neither
-   the updates nor the decision allocate.  The walk survives as the test
-   oracle [test/cgs_reference.ml]. *)
+   ones, independent of how many requests queue behind them.  Nothing on
+   the request path allocates once warmed: a class is [Top] or a sorted
+   int array, resolved at delivery through a per-method plan of argument
+   positions; held mutexes and the registered blockset are small sorted
+   arrays on the node, with a kind code in place of an option; the graph's
+   per-mutex counts keep their zero entries; a decision is a seq, not a
+   variant; the index updates and the grant cascade are loops, not
+   closures; and node records (with their arrays) and pool workers are
+   recycled.  The walk survives as the test oracle
+   [test/cgs_reference.ml]. *)
 
 open Detmt_runtime
 module Audit = Detmt_obs.Audit
 module Predict = Detmt_analysis.Predict
-module Iset = Set.Make (Int)
 
-type cls = Top | Mutexes of Iset.t
+(* ---------------------------- small mutex sets -------------------------- *)
+
+(* A set of mutexes: the sorted prefix of a growable int array.  Classes,
+   held sets and blocksets have a handful of members, so membership is a
+   scan and insertion a shift.  A set grows its buffer only past its
+   largest size so far, so a warmed set allocates nothing. *)
+module Mset = struct
+  type t = { mutable a : int array; mutable n : int }
+
+  let create () = { a = [||]; n = 0 }
+
+  let clear s = s.n <- 0
+
+  let rec index s x i =
+    if i >= s.n then -1
+    else
+      let y = s.a.(i) in
+      if y = x then i else if y > x then -1 else index s x (i + 1)
+
+  let mem s x = index s x 0 >= 0
+
+  let reserve s n =
+    if n > Array.length s.a then begin
+      let a = Array.make (max n (2 * Array.length s.a)) 0 in
+      Array.blit s.a 0 a 0 s.n;
+      s.a <- a
+    end
+
+  let add s x =
+    if not (mem s x) then begin
+      reserve s (s.n + 1);
+      let i = ref s.n in
+      while !i > 0 && s.a.(!i - 1) > x do
+        s.a.(!i) <- s.a.(!i - 1);
+        decr i
+      done;
+      s.a.(!i) <- x;
+      s.n <- s.n + 1
+    end
+
+  let remove s x =
+    match index s x 0 with
+    | -1 -> ()
+    | i ->
+      Array.blit s.a (i + 1) s.a i (s.n - i - 1);
+      s.n <- s.n - 1
+
+  let copy ~into s =
+    reserve into s.n;
+    Array.blit s.a 0 into.a 0 s.n;
+    into.n <- s.n
+
+  (* [into] := [into] ∪ [s] *)
+  let union ~into s =
+    for i = 0 to s.n - 1 do
+      add into s.a.(i)
+    done
+
+  let rec equal_from x y i =
+    i >= x.n || (x.a.(i) = y.a.(i) && equal_from x y (i + 1))
+
+  let equal x y = x.n = y.n && equal_from x y 0
+end
 
 (* Which requests execute speculatively inside a copy-on-write workspace:
    none (cgs/pcgs), only [Top]-class ones (cgs+ws — the safety net for
@@ -122,30 +190,43 @@ type spec_mode = No_spec | Spec_top | Spec_all
 
 (* Waiting: delivered, not yet dispatched.  Running: on a pool worker
    (nested invocations keep the worker).  Parked: condvar wait on the
-   monitor, worker released.  Woken: notified, needs the monitor back.
-   Spec: executing against a workspace on a pool worker.  Spec_ready:
-   speculation finished, worker released, workspace held for the
-   slot-order commit barrier.  Committing: workspace merged, reply build
-   in progress until the ordinary terminate. *)
-type phase =
-  | Waiting
-  | Running
-  | Parked of int
-  | Woken of int
-  | Spec
-  | Spec_ready
-  | Committing
+   node's [monitor], worker released.  Woken: notified, needs the monitor
+   back.  Spec: executing against a workspace on a pool worker.
+   Spec_ready: speculation finished, worker released, workspace held for
+   the slot-order commit barrier.  Committing: workspace merged, reply
+   build in progress until the ordinary terminate. *)
+type phase = Waiting | Running | Parked | Woken | Spec | Spec_ready | Committing
 
+(* The kind of a blockset: none (not in flight), [Top] (everything), or the
+   members of a set. *)
+let bs_none = 0
+
+let bs_top = 1
+
+let bs_set = 2
+
+(* A live request.  Records are recycled at termination, arrays included:
+   every field is reset at delivery. *)
 type node = {
-  tid : int;
-  seq : int; (* admission order: the key of every decision index *)
-  cls : cls; (* static conflict class, fixed at delivery *)
+  mutable tid : int; (* -1 once recycled *)
+  mutable seq : int; (* admission order: the key of every decision index *)
+  mutable top : bool; (* the opaque class, conflicting with everything *)
+  cls : Mset.t; (* the static conflict class, fixed at delivery; empty for
+                   [Top] *)
   mutable spec : bool; (* destined for workspace execution; cleared when an
                           abort forces the retry onto the direct path *)
   mutable phase : phase;
-  mutable held : Iset.t; (* mutexes currently held *)
-  mutable contrib : cls option; (* blockset registered in the graph *)
+  mutable monitor : int; (* of a Parked or Woken node *)
+  held : Mset.t; (* mutexes currently held *)
+  mutable reg : int; (* the kind of the blockset registered in the graph *)
+  reg_set : Mset.t; (* its members, for [bs_set] *)
+  mutable worker : int; (* the pool worker running it, or -1 *)
 }
+
+(* How a start method's class resolves: [Top] for every request, or the
+   sync parameters in summary order, [-1] for [this] and [i] for argument
+   [i]. *)
+type plan = Opaque | Params of int array
 
 type t = {
   sub : Substrate.t;
@@ -154,11 +235,16 @@ type t = {
   spec : spec_mode;
   record_acq : bool; (* replay virtual acquisitions into the fingerprint at
                         commit (wss differentially matches SEQ) *)
-  nodes : (int, node) Hashtbl.t;
+  plans : (string, plan) Hashtbl.t; (* by start method, built on first use *)
+  nodes : node Seq_index.t; (* live nodes by tid *)
   by_seq : node Seq_index.t;
+  mutable free : node array; (* recycled nodes *)
+  mutable nfree : int;
+  next : Mset.t; (* scratch: a recomputed blockset *)
   (* The conflict graph's edge information, kept as a multiset: how many
-     in-flight nodes block each mutex, plus the count of opaque ([Top])
-     and total contributors.  Eligibility tests are O(|class|). *)
+     in-flight nodes block each mutex (an entry stays at zero once made),
+     plus the count of opaque ([Top]) and total contributors.  Eligibility
+     tests are O(|class|). *)
   counts : (int, int) Hashtbl.t;
   mutable top_count : int;
   mutable inflight : int;
@@ -181,120 +267,135 @@ type t = {
 
 (* --------------------------- class resolution -------------------------- *)
 
-let classify t ~tid =
+let plan_of summary meth =
+  match Predict.find_method summary meth with
+  | None -> Opaque
+  | Some ms when ms.Predict.fallback -> Opaque
+  | Some ms -> (
+    let param (si : Predict.sid_info) =
+      match si.Predict.param with
+      | Detmt_lang.Ast.Sp_this -> -1
+      | Detmt_lang.Ast.Sp_arg i when i >= 0 -> i
+      | _ -> raise Exit
+    in
+    match List.map param ms.Predict.sids with
+    | ps -> Params (Array.of_list ps)
+    | exception Exit -> Opaque)
+
+let plan t summary meth =
+  match Hashtbl.find t.plans meth with
+  | p -> p
+  | exception Not_found ->
+    let p = plan_of summary meth in
+    Hashtbl.replace t.plans meth p;
+    p
+
+(* The class, into [n.top] and [n.cls]: [Top] unless every sync parameter
+   of the start method resolves, [this] to the object monitor and an
+   argument to the mutex it names. *)
+let rec resolve (a : Sched_iface.actions) n ps i =
+  if i < Array.length ps then
+    match ps.(i) with
+    | -1 ->
+      Mset.add n.cls (a.self_mutex ());
+      resolve a n ps (i + 1)
+    | p -> (
+      match a.request_mutex_arg ~tid:n.tid p with
+      | -1 -> false
+      | m ->
+        Mset.add n.cls m;
+        resolve a n ps (i + 1))
+  else true
+
+let classify t n =
   let a = Substrate.actions t.sub in
-  match Substrate.summary t.sub with
-  | None -> Top
-  | Some summary ->
-    (match Predict.find_method summary (a.request_method tid) with
-    | None -> Top
-    | Some ms when ms.Predict.fallback -> Top
-    | Some ms ->
-      let resolve acc (si : Predict.sid_info) =
-        match acc with
-        | None -> None
-        | Some s ->
-          (match si.Predict.param with
-          | Detmt_lang.Ast.Sp_this -> Some (Iset.add (a.self_mutex ()) s)
-          | Detmt_lang.Ast.Sp_arg i ->
-            (match a.request_arg ~tid i with
-            | Some (Detmt_lang.Ast.Vmutex m) -> Some (Iset.add m s)
-            | Some _ | None -> None)
-          | _ -> None)
-      in
-      (match List.fold_left resolve (Some Iset.empty) ms.Predict.sids with
-      | Some s -> Mutexes s
-      | None -> Top))
+  Mset.clear n.cls;
+  n.top <-
+    (match Substrate.summary t.sub with
+    | None -> true
+    | Some summary -> (
+      match plan t summary (a.request_method n.tid) with
+      | Opaque -> true
+      | Params ps ->
+        Mset.reserve n.cls (Array.length ps);
+        not (resolve a n ps 0)));
+  if n.top then Mset.clear n.cls
 
 (* --------------------------- graph bookkeeping ------------------------- *)
 
 let count t m =
   match Hashtbl.find t.counts m with c -> c | exception Not_found -> 0
 
-let add_contrib t = function
-  | Top ->
-    t.top_count <- t.top_count + 1;
-    t.inflight <- t.inflight + 1
-  | Mutexes s ->
-    Iset.iter (fun m -> Hashtbl.replace t.counts m (count t m + 1)) s;
-    t.inflight <- t.inflight + 1
+let bump t m d = Hashtbl.replace t.counts m (count t m + d)
 
-let remove_contrib t = function
-  | Top ->
-    t.top_count <- t.top_count - 1;
-    t.inflight <- t.inflight - 1
-  | Mutexes s ->
-    Iset.iter
-      (fun m ->
-        match count t m - 1 with
-        | 0 -> Hashtbl.remove t.counts m
-        | c -> Hashtbl.replace t.counts m c)
-      s;
-    t.inflight <- t.inflight - 1
+(* Add ([d] = 1) or withdraw ([d] = -1) the node's registered blockset. *)
+let contribute t n d =
+  if n.reg = bs_top then begin
+    t.top_count <- t.top_count + d;
+    t.inflight <- t.inflight + d
+  end
+  else if n.reg = bs_set then begin
+    for i = 0 to n.reg_set.n - 1 do
+      bump t n.reg_set.a.(i) d
+    done;
+    t.inflight <- t.inflight + d
+  end
 
-(* A class with the held mutexes added; the class itself (no new tree) in
-   the usual case where every held mutex belongs to it. *)
-let with_held s held = if Iset.subset held s then s else Iset.union s held
-
-(* The blockset an in-flight node imposes on the rest of the graph. *)
-let blockset t n =
+(* The blockset an in-flight node imposes on the rest of the graph: its
+   kind, the members of a [bs_set] one left in [into]. *)
+let blockset t n into =
+  Mset.clear into;
   match n.phase with
-  | Waiting -> None
-  | Running ->
-    Some
-      (match n.cls with
-      | Top -> Top
-      | Mutexes s ->
-        if
-          t.early
-          && (not (Substrate.uses_condvars t.sub ~tid:n.tid))
-          && Substrate.predicted t.sub ~tid:n.tid
-        then
-          match Substrate.future_mutexes t.sub ~tid:n.tid with
-          | Some fut ->
-            Mutexes (Iset.union n.held (Iset.of_list fut)) (* early release *)
-          | None -> Mutexes (with_held s n.held)
-        else Mutexes (with_held s n.held))
-  | Parked m ->
-    (* The condvar hole: stop blocking the parked monitor so the future
-       notifier can dispatch; keep blocking the rest of the class. *)
-    Some
-      (match n.cls with
-      | Top -> Top
-      | Mutexes s -> Mutexes (Iset.union n.held (Iset.remove m s)))
-  | Woken _ ->
-    Some
-      (match n.cls with
-      | Top -> Top
-      | Mutexes s -> Mutexes (with_held s n.held))
-  | Spec | Spec_ready | Committing ->
+  | Waiting | Spec | Spec_ready | Committing ->
     (* Speculations never touch committed state or real mutexes before
        their commit barrier, so they impose nothing on the graph; the
        [specs] index is what holds younger direct starts back. *)
-    None
-
-(* Set equality, independent of the balanced trees' shapes. *)
-let same_blockset a b =
-  match (a, b) with
-  | None, None | Some Top, Some Top -> true
-  | Some (Mutexes x), Some (Mutexes y) -> x == y || Iset.equal x y
-  | _ -> false
+    bs_none
+  | Running | Parked | Woken when n.top -> bs_top
+  | Running ->
+    (match Substrate.bookkeeping t.sub with
+    | Some bk
+      when t.early
+           && (not (Substrate.uses_condvars t.sub ~tid:n.tid))
+           && Substrate.predicted t.sub ~tid:n.tid ->
+      (* early release: the held mutexes and the exact future set *)
+      let tab = Bookkeeping.table bk ~tid:n.tid in
+      Mset.copy ~into n.held;
+      for i = 0 to Bookkeeping.future_length tab - 1 do
+        Mset.add into (Bookkeeping.future_mutex tab i)
+      done
+    | _ ->
+      Mset.copy ~into n.cls;
+      Mset.union ~into n.held);
+    bs_set
+  | Parked ->
+    (* The condvar hole: stop blocking the parked monitor so the future
+       notifier can dispatch; keep blocking the rest of the class. *)
+    Mset.copy ~into n.cls;
+    Mset.remove into n.monitor;
+    Mset.union ~into n.held;
+    bs_set
+  | Woken ->
+    Mset.copy ~into n.cls;
+    Mset.union ~into n.held;
+    bs_set
 
 (* Recompute and re-register a node's blockset; [true] when it changed. *)
 let refresh t n =
-  let next = blockset t n in
-  if same_blockset next n.contrib then false
+  let kind = blockset t n t.next in
+  if kind = n.reg && (kind <> bs_set || Mset.equal t.next n.reg_set) then
+    false
   else begin
-    (match n.contrib with Some c -> remove_contrib t c | None -> ());
-    (match next with Some c -> add_contrib t c | None -> ());
-    n.contrib <- next;
+    contribute t n (-1);
+    n.reg <- kind;
+    Mset.copy ~into:n.reg_set t.next;
+    contribute t n 1;
     true
   end
 
 let node t tid =
-  match Hashtbl.find t.nodes tid with
-  | n -> n
-  | exception Not_found ->
+  if Seq_index.mem t.nodes tid then Seq_index.get t.nodes tid
+  else
     invalid_arg
       (Printf.sprintf "%s: unknown node t%d" (Substrate.name t.sub) tid)
 
@@ -317,8 +418,8 @@ let roles n =
   | Waiting -> in_unparked lor in_direct
   | Running | Committing -> in_unparked
   | Spec | Spec_ready -> in_unparked lor in_specs
-  | Woken _ -> in_unparked lor in_woken
-  | Parked _ -> 0
+  | Woken -> in_unparked lor in_woken
+  | Parked -> 0
 
 let by_seq t seq = Seq_index.get t.by_seq seq
 
@@ -339,39 +440,39 @@ let queue_head t m =
 
 (* At the head of every queue of its class: no older direct waiter shares a
    mutex with it. *)
-let pend_free t n =
-  match n.cls with
-  | Top -> false
-  | Mutexes s -> Iset.for_all (fun m -> queue_head t m = n.seq) s
+let rec heads_all t n i =
+  i >= n.cls.n || (queue_head t n.cls.a.(i) = n.seq && heads_all t n (i + 1))
+
+let pend_free t n = (not n.top) && heads_all t n 0
 
 (* A node entering the direct waiting set may displace the heads of its
    queues (an aborted speculation retries with its original, older seq). *)
 let add_direct t n =
-  match n.cls with
-  | Top -> Seq_index.add t.tops n.seq ()
-  | Mutexes s ->
-    Iset.iter
-      (fun m ->
-        let q = queue t m in
-        let head = min_seq q in
-        if head > n.seq then Seq_index.remove t.heads head;
-        Seq_index.add q n.seq ())
-      s;
+  if n.top then Seq_index.add t.tops n.seq ()
+  else begin
+    for i = 0 to n.cls.n - 1 do
+      let q = queue t n.cls.a.(i) in
+      let head = min_seq q in
+      if head > n.seq then Seq_index.remove t.heads head;
+      Seq_index.add q n.seq ()
+    done;
     if pend_free t n then Seq_index.add t.heads n.seq ()
+  end
 
 (* A node leaving it may promote the next waiter of each of its queues. *)
 let remove_direct t n =
-  match n.cls with
-  | Top -> Seq_index.remove t.tops n.seq
-  | Mutexes s ->
+  if n.top then Seq_index.remove t.tops n.seq
+  else begin
     Seq_index.remove t.heads n.seq;
-    Iset.iter (fun m -> Seq_index.remove (queue t m) n.seq) s;
-    Iset.iter
-      (fun m ->
-        let head = queue_head t m in
-        if head < max_int && pend_free t (by_seq t head) then
-          Seq_index.add t.heads head ())
-      s
+    for i = 0 to n.cls.n - 1 do
+      Seq_index.remove (queue t n.cls.a.(i)) n.seq
+    done;
+    for i = 0 to n.cls.n - 1 do
+      let head = queue_head t n.cls.a.(i) in
+      if head < max_int && pend_free t (by_seq t head) then
+        Seq_index.add t.heads head ()
+    done
+  end
 
 let toggle ~before ~after role seq set =
   if before land role <> after land role then
@@ -387,19 +488,34 @@ let reindex t n ~before ~after =
     if after land in_direct <> 0 then add_direct t n else remove_direct t n
 
 (* Every phase change goes through here, so the indexes never lag. *)
-let transition ?spec t n phase =
+let transition t n phase =
   let before = roles n in
-  Option.iter (fun s -> n.spec <- s) spec;
   n.phase <- phase;
   reindex t n ~before ~after:(roles n)
 
-(* ------------------------------ decisions ------------------------------ *)
+(* An aborted speculation retries on the direct path. *)
+let retry_direct t n =
+  let before = roles n in
+  n.spec <- false;
+  n.phase <- Waiting;
+  reindex t n ~before ~after:(roles n)
 
-type decision =
-  | Start of node
-  | Reacquire of node * int
-  | Start_spec of node
-  | Commit of node
+(* ------------------------------ workers -------------------------------- *)
+
+let dispatch t n =
+  if n.worker >= 0 then
+    invalid_arg
+      (Printf.sprintf "%s: t%d already on a worker" (Substrate.name t.sub)
+         n.tid);
+  let w = Decision.Pool.dispatch t.pool ~tid:n.tid in
+  n.worker <- w;
+  w
+
+let release_worker t n =
+  Decision.Pool.complete t.pool ~worker:n.worker ~tid:n.tid;
+  n.worker <- -1
+
+(* ------------------------------ decisions ------------------------------ *)
 
 (* The decision is the least-seq live node that meets its kind's rule — the
    node a slot-ordered walk over the live requests would stop at — and each
@@ -432,30 +548,28 @@ type decision =
 
    Each candidate is a set minimum or the first hit of a scan of [heads] /
    [woken] cut off at the best seq found so far; the winner's phase names
-   the decision. *)
+   the decision, so a decision is the winner's seq alone. *)
+
+let rec none_in_flight t n i =
+  i >= n.cls.n || (count t n.cls.a.(i) = 0 && none_in_flight t n (i + 1))
 
 let no_inflight_conflict t n =
-  match n.cls with
-  | Top -> t.inflight = 0
-  | Mutexes s -> t.top_count = 0 && not (Iset.exists (fun m -> count t m > 0) s)
+  if n.top then t.inflight = 0 else t.top_count = 0 && none_in_flight t n 0
+
+(* No in-flight blockset other than the node's own holds a member of [s]. *)
+let rec only_own t n (s : Mset.t) i =
+  i >= s.n
+  ||
+  let m = s.a.(i) in
+  count t m <= (if n.reg = bs_set && Mset.mem n.reg_set m then 1 else 0)
+  && only_own t n s (i + 1)
 
 let can_reacquire t n =
-  match n.phase with
-  | Woken m ->
-    (Substrate.actions t.sub).mutex_free_for ~tid:n.tid ~mutex:m
-    && (match n.cls with
-       | Top -> t.inflight <= 1 (* only its own contribution *)
-       | Mutexes s ->
-         let need = Iset.union n.held s in
-         let own =
-           match n.contrib with Some (Mutexes o) -> o | _ -> Iset.empty
-         in
-         t.top_count = 0
-         && not
-              (Iset.exists
-                 (fun m' -> count t m' > (if Iset.mem m' own then 1 else 0))
-                 need))
-  | _ -> false
+  n.phase = Woken
+  && (Substrate.actions t.sub).mutex_free_for ~tid:n.tid ~mutex:n.monitor
+  &&
+  if n.top then t.inflight <= 1 (* only its own contribution *)
+  else t.top_count = 0 && only_own t n n.held 0 && only_own t n n.cls 0
 
 (* The least seq from [seq] on, below [bound], of a head that can start /
    a woken node that can reacquire, or [max_int]. *)
@@ -469,6 +583,7 @@ let rec first_woken t seq ~bound =
   else if can_reacquire t (by_seq t seq) then seq
   else first_woken t (Seq_index.next_above t.woken seq) ~bound
 
+(* The seq of the node the next decision concerns, or [max_int]. *)
 let find_decision t =
   let commit =
     let head = min_seq t.unparked in
@@ -490,79 +605,77 @@ let find_decision t =
            ~bound:(min best (min spec_min top_min)))
     end
   in
-  let best =
-    min best (first_woken t (Seq_index.min_key t.woken) ~bound:best)
-  in
-  if best = max_int then None
-  else
-    let n = by_seq t best in
-    match n.phase with
-    | Spec_ready -> Some (Commit n)
-    | Waiting when n.spec -> Some (Start_spec n)
-    | Waiting -> Some (Start n)
-    | Woken m -> Some (Reacquire (n, m))
-    | Running | Parked _ | Spec | Committing -> assert false
+  min best (first_woken t (Seq_index.min_key t.woken) ~bound:best)
 
-let perform t = function
-  | Start n ->
-    transition t n Running;
-    ignore (refresh t n);
-    let w = Decision.Pool.dispatch t.pool ~tid:n.tid in
+let start t n =
+  transition t n Running;
+  ignore (refresh t n);
+  let w = dispatch t n in
+  if Substrate.observing t.sub then begin
+    Substrate.incr t.sub "dispatches";
+    Substrate.observe t.sub "pool_busy"
+      (float_of_int (Decision.Pool.busy t.pool));
+    Substrate.audit t.sub ~tid:n.tid ~action:Audit.Start_thread
+      ~rule:Audit.Predicted_no_conflict ~candidates:[ w ] ()
+  end;
+  (Substrate.actions t.sub).start_thread n.tid
+
+let start_spec t n =
+  transition t n Spec;
+  let w = dispatch t n in
+  if Substrate.observing t.sub then begin
+    Substrate.incr t.sub "spec_dispatches";
+    Substrate.observe t.sub "pool_busy"
+      (float_of_int (Decision.Pool.busy t.pool));
+    Substrate.audit t.sub ~tid:n.tid ~action:Audit.Start_thread
+      ~rule:Audit.Speculative ~candidates:[ w ] ()
+  end;
+  let a = Substrate.actions t.sub in
+  a.ws_begin ~tid:n.tid ~record_acquisitions:t.record_acq;
+  a.start_thread n.tid
+
+let commit t n =
+  transition t n Committing;
+  if (Substrate.actions t.sub).ws_commit ~tid:n.tid then begin
     if Substrate.observing t.sub then begin
-      Substrate.incr t.sub "dispatches";
-      Substrate.observe t.sub "pool_busy"
-        (float_of_int (Decision.Pool.busy t.pool));
-      Substrate.audit t.sub ~tid:n.tid ~action:Audit.Start_thread
-        ~rule:Audit.Predicted_no_conflict
-        ~candidates:[ w ] ()
-    end;
-    (Substrate.actions t.sub).start_thread n.tid
-  | Start_spec n ->
-    transition t n Spec;
-    let w = Decision.Pool.dispatch t.pool ~tid:n.tid in
-    if Substrate.observing t.sub then begin
-      Substrate.incr t.sub "spec_dispatches";
-      Substrate.observe t.sub "pool_busy"
-        (float_of_int (Decision.Pool.busy t.pool));
-      Substrate.audit t.sub ~tid:n.tid ~action:Audit.Start_thread
-        ~rule:Audit.Speculative ~candidates:[ w ] ()
-    end;
-    let a = Substrate.actions t.sub in
-    a.ws_begin ~tid:n.tid ~record_acquisitions:t.record_acq;
-    a.start_thread n.tid
-  | Commit n ->
-    transition t n Committing;
-    if (Substrate.actions t.sub).ws_commit ~tid:n.tid then begin
-      if Substrate.observing t.sub then begin
-        Substrate.incr t.sub "ws_commits";
-        Substrate.audit t.sub ~tid:n.tid ~action:Audit.Commit_ws
-          ~rule:Audit.Slot_barrier ()
-      end
+      Substrate.incr t.sub "ws_commits";
+      Substrate.audit t.sub ~tid:n.tid ~action:Audit.Commit_ws
+        ~rule:Audit.Slot_barrier ()
     end
-    else begin
-      (* Stale reads: the workspace was discarded and the thread reset.
-         Retry directly — the node sits at its own barrier (nothing older
-         is live except parked elders), so the very next decision starts it
-         against the committed state it just validated against. *)
-      transition ~spec:false t n Waiting;
-      if Substrate.observing t.sub then begin
-        Substrate.incr t.sub "ws_aborts";
-        Substrate.audit t.sub ~tid:n.tid ~action:Audit.Abort_ws
-          ~rule:Audit.Stale_read ()
-      end
-    end
-  | Reacquire (n, m) ->
-    transition t n Running;
-    ignore (refresh t n);
-    ignore (Decision.Pool.dispatch t.pool ~tid:n.tid);
+  end
+  else begin
+    (* Stale reads: the workspace was discarded and the thread reset.
+       Retry directly — the node sits at its own barrier (nothing older is
+       live except parked elders), so the very next decision starts it
+       against the committed state it just validated against. *)
+    retry_direct t n;
     if Substrate.observing t.sub then begin
-      Substrate.incr t.sub "grants";
-      if Decision.Pool.saturated t.pool then
-        Substrate.incr t.sub "oversubscribed";
-      Substrate.audit t.sub ~tid:n.tid ~action:Audit.Grant_reacquire
-        ~mutex:m ~rule:Audit.Fifo_head ()
-    end;
-    Substrate.perform t.sub (Substrate.thread t.sub n.tid)
+      Substrate.incr t.sub "ws_aborts";
+      Substrate.audit t.sub ~tid:n.tid ~action:Audit.Abort_ws
+        ~rule:Audit.Stale_read ()
+    end
+  end
+
+let reacquire t n =
+  transition t n Running;
+  ignore (refresh t n);
+  ignore (dispatch t n);
+  if Substrate.observing t.sub then begin
+    Substrate.incr t.sub "grants";
+    if Decision.Pool.saturated t.pool then
+      Substrate.incr t.sub "oversubscribed";
+    Substrate.audit t.sub ~tid:n.tid ~action:Audit.Grant_reacquire
+      ~mutex:n.monitor ~rule:Audit.Fifo_head ()
+  end;
+  Substrate.perform t.sub (Substrate.thread t.sub n.tid)
+
+let perform t n =
+  match n.phase with
+  | Spec_ready -> commit t n
+  | Waiting when n.spec -> start_spec t n
+  | Waiting -> start t n
+  | Woken -> reacquire t n
+  | Running | Parked | Spec | Committing -> assert false
 
 (* Grants cascade synchronously (a dispatch runs interpreter steps that may
    terminate the thread and re-enter the scheduler), so a decision must not
@@ -571,50 +684,70 @@ let perform t = function
    re-entrant rescans into a pending [again] bit drained by the outer
    activation. *)
 let rec drain t =
-  match find_decision t with
-  | None -> ()
-  | Some d ->
-    perform t d;
+  let seq = find_decision t in
+  if seq < max_int then begin
+    perform t (by_seq t seq);
     drain t
+  end
 
-and rescan t =
+let rescan t =
   if t.scanning then t.again <- true
   else begin
     t.scanning <- true;
-    let rec loop () =
+    t.again <- true;
+    while t.again do
       t.again <- false;
-      drain t;
-      if t.again then loop ()
-    in
-    loop ();
+      drain t
+    done;
     t.scanning <- false
   end
 
 (* ------------------------------ callbacks ------------------------------ *)
 
+let fresh_node t =
+  if t.nfree = 0 then
+    { tid = -1; seq = -1; top = true; cls = Mset.create (); spec = false;
+      phase = Waiting; monitor = -1; held = Mset.create (); reg = bs_none;
+      reg_set = Mset.create (); worker = -1 }
+  else begin
+    t.nfree <- t.nfree - 1;
+    t.free.(t.nfree)
+  end
+
+let recycle t n =
+  n.tid <- -1;
+  if t.nfree = Array.length t.free then
+    t.free <- Array.append t.free (Array.make (max 4 t.nfree) n);
+  t.free.(t.nfree) <- n;
+  t.nfree <- t.nfree + 1
+
 let on_request t tid =
   let th = Substrate.admit t.sub ~tid in
-  let cls = classify t ~tid in
+  let n = fresh_node t in
+  n.tid <- tid;
+  n.seq <- th.seq;
+  classify t n;
   (* Speculation eligibility is fixed at delivery: condvar-capable methods
      (including every fallback/unknown one — the bookkeeping reports those
      pessimistically) take the direct path, so wait/notify only ever reach
      a workspace through a prediction bug, where the replica aborts them. *)
-  let spec =
+  n.spec <-
     (match t.spec with
     | No_spec -> false
-    | Spec_top -> cls = Top
+    | Spec_top -> n.top
     | Spec_all -> true)
-    && not (Substrate.uses_condvars t.sub ~tid)
-  in
-  let n =
-    { tid; seq = th.seq; cls; spec; phase = Waiting; held = Iset.empty;
-      contrib = None }
-  in
-  Hashtbl.replace t.nodes tid n;
+    && not (Substrate.uses_condvars t.sub ~tid);
+  n.phase <- Waiting;
+  n.monitor <- -1;
+  Mset.clear n.held;
+  n.reg <- bs_none;
+  Mset.clear n.reg_set;
+  n.worker <- -1;
+  Seq_index.add t.nodes tid n;
   Seq_index.add t.by_seq n.seq n;
   reindex t n ~before:0 ~after:(roles n);
   rescan t;
-  if n.phase = Waiting && Substrate.observing t.sub then begin
+  if Substrate.observing t.sub && n.tid = tid && n.phase = Waiting then begin
     Substrate.incr t.sub "deferrals";
     Substrate.audit t.sub ~tid ~action:Audit.Defer ~rule:Audit.Queue_wait ()
   end
@@ -662,13 +795,13 @@ let service_waitq t ~mutex =
 let on_acquired t tid ~syncid ~mutex =
   Substrate.bk_acquired t.sub ~tid ~syncid ~mutex;
   let n = node t tid in
-  n.held <- Iset.add mutex n.held;
+  Mset.add n.held mutex;
   if refresh t n then rescan t
 
 let on_unlock t tid ~syncid:_ ~mutex ~freed =
   if freed then begin
     let n = node t tid in
-    n.held <- Iset.remove mutex n.held;
+    Mset.remove n.held mutex;
     ignore (refresh t n);
     rescan t;
     service_waitq t ~mutex
@@ -677,24 +810,26 @@ let on_unlock t tid ~syncid:_ ~mutex ~freed =
 let on_wait t tid ~mutex =
   (* The wait released the monitor; the worker goes back to the pool. *)
   let n = node t tid in
-  n.held <- Iset.remove mutex n.held;
-  transition t n (Parked mutex);
+  Mset.remove n.held mutex;
+  n.monitor <- mutex;
+  transition t n Parked;
   ignore (refresh t n);
-  Decision.Pool.complete t.pool ~tid;
+  release_worker t n;
   if Substrate.observing t.sub then Substrate.incr t.sub "parks";
   rescan t;
   service_waitq t ~mutex
 
 let on_wakeup t tid ~mutex =
   let n = node t tid in
-  transition t n (Woken mutex);
+  n.monitor <- mutex;
+  transition t n Woken;
   ignore (refresh t n);
   Substrate.hold (Substrate.thread t.sub tid) Reacquire ~mutex;
   rescan t
 
 let on_reacquired t tid ~mutex =
   let n = node t tid in
-  n.held <- Iset.add mutex n.held;
+  Mset.add n.held mutex;
   ignore (refresh t n)
 
 let on_nested_reply t tid =
@@ -712,25 +847,26 @@ let on_ws_event t tid ev =
     (* The replica discarded the workspace (wait/notify/nested mid-
        speculation) and reset the thread; retry on the direct path under
        the ordinary graph rules. *)
-    transition ~spec:false t n Waiting;
+    retry_direct t n;
     if Substrate.observing t.sub then begin
       Substrate.incr t.sub "ws_aborts";
       Substrate.audit t.sub ~tid ~action:Audit.Abort_ws ~rule:Audit.Unsafe_op
         ()
     end);
-  Decision.Pool.complete t.pool ~tid;
+  release_worker t n;
   rescan t
 
 let on_terminate t tid =
-  (match Hashtbl.find_opt t.nodes tid with
-  | None -> ()
-  | Some n ->
-    Option.iter (remove_contrib t) n.contrib;
-    n.contrib <- None;
+  if Seq_index.mem t.nodes tid then begin
+    let n = Seq_index.get t.nodes tid in
+    contribute t n (-1);
+    n.reg <- bs_none;
     reindex t n ~before:(roles n) ~after:0;
-    Hashtbl.remove t.nodes tid;
-    Seq_index.remove t.by_seq n.seq);
-  Decision.Pool.complete t.pool ~tid;
+    Seq_index.remove t.nodes tid;
+    Seq_index.remove t.by_seq n.seq;
+    release_worker t n;
+    recycle t n
+  end;
   Substrate.retire t.sub ~tid;
   if Substrate.observing t.sub then Substrate.incr t.sub "commits";
   rescan t
@@ -743,9 +879,10 @@ let bk_refresh t tid = if t.early && refresh t (node t tid) then rescan t
 let policy ?(spec = No_spec) ?(record_acq = false) ~early sub pool :
     Sched_iface.sched =
   let t =
-    { sub; pool; early; spec; record_acq; nodes = Hashtbl.create 64;
-      by_seq = Seq_index.create (); counts = Hashtbl.create 64; top_count = 0;
-      inflight = 0; unparked = Seq_index.create_set ();
+    { sub; pool; early; spec; record_acq; plans = Hashtbl.create 8;
+      nodes = Seq_index.create (); by_seq = Seq_index.create (); free = [||];
+      nfree = 0; next = Mset.create (); counts = Hashtbl.create 64;
+      top_count = 0; inflight = 0; unparked = Seq_index.create_set ();
       specs = Seq_index.create_set (); spec_waiting = Seq_index.create_set ();
       woken = Seq_index.create_set (); tops = Seq_index.create_set ();
       queues = Hashtbl.create 64; heads = Seq_index.create_set ();

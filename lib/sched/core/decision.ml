@@ -26,31 +26,29 @@ open Detmt_runtime
    deliberately oversubscribe — the conflict-graph family resumes
    condition-variable waiters on a transient extra worker so that wakeup
    ordering is a function of the per-mutex event order only, never of pool
-   occupancy (which varies with delivery timing across replicas). *)
+   occupancy (which varies with delivery timing across replicas).
+
+   The pool does not remember which thread runs where: [dispatch] returns
+   the worker and the policy keeps it beside its own per-thread state,
+   handing it back to [complete]. *)
 module Pool = struct
   type t = {
     sub : Substrate.t;
     capacity : int;
     free_set : unit Seq_index.t; (* released worker indices *)
     mutable next_fresh : int; (* next never-used index *)
-    by_tid : (int, int) Hashtbl.t; (* running tid -> worker *)
     mutable busy : int;
   }
 
   let create sub =
     { sub; capacity = Substrate.workers sub;
-      free_set = Seq_index.create_set (); next_fresh = 0;
-      by_tid = Hashtbl.create 16; busy = 0 }
+      free_set = Seq_index.create_set (); next_fresh = 0; busy = 0 }
 
   let busy t = t.busy
 
   let saturated t = t.busy >= t.capacity
 
   let dispatch t ~tid =
-    if Hashtbl.mem t.by_tid tid then
-      invalid_arg
-        (Printf.sprintf "%s: t%d already on a worker"
-           (Substrate.name t.sub) tid);
     let w =
       match Seq_index.min_key t.free_set with
       | -1 ->
@@ -62,18 +60,15 @@ module Pool = struct
         w
     in
     t.busy <- t.busy + 1;
-    Hashtbl.replace t.by_tid tid w;
     (Substrate.actions t.sub).pool_dispatch ~worker:w ~tid;
     w
 
-  let complete t ~tid =
-    match Hashtbl.find t.by_tid tid with
-    | exception Not_found -> ()
-    | w ->
-      Hashtbl.remove t.by_tid tid;
-      Seq_index.add t.free_set w ();
+  let complete t ~worker ~tid =
+    if worker >= 0 then begin
+      Seq_index.add t.free_set worker ();
       t.busy <- t.busy - 1;
-      (Substrate.actions t.sub).pool_complete ~worker:w ~tid
+      (Substrate.actions t.sub).pool_complete ~worker ~tid
+    end
 end
 
 (* ---------------------------- instantiation ---------------------------- *)

@@ -32,12 +32,14 @@ module Pool : sig
   val dispatch : t -> tid:int -> int
   (** Claim the lowest free worker for [tid] (allocating a transient extra
       one beyond capacity when all are busy), fire [actions.pool_dispatch],
-      return the worker index.
-      @raise Invalid_argument when the thread is already placed. *)
+      return the worker index.  The pool keeps no tid -> worker map: the
+      policy keeps the index with the thread and must not dispatch a thread
+      that already holds a worker. *)
 
-  val complete : t -> tid:int -> unit
-  (** Release the thread's worker (no-op when it holds none) and fire
-      [actions.pool_complete]. *)
+  val complete : t -> worker:int -> tid:int -> unit
+  (** Release [worker], the index {!dispatch} returned for [tid], and fire
+      [actions.pool_complete]; a no-op for a negative [worker] (the thread
+      holds none).  Allocates nothing. *)
 end
 
 type policy =

@@ -4,7 +4,9 @@
    It owns what every decision module used to hand-roll:
    - thread lifecycle: arrival-ordered registration (a monotone sequence
      number per admission), a {!Seq_index} over the live threads (no
-     allocation per update, ascending iteration), O(1) tid lookup;
+     allocation per update, ascending iteration), O(1) tid lookup through a
+     second, tid-keyed one, and thread records recycled at termination, so
+     an admission allocates nothing once warmed;
    - the gate each thread is stopped at, and the one release path to the
      replica ([perform]);
    - per-mutex FIFO wait queues ({!Waitq});
@@ -28,8 +30,8 @@ module Audit = Detmt_obs.Audit
 type gate = Open | Lock | Reacquire | Resume
 
 type thread = {
-  tid : int;
-  seq : int; (* admission order; re-admission gets a fresh one *)
+  mutable tid : int;
+  mutable seq : int; (* admission order; re-admission gets a fresh one *)
   mutable is_primary : bool; (* MAT-family role flag *)
   mutable ex_primary : bool; (* suspended while primary; resumes as primary *)
   mutable suspended : bool;
@@ -47,16 +49,18 @@ type t = {
          (the conflict-graph family reads sync parameters straight from it) *)
   workers : int; (* pool width; 1 for every serial decision module *)
   mutable next_seq : int;
-  by_tid : (int, thread) Hashtbl.t; (* live threads, O(1) lookup *)
+  by_tid : thread Seq_index.t; (* live threads keyed by [tid] *)
   order : thread Seq_index.t; (* live threads keyed by [seq] *)
+  mutable free : thread array; (* records of terminated threads *)
+  mutable nfree : int;
   waitq : Waitq.t; (* per-mutex FIFO wait queues *)
 }
 
 let create ?bookkeeping ?summary ?(workers = 1) ~name ~config
     (actions : Sched_iface.actions) =
   { actions; name; config; bookkeeping; summary; workers; next_seq = 0;
-    by_tid = Hashtbl.create 64; order = Seq_index.create ();
-    waitq = Waitq.create () }
+    by_tid = Seq_index.create (); order = Seq_index.create (); free = [||];
+    nfree = 0; waitq = Waitq.create () }
 
 let actions t = t.actions
 
@@ -79,11 +83,24 @@ let waitq t = t.waitq
    notification). *)
 let enqueue t ~tid =
   let th =
-    { tid; seq = t.next_seq; is_primary = false; ex_primary = false;
-      suspended = false; gate = Open; gate_mutex = -1 }
+    if t.nfree = 0 then
+      { tid; seq = t.next_seq; is_primary = false; ex_primary = false;
+        suspended = false; gate = Open; gate_mutex = -1 }
+    else begin
+      t.nfree <- t.nfree - 1;
+      let th = t.free.(t.nfree) in
+      th.tid <- tid;
+      th.seq <- t.next_seq;
+      th.is_primary <- false;
+      th.ex_primary <- false;
+      th.suspended <- false;
+      th.gate <- Open;
+      th.gate_mutex <- -1;
+      th
+    end
   in
   t.next_seq <- t.next_seq + 1;
-  Hashtbl.replace t.by_tid tid th;
+  Seq_index.add t.by_tid tid th;
   Seq_index.add t.order th.seq th;
   th
 
@@ -98,26 +115,34 @@ let admit t ~tid =
 (* Leave the admission order but keep the bookkeeping table (pMAT waiters:
    the thread still exists and its prediction state must survive). *)
 let remove t ~tid =
-  match Hashtbl.find t.by_tid tid with
-  | exception Not_found -> ()
-  | th ->
-    Hashtbl.remove t.by_tid tid;
-    Seq_index.remove t.order th.seq
+  if Seq_index.mem t.by_tid tid then begin
+    Seq_index.remove t.order (Seq_index.get t.by_tid tid).seq;
+    Seq_index.remove t.by_tid tid
+  end
 
-(* Termination: leave the order and forget the bookkeeping table. *)
+(* Termination: leave the order, forget the bookkeeping table and recycle
+   the record.  A policy may still read the record until its next
+   admission, never after. *)
 let retire t ~tid =
-  remove t ~tid;
+  if Seq_index.mem t.by_tid tid then begin
+    let th = Seq_index.get t.by_tid tid in
+    remove t ~tid;
+    if t.nfree = Array.length t.free then
+      t.free <- Array.append t.free (Array.make (max 4 t.nfree) th);
+    t.free.(t.nfree) <- th;
+    t.nfree <- t.nfree + 1
+  end;
   match t.bookkeeping with
   | Some bk -> Bookkeeping.release bk ~tid
   | None -> ()
 
-let lookup t tid = Hashtbl.find t.by_tid tid
+let lookup t tid =
+  if Seq_index.mem t.by_tid tid then Seq_index.get t.by_tid tid
+  else raise Not_found
 
 let thread t tid =
-  match Hashtbl.find t.by_tid tid with
-  | th -> th
-  | exception Not_found ->
-    invalid_arg (Printf.sprintf "%s: unknown thread t%d" t.name tid)
+  if Seq_index.mem t.by_tid tid then Seq_index.get t.by_tid tid
+  else invalid_arg (Printf.sprintf "%s: unknown thread t%d" t.name tid)
 
 let by_seq t seq = Seq_index.get t.order seq
 

@@ -1,6 +1,7 @@
 (** The shared scheduler substrate — the policy-independent half of the
     paper's two-module architecture.  Owns thread lifecycle (arrival-ordered
-    {!Seq_index}, no allocation per update), the gate each thread is
+    {!Seq_index}, thread records recycled at termination, no allocation per
+    update once warmed), the gate each thread is
     stopped at, per-mutex FIFO wait queues, the prediction plumbing around
     {!Bookkeeping}, the flight-recorder helpers, and the one release path:
     {!perform} is the only caller of [actions.proceed].  Decision policies
@@ -14,8 +15,8 @@ open Detmt_runtime
 type gate = Open | Lock | Reacquire | Resume
 
 type thread = {
-  tid : int;
-  seq : int;  (** admission order; re-admission gets a fresh one *)
+  mutable tid : int;
+  mutable seq : int;  (** admission order; re-admission gets a fresh one *)
   mutable is_primary : bool;
   mutable ex_primary : bool;
   mutable suspended : bool;
@@ -66,7 +67,9 @@ val remove : t -> tid:int -> unit
 (** Leave the order, keep the bookkeeping table (waiting threads). *)
 
 val retire : t -> tid:int -> unit
-(** Termination: leave the order and release the bookkeeping table. *)
+(** Termination: leave the order, release the bookkeeping table and recycle
+    the thread record: a policy may read it until the next {!admit} or
+    {!enqueue}, which may reuse it, and never after. *)
 
 val lookup : t -> int -> thread
 (** The live thread with this tid, without an option to allocate.

@@ -9,10 +9,12 @@ type t = (int, cell) Hashtbl.t
 
 let create () : t = Hashtbl.create 32
 
+(* [Hashtbl.find], not [find_opt]: a probe of an existing queue (every
+   release services one) allocates nothing. *)
 let queue t mutex =
-  match Hashtbl.find_opt t mutex with
-  | Some q -> q
-  | None ->
+  match Hashtbl.find t mutex with
+  | q -> q
+  | exception Not_found ->
     let q = { front = []; back = [] } in
     Hashtbl.add t mutex q;
     q

@@ -53,6 +53,7 @@ type node = {
 type t = {
   sub : Substrate.t;
   pool : Decision.Pool.t;
+  workers : (int, int) Hashtbl.t; (* running tid -> its pool worker *)
   early : bool; (* pcgs: prediction-shrunk in-flight blocksets *)
   spec : spec_mode;
   record_acq : bool; (* replay virtual acquisitions into the fingerprint at
@@ -88,9 +89,9 @@ let classify t ~tid =
           (match si.Predict.param with
           | Detmt_lang.Ast.Sp_this -> Some (Iset.add (a.self_mutex ()) s)
           | Detmt_lang.Ast.Sp_arg i ->
-            (match a.request_arg ~tid i with
-            | Some (Detmt_lang.Ast.Vmutex m) -> Some (Iset.add m s)
-            | Some _ | None -> None)
+            (match a.request_mutex_arg ~tid i with
+            | -1 -> None
+            | m -> Some (Iset.add m s))
           | _ -> None)
       in
       (match List.fold_left resolve (Some Iset.empty) ms.Predict.sids with
@@ -98,6 +99,21 @@ let classify t ~tid =
       | None -> Top))
 
 (* --------------------------- graph bookkeeping ------------------------- *)
+
+(* The pool keeps no tid -> worker map; the walk keeps its own. *)
+let dispatch t ~tid =
+  if Hashtbl.mem t.workers tid then
+    invalid_arg (Printf.sprintf "cgs reference: t%d already on a worker" tid);
+  let w = Decision.Pool.dispatch t.pool ~tid in
+  Hashtbl.replace t.workers tid w;
+  w
+
+let complete t ~tid =
+  match Hashtbl.find_opt t.workers tid with
+  | None -> ()
+  | Some worker ->
+    Hashtbl.remove t.workers tid;
+    Decision.Pool.complete t.pool ~worker ~tid
 
 let count t m = Option.value ~default:0 (Hashtbl.find_opt t.counts m)
 
@@ -301,7 +317,7 @@ let perform t = function
   | Start n ->
     n.phase <- Running;
     ignore (refresh t n);
-    let w = Decision.Pool.dispatch t.pool ~tid:n.tid in
+    let w = dispatch t ~tid:n.tid in
     if Substrate.observing t.sub then begin
       Substrate.incr t.sub "dispatches";
       Substrate.observe t.sub "pool_busy"
@@ -313,7 +329,7 @@ let perform t = function
     (Substrate.actions t.sub).start_thread n.tid
   | Start_spec n ->
     n.phase <- Spec;
-    let w = Decision.Pool.dispatch t.pool ~tid:n.tid in
+    let w = dispatch t ~tid:n.tid in
     if Substrate.observing t.sub then begin
       Substrate.incr t.sub "spec_dispatches";
       Substrate.observe t.sub "pool_busy"
@@ -351,7 +367,7 @@ let perform t = function
     n.phase <- Running;
     t.woken <- t.woken - 1;
     ignore (refresh t n);
-    ignore (Decision.Pool.dispatch t.pool ~tid:n.tid);
+    ignore (dispatch t ~tid:n.tid);
     if Substrate.observing t.sub then begin
       Substrate.incr t.sub "grants";
       if Decision.Pool.saturated t.pool then
@@ -473,7 +489,7 @@ let on_wait t tid ~mutex =
   n.held <- Iset.remove mutex n.held;
   n.phase <- Parked mutex;
   ignore (refresh t n);
-  Decision.Pool.complete t.pool ~tid;
+  complete t ~tid;
   if Substrate.observing t.sub then Substrate.incr t.sub "parks";
   rescan t;
   service_waitq t ~mutex
@@ -514,7 +530,7 @@ let on_ws_event t tid ev =
       Substrate.audit t.sub ~tid ~action:Audit.Abort_ws ~rule:Audit.Unsafe_op
         ()
     end);
-  Decision.Pool.complete t.pool ~tid;
+  complete t ~tid;
   rescan t
 
 let on_terminate t tid =
@@ -524,7 +540,7 @@ let on_terminate t tid =
     Option.iter (remove_contrib t) n.contrib;
     n.contrib <- None;
     Hashtbl.remove t.nodes tid);
-  Decision.Pool.complete t.pool ~tid;
+  complete t ~tid;
   Substrate.retire t.sub ~tid;
   if Substrate.observing t.sub then Substrate.incr t.sub "commits";
   rescan t
@@ -532,7 +548,8 @@ let on_terminate t tid =
 let policy ?(spec = No_spec) ?(record_acq = false) ~early sub pool :
     Sched_iface.sched =
   let t =
-    { sub; pool; early; spec; record_acq; nodes = Hashtbl.create 64;
+    { sub; pool; workers = Hashtbl.create 16; early; spec; record_acq;
+      nodes = Hashtbl.create 64;
       counts = Hashtbl.create 64; top_count = 0; inflight = 0; woken = 0;
       ready = 0; scanning = false; again = false }
   in

@@ -32,7 +32,7 @@ let call_oracle name (req : Request.t) =
 type env = {
   cls : Class_def.t;
   obj : Object_state.t;
-  ws : Workspace.t option;
+  ws : Workspace_reference.t option;
       (* speculative execution: object-state reads and writes go through the
          thread's copy-on-write workspace instead of the committed state *)
   req : Request.t;
@@ -45,17 +45,17 @@ type env = {
 
 let obj_mutex_field env f =
   match env.ws with
-  | Some w -> Workspace.mutex_field w f
+  | Some w -> Workspace_reference.mutex_field w f
   | None -> Object_state.mutex_field env.obj f
 
 let obj_set_mutex_field env f v =
   match env.ws with
-  | Some w -> Workspace.set_mutex_field w f v
+  | Some w -> Workspace_reference.set_mutex_field w f v
   | None -> Object_state.set_mutex_field env.obj f v
 
 let obj_state_field env f =
   match env.ws with
-  | Some w -> Workspace.state_field w f
+  | Some w -> Workspace_reference.state_field w f
   | None -> Object_state.state_field env.obj f
 
 let arg env i =

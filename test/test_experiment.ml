@@ -374,6 +374,22 @@ let test_claim_e18_seq_words () =
     (rows "engine" ~keep:(fun c -> wname "figure1" c && c.scheduler = "seq"))
     ~expect:[ "seq on figure1@256 under 5.9 words/event" ]
 
+(* The conflict-graph family's allocation gates, each on its own
+   full-size row: cgs's decisions on figure1, and cgs+ws's pooled
+   workspaces and decisions on sharded-opaque. *)
+let test_claim_e18_cgs_words () =
+  check_claims "engine"
+    (rows "engine" ~keep:(fun c ->
+         wname "figure1" c && c.scheduler = "cgs" && c.clients = 256))
+    ~expect:[ "cgs@4 on figure1@256 under 5.6 words/event" ]
+
+let test_claim_e18_cgs_ws_words () =
+  check_claims "engine"
+    (rows "engine" ~keep:(fun c ->
+         wname "sharded-opaque" c && c.scheduler = "cgs+ws"
+         && c.clients = 256))
+    ~expect:[ "cgs+ws@4 on sharded-opaque@256 under 20.4 words/event" ]
+
 (* The raw chain boxes only the clock, once per new instant. *)
 let test_claim_e18_raw_chain () =
   check_claims "engine"
@@ -497,6 +513,9 @@ let suite =
     ("claims: E18 raw chain words per event", `Quick, test_claim_e18_raw_chain);
     ("runner: no thunk event on the request path", `Quick,
      test_no_thunks_on_request_path);
+    ("claims: E18 cgs words per event", `Quick, test_claim_e18_cgs_words);
+    ("claims: E18 cgs+ws words per event", `Quick,
+     test_claim_e18_cgs_ws_words);
   ]
 
 let () = Alcotest.run "experiment" [ ("experiment", suite) ]

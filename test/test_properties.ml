@@ -48,7 +48,8 @@ let op_stream cls args =
       ~sent_at:0.0
   in
   let c =
-    Detmt_runtime.Interp.(start (program instrumented) ~obj req)
+    Detmt_runtime.Interp.(
+      start (program instrumented) ~obj ~ws:Detmt_runtime.Workspace.none req)
   in
   let rec collect acc =
     if Detmt_runtime.Interp.next c then
@@ -1068,7 +1069,10 @@ let compiled_run prog cls req =
   let obj = Detmt_runtime.Object_state.create cls in
   let ops = ref [] in
   interp_outcome ops (fun () ->
-      let c = Detmt_runtime.Interp.start prog ~obj req in
+      let c =
+        Detmt_runtime.Interp.start prog ~obj
+          ~ws:Detmt_runtime.Workspace.none req
+      in
       let rec go n =
         if n < max_ops && Detmt_runtime.Interp.next c then begin
           let op = Detmt_runtime.Interp.Testing.op c in
@@ -1165,6 +1169,179 @@ let test_interp_cases_match_reference () =
       | Some msg -> Alcotest.failf "%s: %s" name msg)
     Interp_cases.cases
 
+(* ------------- flat workspace vs the string-keyed oracle ------------- *)
+
+(* One step of a speculation, or of the world around it: [Bump] changes the
+   committed state under the workspace (another slot committing), so reads
+   go stale and validation has something to find; [Recycle] returns the
+   flat workspace to its pool and takes it back, where the oracle starts
+   afresh, so nothing may survive the release. *)
+type ws_step =
+  | Read_state of int
+  | Update of int * int
+  | Read_mutex of int
+  | Set_mutex of int * int
+  | Vlock of int
+  | Vunlock of int
+  | Conflicts
+  | Commit
+  | Bump of int * int
+  | Recycle
+
+let ws_state_fields = [ "a"; "b"; "c" ]
+
+let ws_mutex_fields = [ ("x", 1); ("y", 2) ]
+
+let show_ws_step = function
+  | Read_state i -> Printf.sprintf "read %d" i
+  | Update (i, d) -> Printf.sprintf "update %d %+d" i d
+  | Read_mutex i -> Printf.sprintf "read mutex %d" i
+  | Set_mutex (i, v) -> Printf.sprintf "set mutex %d %d" i v
+  | Vlock m -> Printf.sprintf "vlock %d" m
+  | Vunlock m -> Printf.sprintf "vunlock %d" m
+  | Conflicts -> "conflicts"
+  | Commit -> "commit"
+  | Bump (i, d) -> Printf.sprintf "bump %d %+d" i d
+  | Recycle -> "recycle"
+
+let gen_ws_step =
+  let open QCheck.Gen in
+  let state = int_bound 2 and mutex = int_bound 1 in
+  let small = int_range (-3) 3 in
+  frequency
+    [ (3, map (fun i -> Read_state i) state);
+      (4, map2 (fun i d -> Update (i, d)) state small);
+      (2, map (fun i -> Read_mutex i) mutex);
+      (2, map2 (fun i v -> Set_mutex (i, v)) mutex (int_range 1 4));
+      (2, map (fun m -> Vlock m) (int_range 1 3));
+      (2, map (fun m -> Vunlock m) (int_range 1 3));
+      (2, return Conflicts);
+      (1, return Commit);
+      (2, map2 (fun i d -> Bump (i, d)) state small);
+      (1, return Recycle) ]
+
+let prop_workspace_matches_reference =
+  QCheck.Test.make ~count:300
+    ~name:"flat pooled workspace matches the string-keyed oracle"
+    (QCheck.make
+       ~print:(fun (init, steps) ->
+         Printf.sprintf "base [%s], record %b: %s"
+           (String.concat "; " (List.map string_of_int (fst init)))
+           (snd init)
+           (String.concat ", " (List.map show_ws_step steps)))
+       QCheck.Gen.(
+         pair
+           (pair (list_repeat 5 (int_range 0 4)) bool)
+           (list_size (int_range 1 40) gen_ws_step)))
+    (fun ((init, record_acquisitions), steps) ->
+      let module O = Detmt_runtime.Object_state in
+      let module W = Detmt_runtime.Workspace in
+      let module R = Workspace_reference in
+      let cls =
+        Class_def.make ~cname:"W" ~state_fields:ws_state_fields
+          ~mutex_fields:ws_mutex_fields []
+      in
+      let state_name i = List.nth ws_state_fields i
+      and mutex_name i = fst (List.nth ws_mutex_fields i) in
+      let base () =
+        let o = O.create cls in
+        List.iteri
+          (fun i v ->
+            if i < 3 then O.set_state o (state_name i) v
+            else O.set_mutex_field o (mutex_name (i - 3)) v)
+          init;
+        o
+      in
+      let flat_base = base () and ref_base = base () in
+      let layout = O.layout cls in
+      let pool = W.Pool.create ~base:flat_base in
+      let flat = ref (W.Pool.take pool ~record_acquisitions) in
+      let oracle =
+        ref (R.create ~base:ref_base ~record_acquisitions)
+      in
+      let outcome f =
+        match f () with
+        | v -> Ok v
+        | exception Invalid_argument m -> Error m
+      in
+      let agree what a b =
+        a = b
+        || QCheck.Test.fail_reportf "%s: flat and oracle differ" what
+      in
+      let conflicts_of_flat l =
+        List.map
+          (fun (c : W.conflict) -> (c.field, c.read_value, c.committed_value))
+          l
+      and conflicts_of_ref l =
+        List.map
+          (fun (c : R.conflict) -> (c.field, c.read_value, c.committed_value))
+          l
+      in
+      List.for_all
+        (fun step ->
+          let w = !flat and o = !oracle in
+          let same =
+            match step with
+            | Read_state i ->
+              agree "state read"
+                (outcome (fun () ->
+                     W.state_field w (O.state_offset layout (state_name i))))
+                (outcome (fun () -> R.state_field o (state_name i)))
+            | Update (i, d) ->
+              W.update_state w (O.state_offset layout (state_name i)) d;
+              R.update_state o (state_name i) d;
+              true
+            | Read_mutex i ->
+              agree "mutex read"
+                (W.mutex_field w (O.mutex_offset layout (mutex_name i)))
+                (R.mutex_field o (mutex_name i))
+            | Set_mutex (i, v) ->
+              W.set_mutex_field w (O.mutex_offset layout (mutex_name i)) v;
+              R.set_mutex_field o (mutex_name i) v;
+              true
+            | Vlock m ->
+              W.vlock w ~mutex:m;
+              R.vlock o ~mutex:m;
+              true
+            | Vunlock m ->
+              agree "vunlock"
+                (outcome (fun () -> W.vunlock w ~mutex:m))
+                (outcome (fun () -> R.vunlock o ~mutex:m))
+            | Conflicts ->
+              agree "conflicts"
+                (conflicts_of_flat (W.conflicts w))
+                (conflicts_of_ref (R.conflicts o))
+            | Commit ->
+              W.commit w;
+              R.commit o;
+              true
+            | Bump (i, d) ->
+              O.update_state flat_base (state_name i) d;
+              O.update_state ref_base (state_name i) d;
+              true
+            | Recycle ->
+              W.Pool.release pool w;
+              flat := W.Pool.take pool ~record_acquisitions;
+              oracle := R.create ~base:ref_base ~record_acquisitions;
+              agree "the pool hands back the released workspace" true
+                (!flat == w)
+          in
+          let w = !flat and o = !oracle in
+          same
+          && agree "read set size" (W.read_set_size w) (R.read_set_size o)
+          && agree "write set size" (W.write_set_size w) (R.write_set_size o)
+          && agree "virtual holds" (W.holds_any w) (R.holds_any o)
+          && agree "acquisition log" (W.acquisition_log w)
+               (R.acquisition_log o)
+          && agree "committed state" (O.state_snapshot flat_base)
+               (O.state_snapshot ref_base)
+          && agree "committed mutex fields"
+               (O.mutex_field_snapshot flat_base)
+               (O.mutex_field_snapshot ref_base)
+          && agree "fingerprint" (O.fingerprint flat_base)
+               (O.fingerprint ref_base))
+        steps)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_wellformed;
@@ -1201,6 +1378,7 @@ let suite =
       ("compiled cursor matches the interpreter on every catalog class",
        `Quick, test_interp_catalog_matches_reference);
       ("compiled cursor matches the interpreter on hand-written classes",
-       `Quick, test_interp_cases_match_reference) ]
+       `Quick, test_interp_cases_match_reference);
+      QCheck_alcotest.to_alcotest prop_workspace_matches_reference ]
 
 let () = Alcotest.run "properties" [ ("properties", suite) ]

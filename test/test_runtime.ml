@@ -199,7 +199,7 @@ let ops_of ?(args = [||]) cls meth =
   let req =
     Request.make ~uid:0 ~client:0 ~client_req:0 ~meth ~args ~sent_at:0.0
   in
-  let c = Interp.start (Interp.program cls) ~obj req in
+  let c = Interp.start (Interp.program cls) ~obj ~ws:Workspace.none req in
   let rec collect acc =
     match step c with
     | Some op -> collect (op :: acc)
@@ -318,7 +318,9 @@ let test_interp_guarded_wait () =
     Request.make ~uid:0 ~client:0 ~client_req:0 ~meth:"m" ~args:[||]
       ~sent_at:0.0
   in
-  let c = Interp.start (Interp.program cls) ~obj:cls_obj req in
+  let c =
+    Interp.start (Interp.program cls) ~obj:cls_obj ~ws:Workspace.none req
+  in
   (match step c with
   | Some (Op.Lock _) -> (
     match step c with
@@ -382,7 +384,9 @@ let test_interp_dummy_is_noop () =
   let cls = instrumented [ Builder.compute 5.0 ] in
   let obj = Object_state.create cls in
   let req = Request.dummy ~uid:0 ~sent_at:0.0 in
-  (match step (Interp.start (Interp.program cls) ~obj req) with
+  (match
+     step (Interp.start (Interp.program cls) ~obj ~ws:Workspace.none req)
+   with
   | None -> ()
   | Some _ -> Alcotest.fail "dummy must not execute")
 
@@ -628,7 +632,7 @@ let test_interp_steady_state_allocation () =
   (* ops and dynamic ops are counted in place, so the loop allocates nothing *)
   let counts = [| 0; 0 |] in
   let run () =
-    let c = Interp.start prog ~obj req in
+    let c = Interp.start prog ~obj ~ws:Workspace.none req in
     counts.(0) <- 0;
     counts.(1) <- 0;
     while Interp.next c do
@@ -683,24 +687,41 @@ let test_acquisition_order_no_allocation () =
       Acquisition_order.record a ~mutex:5 ~client:(!req land 7)
         ~client_req:!req)
 
-(* A speculative round on a warmed workspace, with no acquisition replay
-   (cgs+ws): a hit on the virtual lock table, on the read cache and on the
-   overlay allocates nothing. *)
+(* A speculative round on a pooled workspace, the one a replica runs for
+   a cgs+ws request: [ws_begin] takes the workspace from the pool, the
+   speculation takes a virtual lock, increments a state field and reads a
+   mutex field, and [ws_commit] validates (a clean read set builds no
+   list), merges and returns the workspace.  Once the pool holds a warmed
+   workspace the round allocates nothing; with the acquisition replay
+   (wss), neither does the log. *)
 let test_workspace_no_allocation () =
-  let ws =
-    Workspace.create ~base:(Object_state.create (simple_cls []))
-      ~record_acquisitions:false
-  in
-  ignore (Workspace.state_field ws "st");
-  ignore (Workspace.mutex_field ws "f");
-  No_alloc.check "minor words per vlock/update_state/vunlock round" (fun () ->
-      Workspace.vlock ws ~mutex:3;
-      Workspace.update_state ws "st" 1;
-      if Workspace.mutex_field ws "f" <> 42 then Alcotest.fail "field f moved";
-      Workspace.vunlock ws ~mutex:3);
-  Alcotest.(check int) "updates applied" 10_100 (Workspace.state_field ws "st");
-  Alcotest.(check (list int)) "no log without a replay" []
-    (Workspace.acquisition_log ws)
+  let cls = simple_cls [] in
+  let layout = Object_state.layout cls in
+  let st = Object_state.state_offset layout "st"
+  and f = Object_state.mutex_offset layout "f" in
+  List.iter
+    (fun record_acquisitions ->
+      let obj = Object_state.create cls in
+      let pool = Workspace.Pool.create ~base:obj in
+      No_alloc.check "minor words per pooled speculation round" (fun () ->
+          let ws = Workspace.Pool.take pool ~record_acquisitions in
+          Workspace.vlock ws ~mutex:3;
+          Workspace.update_state ws st 1;
+          if Workspace.mutex_field ws f <> 42 then
+            Alcotest.fail "field f moved";
+          Workspace.vunlock ws ~mutex:3;
+          (match Workspace.conflicts ws with
+          | [] -> ()
+          | _ -> Alcotest.fail "a blind increment conflicted");
+          Workspace.commit ws;
+          if Workspace.acquisitions ws <> Bool.to_int record_acquisitions
+          then Alcotest.fail "acquisition log";
+          Workspace.Pool.release pool ws);
+      Alcotest.(check int) "increments merged" 10_100
+        (Object_state.state_field obj "st");
+      Alcotest.(check int) "one workspace, back in the pool" 1
+        (Workspace.Pool.free pool))
+    [ false; true ]
 
 let test_update_state_no_allocation () =
   let o = Object_state.create (simple_cls []) in
@@ -708,6 +729,98 @@ let test_update_state_no_allocation () =
       Object_state.update_state o "st" 1);
   Alcotest.(check int) "updates applied" 10_100
     (Object_state.state_field o "st")
+
+(* One replica's workspace pool, through a stale abort, an unsafe abort and
+   a commit.  A stub scheduler speculates every request but "move", which
+   runs directly.  t0 reads field f (7) and increments st blindly under a
+   virtual lock; t1 then moves f to 9, so t0's commit barrier finds a
+   stale read and t0 re-executes directly.  t2 takes a virtual lock and
+   aborts at its nested call, holding it.  t3 repeats t0's speculation and
+   commits.  Each speculation begins on the workspace the previous one
+   released, and begins clean: no read, write, blind delta, virtual lock or
+   logged acquisition of an earlier one survives; and t0's discarded delta
+   is not merged by t3's commit. *)
+let test_workspace_pool_ownership () =
+  let open Builder in
+  let cls =
+    Detmt_transform.Transform.basic
+      (Builder.cls ~cname:"P" ~state_fields:[ "st" ]
+         ~mutex_fields:[ ("f", 7) ]
+         [ meth "spec" ~params:0 [ sync (field "f") [ state_incr "st" 1 ] ];
+           meth "move" ~params:1 [ assign_field "f" (marg 0) ];
+           meth "nest" ~params:0 [ sync this [ nested ~service:1 1.0 ] ] ])
+  in
+  let engine = Detmt_sim.Engine.create () in
+  let config =
+    { Config.default with
+      lock_overhead_ms = 0.0;
+      bookkeeping_overhead_ms = 0.0;
+      reply_build_ms = 0.0 }
+  in
+  let callbacks =
+    { Replica.send_reply = (fun _ -> ());
+      do_nested = (fun ~tid:_ ~call_index:_ ~service:_ ~duration:_ -> ());
+      broadcast_control = (fun _ -> ());
+      inject_dummy = (fun () -> ());
+      is_leader = (fun () -> true) }
+  in
+  let replica = ref None and acts = ref None in
+  let begun = ref [] and ready = ref [] and unsafe = ref [] in
+  let make_sched (a : Sched_iface.actions) =
+    acts := Some a;
+    let on_request tid =
+      if a.request_method tid <> "move" then begin
+        a.ws_begin ~tid ~record_acquisitions:true;
+        let w = Replica.Testing.workspace (Option.get !replica) tid in
+        begun :=
+          ( w,
+            Workspace.read_set_size w = 0
+            && Workspace.write_set_size w = 0
+            && (not (Workspace.holds_any w))
+            && Workspace.acquisitions w = 0 )
+          :: !begun
+      end;
+      a.start_thread tid
+    in
+    { (Sched_iface.no_op_sched ~name:"pool" ~on_request
+         ~on_lock:(fun tid ~syncid:_ ~mutex:_ -> a.proceed tid)
+         ~on_wakeup:(fun _ ~mutex:_ -> ())
+         ~on_nested_reply:(fun _ -> ()))
+      with
+      on_ws_event =
+        (fun tid -> function
+          | Sched_iface.Ws_ready -> ready := tid :: !ready
+          | Sched_iface.Ws_unsafe -> unsafe := tid :: !unsafe) }
+  in
+  let r = Replica.create ~engine ~id:0 ~cls ~config ~callbacks ~make_sched () in
+  replica := Some r;
+  let a = Option.get !acts in
+  let deliver uid meth args =
+    Replica.deliver_request r
+      (Request.make ~uid ~client:uid ~client_req:0 ~meth ~args ~sent_at:0.0)
+  in
+  deliver 0 "spec" [||];
+  deliver 1 "move" [| Ast.Vmutex 9 |];
+  Alcotest.check b "t0's read of f is stale" false (a.ws_commit ~tid:0);
+  a.start_thread 0 (* the direct re-execution *);
+  deliver 2 "nest" [||];
+  Alcotest.(check (list int)) "t2 aborted at its nested call" [ 2 ] !unsafe;
+  deliver 3 "spec" [||];
+  Alcotest.check b "t3 commits" true (a.ws_commit ~tid:3);
+  Alcotest.(check (list int)) "speculations that finished" [ 3; 0 ] !ready;
+  (match List.rev !begun with
+  | [ (w0, clean0); (w2, clean2); (w3, clean3) ] ->
+    Alcotest.check b "one pooled workspace serves all three" true
+      (w2 == w0 && w3 == w0);
+    Alcotest.(check (list bool)) "each speculation begins clean"
+      [ true; true; true ] [ clean0; clean2; clean3 ]
+  | l -> Alcotest.failf "%d speculations began, 3 expected" (List.length l));
+  Alcotest.(check int) "one commit" 1 (Replica.ws_commits r);
+  Alcotest.(check int) "a stale and an unsafe abort" 2 (Replica.ws_aborts r);
+  let obj = Replica.object_state r in
+  Alcotest.(check int) "st: t0's re-execution and t3's merge" 2
+    (Object_state.state_field obj "st");
+  Alcotest.(check int) "f moved" 9 (Object_state.mutex_field obj "f")
 
 (* One replica running [requests] of [cls] (method and arguments; the
    uids count from 0) under a stub scheduler that holds every lock request
@@ -852,7 +965,7 @@ let test_interp_duration_allocation () =
       ~sent_at:0.0
   in
   let obj = Object_state.create cls in
-  let c = Interp.start (Interp.program cls) ~obj req in
+  let c = Interp.start (Interp.program cls) ~obj ~ws:Workspace.none req in
   let compute expected =
     if not (Interp.next c && Interp.kind c = Op.Compute) then
       Alcotest.fail "no compute op";
@@ -913,6 +1026,8 @@ let suite =
      test_replica_nested_round_allocation);
     ("interp: only an argument-timed duration allocates", `Quick,
      test_interp_duration_allocation);
+    ("workspace pool: a recycled workspace begins clean", `Quick,
+     test_workspace_pool_ownership);
   ]
 
 let () = Alcotest.run "runtime" [ ("runtime", suite) ]

@@ -246,7 +246,7 @@ let dummy_actions =
     mutex_free_for = (fun ~tid:_ ~mutex:_ -> true);
     holds_any_mutex = (fun _ -> false);
     request_method = (fun _ -> "m");
-    request_arg = (fun ~tid:_ _ -> None);
+    request_mutex_arg = (fun ~tid:_ _ -> -1);
     self_mutex = (fun () -> 1_000_000);
     pool_dispatch = (fun ~worker:_ ~tid:_ -> ());
     pool_complete = (fun ~worker:_ ~tid:_ -> ());
@@ -392,6 +392,62 @@ let test_gate_no_allocation () =
       Substrate.hold th Lock ~mutex:3;
       Substrate.perform sub th)
 
+(* A request's whole life in the conflict-graph scheduler allocates nothing
+   once warmed: delivery (admission, bookkeeping registration, the class
+   resolved through the method's plan into a recycled node), the decision
+   that starts it on a pool worker, an immediately granted lock, the unlock
+   and the termination that recycles the node and frees the worker.  cgs
+   runs a request of a resolved class directly; cgs+ws speculates one of an
+   opaque class and commits it at its barrier. *)
+let test_cgs_round_no_allocation () =
+  let cls =
+    let open Builder in
+    Builder.cls ~cname:"G" ~state_fields:[ "st" ]
+      [ meth "m" ~params:1 [ sync (arg 0) [ state_incr "st" 1 ] ] ]
+  in
+  let _, summary = Detmt_transform.Transform.predictive cls in
+  let round name ~mutex_arg ~speculative =
+    let started = ref 0 and committed = ref 0 in
+    let actions =
+      { dummy_actions with
+        Detmt_runtime.Sched_iface.request_method = (fun _ -> "m");
+        request_mutex_arg = (fun ~tid:_ _ -> mutex_arg);
+        start_thread = (fun _ -> incr started);
+        ws_commit =
+          (fun ~tid:_ ->
+            incr committed;
+            true) }
+    in
+    let s =
+      Detmt_sched.Registry.instantiate
+        (Detmt_sched.Sched_config.make ~summary ~workers:4 name)
+        actions
+    in
+    let tid = ref 0 in
+    No_alloc.check (Printf.sprintf "minor words per %s request" name)
+      (fun () ->
+        incr tid;
+        let tid = !tid in
+        s.on_request tid;
+        if speculative then begin
+          s.on_ws_event tid Detmt_runtime.Sched_iface.Ws_ready;
+          s.on_terminate tid
+        end
+        else begin
+          s.on_lock tid ~syncid:1 ~mutex:5;
+          s.on_acquired tid ~syncid:1 ~mutex:5;
+          s.on_unlock tid ~syncid:1 ~mutex:5 ~freed:true;
+          s.on_terminate tid
+        end);
+    Alcotest.(check int) (name ^ ": every request started") !tid !started;
+    Alcotest.(check int)
+      (name ^ ": commits")
+      (if speculative then !tid else 0)
+      !committed
+  in
+  round "cgs" ~mutex_arg:5 ~speculative:false;
+  round "cgs+ws" ~mutex_arg:(-1) ~speculative:true
+
 let suite =
   [ ("seq serialises everything", `Quick, test_seq_serialises_everything);
     ("seq wastes nested idle", `Quick, test_seq_wastes_nested_idle);
@@ -427,6 +483,8 @@ let suite =
      test_pmat_refresh_no_allocation);
     ("substrate: a held lock gate allocates nothing", `Quick,
      test_gate_no_allocation);
+    ("cgs: a request round allocates nothing", `Quick,
+     test_cgs_round_no_allocation);
   ]
 
 let () = Alcotest.run "sched" [ ("sched", suite) ]
