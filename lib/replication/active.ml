@@ -60,7 +60,7 @@ type t = {
   scheduler : Detmt_sched.Registry.spec;
   (* client-side bookkeeping, keyed by [Dedup.key] of (client,
      client_req) *)
-  reply_waiters : (int, int) Hashtbl.t; (* key -> waiter slot *)
+  reply_waiters : Int_table.t; (* key -> waiter slot *)
   wt : Freelist.t;
   mutable wt_sent : float array; (* per waiter: submission time *)
   mutable wt_cb : on_reply array; (* per waiter: the client callback *)
@@ -72,13 +72,20 @@ type t = {
   mutable duplicate_client_replies : int;
   mutable reply_times : float array; (* arrival times at clients, in order *)
   mutable n_reply_times : int;
-  (* nested invocations outstanding: [nested_key] -> duration *)
-  outstanding_nested : (int, float) Hashtbl.t;
+  (* nested invocations outstanding: [nested_key] -> a slot of [on], which
+     holds the call's duration *)
+  outstanding_nested : Int_table.t;
+  on : Freelist.t;
+  mutable on_dur : float array;
   mutable dummy_seq : int;
   (* recovery bookkeeping *)
-  log : payload Message.t Queue.t;
-      (* broadcasts some live replica has not delivered yet, oldest first:
-         [trim_log] drops the prefix every live replica has delivered *)
+  mutable log : payload Message.t array;
+      (* a ring of the broadcasts some live replica has not delivered yet,
+         oldest first from [log_head]; [trim_log] drops the prefix every
+         live replica has delivered.  The capacity is a power of two that
+         doubles when full, so logging allocates nothing once warmed. *)
+  mutable log_head : int;
+  mutable log_len : int;
   mutable last_seq : int; (* newest broadcast seq; -1 before any traffic *)
   mutable order_fp : int64; (* [order_fingerprint], folded per broadcast *)
   last_delivered : int array; (* per-replica total-order watermark *)
@@ -117,6 +124,9 @@ let blank_request = Request.dummy ~uid:(-1) ~sent_at:0.0
 
 let blank_payload = P_control Sched_iface.View_change
 
+let blank_message =
+  { Message.seq = -1; sender = -1; sent_at = 0.0; payload = blank_payload }
+
 let ignore_reply ~client:_ ~client_req:_ ~response_ms:_ = ()
 
 (* (tid, call_index) packed into one int; sorts like the pair. *)
@@ -146,6 +156,22 @@ let payload_id = function
   | P_control c -> Hashtbl.hash (2, c)
   | P_barrier b -> Hashtbl.hash (3, b.epoch, b.label)
 
+(* The [i]-th oldest logged message. *)
+let logged t i = t.log.((t.log_head + i) land (Array.length t.log - 1))
+
+let log_push t msg =
+  let cap = Array.length t.log in
+  if t.log_len = cap then begin
+    let log = Array.make (max 64 (2 * cap)) blank_message in
+    for i = 0 to t.log_len - 1 do
+      log.(i) <- logged t i
+    done;
+    t.log <- log;
+    t.log_head <- 0
+  end;
+  t.log.((t.log_head + t.log_len) land (Array.length t.log - 1)) <- msg;
+  t.log_len <- t.log_len + 1
+
 (* Every broadcast goes through here, in seq order: it folds the order
    fingerprint and logs the message so recovery can replay the suffix a
    rejoining replica missed. *)
@@ -153,7 +179,7 @@ let bcast t ~sender ~kind payload =
   Totem.count_kind t.bus kind;
   let msg = Totem.broadcast t.bus ~sender payload in
   let seq = msg.Message.seq in
-  Queue.push msg t.log;
+  log_push t msg;
   t.last_seq <- seq;
   t.order_fp <-
     order_mix
@@ -180,9 +206,10 @@ let rec low_watermark t acc = function
 let trim_log t =
   let low = low_watermark t max_int t.members in
   if low < max_int then
-    while (not (Queue.is_empty t.log)) && (Queue.peek t.log).Message.seq <= low
-    do
-      ignore (Queue.pop t.log)
+    while t.log_len > 0 && (logged t 0).Message.seq <= low do
+      t.log.(t.log_head) <- blank_message;
+      t.log_head <- (t.log_head + 1) land (Array.length t.log - 1);
+      t.log_len <- t.log_len - 1
     done
 
 (* Every replica registers the outstanding call (so a view change can
@@ -190,8 +217,20 @@ let trim_log t =
    schedules the external service.  The service id plays no part in the
    reply, so only the duration is kept. *)
 let register_nested t ~key ~duration =
-  if not (Hashtbl.mem t.outstanding_nested key) then
-    Hashtbl.add t.outstanding_nested key duration
+  if not (Int_table.mem t.outstanding_nested key) then begin
+    let s = Freelist.alloc t.on in
+    t.on_dur <- Freelist.fit t.on_dur t.on 0.0;
+    t.on_dur.(s) <- duration;
+    ignore (Int_table.add t.outstanding_nested key s)
+  end
+
+(* The call's reply is ordered, so no later view change performs it again. *)
+let answer_nested t key =
+  match Int_table.find t.outstanding_nested key with
+  | -1 -> ()
+  | s ->
+    Int_table.remove t.outstanding_nested key;
+    Freelist.release t.on s
 
 let perform_nested t ~by ~key ~duration =
   register_nested t ~key ~duration;
@@ -207,7 +246,7 @@ let on_nested_done t s =
   Freelist.release t.nx s;
   (* Do not answer twice, and a replica that died while the external call
      was in flight cannot spread the reply (the new leader re-issues). *)
-  if Hashtbl.mem t.outstanding_nested key && Group.alive t.grp by then
+  if Int_table.mem t.outstanding_nested key && Group.alive t.grp by then
     ignore
       (bcast t ~sender:(-2) ~kind:"nested-reply"
          (P_nested_reply
@@ -238,11 +277,10 @@ let push_reply_time t at =
 let on_first_reply t ~from_replica (req : Request.t) =
   let client = req.client and client_req = req.client_req in
   let key = Dedup.key ~client ~request:client_req in
-  match Hashtbl.find t.reply_waiters key with
-  | exception Not_found ->
-    () (* later replicas' replies for an already-answered request *)
+  match Int_table.find t.reply_waiters key with
+  | -1 -> () (* later replicas' replies for an already-answered request *)
   | w ->
-    Hashtbl.remove t.reply_waiters key;
+    Int_table.remove t.reply_waiters key;
     let sent_at = t.wt_sent.(w) and callback = t.wt_cb.(w) in
     t.wt_cb.(w) <- ignore_reply;
     Freelist.release t.wt w;
@@ -265,7 +303,7 @@ let on_first_reply t ~from_replica (req : Request.t) =
         Recorder.incr t.obs "active.replies";
         Recorder.observe t.obs "active.response_ms" response_ms;
         Recorder.set_gauge t.obs "active.inflight"
-          (float_of_int (Hashtbl.length t.reply_waiters))
+          (float_of_int (Int_table.length t.reply_waiters))
       end;
       callback ~client ~client_req ~response_ms
     end
@@ -343,7 +381,7 @@ let deliver t replica (msg : payload Message.t) =
       Replica.deliver_request replica req
     end
   | P_nested_reply { tid; call_index } ->
-    Hashtbl.remove t.outstanding_nested (nested_key ~tid ~call_index);
+    answer_nested t (nested_key ~tid ~call_index);
     Replica.nested_reply replica ~tid ~call_index
   | P_control control -> Replica.deliver_control replica ~sender:msg.sender control
   | P_barrier { epoch; label } ->
@@ -406,12 +444,13 @@ let create ?(obs = Recorder.disabled) ~engine ~cls ~(params : params) () =
     { engine; params; obs; bus; grp; cls_instr = cls'; members = []; summary;
       scheduler;
       dedups = Array.init params.replicas (fun _ -> Dedup.create ());
-      reply_waiters = Hashtbl.create 256; wt = Freelist.create ();
+      reply_waiters = Int_table.create (); wt = Freelist.create ();
       wt_sent = [||]; wt_cb = [||]; answered = Dedup.create ();
       response_times = Detmt_stats.Summary.create (); replies = 0;
       duplicate_client_replies = 0; reply_times = [||]; n_reply_times = 0;
-      outstanding_nested = Hashtbl.create 64; dummy_seq = 0;
-      log = Queue.create (); last_seq = -1; order_fp = 0x2545F4914F6CDD1DL;
+      outstanding_nested = Int_table.create (); on = Freelist.create ();
+      on_dur = [||]; dummy_seq = 0; log = [||]; log_head = 0; log_len = 0;
+      last_seq = -1; order_fp = 0x2545F4914F6CDD1DL;
       last_delivered = Array.make params.replicas (-1);
       completed_base = Array.make params.replicas 0;
       checkpoint_sink = None; recoveries = 0;
@@ -458,7 +497,9 @@ let create ?(obs = Recorder.disabled) ~engine ~cls ~(params : params) () =
                 Detmt_runtime.Sched_iface.View_change)
           t.members;
         let pending =
-          Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.outstanding_nested []
+          Int_table.fold
+            (fun key s acc -> (key, t.on_dur.(s)) :: acc)
+            t.outstanding_nested []
           |> List.sort compare
         in
         List.iter
@@ -474,20 +515,20 @@ let submit ?on_ordered t ~client ~client_req ~meth ~args ~on_reply =
     let key = Dedup.key ~client ~request:client_req in
     let sent_at = Engine.now t.engine in
     let w =
-      match Hashtbl.find t.reply_waiters key with
-      | w -> w
-      | exception Not_found ->
+      match Int_table.find t.reply_waiters key with
+      | -1 ->
         let w = Freelist.alloc t.wt in
         t.wt_sent <- Freelist.fit t.wt_sent t.wt 0.0;
         t.wt_cb <- Freelist.fit t.wt_cb t.wt ignore_reply;
-        Hashtbl.add t.reply_waiters key w;
+        ignore (Int_table.add t.reply_waiters key w);
         w
+      | w -> w
     in
     t.wt_sent.(w) <- sent_at;
     t.wt_cb.(w) <- on_reply;
     if Recorder.enabled t.obs then
       Recorder.set_gauge t.obs "active.inflight"
-        (float_of_int (Hashtbl.length t.reply_waiters));
+        (float_of_int (Int_table.length t.reply_waiters));
     (* client -> sequencer latency before the totally-ordered broadcast *)
     let s = Freelist.alloc t.sb in
     t.sb_payload <- Freelist.fit t.sb_payload t.sb blank_payload;
@@ -569,11 +610,9 @@ let recover_replica t ?at id =
       Totem.advance_watermark t.bus ~id ~seq:t.last_seq;
     Group.join t.grp id;
     let suffix =
-      Queue.fold
-        (fun acc (m : payload Message.t) ->
-          if m.seq > watermark then m :: acc else acc)
-        [] t.log
-      |> List.rev
+      List.filter
+        (fun (m : payload Message.t) -> m.seq > watermark)
+        (List.init t.log_len (logged t))
     in
     (* One network hop later, before any same-or-later bus arrival: events
        scheduled for the same instant run in scheduling order. *)
@@ -612,7 +651,7 @@ let recover_replica t ?at id =
 
 let set_checkpoint_sink t sink = t.checkpoint_sink <- Some sink
 
-let logged_messages t = Queue.length t.log
+let logged_messages t = t.log_len
 
 let recoveries t = t.recoveries
 
@@ -737,7 +776,7 @@ let response_times t = t.response_times
 let replies_received t = t.replies
 
 let outstanding_requests t =
-  Hashtbl.fold (fun k _ acc -> Dedup.unkey k :: acc) t.reply_waiters []
+  Int_table.fold (fun k _ acc -> Dedup.unkey k :: acc) t.reply_waiters []
   |> List.filter (fun (client, request) ->
          not (Dedup.seen t.answered ~client ~request))
   |> List.sort compare

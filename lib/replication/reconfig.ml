@@ -235,16 +235,6 @@ type group = {
       (* this group's one reply callback for every request it carries *)
 }
 
-(* A request waits for every involved group to answer; the latch fires the
-   client callback exactly once.  [l_sent_at] is the original submission
-   (or hold-queue entry) time, so response times honestly include
-   reconfiguration stalls. *)
-type latch = {
-  mutable remaining : int;
-  l_sent_at : float;
-  l_on_reply : Active.on_reply;
-}
-
 type held = {
   h_client : int;
   h_client_req : int;
@@ -278,7 +268,17 @@ type t = {
   commands : command Queue.t;
   mutable aborted : int; (* drains that timed out; command dropped *)
   (* client-side bookkeeping *)
-  pending : (int, latch) Hashtbl.t; (* by [Dedup.key] *)
+  (* A request waits for every involved group to answer; its latch fires
+     the client callback exactly once.  A latch is a pooled slot: [pending]
+     maps the request's [Dedup.key] to it, and the slot holds the answers
+     still missing, the original submission (or hold-queue entry) time, so
+     response times honestly include reconfiguration stalls, and the
+     client callback. *)
+  pending : Int_table.t;
+  lt : Freelist.t;
+  mutable lt_remaining : int array;
+  mutable lt_sent_at : float array;
+  mutable lt_on_reply : Active.on_reply array;
   answered : Dedup.t;
   response_times : Detmt_stats.Summary.t;
   mutable replies : int;
@@ -349,15 +349,19 @@ let note_reply t ~response_ms =
 let group_reply t index ~client ~client_req ~response_ms:_ =
   let g = group_of t index in
   let key = Dedup.key ~client ~request:client_req in
-  let latch = Hashtbl.find t.pending key in
+  let l = Int_table.find t.pending key in
+  if l < 0 then invalid_arg "Reconfig: a reply for no pending request";
   g.inflight <- g.inflight - 1;
-  latch.remaining <- latch.remaining - 1;
-  if latch.remaining = 0 then begin
-    Hashtbl.remove t.pending key;
+  t.lt_remaining.(l) <- t.lt_remaining.(l) - 1;
+  if t.lt_remaining.(l) = 0 then begin
+    Int_table.remove t.pending key;
+    let sent_at = t.lt_sent_at.(l) and on_reply = t.lt_on_reply.(l) in
+    t.lt_on_reply.(l) <- Active.ignore_reply;
+    Freelist.release t.lt l;
     ignore (Dedup.mark t.answered ~client ~request:client_req);
-    let response_ms = client_arrival t -. latch.l_sent_at in
+    let response_ms = client_arrival t -. sent_at in
     note_reply t ~response_ms;
-    latch.l_on_reply ~client ~client_req ~response_ms
+    on_reply ~client ~client_req ~response_ms
   end
 
 let new_group t ~index sys =
@@ -411,7 +415,9 @@ let create ?(obs = Recorder.disabled) ?on_group ~engine ~cls
       retired = []; incarnations = 0; epoch = 0;
       transitions = []; frozen = false; busy = false; held = Queue.create ();
       commands = Queue.create (); aborted = 0;
-      pending = Hashtbl.create 256; answered = Dedup.create ();
+      pending = Int_table.create (); lt = Freelist.create ();
+      lt_remaining = [||]; lt_sent_at = [||]; lt_on_reply = [||];
+      answered = Dedup.create ();
       response_times = Detmt_stats.Summary.create (); replies = 0;
       reply_times = [||]; n_reply_times = 0; fast_path = 0; cross_path = 0;
       held_total = 0; policy = None; armed = false; tick_h = 0; on_group;
@@ -493,9 +499,15 @@ let rec dispatch t ~sent_at ~client ~client_req ~meth ~args ~on_reply =
      empties [pending] before any transition applies — so the involved
      set resolved here is stable for the latch's whole lifetime. *)
   let key = Dedup.key ~client ~request:client_req in
-  if not (Hashtbl.mem t.pending key) then begin
-    Hashtbl.add t.pending key
-      { remaining = n; l_sent_at = sent_at; l_on_reply = on_reply };
+  if not (Int_table.mem t.pending key) then begin
+    let l = Freelist.alloc t.lt in
+    t.lt_remaining <- Freelist.fit t.lt_remaining t.lt 0;
+    t.lt_sent_at <- Freelist.fit t.lt_sent_at t.lt 0.0;
+    t.lt_on_reply <- Freelist.fit t.lt_on_reply t.lt Active.ignore_reply;
+    t.lt_remaining.(l) <- n;
+    t.lt_sent_at.(l) <- sent_at;
+    t.lt_on_reply.(l) <- on_reply;
+    ignore (Int_table.add t.pending key l);
     for i = 0 to n - 1 do
       let gi = t.involved.(i) in
       let g = group_of t gi in
@@ -578,7 +590,7 @@ and begin_transition t cmd =
 
 and drain t ~deadline ~cmd ~barrier_seq =
   if
-    Hashtbl.length t.pending = 0
+    Int_table.length t.pending = 0
     && List.for_all (fun g -> Active.quiescent g.sys) t.live_groups
   then apply t ~cmd ~barrier_seq
   else if Engine.now t.engine >= deadline then begin

@@ -1,26 +1,28 @@
+module Int_table = Detmt_sim.Int_table
+
 type entry = { mutable owner : int; mutable count : int }
 
 type t = {
   entries : (int, entry) Hashtbl.t;
-  held : (int, int) Hashtbl.t;
+  held : Int_table.t;
       (* tid -> number of mutexes it owns (count > 0).  A tid gets its
          binding at its first acquisition and keeps it, at 0 while it owns
          nothing, until [forget]: the count is then updated in place, so
-         [holds_any] is O(1) and a lock/unlock pair allocates nothing. *)
+         [holds_any] is O(1), and neither a lock/unlock pair nor, once the
+         table has room, a fresh tid's first binding allocates. *)
 }
 
-let create () = { entries = Hashtbl.create 64; held = Hashtbl.create 8 }
+let create () = { entries = Hashtbl.create 64; held = Int_table.create () }
 
 (* Lookups raise [Not_found] rather than return an option, so the per-op
    paths below allocate nothing. *)
-let held_count t tid =
-  match Hashtbl.find t.held tid with n -> n | exception Not_found -> 0
+let held_count t tid = max 0 (Int_table.find t.held tid)
 
-let gain t tid = Hashtbl.replace t.held tid (held_count t tid + 1)
+let gain t tid = Int_table.replace t.held tid (held_count t tid + 1)
 
-let lose t tid = Hashtbl.replace t.held tid (held_count t tid - 1)
+let lose t tid = Int_table.replace t.held tid (held_count t tid - 1)
 
-let forget t ~tid = Hashtbl.remove t.held tid
+let forget t ~tid = Int_table.remove t.held tid
 
 let owner t ~mutex =
   match Hashtbl.find t.entries mutex with

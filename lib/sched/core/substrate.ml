@@ -37,6 +37,7 @@ type thread = {
   mutable suspended : bool;
   mutable gate : gate;
   mutable gate_mutex : int; (* the mutex of a [Lock] or [Reacquire] gate *)
+  mutable released : bool; (* in the free stack: retired, not yet re-admitted *)
 }
 
 type t = {
@@ -85,7 +86,7 @@ let enqueue t ~tid =
   let th =
     if t.nfree = 0 then
       { tid; seq = t.next_seq; is_primary = false; ex_primary = false;
-        suspended = false; gate = Open; gate_mutex = -1 }
+        suspended = false; gate = Open; gate_mutex = -1; released = false }
     else begin
       t.nfree <- t.nfree - 1;
       let th = t.free.(t.nfree) in
@@ -96,6 +97,7 @@ let enqueue t ~tid =
       th.suspended <- false;
       th.gate <- Open;
       th.gate_mutex <- -1;
+      th.released <- false;
       th
     end
   in
@@ -120,6 +122,16 @@ let remove t ~tid =
     Seq_index.remove t.by_tid tid
   end
 
+let release t th =
+  if th.released then
+    invalid_arg
+      (Printf.sprintf "%s: thread record of t%d released twice" t.name th.tid);
+  th.released <- true;
+  if t.nfree = Array.length t.free then
+    t.free <- Array.append t.free (Array.make (max 4 t.nfree) th);
+  t.free.(t.nfree) <- th;
+  t.nfree <- t.nfree + 1
+
 (* Termination: leave the order, forget the bookkeeping table and recycle
    the record.  A policy may still read the record until its next
    admission, never after. *)
@@ -127,10 +139,7 @@ let retire t ~tid =
   if Seq_index.mem t.by_tid tid then begin
     let th = Seq_index.get t.by_tid tid in
     remove t ~tid;
-    if t.nfree = Array.length t.free then
-      t.free <- Array.append t.free (Array.make (max 4 t.nfree) th);
-    t.free.(t.nfree) <- th;
-    t.nfree <- t.nfree + 1
+    release t th
   end;
   match t.bookkeeping with
   | Some bk -> Bookkeeping.release bk ~tid
@@ -261,3 +270,7 @@ let perform t th =
     Detmt_obs.Profile.phase_begin p Detmt_obs.Profile.Grant;
     t.actions.proceed th.tid;
     Detmt_obs.Profile.phase_end p Detmt_obs.Profile.Grant
+
+module Testing = struct
+  let release = release
+end

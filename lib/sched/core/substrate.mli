@@ -23,6 +23,9 @@ type thread = {
   mutable gate : gate;  (** set by {!hold}, reopened by {!perform} *)
   mutable gate_mutex : int;
       (** the mutex of a [Lock] or [Reacquire] gate; stale otherwise *)
+  mutable released : bool;
+      (** in the free stack: set by {!retire}, cleared by the admission
+          that reuses the record *)
 }
 
 type t
@@ -148,3 +151,9 @@ val perform : t -> thread -> unit
     [actions.proceed], timed as the profiler's [Grant] phase.  Audit
     emission stays with the calling policy.  The replica raises
     [Invalid_argument] when the thread is stopped at no gate. *)
+
+module Testing : sig
+  val release : t -> thread -> unit
+  (** Return a record to the free stack, as {!retire} does.
+      @raise Invalid_argument when the record is already free. *)
+end

@@ -359,20 +359,20 @@ let test_claim_e18_load () =
 let test_claim_e18_words () =
   check_claims "engine"
     (rows "engine" ~keep:(fun c -> wname "figure1" c && c.scheduler = "mat"))
-    ~expect:[ "mat on figure1@256 under 5 words/event" ]
+    ~expect:[ "mat on figure1@256 under 4.1 words/event" ]
 
 (* The §4.3 bookkeeping and claim refresh gate, on pMAT's full-size row. *)
 let test_claim_e18_pmat_words () =
   check_claims "engine"
     (rows "engine" ~keep:(fun c -> wname "figure1" c && c.scheduler = "pmat"))
-    ~expect:[ "pmat on figure1@256 under 4.5 words/event" ]
+    ~expect:[ "pmat on figure1@256 under 3.9 words/event" ]
 
 (* The request lifecycle without decisions: seq's row pins what the
    client, GCS and replica path cost on their own. *)
 let test_claim_e18_seq_words () =
   check_claims "engine"
     (rows "engine" ~keep:(fun c -> wname "figure1" c && c.scheduler = "seq"))
-    ~expect:[ "seq on figure1@256 under 5.9 words/event" ]
+    ~expect:[ "seq on figure1@256 under 5 words/event" ]
 
 (* The conflict-graph family's allocation gates, each on its own
    full-size row: cgs's decisions on figure1, and cgs+ws's pooled
@@ -381,14 +381,14 @@ let test_claim_e18_cgs_words () =
   check_claims "engine"
     (rows "engine" ~keep:(fun c ->
          wname "figure1" c && c.scheduler = "cgs" && c.clients = 256))
-    ~expect:[ "cgs@4 on figure1@256 under 5.6 words/event" ]
+    ~expect:[ "cgs@4 on figure1@256 under 5.4 words/event" ]
 
 let test_claim_e18_cgs_ws_words () =
   check_claims "engine"
     (rows "engine" ~keep:(fun c ->
          wname "sharded-opaque" c && c.scheduler = "cgs+ws"
          && c.clients = 256))
-    ~expect:[ "cgs+ws@4 on sharded-opaque@256 under 20.4 words/event" ]
+    ~expect:[ "cgs+ws@4 on sharded-opaque@256 under 19.7 words/event" ]
 
 (* The raw chain boxes only the clock, once per new instant. *)
 let test_claim_e18_raw_chain () =

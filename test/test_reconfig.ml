@@ -374,6 +374,43 @@ let test_deterministic_across_schedulers () =
         true (Reconfig.epochs_agree s1))
     Chaos.default_schedulers
 
+(* ------------------------- pooled latches -------------------------- *)
+
+(* One request's submit -> reply round through a warmed single-group
+   Reconfig (three MAT replicas) allocates what the same round through
+   {!Active} does (132 words; see test_replication) plus 12 words of boxed
+   floats in its own reply accounting: the response time, its statistics
+   and the client arrival time.  The latch is a pooled slot behind an int
+   table and adds nothing: its record and Hashtbl bucket, with the Active
+   tables that were not pooled either, cost 171 words per round before. *)
+let test_round_words () =
+  let cls =
+    let open Detmt_lang.Builder in
+    cls ~cname:"Counter" ~state_fields:[ "st" ] ~mutex_fields:[]
+      [ meth "incr" ~params:0 [ sync this [ state_incr "st" 1 ] ] ]
+  in
+  let engine = Engine.create () in
+  let system =
+    Reconfig.create ~engine ~cls ~params:Reconfig.default_params ()
+  in
+  let next = ref 0 and replies = ref 0 in
+  let on_reply ~client:_ ~client_req:_ ~response_ms:_ = incr replies in
+  let round () =
+    Reconfig.submit system ~client:0 ~client_req:!next ~meth:"incr"
+      ~args:[||] ~on_reply;
+    incr next;
+    Engine.run engine
+  in
+  (* the warm-up grows the per-request ledgers past the 27 100 entries the
+     check reaches *)
+  for _ = 1 to 17_000 do
+    round ()
+  done;
+  No_alloc.check_words "minor words per submit/reply round" ~words:144 round;
+  Alcotest.(check int) "every request answered once" 27_100 !replies;
+  Alcotest.(check int) "every latch drained" 27_100
+    (Reconfig.replies_received system)
+
 let () =
   Alcotest.run "reconfig"
     [ ( "equivalence",
@@ -403,6 +440,9 @@ let () =
       ( "drain",
         [ Alcotest.test_case "timeout aborts the command" `Quick
             test_drain_timeout_aborts ] );
+      ( "latches",
+        [ Alcotest.test_case "a warmed submit/reply round allocates nothing \
+                              in its latches" `Quick test_round_words ] );
       ( "autoscale",
         [ Alcotest.test_case "splits under load" `Quick
             test_autoscaler_splits_under_load;

@@ -224,11 +224,57 @@ let per_scheduler name f =
     (fun s -> (Printf.sprintf "%s (%s)" name s, `Quick, f s))
     deterministic_schedulers
 
+(* A counter behind the object's monitor: one lock, one update, one unlock
+   per request. *)
+let counter_cls =
+  let open Detmt_lang.Builder in
+  cls ~cname:"Counter" ~state_fields:[ "st" ] ~mutex_fields:[]
+    [ meth "incr" ~params:0 [ sync this [ state_incr "st" 1 ] ] ]
+
+(* [round] repeated, once 17 000 warm-up rounds have grown every table that
+   keeps one entry per request (the dedup ledgers, the response
+   statistics) past the 27 100 entries the check reaches. *)
+let check_round_words what ~words round =
+  for _ = 1 to 17_000 do
+    round ()
+  done;
+  No_alloc.check_words what ~words round
+
+(* One request's submit -> reply round through a warmed three-replica MAT
+   group allocates 132 words.  54 are what the request carries or a boxed
+   number: the broadcast payload (8) and its [Request.t] (8), the Totem
+   message, its shared [Some] and the order fingerprint's [Int64]
+   (5 + 2 + 3), MAT's admission (2 per replica), the first reply's response
+   time and statistics (10), and the clock re-boxed at each of the round's
+   six new instants (12).  The other 78 are each replica's thread: its
+   record (10), its [threads] bucket (4) and its cursor (12).  The reply
+   waiter, the outstanding-call table, the recovery log and the replicas'
+   held-mutex counts add nothing: their Hashtbl buckets and queue cell cost
+   19 more words per round (151) before they were pooled. *)
+let test_active_round_words () =
+  let engine = Engine.create () in
+  let system =
+    Active.create ~engine ~cls:counter_cls ~params:Active.default_params ()
+  in
+  let next = ref 0 and replies = ref 0 in
+  let on_reply ~client:_ ~client_req:_ ~response_ms:_ = incr replies in
+  check_round_words "minor words per submit/reply round" ~words:132 (fun () ->
+      Active.submit system ~client:0 ~client_req:!next ~meth:"incr" ~args:[||]
+        ~on_reply;
+      incr next;
+      Engine.run engine);
+  Alcotest.(check int) "every request answered once" 27_100 !replies;
+  Alcotest.(check int) "the log is trimmed" 0 (Active.logged_messages system);
+  Alcotest.(check (list (pair int int))) "no waiter left" []
+    (Active.outstanding_requests system)
+
 let suite =
   per_scheduler "workload completes" test_completes
   @ per_scheduler "replicas consistent" test_consistent
   @ per_scheduler "state counts" test_state_counts
-  @ [ ("freefall diverges", `Quick, test_freefall_diverges);
+  @ [ ("active: a warmed submit/reply round allocates nothing in its tables",
+       `Quick, test_active_round_words);
+      ("freefall diverges", `Quick, test_freefall_diverges);
       ("identical runs identical", `Quick, test_identical_runs_identical);
       ("seq slower than mat", `Quick, test_seq_slower_than_mat);
       ("lsa chattier than mat", `Quick, test_lsa_message_overhead);

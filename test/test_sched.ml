@@ -392,6 +392,26 @@ let test_gate_no_allocation () =
       Substrate.hold th Lock ~mutex:3;
       Substrate.perform sub th)
 
+(* A retired thread's record goes back to the substrate's free stack once:
+   releasing it again while it is free raises, and the next admission takes
+   it, so it is live again. *)
+let test_substrate_double_release () =
+  let module Substrate = Detmt_sched.Substrate in
+  let sub =
+    Substrate.create ~name:"pool" ~config:Detmt_runtime.Config.default
+      dummy_actions
+  in
+  let th = Substrate.admit sub ~tid:1 in
+  Substrate.retire sub ~tid:1;
+  Alcotest.(check bool) "retire frees the record" true th.released;
+  Alcotest.check_raises "a second release"
+    (Invalid_argument "pool: thread record of t1 released twice") (fun () ->
+      Substrate.Testing.release sub th);
+  let th' = Substrate.admit sub ~tid:2 in
+  Alcotest.(check bool) "the next admission reuses it" true (th' == th);
+  Alcotest.(check bool) "and it is live again" false th.released;
+  Alcotest.(check int) "under its new tid" 2 th.tid
+
 (* A request's whole life in the conflict-graph scheduler allocates nothing
    once warmed: delivery (admission, bookkeeping registration, the class
    resolved through the method's plan into a recycled node), the decision
@@ -481,6 +501,8 @@ let suite =
     ("config api", `Quick, test_config_api);
     ("pmat: claim refresh allocates nothing", `Quick,
      test_pmat_refresh_no_allocation);
+    ("substrate: a record released twice raises", `Quick,
+     test_substrate_double_release);
     ("substrate: a held lock gate allocates nothing", `Quick,
      test_gate_no_allocation);
     ("cgs: a request round allocates nothing", `Quick,

@@ -723,6 +723,68 @@ let prop_rng_int_in_bounds =
       let x = Rng.int rng bound in
       x >= 0 && x < bound)
 
+(* Int_table against a Hashtbl model, under random adds, replaces and
+   removals.  Keys mix small ints with packed high-half keys, so probe runs
+   collide and wrap, removals shift entries back across them, and the table
+   doubles more than once. *)
+let prop_int_table_model =
+  let op =
+    QCheck.(
+      triple (int_range 0 2)
+        (oneof [ int_range 0 300; map (fun k -> k lsl 32) (int_range 0 40) ])
+        (int_range 0 1000))
+  in
+  QCheck.Test.make ~count:300 ~name:"int table matches a Hashtbl model"
+    QCheck.(list_of_size Gen.(int_range 0 600) op)
+    (fun ops ->
+      let t = Int_table.create () and model = Hashtbl.create 16 in
+      let ok = ref true in
+      List.iter
+        (fun (o, k, v) ->
+          (match o with
+          | 0 ->
+            let fresh = not (Hashtbl.mem model k) in
+            if fresh then Hashtbl.replace model k v;
+            if Int_table.add t k v <> fresh then ok := false
+          | 1 ->
+            Hashtbl.replace model k v;
+            Int_table.replace t k v
+          | _ ->
+            Hashtbl.remove model k;
+            Int_table.remove t k);
+          if Int_table.length t <> Hashtbl.length model then ok := false;
+          Hashtbl.iter (fun k v -> if Int_table.find t k <> v then ok := false)
+            model;
+          if (not (Hashtbl.mem model k)) && Int_table.mem t k then ok := false)
+        ops;
+      let bindings =
+        List.sort compare (Int_table.fold (fun k v acc -> (k, v) :: acc) t [])
+      in
+      let expected =
+        List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model [])
+      in
+      !ok && bindings = expected)
+
+(* A warmed table's add/find/remove round allocates nothing. *)
+let test_int_table_no_allocation () =
+  let t = Int_table.create () and s = Int_table.create_set () in
+  for k = 0 to 99 do
+    ignore (Int_table.add t (k * 7) k);
+    ignore (Int_table.add s (k * 7) 0)
+  done;
+  let k = ref 0 in
+  No_alloc.check "minor words per add, find, replace and remove" (fun () ->
+      let key = (1000 + (!k land 63)) lsl 32 in
+      incr k;
+      if not (Int_table.add t key 5) then Alcotest.fail "key already bound";
+      Int_table.replace t key 6;
+      if Int_table.find t key <> 6 then Alcotest.fail "wrong value";
+      Int_table.remove t key;
+      if not (Int_table.add s key 0 && Int_table.mem s key) then
+        Alcotest.fail "set add";
+      Int_table.remove s key);
+  Alcotest.(check int) "only the warm keys are left" 100 (Int_table.length t)
+
 let suite =
   [ ("rng reproducible", `Quick, test_rng_reproducible);
     ("rng seed sensitivity", `Quick, test_rng_seed_sensitivity);
@@ -771,6 +833,9 @@ let suite =
     ("trace event retention", `Quick, test_trace_event_retention);
     QCheck_alcotest.to_alcotest prop_pqueue_drains_sorted;
     QCheck_alcotest.to_alcotest prop_rng_int_in_bounds;
+    QCheck_alcotest.to_alcotest prop_int_table_model;
+    ("int table: a warmed round allocates nothing", `Quick,
+     test_int_table_no_allocation);
     ("trace encoding pinned", `Quick, test_trace_encoding_pinned);
     ("trace: hot kinds allocate nothing", `Quick, test_trace_no_allocation);
   ]
