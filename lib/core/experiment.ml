@@ -197,8 +197,7 @@ let sched_metrics obs scheduler =
 
 (* The broadcast kinds {!Active} counts: every row reports each of them,
    so all rows share one metric schema. *)
-let message_kinds =
-  [ "barrier"; "control"; "nested-reply"; "pds-dummy"; "request" ]
+let message_kinds = Array.to_list Detmt_gcs.Totem.kind_names
 
 let run ?obs c =
   let obs = match obs with Some o -> o | None -> Recorder.create () in
@@ -1013,20 +1012,21 @@ let load_independence rows =
    request lifecycle around them allocates no closure, tuple or boxed key
    (E30), event times are boxed only when the clock moves (E31), the
    interpreter yields its ops in the cursor rather than as fresh records
-   (E32), and the client's waiters, latches and log and each replica's
-   held-mutex counts sit in pooled slots (E34).  Each bound is the row's
-   E34 level plus under 10%, so a regression on any of those paths fails
-   the claim whatever the host's load. *)
-let figure1_words_bounds = [ ("seq", 5.0); ("mat", 4.1); ("pmat", 3.9) ]
+   (E32), the client's waiters, latches and log and each replica's
+   held-mutex counts sit in pooled slots (E34), and a delivered thread
+   takes a cell of the replica's tid ring, not a hash bucket (E35).  Each
+   bound is the row's E35 level plus under 10%, so a regression on any of
+   those paths fails the claim whatever the host's load. *)
+let figure1_words_bounds = [ ("seq", 4.9); ("mat", 4.0); ("pmat", 3.7) ]
 
 (* E18's words/event bounds for the conflict-graph family at 4 workers and
    256 clients: cgs on figure1 and cgs+ws on sharded-opaque.  A request's
    workspace (pooled, on compiled field offsets) and its conflict-graph
    decisions (classes as sorted int arrays, recycled nodes, loops instead
-   of closures) allocate nothing (E33).  Each bound is the row's E34 level
+   of closures) allocate nothing (E33).  Each bound is the row's E35 level
    plus under 10%. *)
 let parallel_words_bounds =
-  [ ("cgs", "figure1", 5.4); ("cgs+ws", "sharded-opaque", 19.7) ]
+  [ ("cgs", "figure1", 5.2); ("cgs+ws", "sharded-opaque", 18.9) ]
 
 (* The raw chain's words/event: its E31 level (0.043, the clock re-boxed
    once per new instant) plus under 10%. *)

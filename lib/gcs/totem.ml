@@ -59,7 +59,7 @@ type 'a t = {
                                           newest first *)
   mutable flush_epoch : int; (* invalidates stale delay timers *)
   mutable wire_batches : int;
-  kinds : (string, int) Hashtbl.t;
+  kinds : int array; (* broadcasts per [kind], by [kind_index] *)
   mutable drain_h : Engine.handler_id; (* typed drain event, arg = sub id *)
   mutable flush_h : Engine.handler_id; (* typed flush timer, arg = epoch *)
   mutable sc_msg : 'a Message.t option array;
@@ -68,6 +68,21 @@ type 'a t = {
          across subscribers — drains only ever run from engine events, never
          reentrantly. *)
 }
+
+type kind = Barrier | Control | Nested_reply | Pds_dummy | Request
+
+let kind_index = function
+  | Barrier -> 0
+  | Control -> 1
+  | Nested_reply -> 2
+  | Pds_dummy -> 3
+  | Request -> 4
+
+(* In [kind_index] order, which is by name, so [kind_counts] is sorted. *)
+let kind_names =
+  [| "barrier"; "control"; "nested-reply"; "pds-dummy"; "request" |]
+
+let kind_metrics = Array.map (( ^ ) "totem.msg.") kind_names
 
 let default_latency ~sender:_ ~dest:_ = 0.5
 
@@ -312,7 +327,8 @@ let create ?(latency = default_latency) ?faults ?(obs = Recorder.disabled)
       next_seq = 0; broadcasts = 0; deliveries = 0; suppressed_duplicates = 0;
       watermark_suppressed = 0; delivery_oracle = None; flush_oracle = None;
       pending = []; flush_epoch = 0; wire_batches = 0;
-      kinds = Hashtbl.create 8; drain_h = 0; flush_h = 0; sc_msg = [||] }
+      kinds = Array.make (Array.length kind_names) 0; drain_h = 0; flush_h = 0;
+      sc_msg = [||] }
   in
   t.drain_h <- Engine.register_handler engine (fun id -> drain t (sub_by_id t id));
   t.flush_h <-
@@ -407,12 +423,10 @@ let watermark_suppressed t = t.watermark_suppressed
 let faults t = t.faults
 
 let count_kind t kind =
-  let n =
-    match Hashtbl.find t.kinds kind with n -> n | exception Not_found -> 0
-  in
-  Hashtbl.replace t.kinds kind (n + 1);
-  if Recorder.enabled t.obs then Recorder.incr t.obs ("totem.msg." ^ kind)
+  let i = kind_index kind in
+  t.kinds.(i) <- t.kinds.(i) + 1;
+  if Recorder.enabled t.obs then Recorder.incr t.obs kind_metrics.(i)
 
 let kind_counts t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.kinds []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  Array.to_list (Array.mapi (fun i name -> (name, t.kinds.(i))) kind_names)
+  |> List.filter (fun (_, n) -> n > 0)

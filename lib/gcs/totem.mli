@@ -144,9 +144,16 @@ val set_flush_oracle : 'a t -> (seq:int -> pending:int -> bool) option -> unit
 val faults : 'a t -> Faults.t option
 (** The attached fault plan, for its counters. *)
 
-val count_kind : 'a t -> string -> unit
-(** Attribute the current broadcast to a named category (e.g. ["lsa-order"],
-    ["pds-dummy"]) for the network-load reports. *)
+(** The categories of the network-load reports, named ["barrier"],
+    ["control"], ["nested-reply"], ["pds-dummy"] and ["request"]. *)
+type kind = Barrier | Control | Nested_reply | Pds_dummy | Request
+
+val count_kind : 'a t -> kind -> unit
+(** Attribute the current broadcast to a category; with a recorder attached,
+    also bump its [totem.msg.<name>] counter. *)
+
+val kind_names : string array
+(** The categories' names, in the constructors' order. *)
 
 val kind_counts : 'a t -> (string * int) list
-(** Category counts, sorted by name. *)
+(** The counts of the categories broadcast so far, by name, sorted. *)

@@ -248,7 +248,7 @@ let on_nested_done t s =
      was in flight cannot spread the reply (the new leader re-issues). *)
   if Int_table.mem t.outstanding_nested key && Group.alive t.grp by then
     ignore
-      (bcast t ~sender:(-2) ~kind:"nested-reply"
+      (bcast t ~sender:(-2) ~kind:Totem.Nested_reply
          (P_nested_reply
             { tid = key lsr 31; call_index = key land 0x7FFF_FFFF }))
 
@@ -258,7 +258,7 @@ let inject_dummy t ~from_replica =
   if is_leader t from_replica then begin
     t.dummy_seq <- t.dummy_seq + 1;
     ignore
-      (bcast t ~sender:(-1) ~kind:"pds-dummy"
+      (bcast t ~sender:(-1) ~kind:Totem.Pds_dummy
          (P_request
             { client = -1; client_req = t.dummy_seq; meth = "__dummy";
               args = [||]; sent_at = Engine.now t.engine; dummy = true;
@@ -325,7 +325,7 @@ let make_replica t ~engine ~cls ~id =
           if is_leader t id then perform_nested t ~by:id ~key ~duration);
       broadcast_control =
         (fun control ->
-          ignore (bcast t ~sender:id ~kind:"control" (P_control control)));
+          ignore (bcast t ~sender:id ~kind:Totem.Control (P_control control)));
       inject_dummy = (fun () -> inject_dummy t ~from_replica:id);
       is_leader = (fun () -> is_leader t id) }
   in
@@ -402,7 +402,7 @@ let on_sequencer t s =
     if Recorder.enabled t.obs then
       Recorder.request_broadcast t.obs ~client ~client_req
         ~at:(Engine.now t.engine);
-    let seq = bcast t ~sender:(1000 + client) ~kind:"request" payload in
+    let seq = bcast t ~sender:(1000 + client) ~kind:Totem.Request payload in
     (* Fires once the request holds a slot in this group's total order —
        the hook cross-shard coordination hangs its second phase on. *)
     match on_ordered with Some f -> f ~seq | None -> ())
@@ -667,7 +667,7 @@ let recoveries t = t.recoveries
 
 let order_barrier t ~epoch ~label ~on_ordered =
   let seq =
-    bcast t ~sender:(-3) ~kind:"barrier" (P_barrier { epoch; label })
+    bcast t ~sender:(-3) ~kind:Totem.Barrier (P_barrier { epoch; label })
   in
   if Recorder.enabled t.obs then Recorder.incr t.obs "active.barriers";
   on_ordered ~seq

@@ -12,13 +12,14 @@
 
 type t
 
-val create : unit -> t
+val create : Detmt_sim.Slot_map.t -> t
+(** Over the replica's mutex slots (see {!Mutex_table}). *)
 
-val record : t -> mutex:int -> client:int -> client_req:int -> unit
-(** Fold one grant of [mutex] to the request [(client, client_req)] into
-    that mutex's hash.  A mutex's first grant allocates its 8-byte hash
-    cell; every later grant updates the cell in place and allocates
-    nothing. *)
+val record : t -> slot:int -> client:int -> client_req:int -> unit
+(** Fold one grant of the mutex at [slot] to the request
+    [(client, client_req)] into that mutex's hash.  A mutex's first grant
+    allocates its 8-byte hash cell; every later grant updates the cell in
+    place and allocates nothing. *)
 
 val fingerprint : t -> int64
 (** The per-mutex hashes combined in mutex-id order. *)

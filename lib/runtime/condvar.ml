@@ -1,3 +1,5 @@
+module Slot_map = Detmt_sim.Slot_map
+
 (* One mutex's wait set: a FIFO ring of tids, front = longest waiting.  The
    ring doubles when full and never shrinks, so once a mutex has seen its
    largest wait set, parking and notifying allocate nothing. *)
@@ -7,17 +9,18 @@ type ring = {
   mutable len : int;
 }
 
-type t = { sets : (int, ring) Hashtbl.t (* mutex -> its wait set *) }
+type t = {
+  slots : Slot_map.t; (* the replica's mutex slots *)
+  mutable sets : ring array; (* per slot; [none] until its first park *)
+}
 
-let create () = { sets = Hashtbl.create 16 }
+let none = { buf = [||]; head = 0; len = 0 }
 
-let waiters t mutex =
-  match Hashtbl.find t.sets mutex with
-  | r -> r
-  | exception Not_found ->
-    let r = { buf = Array.make 4 0; head = 0; len = 0 } in
-    Hashtbl.add t.sets mutex r;
-    r
+let create slots = { slots; sets = [||] }
+
+(* The slot's wait set, or [none] for a slot that never held a waiter. *)
+let set t slot =
+  if slot >= 0 && slot < Array.length t.sets then t.sets.(slot) else none
 
 let get r i = r.buf.((r.head + i) land (Array.length r.buf - 1))
 
@@ -45,35 +48,38 @@ let drain r =
   r.len <- 0;
   all
 
-let park t ~mutex ~tid =
-  let r = waiters t mutex in
+let park t ~slot ~tid =
+  if slot >= Array.length t.sets then
+    t.sets <- Slot_map.fit t.sets t.slots none;
+  if t.sets.(slot) == none then
+    t.sets.(slot) <- { buf = Array.make 4 0; head = 0; len = 0 };
+  let r = t.sets.(slot) in
   if mem r tid then
     invalid_arg
-      (Printf.sprintf "Condvar.park: t%d already waiting on %d" tid mutex);
+      (Printf.sprintf "Condvar.park: t%d already waiting on %d" tid
+         (Slot_map.key t.slots slot));
   push r tid
 
-let notify_one t ~mutex =
-  match Hashtbl.find t.sets mutex with
-  | r when r.len > 0 ->
+let notify_one t ~slot =
+  let r = set t slot in
+  if r.len = 0 then -1
+  else begin
     let tid = get r 0 in
     r.head <- (r.head + 1) land (Array.length r.buf - 1);
     r.len <- r.len - 1;
     tid
-  | _ | (exception Not_found) -> -1
+  end
 
-let waiting t ~mutex =
-  match Hashtbl.find t.sets mutex with
-  | r when r.len > 0 -> List.init r.len (get r)
-  | _ | (exception Not_found) -> []
+let waiting t ~slot =
+  let r = set t slot in
+  List.init r.len (get r)
 
-let notify_all t ~mutex =
-  match Hashtbl.find t.sets mutex with
-  | r when r.len > 0 -> drain r
-  | _ | (exception Not_found) -> []
+let notify_all t ~slot =
+  let r = set t slot in
+  if r.len = 0 then [] else drain r
 
-let remove t ~mutex ~tid =
-  match Hashtbl.find t.sets mutex with
-  | r when mem r tid ->
-    List.iter (fun w -> if w <> tid then push r w) (drain r);
-    true
-  | _ | (exception Not_found) -> false
+let remove t ~slot ~tid =
+  let r = set t slot in
+  let present = mem r tid in
+  if present then List.iter (fun w -> if w <> tid then push r w) (drain r);
+  present

@@ -1,9 +1,11 @@
 module Int_table = Detmt_sim.Int_table
-
-type entry = { mutable owner : int; mutable count : int }
+module Slot_map = Detmt_sim.Slot_map
 
 type t = {
-  entries : (int, entry) Hashtbl.t;
+  slots : Slot_map.t; (* mutex -> slot, shared with the replica's other
+                         per-mutex tables *)
+  mutable owner : int array; (* per slot; meaningless while free *)
+  mutable count : int array; (* per slot: reentrancy depth, 0 when free *)
   held : Int_table.t;
       (* tid -> number of mutexes it owns (count > 0).  A tid gets its
          binding at its first acquisition and keeps it, at 0 while it owns
@@ -12,10 +14,9 @@ type t = {
          table has room, a fresh tid's first binding allocates. *)
 }
 
-let create () = { entries = Hashtbl.create 64; held = Int_table.create () }
+let create slots =
+  { slots; owner = [||]; count = [||]; held = Int_table.create () }
 
-(* Lookups raise [Not_found] rather than return an option, so the per-op
-   paths below allocate nothing. *)
 let held_count t tid = max 0 (Int_table.find t.held tid)
 
 let gain t tid = Int_table.replace t.held tid (held_count t tid + 1)
@@ -24,89 +25,75 @@ let lose t tid = Int_table.replace t.held tid (held_count t tid - 1)
 
 let forget t ~tid = Int_table.remove t.held tid
 
-let owner t ~mutex =
-  match Hashtbl.find t.entries mutex with
-  | e when e.count > 0 -> Some e.owner
-  | _ | (exception Not_found) -> None
+(* A slot the arrays do not cover yet, or [-1], is a free mutex. *)
+let hold_count t ~slot =
+  if slot >= 0 && slot < Array.length t.count then t.count.(slot) else 0
 
-let hold_count t ~mutex =
-  match Hashtbl.find t.entries mutex with
-  | e -> e.count
-  | exception Not_found -> 0
+let owner t ~slot = if hold_count t ~slot > 0 then Some t.owner.(slot) else None
 
-let owns t ~mutex ~tid =
-  match Hashtbl.find t.entries mutex with
-  | e -> e.count > 0 && e.owner = tid
-  | exception Not_found -> false
+let owns t ~slot ~tid = hold_count t ~slot > 0 && t.owner.(slot) = tid
 
-let is_free_for t ~mutex ~tid =
-  match Hashtbl.find t.entries mutex with
-  | e -> e.count = 0 || e.owner = tid
-  | exception Not_found -> true
+let is_free_for t ~slot ~tid = hold_count t ~slot = 0 || t.owner.(slot) = tid
 
-let acquire t ~mutex ~tid =
-  match Hashtbl.find t.entries mutex with
-  | e when e.count > 0 ->
-    if e.owner = tid then e.count <- e.count + 1
-    else
-      invalid_arg
-        (Printf.sprintf
-           "Mutex_table.acquire: mutex %d granted to t%d but held by t%d"
-           mutex tid e.owner)
-  | e ->
-    e.owner <- tid;
-    e.count <- 1;
-    gain t tid
-  | exception Not_found ->
-    Hashtbl.add t.entries mutex { owner = tid; count = 1 };
-    gain t tid
+(* A free mutex becomes held by [tid] at depth [count]. *)
+let take t ~slot ~tid ~count =
+  if slot >= Array.length t.count then begin
+    t.owner <- Slot_map.fit t.owner t.slots 0;
+    t.count <- Slot_map.fit t.count t.slots 0
+  end;
+  t.owner.(slot) <- tid;
+  t.count.(slot) <- count;
+  gain t tid
 
-let owned_entry t ~mutex ~tid ~what =
-  match Hashtbl.find t.entries mutex with
-  | e when e.count > 0 && e.owner = tid -> e
-  | _ | (exception Not_found) ->
+let acquire t ~slot ~tid =
+  if hold_count t ~slot = 0 then take t ~slot ~tid ~count:1
+  else if t.owner.(slot) = tid then t.count.(slot) <- t.count.(slot) + 1
+  else
+    invalid_arg
+      (Printf.sprintf
+         "Mutex_table.acquire: mutex %d granted to t%d but held by t%d"
+         (Slot_map.key t.slots slot) tid t.owner.(slot))
+
+let check_owned t ~slot ~tid ~what =
+  if not (owns t ~slot ~tid) then
     invalid_arg
       (Printf.sprintf "Mutex_table.%s: t%d does not own mutex %d" what tid
-         mutex)
+         (Slot_map.key t.slots slot))
 
-let release t ~mutex ~tid =
-  let e = owned_entry t ~mutex ~tid ~what:"release" in
-  e.count <- e.count - 1;
-  let freed = e.count = 0 in
+let release t ~slot ~tid =
+  check_owned t ~slot ~tid ~what:"release";
+  t.count.(slot) <- t.count.(slot) - 1;
+  let freed = t.count.(slot) = 0 in
   if freed then lose t tid;
   freed
 
-let release_all t ~mutex ~tid =
-  let e = owned_entry t ~mutex ~tid ~what:"release_all" in
-  let count = e.count in
-  e.count <- 0;
+let release_all t ~slot ~tid =
+  check_owned t ~slot ~tid ~what:"release_all";
+  let count = t.count.(slot) in
+  t.count.(slot) <- 0;
   lose t tid;
   count
 
-let restore t ~mutex ~tid ~count =
+let restore t ~slot ~tid ~count =
   if count <= 0 then invalid_arg "Mutex_table.restore: non-positive count";
-  (match Hashtbl.find t.entries mutex with
-  | e when e.count > 0 ->
+  if hold_count t ~slot > 0 then
     invalid_arg
-      (Printf.sprintf "Mutex_table.restore: mutex %d is held by t%d" mutex
-         e.owner)
-  | e ->
-    e.owner <- tid;
-    e.count <- count
-  | exception Not_found -> Hashtbl.add t.entries mutex { owner = tid; count });
-  gain t tid
+      (Printf.sprintf "Mutex_table.restore: mutex %d is held by t%d"
+         (Slot_map.key t.slots slot) t.owner.(slot));
+  take t ~slot ~tid ~count
 
-let holders t =
-  Hashtbl.fold
-    (fun mutex e acc -> if e.count > 0 then (mutex, e.owner) :: acc else acc)
-    t.entries []
-  |> List.sort compare
-
-let held_by t ~tid =
-  Hashtbl.fold
-    (fun mutex e acc -> if e.count > 0 && e.owner = tid then mutex :: acc
+(* [(mutex, owner)] of every held mutex whose owner passes [p], sorted. *)
+let held_where t p =
+  Slot_map.fold
+    (fun mutex slot acc ->
+      if hold_count t ~slot > 0 && p t.owner.(slot) then
+        (mutex, t.owner.(slot)) :: acc
       else acc)
-    t.entries []
+    t.slots []
   |> List.sort compare
+
+let holders t = held_where t (fun _ -> true)
+
+let held_by t ~tid = List.map fst (held_where t (( = ) tid))
 
 let holds_any t ~tid = held_count t tid > 0

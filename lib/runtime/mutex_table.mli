@@ -3,37 +3,41 @@
     The table only tracks ownership; admission policy and queueing live in the
     scheduler.  Misuse (acquiring a held mutex, releasing a foreign one)
     raises — a scheduler granting an illegal acquisition is a bug and must
-    fail loudly. *)
+    fail loudly.
+
+    Mutexes are named by their slot in a {!Detmt_sim.Slot_map} shared with
+    the replica's other per-mutex tables, so an operation interns its mutex
+    once; a slot that was never held, or [-1], reads as a free mutex. *)
 
 type t
 
-val create : unit -> t
+val create : Detmt_sim.Slot_map.t -> t
 
-val owner : t -> mutex:int -> int option
+val owner : t -> slot:int -> int option
 (** Owning thread, if any. *)
 
-val hold_count : t -> mutex:int -> int
+val hold_count : t -> slot:int -> int
 (** Reentrancy depth; 0 when free. *)
 
-val owns : t -> mutex:int -> tid:int -> bool
-(** [owner t ~mutex = Some tid], without building the option. *)
+val owns : t -> slot:int -> tid:int -> bool
+(** [owner t ~slot = Some tid], without building the option. *)
 
-val is_free_for : t -> mutex:int -> tid:int -> bool
+val is_free_for : t -> slot:int -> tid:int -> bool
 (** Free, or already owned by [tid] (reentrant entry). *)
 
-val acquire : t -> mutex:int -> tid:int -> unit
+val acquire : t -> slot:int -> tid:int -> unit
 (** @raise Invalid_argument when the mutex is held by another thread. *)
 
-val release : t -> mutex:int -> tid:int -> bool
+val release : t -> slot:int -> tid:int -> bool
 (** Decrement the reentrancy count; returns [true] when the mutex became
     free.  @raise Invalid_argument when [tid] does not own the mutex. *)
 
-val release_all : t -> mutex:int -> tid:int -> int
+val release_all : t -> slot:int -> tid:int -> int
 (** Full release for [wait]: drops the whole reentrancy count and returns it
     so it can be restored on re-acquisition.
     @raise Invalid_argument when [tid] does not own the mutex. *)
 
-val restore : t -> mutex:int -> tid:int -> count:int -> unit
+val restore : t -> slot:int -> tid:int -> count:int -> unit
 (** Re-acquisition after [wait]: restore the saved count.
     @raise Invalid_argument when the mutex is not free. *)
 
@@ -52,5 +56,5 @@ val holds_any : t -> tid:int -> bool
 val forget : t -> tid:int -> unit
 (** Drop a terminated thread's count.  A thread's count is allocated at its
     first acquisition and then updated in place, so acquiring and releasing
-    a mutex that has an entry allocates nothing; [forget] keeps the table
+    a mutex the table covers allocates nothing; [forget] keeps the table
     as large as the live threads, not the run's history. *)

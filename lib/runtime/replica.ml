@@ -63,12 +63,16 @@ type t = {
   program : Interp.program;
   obj : Object_state.t;
   ws_pool : Workspace.Pool.t; (* released workspaces over [obj] *)
+  mslots : Slot_map.t; (* keys [mutexes], [condvars] and [acquisitions] *)
   mutexes : Mutex_table.t;
   condvars : Condvar.t;
   trace_rec : Trace.t;
-  threads : (int, thread) Hashtbl.t;
-      (* live threads only: [finish] evicts a thread, so the table holds the
-         work in flight, not the run's history *)
+  mutable threads : thread array;
+      (* the live threads, a ring on tid: thread [tid] sits in cell
+         [tid land (length - 1)], a free cell holds [vacant].  Tids are
+         increasing total-order seqs, so the ring doubles only when the span
+         of the live tids outgrows it, and [finish] puts [vacant] back, so
+         no finished thread stays reachable *)
   mutable last_uid : int;
       (* highest delivered uid.  Uids are total-order seqs, delivered in
          increasing order, so a tid at or below it that is not in [threads]
@@ -120,11 +124,34 @@ let sched t =
   | Some s -> s
   | None -> invalid_arg "Replica: scheduler not attached"
 
+(* The filler of a free [threads] cell. *)
+let vacant =
+  { tid = -1; req = Request.dummy ~uid:(-1) ~sent_at:0.0; cursor = Interp.idle;
+    state = State.Terminated; gate_mutex = -1; gate_arg = 0; nested_count = 0;
+    buffered_replies = []; ws = Workspace.none }
+
+(* The live thread of [tid], or [vacant]. *)
+let live_thread t tid =
+  let th = t.threads.(tid land (Array.length t.threads - 1)) in
+  if th.tid = tid then th else vacant
+
+(* Put a delivered thread in its cell, doubling the ring (and re-placing
+   every live thread) while a live thread holds the cell. *)
+let rec place t th =
+  let ring = t.threads in
+  let i = th.tid land (Array.length ring - 1) in
+  if ring.(i) == vacant then ring.(i) <- th
+  else begin
+    t.threads <- Array.make (2 * Array.length ring) vacant;
+    Array.iter (fun o -> if o != vacant then place t o) ring;
+    place t th
+  end
+
 let thread t tid =
-  match Hashtbl.find t.threads tid with
-  | th -> th
-  | exception Not_found ->
-    invalid_arg (Printf.sprintf "Replica %d: unknown thread %d" t.id tid)
+  let th = live_thread t tid in
+  if th == vacant then
+    invalid_arg (Printf.sprintf "Replica %d: unknown thread %d" t.id tid);
+  th
 
 let now t = Engine.now t.engine
 
@@ -145,8 +172,8 @@ let rec_wait_begin t th kind =
 let rec_wait_end t th =
   Recorder.wait_end t.obs ~replica:t.id ~uid:th.tid ~at:(Engine.now t.engine)
 
-let record_acquisition t ~mutex ~th =
-  Acquisition_order.record t.acquisitions ~mutex ~client:th.req.Request.client
+let record_acquisition t ~slot ~th =
+  Acquisition_order.record t.acquisitions ~slot ~client:th.req.Request.client
     ~client_req:th.req.Request.client_req
 
 (* A notified waiter moves from its wait set to the reacquire gate. *)
@@ -183,9 +210,10 @@ let rec advance t th =
 
 (* Charge CPU time and continue; zero-cost steps continue synchronously.
    The continuation is a typed (handler, tid) pair, so charging cost never
-   allocates a closure — threads are looked up again at dispatch, which is
-   safe because only [finish] removes an entry from [t.threads], and a
-   finished thread has no pending continuation. *)
+   allocates a closure — threads are looked up again by tid at dispatch,
+   which is safe because only [finish] frees a tid's cell, and a finished
+   thread has no pending continuation; a stale tid whose cell a newer
+   thread took reads as no thread, since the cell's tid differs. *)
 and after_cost_advance t duration th =
   if duration <= 0.0 then advance t th
   else Cpu.exec_h t.cpu ~duration t.advance_h th.tid
@@ -220,7 +248,7 @@ and finish t th =
     end;
     t.completed <- t.completed + 1;
     t.active <- t.active - 1;
-    Hashtbl.remove t.threads th.tid;
+    t.threads.(th.tid land (Array.length t.threads - 1)) <- vacant;
     Mutex_table.forget t.mutexes ~tid:th.tid;
     (sched t).on_terminate th.tid;
     if not th.req.Request.dummy then t.callbacks.send_reply th.req;
@@ -305,12 +333,13 @@ and handle_direct_op t th c =
     Cpu.exec_h t.cpu ~duration:(Interp.duration c) t.advance_h th.tid
   | Op.Lock ->
     let syncid = Interp.syncid c and mutex = Interp.mutex c in
-    if Mutex_table.owns t.mutexes ~mutex ~tid:th.tid then begin
+    let slot = Slot_map.intern t.mslots mutex in
+    if Mutex_table.owns t.mutexes ~slot ~tid:th.tid then begin
       (* Re-entrant entry: no scheduling decision needed (section 2: binary,
          re-entrant mutexes). *)
-      Mutex_table.acquire t.mutexes ~mutex ~tid:th.tid;
+      Mutex_table.acquire t.mutexes ~slot ~tid:th.tid;
       Trace.lock_granted t.trace_rec ~time:(now t) ~tid:th.tid ~syncid ~mutex;
-      record_acquisition t ~mutex ~th;
+      record_acquisition t ~slot ~th;
       s.on_acquired th.tid ~syncid ~mutex;
       after_cost_advance t t.config.lock_overhead_ms th
     end
@@ -322,31 +351,34 @@ and handle_direct_op t th c =
         (* The scheduler may defer the grant even when the mutex is free;
            attribute that stall to policy, not contention. *)
         rec_wait_begin t th
-          (if Mutex_table.is_free_for t.mutexes ~mutex ~tid:th.tid then
+          (if Mutex_table.is_free_for t.mutexes ~slot ~tid:th.tid then
              Recorder.Lock_policy
            else Recorder.Lock_contention);
       s.on_lock th.tid ~syncid ~mutex
     end
   | Op.Unlock ->
     let syncid = Interp.syncid c and mutex = Interp.mutex c in
-    let freed = Mutex_table.release t.mutexes ~mutex ~tid:th.tid in
+    let slot = Slot_map.intern t.mslots mutex in
+    let freed = Mutex_table.release t.mutexes ~slot ~tid:th.tid in
     Trace.unlocked t.trace_rec ~time:(now t) ~tid:th.tid ~syncid ~mutex;
     s.on_unlock th.tid ~syncid ~mutex ~freed;
     after_cost_advance t t.config.lock_overhead_ms th
   | Op.Wait ->
     let mutex = Interp.mutex c in
-    let count = Mutex_table.release_all t.mutexes ~mutex ~tid:th.tid in
+    let slot = Slot_map.intern t.mslots mutex in
+    let count = Mutex_table.release_all t.mutexes ~slot ~tid:th.tid in
     hold th State.Wait_parked ~mutex ~arg:count;
-    Condvar.park t.condvars ~mutex ~tid:th.tid;
+    Condvar.park t.condvars ~slot ~tid:th.tid;
     Trace.wait_begin t.trace_rec ~time:(now t) ~tid:th.tid ~mutex;
     if observing t then rec_wait_begin t th Recorder.Condvar;
     s.on_wait th.tid ~mutex
   | Op.Notify ->
     let mutex = Interp.mutex c and all = Interp.all c in
+    let slot = Slot_map.intern t.mslots mutex in
     Trace.notified t.trace_rec ~time:(now t) ~tid:th.tid ~mutex ~all;
-    if all then wake_all t s ~mutex (Condvar.notify_all t.condvars ~mutex)
+    if all then wake_all t s ~mutex (Condvar.notify_all t.condvars ~slot)
     else begin
-      let wtid = Condvar.notify_one t.condvars ~mutex in
+      let wtid = Condvar.notify_one t.condvars ~slot in
       if wtid >= 0 then wake t s ~mutex wtid
     end;
     after_cost_advance t t.config.lock_overhead_ms th
@@ -447,7 +479,9 @@ let do_ws_commit t tid =
       (* Replay the virtual acquisitions into the per-mutex order hashes —
          commits happen in slot order, so the projection matches SEQ's. *)
       for i = 0 to Workspace.acquisitions w - 1 do
-        record_acquisition t ~mutex:(Workspace.acquisition w i) ~th
+        record_acquisition t
+          ~slot:(Slot_map.intern t.mslots (Workspace.acquisition w i))
+          ~th
       done;
       discard_ws t th;
       th.state <- State.Running;
@@ -476,18 +510,19 @@ let do_proceed t tid =
   let mutex = th.gate_mutex in
   match th.state with
   | State.Lock_blocked ->
-    let syncid = th.gate_arg in
-    Mutex_table.acquire t.mutexes ~mutex ~tid;
+    let syncid = th.gate_arg and slot = Slot_map.intern t.mslots mutex in
+    Mutex_table.acquire t.mutexes ~slot ~tid;
     Trace.lock_granted t.trace_rec ~time:(now t) ~tid ~syncid ~mutex;
     if observing t then rec_wait_end t th;
-    record_acquisition t ~mutex ~th;
+    record_acquisition t ~slot ~th;
     (sched t).on_acquired tid ~syncid ~mutex;
     after_cost_advance t t.config.lock_overhead_ms th
   | Reacquire_blocked ->
-    Mutex_table.restore t.mutexes ~mutex ~tid ~count:th.gate_arg;
+    let slot = Slot_map.intern t.mslots mutex in
+    Mutex_table.restore t.mutexes ~slot ~tid ~count:th.gate_arg;
     Trace.wait_end t.trace_rec ~time:(now t) ~tid ~mutex;
     if observing t then rec_wait_end t th;
-    record_acquisition t ~mutex ~th;
+    record_acquisition t ~slot ~th;
     (sched t).on_reacquired tid ~mutex;
     after_cost_advance t t.config.lock_overhead_ms th
   | Nested_ready ->
@@ -501,17 +536,17 @@ let do_proceed t tid =
 
 let create ~engine ~id ~cls ~config ?(obs = Recorder.disabled) ~callbacks ~make_sched () =
   Config.validate config;
-  let obj = Object_state.create cls in
+  let obj = Object_state.create cls and mslots = Slot_map.create () in
   let t =
     { id; engine; cpu = Cpu.create engine ~cores:config.Config.cores; config;
       program = Interp.program cls; obj;
-      ws_pool = Workspace.Pool.create ~base:obj;
-      mutexes = Mutex_table.create ();
-      condvars = Condvar.create ();
+      ws_pool = Workspace.Pool.create ~base:obj; mslots;
+      mutexes = Mutex_table.create mslots;
+      condvars = Condvar.create mslots;
       trace_rec = Trace.create ~keep_events:config.Config.trace_events ();
-      threads = Hashtbl.create 64; last_uid = min_int; sched = None; obs;
+      threads = Array.make 16 vacant; last_uid = min_int; sched = None; obs;
       callbacks; live = true; completed = 0; active = 0; ws_commits = 0; ws_aborts = 0;
-      acquisitions = Acquisition_order.create (); on_quiescent = None;
+      acquisitions = Acquisition_order.create mslots; on_quiescent = None;
       advance_h = 0; finish_h = 0; pool_busy = 0 }
   in
   t.advance_h <- Engine.register_handler engine (fun tid -> advance t (thread t tid));
@@ -524,9 +559,14 @@ let create ~engine ~id ~cls ~config ?(obs = Recorder.disabled) ~callbacks ~make_
         (fun ~tid ~record_acquisitions ->
           do_ws_begin t ~tid ~record_acquisitions);
       ws_commit = (fun ~tid -> do_ws_commit t tid);
-      mutex_owner = (fun mutex -> Mutex_table.owner t.mutexes ~mutex);
+      mutex_slots = mslots;
+      mutex_owner =
+        (fun mutex ->
+          Mutex_table.owner t.mutexes ~slot:(Slot_map.find mslots mutex));
       mutex_free_for =
-        (fun ~tid ~mutex -> Mutex_table.is_free_for t.mutexes ~mutex ~tid);
+        (fun ~tid ~mutex ->
+          Mutex_table.is_free_for t.mutexes
+            ~slot:(Slot_map.find mslots mutex) ~tid);
       holds_any_mutex = (fun tid -> Mutex_table.holds_any t.mutexes ~tid);
       request_method = (fun tid -> (thread t tid).req.Request.meth);
       request_mutex_arg =
@@ -585,7 +625,7 @@ let deliver_request t req =
         (Printf.sprintf "Replica %d: request %d delivered after %d" t.id tid
            t.last_uid);
     t.last_uid <- tid;
-    Hashtbl.add t.threads tid
+    place t
       { tid; req; cursor = Interp.idle; state = State.Created; gate_mutex = -1;
         gate_arg = 0; nested_count = 0; buffered_replies = [];
         ws = Workspace.none };
@@ -602,7 +642,7 @@ let deliver_request t req =
 
 let nested_reply t ~tid ~call_index =
   if t.live then
-    match Hashtbl.find t.threads tid with
+    match live_thread t tid with
     | { state = State.Nested_blocked; gate_arg = pending; _ } as th
       when pending = call_index ->
       th.state <- State.Nested_ready;
@@ -612,11 +652,11 @@ let nested_reply t ~tid ~call_index =
       end;
       Trace.nested_end t.trace_rec ~time:(now t) ~tid ~service:0;
       (sched t).on_nested_reply tid
-    | th -> th.buffered_replies <- call_index :: th.buffered_replies
-    | exception Not_found when tid <= t.last_uid ->
+    | th when th != vacant ->
+      th.buffered_replies <- call_index :: th.buffered_replies
+    | _ when tid <= t.last_uid ->
       () (* a late reply for a finished thread: nothing waits for it *)
-    | exception Not_found ->
-      invalid_arg (Printf.sprintf "Replica %d: unknown thread %d" t.id tid)
+    | _ -> invalid_arg (Printf.sprintf "Replica %d: unknown thread %d" t.id tid)
 
 let deliver_control t ~sender control =
   if t.live then begin
@@ -645,13 +685,15 @@ let completed_requests t = t.completed
 let active_threads t = t.active
 
 let thread_status t tid =
-  match Hashtbl.find_opt t.threads tid with
-  | Some th -> Some (status th)
-  | None when tid <= t.last_uid -> Some Terminated
-  | None -> None
+  match live_thread t tid with
+  | th when th != vacant -> Some (status th)
+  | _ when tid <= t.last_uid -> Some Terminated
+  | _ -> None
 
 let threads_overview t =
-  Hashtbl.fold (fun tid th acc -> (tid, status th) :: acc) t.threads []
+  Array.fold_left
+    (fun acc th -> if th == vacant then acc else (th.tid, status th) :: acc)
+    [] t.threads
   |> List.sort compare
 
 let lock_holders t = Mutex_table.holders t.mutexes

@@ -50,6 +50,10 @@ type actions = {
   proceed : int -> unit;
       (* release a thread stopped at a lock, re-acquisition or nested-reply
          gate (see the contract above) *)
+  mutex_slots : Detmt_sim.Slot_map.t;
+      (* the replica's mutex slots: a decision module keys its per-mutex
+         tables on them too, so the replica and its scheduler intern a
+         mutex into one map *)
   mutex_owner : int -> int option;
   mutex_free_for : tid:int -> mutex:int -> bool;
   holds_any_mutex : int -> bool;

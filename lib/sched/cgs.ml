@@ -118,6 +118,7 @@
 open Detmt_runtime
 module Audit = Detmt_obs.Audit
 module Predict = Detmt_analysis.Predict
+module Slot_map = Detmt_sim.Slot_map
 
 (* ---------------------------- small mutex sets -------------------------- *)
 
@@ -245,7 +246,9 @@ type t = {
      in-flight nodes block each mutex (an entry stays at zero once made),
      plus the count of opaque ([Top]) and total contributors.  Eligibility
      tests are O(|class|). *)
-  counts : (int, int) Hashtbl.t;
+  mutexes : Slot_map.t;
+      (* the replica's mutex slots, which key [counts] and [queues] *)
+  mutable counts : int array; (* per mutex slot *)
   mutable top_count : int;
   mutable inflight : int;
   (* The decision indexes: sets of [seq]s kept in step with the phase
@@ -255,9 +258,9 @@ type t = {
   spec_waiting : unit Seq_index.t; (* Waiting speculations *)
   woken : unit Seq_index.t; (* Woken nodes *)
   tops : unit Seq_index.t; (* Waiting direct nodes of class [Top] *)
-  queues : (int, unit Seq_index.t) Hashtbl.t;
-      (* per mutex: the Waiting direct nodes whose class holds it; an
-         emptied queue is kept for reuse *)
+  mutable queues : unit Seq_index.t array;
+      (* per mutex slot: the Waiting direct nodes whose class holds it,
+         [unused] until the first; an emptied queue is kept for reuse *)
   heads : unit Seq_index.t;
       (* the pend-free Waiting direct [Mutexes] nodes: those at the head of
          every queue of their class (an empty class is always pend-free) *)
@@ -323,10 +326,26 @@ let classify t n =
 
 (* --------------------------- graph bookkeeping ------------------------- *)
 
-let count t m =
-  match Hashtbl.find t.counts m with c -> c | exception Not_found -> 0
+let unused = Seq_index.create_set ()
 
-let bump t m d = Hashtbl.replace t.counts m (count t m + d)
+(* The replica interns mutexes too, so a slot may lie past these arrays:
+   [slot] grows them, and a read past them is a zero count or an empty
+   queue. *)
+let slot t m =
+  let s = Slot_map.intern t.mutexes m in
+  if s >= Array.length t.counts then begin
+    t.counts <- Slot_map.fit t.counts t.mutexes 0;
+    t.queues <- Slot_map.fit t.queues t.mutexes unused
+  end;
+  s
+
+let count t m =
+  let s = Slot_map.find t.mutexes m in
+  if s >= 0 && s < Array.length t.counts then t.counts.(s) else 0
+
+let bump t m d =
+  let s = slot t m in
+  t.counts.(s) <- t.counts.(s) + d
 
 (* Add ([d] = 1) or withdraw ([d] = -1) the node's registered blockset. *)
 let contribute t n d =
@@ -426,17 +445,14 @@ let by_seq t seq = Seq_index.get t.by_seq seq
 let min_seq set = match Seq_index.min_key set with -1 -> max_int | seq -> seq
 
 let queue t m =
-  match Hashtbl.find t.queues m with
-  | q -> q
-  | exception Not_found ->
-    let q = Seq_index.create_set () in
-    Hashtbl.replace t.queues m q;
-    q
+  let s = slot t m in
+  if t.queues.(s) == unused then t.queues.(s) <- Seq_index.create_set ();
+  t.queues.(s)
 
 let queue_head t m =
-  match Hashtbl.find t.queues m with
-  | q -> min_seq q
-  | exception Not_found -> max_int
+  let s = Slot_map.find t.mutexes m in
+  if s >= 0 && s < Array.length t.queues then min_seq t.queues.(s)
+  else max_int
 
 (* At the head of every queue of its class: no older direct waiter shares a
    mutex with it. *)
@@ -881,11 +897,12 @@ let policy ?(spec = No_spec) ?(record_acq = false) ~early sub pool :
   let t =
     { sub; pool; early; spec; record_acq; plans = Hashtbl.create 8;
       nodes = Seq_index.create (); by_seq = Seq_index.create (); free = [||];
-      nfree = 0; next = Mset.create (); counts = Hashtbl.create 64;
+      nfree = 0; next = Mset.create ();
+      mutexes = (Substrate.actions sub).mutex_slots; counts = [||];
       top_count = 0; inflight = 0; unparked = Seq_index.create_set ();
       specs = Seq_index.create_set (); spec_waiting = Seq_index.create_set ();
       woken = Seq_index.create_set (); tops = Seq_index.create_set ();
-      queues = Hashtbl.create 64; heads = Seq_index.create_set ();
+      queues = [||]; heads = Seq_index.create_set ();
       scanning = false; again = false }
   in
   let base =

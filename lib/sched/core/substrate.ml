@@ -61,7 +61,7 @@ let create ?bookkeeping ?summary ?(workers = 1) ~name ~config
     (actions : Sched_iface.actions) =
   { actions; name; config; bookkeeping; summary; workers; next_seq = 0;
     by_tid = Seq_index.create (); order = Seq_index.create (); free = [||];
-    nfree = 0; waitq = Waitq.create () }
+    nfree = 0; waitq = Waitq.create actions.mutex_slots }
 
 let actions t = t.actions
 

@@ -1,56 +1,59 @@
-(* Per-mutex FIFO wait queues.  Each queue is a mutable two-list batched
-   queue: [push] is O(1) (the original [!q @ [tid]] append was O(n) per
-   blocked thread, quadratic under contention); [head]/[pop] are amortised
-   O(1).  Observable order is unchanged: strict FIFO per mutex. *)
+(* Per-mutex FIFO wait queues.  Each queue is a two-list batched queue kept
+   in the [front]/[back] cells of its mutex's slot: [push] is O(1) (the
+   original [!q @ [tid]] append was O(n) per blocked thread, quadratic under
+   contention); [head]/[pop] are amortised O(1).  Observable order is
+   unchanged: strict FIFO per mutex. *)
 
-type cell = { mutable front : int list; mutable back : int list }
+module Slot_map = Detmt_sim.Slot_map
 
-type t = (int, cell) Hashtbl.t
+type t = {
+  mutexes : Slot_map.t; (* mutex -> its slot in [front] and [back] *)
+  mutable front : int list array;
+  mutable back : int list array;
+}
 
-let create () : t = Hashtbl.create 32
+let create mutexes = { mutexes; front = [||]; back = [||] }
 
-(* [Hashtbl.find], not [find_opt]: a probe of an existing queue (every
-   release services one) allocates nothing. *)
-let queue t mutex =
-  match Hashtbl.find t mutex with
-  | q -> q
-  | exception Not_found ->
-    let q = { front = []; back = [] } in
-    Hashtbl.add t mutex q;
-    q
+let slot t mutex =
+  let s = Slot_map.intern t.mutexes mutex in
+  if s >= Array.length t.front then begin
+    t.front <- Slot_map.fit t.front t.mutexes [];
+    t.back <- Slot_map.fit t.back t.mutexes []
+  end;
+  s
 
-let normalize q =
-  if q.front = [] then begin
-    q.front <- List.rev q.back;
-    q.back <- []
-  end
+(* The mutex's slot, its front holding the oldest waiter if any. *)
+let normalized t mutex =
+  let s = slot t mutex in
+  if t.front.(s) = [] then begin
+    t.front.(s) <- List.rev t.back.(s);
+    t.back.(s) <- []
+  end;
+  s
 
 let push t ~mutex tid =
-  let q = queue t mutex in
-  q.back <- tid :: q.back
+  let s = slot t mutex in
+  t.back.(s) <- tid :: t.back.(s)
 
 let head t ~mutex =
-  let q = queue t mutex in
-  normalize q;
-  match q.front with [] -> None | tid :: _ -> Some tid
+  match t.front.(normalized t mutex) with [] -> None | tid :: _ -> Some tid
 
 let pop t ~mutex =
-  let q = queue t mutex in
-  normalize q;
-  match q.front with
+  let s = normalized t mutex in
+  match t.front.(s) with
   | [] -> None
   | tid :: rest ->
-    q.front <- rest;
+    t.front.(s) <- rest;
     Some tid
 
 let mem t ~mutex ~tid =
-  let q = queue t mutex in
-  List.mem tid q.front || List.mem tid q.back
+  let s = slot t mutex in
+  List.mem tid t.front.(s) || List.mem tid t.back.(s)
 
 let is_empty t ~mutex =
-  let q = queue t mutex in
-  q.front = [] && q.back = []
+  let s = slot t mutex in
+  t.front.(s) = [] && t.back.(s) = []
 
 let waiting t ~mutex =
-  let q = queue t mutex in
-  q.front @ List.rev q.back
+  let s = slot t mutex in
+  t.front.(s) @ List.rev t.back.(s)

@@ -3,7 +3,9 @@
 
 type t
 
-val create : unit -> t
+val create : Detmt_sim.Slot_map.t -> t
+(** Queues keyed on the replica's mutex slots
+    ({!Detmt_runtime.Sched_iface.actions}[.mutex_slots]). *)
 
 val push : t -> mutex:int -> int -> unit
 

@@ -185,7 +185,8 @@ let on_control t ~sender:_ control =
 
 let policy sub : Sched_iface.sched =
   let t =
-    { sub; grant_seq = 0; enforced = Waitq.create ();
+    { sub; grant_seq = 0;
+      enforced = Waitq.create (Substrate.actions sub).mutex_slots;
       requested = Seq_index.create ();
       draining = not ((Substrate.actions sub).is_leader ()) }
   in

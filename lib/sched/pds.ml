@@ -467,7 +467,8 @@ let policy sub : Sched_iface.sched =
       terminated = Hashtbl.create 16; ghost_slots = 0;
       arrived = Hashtbl.create 64;
       independent = Hashtbl.create 16;
-      indep_deferred = Waitq.create (); round_open = false;
+      indep_deferred = Waitq.create (Substrate.actions sub).mutex_slots;
+      round_open = false;
       round_members = []; round_grants = Hashtbl.create 16;
       round_waiting = []; second_waiting = []; round_unreleased = [];
       timer_armed = false; dummies_requested = 0 }

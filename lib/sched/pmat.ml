@@ -56,6 +56,7 @@
 
 open Detmt_runtime
 module Audit = Detmt_obs.Audit
+module Slot_map = Detmt_sim.Slot_map
 
 (* The mutexes a queued thread is entered under in [claims], ascending, and
    the bookkeeping stamp they mirror ([-1]: the empty set of an unpredicted
@@ -73,14 +74,16 @@ type t = {
   unpredicted : unit Seq_index.t;
       (* seqs of the queued threads without a known future; the least is
          the gate *)
-  claims : (int, unit Seq_index.t) Hashtbl.t;
-      (* mutex -> seqs of the queued predicted threads whose future set
-         holds it *)
+  mutexes : Slot_map.t;
+      (* the replica's mutex slots, which key [claims] and [waiting] *)
+  mutable claims : unit Seq_index.t array;
+      (* per mutex slot: seqs of the queued predicted threads whose future
+         set holds it *)
   claimed : claim Seq_index.t; (* seq -> the queued thread's claim record *)
   mutable spare : claim array; (* released records, [spares] of them *)
   mutable spares : int;
-  waiting : (int, unit Seq_index.t) Hashtbl.t;
-      (* mutex -> seqs of the queued threads with a pending lock or
+  mutable waiting : unit Seq_index.t array;
+      (* per mutex slot: seqs of the queued threads with a pending lock or
          re-acquisition of it *)
   ready : unit Seq_index.t;
       (* each mutex's least-seq waiter, when no claim on the mutex has a
@@ -89,21 +92,24 @@ type t = {
 
 (* ---------------------------- claim sets ------------------------------ *)
 
-(* The per-mutex index, created on first use and kept (emptied, not
-   removed) afterwards, so a busy mutex reuses its ring. *)
-let per_mutex tbl mutex =
-  match Hashtbl.find tbl mutex with
-  | set -> set
-  | exception Not_found ->
-    let set = Seq_index.create_set () in
-    Hashtbl.replace tbl mutex set;
-    set
+let unused = Seq_index.create_set ()
+
+(* A mutex's slot.  Its two indexes are created at its first sight and kept
+   (emptied, not removed) afterwards, so a busy mutex reuses its rings. *)
+let slot t mutex =
+  let s = Slot_map.intern t.mutexes mutex in
+  if s >= Array.length t.claims then begin
+    t.claims <- Slot_map.fit t.claims t.mutexes unused;
+    t.waiting <- Slot_map.fit t.waiting t.mutexes unused
+  end;
+  if t.claims.(s) == unused then begin
+    t.claims.(s) <- Seq_index.create_set ();
+    t.waiting.(s) <- Seq_index.create_set ()
+  end;
+  s
 
 (* The least seq of a per-mutex index, or [max_int]. *)
-let least tbl mutex =
-  match Hashtbl.find tbl mutex with
-  | set -> (match Seq_index.min_key set with -1 -> max_int | seq -> seq)
-  | exception Not_found -> max_int
+let least set = match Seq_index.min_key set with -1 -> max_int | seq -> seq
 
 (* Restore the [ready] invariant for one mutex.  A mutex's least-seq waiter
    and least claim change only in [set_pending], [clear_pending] and
@@ -113,16 +119,17 @@ let least tbl mutex =
    short-circuited), so all waiters of a mutex see the same free/held
    answer and the same claim bound — if any of them is eligible, the
    least-seq one is. *)
-let recheck t mutex =
-  let h = least t.waiting mutex in
+let recheck t s =
+  let h = least t.waiting.(s) in
   if h < max_int then
-    if h <= least t.claims mutex then Seq_index.add t.ready h ()
+    if h <= least t.claims.(s) then Seq_index.add t.ready h ()
     else Seq_index.remove t.ready h
 
 let set_claim t seq ~mutex ~claimed =
-  let set = per_mutex t.claims mutex in
-  if claimed then Seq_index.add set seq () else Seq_index.remove set seq;
-  recheck t mutex
+  let s = slot t mutex in
+  if claimed then Seq_index.add t.claims.(s) seq ()
+  else Seq_index.remove t.claims.(s) seq;
+  recheck t s
 
 let claim_record t seq =
   if Seq_index.mem t.claimed seq then Seq_index.get t.claimed seq
@@ -187,21 +194,22 @@ let refresh_tid t tid =
    waiter of the mutex. *)
 let set_pending t (th : Substrate.thread) gate ~mutex =
   Substrate.hold th gate ~mutex;
-  let w = per_mutex t.waiting mutex in
+  let s = slot t mutex in
+  let w = t.waiting.(s) in
   (* a new least waiter displaces the old one from [ready] *)
   let h = Seq_index.min_key w in
   if h > th.seq then Seq_index.remove t.ready h;
   Seq_index.add w th.seq ();
-  recheck t mutex
+  recheck t s
 
 let clear_pending t (th : Substrate.thread) =
   match th.gate with
   | Open | Resume -> ()
   | Lock | Reacquire ->
-    let mutex = th.gate_mutex in
-    Seq_index.remove (per_mutex t.waiting mutex) th.seq;
+    let s = slot t th.gate_mutex in
+    Seq_index.remove t.waiting.(s) th.seq;
     Seq_index.remove t.ready th.seq;
-    recheck t mutex
+    recheck t s
 
 (* The thread leaves the queue (wait or termination): drop every entry and
    return its claim record to the pool. *)
@@ -294,10 +302,7 @@ let audit_deferral t (th : Substrate.thread) ~mutex =
         predecessors t th ~p:(Seq_index.mem t.unpredicted) )
     else
       ( Audit.Predecessor_conflict,
-        predecessors t th ~p:(fun seq ->
-            match Hashtbl.find t.claims mutex with
-            | claims -> Seq_index.mem claims seq
-            | exception Not_found -> false) )
+        predecessors t th ~p:(Seq_index.mem t.claims.(slot t mutex)) )
   in
   Substrate.incr t.sub "deferrals";
   Substrate.audit t.sub ~tid:th.tid ~action:Audit.Defer ~mutex ~rule
@@ -349,8 +354,8 @@ let policy sub : Sched_iface.sched =
   in
   let t =
     { sub; bk; unpredicted = Seq_index.create_set ();
-      claims = Hashtbl.create 64; claimed = Seq_index.create (); spare = [||];
-      spares = 0; waiting = Hashtbl.create 64;
+      mutexes = (Substrate.actions sub).mutex_slots; claims = [||];
+      claimed = Seq_index.create (); spare = [||]; spares = 0; waiting = [||];
       ready = Seq_index.create_set () }
   in
   let base =

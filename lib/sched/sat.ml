@@ -201,7 +201,9 @@ let on_terminate t tid =
 
 let policy sub : Sched_iface.sched =
   let t =
-    { sub; queue = Fqueue.empty; reacquires = Waitq.create (); active = None }
+    { sub; queue = Fqueue.empty;
+      reacquires = Waitq.create (Substrate.actions sub).mutex_slots;
+      active = None }
   in
   let base =
     Sched_iface.no_op_sched ~name:(Substrate.name sub)

@@ -1,5 +1,5 @@
-(* Linear probing over a power-of-two key array, [empty] marking a free
-   slot; a map keeps its values in a parallel array.  The arrays are
+(* Linear probing over a power-of-two key array, [empty] ([min_int])
+   marking a free slot; a map keeps its values in a parallel array.  The arrays are
    allocated by the first insertion, so an unused table costs its record
    alone.  The table doubles before an insertion would fill more than half
    of it, so every probe run ends at an empty slot.  A removal shifts the
@@ -12,7 +12,7 @@ type t = {
   mutable size : int;
 }
 
-let empty = -1
+let empty = min_int
 
 let initial_capacity = 16
 
@@ -37,10 +37,10 @@ let rec probe keys k i =
 
 let slot keys k = probe keys k (home keys k)
 
-let mem t k = k >= 0 && t.size > 0 && t.keys.(slot t.keys k) = k
+let mem t k = k <> empty && t.size > 0 && t.keys.(slot t.keys k) = k
 
 let find t k =
-  if k < 0 || t.size = 0 then -1
+  if k = empty || t.size = 0 then -1
   else
     let i = slot t.keys k in
     if t.keys.(i) <> k then -1 else if t.set then 0 else t.vals.(i)
@@ -60,7 +60,7 @@ let grow t =
   done
 
 let rec add t k v =
-  if k < 0 then invalid_arg "Int_table.add: negative key";
+  if k = empty then invalid_arg "Int_table.add: min_int is no key";
   if 2 * (t.size + 1) > Array.length t.keys && not (mem t k) then begin
     grow t;
     add t k v
@@ -80,7 +80,7 @@ let replace t k v =
   if not (add t k v) then t.vals.(slot t.keys k) <- v
 
 let remove t k =
-  if k >= 0 && t.size > 0 then begin
+  if k <> empty && t.size > 0 then begin
     let keys = t.keys in
     let mask = Array.length keys - 1 in
     let hole = ref (slot keys k) in

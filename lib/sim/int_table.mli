@@ -1,5 +1,5 @@
-(** An open-addressed table from non-negative int keys to int values, with
-    linear probing.  A lookup, an insertion into a table with room and a
+(** An open-addressed table from int keys (any int but [min_int]) to int
+    values, with linear probing.  A lookup, an insertion into a table with room and a
     removal allocate nothing; {!create} allocates only the record, the
     first insertion the arrays, and the table doubles when it is half full
     and never shrinks.  A key set keeps no value array.
@@ -28,11 +28,11 @@ val find : t -> int -> int
 val add : t -> int -> int -> bool
 (** [add t k v] binds [k] to [v] unless [k] is already bound, and tells
     whether it did; a bound key keeps its value.
-    @raise Invalid_argument on a negative key. *)
+    @raise Invalid_argument on [min_int]. *)
 
 val replace : t -> int -> int -> unit
 (** [replace t k v] binds [k] to [v], bound or not.
-    @raise Invalid_argument on a key set or a negative key. *)
+    @raise Invalid_argument on a key set or [min_int]. *)
 
 val remove : t -> int -> unit
 (** No-op when absent.  The probe run behind the key is shifted back, so

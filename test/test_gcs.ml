@@ -96,9 +96,9 @@ let test_counters_and_kinds () =
   let engine, bus = setup () in
   let (_ : unit -> string Message.t list) = collector bus ~id:0 in
   let (_ : unit -> string Message.t list) = collector bus ~id:1 in
-  Totem.count_kind bus "request";
+  Totem.count_kind bus Totem.Request;
   ignore (Totem.broadcast bus ~sender:1 "x");
-  Totem.count_kind bus "request";
+  Totem.count_kind bus Totem.Request;
   ignore (Totem.broadcast bus ~sender:1 "y");
   Engine.run engine;
   Alcotest.(check int) "broadcasts" 2 (Totem.broadcasts bus);

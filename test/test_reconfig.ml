@@ -378,7 +378,7 @@ let test_deterministic_across_schedulers () =
 
 (* One request's submit -> reply round through a warmed single-group
    Reconfig (three MAT replicas) allocates what the same round through
-   {!Active} does (132 words; see test_replication) plus 12 words of boxed
+   {!Active} does (120 words; see test_replication) plus 12 words of boxed
    floats in its own reply accounting: the response time, its statistics
    and the client arrival time.  The latch is a pooled slot behind an int
    table and adds nothing: its record and Hashtbl bucket, with the Active
@@ -406,7 +406,7 @@ let test_round_words () =
   for _ = 1 to 17_000 do
     round ()
   done;
-  No_alloc.check_words "minor words per submit/reply round" ~words:144 round;
+  No_alloc.check_words "minor words per submit/reply round" ~words:132 round;
   Alcotest.(check int) "every request answered once" 27_100 !replies;
   Alcotest.(check int) "every latch drained" 27_100
     (Reconfig.replies_received system)

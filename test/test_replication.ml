@@ -241,16 +241,18 @@ let check_round_words what ~words round =
   No_alloc.check_words what ~words round
 
 (* One request's submit -> reply round through a warmed three-replica MAT
-   group allocates 132 words.  54 are what the request carries or a boxed
+   group allocates 120 words.  54 are what the request carries or a boxed
    number: the broadcast payload (8) and its [Request.t] (8), the Totem
    message, its shared [Some] and the order fingerprint's [Int64]
    (5 + 2 + 3), MAT's admission (2 per replica), the first reply's response
    time and statistics (10), and the clock re-boxed at each of the round's
-   six new instants (12).  The other 78 are each replica's thread: its
-   record (10), its [threads] bucket (4) and its cursor (12).  The reply
-   waiter, the outstanding-call table, the recovery log and the replicas'
-   held-mutex counts add nothing: their Hashtbl buckets and queue cell cost
-   19 more words per round (151) before they were pooled. *)
+   six new instants (12).  The other 66 are each replica's thread: its
+   record (10) and its cursor (12).  Its slot in the replica's thread
+   table adds nothing: a [threads] Hashtbl bucket cost 4 more words per
+   replica (132 per round) before.  Neither do the reply waiter, the
+   outstanding-call table, the recovery log and the replicas' held-mutex
+   counts: their Hashtbl buckets and queue cell cost 19 more words per
+   round (151) before they were pooled. *)
 let test_active_round_words () =
   let engine = Engine.create () in
   let system =
@@ -258,7 +260,7 @@ let test_active_round_words () =
   in
   let next = ref 0 and replies = ref 0 in
   let on_reply ~client:_ ~client_req:_ ~response_ms:_ = incr replies in
-  check_round_words "minor words per submit/reply round" ~words:132 (fun () ->
+  check_round_words "minor words per submit/reply round" ~words:120 (fun () ->
       Active.submit system ~client:0 ~client_req:!next ~meth:"incr" ~args:[||]
         ~on_reply;
       incr next;

@@ -8,63 +8,112 @@ open Detmt_runtime
 
 let b = Alcotest.bool
 
+module Slot_map = Detmt_sim.Slot_map
+
+(* A table over fresh mutex slots, and the slot of a mutex id. *)
+let mutex_table () =
+  let slots = Slot_map.create () in
+  (Mutex_table.create slots, Slot_map.intern slots)
+
+let condvars () =
+  let slots = Slot_map.create () in
+  (Condvar.create slots, Slot_map.intern slots)
+
 (* --------------------------- Mutex_table --------------------------- *)
 
 let test_mutex_basic () =
-  let t = Mutex_table.create () in
+  let t, slot = mutex_table () in
   Alcotest.check b "initially free" true
-    (Mutex_table.is_free_for t ~mutex:1 ~tid:7);
-  Mutex_table.acquire t ~mutex:1 ~tid:7;
-  Alcotest.check b "owner" true (Mutex_table.owner t ~mutex:1 = Some 7);
+    (Mutex_table.is_free_for t ~slot:(slot 1) ~tid:7);
+  Mutex_table.acquire t ~slot:(slot 1) ~tid:7;
+  Alcotest.check b "owner" true (Mutex_table.owner t ~slot:(slot 1) = Some 7);
   Alcotest.check b "free for owner" true
-    (Mutex_table.is_free_for t ~mutex:1 ~tid:7);
+    (Mutex_table.is_free_for t ~slot:(slot 1) ~tid:7);
   Alcotest.check b "not free for other" false
-    (Mutex_table.is_free_for t ~mutex:1 ~tid:8);
-  Alcotest.check b "release frees" true (Mutex_table.release t ~mutex:1 ~tid:7)
+    (Mutex_table.is_free_for t ~slot:(slot 1) ~tid:8);
+  Alcotest.check b "release frees" true
+    (Mutex_table.release t ~slot:(slot 1) ~tid:7)
 
 let test_mutex_reentrant () =
-  let t = Mutex_table.create () in
-  Mutex_table.acquire t ~mutex:5 ~tid:1;
-  Mutex_table.acquire t ~mutex:5 ~tid:1;
-  Alcotest.(check int) "depth 2" 2 (Mutex_table.hold_count t ~mutex:5);
+  let t, slot = mutex_table () in
+  Mutex_table.acquire t ~slot:(slot 5) ~tid:1;
+  Mutex_table.acquire t ~slot:(slot 5) ~tid:1;
+  Alcotest.(check int) "depth 2" 2 (Mutex_table.hold_count t ~slot:(slot 5));
   Alcotest.check b "inner release keeps hold" false
-    (Mutex_table.release t ~mutex:5 ~tid:1);
+    (Mutex_table.release t ~slot:(slot 5) ~tid:1);
   Alcotest.check b "outer release frees" true
-    (Mutex_table.release t ~mutex:5 ~tid:1)
+    (Mutex_table.release t ~slot:(slot 5) ~tid:1)
 
 let test_mutex_foreign_acquire_raises () =
-  let t = Mutex_table.create () in
-  Mutex_table.acquire t ~mutex:3 ~tid:1;
+  let t, slot = mutex_table () in
+  Mutex_table.acquire t ~slot:(slot 3) ~tid:1;
   Alcotest.check b "foreign acquire raises" true
     (try
-       Mutex_table.acquire t ~mutex:3 ~tid:2;
+       Mutex_table.acquire t ~slot:(slot 3) ~tid:2;
        false
      with Invalid_argument _ -> true);
   Alcotest.check b "foreign release raises" true
     (try
-       ignore (Mutex_table.release t ~mutex:3 ~tid:2);
+       ignore (Mutex_table.release t ~slot:(slot 3) ~tid:2);
        false
      with Invalid_argument _ -> true)
 
 let test_mutex_release_all_restore () =
-  let t = Mutex_table.create () in
-  Mutex_table.acquire t ~mutex:9 ~tid:4;
-  Mutex_table.acquire t ~mutex:9 ~tid:4;
-  let count = Mutex_table.release_all t ~mutex:9 ~tid:4 in
+  let t, slot = mutex_table () in
+  Mutex_table.acquire t ~slot:(slot 9) ~tid:4;
+  Mutex_table.acquire t ~slot:(slot 9) ~tid:4;
+  let count = Mutex_table.release_all t ~slot:(slot 9) ~tid:4 in
   Alcotest.(check int) "saved depth" 2 count;
-  Alcotest.check b "freed" true (Mutex_table.owner t ~mutex:9 = None);
-  Mutex_table.restore t ~mutex:9 ~tid:4 ~count;
-  Alcotest.(check int) "restored depth" 2 (Mutex_table.hold_count t ~mutex:9)
+  Alcotest.check b "freed" true (Mutex_table.owner t ~slot:(slot 9) = None);
+  Mutex_table.restore t ~slot:(slot 9) ~tid:4 ~count;
+  Alcotest.(check int) "restored depth" 2
+    (Mutex_table.hold_count t ~slot:(slot 9))
 
 let test_mutex_held_by () =
-  let t = Mutex_table.create () in
-  Mutex_table.acquire t ~mutex:2 ~tid:1;
-  Mutex_table.acquire t ~mutex:8 ~tid:1;
-  Mutex_table.acquire t ~mutex:5 ~tid:2;
+  let t, slot = mutex_table () in
+  Mutex_table.acquire t ~slot:(slot 2) ~tid:1;
+  Mutex_table.acquire t ~slot:(slot 8) ~tid:1;
+  Mutex_table.acquire t ~slot:(slot 5) ~tid:2;
   Alcotest.(check (list int)) "held set sorted" [ 2; 8 ]
     (Mutex_table.held_by t ~tid:1);
   Alcotest.check b "holds_any" true (Mutex_table.holds_any t ~tid:2);
   Alcotest.check b "holds none" false (Mutex_table.holds_any t ~tid:3)
+
+(* Mutex ids the figure1 range never shows, interned in an order that is
+   not the id order: one from a negative int argument, [-1] (which is also
+   the "no slot" answer of [Slot_map.find]) and the object monitor at
+   1_000_000.  Owners, error messages and the acquisition fingerprint name
+   mutex ids, as the id-keyed tables did; the pinned fingerprint is theirs
+   for the same grants. *)
+let test_mutex_slots_negative_and_this () =
+  let slots = Slot_map.create () in
+  let t = Mutex_table.create slots and a = Acquisition_order.create slots in
+  let slot = Slot_map.intern slots in
+  Mutex_table.acquire t ~slot:(slot 1_000_000) ~tid:2;
+  Mutex_table.acquire t ~slot:(slot (-3)) ~tid:1;
+  Mutex_table.acquire t ~slot:(slot (-3)) ~tid:1;
+  Mutex_table.acquire t ~slot:(slot 5) ~tid:1;
+  ignore (Mutex_table.release t ~slot:(slot 5) ~tid:1);
+  Alcotest.(check (list (pair int int))) "holders by mutex id"
+    [ (-3, 1); (1_000_000, 2) ]
+    (Mutex_table.holders t);
+  Alcotest.(check (list int)) "t1 holds" [ -3 ] (Mutex_table.held_by t ~tid:1);
+  Alcotest.check b "the monitor's owner" true
+    (Mutex_table.owner t ~slot:(Slot_map.find slots 1_000_000) = Some 2);
+  Alcotest.check b "a mutex never seen is free" true
+    (Mutex_table.is_free_for t ~slot:(Slot_map.find slots (-7)) ~tid:9);
+  Alcotest.check_raises "a foreign grant names the mutex id"
+    (Invalid_argument
+       "Mutex_table.acquire: mutex -3 granted to t2 but held by t1")
+    (fun () -> Mutex_table.acquire t ~slot:(slot (-3)) ~tid:2);
+  List.iter
+    (fun (m, client, client_req) ->
+      Acquisition_order.record a ~slot:(slot m) ~client ~client_req)
+    [ (1_000_000, 1, 0); (-3, 2, 0); (5, 1, 1); (-3, 3, 0); (1_000_000, 2, 1);
+      (-1, 4, 0) ];
+  Alcotest.(check int64) "the id-keyed table's fingerprint"
+    0x2fc67574700de2a3L
+    (Acquisition_order.fingerprint a)
 
 (* Model test for the O(1) [holds_any]: random operation sequences over
    four threads and four mutexes — fresh and re-entrant acquires, releases,
@@ -77,26 +126,28 @@ let prop_mutex_holds_any_model =
     ~name:"mutex table: holds_any equals held_by <> [] after every op"
     QCheck.(list_of_size Gen.(int_range 1 60) (pair small_nat small_nat))
     (fun steps ->
-      let t = Mutex_table.create () in
+      let t, slot = mutex_table () in
       let tids = [ 1; 2; 3; 4 ] in
       let parked = ref [] (* (mutex, tid, count) from [release_all] *) in
       let step (choice, x) =
         let mutex = x mod 4 in
-        match Mutex_table.owner t ~mutex with
+        match Mutex_table.owner t ~slot:(slot mutex) with
         | None -> (
           match List.find_opt (fun (m, _, _) -> m = mutex) !parked with
           | Some ((_, tid, count) as p) when choice mod 2 = 0 ->
             parked := List.filter (( != ) p) !parked;
-            Mutex_table.restore t ~mutex ~tid ~count
+            Mutex_table.restore t ~slot:(slot mutex) ~tid ~count
           | Some _ | None ->
-            Mutex_table.acquire t ~mutex ~tid:(1 + (choice mod 4)))
+            Mutex_table.acquire t ~slot:(slot mutex) ~tid:(1 + (choice mod 4)))
         | Some tid -> (
           match choice mod 3 with
-          | 0 -> Mutex_table.acquire t ~mutex ~tid (* re-entrant *)
+          | 0 ->
+            Mutex_table.acquire t ~slot:(slot mutex) ~tid (* re-entrant *)
           | 1 ->
-            parked := (mutex, tid, Mutex_table.release_all t ~mutex ~tid)
-                      :: !parked
-          | _ -> ignore (Mutex_table.release t ~mutex ~tid))
+            parked :=
+              (mutex, tid, Mutex_table.release_all t ~slot:(slot mutex) ~tid)
+              :: !parked
+          | _ -> ignore (Mutex_table.release t ~slot:(slot mutex) ~tid))
       in
       List.for_all
         (fun op ->
@@ -110,31 +161,31 @@ let prop_mutex_holds_any_model =
 (* ----------------------------- Condvar ----------------------------- *)
 
 let test_condvar_fifo () =
-  let cv = Condvar.create () in
-  Condvar.park cv ~mutex:1 ~tid:10;
-  Condvar.park cv ~mutex:1 ~tid:11;
-  Condvar.park cv ~mutex:1 ~tid:12;
+  let cv, slot = condvars () in
+  Condvar.park cv ~slot:(slot 1) ~tid:10;
+  Condvar.park cv ~slot:(slot 1) ~tid:11;
+  Condvar.park cv ~slot:(slot 1) ~tid:12;
   Alcotest.check b "notify_one pops oldest" true
-    (Condvar.notify_one cv ~mutex:1 = 10);
+    (Condvar.notify_one cv ~slot:(slot 1) = 10);
   Alcotest.(check (list int)) "notify_all in fifo order" [ 11; 12 ]
-    (Condvar.notify_all cv ~mutex:1);
-  Alcotest.check b "empty now" true (Condvar.notify_one cv ~mutex:1 = -1)
+    (Condvar.notify_all cv ~slot:(slot 1));
+  Alcotest.check b "empty now" true (Condvar.notify_one cv ~slot:(slot 1) = -1)
 
 let test_condvar_per_mutex () =
-  let cv = Condvar.create () in
-  Condvar.park cv ~mutex:1 ~tid:10;
-  Condvar.park cv ~mutex:2 ~tid:20;
+  let cv, slot = condvars () in
+  Condvar.park cv ~slot:(slot 1) ~tid:10;
+  Condvar.park cv ~slot:(slot 2) ~tid:20;
   Alcotest.(check (list int)) "mutex 1 waiters" [ 10 ]
-    (Condvar.waiting cv ~mutex:1);
+    (Condvar.waiting cv ~slot:(slot 1));
   Alcotest.check b "notify on other mutex" true
-    (Condvar.notify_one cv ~mutex:2 = 20)
+    (Condvar.notify_one cv ~slot:(slot 2) = 20)
 
 let test_condvar_double_park_rejected () =
-  let cv = Condvar.create () in
-  Condvar.park cv ~mutex:1 ~tid:5;
+  let cv, slot = condvars () in
+  Condvar.park cv ~slot:(slot 1) ~tid:5;
   Alcotest.check b "double park raises" true
     (try
-       Condvar.park cv ~mutex:1 ~tid:5;
+       Condvar.park cv ~slot:(slot 1) ~tid:5;
        false
      with Invalid_argument _ -> true)
 
@@ -146,46 +197,46 @@ let prop_condvar_fifo_model =
   QCheck.Test.make ~count:300 ~name:"condvar: wait sets are FIFO after every op"
     QCheck.(list_of_size Gen.(int_range 1 80) (pair small_nat small_nat))
     (fun steps ->
-      let cv = Condvar.create () in
+      let cv, slot = condvars () in
       let model = [| []; [] |] in
       let step (choice, x) =
         let mutex = x mod 2 and tid = x mod 12 in
         match choice mod 5 with
         | 0 | 1 ->
           if not (List.mem tid model.(mutex)) then begin
-            Condvar.park cv ~mutex ~tid;
+            Condvar.park cv ~slot:(slot mutex) ~tid;
             model.(mutex) <- model.(mutex) @ [ tid ]
           end;
           true
         | 2 -> (
-          let got = Condvar.notify_one cv ~mutex in
+          let got = Condvar.notify_one cv ~slot:(slot mutex) in
           match model.(mutex) with
           | [] -> got = -1
           | w :: rest ->
             model.(mutex) <- rest;
             got = w)
         | 3 ->
-          let got = Condvar.notify_all cv ~mutex in
+          let got = Condvar.notify_all cv ~slot:(slot mutex) in
           let want = model.(mutex) in
           model.(mutex) <- [];
           got = want
         | _ ->
           let present = List.mem tid model.(mutex) in
           model.(mutex) <- List.filter (( <> ) tid) model.(mutex);
-          Condvar.remove cv ~mutex ~tid = present
+          Condvar.remove cv ~slot:(slot mutex) ~tid = present
       in
       List.for_all
         (fun op ->
           step op
-          && Condvar.waiting cv ~mutex:0 = model.(0)
-          && Condvar.waiting cv ~mutex:1 = model.(1))
+          && Condvar.waiting cv ~slot:(slot 0) = model.(0)
+          && Condvar.waiting cv ~slot:(slot 1) = model.(1))
         steps)
 
 let test_condvar_remove () =
-  let cv = Condvar.create () in
-  Condvar.park cv ~mutex:1 ~tid:5;
-  Alcotest.check b "removed" true (Condvar.remove cv ~mutex:1 ~tid:5);
-  Alcotest.check b "absent" false (Condvar.remove cv ~mutex:1 ~tid:5)
+  let cv, slot = condvars () in
+  Condvar.park cv ~slot:(slot 1) ~tid:5;
+  Alcotest.check b "removed" true (Condvar.remove cv ~slot:(slot 1) ~tid:5);
+  Alcotest.check b "absent" false (Condvar.remove cv ~slot:(slot 1) ~tid:5)
 
 (* ------------------------------ Interp ----------------------------- *)
 
@@ -610,6 +661,141 @@ let test_finished_threads_evicted () =
     | () -> false
     | exception Invalid_argument _ -> true)
 
+(* One replica over a class with a lock-only method ["quick"] and a method
+   ["nest"] that makes one nested call, under a stub scheduler that starts
+   every request and grants every lock at once.  Nested calls stay
+   unanswered until the test answers them. *)
+let open_replica () =
+  let cls =
+    let open Builder in
+    Detmt_transform.Transform.basic
+      (cls ~cname:"C" ~state_fields:[ "st" ]
+         [ meth "quick" [ sync this [ state_incr "st" 1 ] ];
+           meth "nest" [ nested ~service:1 5.0 ] ])
+  in
+  let engine = Detmt_sim.Engine.create () in
+  let callbacks =
+    { Replica.send_reply = (fun _ -> ());
+      do_nested = (fun ~tid:_ ~call_index:_ ~service:_ ~duration:_ -> ());
+      broadcast_control = (fun _ -> ());
+      inject_dummy = (fun () -> ());
+      is_leader = (fun () -> true) }
+  in
+  let make_sched (a : Sched_iface.actions) =
+    Sched_iface.no_op_sched ~name:"open" ~on_request:a.start_thread
+      ~on_lock:(fun tid ~syncid:_ ~mutex:_ -> a.proceed tid)
+      ~on_wakeup:(fun _ ~mutex:_ -> ())
+      ~on_nested_reply:a.proceed
+  in
+  let r =
+    Replica.create ~engine ~id:0 ~cls ~config:Config.default ~callbacks
+      ~make_sched ()
+  in
+  let deliver uid meth =
+    Replica.deliver_request r
+      (Request.make ~uid ~client:uid ~client_req:0 ~meth ~args:[||]
+         ~sent_at:0.0)
+  in
+  (engine, r, deliver)
+
+(* The live threads sit in a ring on tid, so a finished tid's cell serves a
+   newer one.  t0 finishes; t16, in the same cell of the initial 16-cell
+   ring, blocks at a nested call with the index a late reply for t0
+   carries, and that reply must not reach it.  t17 and t33 then share a
+   cell while both live, so the ring grows, and every live thread stays
+   where its tid finds it. *)
+let test_thread_ring_reuse () =
+  let engine, r, deliver = open_replica () in
+  let blocked = Some (Replica.Nested_blocked { call_index = 0 }) in
+  deliver 0 "quick";
+  Detmt_sim.Engine.run engine;
+  Alcotest.check b "t0 finished" true
+    (Replica.thread_status r 0 = Some Replica.Terminated);
+  deliver 16 "nest";
+  Alcotest.check b "t16 waits for its reply" true
+    (Replica.thread_status r 16 = blocked);
+  Replica.nested_reply r ~tid:0 ~call_index:0;
+  Alcotest.check b "a late reply for t0 leaves t16 waiting" true
+    (Replica.thread_status r 16 = blocked);
+  deliver 17 "nest";
+  deliver 33 "nest";
+  Alcotest.(check (list int)) "every live thread listed" [ 16; 17; 33 ]
+    (List.map fst (Replica.threads_overview r));
+  Alcotest.check b "t1, never delivered here, reads Terminated" true
+    (Replica.thread_status r 1 = Some Replica.Terminated);
+  List.iter
+    (fun tid ->
+      Alcotest.check b
+        (Printf.sprintf "t%d found after the growth" tid)
+        true
+        (Replica.thread_status r tid = blocked);
+      Replica.nested_reply r ~tid ~call_index:0)
+    [ 16; 17; 33 ];
+  Detmt_sim.Engine.run engine;
+  Alcotest.(check int) "every request completed" 4
+    (Replica.completed_requests r);
+  Alcotest.(check int) "no live thread left" 0
+    (List.length (Replica.threads_overview r))
+
+(* A finished request's thread record is unreachable from its replica: the
+   ring cell it held gets the vacant filler back.  The record holds its
+   request, which nothing else here keeps, so a weak pointer to the request
+   is cleared by a full major collection once the record is unreachable.
+   While the thread lives, the same pointer survives one. *)
+let test_finished_thread_unreachable () =
+  let engine, r, _ = open_replica () in
+  let w = Weak.create 1 in
+  let deliver_tracked () =
+    let req =
+      Request.make ~uid:0 ~client:0 ~client_req:0 ~meth:"nest" ~args:[||]
+        ~sent_at:0.0
+    in
+    Weak.set w 0 (Some req);
+    Replica.deliver_request r req
+  in
+  deliver_tracked ();
+  Gc.full_major ();
+  Alcotest.check b "a live thread stays reachable" true (Weak.check w 0);
+  Replica.nested_reply r ~tid:0 ~call_index:0;
+  Detmt_sim.Engine.run engine;
+  Alcotest.check b "t0 finished" true
+    (Replica.thread_status r 0 = Some Replica.Terminated);
+  Gc.full_major ();
+  Alcotest.check b "the finished thread is unreachable" false (Weak.check w 0);
+  (* [r] is used after the collection, so the replica itself was live *)
+  Alcotest.(check int) "the replica completed it" 1
+    (Replica.completed_requests r)
+
+(* The request path keys its per-op tables on ints.  These modules may
+   name the Stdlib's polymorphic hash table only on a line of a listed
+   cold table: cgs's plans, built once per start method. *)
+let test_request_path_has_no_hashtbl () =
+  let contains line sub =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length line && (String.sub line i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  List.iter
+    (fun (file, cold) ->
+      let ic = open_in (Filename.concat ".." file) in
+      let rec scan n =
+        match input_line ic with
+        | line ->
+          if contains line "Hashtbl." && not (List.exists (contains line) cold)
+          then
+            Alcotest.failf "%s:%d uses Hashtbl on the request path: %s" file n
+              (String.trim line);
+          scan (n + 1)
+        | exception End_of_file -> close_in ic
+      in
+      scan 1)
+    [ ("lib/runtime/replica.ml", []); ("lib/runtime/mutex_table.ml", []);
+      ("lib/runtime/acquisition_order.ml", []);
+      ("lib/runtime/condvar.ml", []); ("lib/sched/core/waitq.ml", []);
+      ("lib/sched/pmat.ml", []); ("lib/sched/cgs.ml", [ "plans" ]) ]
+
 (* Steady state allocates only the cursor: once a method is compiled, a
    request allocates its cursor (eleven fields and a header) and its frame
    (the shared empty array for a method without locals or loops, as
@@ -661,18 +847,18 @@ let test_interp_steady_state_allocation () =
 (* Once a mutex has an entry and the thread its held count, a re-entrant
    lock/unlock cycle touches both in place. *)
 let test_mutex_no_allocation () =
-  let t = Mutex_table.create () in
+  let t, slot = mutex_table () in
   No_alloc.check "minor words per lock/unlock cycle" (fun () ->
-      if not (Mutex_table.is_free_for t ~mutex:3 ~tid:1) then
+      if not (Mutex_table.is_free_for t ~slot:(slot 3) ~tid:1) then
         Alcotest.fail "mutex 3 not free for t1";
-      Mutex_table.acquire t ~mutex:3 ~tid:1;
-      Mutex_table.acquire t ~mutex:3 ~tid:1;
-      if not (Mutex_table.owns t ~mutex:3 ~tid:1) then
+      Mutex_table.acquire t ~slot:(slot 3) ~tid:1;
+      Mutex_table.acquire t ~slot:(slot 3) ~tid:1;
+      if not (Mutex_table.owns t ~slot:(slot 3) ~tid:1) then
         Alcotest.fail "t1 does not own mutex 3";
       if not (Mutex_table.holds_any t ~tid:1) then
         Alcotest.fail "t1 holds nothing";
-      ignore (Mutex_table.release t ~mutex:3 ~tid:1);
-      if not (Mutex_table.release t ~mutex:3 ~tid:1) then
+      ignore (Mutex_table.release t ~slot:(slot 3) ~tid:1);
+      if not (Mutex_table.release t ~slot:(slot 3) ~tid:1) then
         Alcotest.fail "mutex 3 not freed");
   Alcotest.check b "free after the cycles" false
     (Mutex_table.holds_any t ~tid:1);
@@ -680,11 +866,12 @@ let test_mutex_no_allocation () =
   Alcotest.check b "forgotten" false (Mutex_table.holds_any t ~tid:1)
 
 let test_acquisition_order_no_allocation () =
-  let a = Acquisition_order.create () in
+  let slots = Slot_map.create () in
+  let a = Acquisition_order.create slots and slot = Slot_map.intern slots in
   let req = ref 0 in
   No_alloc.check "minor words per grant of a seen mutex" (fun () ->
       incr req;
-      Acquisition_order.record a ~mutex:5 ~client:(!req land 7)
+      Acquisition_order.record a ~slot:(slot 5) ~client:(!req land 7)
         ~client_req:!req)
 
 (* A speculative round on a pooled workspace, the one a replica runs for
@@ -982,10 +1169,18 @@ let suite =
     ("mutex foreign ops raise", `Quick, test_mutex_foreign_acquire_raises);
     ("mutex release_all/restore", `Quick, test_mutex_release_all_restore);
     ("mutex held_by", `Quick, test_mutex_held_by);
+    ("mutex slots: negative and monitor ids", `Quick,
+     test_mutex_slots_negative_and_this);
     QCheck_alcotest.to_alcotest prop_mutex_holds_any_model;
     ("workspace holds_any", `Quick, test_workspace_holds_any);
     ("replica active_threads counter", `Quick, test_active_threads_counter);
     ("replica evicts finished threads", `Quick, test_finished_threads_evicted);
+    ("replica: a reused thread cell serves only its own tid", `Quick,
+     test_thread_ring_reuse);
+    ("replica: a finished thread is unreachable", `Quick,
+     test_finished_thread_unreachable);
+    ("request path: no Hashtbl outside a cold table", `Quick,
+     test_request_path_has_no_hashtbl);
     ("condvar fifo", `Quick, test_condvar_fifo);
     ("condvar per mutex", `Quick, test_condvar_per_mutex);
     ("condvar double park", `Quick, test_condvar_double_park_rejected);

@@ -242,6 +242,7 @@ let dummy_actions =
     start_thread = ignore; proceed = ignore;
     ws_begin = (fun ~tid:_ ~record_acquisitions:_ -> ());
     ws_commit = (fun ~tid:_ -> true);
+    mutex_slots = Detmt_sim.Slot_map.create ();
     mutex_owner = (fun _ -> None);
     mutex_free_for = (fun ~tid:_ ~mutex:_ -> true);
     holds_any_mutex = (fun _ -> false);

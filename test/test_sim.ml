@@ -785,6 +785,56 @@ let test_int_table_no_allocation () =
       Int_table.remove s key);
   Alcotest.(check int) "only the warm keys are left" 100 (Int_table.length t)
 
+(* Slot_map against a Hashtbl model: interns and finds over negative keys,
+   the object monitor's id, the extremes and enough others to grow the map
+   past two capacities.  A fresh key takes the next slot, a seen one keeps
+   its own, a key never interned has none, and every slot maps back to its
+   key. *)
+let prop_slot_map_model =
+  let keys =
+    Array.of_list
+      ([ 1_000_000; max_int; min_int + 1 ]
+      @ List.init 11 (fun i -> i - 5)
+      @ List.init 30 (fun i -> (i * 7919) - 100_000))
+  in
+  QCheck.Test.make ~count:300 ~name:"slot map matches a Hashtbl model"
+    QCheck.(
+      list_of_size Gen.(int_range 0 300)
+        (pair bool (int_range 0 (Array.length keys - 1))))
+    (fun ops ->
+      let t = Slot_map.create () and model = Hashtbl.create 16 in
+      List.for_all
+        (fun (intern, i) ->
+          let k = keys.(i) in
+          let want =
+            match Hashtbl.find_opt model k with
+            | Some s -> s
+            | None when intern ->
+              let s = Hashtbl.length model in
+              Hashtbl.add model k s;
+              s
+            | None -> -1
+          in
+          (if intern then Slot_map.intern t k else Slot_map.find t k) = want
+          && (want < 0 || Slot_map.key t want = k))
+        ops
+      && List.sort compare (Slot_map.fold (fun k s acc -> (k, s) :: acc) t [])
+         = List.sort compare
+             (Hashtbl.fold (fun k s acc -> (k, s) :: acc) model []))
+
+(* Interning and finding a seen key, negative or not, allocate nothing. *)
+let test_slot_map_no_allocation () =
+  let t = Slot_map.create () in
+  for k = -50 to 49 do
+    ignore (Slot_map.intern t (k * 1_000_003))
+  done;
+  let k = ref 0 in
+  No_alloc.check "minor words per intern and find of a seen key" (fun () ->
+      let key = ((!k mod 100) - 50) * 1_000_003 in
+      incr k;
+      if Slot_map.find t key <> Slot_map.intern t key then
+        Alcotest.fail "find and intern disagree")
+
 let suite =
   [ ("rng reproducible", `Quick, test_rng_reproducible);
     ("rng seed sensitivity", `Quick, test_rng_seed_sensitivity);
@@ -834,6 +884,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_pqueue_drains_sorted;
     QCheck_alcotest.to_alcotest prop_rng_int_in_bounds;
     QCheck_alcotest.to_alcotest prop_int_table_model;
+    QCheck_alcotest.to_alcotest prop_slot_map_model;
+    ("slot map: a seen key's round allocates nothing", `Quick,
+     test_slot_map_no_allocation);
     ("int table: a warmed round allocates nothing", `Quick,
      test_int_table_no_allocation);
     ("trace encoding pinned", `Quick, test_trace_encoding_pinned);
